@@ -26,9 +26,9 @@ bench-smoke:
 	$(GO) run ./cmd/bench -smoke -label local-smoke -out bench-local.json
 
 # Long-running scenario fuzzing: seeded random action programs checked by the
-# cross-backend differential oracle (see docs/FUZZING.md). Shrunk repros of
-# any divergence land in internal/scengen/testdata/corpus, where the plain
-# test suite replays them forever. Override e.g. FUZZ_DURATION=1h.
+# cross-backend differential oracle (see docs/FUZZING.md). This target asks
+# for it with -out: shrunk repros of any divergence go to the replayed corpus.
+# Override e.g. FUZZ_DURATION=1h.
 FUZZ_DURATION ?= 10m
 FUZZ_JOBS ?= 4
 # Fresh seeds every run — the generator is fully deterministic per seed, so

@@ -61,7 +61,6 @@ func run(args []string) error {
 		raiseDelay = fs.Duration("raise-delay", 10*time.Millisecond, "delay before raising (lets nesting form)")
 		policy     = fs.String("policy", "abort", "nested-action policy: abort | wait")
 		tport      = fs.String("transport", "raw", "messaging layer: raw | r3 | tcp (real loopback sockets)")
-		batch      = fs.Int("batch", 0, "delivery batch: drain up to this many queued messages per engine wakeup (0 = per-message)")
 		timeout    = fs.Duration("timeout", 30*time.Second, "run timeout")
 		concurrent = fs.Int("concurrent", 1, "submit this many copies of the action to one shared server and report aggregate agreement")
 		procs      = fs.Bool("procs", false, "run each participant in its own OS process (re-execs this binary; uses -n, -p, -q)")
@@ -129,7 +128,7 @@ func run(args []string) error {
 	spec := scenario.Spec{
 		N: *n, P: *p, Q: *q, Depth: *depth,
 		RaiseDelay: *raiseDelay, Latency: *latency,
-		Policy: pol, Transport: kind, Batch: *batch,
+		Policy: pol, Transport: kind,
 		Timeout: *timeout, KeepTrace: *showTrace,
 	}
 	if *partition != "" {
@@ -144,17 +143,17 @@ func run(args []string) error {
 	spec.Virtual = *virtual
 	if *concurrent > 1 {
 		if spec.Membership {
-			return errors.New("-concurrent and -partition are mutually exclusive (membership runs need a private directory)")
+			return errors.New("-concurrent and -partition are mutually exclusive (-concurrent submits to a server without membership monitoring)")
 		}
-		return runConcurrent(spec, kind, *batch, *concurrent, *timeout)
+		return runConcurrent(spec, kind, *concurrent, *timeout)
 	}
 	res, err := scenario.Run(spec)
 	if err != nil {
 		return err
 	}
 
-	fmt.Printf("scenario: N=%d P=%d Q=%d depth=%d latency=%v policy=%s transport=%s batch=%d\n",
-		*n, *p, *q, *depth, *latency, *policy, *tport, *batch)
+	fmt.Printf("scenario: N=%d P=%d Q=%d depth=%d latency=%v policy=%s transport=%s\n",
+		*n, *p, *q, *depth, *latency, *policy, *tport)
 	fmt.Printf("outcome: completed=%v resolved=%q signalled=%q\n",
 		res.Outcome.Completed, res.Outcome.Resolved, res.Outcome.Signalled)
 	if len(res.Outcome.Expelled) > 0 {
@@ -217,12 +216,12 @@ func runChurn(n int, victims []int, cycles int, lease time.Duration, virtual boo
 // submitted together to one shared server, multiplexed over the same
 // per-object transports, and the aggregate report shows whether every copy
 // reached the same outcome the action reaches when run alone.
-func runConcurrent(spec scenario.Spec, kind core.TransportKind, batch, copies int, timeout time.Duration) error {
+func runConcurrent(spec scenario.Spec, kind core.TransportKind, copies int, timeout time.Duration) error {
 	def, err := scenario.Build(spec)
 	if err != nil {
 		return err
 	}
-	srv := core.NewServer(core.Options{Transport: kind, Batch: batch})
+	srv := core.NewServer(core.Options{Transport: kind})
 	defer srv.Close()
 
 	outs := make([]core.Outcome, copies)
@@ -255,8 +254,8 @@ func runConcurrent(spec scenario.Spec, kind core.TransportKind, batch, copies in
 		resolved[outs[k].Resolved]++
 	}
 
-	fmt.Printf("concurrent: %d copies of N=%d P=%d Q=%d on one shared server (transport=%v batch=%d)\n",
-		copies, spec.N, spec.P, spec.Q, kind, batch)
+	fmt.Printf("concurrent: %d copies of N=%d P=%d Q=%d on one shared server (transport=%v)\n",
+		copies, spec.N, spec.P, spec.Q, kind)
 	fmt.Printf("agreement: %d/%d copies completed\n", completed, copies)
 	keys := make([]string, 0, len(resolved))
 	for k := range resolved {

@@ -32,11 +32,9 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	exp := fs.String("exp", "all", "experiment id (e1..e13) or 'all'")
 	markdown := fs.Bool("markdown", false, "render GitHub-flavoured markdown")
-	batch := fs.Int("batch", 0, "delivery batch for the full-stack runs (0 = per-message)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	experiments.SetBatch(*batch)
 
 	var tables []experiments.Table
 	if strings.EqualFold(*exp, "all") {

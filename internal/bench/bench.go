@@ -1,7 +1,7 @@
 // Package bench is the machine-readable benchmark harness behind cmd/bench.
 // It runs the repository's hot-path workloads — protocol-level storms,
 // nesting-depth sweeps, the New-vs-Campbell–Randell comparison and full-stack
-// batched-delivery runs — and reports ns/op, B/op, allocs/op and the exact
+// runs — and reports ns/op, B/op, allocs/op and the exact
 // protocol-message count per scenario, so every PR leaves a perf trajectory
 // (BENCH_*.json) that benchstat or a plain diff can compare.
 //

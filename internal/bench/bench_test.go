@@ -20,8 +20,7 @@ func TestDefaultSuiteSmoke(t *testing.T) {
 		"protocol/storm/N=64":      protocol.PredictMessages(64, 64, 0),
 		"protocol/nesting/depth=1": protocol.PredictMessages(4, 1, 2),
 		"newvscr/new/N=16":         protocol.PredictMessages(16, 1, 0),
-		"stack/p1/N=16/batch=0":    protocol.PredictMessages(16, 1, 0),
-		"stack/p1/N=16/batch=8":    protocol.PredictMessages(16, 1, 0),
+		"stack/p1/N=16":            protocol.PredictMessages(16, 1, 0),
 	}
 	seen := make(map[string]bool, len(ms))
 	for _, m := range ms {

@@ -32,9 +32,8 @@ type OpenLoopSpec struct {
 	// submitter then blocks at the cap, and that admission wait counts
 	// toward the blocked actions' latency.
 	MaxInFlight int
-	// Transport and Batch configure the shared server.
+	// Transport configures the shared server.
 	Transport core.TransportKind
-	Batch     int
 }
 
 // OpenLoopResult reports one open-loop run.
@@ -69,7 +68,6 @@ func OpenLoop(spec OpenLoopSpec) (OpenLoopResult, error) {
 	}
 	srv := core.NewServer(core.Options{
 		Transport:   spec.Transport,
-		Batch:       spec.Batch,
 		MaxInFlight: spec.MaxInFlight,
 	})
 	defer srv.Close()

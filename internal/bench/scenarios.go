@@ -13,8 +13,8 @@ import (
 
 // Default returns the standard suite: the storm N-sweep (§4.4 case 3, all N
 // raise), the nesting-depth sweep, the New-vs-Campbell–Randell comparison
-// (E5's domino scenario), full-stack concurrent runs with and without
-// batched delivery, and the atomic-object contention sweep (strict 2PL vs
+// (E5's domino scenario), full-stack concurrent runs, and the atomic-object
+// contention sweep (strict 2PL vs
 // the commutativity fast path on shared hot counters; the Msgs column is
 // the wait-die abort count).
 func Default() []Scenario {
@@ -46,20 +46,16 @@ func Default() []Scenario {
 			},
 		)
 	}
-	for _, batch := range []int{0, 8} {
-		batch := batch
-		out = append(out, Scenario{
-			Name: fmt.Sprintf("stack/p1/N=16/batch=%d", batch),
-			Run:  func() (int, error) { return stackCase(16, 1, batch) },
-		})
-	}
-	for _, batch := range []int{0, 8} {
-		batch := batch
-		out = append(out, Scenario{
-			Name: fmt.Sprintf("stack/storm/N=8/batch=%d", batch),
-			Run:  func() (int, error) { return stackCase(8, 8, batch) },
-		})
-	}
+	out = append(out,
+		Scenario{
+			Name: "stack/p1/N=16",
+			Run:  func() (int, error) { return stackCase(16, 1) },
+		},
+		Scenario{
+			Name: "stack/storm/N=8",
+			Run:  func() (int, error) { return stackCase(8, 8) },
+		},
+	)
 	for _, n := range []int{5, 9} {
 		n := n
 		out = append(out, Scenario{
@@ -270,16 +266,16 @@ func churnCase(n, cycles int) (int, error) {
 }
 
 // stackCase runs the full concurrent stack (core runtime over netsim) for
-// (n, p) with the given delivery batch and returns the observed protocol
-// message total. With p == 1 the count is deterministic, 3(N-1); with p == n
-// scheduling races can suppress raises, so the count is last-observed.
-func stackCase(n, p, batch int) (int, error) {
-	res, err := scenario.Run(scenario.Spec{N: n, P: p, Batch: batch})
+// (n, p) and returns the observed protocol message total. With p == 1 the
+// count is deterministic, 3(N-1); with p == n scheduling races can suppress
+// raises, so the count is last-observed.
+func stackCase(n, p int) (int, error) {
+	res, err := scenario.Run(scenario.Spec{N: n, P: p})
 	if err != nil {
 		return 0, err
 	}
 	if !res.Outcome.Completed {
-		return 0, fmt.Errorf("stack run N=%d P=%d batch=%d did not complete", n, p, batch)
+		return 0, fmt.Errorf("stack run N=%d P=%d did not complete", n, p)
 	}
 	return res.Total, nil
 }

@@ -186,6 +186,18 @@ func (c *Context) Enclose(spec *ActionSpec, body Body) (NestedResult, error) {
 	if err != nil {
 		return NestedResult{}, err
 	}
+	entered := false
+	defer func() {
+		if !entered {
+			// instanceFor began the nested transaction, but the frame never
+			// reached this participant's estack (entry refused, or post
+			// unwound into a resolution at this level), so hookAbortNested
+			// cannot find it. The resolution that kept us out dooms the nested
+			// action for every member; abort here so the containing action's
+			// commit does not trip over a live child.
+			inst.abortTxn()
+		}
+	}()
 	if err := c.p.enterInstance(c.level, inst); err != nil {
 		if err == ErrSuspendedEntry {
 			// A resolution already covers this level; unwind into it.
@@ -194,6 +206,7 @@ func (c *Context) Enclose(spec *ActionSpec, body Body) (NestedResult, error) {
 		}
 		return NestedResult{}, err
 	}
+	entered = true
 	child := &Context{p: c.p, inst: inst, level: c.level + 1}
 	return c.p.runScope(child, body)
 }

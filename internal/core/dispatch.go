@@ -23,58 +23,58 @@ var (
 // and with it the object's node binding, reliable-layer state and socket
 // fabric — lives as long as the server, not as long as any one action.
 type dispatcher struct {
-	sys *Server
 	obj ident.ObjectID
-	tr  group.Transport
+
+	// bound closes once the creator's bind concluded; tr and bindErr are
+	// written before it and read only after.
+	bound   chan struct{}
+	tr      group.Transport
+	bindErr error
 
 	mu      sync.Mutex
 	routes  map[ident.ActionID]*mailbox
 	dropped int // deliveries with no live route (e.g. post-completion acks)
 
-	done chan struct{}
+	done chan struct{} // closed when the pump exited
 }
 
 // dispatcherFor returns (creating and starting on demand) the shared
-// dispatcher hosting obj.
+// dispatcher hosting obj. Creation is single-flight per object: the first
+// caller publishes the entry under the server lock and binds outside it
+// (binding dials listeners on the TCP backend), racing callers wait for that
+// one bind, and a failed bind takes its entry out again.
 func (s *Server) dispatcherFor(obj ident.ObjectID) (*dispatcher, error) {
 	s.mu.Lock()
 	if s.dispatchers == nil {
 		s.mu.Unlock()
 		return nil, ErrClosed
 	}
-	if d, ok := s.dispatchers[obj]; ok {
-		s.mu.Unlock()
-		return d, nil
+	d, ok := s.dispatchers[obj]
+	if !ok {
+		d = &dispatcher{
+			obj:    obj,
+			bound:  make(chan struct{}),
+			routes: make(map[ident.ActionID]*mailbox),
+			done:   make(chan struct{}),
+		}
+		s.dispatchers[obj] = d
 	}
 	s.mu.Unlock()
-
-	// Bind outside the server lock: binding dials listeners on the TCP
-	// backend. The double-check below resolves racing creators.
-	tr, err := s.newTransport(s.sharedBinder(), obj)
-	if err != nil {
-		return nil, err
+	if !ok {
+		d.tr, d.bindErr = s.newTransport(obj)
+		if d.bindErr == nil {
+			go d.pump()
+		} else {
+			s.mu.Lock()
+			delete(s.dispatchers, obj) // still ours: nobody inserts over a live entry
+			s.mu.Unlock()
+		}
+		close(d.bound)
 	}
-	d := &dispatcher{
-		sys:    s,
-		obj:    obj,
-		tr:     tr,
-		routes: make(map[ident.ActionID]*mailbox),
-		done:   make(chan struct{}),
+	<-d.bound
+	if d.bindErr != nil {
+		return nil, d.bindErr
 	}
-	s.mu.Lock()
-	if s.dispatchers == nil {
-		s.mu.Unlock()
-		tr.Close()
-		return nil, ErrClosed
-	}
-	if existing, ok := s.dispatchers[obj]; ok {
-		s.mu.Unlock()
-		tr.Close()
-		return existing, nil
-	}
-	s.dispatchers[obj] = d
-	s.mu.Unlock()
-	go d.pump()
 	return d, nil
 }
 
@@ -113,8 +113,13 @@ func (d *dispatcher) unregister(action ident.ActionID) {
 	d.mu.Unlock()
 }
 
-// close tears the shared transport down and waits for the pump to exit.
+// close tears the shared transport down and waits for the pump to exit. An
+// entry still binding is waited for first; one whose bind failed has neither.
 func (d *dispatcher) close() {
+	<-d.bound
+	if d.bindErr != nil {
+		return
+	}
 	d.tr.Close()
 	<-d.done
 }

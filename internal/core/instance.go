@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"repro/internal/atomicobj"
-	"repro/internal/group"
 	"repro/internal/ident"
 )
 
@@ -23,16 +22,12 @@ var (
 )
 
 // run is the state of one top-level CA-action execution — a session on the
-// shared runtime. In shared mode (the default) participants attach to the
-// server's per-object dispatchers and the session's traffic is multiplexed
-// over long-lived transports; membership-monitored runs keep a private
-// directory (heartbeats are untagged, so per-run failure detectors must not
-// share a stream).
+// shared runtime: participants attach to the server's per-object dispatchers
+// and the session's traffic, membership monitoring included, is multiplexed
+// over long-lived transports under the session's root action tag.
 type run struct {
-	sys    *System
-	def    *Definition
-	dir    group.Binder
-	shared bool
+	sys *System
+	def *Definition
 
 	mu        sync.Mutex
 	instances map[*ActionSpec]*instance
@@ -42,10 +37,9 @@ type run struct {
 
 	// Rejoin-mode state. preExpelled is the admission decision: members the
 	// persistent group excluded when the run started; fixed before any body
-	// launches and immutable after. rejoined and snapshots record mid-run
-	// readmissions and the state-transfer snapshots they installed.
+	// launches and immutable after. snapshots records mid-run readmissions:
+	// the state-transfer snapshot each rejoiner installed.
 	preExpelled map[ident.ObjectID]bool
-	rejoined    map[ident.ObjectID]bool
 	snapshots   map[ident.ObjectID]any
 
 	top          *instance
@@ -54,28 +48,13 @@ type run struct {
 }
 
 func newRun(sys *System, def *Definition) *run {
-	r := &run{
+	return &run{
 		sys:          sys,
 		def:          def,
-		shared:       sys.opts.Membership == nil,
 		instances:    make(map[*ActionSpec]*instance),
 		byID:         make(map[ident.ActionID]*instance),
 		participants: make(map[ident.ObjectID]*participant),
 	}
-	if r.shared {
-		r.dir = sys.sharedBinder()
-		return r
-	}
-	nextNode := func() ident.NodeID {
-		// Reuse the action counter as a global node allocator so concurrent
-		// and successive runs on one system never collide.
-		sys.mu.Lock()
-		defer sys.mu.Unlock()
-		sys.nextAction++
-		return ident.NodeID(1000 + sys.nextAction)
-	}
-	r.dir = sys.newDirectory(nextNode)
-	return r
 }
 
 // instanceFor returns (creating on demand) the instance of spec nested under

@@ -21,11 +21,12 @@ const ExcParticipantFailure = "core.participant-failure"
 
 // MembershipOptions enable partition-aware membership monitoring: every
 // participant runs a heartbeat failure detector and a view monitor over its
-// own transport attachment (so membership traffic shares the participant's
-// partition fate). When the surviving majority installs a view excluding a
-// member, the runtime terminates the expelled participant's body, releases
-// it from every completion barrier, and feeds each survivor's engine a
-// synthesized ExcParticipantFailure raised on the expelled member's behalf.
+// own session route (so membership traffic shares the participant's partition
+// fate and, being tagged with the session's root action, never reaches
+// another action's detector). When the surviving majority installs a view
+// excluding a member, the runtime terminates the expelled participant's body,
+// releases it from every completion barrier, and feeds each survivor's engine
+// a synthesized ExcParticipantFailure raised on the expelled member's behalf.
 type MembershipOptions struct {
 	// Heartbeat is the failure detector's send period (default 5ms).
 	Heartbeat time.Duration
@@ -109,14 +110,27 @@ func (s *Server) GroupView() membership.View {
 	return s.group.view.Clone()
 }
 
-// noteGroupView folds a freshly installed view into the persistent record.
-// Monitors of every surviving participant report the same views, so the fold
-// is idempotent by epoch.
-func (s *Server) noteGroupView(v membership.View) {
+// noteGroupView folds a view some participant's monitor installed into the
+// persistent record. Monitors of every surviving participant report the same
+// views, so the fold is idempotent by epoch. A view that readmits members
+// counts only once each of them has installed the state its Welcome carried:
+// until then the record, and with it admission to the next run, still
+// excludes them, so a run that ends with a Welcome in flight leaves the
+// petition to be repeated instead of a member readmitted without state
+// transfer.
+func (r *run) noteGroupView(v membership.View) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	s := r.sys
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.group == nil || v.Epoch <= s.group.view.Epoch {
 		return
+	}
+	for _, m := range v.Members {
+		if _, installed := r.snapshots[m]; !installed && !s.group.view.Contains(m) {
+			return
+		}
 	}
 	s.group.view = v.Clone()
 }
@@ -182,45 +196,31 @@ func (s *System) validateMembership(def *Definition) error {
 	return nil
 }
 
-// Partition installs (or replaces) a named partition group on the current
-// run's fabric: the named participants form one island, everyone else the
-// other, and messages crossing the boundary are dropped until HealPartition.
-// With membership monitoring enabled, a minority island's members are
-// eventually expelled by the surviving majority.
+// Partition installs (or replaces) a named partition group on the server's
+// fabric: the named objects form one island, everyone else the other, and
+// messages crossing the boundary are dropped until HealPartition — for every
+// action in flight and every later one, since all of them share the one
+// fabric. The objects must be bound (have taken part in a run). With
+// membership monitoring enabled, a minority island's members are eventually
+// expelled by the surviving majority of each action they take part in.
 func (s *System) Partition(name string, objs ...ident.ObjectID) error {
-	r := s.currentRun()
-	if r == nil {
-		return errors.New("core: no run in progress")
-	}
-	dir, ok := r.dir.(*group.Directory)
-	if !ok {
+	if s.opts.Transport == TransportTCP {
 		return errors.New("core: named partitions require a netsim-backed transport")
 	}
-	return dir.Fabric().Partition(name, objs...)
+	return s.dir.Fabric().Partition(name, objs...)
 }
 
-// HealPartition removes a named partition group installed with Partition.
-// Expulsions already decided stay decided: views are one-way.
+// HealPartition removes a named partition group installed with Partition,
+// whether or not a run is in progress. Expulsions already decided stay
+// decided: views are one-way.
 func (s *System) HealPartition(name string) {
-	r := s.currentRun()
-	if r == nil {
-		return
-	}
-	if dir, ok := r.dir.(*group.Directory); ok {
-		dir.Fabric().HealPartition(name)
-	}
-}
-
-func (s *System) currentRun() *run {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.curRun
+	s.dir.Fabric().HealPartition(name)
 }
 
 // startMembership wires a participant's failure detector and view monitor
-// onto its transport. The detector runs in fed mode — the participant's
-// engine loop owns the transport's Recv stream and tees heartbeat arrivals
-// in — and the monitor's installations travel as ordinary transport messages.
+// onto its session route. The detector runs in fed mode — the participant's
+// engine loop owns the session inbox and tees heartbeat arrivals in — and the
+// monitor's installations travel as ordinary tagged messages.
 func (p *participant) startMembership() {
 	mo := p.run.sys.opts.Membership
 	if mo == nil {
@@ -229,12 +229,12 @@ func (p *participant) startMembership() {
 	cfg := mo.withDefaults()
 	members := p.run.def.Spec.Members
 	clk := p.run.sys.clk
-	p.detector = group.NewFedDetector(p.transport, members, cfg.Heartbeat, cfg.Timeout, clk)
+	p.detector = group.NewFedDetector(p.obj, p.route.send, members, cfg.Heartbeat, cfg.Timeout, clk)
 	mcfg := membership.Config{
 		Self:      p.obj,
 		Members:   members,
 		Suspector: p.detector,
-		Send:      p.transport.Send,
+		Send:      p.route.send,
 		Poll:      cfg.Poll,
 		Clock:     clk,
 		Lease:     mo.Lease,
@@ -256,61 +256,25 @@ func (p *participant) startMembership() {
 }
 
 // viewChanged runs on the monitor's goroutine whenever a view installs:
-// every member the new view dropped is expelled at the run level, every
-// member it (re)gained is readmitted, and in rejoin mode the persistent
-// group record follows the installed epochs.
+// every member the new view dropped is expelled at the run level, and in
+// rejoin mode the persistent group record follows the installed epochs.
 func (p *participant) viewChanged(old, new membership.View) {
 	if p.run.sys.opts.Membership.Rejoin {
-		p.run.sys.noteGroupView(new)
+		p.run.noteGroupView(new)
 	}
 	for _, m := range old.Members {
 		if !new.Contains(m) {
 			p.run.expel(m)
 		}
 	}
-	for _, m := range new.Members {
-		if !old.Contains(m) {
-			p.run.readmit(m)
-		}
-	}
-}
-
-// readmit records the membership service's decision to welcome obj back,
-// exactly once per run even though every survivor's monitor reports the same
-// view change. The member stays out of this run's action frames — view
-// synchrony admits it to subsequent actions, not half-finished ones — but the
-// outcome reports the rejoin.
-func (r *run) readmit(obj ident.ObjectID) {
-	r.mu.Lock()
-	if !r.preExpelled[obj] && !r.expelled[obj] {
-		r.mu.Unlock()
-		return // was never out: plain installation noise
-	}
-	if r.rejoined == nil {
-		r.rejoined = make(map[ident.ObjectID]bool)
-	}
-	if r.rejoined[obj] {
-		r.mu.Unlock()
-		return
-	}
-	r.rejoined[obj] = true
-	r.mu.Unlock()
-	r.sys.log.Record(trace.Event{Kind: trace.EvNote, Object: obj, Label: "participant-rejoined"})
-}
-
-// rejoinedMembers returns the members readmitted during this run, unordered.
-func (r *run) rejoinedMembers() []ident.ObjectID {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]ident.ObjectID, 0, len(r.rejoined))
-	for obj := range r.rejoined {
-		out = append(out, obj)
-	}
-	return out
 }
 
 // noteInstalled records the state-transfer snapshot a rejoining participant
-// installed from its Welcome.
+// installed from its Welcome. That installation — the rejoiner's own, not the
+// survivors' view change — is what the outcome reports as the rejoin, so a
+// member is never reported rejoined without its snapshot. The member stays
+// out of this run's action frames: view synchrony admits it to subsequent
+// actions, not half-finished ones.
 func (r *run) noteInstalled(obj ident.ObjectID, snap any) {
 	r.mu.Lock()
 	if r.snapshots == nil {
@@ -318,6 +282,7 @@ func (r *run) noteInstalled(obj ident.ObjectID, snap any) {
 	}
 	r.snapshots[obj] = snap
 	r.mu.Unlock()
+	r.sys.log.Record(trace.Event{Kind: trace.EvNote, Object: obj, Label: "participant-rejoined"})
 }
 
 // frameMembers filters an action's member list by the run's admission

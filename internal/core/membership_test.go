@@ -114,6 +114,66 @@ func TestPartitionExpelsMinority(t *testing.T) {
 	}
 }
 
+// TestConcurrentMembershipActionsShareOneFabric runs membership monitoring on
+// the shared runtime: two monitored actions in flight at once over the same
+// five objects, each with its own detectors and monitors fed by session-tagged
+// heartbeats on the objects' shared transports. One server-scoped cut of {5}
+// must make both actions expel exactly {5} and resolve the participant
+// failure; the cut then stands until healed with no run in progress, after
+// which a third action sees the whole group.
+func TestConcurrentMembershipActionsShareOneFabric(t *testing.T) {
+	sys := NewSystem(Options{Membership: fastMembership()})
+	defer sys.Close()
+	members := []ident.ObjectID{1, 2, 3, 4, 5}
+	forever := func(ctx *Context) error {
+		ctx.Sleep(time.Hour)
+		return nil
+	}
+
+	pendings := make([]*Pending, 2)
+	for k := range pendings {
+		p, err := sys.Submit(pfDef(members, forever))
+		if err != nil {
+			t.Fatalf("submit %d: %v", k, err)
+		}
+		pendings[k] = p
+	}
+	time.Sleep(20 * time.Millisecond) // let participants bind and beat
+	if err := sys.Partition("storm", 5); err != nil {
+		t.Fatalf("partition: %v", err)
+	}
+	for k, p := range pendings {
+		out, err := p.Wait()
+		if err != nil {
+			t.Fatalf("action %d: %v (outcome %+v)", k, err, out)
+		}
+		if !out.Completed || out.Resolved != ExcParticipantFailure {
+			t.Errorf("action %d outcome = %+v, want completed with %q", k, out, ExcParticipantFailure)
+		}
+		if !slices.Equal(out.Expelled, []ident.ObjectID{5}) {
+			t.Errorf("action %d expelled = %v, want [5]", k, out.Expelled)
+		}
+	}
+	sys.mu.Lock()
+	bound := len(sys.dispatchers)
+	sys.mu.Unlock()
+	if bound != len(members) {
+		t.Errorf("%d dispatchers, want one per object (%d)", bound, len(members))
+	}
+
+	sys.HealPartition("storm") // no run in progress
+	out, err := sys.Run(pfDef(members, func(ctx *Context) error {
+		ctx.Sleep(100 * time.Millisecond) // four detector timeouts: a standing cut would expel 5
+		return nil
+	}))
+	if err != nil {
+		t.Fatalf("post-heal run: %v", err)
+	}
+	if !out.Completed || out.Resolved != "" || len(out.Expelled) != 0 {
+		t.Errorf("post-heal outcome = %+v, want clean completion with nobody expelled", out)
+	}
+}
+
 // TestPartitionWithSurvivingRaiser: the application exception and the
 // participant failure meet in one resolution — O1 raises while {4,5} are cut
 // away, so the survivors' LE holds both and the committed resolution must be

@@ -246,6 +246,52 @@ func TestOuterExceptionAbortsNested(t *testing.T) {
 	}
 }
 
+// TestNestedEntryRacingOuterResolution is the nested-transaction leak
+// regression: O1 raises at once while O2 is on its way into a singleton nested
+// action, so in some runs the outer resolution refuses O2's entry (or unwinds
+// it mid-entry) after the nested transaction has begun. That transaction is on
+// no estack for the abortion pass to find; left live, it fails the outer
+// commit with "transaction has active children".
+func TestNestedEntryRacingOuterResolution(t *testing.T) {
+	members := []ident.ObjectID{1, 2, 3, 4}
+	for i := 0; i < 300; i++ {
+		sys := NewSystem(Options{})
+		nested := &ActionSpec{
+			Name: "inner", Tree: testTree("ofault"), Members: []ident.ObjectID{2},
+			Handlers: uniformHandlers([]ident.ObjectID{2}, defaultOnly(noopHandler)),
+		}
+		idle := func(ctx *Context) error {
+			ctx.Sleep(time.Hour)
+			return nil
+		}
+		out, err := sys.RunTimeout(Definition{
+			Spec: ActionSpec{
+				Name: "outer", Tree: testTree("ofault"), Members: members,
+				Handlers: uniformHandlers(members, defaultOnly(noopHandler)),
+			},
+			Bodies: map[ident.ObjectID]Body{
+				1: func(ctx *Context) error {
+					ctx.Raise("ofault")
+					return nil
+				},
+				2: func(ctx *Context) error {
+					_, err := ctx.Enclose(nested, idle)
+					return err
+				},
+				3: idle,
+				4: idle,
+			},
+		}, 30*time.Second)
+		sys.Close()
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		if !out.Completed || out.Resolved != "ofault" {
+			t.Fatalf("run %d outcome = %+v", i, out)
+		}
+	}
+}
+
 // TestExample2EndToEnd runs §4.3 Example 2 / Figure 4 through the full
 // runtime: four objects, nested A2 ⊃ A3, O3 belated for A3, E1 and E2 raised
 // concurrently, O2's A2-abortion handler signalling E3.

@@ -38,23 +38,22 @@ type event struct {
 
 // participant is one participating object: a protocol engine goroutine plus
 // a body goroutine, communicating only through events and suspension state.
-// In shared mode the participant attaches to the object's dispatcher via a
-// sessionRoute (transport is nil); in legacy (membership) mode it owns a
-// private transport for the run's lifetime.
+// It attaches to its object's dispatcher through a sessionRoute: everything it
+// sends — protocol messages and membership traffic alike — carries the
+// session's root action tag, and everything so tagged arrives in its inbox.
 type participant struct {
-	run       *run
-	obj       ident.ObjectID
-	transport group.Transport // legacy mode only; nil when route is set
-	route     *sessionRoute   // shared mode only; nil when transport is set
-	engine    *protocol.Engine
+	run    *run
+	obj    ident.ObjectID
+	route  *sessionRoute
+	engine *protocol.Engine
 
 	events   chan *event
 	quit     chan struct{}
 	loopDone chan struct{}
 
 	// Membership monitoring (nil without Options.Membership). The detector
-	// runs in fed mode — this participant's loop owns the transport stream
-	// and tees heartbeats in — and the monitor's view changes drive run-level
+	// runs in fed mode — this participant's loop owns the session inbox and
+	// tees heartbeats in — and the monitor's view changes drive run-level
 	// expulsion.
 	detector *group.Detector
 	monitor  *membership.Monitor
@@ -86,22 +85,14 @@ func newParticipant(r *run, obj ident.ObjectID) (*participant, error) {
 		parkedLevel:  levelNotParked,
 		outcomes:     make(map[ident.ActionID]chan handlerOutcome),
 	}
-	if r.shared {
-		// Shared runtime: attach to the object's long-lived dispatcher,
-		// keyed by this session's root action tag (allocated before any
-		// participant exists, see runAttempt).
-		d, err := r.sys.dispatcherFor(obj)
-		if err != nil {
-			return nil, err
-		}
-		p.route = newSessionRoute(d, r.top.id)
-	} else {
-		tr, err := r.sys.newTransport(r.dir, obj)
-		if err != nil {
-			return nil, err
-		}
-		p.transport = tr
+	// Attach to the object's long-lived dispatcher, keyed by this session's
+	// root action tag (allocated before any participant exists, see
+	// runAttempt).
+	d, err := r.sys.dispatcherFor(obj)
+	if err != nil {
+		return nil, err
 	}
+	p.route = newSessionRoute(d, r.top.id)
 	p.parkCond = sync.NewCond(&p.smu)
 	// Engines are pooled: Reset rebinds a warm engine (ledger capacity
 	// intact) to this participant instead of allocating fresh maps per
@@ -120,55 +111,18 @@ func newParticipant(r *run, obj ident.ObjectID) (*participant, error) {
 	return p, nil
 }
 
+// burst caps the deliveries one engine-loop wakeup drains before local events
+// get another turn.
+const burst = 32
+
 // loop is the engine goroutine: it serialises protocol messages and local
-// events onto the engine state machine. With Options.Batch > 0, each wakeup
-// greedily drains up to Batch already-queued deliveries before the next
-// blocking wait, amortising the select/scheduler round trip under storm load;
-// the cap keeps local events from starving while messages keep flowing.
+// events onto the engine state machine. Deliveries arrive in the session's
+// mailbox (fed by the object's dispatcher), and each wakeup drains a bounded
+// burst so local events never starve behind a message storm. The mailbox
+// re-arms its ready signal while non-empty, so stopping at the burst cap never
+// strands queued messages.
 func (p *participant) loop() {
 	defer close(p.loopDone)
-	if p.route != nil {
-		p.loopShared()
-		return
-	}
-	batch := p.run.sys.opts.Batch
-	for {
-		select {
-		case <-p.quit:
-			return
-		case d, ok := <-p.transport.Recv():
-			if !ok {
-				return
-			}
-			p.handleDelivery(d)
-			for n := 1; n < batch; n++ {
-				select {
-				case d, ok := <-p.transport.Recv():
-					if !ok {
-						return
-					}
-					p.handleDelivery(d)
-					continue
-				default:
-				}
-				break
-			}
-		case ev := <-p.events:
-			ev.reply <- ev.fn()
-		}
-	}
-}
-
-// loopShared is the engine goroutine in shared mode: deliveries arrive in
-// the session's mailbox (fed by the object's dispatcher), and each wakeup
-// drains a bounded burst so local events never starve behind a message
-// storm. The mailbox re-arms its ready signal while non-empty, so stopping
-// at the burst cap never strands queued messages.
-func (p *participant) loopShared() {
-	burst := p.run.sys.opts.Batch
-	if burst < 1 {
-		burst = 32
-	}
 	inbox := p.route.inbox
 	for {
 		select {
@@ -212,11 +166,11 @@ func (p *participant) handleDelivery(d group.Delivery) {
 }
 
 // stop terminates the engine goroutine, the membership machinery and the
-// transport attachment, in that order (the monitor's final callbacks must
-// find the participant already quit, and the detector must stop beating
-// before its transport closes). In shared mode the session's route is
-// unregistered — the object's shared transport stays up for other sessions —
-// and the engine, now quiescent, returns to the server's pool.
+// session route, in that order (the monitor's final callbacks must find the
+// participant already quit, and the detector must stop beating before its
+// route detaches). Only the route is unregistered — the object's shared
+// transport stays up for other sessions — and the engine, now quiescent,
+// returns to the server's pool.
 func (p *participant) stop() {
 	close(p.quit)
 	<-p.loopDone
@@ -226,11 +180,7 @@ func (p *participant) stop() {
 	if p.detector != nil {
 		p.detector.Stop()
 	}
-	if p.route != nil {
-		p.route.close()
-	} else {
-		p.transport.Close()
-	}
+	p.route.close()
 	p.run.sys.enginePool.Put(p.engine)
 	p.engine = nil
 }
@@ -279,16 +229,10 @@ func (p *participant) post(level int, fn func() error) error {
 
 func (p *participant) hookSend(to ident.ObjectID, m protocol.Msg) {
 	// The directory's codec (wire encoding, when enabled) applies at the
-	// transport boundary; encode failures surface as send errors. Shared-mode
-	// sends carry the session's root action tag so the receiving dispatcher
-	// can route the frame without decoding it.
-	var err error
-	if p.route != nil {
-		err = p.route.send(to, m.Kind, m)
-	} else {
-		err = p.transport.Send(to, m.Kind, m)
-	}
-	if err != nil {
+	// transport boundary; encode failures surface as send errors. The send
+	// carries the session's root action tag so the receiving dispatcher can
+	// route the frame without decoding it.
+	if err := p.route.send(to, m.Kind, m); err != nil {
 		p.run.sys.log.Record(trace.Event{Kind: trace.EvNote, Object: p.obj,
 			Label: "send-error", Detail: err.Error()})
 	}

@@ -91,9 +91,9 @@ func TestRejoinAcrossRuns(t *testing.T) {
 		t.Fatalf("persistent view still contains the expelled members: %v", v)
 	}
 
-	// Run 2: the partition named node IDs of run 1's fabric, so run 2's
-	// fabric is healed by construction. The pre-expelled members petition;
-	// the survivors' bodies wait for the group to be whole again.
+	// Run 2: heal the cut (no run is in progress). The pre-expelled members
+	// petition; the survivors' bodies wait for the group to be whole again.
+	sys.HealPartition("cut")
 	waitWhole := func(ctx *Context) error {
 		for i := 0; i < 5000; i++ {
 			v := sys.GroupView()
@@ -223,6 +223,7 @@ func TestRejoinChurnStress(t *testing.T) {
 			t.Fatalf("cycle %d expelled %v, want [5]", cycle, out.Expelled)
 		}
 
+		sys.HealPartition(cutName)
 		waitWhole := func(ctx *Context) error {
 			for i := 0; i < 5000; i++ {
 				if sys.GroupView().Contains(5) {

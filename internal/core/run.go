@@ -105,7 +105,7 @@ func (s *System) runAttempt(def Definition, timeout time.Duration, attempt int) 
 		// Admission: members the persistent group expelled in earlier runs
 		// stay out of this action's frames until they rejoin (view synchrony
 		// admits them to the next action, never a half-entered one). Their
-		// participants still start — detector, monitor and transport — so
+		// participants still start — detector, monitor and session route — so
 		// their rejoin petitions can flow during the run.
 		s.ensureGroup(def.Spec.Members)
 		r.preExpelled = s.excludedOf(def.Spec.Members)
@@ -116,16 +116,6 @@ func (s *System) runAttempt(def Definition, timeout time.Duration, attempt int) 
 			}
 		}
 	}
-	s.mu.Lock()
-	s.curRun = r
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		if s.curRun == r {
-			s.curRun = nil
-		}
-		s.mu.Unlock()
-	}()
 	topInst, err := r.instanceFor(&def.Spec, nil)
 	if err != nil {
 		return Outcome{}, err
@@ -205,10 +195,9 @@ func (s *System) runAttempt(def Definition, timeout time.Duration, attempt int) 
 	for _, obj := range r.expelledMembers() {
 		expelled[obj] = true
 	}
-	rejoined := make(map[ident.ObjectID]bool)
-	for _, obj := range r.rejoinedMembers() {
-		rejoined[obj] = true
-	}
+	r.mu.Lock()
+	snapshots := r.snapshots // every participant has stopped: no more installs
+	r.mu.Unlock()
 
 	out := Outcome{Completed: true, PerObject: results}
 	var firstErr error
@@ -219,11 +208,9 @@ func (s *System) runAttempt(def Definition, timeout time.Duration, attempt int) 
 			// survivors' outcome stands regardless of how its body unwound.
 			res.Expelled = true
 			res.Err = nil
-			if rejoined[obj] {
+			if snap, ok := snapshots[obj]; ok {
 				res.Rejoined = true
-				r.mu.Lock()
-				res.Snapshot = r.snapshots[obj]
-				r.mu.Unlock()
+				res.Snapshot = snap
 				out.Rejoined = append(out.Rejoined, obj) // members is sorted
 			}
 			results[obj] = res

@@ -89,6 +89,50 @@ func TestServerConcurrentActionsZeroLeakage(t *testing.T) {
 	}
 }
 
+// TestServerConcurrentFirstBind is the bind-race regression: 64 goroutines
+// submit at once onto a fresh server over the same two objects, so every one
+// of them finds the objects' dispatchers missing. Creation must be
+// single-flight — one bind per object, every action attached to it — where
+// the losers of the race used to fail with "member already registered" or
+// close a transport sharing the winner's registration.
+func TestServerConcurrentFirstBind(t *testing.T) {
+	const submitters = 64
+	gate := make(chan any)
+	close(gate)
+	for round := 0; round < 20; round++ {
+		s := NewServer(Options{})
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < submitters; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				<-start
+				p, err := s.Submit(raiseDef(fmt.Sprintf("r%d-g%d", round, g), "E1", gate))
+				if err != nil {
+					t.Errorf("round %d submit %d: %v", round, g, err)
+					return
+				}
+				if out, err := p.Wait(); err != nil || !out.Completed || out.Resolved != "E1" {
+					t.Errorf("round %d action %d: out=%+v err=%v", round, g, out, err)
+				}
+			}(g)
+		}
+		close(start)
+		wg.Wait()
+		s.mu.Lock()
+		bound := len(s.dispatchers)
+		s.mu.Unlock()
+		if bound != 2 {
+			t.Errorf("round %d: %d dispatchers, want one per object (2)", round, bound)
+		}
+		s.Close()
+		if t.Failed() {
+			return
+		}
+	}
+}
+
 // TestServerCloseDrainsConcurrentRuns is the Close-vs-Run race regression:
 // Close must reject new submissions and wait for in-flight runs instead of
 // tearing the fabric down underneath them.

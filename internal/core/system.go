@@ -69,13 +69,6 @@ type Options struct {
 	// ExcParticipantFailure exception. Requires a netsim-backed transport
 	// and an exception tree declaring ExcParticipantFailure.
 	Membership *MembershipOptions
-	// Batch, when > 0, enables batched delivery on the hot path: each
-	// participant's engine loop drains up to Batch queued protocol messages
-	// per wakeup instead of one, and the concurrent fabric underneath
-	// coalesces its pump wakeups the same way. FIFO-per-pair order is
-	// preserved, so runs commit the same resolutions as unbatched ones;
-	// only scheduling granularity changes. Zero keeps per-message delivery.
-	Batch int
 	// Clock is the time seam for every timer the server arms: run timeouts,
 	// Context.Sleep deadlines, heartbeat and retransmission tickers, and
 	// (unless Network.Clock is set separately) netsim link latency. Nil means
@@ -115,11 +108,10 @@ type Server struct {
 	mu         sync.Mutex
 	cond       *sync.Cond // inflight or closed changed
 	nextAction ident.ActionID
-	curRun     *run // the run Partition/HealPartition act on
 	inflight   int
 	closed     bool
 
-	// Shared-runtime state (multiplexed, non-membership runs).
+	// The one runtime every run is multiplexed over.
 	dispatchers map[ident.ObjectID]*dispatcher
 	tcpDir      *group.TCPDirectory // shared socket directory, TransportTCP only
 
@@ -153,27 +145,19 @@ func NewServer(opts Options) *Server {
 		dispatchers: make(map[ident.ObjectID]*dispatcher),
 	}
 	s.cond = sync.NewCond(&s.mu)
-	s.dir = group.NewDirectory(net, s.dirOptions()...)
+	var dirOpts []group.Option
+	if opts.WireEncoding {
+		// The wire codec sits at the transport boundary, so every protocol
+		// message crosses the fabric as bytes.
+		dirOpts = append(dirOpts, group.WithCodec(wire.Codec{}))
+	}
+	s.dir = group.NewDirectory(net, dirOpts...)
 	s.enginePool.New = func() any { return protocol.NewEngine(0, protocol.Hooks{}) }
 	return s
 }
 
 // NewSystem creates a server (historical name).
 func NewSystem(opts Options) *System { return NewServer(opts) }
-
-// dirOptions returns the directory options every membership directory of this
-// system shares. With WireEncoding on, the wire codec is installed at the
-// transport boundary, so every protocol message crosses the fabric as bytes.
-func (s *System) dirOptions() []group.Option {
-	var opts []group.Option
-	if s.opts.WireEncoding {
-		opts = append(opts, group.WithCodec(wire.Codec{}))
-	}
-	if s.opts.Batch > 0 {
-		opts = append(opts, group.WithBatch(s.opts.Batch))
-	}
-	return opts
-}
 
 // Store returns the external atomic-object store.
 func (s *System) Store() *atomicobj.Store { return s.store }
@@ -259,20 +243,10 @@ func (s *System) allocAction() ident.ActionID {
 	return s.nextAction
 }
 
-// newDirectory creates one run's private membership service (legacy,
-// membership-monitored runs only): a netsim-backed directory for the
-// simulated transports, a socket-backed one for TransportTCP.
-func (s *System) newDirectory(alloc func() ident.NodeID) group.Binder {
-	if s.opts.Transport == TransportTCP {
-		return group.NewTCPDirectory(group.WithTCPCodec(wire.Codec{}))
-	}
-	return group.NewDirectoryWithAllocator(s.net, alloc, s.dirOptions()...)
-}
-
-// sharedBinder returns the directory shared-runtime runs bind on: the
-// server's long-lived netsim directory, or (for TransportTCP) one lazily
-// created socket directory whose member fabrics live until Close.
-func (s *Server) sharedBinder() group.Binder {
+// binder returns the directory every object binds on: the server's
+// long-lived netsim directory, or (for TransportTCP) one lazily created socket
+// directory whose member fabrics live until Close.
+func (s *Server) binder() group.Binder {
 	if s.opts.Transport != TransportTCP {
 		return s.dir
 	}
@@ -284,19 +258,15 @@ func (s *Server) sharedBinder() group.Binder {
 	return s.tcpDir
 }
 
-// newTransport creates the configured transport for one object in the given
-// membership directory (one directory per run, so successive runs can reuse
-// object identifiers).
-func (s *System) newTransport(dir group.Binder, obj ident.ObjectID) (group.Transport, error) {
+// newTransport binds obj's long-lived transport of the configured kind.
+func (s *Server) newTransport(obj ident.ObjectID) (group.Transport, error) {
 	switch s.opts.Transport {
-	case TransportReliable:
-		return group.NewR3TransportClock(dir, obj, s.opts.Retransmit, s.clk)
 	case TransportRaw:
-		return group.NewRawTransport(dir, obj)
-	case TransportTCP:
-		// The base fabric loses in-flight frames across reconnects, so the
-		// reliable layer is not optional here.
-		return group.NewR3TransportClock(dir, obj, s.opts.Retransmit, s.clk)
+		return group.NewRawTransport(s.binder(), obj)
+	case TransportReliable, TransportTCP:
+		// Over TCP the base fabric loses in-flight frames across reconnects,
+		// so the reliable layer is not optional there.
+		return group.NewR3TransportClock(s.binder(), obj, s.opts.Retransmit, s.clk)
 	default:
 		panic("core: unknown transport kind")
 	}

@@ -14,15 +14,6 @@ import (
 	"repro/internal/trace"
 )
 
-// batch is the delivery batch applied to every full-stack scenario run (see
-// scenario.Spec.Batch). Zero keeps per-message delivery.
-var batch int
-
-// SetBatch sets the delivery batch used by the full-stack experiment runs
-// (cmd/experiments -batch). The protocol-level fabric counts are unaffected:
-// batching changes scheduling granularity, never message complexity.
-func SetBatch(n int) { batch = n }
-
 // simCase runs the deterministic protocol fabric for (n, p, q) and returns
 // the exact message total. Single-member nested actions are used for the Q
 // objects, exactly as in the §4.4 parameterisation.
@@ -78,7 +69,7 @@ func E1() (Table, error) {
 		if err != nil {
 			return t, err
 		}
-		res, err := scenario.Run(scenario.Spec{N: n, P: 1, Batch: batch})
+		res, err := scenario.Run(scenario.Spec{N: n, P: 1})
 		if err != nil {
 			return t, err
 		}
@@ -509,7 +500,6 @@ func E13() (Table, error) {
 			RaiseDelay:   raiseDelay,
 			AbortionCost: 2 * time.Millisecond,
 			Latency:      200 * time.Microsecond,
-			Batch:        batch,
 		})
 		if err != nil {
 			return t, err

@@ -16,15 +16,17 @@ import (
 // whether a belated participant is merely slow or gone for good (the case
 // that motivates the abort-nested strategy of Figure 1(b)).
 //
-// The detector owns its transport: heartbeats do not interleave with
-// application messages.
+// A detector created with NewDetector owns its transport: heartbeats do not
+// interleave with application messages. One created with NewFedDetector only
+// sends; the owner of the receive stream feeds arrivals in through Observe.
 type Detector struct {
-	transport Transport
-	peers     []ident.ObjectID
-	interval  time.Duration
-	timeout   time.Duration
-	clk       vclock.Clock
-	fed       bool // receptions arrive via Observe, not the transport
+	self     ident.ObjectID
+	send     func(to ident.ObjectID, kind string, payload any) error
+	recv     <-chan Delivery // nil when receptions arrive via Observe
+	peers    []ident.ObjectID
+	interval time.Duration
+	timeout  time.Duration
+	clk      vclock.Clock
 
 	mu       sync.Mutex
 	lastSeen map[ident.ObjectID]time.Time
@@ -42,42 +44,42 @@ const KindHeartbeat = "group.heartbeat"
 // timeout. clk is the clock seam for both the beat ticker and staleness
 // cutoffs; nil means the real clock.
 func NewDetector(t Transport, peers []ident.ObjectID, interval, timeout time.Duration, clk vclock.Clock) *Detector {
-	d := newDetector(t, peers, interval, timeout, clk)
-	go d.loop()
-	return d
+	return startDetector(t.Self(), t.Send, t.Recv(), peers, interval, timeout, clk)
 }
 
-// NewFedDetector is NewDetector for a transport whose Recv stream is owned by
-// somebody else (e.g. a participant's engine loop): the detector still
-// multicasts its own heartbeats through t, but heartbeat receptions must be
-// fed in by the stream's owner via Observe. This lets membership traffic share
-// the participant's fabric attachment — and therefore its partition fate —
+// NewFedDetector is NewDetector for a member whose receive stream is owned by
+// somebody else (e.g. a participant's engine loop): the detector multicasts
+// self's heartbeats through send, and heartbeat receptions must be fed in by
+// the stream's owner via Observe. This lets membership traffic share the
+// participant's fabric attachment — and therefore its partition fate —
 // instead of requiring a second transport per object.
-func NewFedDetector(t Transport, peers []ident.ObjectID, interval, timeout time.Duration, clk vclock.Clock) *Detector {
-	d := newDetector(t, peers, interval, timeout, clk)
-	d.fed = true
-	go d.loop()
-	return d
+func NewFedDetector(self ident.ObjectID, send func(to ident.ObjectID, kind string, payload any) error,
+	peers []ident.ObjectID, interval, timeout time.Duration, clk vclock.Clock) *Detector {
+	return startDetector(self, send, nil, peers, interval, timeout, clk)
 }
 
-func newDetector(t Transport, peers []ident.ObjectID, interval, timeout time.Duration, clk vclock.Clock) *Detector {
+func startDetector(self ident.ObjectID, send func(to ident.ObjectID, kind string, payload any) error,
+	recv <-chan Delivery, peers []ident.ObjectID, interval, timeout time.Duration, clk vclock.Clock) *Detector {
 	clk = vclock.Or(clk)
 	d := &Detector{
-		transport: t,
-		peers:     append([]ident.ObjectID{}, peers...),
-		interval:  interval,
-		timeout:   timeout,
-		clk:       clk,
-		lastSeen:  make(map[ident.ObjectID]time.Time, len(peers)),
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
+		self:     self,
+		send:     send,
+		recv:     recv,
+		peers:    append([]ident.ObjectID{}, peers...),
+		interval: interval,
+		timeout:  timeout,
+		clk:      clk,
+		lastSeen: make(map[ident.ObjectID]time.Time, len(peers)),
+		stop:     make(chan struct{}),
+		done:     make(chan struct{}),
 	}
 	start := clk.Now()
 	for _, p := range d.peers {
-		if p != t.Self() {
+		if p != self {
 			d.lastSeen[p] = start // grace period: everyone starts alive
 		}
 	}
+	go d.loop()
 	return d
 }
 
@@ -143,17 +145,13 @@ func (d *Detector) loop() {
 	ticker := d.clk.NewTicker(d.interval)
 	defer ticker.Stop()
 	d.beat()
-	recv := d.transport.Recv()
-	if d.fed {
-		recv = nil // receptions come through Observe; a nil channel never fires
-	}
 	for {
 		select {
 		case <-d.stop:
 			return
 		case <-ticker.C():
 			d.beat()
-		case msg, ok := <-recv:
+		case msg, ok := <-d.recv: // a nil channel (fed mode) never fires
 			if !ok {
 				return
 			}
@@ -167,9 +165,9 @@ func (d *Detector) loop() {
 
 func (d *Detector) beat() {
 	for _, p := range d.peers {
-		if p == d.transport.Self() {
+		if p == d.self {
 			continue
 		}
-		_ = d.transport.Send(p, KindHeartbeat, nil)
+		_ = d.send(p, KindHeartbeat, nil)
 	}
 }

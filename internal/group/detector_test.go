@@ -239,7 +239,7 @@ func TestFedDetectorObserve(t *testing.T) {
 	}
 	defer tr.Close()
 
-	d := NewFedDetector(tr, []ident.ObjectID{1, 2}, time.Millisecond, timeout, clock)
+	d := NewFedDetector(1, tr.Send, []ident.ObjectID{1, 2}, time.Millisecond, timeout, clock)
 	defer d.Stop()
 
 	if d.Suspected(2) {

@@ -29,9 +29,9 @@ import (
 )
 
 // Delivery is a message handed to the application layer. Action carries the
-// sender's routing tag (zero for untagged traffic such as heartbeats), so a
-// receiver hosting many concurrent actions can demultiplex deliveries
-// without inspecting payloads.
+// sender's routing tag (zero when sent with plain Send), so a receiver hosting
+// many concurrent actions can demultiplex deliveries — protocol messages and
+// membership traffic alike — without inspecting payloads.
 type Delivery struct {
 	From    ident.ObjectID
 	Kind    string
@@ -110,21 +110,6 @@ func WithCodec(c transport.Codec) Option {
 	return func(d *Directory) { d.codec = c }
 }
 
-// WithAllocator makes node identifiers come from alloc. Use this when
-// several directories share one network (e.g. successive recovery attempts)
-// so their nodes never collide.
-func WithAllocator(alloc func() ident.NodeID) Option {
-	return func(d *Directory) { d.alloc = alloc }
-}
-
-// WithBatch sets the fabric's delivery batch: handler-bound ports coalesce up
-// to n already-queued messages per pump wakeup instead of waking per message.
-// Zero or negative keeps per-message delivery. FIFO order is preserved either
-// way, so the resolution protocol commits the same outcome.
-func WithBatch(n int) Option {
-	return func(d *Directory) { d.batch = n }
-}
-
 // Directory is the membership service: it assigns each participating object
 // a network node on the concurrent transport fabric and tracks closed-group
 // views.
@@ -132,10 +117,8 @@ type Directory struct {
 	mu      sync.Mutex
 	fabric  *transport.Concurrent
 	codec   transport.Codec
-	batch   int
 	nodes   map[ident.ObjectID]ident.NodeID
 	nextTag ident.NodeID
-	alloc   func() ident.NodeID // optional external node allocator
 }
 
 // NewDirectory creates a membership service over the given network, wrapping
@@ -147,14 +130,8 @@ func NewDirectory(net *netsim.Network, opts ...Option) *Directory {
 	}
 	d.fabric = transport.NewConcurrent(net, transport.ConcurrentOptions{
 		Codec: envelopeCodec{inner: d.codec},
-		Batch: d.batch,
 	})
 	return d
-}
-
-// NewDirectoryWithAllocator is NewDirectory with an external node allocator.
-func NewDirectoryWithAllocator(net *netsim.Network, alloc func() ident.NodeID, opts ...Option) *Directory {
-	return NewDirectory(net, append([]Option{WithAllocator(alloc)}, opts...)...)
 }
 
 // Fabric exposes the directory's concurrent transport (for Isolate/Heal and
@@ -168,13 +145,8 @@ func (d *Directory) Register(obj ident.ObjectID) (*transport.Port, error) {
 		d.mu.Unlock()
 		return nil, fmt.Errorf("%w: %s", ErrDuplicate, obj)
 	}
-	var node ident.NodeID
-	if d.alloc != nil {
-		node = d.alloc()
-	} else {
-		d.nextTag++
-		node = d.nextTag
-	}
+	d.nextTag++
+	node := d.nextTag
 	d.nodes[obj] = node
 	d.mu.Unlock()
 	port, err := d.fabric.Bind(obj, node)

@@ -243,7 +243,7 @@ func TestViewSynchronousMulticastOverPartition(t *testing.T) {
 			t.Fatal(err)
 		}
 		n := &node{tr: tr}
-		n.det = group.NewFedDetector(tr, members, time.Millisecond, 30*time.Millisecond, nil)
+		n.det = group.NewFedDetector(m, tr.Send, members, time.Millisecond, 30*time.Millisecond, nil)
 		n.mon = NewMonitor(Config{
 			Self:      m,
 			Members:   members,

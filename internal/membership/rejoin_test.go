@@ -55,20 +55,11 @@ type memNode struct {
 	done      chan struct{}
 }
 
-// nodeTransport adapts a raw fabric send into the group.Transport surface the
-// fed detector and monitor need. Recv is nil: receptions flow through the
-// harness mailbox (fed mode).
-type nodeTransport struct{ n *memNode }
-
-func (t nodeTransport) Self() ident.ObjectID { return t.n.self }
-func (t nodeTransport) Send(to ident.ObjectID, kind string, payload any) error {
-	return t.n.send(transport.Message{From: t.n.self, To: to, Kind: kind, Payload: payload})
+// sendTo is the node's send function for its fed detector and monitor.
+// Receptions flow through the harness mailbox.
+func (n *memNode) sendTo(to ident.ObjectID, kind string, payload any) error {
+	return n.send(transport.Message{From: n.self, To: to, Kind: kind, Payload: payload})
 }
-func (t nodeTransport) SendTagged(to ident.ObjectID, kind string, action ident.ActionID, payload any) error {
-	return t.n.send(transport.Message{From: t.n.self, To: to, Kind: kind, Action: action, Payload: payload})
-}
-func (t nodeTransport) Recv() <-chan group.Delivery { return nil }
-func (t nodeTransport) Close()                      {}
 
 // membershipCodec serialises the membership-layer payloads for the TCP
 // fabric, which genuinely ships bytes between listeners.
@@ -203,11 +194,7 @@ func buildFabric(t *testing.T, flavour string, members []ident.ObjectID, clk vcl
 		net := netsim.New(netsim.Config{Clock: clk})
 		fab := transport.NewConcurrent(net, transport.ConcurrentOptions{Faults: faults})
 		for i, m := range members {
-			if _, err := fab.BindFunc(m, ident.NodeID(i+1), func(batch []transport.Message) {
-				for _, msg := range batch {
-					deliver(msg)
-				}
-			}); err != nil {
+			if _, err := fab.BindFunc(m, ident.NodeID(i+1), deliver); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -280,14 +267,13 @@ func startNodes(t *testing.T, flavour string, members []ident.ObjectID, clk vclo
 	}
 	for _, m := range members {
 		n := nodes[m]
-		tr := nodeTransport{n: n}
-		n.det = group.NewFedDetector(tr, members, time.Millisecond, timeout, clk)
+		n.det = group.NewFedDetector(m, n.sendTo, members, time.Millisecond, timeout, clk)
 		self := m
 		n.mon = NewMonitor(Config{
 			Self:      m,
 			Members:   members,
 			Suspector: n.det,
-			Send:      tr.Send,
+			Send:      n.sendTo,
 			Poll:      2 * time.Millisecond,
 			Clock:     clk,
 			Rejoin:    true,

@@ -203,8 +203,8 @@ func RunChurn(spec ChurnSpec) (ChurnResult, error) {
 			return res, fmt.Errorf("cycle %d cut run resolved %q, want %q", cycle, out.Resolved, core.ExcParticipantFailure)
 		}
 
-		// The heal is implicit: each run allocates fresh node IDs, so the
-		// named partition of the previous fabric no longer matches anyone.
+		// The cut stands on the server's fabric until healed, run or no run.
+		sys.HealPartition(cutName)
 		bodies = make(map[ident.ObjectID]core.Body, spec.N)
 		for _, m := range members {
 			if isVictim[m] {

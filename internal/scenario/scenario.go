@@ -58,10 +58,6 @@ type Spec struct {
 	// Retransmit is the retransmission period for the reliable transports
 	// (TransportReliable, TransportTCP). Zero picks the default.
 	Retransmit time.Duration
-	// Batch, when > 0, enables batched delivery: each participant drains up
-	// to Batch queued protocol messages per engine-loop wakeup (see
-	// core.Options.Batch). Zero keeps per-message delivery.
-	Batch int
 	// Timeout bounds the run (default 30s).
 	Timeout time.Duration
 	// KeepTrace includes the full event trace in the result (Result.Trace).
@@ -128,9 +124,6 @@ func (s Spec) Validate() error {
 	if s.Depth < 0 {
 		return errors.New("scenario: Depth must not be negative")
 	}
-	if s.Batch < 0 {
-		return errors.New("scenario: Batch must not be negative")
-	}
 	for _, d := range []struct {
 		name string
 		val  time.Duration
@@ -196,7 +189,6 @@ func Run(spec Spec) (Result, error) {
 		Network:    netsim.Config{Latency: netsim.FixedLatency(spec.Latency)},
 		Transport:  spec.Transport,
 		Retransmit: spec.Retransmit,
-		Batch:      spec.Batch,
 		Trace:      log,
 	}
 	if spec.Virtual {
@@ -237,8 +229,8 @@ func Run(spec Spec) (Result, error) {
 		clk := vclock.Or(opts.Clock)
 		go func() {
 			clk.Sleep(delay)
-			// Best-effort: a run that finished before the delay has no fabric
-			// to cut, which is fine — the result then shows no expulsions.
+			// Best-effort: a cut that lands after the run finished changes
+			// nothing the result reports — it then shows no expulsions.
 			_ = sys.Partition("storm", cut...)
 		}()
 	}
@@ -276,9 +268,9 @@ func Run(spec Spec) (Result, error) {
 // Build constructs the spec's CA-action definition for submission to a
 // caller-provided shared server (core.Server.Submit or Run). Only the
 // per-action parameters apply — N, P, Q, Depth, RaiseDelay, AbortionCost,
-// Policy — since the transport, batching and network live on the server.
-// Membership specs are rejected: failure detection needs server-level options
-// and a private per-run directory, which scenario.Run provides.
+// Policy — since the transport and network live on the server. Membership
+// specs are rejected: failure detection needs server-level options, which
+// scenario.Run provides.
 func Build(spec Spec) (core.Definition, error) {
 	if err := spec.Validate(); err != nil {
 		return core.Definition{}, err

@@ -31,7 +31,6 @@ func TestSpecValidate(t *testing.T) {
 		{"nested exceed objects", Spec{N: 3, P: 2, Q: 2}, "P+Q must be <= N"},
 		{"nested without depth", Spec{N: 3, P: 1, Q: 1}, "Depth must be >= 1"},
 		{"negative depth", Spec{N: 3, P: 1, Depth: -1}, "Depth must not be negative"},
-		{"negative batch", Spec{N: 3, P: 1, Batch: -8}, "Batch must not be negative"},
 		{"negative raise delay", Spec{N: 3, P: 1, RaiseDelay: -time.Millisecond}, "RaiseDelay must not be negative"},
 		{"negative abortion cost", Spec{N: 3, P: 1, AbortionCost: -1}, "AbortionCost must not be negative"},
 		{"negative latency", Spec{N: 3, P: 1, Latency: -time.Second}, "Latency must not be negative"},

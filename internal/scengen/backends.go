@@ -26,22 +26,14 @@ type protoBackend struct {
 
 // protoBackends lists the subjects the protocol tier diffs against the
 // protocol.Sim reference: the deterministic fabric (scheduling sanity), the
-// goroutine-per-endpoint fabric unbatched and batched, and real loopback
-// sockets.
+// goroutine-per-endpoint fabric, and real loopback sockets.
 func protoBackends() []protoBackend {
 	return []protoBackend{
 		{name: "proto/deterministic", make: func(time.Duration) conformancetest.Fabric {
 			return &stepFabric{f: transport.NewDeterministic(transport.Options{})}
 		}},
-		{name: "proto/concurrent", make: func(settle time.Duration) conformancetest.Fabric {
-			return newConcurrentFabric(0, settle)
-		}},
-		{name: "proto/concurrent-batch8", make: func(settle time.Duration) conformancetest.Fabric {
-			return newConcurrentFabric(8, settle)
-		}},
-		{name: "proto/tcp", make: func(settle time.Duration) conformancetest.Fabric {
-			return newTCPFabric(settle)
-		}},
+		{name: "proto/concurrent", make: newConcurrentFabric},
+		{name: "proto/tcp", make: newTCPFabric},
 	}
 }
 
@@ -80,19 +72,15 @@ type concurrentFabric struct {
 	settle time.Duration
 }
 
-func newConcurrentFabric(batch int, settle time.Duration) conformancetest.Fabric {
+func newConcurrentFabric(settle time.Duration) conformancetest.Fabric {
 	net := netsim.New(netsim.Config{})
-	c := transport.NewConcurrent(net, transport.ConcurrentOptions{Batch: batch})
+	c := transport.NewConcurrent(net, transport.ConcurrentOptions{})
 	return &concurrentFabric{net: net, c: c, next: 1000, settle: settle}
 }
 
 func (f *concurrentFabric) Register(obj ident.ObjectID, h transport.Handler) {
 	f.next++
-	if _, err := f.c.BindFunc(obj, f.next, func(batch []transport.Message) {
-		for _, m := range batch {
-			h(m)
-		}
-	}); err != nil {
+	if _, err := f.c.BindFunc(obj, f.next, h); err != nil {
 		panic(err)
 	}
 }

@@ -406,8 +406,8 @@ func checkSums(rep *Report, stage string, snapshot map[string]any, want map[stri
 }
 
 // coreBackends lists the full-stack servers the core tier runs: the raw
-// netsim transport unbatched (reference scheduling), batched (coalesced
-// wakeups), and — when the program is small enough to afford sockets — TCP.
+// netsim transport and — when the program is small enough to afford sockets —
+// TCP.
 func coreBackends(p *Program, opts Options) []struct {
 	name string
 	opts core.Options
@@ -417,7 +417,6 @@ func coreBackends(p *Program, opts Options) []struct {
 		opts core.Options
 	}{
 		{name: "core/raw", opts: core.Options{Transport: core.TransportRaw}},
-		{name: "core/raw-batch8", opts: core.Options{Transport: core.TransportRaw, Batch: 8}},
 	}
 	objects := 0
 	for fi := range p.Families {
@@ -541,8 +540,8 @@ func checkPartition(p *Program, ref conformancetest.Resolutions, opts Options, r
 	}
 	go func() {
 		time.Sleep(delay)
-		// Best-effort, as in scenario.Run: a run that somehow ended first has
-		// no fabric to cut, and the expulsion check below reports it.
+		// Best-effort, as in scenario.Run: if the run somehow ended first the
+		// cut lands on an idle server, and the expulsion check below reports it.
 		_ = sys.Partition("storm", cut...)
 	}()
 	out, err := sys.RunTimeout(def, opts.RunTimeout)
@@ -726,9 +725,9 @@ func checkChurn(p *Program, ref conformancetest.Resolutions, opts Options, rep *
 			rep.add(stage, "cycle %d cut run resolved %q, want %q", cycle, out.Resolved, excParticipantFailure)
 		}
 
-		// The heal is implicit: the rejoin run allocates fresh fabric nodes,
-		// so the named partition of the previous run no longer matches anyone
-		// and the expelled members' petitions get through.
+		// Heal between the runs, so the expelled members' petitions get
+		// through in the rejoin run.
+		sys.HealPartition(cutName)
 		bodies = make(map[ident.ObjectID]core.Body, len(members))
 		for _, m := range members {
 			if isCut[m] {

@@ -9,8 +9,9 @@ import (
 // TestCorpusReplay replays every checked-in corpus program through the full
 // differential oracle under plain `go test` — no fuzzing required. The corpus
 // holds two kinds of file: curated seed programs covering the grammar's
-// shapes, and shrunk repros of past divergences (fail-seed*.json), which must
-// stay fixed forever.
+// shapes, and shrunk repros of confirmed past divergences (fail-seed*.json,
+// promoted by hand from testdata/repros or a scenfuzz -out directory), which
+// must stay fixed forever.
 //
 // Cases run sequentially: the goroutine-leak check inside Check would see a
 // concurrent sibling's transient goroutines as leaks.

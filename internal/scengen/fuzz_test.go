@@ -16,8 +16,9 @@ var fuzzOpts = Options{}
 // FuzzScenario is the native fuzz target: the fuzzer mutates a (seed, knobs)
 // pair, the generator turns it into a deterministic random action program and
 // the differential oracle runs it across every backend. Any divergence is
-// shrunk to a minimal program and written into testdata/corpus so it becomes
-// a permanent regression case, then reported with the reproduction recipe.
+// shrunk to a minimal program, written into the git-ignored testdata/repros
+// and reported with its path; copying the file into testdata/corpus makes it
+// a permanent regression case.
 //
 // Run the quick CI smoke with:
 //
@@ -37,7 +38,7 @@ func FuzzScenario(f *testing.F) {
 		}
 		min := shrinkForTest(p)
 		path := writeRepro(t, min, seed, knobs)
-		t.Fatalf("oracle divergence (seed=%d knobs=%d):\n%s\nshrunk repro: %s\nreplay: go test -run TestCorpusReplay ./internal/scengen",
+		t.Fatalf("oracle divergence (seed=%d knobs=%d):\n%s\nshrunk repro: %s\nreplay: copy it into testdata/corpus, then go test -run TestCorpusReplay ./internal/scengen",
 			seed, knobs, rep, path)
 	})
 }
@@ -53,15 +54,16 @@ func shrinkForTest(p *Program) *Program {
 	}, 150)
 }
 
-// writeRepro records a shrunk failing program in testdata/corpus so the
-// failure replays under plain `go test` from then on. Best-effort: in
+// writeRepro records a shrunk failing program in testdata/repros, which git
+// ignores: a plain `go test` must never touch the tracked corpus, whose files
+// are promoted by hand once a divergence is confirmed. Best-effort: in
 // sandboxed runs where testdata is read-only the repro is still embedded in
 // the failure message via the (seed, knobs) pair.
 func writeRepro(t *testing.T, p *Program, seed uint64, knobs uint8) string {
 	t.Helper()
-	dir := filepath.Join("testdata", "corpus")
+	dir := filepath.Join("testdata", "repros")
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Logf("cannot create corpus dir: %v", err)
+		t.Logf("cannot create repro dir: %v", err)
 		return "(not written)"
 	}
 	path := filepath.Join(dir, fmt.Sprintf("fail-seed%d-knobs%d.json", seed, knobs))

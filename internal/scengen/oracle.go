@@ -46,7 +46,7 @@ func (o Options) withDefaults() Options {
 // Divergence is one oracle finding.
 type Divergence struct {
 	// Stage names the oracle stage that diverged (e.g. "proto/tcp",
-	// "core/raw-batch8/multi", "crbaseline", "leak").
+	// "core/raw/multi", "crbaseline", "leak").
 	Stage string
 	// Detail describes the divergence.
 	Detail string
@@ -80,7 +80,7 @@ func (r *Report) String() string {
 //
 //  1. protocol tier — the program's resolution map on the deterministic
 //     reference (protocol.Sim) must be reproduced exactly by the
-//     Deterministic, Concurrent (Batch 0 and 8) and TCP fabrics, raises
+//     Deterministic, Concurrent and TCP fabrics, raises
 //     landing under the cross-engine raise barrier;
 //  2. CR tier — for every raise site, the reconstructed Campbell–Randell
 //     baseline with full reduced trees must converge to the same resolution

@@ -4,12 +4,11 @@
 // patterns, concurrent sibling actions, optional partition injection
 // (including heal-and-continue and flapping-member churn schedules) — plus
 // a differential oracle that runs every generated case on the deterministic
-// backend as reference and holds the Concurrent (batched and unbatched) and
-// TCP backends, the full core runtime, and the Campbell–Randell baseline to
-// the same answer. The companion scenario families the hand-written library
-// never reached (multiparty interactions, competitive/cooperative
-// concurrency mixes) fall out of the grammar instead of being scripted one
-// by one.
+// backend as reference and holds the Concurrent and TCP backends, the full
+// core runtime, and the Campbell–Randell baseline to the same answer. The
+// companion scenario families the hand-written library never reached
+// (multiparty interactions, competitive/cooperative concurrency mixes) fall
+// out of the grammar instead of being scripted one by one.
 //
 // A Program is plain serialisable data (JSON), so every divergence the
 // fuzzer ever finds is shrunk to a minimal repro and checked into
@@ -124,7 +123,7 @@ type Family struct {
 // the majority after DelayMS, the membership monitor expels them, and the
 // expulsion resolves through the §4 machinery as the predefined
 // participant-failure exception. Partition programs are single-family and
-// run on the core level only (membership needs a private netsim directory).
+// run on the core level only (membership monitoring is a server option).
 //
 // With Heal set the partition becomes a heal-and-continue schedule instead:
 // the cut is expelled, the partition heals, the expelled members rejoin the

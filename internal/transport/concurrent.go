@@ -20,10 +20,6 @@ type ConcurrentOptions struct {
 	// keyed by per-pair sequence numbers (see SeededFaults) so verdicts are
 	// reproducible regardless of goroutine interleaving.
 	Faults FaultPolicy
-	// Batch, when > 0, enables batched delivery for ports bound with
-	// BindFunc: the pump hands the handler up to Batch already-queued
-	// messages per call instead of one, amortising wakeups on hot inboxes.
-	Batch int
 }
 
 // Concurrent is the goroutine-per-endpoint fabric: objects bound to netsim
@@ -82,17 +78,16 @@ func (c *Concurrent) Bind(obj ident.ObjectID, node ident.NodeID) (*Port, error) 
 }
 
 // BindFunc attaches obj with handler-based delivery: the port's pump invokes
-// fn from its own goroutine with batches of one message (or up to
-// Options.Batch when batched delivery is enabled). The returned port's Recv
+// fn from its own goroutine, once per message. The returned port's Recv
 // channel is nil.
-func (c *Concurrent) BindFunc(obj ident.ObjectID, node ident.NodeID, fn func(batch []Message)) (*Port, error) {
+func (c *Concurrent) BindFunc(obj ident.ObjectID, node ident.NodeID, fn Handler) (*Port, error) {
 	if fn == nil {
 		return nil, fmt.Errorf("transport: BindFunc needs a handler")
 	}
 	return c.bind(obj, node, fn)
 }
 
-func (c *Concurrent) bind(obj ident.ObjectID, node ident.NodeID, fn func([]Message)) (*Port, error) {
+func (c *Concurrent) bind(obj ident.ObjectID, node ident.NodeID, fn Handler) (*Port, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -286,20 +281,14 @@ func (p *Port) Close() {
 	})
 }
 
-// pump moves messages from the netsim endpoint to the consumer, translating
-// node identifiers back to objects and applying the codec. With fn set and
-// batching enabled, it greedily coalesces already-queued messages into one
-// handler call.
-func (p *Port) pump(fn func([]Message)) {
+// pump moves messages from the netsim endpoint to the consumer (the handler
+// when bound with BindFunc, the Recv channel otherwise), translating node
+// identifiers back to objects and applying the codec.
+func (p *Port) pump(fn Handler) {
 	defer close(p.done)
 	if p.out != nil {
 		defer close(p.out)
 	}
-	batchMax := p.c.opts.Batch
-	if fn == nil || batchMax < 1 {
-		batchMax = 1
-	}
-	var batch []Message
 	for {
 		select {
 		case <-p.stop:
@@ -312,32 +301,15 @@ func (p *Port) pump(fn func([]Message)) {
 			if !ok {
 				continue
 			}
-			if fn == nil {
-				select {
-				case p.out <- m:
-				case <-p.stop:
-					return
-				}
+			if fn != nil {
+				fn(m)
 				continue
 			}
-			batch = append(batch[:0], m)
-			// Coalesce whatever is already queued, up to the batch cap.
-		coalesce:
-			for len(batch) < batchMax {
-				select {
-				case nm, ok := <-p.ep.Recv():
-					if !ok {
-						fn(batch)
-						return
-					}
-					if m, ok := p.translate(nm); ok {
-						batch = append(batch, m)
-					}
-				default:
-					break coalesce
-				}
+			select {
+			case p.out <- m:
+			case <-p.stop:
+				return
 			}
-			fn(batch)
 		}
 	}
 }

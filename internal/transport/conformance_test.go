@@ -13,7 +13,7 @@ import (
 	"repro/internal/wire"
 )
 
-// TestConformance holds all four fabrics to the one shared contract. A new
+// TestConformance holds every fabric to the one shared contract. A new
 // backend earns its place here by passing the same suite unchanged.
 func TestConformance(t *testing.T) {
 	t.Run("Deterministic", func(t *testing.T) {
@@ -31,10 +31,7 @@ func TestConformance(t *testing.T) {
 		})
 	})
 	t.Run("Concurrent", func(t *testing.T) {
-		conformancetest.Run(t, newConcurrentFabric(0))
-	})
-	t.Run("ConcurrentBatch8", func(t *testing.T) {
-		conformancetest.Run(t, newConcurrentFabric(8))
+		conformancetest.Run(t, newConcurrentFabric)
 	})
 	t.Run("TCP", func(t *testing.T) {
 		conformancetest.Run(t, newTCPFabric)
@@ -43,10 +40,9 @@ func TestConformance(t *testing.T) {
 
 // TestResolutionEquivalence holds the backends behind the hot experiment
 // paths to protocol-level equivalence: the resolution each one commits on the
-// §4.4 grid must be byte-identical to the Deterministic reference — in
-// particular with batched delivery, which changes scheduling granularity and
-// must not change outcomes. (TCP is exercised by the message-level suite
-// above; running the full grid over sockets adds minutes, not coverage.)
+// §4.4 grid must be byte-identical to the Deterministic reference. (TCP is
+// exercised by the message-level suite above; running the full grid over
+// sockets adds minutes, not coverage.)
 func TestResolutionEquivalence(t *testing.T) {
 	t.Run("Deterministic", func(t *testing.T) {
 		conformancetest.RunResolutionEquivalence(t, func(t *testing.T, opts conformancetest.Options) conformancetest.Fabric {
@@ -55,11 +51,8 @@ func TestResolutionEquivalence(t *testing.T) {
 			})}
 		})
 	})
-	t.Run("ConcurrentBatch0", func(t *testing.T) {
-		conformancetest.RunResolutionEquivalence(t, newConcurrentFabric(0))
-	})
-	t.Run("ConcurrentBatch8", func(t *testing.T) {
-		conformancetest.RunResolutionEquivalence(t, newConcurrentFabric(8))
+	t.Run("Concurrent", func(t *testing.T) {
+		conformancetest.RunResolutionEquivalence(t, newConcurrentFabric)
 	})
 }
 
@@ -78,11 +71,8 @@ func TestMultiplexedEquivalence(t *testing.T) {
 			})}
 		})
 	})
-	t.Run("ConcurrentBatch0", func(t *testing.T) {
-		conformancetest.RunMultiplexedEquivalence(t, newConcurrentFabric(0))
-	})
-	t.Run("ConcurrentBatch8", func(t *testing.T) {
-		conformancetest.RunMultiplexedEquivalence(t, newConcurrentFabric(8))
+	t.Run("Concurrent", func(t *testing.T) {
+		conformancetest.RunMultiplexedEquivalence(t, newConcurrentFabric)
 	})
 	t.Run("TCP", func(t *testing.T) {
 		conformancetest.RunMultiplexedEquivalence(t, func(t *testing.T, opts conformancetest.Options) conformancetest.Fabric {
@@ -132,24 +122,17 @@ type concurrentFabric struct {
 	next ident.NodeID
 }
 
-func newConcurrentFabric(batch int) conformancetest.Factory {
-	return func(t *testing.T, opts conformancetest.Options) conformancetest.Fabric {
-		net := netsim.New(netsim.Config{})
-		c := transport.NewConcurrent(net, transport.ConcurrentOptions{
-			Codec: opts.Codec, Sink: opts.Sink, Faults: opts.Faults, Batch: batch,
-		})
-		return &concurrentFabric{net: net, c: c, next: 1000}
-	}
+func newConcurrentFabric(t *testing.T, opts conformancetest.Options) conformancetest.Fabric {
+	net := netsim.New(netsim.Config{})
+	c := transport.NewConcurrent(net, transport.ConcurrentOptions{
+		Codec: opts.Codec, Sink: opts.Sink, Faults: opts.Faults,
+	})
+	return &concurrentFabric{net: net, c: c, next: 1000}
 }
 
 func (f *concurrentFabric) Register(obj ident.ObjectID, h transport.Handler) {
 	f.next++
-	_, err := f.c.BindFunc(obj, f.next, func(batch []transport.Message) {
-		for _, m := range batch {
-			h(m)
-		}
-	})
-	if err != nil {
+	if _, err := f.c.BindFunc(obj, f.next, h); err != nil {
 		panic(err)
 	}
 }

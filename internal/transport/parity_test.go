@@ -86,13 +86,11 @@ func TestFaultScheduleParity(t *testing.T) {
 	ports := make(map[ident.ObjectID]*Port)
 	for o := 1; o <= objects; o++ {
 		obj := ident.ObjectID(o)
-		port, err := c.BindFunc(obj, ident.NodeID(100+o), func(batch []Message) {
+		port, err := c.BindFunc(obj, ident.NodeID(100+o), func(m Message) {
 			mu.Lock()
 			defer mu.Unlock()
-			for _, m := range batch {
-				conGot[m.Payload.(string)]++
-				conCount++
-			}
+			conGot[m.Payload.(string)]++
+			conCount++
 		})
 		if err != nil {
 			t.Fatal(err)

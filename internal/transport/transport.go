@@ -12,7 +12,7 @@
 //   - Backends: Deterministic (absorbs protocol.Sim's queue/order logic and
 //     Explore's schedule-enumeration hooks), Randomized (seeded
 //     interleaving), Concurrent (goroutine endpoints over netsim, with
-//     sharded per-pair fault state and optional batched delivery).
+//     sharded per-pair fault state).
 //   - Codec hook: payloads can be forced through an encode/decode boundary
 //     (package wire provides the protocol-message codec), so any backend can
 //     enforce the disjoint-address-space assumption.
