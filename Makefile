@@ -1,12 +1,18 @@
 GO ?= go
 
-.PHONY: build test lint lint-json race bench-smoke fuzz fuzz-smoke
+.PHONY: build test fmt-check lint lint-json race bench-smoke fuzz fuzz-smoke
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# Fail when gofmt would change a file. Analyzer fixtures under testdata/ are
+# left as written.
+fmt-check:
+	@out="$$(gofmt -l . | grep -v '/testdata/')"; \
+	if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 # Run the protolint analyzer suite over the whole tree. The tool re-execs
 # itself through `go vet -vettool`, so results are cached per package and

@@ -13,6 +13,16 @@ import (
 // sequence numbers, selective-repeat receive buffering, cumulative
 // acknowledgements and periodic retransmission. It is the piece that turns
 // the raw network into the channel the resolution algorithm assumes.
+//
+// Acknowledgements are delayed and piggy-backed, as in TCP: an in-order
+// arrival only leaves the peer owed an ack, and the next data envelope
+// towards that peer, first send or retransmission, carries it in its Ack
+// field. The protocol above is request/response shaped, so most acks ride
+// for free. What is still owed when the loop's ticker fires goes out as a
+// stand-alone ack; the ticker runs at half the retransmission period, so on
+// a loss-free link that ack arrives before the sender's first timeout. An
+// arrival that shows the sender is in trouble (a duplicate, a gap, or the
+// retransmission that closes a gap) is acked at once.
 type R3Transport struct {
 	self ident.ObjectID
 	port Port
@@ -38,6 +48,34 @@ type peerState struct {
 	// Receiver side.
 	recvNext uint64 // next expected sequence number (first is 1)
 	pending  map[uint64]envelope
+	ackOwed  bool // an in-order arrival that no outgoing envelope has acknowledged yet
+}
+
+// takeAck returns the cumulative ack for an envelope about to leave for this
+// peer and settles the debt.
+func (ps *peerState) takeAck() uint64 {
+	ps.ackOwed = false
+	return ps.recvNext - 1
+}
+
+// applyAck processes a cumulative ack from this peer, stand-alone or
+// piggy-backed. Acks are cumulative and sequence numbers contiguous: advance
+// the watermark and delete exactly the newly covered range. Scanning the
+// whole map per ack would be O(window) and lets the window growth feed on
+// itself under load.
+func (ps *peerState) applyAck(ack uint64) {
+	if ack > ps.sendSeq {
+		// Off the wire, so not to be trusted: nothing beyond what was sent
+		// can have been received. Clamping keeps unacked exactly the range
+		// (ackedTo, sendSeq], which tick walks.
+		ack = ps.sendSeq
+	}
+	for seq := ps.ackedTo + 1; seq <= ack; seq++ {
+		delete(ps.unacked, seq)
+	}
+	if ack > ps.ackedTo {
+		ps.ackedTo = ack
+	}
 }
 
 // outMsg tracks one unacknowledged message with its retransmission state.
@@ -62,6 +100,13 @@ func newPeerState() *peerState {
 
 // maxRTO caps the per-message retransmission backoff.
 const maxRTO = 50 * time.Millisecond
+
+// retransmitWindow is how far past the cumulative ack tick looks for timed-out
+// messages. The peer's watermark can only advance past the oldest of them,
+// and bounding the walk bounds what a tick costs however far the application
+// has run ahead of the acks: an unbounded walk under the lock starves the ack
+// processing that would shrink it (TestNoRetransmissionStorm).
+const retransmitWindow = 256
 
 // NewR3Transport binds obj through the membership service and starts its
 // protocol loop. retransmit is the retransmission period for unacknowledged
@@ -90,7 +135,9 @@ func NewR3TransportClock(dir Binder, obj ident.ObjectID, retransmit time.Duratio
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
 	}
-	go t.loop()
+	// Armed here and not in the loop, so that a virtual clock advanced right
+	// after construction cannot slip past a ticker that does not exist yet.
+	go t.loop(t.clk.NewTicker(max(retransmit/2, 1)))
 	return t, nil
 }
 
@@ -114,7 +161,7 @@ func (t *R3Transport) SendTagged(to ident.ObjectID, kind string, action ident.Ac
 	t.mu.Lock()
 	ps := t.peer(to)
 	ps.sendSeq++
-	env := envelope{From: t.self, Kind: kind, Action: action, Payload: payload, Seq: ps.sendSeq}
+	env := envelope{From: t.self, Kind: kind, Action: action, Payload: payload, Seq: ps.sendSeq, Ack: ps.takeAck()}
 	ps.unacked[env.Seq] = &outMsg{env: env, lastSent: t.clk.Now(), rto: t.retransmit}
 	t.mu.Unlock()
 	return memberErr(t.port.SendTagged(to, wireKind, action, env))
@@ -142,17 +189,16 @@ func (t *R3Transport) peer(id ident.ObjectID) *peerState {
 	return ps
 }
 
-func (t *R3Transport) loop() {
+func (t *R3Transport) loop(ticker vclock.Ticker) {
 	defer close(t.done)
 	defer close(t.out)
-	ticker := t.clk.NewTicker(t.retransmit)
 	defer ticker.Stop()
 	for {
 		select {
 		case <-t.stop:
 			return
 		case <-ticker.C():
-			t.resendUnacked()
+			t.tick()
 		case m, ok := <-t.port.Recv():
 			if !ok {
 				return
@@ -176,15 +222,19 @@ func (t *R3Transport) loop() {
 	}
 }
 
-// handleData processes one data envelope: acks it, suppresses duplicates,
-// buffers out-of-order arrivals and returns any now-deliverable messages.
+// handleData processes one data envelope: applies its piggy-backed ack,
+// suppresses duplicates, buffers out-of-order arrivals and returns any
+// now-deliverable messages. Only an arrival that tells of loss is answered
+// on the spot; a plain in-order one waits for a piggyback or the ticker.
 func (t *R3Transport) handleData(env envelope) []Delivery {
 	t.mu.Lock()
 	ps := t.peer(env.From)
+	ps.applyAck(env.Ack)
 	var ready []Delivery
+	ackNow := true
 	switch {
 	case env.Seq < ps.recvNext:
-		// Duplicate of an already-delivered message: just re-ack below.
+		// Duplicate of an already-delivered message: our ack went missing.
 	case env.Seq == ps.recvNext:
 		ready = append(ready, Delivery{From: env.From, Kind: env.Kind, Action: env.Action, Payload: env.Payload})
 		ps.recvNext++
@@ -197,10 +247,18 @@ func (t *R3Transport) handleData(env envelope) []Delivery {
 			ready = append(ready, Delivery{From: next.From, Kind: next.Kind, Action: next.Action, Payload: next.Payload})
 			ps.recvNext++
 		}
+		// Having closed a gap, the sender is mid-recovery with timers
+		// running on everything behind it: tell it now.
+		ackNow = len(ready) > 1
+		ps.ackOwed = true
 	default:
 		ps.pending[env.Seq] = env
 	}
-	ackUpTo := ps.recvNext - 1
+	if !ackNow {
+		t.mu.Unlock()
+		return ready
+	}
+	ackUpTo := ps.takeAck()
 	t.mu.Unlock()
 
 	_ = t.port.Send(env.From, wireKind, envelope{From: t.self, IsAck: true, Ack: ackUpTo})
@@ -209,31 +267,25 @@ func (t *R3Transport) handleData(env envelope) []Delivery {
 
 func (t *R3Transport) handleAck(env envelope) {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	ps := t.peer(env.From)
-	// Acks are cumulative and sequence numbers contiguous: advance the
-	// watermark and delete exactly the newly covered range. Scanning the
-	// whole map per ack would be O(window) and lets the window growth feed
-	// on itself under load.
-	if env.Ack <= ps.ackedTo {
-		return
-	}
-	for seq := ps.ackedTo + 1; seq <= env.Ack; seq++ {
-		delete(ps.unacked, seq)
-	}
-	ps.ackedTo = env.Ack
+	t.peer(env.From).applyAck(env.Ack)
+	t.mu.Unlock()
 }
 
-func (t *R3Transport) resendUnacked() {
+// tick retransmits what has timed out among the oldest retransmitWindow
+// messages of each peer, oldest first so that whatever gets through advances
+// the peer's cumulative watermark, and sends a stand-alone ack to every peer
+// still owed one.
+func (t *R3Transport) tick() {
 	now := t.clk.Now()
 	t.mu.Lock()
-	type resend struct {
+	type outgoing struct {
 		to  ident.ObjectID
 		env envelope
 	}
-	var batch []resend
+	var batch []outgoing
 	for peerID, ps := range t.peers {
-		for _, m := range ps.unacked {
+		for seq := ps.ackedTo + 1; seq <= min(ps.sendSeq, ps.ackedTo+retransmitWindow); seq++ {
+			m := ps.unacked[seq]
 			if now.Sub(m.lastSent) < m.rto {
 				continue // its own timeout has not expired yet
 			}
@@ -241,11 +293,15 @@ func (t *R3Transport) resendUnacked() {
 			if m.rto *= 2; m.rto > maxRTO {
 				m.rto = maxRTO
 			}
-			batch = append(batch, resend{to: peerID, env: m.env})
+			m.env.Ack = ps.takeAck()
+			batch = append(batch, outgoing{to: peerID, env: m.env})
+		}
+		if ps.ackOwed {
+			batch = append(batch, outgoing{to: peerID, env: envelope{From: t.self, IsAck: true, Ack: ps.takeAck()}})
 		}
 	}
 	t.mu.Unlock()
-	for _, r := range batch {
-		_ = t.port.SendTagged(r.to, wireKind, r.env.Action, r.env)
+	for _, o := range batch {
+		_ = t.port.SendTagged(o.to, wireKind, o.env.Action, o.env)
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/ident"
 	"repro/internal/transport"
+	"repro/internal/wire/frame"
 )
 
 // TCPDirOption configures a TCPDirectory.
@@ -79,22 +80,16 @@ func NewTCPDirectory(opts ...TCPDirOption) *TCPDirectory {
 // address book and is returned a port whose Close tears its fabric down.
 func (d *TCPDirectory) Bind(obj ident.ObjectID) (Port, error) {
 	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return nil, transport.ErrClosed
-	}
-	if _, dup := d.book[obj]; dup {
-		d.mu.Unlock()
-		return nil, fmt.Errorf("%w: %s", ErrDuplicate, obj)
-	}
-	d.mu.Unlock()
-
-	d.mu.Lock()
+	err := d.bindErr(obj)
 	listen := d.static[obj]
 	d.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+
 	fab, err := transport.NewTCP(transport.TCPOptions{
 		Listen: listen, // "" = ephemeral loopback
-		Codec:  tcpCodec{inner: d.codec},
+		Codec:  newTCPCodec(d.codec),
 		Resolve: func(to ident.ObjectID) (string, error) {
 			return d.resolve(obj, to)
 		},
@@ -108,19 +103,31 @@ func (d *TCPDirectory) Bind(obj ident.ObjectID) (Port, error) {
 		return nil, err
 	}
 
+	// Listening happened outside the lock, so ask again: the directory may
+	// have closed, or a concurrent Bind of the same member may have won.
 	d.mu.Lock()
-	if d.closed || d.book[obj] != "" {
-		d.mu.Unlock()
-		_ = fab.Close()
-		if d.closed {
-			return nil, transport.ErrClosed
-		}
-		return nil, fmt.Errorf("%w: %s", ErrDuplicate, obj)
+	if err = d.bindErr(obj); err == nil {
+		d.fabrics[obj] = fab
+		d.book[obj] = fab.Addr()
 	}
-	d.fabrics[obj] = fab
-	d.book[obj] = fab.Addr()
 	d.mu.Unlock()
+	if err != nil {
+		_ = fab.Close()
+		return nil, err
+	}
 	return &tcpDirPort{TCPPort: port, fabric: fab}, nil
+}
+
+// bindErr says why obj cannot join the address book right now (nil when it
+// can). The caller holds d.mu.
+func (d *TCPDirectory) bindErr(obj ident.ObjectID) error {
+	if d.closed {
+		return transport.ErrClosed
+	}
+	if _, dup := d.book[obj]; dup {
+		return fmt.Errorf("%w: %s", ErrDuplicate, obj)
+	}
+	return nil
 }
 
 // resolve maps a destination member to the address the `from` member should
@@ -209,49 +216,109 @@ const (
 // codec directly. It is the socket-world counterpart of envelopeCodec.
 type tcpCodec struct {
 	inner transport.Codec
+	// place is inner's in-place side when it has one: the payload is then
+	// encoded straight into the message's one buffer and decoded straight
+	// out of the frame body, with no intermediate slice on either side.
+	place inPlaceCodec
 }
 
+// inPlaceCodec is what an inner codec offers on top of transport.Codec when
+// it can work on a caller's buffer (wire.Codec does).
+type inPlaceCodec interface {
+	// EncodedSize reports the exact length AppendEncoded adds for payload;
+	// ok is false for a payload the codec passes through untranslated.
+	EncodedSize(payload any) (n int, ok bool)
+	// AppendEncoded appends the encoding of a payload EncodedSize accepted.
+	AppendEncoded(dst []byte, payload any) ([]byte, error)
+	// DecodeBytes is Decode for bytes off the wire; it must not retain b.
+	DecodeBytes(b []byte) (any, error)
+}
+
+func newTCPCodec(inner transport.Codec) tcpCodec {
+	place, _ := inner.(inPlaceCodec)
+	return tcpCodec{inner: inner, place: place}
+}
+
+// Encode implements transport.Codec.
 func (c tcpCodec) Encode(v any) (any, error) {
-	if env, ok := v.(envelope); ok {
-		inner, err := c.encodeTagged(env.Payload)
-		if err != nil {
-			return nil, err
-		}
-		buf := []byte{tagEnvelope, boolByte(env.IsAck)}
-		buf = binary.AppendVarint(buf, int64(env.From))
-		buf = binary.AppendVarint(buf, int64(env.Action))
-		buf = binary.AppendUvarint(buf, env.Seq)
-		buf = binary.AppendUvarint(buf, env.Ack)
-		buf = binary.AppendUvarint(buf, uint64(len(env.Kind)))
-		buf = append(buf, env.Kind...)
-		return append(buf, inner...), nil
+	b, err := c.marshal(v)
+	if err != nil {
+		return nil, err
 	}
-	return c.encodeTagged(v)
+	return b, nil
 }
 
-// encodeTagged runs the inner codec and tags the resulting primitive.
-func (c tcpCodec) encodeTagged(v any) ([]byte, error) {
-	if c.inner != nil && v != nil {
-		ev, err := c.inner.Encode(v)
-		if err != nil {
-			return nil, err
+// marshal lays one message out in one exactly sized buffer: the envelope
+// header when v is an envelope, then the tagged payload.
+func (c tcpCodec) marshal(v any) ([]byte, error) {
+	env, isEnv := v.(envelope)
+	if isEnv {
+		v = env.Payload
+	}
+
+	// Settle the payload's tag and length first, so the buffer is sized once.
+	tag, n, inPlace := byte(tagNil), 0, false
+	if c.place != nil && v != nil {
+		n, inPlace = c.place.EncodedSize(v)
+	}
+	if inPlace {
+		tag = tagBytes
+	} else {
+		if c.inner != nil && v != nil {
+			ev, err := c.inner.Encode(v)
+			if err != nil {
+				return nil, err
+			}
+			v = ev
 		}
-		v = ev
+		switch p := v.(type) {
+		case []byte:
+			tag, n = tagBytes, len(p)
+		case string:
+			tag, n = tagString, len(p)
+		case nil:
+		default:
+			return nil, fmt.Errorf("group: tcp payload must encode to []byte or string, got %T", v)
+		}
+	}
+
+	// The fixed-width-bounded fields go through a stack scratch, which gives
+	// their exact length without a second pass over the varints.
+	var scratch [2 + 6*binary.MaxVarintLen64 + 1]byte
+	head := scratch[:0]
+	if isEnv {
+		head = append(head, tagEnvelope, boolByte(env.IsAck))
+		head = binary.AppendVarint(head, int64(env.From))
+		head = binary.AppendVarint(head, int64(env.Action))
+		head = binary.AppendUvarint(head, env.Seq)
+		head = binary.AppendUvarint(head, env.Ack)
+		head = binary.AppendUvarint(head, uint64(len(env.Kind)))
+	}
+	kindAt := len(head)
+	head = append(head, tag)
+	if tag != tagNil {
+		head = binary.AppendUvarint(head, uint64(n))
+	}
+
+	buf := make([]byte, 0, len(head)+len(env.Kind)+n)
+	buf = append(buf, head[:kindAt]...)
+	buf = append(buf, env.Kind...)
+	buf = append(buf, head[kindAt:]...)
+	if inPlace {
+		return c.place.AppendEncoded(buf, v)
 	}
 	switch p := v.(type) {
 	case []byte:
-		buf := binary.AppendUvarint([]byte{tagBytes}, uint64(len(p)))
-		return append(buf, p...), nil
+		buf = append(buf, p...)
 	case string:
-		buf := binary.AppendUvarint([]byte{tagString}, uint64(len(p)))
-		return append(buf, p...), nil
-	case nil:
-		return []byte{tagNil}, nil
-	default:
-		return nil, fmt.Errorf("group: tcp payload must encode to []byte or string, got %T", v)
+		buf = append(buf, p...)
 	}
+	return buf, nil
 }
 
+// Decode implements transport.Codec. A bare or enveloped []byte payload in
+// the result is a sub-slice of v, not a copy: the fabric hands over one
+// buffer per frame and never reuses it.
 func (c tcpCodec) Decode(v any) (any, error) {
 	b, ok := v.([]byte)
 	if !ok {
@@ -297,7 +364,7 @@ func (c tcpCodec) Decode(v any) (any, error) {
 	if kindLen, rest, ok = readUvarint(rest); !ok || kindLen > uint64(len(rest)) {
 		return nil, fmt.Errorf("group: bad envelope kind")
 	}
-	env.Kind = string(rest[:kindLen])
+	env.Kind = frame.Intern(rest[:kindLen])
 	payload, rest, err := c.decodeTagged(rest[kindLen:])
 	if err != nil {
 		return nil, err
@@ -322,12 +389,20 @@ func (c tcpCodec) decodeTagged(b []byte) (any, []byte, error) {
 	if !ok || n > uint64(len(rest)) {
 		return nil, nil, fmt.Errorf("group: bad payload length")
 	}
+	raw, rest := rest[:n:n], rest[n:]
+	if tag == tagBytes && c.place != nil {
+		v, err := c.place.DecodeBytes(raw)
+		if err != nil {
+			return nil, nil, err
+		}
+		return v, rest, nil
+	}
 	var v any
 	switch tag {
 	case tagBytes:
-		v = append([]byte(nil), rest[:n]...)
+		v = raw
 	case tagString:
-		v = string(rest[:n])
+		v = string(raw)
 	default:
 		return nil, nil, fmt.Errorf("group: unknown payload tag %q", tag)
 	}
@@ -338,7 +413,7 @@ func (c tcpCodec) decodeTagged(b []byte) (any, []byte, error) {
 		}
 		v = dv
 	}
-	return v, rest[n:], nil
+	return v, rest, nil
 }
 
 func readUvarint(b []byte) (uint64, []byte, bool) {

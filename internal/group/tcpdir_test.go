@@ -2,16 +2,21 @@ package group
 
 import (
 	"bytes"
+	"encoding/hex"
 	"fmt"
 	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/ident"
+	"repro/internal/protocol"
 	"repro/internal/transport"
 	"repro/internal/transport/conformancetest"
+	"repro/internal/wire"
+	"repro/internal/wire/frame"
 )
 
 func TestTCPCodecRoundTrip(t *testing.T) {
@@ -75,6 +80,58 @@ func TestTCPCodecRoundTrip(t *testing.T) {
 	}
 	for cut := 0; cut < len(enc.([]byte)); cut++ {
 		_, _ = c.Decode(enc.([]byte)[:cut])
+	}
+}
+
+// TestTCPCodecWireFormatPinned holds the socket layout to bytes recorded
+// before the codec was rebuilt around one buffer per message: what a member
+// writes, a member running the old code reads. Each case is encoded twice,
+// through wire.Codec's in-place side and through the same codec with that
+// side hidden (the path any other inner codec takes), and both must decode
+// back to the input.
+func TestTCPCodecWireFormatPinned(t *testing.T) {
+	msg := protocol.Msg{Kind: protocol.KindException, Action: 300, Path: []ident.ActionID{1, 300}, From: -7, Exc: "left_engine_exception"}
+	cases := []struct {
+		give any
+		hex  string
+	}{
+		{envelope{From: -7, Kind: protocol.KindException, Action: 300, Payload: msg, Seq: 200, Ack: 199},
+			"45000dd804c801c70109457863657074696f6e421f0101d8040202d8040d156c6566745f656e67696e655f657863657074696f6e"},
+		{envelope{From: 2, IsAck: true, Ack: 41}, "450104000029004e"},
+		{envelope{From: 3, Kind: "app", Payload: "text", Seq: 1}, "45000600010003617070530474657874"},
+		{envelope{From: 3, Kind: "app", Payload: nil, Seq: 2}, "450006000200036170704e"},
+		{msg, "421f0101d8040202d8040d156c6566745f656e67696e655f657863657074696f6e"},
+		{"bare", "530462617265"},
+		{nil, "4e"},
+	}
+	inPlace := newTCPCodec(wire.Codec{})
+	generic := newTCPCodec(struct{ transport.Codec }{wire.Codec{}})
+	if inPlace.place == nil || generic.place != nil {
+		t.Fatal("the two codecs under test do not take the two paths")
+	}
+	for i, tc := range cases {
+		for name, c := range map[string]tcpCodec{"in-place": inPlace, "generic": generic} {
+			enc, err := c.Encode(tc.give)
+			if err != nil {
+				t.Fatalf("case %d %s: Encode: %v", i, name, err)
+			}
+			if got := hex.EncodeToString(enc.([]byte)); got != tc.hex {
+				t.Errorf("case %d %s: encoded\n %s\nwant\n %s", i, name, got, tc.hex)
+			}
+			got, err := c.Decode(enc)
+			if err != nil {
+				t.Fatalf("case %d %s: Decode: %v", i, name, err)
+			}
+			if !reflect.DeepEqual(got, tc.give) {
+				t.Errorf("case %d %s: decoded %+v, want %+v", i, name, got, tc.give)
+			}
+		}
+	}
+	if got := frame.Intern([]byte(KindEnvelope)); got != KindEnvelope {
+		t.Errorf("frame.Intern(%q) = %q", KindEnvelope, got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = frame.Intern([]byte(KindEnvelope)) }); allocs != 0 {
+		t.Errorf("frame.Intern(%q) allocates %v times: the literal is missing from its table", KindEnvelope, allocs)
 	}
 }
 

@@ -127,7 +127,7 @@ func TestGrammarCoverage(t *testing.T) {
 		"multi-family": multiFamily, "nested": nested, "storm": storm,
 		"belated": belated, "ops": ops, "partition": partition, "raise-free": raiseFree,
 		"fast-ops": fastOps, "hot-cross-family": hotCrossFamily,
-		"fast-under-raise": fastUnderRaise,
+		"fast-under-raise":  fastUnderRaise,
 		"heal-and-continue": healed, "flapping-member": flapping,
 	} {
 		if !seen {

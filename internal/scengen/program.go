@@ -148,8 +148,8 @@ type Program struct {
 	Seed    uint64 `json:"seed"`
 	// Exceptions declares the exception tree, root first, parents before
 	// children.
-	Exceptions []ExcNode `json:"exceptions"`
-	Families   []Family  `json:"families"`
+	Exceptions []ExcNode  `json:"exceptions"`
+	Families   []Family   `json:"families"`
 	Partition  *Partition `json:"partition,omitempty"`
 }
 

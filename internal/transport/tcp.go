@@ -81,8 +81,9 @@ func (o *TCPOptions) fillDefaults() {
 //
 // Reliability: while a connection lives, delivery is reliable and ordered.
 // When a connection breaks, the writer redials with exponential backoff and
-// resumes with the next queued frame — frames in flight during the failure
-// may be lost (and are never duplicated by the fabric itself). Layer
+// resumes with whatever was framed since — frames in flight during the
+// failure, that is the batch being written, may be lost (and are never
+// duplicated by the fabric itself). Layer
 // group.R3Transport on top for exactly-once delivery across reconnects,
 // exactly as over the lossy simulated network.
 //
@@ -243,15 +244,7 @@ func (t *TCP) Send(m Message) error {
 	if err != nil {
 		return err
 	}
-	f := frame.Frame{From: m.From, To: m.To, Kind: m.Kind, Action: m.Action, Payload: payload, StringPayload: isString}
-	buf, err := frame.Encode(f)
-	if err != nil {
-		return err
-	}
-	for i := 0; i < copies; i++ {
-		peer.enqueue(buf)
-	}
-	return nil
+	return peer.enqueue(frame.Frame{From: m.From, To: m.To, Kind: m.Kind, Action: m.Action, Payload: payload, StringPayload: isString}, copies)
 }
 
 // Reachable reports whether the fabric can currently route to obj.
@@ -396,28 +389,42 @@ func (t *TCP) readConn(conn net.Conn) {
 	}
 }
 
-// tcpPeer owns the single outbound connection to one remote fabric: an
-// unbounded FIFO frame queue (sends never block on the network) drained by a
-// writer goroutine that dials lazily and redials with exponential backoff.
+// tcpPeer owns the single outbound connection to one remote fabric: sends
+// frame into an unbounded pending byte buffer (they never block on the
+// network) that a writer goroutine, dialling lazily and redialling with
+// exponential backoff, hands to the socket one whole batch at a time.
 type tcpPeer struct {
 	t    *TCP
 	addr string
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  [][]byte
-	conn   net.Conn
-	closed bool
+	mu      sync.Mutex
+	cond    *sync.Cond
+	pending []byte // encoded frames, in send-call order, not yet handed to a Write
+	spare   []byte // the previous batch's buffer, empty, waiting to become pending
+	conn    net.Conn
+	closed  bool
 }
 
-// enqueue appends one encoded frame to the outbound queue.
-func (p *tcpPeer) enqueue(buf []byte) {
+// maxSpareBuffer bounds the write buffer a peer keeps between batches, so
+// the backlog of one long disconnect is not pinned for the peer's lifetime.
+const maxSpareBuffer = 64 << 10
+
+// enqueue frames f onto the pending buffer, copies times.
+func (p *tcpPeer) enqueue(f frame.Frame, copies int) error {
 	p.mu.Lock()
-	if !p.closed {
-		p.queue = append(p.queue, buf)
-		p.cond.Signal()
+	defer p.mu.Unlock()
+	if p.closed {
+		return nil
 	}
-	p.mu.Unlock()
+	for i := 0; i < copies; i++ {
+		buf, err := frame.Append(p.pending, f)
+		if err != nil {
+			return err
+		}
+		p.pending = buf
+	}
+	p.cond.Signal()
+	return nil
 }
 
 // close wakes the writer up and closes any live connection so a blocked
@@ -432,17 +439,18 @@ func (p *tcpPeer) close() {
 	p.mu.Unlock()
 }
 
-// writeLoop drains the queue onto the connection, dialling on demand. A
-// frame is popped only after it was written in full; a frame whose write
-// fails is dropped (it may have partially reached the peer — resending on
-// the fresh connection could duplicate it) and the writer reconnects for the
-// next one.
+// writeLoop hands the pending buffer to the connection, dialling on demand.
+// Everything framed while the previous Write was in the kernel goes out in
+// the next one, so a burst costs one syscall, not one per frame. A batch is
+// taken only once a connection stands; a batch whose Write fails is dropped
+// whole (part of it may have reached the peer — resending on the fresh
+// connection could duplicate frames) and the writer reconnects for the next.
 func (p *tcpPeer) writeLoop() {
 	defer p.t.wg.Done()
 	backoff := p.t.opts.RedialMin
 	for {
 		p.mu.Lock()
-		for len(p.queue) == 0 && !p.closed {
+		for len(p.pending) == 0 && !p.closed {
 			p.cond.Wait()
 		}
 		if p.closed {
@@ -453,8 +461,11 @@ func (p *tcpPeer) writeLoop() {
 			p.mu.Unlock()
 			return
 		}
-		buf := p.queue[0]
 		conn := p.conn
+		var batch []byte
+		if conn != nil {
+			batch, p.pending, p.spare = p.pending, p.spare, nil
+		}
 		p.mu.Unlock()
 
 		if conn == nil {
@@ -476,11 +487,11 @@ func (p *tcpPeer) writeLoop() {
 				return
 			}
 			p.conn = c
-			conn = c
 			p.mu.Unlock()
+			continue
 		}
 
-		_, err := conn.Write(buf)
+		_, err := conn.Write(batch)
 		p.mu.Lock()
 		if err != nil {
 			_ = conn.Close()
@@ -488,10 +499,8 @@ func (p *tcpPeer) writeLoop() {
 				p.conn = nil
 			}
 		}
-		// Pop the frame either way: written, or lost to the broken
-		// connection (see the function comment).
-		if len(p.queue) > 0 {
-			p.queue = p.queue[1:]
+		if cap(batch) <= maxSpareBuffer {
+			p.spare = batch[:0]
 		}
 		p.mu.Unlock()
 	}
@@ -529,7 +538,8 @@ type TCPPort struct {
 
 	mu     sync.Mutex
 	cond   *sync.Cond
-	queue  []delivery
+	queue  []delivery // inbox; queue[head:] is live
+	head   int
 	closed bool
 
 	stop chan struct{}
@@ -579,6 +589,14 @@ func (p *TCPPort) Close() {
 func (p *TCPPort) enqueue(d delivery) {
 	p.mu.Lock()
 	if !p.closed {
+		if p.head > 0 && len(p.queue) == cap(p.queue) {
+			// Compact the live suffix instead of growing, as core.mailbox
+			// does, and clear what it vacated: those slots would otherwise
+			// keep a second reference to deliveries consumed later.
+			n := copy(p.queue, p.queue[p.head:])
+			clear(p.queue[n:])
+			p.queue, p.head = p.queue[:n], 0
+		}
 		p.queue = append(p.queue, d)
 		p.cond.Signal()
 	}
@@ -595,15 +613,18 @@ func (p *TCPPort) pump() {
 	}
 	for {
 		p.mu.Lock()
-		for len(p.queue) == 0 && !p.closed {
+		for p.head == len(p.queue) && !p.closed {
 			p.cond.Wait()
 		}
 		if p.closed {
 			p.mu.Unlock()
 			return
 		}
-		d := p.queue[0]
-		p.queue = p.queue[1:]
+		d := p.queue[p.head]
+		p.queue[p.head] = delivery{} // release the payload reference
+		if p.head++; p.head == len(p.queue) {
+			p.queue, p.head = p.queue[:0], 0
+		}
 		p.mu.Unlock()
 
 		var payload any

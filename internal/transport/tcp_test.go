@@ -1,13 +1,17 @@
 package transport
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"net"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/ident"
+	"repro/internal/wire/frame"
 )
 
 // tcpPair builds two wired-up fabrics, one hosting each of the given
@@ -499,5 +503,138 @@ func TestTCPResolver(t *testing.T) {
 	}
 	if err := sender.Reachable(7); err != nil {
 		t.Errorf("Reachable via resolver = %v", err)
+	}
+}
+
+// gatedConn stands in for a peer's socket: every Write reports that it has
+// begun and then waits for the test's verdict, so the test decides what is
+// framed "while the previous write was in the kernel".
+type gatedConn struct {
+	net.Conn // nil: the writer only ever calls Write and Close
+	entered  chan []byte
+	verdict  chan error
+	closed   chan struct{}
+}
+
+func (c *gatedConn) Write(b []byte) (int, error) {
+	c.entered <- append([]byte(nil), b...)
+	if err := <-c.verdict; err != nil {
+		return 0, err
+	}
+	return len(b), nil
+}
+
+func (c *gatedConn) Close() error {
+	select {
+	case <-c.closed:
+	default:
+		close(c.closed)
+	}
+	return nil
+}
+
+// TestTCPWriteCoalescing pins the writer's batching contract: frames sent
+// while a Write is outstanding leave together in the next Write, in send
+// order, and a Write that fails loses exactly its own batch — the writer
+// redials and carries on with what was framed after it.
+func TestTCPWriteCoalescing(t *testing.T) {
+	receiver, err := NewTCP(TCPOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer receiver.Close()
+	port, err := receiver.Bind(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sender, err := NewTCP(TCPOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sender.Close()
+	sender.SetPeer(2, receiver.Addr())
+
+	peer, err := sender.peerFor(receiver.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := &gatedConn{entered: make(chan []byte), verdict: make(chan error), closed: make(chan struct{})}
+	peer.mu.Lock()
+	peer.conn = conn
+	peer.mu.Unlock()
+
+	send := func(i int) {
+		t.Helper()
+		if err := sender.Send(Message{From: 1, To: 2, Kind: "k", Payload: fmt.Sprintf("%d", i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	payloads := func(batch []byte) (got []string) {
+		t.Helper()
+		r := bytes.NewReader(batch)
+		for r.Len() > 0 {
+			f, err := frame.Read(r)
+			if err != nil {
+				t.Fatalf("batch does not deframe: %v", err)
+			}
+			got = append(got, string(f.Payload))
+		}
+		return got
+	}
+
+	send(0)
+	if got := payloads(<-conn.entered); !reflect.DeepEqual(got, []string{"0"}) {
+		t.Fatalf("first write carried %v, want [0]", got)
+	}
+	for i := 1; i <= 5; i++ {
+		send(i) // the first write is still outstanding
+	}
+	conn.verdict <- nil
+	if got := payloads(<-conn.entered); !reflect.DeepEqual(got, []string{"1", "2", "3", "4", "5"}) {
+		t.Fatalf("second write carried %v, want the five frames sent during the first", got)
+	}
+	conn.verdict <- errors.New("broken pipe")
+	<-conn.closed
+
+	// The failed batch is gone for good; the next frame goes out over a
+	// freshly dialled connection and is the first thing the receiver sees.
+	send(6)
+	if got := drainPort(t, port, 1, 10*time.Second)[0].Payload; got != "6" {
+		t.Fatalf("receiver's first message is %q, want 6 (frames 1-5 were lost with their batch, 0 never left the fake)", got)
+	}
+}
+
+// TestTCPPortInboxReleasesConsumed checks the other half of the pop: a slot
+// that was handed to the consumer no longer pins its payload.
+func TestTCPPortInboxReleasesConsumed(t *testing.T) {
+	fab, err := NewTCP(TCPOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fab.Close()
+	port, err := fab.Bind(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 8
+	for i := 0; i < n; i++ {
+		if err := fab.Send(Message{From: 1, To: 2, Kind: "k", Payload: make([]byte, 64)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < n; i++ {
+		<-port.Recv()
+	}
+	// The pump took the last message out of the queue before it offered it
+	// on the channel, so by now every slot has been consumed.
+	port.mu.Lock()
+	defer port.mu.Unlock()
+	if port.head != 0 || len(port.queue) != 0 {
+		t.Fatalf("drained inbox has head=%d len=%d, want 0 and 0", port.head, len(port.queue))
+	}
+	for i, d := range port.queue[:cap(port.queue)] {
+		if d.payload != nil {
+			t.Errorf("slot %d still references a consumed payload", i)
+		}
 	}
 }

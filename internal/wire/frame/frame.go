@@ -29,7 +29,6 @@
 package frame
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -81,7 +80,8 @@ type Frame struct {
 	// to. It is carried in the envelope so a multiplexing receiver can
 	// route the frame without decoding the payload.
 	Action ident.ActionID
-	// Payload is the message payload after the transport codec ran.
+	// Payload is the message payload after the transport codec ran. In a
+	// decoded frame it is a sub-slice of the buffer that was decoded.
 	Payload []byte
 	// StringPayload records that the payload was a string (not a byte
 	// slice) before framing.
@@ -166,7 +166,11 @@ func Read(r io.Reader) (Frame, error) {
 	return Decode(body)
 }
 
-// Decode parses one frame body (without the length prefix).
+// Decode parses one frame body (without the length prefix). The returned
+// Payload is a sub-slice of b, not a copy: the caller hands the buffer over
+// (Read allocates one per frame and never touches it again) and must copy
+// first if it intends to reuse b. Kind is interned when well known (Intern),
+// so decoding protocol traffic allocates nothing.
 func Decode(b []byte) (Frame, error) {
 	var f Frame
 	if len(b) < 2 {
@@ -175,58 +179,74 @@ func Decode(b []byte) (Frame, error) {
 	if b[0] != Version {
 		return f, fmt.Errorf("%w: %d", ErrBadVersion, b[0])
 	}
-	f.StringPayload = b[1]&flagStringPayload != 0
-	r := bytes.NewReader(b[2:])
+	flags, rest := b[1], b[2:]
+	f.StringPayload = flags&flagStringPayload != 0
 
-	from, err := binary.ReadVarint(r)
-	if err != nil {
-		return f, fmt.Errorf("%w: from: %v", ErrShortFrame, err)
+	from, n := binary.Varint(rest)
+	if n <= 0 {
+		return f, fmt.Errorf("%w: from", ErrShortFrame)
 	}
-	f.From = ident.ObjectID(from)
-	to, err := binary.ReadVarint(r)
-	if err != nil {
-		return f, fmt.Errorf("%w: to: %v", ErrShortFrame, err)
+	f.From, rest = ident.ObjectID(from), rest[n:]
+	to, n := binary.Varint(rest)
+	if n <= 0 {
+		return f, fmt.Errorf("%w: to", ErrShortFrame)
 	}
-	f.To = ident.ObjectID(to)
+	f.To, rest = ident.ObjectID(to), rest[n:]
 
-	if b[1]&flagAction != 0 {
-		action, err := binary.ReadVarint(r)
-		if err != nil {
-			return f, fmt.Errorf("%w: action: %v", ErrShortFrame, err)
+	if flags&flagAction != 0 {
+		action, n := binary.Varint(rest)
+		if n <= 0 {
+			return f, fmt.Errorf("%w: action", ErrShortFrame)
 		}
-		f.Action = ident.ActionID(action)
+		f.Action, rest = ident.ActionID(action), rest[n:]
 	}
 
-	kindLen, err := binary.ReadUvarint(r)
-	if err != nil {
-		return f, fmt.Errorf("%w: kind length: %v", ErrShortFrame, err)
+	kindLen, n := binary.Uvarint(rest)
+	if n <= 0 {
+		return f, fmt.Errorf("%w: kind length", ErrShortFrame)
 	}
-	if kindLen > uint64(r.Len()) {
+	rest = rest[n:]
+	if kindLen > uint64(len(rest)) {
 		return f, fmt.Errorf("%w: kind length %d exceeds body", ErrShortFrame, kindLen)
 	}
-	if kindLen > 0 {
-		kind := make([]byte, kindLen)
-		if _, err := io.ReadFull(r, kind); err != nil {
-			return f, fmt.Errorf("%w: kind: %v", ErrShortFrame, err)
-		}
-		f.Kind = string(kind)
-	}
+	f.Kind, rest = Intern(rest[:kindLen]), rest[kindLen:]
 
-	payloadLen, err := binary.ReadUvarint(r)
-	if err != nil {
-		return f, fmt.Errorf("%w: payload length: %v", ErrShortFrame, err)
+	payloadLen, n := binary.Uvarint(rest)
+	if n <= 0 {
+		return f, fmt.Errorf("%w: payload length", ErrShortFrame)
 	}
-	if payloadLen > uint64(r.Len()) {
+	rest = rest[n:]
+	if payloadLen > uint64(len(rest)) {
 		return f, fmt.Errorf("%w: payload length %d exceeds body", ErrShortFrame, payloadLen)
 	}
 	if payloadLen > 0 {
-		f.Payload = make([]byte, payloadLen)
-		if _, err := io.ReadFull(r, f.Payload); err != nil {
-			return f, fmt.Errorf("%w: payload: %v", ErrShortFrame, err)
-		}
+		// Full slice expression: an append through the payload must not run
+		// into whatever follows it in the body buffer.
+		f.Payload = rest[:payloadLen:payloadLen]
 	}
-	if r.Len() != 0 {
-		return f, fmt.Errorf("%w: %d bytes", ErrTrailingBytes, r.Len())
+	if rest = rest[payloadLen:]; len(rest) != 0 {
+		return f, fmt.Errorf("%w: %d bytes", ErrTrailingBytes, len(rest))
 	}
 	return f, nil
+}
+
+// wellKnownKinds are the message kinds the socket path carries on every
+// frame: the reliable layer's envelope kind and the five protocol kinds.
+// They are spelled out because this package is a leaf (group and protocol
+// both sit above the transport that imports it); tests in package wire and
+// package group pin them to the constants they mirror.
+var wellKnownKinds = [...]string{
+	"group.envelope",
+	"Exception", "HaveNested", "NestedCompleted", "ACK", "Commit",
+}
+
+// Intern returns b as a string, without allocating when b spells one of the
+// well-known kinds.
+func Intern(b []byte) string {
+	for _, kind := range wellKnownKinds {
+		if string(b) == kind { // compared in place, no conversion
+			return kind
+		}
+	}
+	return string(b)
 }

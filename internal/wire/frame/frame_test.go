@@ -71,6 +71,37 @@ func TestReadBackToBack(t *testing.T) {
 	}
 }
 
+// TestReadPayloadsDoNotAlias pins what lets Decode hand out sub-slices: Read
+// gives every frame a buffer of its own, so writing through one frame's
+// payload (or appending to it) cannot reach the next frame off the same
+// stream, nor the kind and addressing of its own.
+func TestReadPayloadsDoNotAlias(t *testing.T) {
+	var buf bytes.Buffer
+	for _, p := range []string{"first payload", "second payload"} {
+		if err := Write(&buf, Frame{From: 1, To: 2, Kind: "k.test", Payload: []byte(p)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range first.Payload {
+		first.Payload[i] = 0xFF
+	}
+	_ = append(first.Payload, bytes.Repeat([]byte{0xFF}, 64)...)
+	if string(second.Payload) != "second payload" || second.Kind != "k.test" || second.From != 1 || second.To != 2 {
+		t.Errorf("second frame changed under a write to the first: %+v", second)
+	}
+	if first.Kind != "k.test" || first.From != 1 || first.To != 2 {
+		t.Errorf("first frame's header changed under a write to its payload: %+v", first)
+	}
+}
+
 // TestReadPartialReads drives Read through a one-byte-at-a-time reader: the
 // io.ReadFull calls must assemble frames correctly from fragmented reads.
 func TestReadPartialReads(t *testing.T) {

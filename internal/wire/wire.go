@@ -17,6 +17,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/ident"
 	"repro/internal/protocol"
@@ -33,43 +34,88 @@ var (
 	ErrTrailingBytes = errors.New("wire: trailing bytes after message")
 )
 
-// kind codes on the wire.
-var kindCodes = map[string]byte{
-	protocol.KindException:       1,
-	protocol.KindHaveNested:      2,
-	protocol.KindNestedCompleted: 3,
-	protocol.KindAck:             4,
-	protocol.KindCommit:          5,
-}
-
-var kindNames = map[byte]string{
-	1: protocol.KindException,
-	2: protocol.KindHaveNested,
-	3: protocol.KindNestedCompleted,
-	4: protocol.KindAck,
-	5: protocol.KindCommit,
-}
-
-// Encode serialises a protocol message.
-func Encode(m protocol.Msg) ([]byte, error) {
-	code, ok := kindCodes[m.Kind]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrBadKind, m.Kind)
+// kindCode maps a message kind to its code on the wire (0: unknown), and
+// kindName maps it back to the constant itself, so decoding interns the kind.
+func kindCode(kind string) byte {
+	switch kind {
+	case protocol.KindException:
+		return 1
+	case protocol.KindHaveNested:
+		return 2
+	case protocol.KindNestedCompleted:
+		return 3
+	case protocol.KindAck:
+		return 4
+	case protocol.KindCommit:
+		return 5
 	}
-	buf := make([]byte, 0, 16+len(m.Exc)+8*len(m.Path))
-	buf = append(buf, Format, code)
-	buf = binary.AppendVarint(buf, int64(m.Action))
-	buf = binary.AppendUvarint(buf, uint64(len(m.Path)))
+	return 0
+}
+
+func kindName(code byte) string {
+	switch code {
+	case 1:
+		return protocol.KindException
+	case 2:
+		return protocol.KindHaveNested
+	case 3:
+		return protocol.KindNestedCompleted
+	case 4:
+		return protocol.KindAck
+	case 5:
+		return protocol.KindCommit
+	}
+	return ""
+}
+
+// Size returns the exact number of bytes Append adds for m, so callers that
+// embed a message in a larger layout can write its length first and size
+// their buffer once.
+func Size(m protocol.Msg) int {
+	n := 2 + varintLen(int64(m.Action)) + uvarintLen(uint64(len(m.Path))) +
+		varintLen(int64(m.From)) + uvarintLen(uint64(len(m.Exc))) + len(m.Exc)
 	for _, a := range m.Path {
-		buf = binary.AppendVarint(buf, int64(a))
+		n += varintLen(int64(a))
 	}
-	buf = binary.AppendVarint(buf, int64(m.From))
-	buf = binary.AppendUvarint(buf, uint64(len(m.Exc)))
-	buf = append(buf, m.Exc...)
-	return buf, nil
+	return n
 }
 
-// Decode parses a message encoded by Encode.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+func varintLen(v int64) int { return uvarintLen(uint64(v<<1) ^ uint64(v>>63)) }
+
+// Append serialises m onto dst and returns the extended slice.
+//
+//caa:noalloc
+func Append(dst []byte, m protocol.Msg) ([]byte, error) {
+	code := kindCode(m.Kind)
+	if code == 0 {
+		//protolint:allow noalloc unknown-kind failure path, never taken by the engine's messages
+		return dst, fmt.Errorf("%w: %q", ErrBadKind, m.Kind)
+	}
+	dst = append(dst, Format, code)
+	dst = binary.AppendVarint(dst, int64(m.Action))
+	dst = binary.AppendUvarint(dst, uint64(len(m.Path)))
+	for _, a := range m.Path {
+		dst = binary.AppendVarint(dst, int64(a))
+	}
+	dst = binary.AppendVarint(dst, int64(m.From))
+	dst = binary.AppendUvarint(dst, uint64(len(m.Exc)))
+	dst = append(dst, m.Exc...)
+	return dst, nil
+}
+
+// Encode serialises a protocol message into a fresh, exactly sized buffer.
+func Encode(m protocol.Msg) ([]byte, error) {
+	b, err := Append(make([]byte, 0, Size(m)), m)
+	if err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// Decode parses a message encoded by Encode. Nothing in the result aliases
+// b: the kind is the protocol constant, Path and Exc are copies.
 func Decode(b []byte) (protocol.Msg, error) {
 	var m protocol.Msg
 	if len(b) < 2 {
@@ -78,58 +124,53 @@ func Decode(b []byte) (protocol.Msg, error) {
 	if b[0] != Format {
 		return m, fmt.Errorf("%w: %d", ErrBadFormat, b[0])
 	}
-	kind, ok := kindNames[b[1]]
-	if !ok {
+	if m.Kind = kindName(b[1]); m.Kind == "" {
 		return m, fmt.Errorf("%w: code %d", ErrBadKind, b[1])
 	}
-	m.Kind = kind
-	r := bytes.NewReader(b[2:])
+	rest := b[2:]
 
-	action, err := binary.ReadVarint(r)
-	if err != nil {
-		return m, fmt.Errorf("%w: action: %v", ErrShortMessage, err)
+	action, n := binary.Varint(rest)
+	if n <= 0 {
+		return m, fmt.Errorf("%w: action", ErrShortMessage)
 	}
-	m.Action = ident.ActionID(action)
+	m.Action, rest = ident.ActionID(action), rest[n:]
 
-	pathLen, err := binary.ReadUvarint(r)
-	if err != nil {
-		return m, fmt.Errorf("%w: path length: %v", ErrShortMessage, err)
+	pathLen, n := binary.Uvarint(rest)
+	if n <= 0 {
+		return m, fmt.Errorf("%w: path length", ErrShortMessage)
 	}
-	if pathLen > uint64(r.Len()) {
+	rest = rest[n:]
+	// Every element takes at least one byte, which bounds the allocation.
+	if pathLen > uint64(len(rest)) {
 		return m, fmt.Errorf("%w: path length %d exceeds payload", ErrShortMessage, pathLen)
 	}
 	if pathLen > 0 {
 		m.Path = make([]ident.ActionID, pathLen)
 		for i := range m.Path {
-			v, err := binary.ReadVarint(r)
-			if err != nil {
-				return m, fmt.Errorf("%w: path[%d]: %v", ErrShortMessage, i, err)
+			v, n := binary.Varint(rest)
+			if n <= 0 {
+				return m, fmt.Errorf("%w: path[%d]", ErrShortMessage, i)
 			}
-			m.Path[i] = ident.ActionID(v)
+			m.Path[i], rest = ident.ActionID(v), rest[n:]
 		}
 	}
 
-	from, err := binary.ReadVarint(r)
-	if err != nil {
-		return m, fmt.Errorf("%w: from: %v", ErrShortMessage, err)
+	from, n := binary.Varint(rest)
+	if n <= 0 {
+		return m, fmt.Errorf("%w: from", ErrShortMessage)
 	}
-	m.From = ident.ObjectID(from)
+	m.From, rest = ident.ObjectID(from), rest[n:]
 
-	excLen, err := binary.ReadUvarint(r)
-	if err != nil {
-		return m, fmt.Errorf("%w: exc length: %v", ErrShortMessage, err)
+	excLen, n := binary.Uvarint(rest)
+	if n <= 0 {
+		return m, fmt.Errorf("%w: exc length", ErrShortMessage)
 	}
-	if excLen > uint64(r.Len()) {
+	rest = rest[n:]
+	if excLen > uint64(len(rest)) {
 		return m, fmt.Errorf("%w: exc length %d exceeds payload", ErrShortMessage, excLen)
 	}
-	if excLen > 0 {
-		excBytes := make([]byte, excLen)
-		if _, err := r.Read(excBytes); err != nil {
-			return m, fmt.Errorf("%w: exc: %v", ErrShortMessage, err)
-		}
-		m.Exc = string(excBytes)
-	}
-	if r.Len() != 0 {
+	m.Exc, rest = string(rest[:excLen]), rest[excLen:]
+	if len(rest) != 0 {
 		return m, ErrTrailingBytes
 	}
 	return m, nil
@@ -151,15 +192,45 @@ func (Codec) Encode(v any) (any, error) {
 }
 
 // Decode implements transport.Codec.
-func (Codec) Decode(v any) (any, error) {
+func (c Codec) Decode(v any) (any, error) {
 	if b, ok := v.([]byte); ok {
-		m, err := Decode(b)
-		if err != nil {
-			return nil, err
-		}
-		return m, nil
+		return c.DecodeBytes(b)
 	}
 	return v, nil
+}
+
+// EncodedSize, AppendEncoded and DecodeBytes are the codec's in-place side:
+// a caller that lays a protocol message out inside a larger buffer (the
+// group layer's socket codec) sizes that buffer once, has the message
+// appended to it, and decodes from a sub-slice of what it received, so the
+// message never exists as a slice of its own.
+
+// EncodedSize reports the exact length AppendEncoded adds for v; ok is false
+// when v is not a protocol message (Encode passes such values through).
+func (Codec) EncodedSize(v any) (n int, ok bool) {
+	m, ok := v.(protocol.Msg)
+	if !ok {
+		return 0, false
+	}
+	return Size(m), true
+}
+
+// AppendEncoded appends the encoding of a protocol message to dst.
+func (Codec) AppendEncoded(dst []byte, v any) ([]byte, error) {
+	m, ok := v.(protocol.Msg)
+	if !ok {
+		return dst, fmt.Errorf("wire: AppendEncoded of %T, want protocol.Msg", v)
+	}
+	return Append(dst, m)
+}
+
+// DecodeBytes decodes a protocol message; the result does not alias b.
+func (Codec) DecodeBytes(b []byte) (any, error) {
+	m, err := Decode(b)
+	if err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // EncodeGob serialises a message with encoding/gob (comparison codec).

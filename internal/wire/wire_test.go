@@ -108,6 +108,12 @@ func TestRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		// Encode sizes its buffer with Size; both must be exact, negative
+		// identifiers and multi-byte lengths included.
+		if len(b) != Size(m) || cap(b) != len(b) {
+			t.Errorf("%+v: Size = %d, encoded %d bytes in a buffer of %d", m, Size(m), len(b), cap(b))
+			return false
+		}
 		got, err := Decode(b)
 		if err != nil {
 			return false
