@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
@@ -12,9 +13,9 @@ import (
 //
 // A field counts as covered when Reset (or a helper method on the same
 // receiver, followed transitively within the package) assigns it, clear()s
-// it, calls a method on it (seq.Store(0)), or takes its address (the
-// shard-aliasing pattern `s := &l.shards[i]`); `*recv = T{}` covers
-// everything. Uncovered fields are reported at their declaration, which is
+// it, calls a method on it (seq.Store(0)), takes its address (the
+// shard-aliasing pattern `s := &l.shards[i]`), or receives from it (draining
+// a signal channel); `*recv = T{}` covers everything. Uncovered fields are reported at their declaration, which is
 // also where a reasoned //protolint:allow resetcheck comment belongs when a
 // field must intentionally survive reuse (capacity watermarks).
 //
@@ -168,8 +169,9 @@ func (w *resetWalker) walkMethod(obj *types.Func, fn *ast.FuncDecl) {
 			}
 		case *ast.UnaryExpr:
 			// &recv.f, &recv.f[i]: the alias is presumed to be cleared
-			// through (the shard-loop pattern).
-			if n.Op.String() == "&" {
+			// through (the shard-loop pattern). <-recv.f drains a signal
+			// channel, which is how a channel field is emptied in place.
+			if n.Op == token.AND || n.Op == token.ARROW {
 				if f := fieldOf(w.pass.Info, recvObj, n.X); f != "" {
 					w.covered[f] = true
 				}

@@ -23,8 +23,8 @@ var seamExemptPkgs = map[string]bool{
 
 // SeamAnalyzer keeps every cross-object message on the transport seam
 // introduced by the fabric unification: outside internal/transport and
-// internal/netsim, no raw message channels and no direct netsim endpoint
-// traffic. Everything the engines exchange must flow through
+// internal/netsim, no raw message channels, no direct netsim endpoint
+// traffic and no deliver function attached to a netsim node. Everything the engines exchange must flow through
 // transport.Transport, where it is counted, traced and fault-injected.
 // Test files are exempt (harnesses may capture messages in scratch channels).
 var SeamAnalyzer = &Analyzer{
@@ -81,8 +81,15 @@ func checkRawMessageChannel(pass *Pass, call *ast.CallExpr) {
 }
 
 // checkEndpointUse flags Send/SendTagged/Recv on netsim endpoints outside
-// the seam.
+// the seam, and Network.NodeFunc: attaching a deliver function to a node is
+// how transport.Concurrent builds its ports, and anyone else doing it has
+// built a fabric the seam cannot see.
 func checkEndpointUse(pass *Pass, call *ast.CallExpr) {
+	if isMethodNamed(pass.Info, call, "netsim", "Network", "NodeFunc") {
+		pass.Reportf(call.Pos(),
+			"netsim.Network.NodeFunc attaches a private delivery function to the network, bypassing the transport seam; bind a transport.Port")
+		return
+	}
 	for _, method := range []string{"Send", "SendTagged", "Recv"} {
 		if isMethodNamed(pass.Info, call, "netsim", "Endpoint", method) {
 			pass.Reportf(call.Pos(),

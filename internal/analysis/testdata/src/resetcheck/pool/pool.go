@@ -48,6 +48,20 @@ func (w *watermark) Reset() {
 	w.buf = w.buf[:0]
 }
 
+// signalled drains its wake-up channel in place: a receive covers the field,
+// a channel that is only sent on does not.
+type signalled struct {
+	ready chan struct{}
+	echo  chan struct{} // want `Reset does not clear field echo`
+}
+
+func (s *signalled) Reset() {
+	select {
+	case <-s.ready:
+	default:
+	}
+}
+
 // raw has no Reset at all: recycling it through a pool is flagged.
 type raw struct{ n int }
 

@@ -22,5 +22,12 @@ func direct(e *netsim.Endpoint) netsim.Message {
 	return e.Recv()                   // want `direct netsim endpoint Recv`
 }
 
+// Attaching a deliver function to a node is the fabric's job (the transport
+// fixture package does it without a finding); looking a node up is not.
+func attach(n *netsim.Network) {
+	n.NodeFunc(1, func(netsim.Message) {}, nil) // want `NodeFunc attaches a private delivery function`
+	n.Node(1)
+}
+
 // Channels of other element types are ordinary concurrency, not a fabric.
 func scratch() chan int { return make(chan int, 1) }

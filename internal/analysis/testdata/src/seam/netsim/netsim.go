@@ -12,3 +12,11 @@ func NewEndpoint() *Endpoint { return &Endpoint{ch: make(chan Message, 8)} }
 func (e *Endpoint) Send(m Message)                     { e.ch <- m }
 func (e *Endpoint) SendTagged(m Message, action int64) { e.ch <- m }
 func (e *Endpoint) Recv() Message                      { return <-e.ch }
+
+type Network struct{ eps map[int]*Endpoint }
+
+func (n *Network) Node(id int) *Endpoint { return n.eps[id] }
+
+func (n *Network) NodeFunc(id int, deliver func(Message), closed func()) *Endpoint {
+	return n.eps[id]
+}

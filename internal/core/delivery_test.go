@@ -1,0 +1,195 @@
+package core
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+	"time"
+
+	"repro/internal/ident"
+	"repro/internal/protocol"
+	"repro/internal/trace"
+)
+
+// quietDef is an N-member action where nobody raises: it binds every member's
+// dispatcher and ends at the completion barrier.
+func quietDef(name string, n int, gate <-chan any) Definition {
+	members := make([]ident.ObjectID, n)
+	bodies := make(map[ident.ObjectID]Body, n)
+	for i := range members {
+		members[i] = ident.ObjectID(i + 1)
+		bodies[members[i]] = func(ctx *Context) error {
+			ctx.Await(gate)
+			return nil
+		}
+	}
+	return Definition{
+		Spec: ActionSpec{
+			Name: name, Tree: testTree("E1"), Members: members,
+			Handlers: uniformHandlers(members, defaultOnly(noopHandler)),
+		},
+		Bodies: bodies,
+	}
+}
+
+// TestServerGoroutineBudget pins the receive path's shape: an idle server
+// holds one long-lived goroutine per bound object (its port's) on
+// TransportRaw, and one more (R3's ticker) on TransportReliable. Before the
+// fabric called the port directly it was four per object: the netsim inbox
+// pump, the port pump, the transport loop and the dispatcher pump.
+func TestServerGoroutineBudget(t *testing.T) {
+	const n = 8
+	const slack = 2 // goroutines of the runtime or the test binary that come and go
+	for _, tc := range []struct {
+		name      string
+		transport TransportKind
+		perObject int
+	}{
+		{"raw", TransportRaw, 1},
+		{"reliable", TransportReliable, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			s := NewServer(Options{Transport: tc.transport})
+			defer s.Close()
+			gate := make(chan any)
+			close(gate)
+			if out, err := s.Run(quietDef("budget", n, gate)); err != nil || !out.Completed {
+				t.Fatalf("run: out=%+v err=%v", out, err)
+			}
+			if got := len(s.dispatchers); got != n {
+				t.Fatalf("%d dispatchers bound, want %d", got, n)
+			}
+			budget := tc.perObject*n + slack
+			var held int
+			for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+				held = runtime.NumGoroutine() - base
+				if s.InFlight() == 0 && held <= budget {
+					return
+				}
+				if time.Now().After(deadline) {
+					break
+				}
+			}
+			buf := make([]byte, 1<<16)
+			t.Fatalf("idle server with %d bound objects holds %d goroutines, budget %d\n%s",
+				n, held, budget, buf[:runtime.Stack(buf, true)])
+		})
+	}
+}
+
+// TestServerStaleDeliveryRecycledMailbox is the hazard pooled mailboxes
+// introduce: action A finishes and its mailboxes go back to the pool, action
+// B starts on the same objects and takes them out again, and then a message
+// still tagged A arrives. It must be dropped and counted; B's mailbox must
+// never hold it. The message takes the real path, object 2's transport to
+// object 1's port goroutine, R3 and route.
+func TestServerStaleDeliveryRecycledMailbox(t *testing.T) {
+	for _, transport := range []TransportKind{TransportRaw, TransportReliable} {
+		s := NewServer(Options{Transport: transport})
+		open := make(chan any)
+		close(open)
+		if out, err := s.Run(raiseDef("A", "E1", open)); err != nil || !out.Completed {
+			t.Fatalf("action A: out=%+v err=%v", out, err)
+		}
+		s.mu.Lock()
+		tagA := s.nextAction // A was the only action: the last identifier allocated is its root's or a descendant's
+		d1, d2 := s.dispatchers[1], s.dispatchers[2]
+		s.mu.Unlock()
+
+		gate := make(chan any)
+		pb, err := s.Submit(raiseDef("B", "E1", gate))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tagB ident.ActionID
+		var mbB *mailbox
+		waitUntil(t, "B registered on object 1", func() bool {
+			d1.mu.Lock()
+			defer d1.mu.Unlock()
+			for tag, mb := range d1.routes {
+				tagB, mbB = tag, mb
+			}
+			return len(d1.routes) == 1
+		})
+		if tagB <= tagA {
+			t.Fatalf("B's tag %s does not follow A's last identifier %s", tagB, tagA)
+		}
+
+		d1.mu.Lock()
+		before := d1.dropped
+		d1.mu.Unlock()
+		// Every identifier A could have used, so whichever was its root tag
+		// is among them: all of them are finished business.
+		for tag := ident.ActionID(1); tag <= tagA; tag++ {
+			stale := protocol.Msg{Kind: protocol.KindException, Action: tag, From: 2, Exc: "E1"}
+			if err := d2.tr.SendTagged(1, stale.Kind, tag, stale); err != nil {
+				t.Fatal(err)
+			}
+		}
+		waitUntil(t, "stale deliveries counted as dropped", func() bool {
+			d1.mu.Lock()
+			defer d1.mu.Unlock()
+			return d1.dropped-before == int(tagA)
+		})
+		mbB.mu.Lock()
+		queued := mbB.queue.Len()
+		mbB.mu.Unlock()
+		if queued != 0 {
+			t.Fatalf("B's mailbox holds %d deliveries before B exchanged a message: a finished action's message reached it", queued)
+		}
+
+		close(gate)
+		if out, err := pb.Wait(); err != nil || !out.Completed || out.Resolved != "E1" {
+			t.Fatalf("action B after the stale delivery: out=%+v err=%v", out, err)
+		}
+		s.Close()
+	}
+}
+
+// TestSessionEntersBeforeBodies pins how a session starts: every participant
+// has entered the top-level action, on the goroutine that creates it, before
+// the first body runs, so an action's trace opens with its N enter events
+// whatever the bodies do first (here all of them raise at once). Each engine
+// goroutine starts behind its body and serves a waiting request before the
+// next delivery, so whether a member that raises at once is still heard does
+// not hang on how soon its body is scheduled; when it did, the observed P of
+// an all-raise action wandered from run to run.
+func TestSessionEntersBeforeBodies(t *testing.T) {
+	const n = 6
+	members := make([]ident.ObjectID, n)
+	bodies := make(map[ident.ObjectID]Body, n)
+	for i := range members {
+		members[i] = ident.ObjectID(i + 1)
+		bodies[members[i]] = func(ctx *Context) error { ctx.Raise("E1"); return nil }
+	}
+	def := Definition{
+		Spec: ActionSpec{
+			Name: "storm", Tree: testTree("E1"), Members: members,
+			Handlers: uniformHandlers(members, defaultOnly(noopHandler)),
+		},
+		Bodies: bodies,
+	}
+	s := NewServer(Options{Transport: TransportRaw})
+	defer s.Close()
+	for round := 0; round < 50; round++ {
+		s.Trace().Reset()
+		if out, err := s.Run(def); err != nil || !out.Completed || out.Resolved != "E1" {
+			t.Fatalf("round %d: out=%+v err=%v", round, out, err)
+		}
+		for i, ev := range s.Trace().Events()[:n] {
+			if ev.Kind != trace.EvEnter {
+				t.Fatalf("round %d: event %d of the action is %v, want the %d enter events first", round, i, ev, n)
+			}
+		}
+	}
+}
+
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(200 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("timed out waiting for: " + what + fmt.Sprintf(" (%d goroutines)", runtime.NumGoroutine()))
+		}
+	}
+}

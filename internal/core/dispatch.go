@@ -4,6 +4,7 @@ import (
 	"errors"
 	"sync"
 
+	"repro/internal/fifo"
 	"repro/internal/group"
 	"repro/internal/ident"
 )
@@ -18,10 +19,12 @@ var (
 )
 
 // dispatcher multiplexes one object's shared transport across concurrent
-// actions: a single pump goroutine drains the transport and routes each
-// delivery to the session owning its envelope's action tag. The transport —
-// and with it the object's node binding, reliable-layer state and socket
-// fabric — lives as long as the server, not as long as any one action.
+// actions. It has no goroutine: route is the deliver function the transport
+// was bound with, so the port's goroutine — the one goroutine the object owns
+// on the receive path — carries each delivery through the reliable layer and
+// into the mailbox of the session owning its envelope's action tag. The
+// transport, and with it the object's node binding, reliable-layer state and
+// socket fabric, lives as long as the server, not as long as any one action.
 type dispatcher struct {
 	obj ident.ObjectID
 
@@ -34,11 +37,9 @@ type dispatcher struct {
 	mu      sync.Mutex
 	routes  map[ident.ActionID]*mailbox
 	dropped int // deliveries with no live route (e.g. post-completion acks)
-
-	done chan struct{} // closed when the pump exited
 }
 
-// dispatcherFor returns (creating and starting on demand) the shared
+// dispatcherFor returns (creating and binding on demand) the shared
 // dispatcher hosting obj. Creation is single-flight per object: the first
 // caller publishes the entry under the server lock and binds outside it
 // (binding dials listeners on the TCP backend), racing callers wait for that
@@ -55,16 +56,13 @@ func (s *Server) dispatcherFor(obj ident.ObjectID) (*dispatcher, error) {
 			obj:    obj,
 			bound:  make(chan struct{}),
 			routes: make(map[ident.ActionID]*mailbox),
-			done:   make(chan struct{}),
 		}
 		s.dispatchers[obj] = d
 	}
 	s.mu.Unlock()
 	if !ok {
-		d.tr, d.bindErr = s.newTransport(obj)
-		if d.bindErr == nil {
-			go d.pump()
-		} else {
+		d.tr, d.bindErr = s.newTransport(obj, d.route)
+		if d.bindErr != nil {
 			s.mu.Lock()
 			delete(s.dispatchers, obj) // still ours: nobody inserts over a live entry
 			s.mu.Unlock()
@@ -78,25 +76,23 @@ func (s *Server) dispatcherFor(obj ident.ObjectID) (*dispatcher, error) {
 	return d, nil
 }
 
-// pump routes deliveries until the shared transport closes. It never blocks
-// on a session: mailboxes are unbounded, so one slow engine cannot stall the
-// traffic of every other action sharing the object.
-func (d *dispatcher) pump() {
-	defer close(d.done)
-	for dv := range d.tr.Recv() {
-		d.mu.Lock()
-		mb := d.routes[dv.Action]
-		if mb == nil {
-			// No live session owns the tag: a stale delivery for a completed
-			// action (late retransmission, post-commit ACK). Dropping it is
-			// safe — the session already concluded — and counted for tests.
-			d.dropped++
-		}
-		d.mu.Unlock()
-		if mb != nil {
-			mb.put(dv)
-		}
+// route hands one delivery to the session owning its action tag. It runs on
+// the port's goroutine and never blocks on a session: mailboxes are unbounded,
+// so one slow engine cannot stall the traffic of every other action sharing
+// the object. The put happens under d.mu: once unregister has returned no put
+// is in flight, so a recycled mailbox can never receive a finished action's
+// late message.
+func (d *dispatcher) route(dv group.Delivery) {
+	d.mu.Lock()
+	if mb := d.routes[dv.Action]; mb != nil {
+		mb.put(dv)
+	} else {
+		// No live session owns the tag: a stale delivery for a completed
+		// action (late retransmission, post-commit ACK). Dropping it is
+		// safe — the session already concluded — and counted for tests.
+		d.dropped++
 	}
+	d.mu.Unlock()
 }
 
 // register installs the mailbox receiving deliveries tagged with action.
@@ -113,26 +109,26 @@ func (d *dispatcher) unregister(action ident.ActionID) {
 	d.mu.Unlock()
 }
 
-// close tears the shared transport down and waits for the pump to exit. An
-// entry still binding is waited for first; one whose bind failed has neither.
+// close tears the shared transport down and returns once its goroutines have
+// exited, so route is not running and will not run again. An entry still
+// binding is waited for first; one whose bind failed has no transport.
 func (d *dispatcher) close() {
 	<-d.bound
-	if d.bindErr != nil {
-		return
+	if d.bindErr == nil {
+		d.tr.Close()
 	}
-	d.tr.Close()
-	<-d.done
 }
 
 // mailbox is one session's unbounded FIFO inbox on a dispatcher. put never
-// blocks (the dispatcher must keep draining the shared transport); take is
-// non-blocking and re-arms the ready signal while messages remain, so a
+// blocks (the port's goroutine must keep draining the shared transport); take
+// is non-blocking and re-arms the ready signal while messages remain, so a
 // consumer draining in bounded bursts never sleeps on a non-empty queue.
+// Mailboxes are pooled on the server with their capacity: the port empties
+// into them in bursts, and a per-action mailbox would regrow through every
+// doubling each time.
 type mailbox struct {
-	mu     sync.Mutex
-	queue  []group.Delivery
-	head   int
-	closed bool
+	mu    sync.Mutex
+	queue fifo.Queue[group.Delivery]
 
 	ready chan struct{} // 1-buffered: armed whenever the queue may be non-empty
 }
@@ -143,47 +139,32 @@ func newMailbox() *mailbox {
 
 func (m *mailbox) put(d group.Delivery) {
 	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return
-	}
-	if m.head > 0 && len(m.queue) == cap(m.queue) {
-		// Compact the live suffix instead of growing, as netsim inboxes do.
-		m.queue = append(m.queue[:0], m.queue[m.head:]...)
-		m.head = 0
-	}
-	m.queue = append(m.queue, d)
+	m.queue.Push(d)
 	m.mu.Unlock()
 	m.signal()
 }
 
 func (m *mailbox) take() (group.Delivery, bool) {
 	m.mu.Lock()
-	if m.head == len(m.queue) {
-		m.mu.Unlock()
-		return group.Delivery{}, false
-	}
-	d := m.queue[m.head]
-	m.queue[m.head] = group.Delivery{} // release payload references
-	m.head++
-	remaining := m.head != len(m.queue)
-	if !remaining {
-		m.queue = m.queue[:0]
-		m.head = 0
-	}
+	d, ok := m.queue.Pop()
+	remaining := m.queue.Len() > 0
 	m.mu.Unlock()
 	if remaining {
 		m.signal()
 	}
-	return d, true
+	return d, ok
 }
 
-func (m *mailbox) close() {
+// Reset empties the mailbox for the pool. The caller has unregistered it and
+// stopped its consumer, so nothing else touches it.
+func (m *mailbox) Reset() {
 	m.mu.Lock()
-	m.closed = true
-	m.queue = nil
-	m.head = 0
+	m.queue.Reset()
 	m.mu.Unlock()
+	select {
+	case <-m.ready:
+	default:
+	}
 }
 
 func (m *mailbox) signal() {
@@ -202,8 +183,8 @@ type sessionRoute struct {
 	inbox *mailbox
 }
 
-func newSessionRoute(d *dispatcher, root ident.ActionID) *sessionRoute {
-	r := &sessionRoute{disp: d, root: root, inbox: newMailbox()}
+func (s *Server) newSessionRoute(d *dispatcher, root ident.ActionID) *sessionRoute {
+	r := &sessionRoute{disp: d, root: root, inbox: s.mailboxPool.Get().(*mailbox)}
 	d.register(root, r.inbox)
 	return r
 }
@@ -214,11 +195,14 @@ func (r *sessionRoute) send(to ident.ObjectID, kind string, payload any) error {
 	return r.disp.tr.SendTagged(to, kind, r.root, payload)
 }
 
-// close detaches the session from the dispatcher. The shared transport stays
-// up for other sessions.
-func (r *sessionRoute) close() {
+// close detaches the session from the dispatcher and returns its mailbox,
+// emptied, to the pool. The session's consumer must have stopped. The shared
+// transport stays up for other sessions.
+func (s *Server) closeSessionRoute(r *sessionRoute) {
 	r.disp.unregister(r.root)
-	r.inbox.close()
+	r.inbox.Reset()
+	s.mailboxPool.Put(r.inbox)
+	r.inbox = nil
 }
 
 // Pending is an asynchronously submitted action; Wait blocks until it

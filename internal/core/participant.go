@@ -79,7 +79,6 @@ func newParticipant(r *run, obj ident.ObjectID) (*participant, error) {
 		obj:          obj,
 		events:       make(chan *event),
 		quit:         make(chan struct{}),
-		loopDone:     make(chan struct{}),
 		suspendLevel: levelNone,
 		suspendCh:    make(chan struct{}),
 		parkedLevel:  levelNotParked,
@@ -92,7 +91,7 @@ func newParticipant(r *run, obj ident.ObjectID) (*participant, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.route = newSessionRoute(d, r.top.id)
+	p.route = r.sys.newSessionRoute(d, r.top.id)
 	p.parkCond = sync.NewCond(&p.smu)
 	// Engines are pooled: Reset rebinds a warm engine (ledger capacity
 	// intact) to this participant instead of allocating fresh maps per
@@ -106,9 +105,31 @@ func newParticipant(r *run, obj ident.ObjectID) (*participant, error) {
 		Log:          func(ev trace.Event) { r.sys.log.Record(ev) },
 	})
 	p.engine = eng
+	if !r.preExpelled[obj] {
+		// The top-level action is entered here, on the creating goroutine,
+		// while nothing else can reach the engine, so entering costs the
+		// body no hand-off.
+		if err := p.enterFrame(r.top); err != nil {
+			p.stop()
+			return nil, err
+		}
+	}
 	p.startMembership()
-	go p.loop()
 	return p, nil
+}
+
+// start launches the engine goroutine. runAttempt calls it right behind the
+// launch of the participant's body: the body's first request is then already
+// waiting when its engine first looks, and loop serves a waiting request
+// before the next delivery, so whether a body that raises at once is still
+// heard does not hang on how soon the scheduler gets round to it. Deliveries
+// that arrive earlier wait in the mailbox. (The exception is the run's last
+// member: Go runs the goroutine started last first, so that engine is already
+// listening while its body waits at the back of the run queue, and a peer's
+// Exception usually reaches it first. See docs/SERVER.md.)
+func (p *participant) start() {
+	p.loopDone = make(chan struct{})
+	go p.loop()
 }
 
 // burst caps the deliveries one engine-loop wakeup drains before local events
@@ -118,9 +139,11 @@ const burst = 32
 // loop is the engine goroutine: it serialises protocol messages and local
 // events onto the engine state machine. Deliveries arrive in the session's
 // mailbox (fed by the object's dispatcher), and each wakeup drains a bounded
-// burst so local events never starve behind a message storm. The mailbox
-// re-arms its ready signal while non-empty, so stopping at the burst cap never
-// strands queued messages.
+// burst, serving a local event that is already waiting before each delivery,
+// so local events never starve behind a message storm (nor deliveries behind
+// local events: one delivery follows each). The mailbox re-arms its ready
+// signal while non-empty, so stopping at the burst cap never strands queued
+// messages.
 func (p *participant) loop() {
 	defer close(p.loopDone)
 	inbox := p.route.inbox
@@ -130,6 +153,11 @@ func (p *participant) loop() {
 			return
 		case <-inbox.ready:
 			for n := 0; n < burst; n++ {
+				select {
+				case ev := <-p.events:
+					ev.reply <- ev.fn()
+				default:
+				}
 				d, ok := inbox.take()
 				if !ok {
 					break
@@ -173,14 +201,16 @@ func (p *participant) handleDelivery(d group.Delivery) {
 // returns to the server's pool.
 func (p *participant) stop() {
 	close(p.quit)
-	<-p.loopDone
+	if p.loopDone != nil { // nil: torn down before start
+		<-p.loopDone
+	}
 	if p.monitor != nil {
 		p.monitor.Stop()
 	}
 	if p.detector != nil {
 		p.detector.Stop()
 	}
-	p.route.close()
+	p.run.sys.closeSessionRoute(p.route)
 	p.run.sys.enginePool.Put(p.engine)
 	p.engine = nil
 }
@@ -409,26 +439,32 @@ func (p *participant) enterInstance(bodyLevel int, inst *instance) error {
 		if lvl <= len(p.estack)-1 {
 			return ErrSuspendedEntry
 		}
-		frame := protocol.Frame{
-			Action:  inst.id,
-			Path:    inst.path,
-			Members: p.run.frameMembers(inst.spec.Members),
-			Tree:    inst.spec.Tree,
-		}
-		if inst.spec.Policy == WaitForNestedActions {
-			p.engine.SetWaitForNested(true)
-		}
-		// estack must be extended BEFORE EnterAction: the engine replays
-		// messages that arrived while this object was belated, and the
-		// hooks they trigger (Suspend, AbortNested) resolve action levels
-		// through estack.
-		p.estack = append(p.estack, inst)
-		if err := p.engine.EnterAction(frame); err != nil {
-			p.estack = p.estack[:len(p.estack)-1]
-			return err
-		}
-		return nil
+		return p.enterFrame(inst)
 	})
+}
+
+// enterFrame pushes inst's frame onto the engine (engine goroutine, or the
+// creating goroutine before the engine goroutine exists).
+func (p *participant) enterFrame(inst *instance) error {
+	frame := protocol.Frame{
+		Action:  inst.id,
+		Path:    inst.path,
+		Members: p.run.frameMembers(inst.spec.Members),
+		Tree:    inst.spec.Tree,
+	}
+	if inst.spec.Policy == WaitForNestedActions {
+		p.engine.SetWaitForNested(true)
+	}
+	// estack must be extended BEFORE EnterAction: the engine replays
+	// messages that arrived while this object was belated, and the
+	// hooks they trigger (Suspend, AbortNested) resolve action levels
+	// through estack.
+	p.estack = append(p.estack, inst)
+	if err := p.engine.EnterAction(frame); err != nil {
+		p.estack = p.estack[:len(p.estack)-1]
+		return err
+	}
+	return nil
 }
 
 // leaveInstance pops the action frame after the completion barrier.

@@ -165,6 +165,7 @@ func (s *System) runAttempt(def Definition, timeout time.Duration, attempt int) 
 		wg sync.WaitGroup
 	)
 	for _, obj := range members {
+		p := r.participants[obj]
 		if r.preExpelled[obj] {
 			// Out of the group at admission: no body, no frames. The
 			// participant's membership machinery still runs (started in
@@ -172,9 +173,9 @@ func (s *System) runAttempt(def Definition, timeout time.Duration, attempt int) 
 			mu.Lock()
 			results[obj] = ParticipantResult{Expelled: true}
 			mu.Unlock()
+			p.start()
 			continue
 		}
-		p := r.participants[obj]
 		body := def.Bodies[obj]
 		wg.Add(1)
 		go func(obj ident.ObjectID, p *participant, body Body) {
@@ -184,6 +185,7 @@ func (s *System) runAttempt(def Definition, timeout time.Duration, attempt int) 
 			results[obj] = res
 			mu.Unlock()
 		}(obj, p, body)
+		p.start() // behind its body, see participant.start
 	}
 	wg.Wait()
 
@@ -251,9 +253,9 @@ func (s *System) runAttempt(def Definition, timeout time.Duration, attempt int) 
 	return out, firstErr
 }
 
-// runTop is the body-goroutine entry: it enters the top-level action, runs
-// the scope machinery, and converts sentinels and results into a
-// ParticipantResult.
+// runTop is the body-goroutine entry: it runs the scope machinery of the
+// top-level action (entered by newParticipant) and converts sentinels and
+// results into a ParticipantResult.
 func (p *participant) runTop(inst *instance, body Body) (res ParticipantResult) {
 	defer p.markBodyDone()
 	defer func() {
@@ -270,8 +272,9 @@ func (p *participant) runTop(inst *instance, body Body) (res ParticipantResult) 
 			panic(r)
 		}
 	}()
-	if err := p.enterInstance(-1, inst); err != nil {
-		return ParticipantResult{Err: err}
+	if lvl, _ := p.suspendSnapshot(); lvl == levelCancelled {
+		// Cancelled (or expelled) before the body started: it never runs.
+		panic(sentinel{level: lvl})
 	}
 	ctx := &Context{p: p, inst: inst, level: 0}
 	nres, err := p.runScope(ctx, body)

@@ -119,6 +119,8 @@ type Server struct {
 	// keeps ledger capacity, so a server draining many short actions stops
 	// paying per-action map/slice allocation.
 	enginePool sync.Pool
+	// mailboxPool recycles session mailboxes with their queue capacity.
+	mailboxPool sync.Pool
 }
 
 // System is the historical name of Server, kept so existing callers (and the
@@ -153,6 +155,7 @@ func NewServer(opts Options) *Server {
 	}
 	s.dir = group.NewDirectory(net, dirOpts...)
 	s.enginePool.New = func() any { return protocol.NewEngine(0, protocol.Hooks{}) }
+	s.mailboxPool.New = func() any { return newMailbox() }
 	return s
 }
 
@@ -258,15 +261,16 @@ func (s *Server) binder() group.Binder {
 	return s.tcpDir
 }
 
-// newTransport binds obj's long-lived transport of the configured kind.
-func (s *Server) newTransport(obj ident.ObjectID) (group.Transport, error) {
+// newTransport binds obj's long-lived transport of the configured kind;
+// deliver is called on the port's goroutine with each delivery.
+func (s *Server) newTransport(obj ident.ObjectID, deliver func(group.Delivery)) (group.Transport, error) {
 	switch s.opts.Transport {
 	case TransportRaw:
-		return group.NewRawTransport(s.binder(), obj)
+		return group.BindRaw(s.binder(), obj, deliver)
 	case TransportReliable, TransportTCP:
 		// Over TCP the base fabric loses in-flight frames across reconnects,
 		// so the reliable layer is not optional there.
-		return group.NewR3TransportClock(s.binder(), obj, s.opts.Retransmit, s.clk)
+		return group.BindR3(s.binder(), obj, s.opts.Retransmit, s.clk, deliver)
 	default:
 		panic("core: unknown transport kind")
 	}

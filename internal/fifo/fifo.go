@@ -1,0 +1,50 @@
+// Package fifo holds the one unbounded FIFO queue the delivery stack is built
+// from. netsim inboxes and links, fabric port inboxes and session mailboxes
+// all queue the same way: Queue is that queue, unsynchronised, and Pump is
+// the lock, wake-up and draining goroutine all of them but the session
+// mailbox (which is polled, not pumped) put around it.
+package fifo
+
+// Queue is an unbounded FIFO over a single reusable buffer. Pop advances a
+// head index instead of re-slicing the front away, so a drained queue starts
+// over at the front of the same array, and Push compacts the live suffix
+// before it would grow; every vacated slot is zeroed at once so the queue
+// never keeps a consumed element reachable. The zero value is an empty queue.
+//
+// A Queue is not synchronised: its owner calls it under the owner's own lock.
+type Queue[T any] struct {
+	buf  []T
+	head int // buf[head:] is live, buf[:head] is zeroed
+}
+
+// Len returns the number of queued elements.
+func (q *Queue[T]) Len() int { return len(q.buf) - q.head }
+
+// Push appends v at the back.
+func (q *Queue[T]) Push(v T) {
+	if q.head > 0 && len(q.buf) == cap(q.buf) {
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf, q.head = q.buf[:n], 0
+	}
+	q.buf = append(q.buf, v)
+}
+
+// Pop removes and returns the front element; ok is false on an empty queue.
+func (q *Queue[T]) Pop() (v T, ok bool) {
+	if q.head == len(q.buf) {
+		return v, false
+	}
+	var zero T
+	v, q.buf[q.head] = q.buf[q.head], zero
+	if q.head++; q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+	return v, true
+}
+
+// Reset empties the queue, keeping its capacity and no element.
+func (q *Queue[T]) Reset() {
+	clear(q.buf[q.head:])
+	q.buf, q.head = q.buf[:0], 0
+}

@@ -184,7 +184,12 @@ func TestDetectorSuspectResumeUnsuspectUnderJitter(t *testing.T) {
 			t.Fatal(err)
 		}
 		nodes[m] = node
-		detectors[i] = NewDetector(tr, members, time.Millisecond, timeout, clock)
+		// Beats are four times the mean link delay apart. A pair's link is
+		// serial, so beats sent as fast as the link delivers them (1 ms
+		// against a 0-2 ms draw, plus timer slack under -race) pile up on
+		// it, and O3's backlog would go on arriving, and re-stamping O3,
+		// long after the partition below.
+		detectors[i] = NewDetector(tr, members, 4*time.Millisecond, timeout, clock)
 		t.Cleanup(tr.Close)
 	}
 	defer func() {

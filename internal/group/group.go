@@ -50,6 +50,8 @@ type Transport interface {
 	// it surfaces as Delivery.Action at the receiver.
 	SendTagged(to ident.ObjectID, kind string, action ident.ActionID, payload any) error
 	// Recv yields deliveries; the channel closes when the transport closes.
+	// It is nil for a transport bound with a deliver function (BindRaw,
+	// BindR3), which hands deliveries over on the port's goroutine instead.
 	Recv() <-chan Delivery
 	// Close releases resources.
 	Close()
@@ -57,9 +59,11 @@ type Transport interface {
 
 // Port is the fabric attachment the group transports are built on: the
 // surface shared by every transport backend's port type (*transport.Port
-// over netsim, *transport.TCPPort over sockets). Reachable replaces backend-
-// specific lookups (netsim node resolution, TCP address books) so RawTransport
-// and R3Transport run unchanged over any fabric.
+// over netsim, *transport.TCPPort over sockets). Deliveries do not come
+// through it: the handler given to Binder.Bind receives them on the port's
+// goroutine. Reachable replaces backend-specific lookups (netsim node
+// resolution, TCP address books) so RawTransport and R3Transport run
+// unchanged over any fabric.
 type Port interface {
 	// Self returns the owning object's identifier.
 	Self() ident.ObjectID
@@ -68,20 +72,22 @@ type Port interface {
 	// SendTagged transmits one message with an action routing tag in the
 	// fabric envelope.
 	SendTagged(to ident.ObjectID, kind string, action ident.ActionID, payload any) error
-	// Recv yields decoded deliveries in per-sender FIFO order.
-	Recv() <-chan transport.Message
 	// Reachable reports whether the fabric can currently route to the named
 	// object (nil when it can).
 	Reachable(to ident.ObjectID) error
-	// Close releases the attachment.
+	// Close releases the attachment and returns once the port's goroutine
+	// has exited: the handler will not be called again.
 	Close()
 }
 
 // Binder is a membership service that can attach an object to its fabric:
 // *Directory binds onto the shared netsim fabric, *TCPDirectory onto
-// per-object TCP fabrics. The transport constructors accept any Binder.
+// per-object TCP fabrics. The transport constructors accept any Binder. fn
+// and stopped are the fabric's BindFunc contract: fn runs on the port's
+// goroutine, one message at a time, possibly before Bind has returned, and
+// stopped (when non-nil) is that goroutine's last act.
 type Binder interface {
-	Bind(obj ident.ObjectID) (Port, error)
+	Bind(obj ident.ObjectID, fn transport.Handler, stopped func()) (Port, error)
 }
 
 // Errors returned by the directory.
@@ -138,8 +144,9 @@ func NewDirectory(net *netsim.Network, opts ...Option) *Directory {
 // direct port use).
 func (d *Directory) Fabric() *transport.Concurrent { return d.fabric }
 
-// Register places obj on a fresh node and returns its transport port.
-func (d *Directory) Register(obj ident.ObjectID) (*transport.Port, error) {
+// Bind implements Binder: it places obj on a fresh node and returns its port
+// behind the portable Port surface.
+func (d *Directory) Bind(obj ident.ObjectID, fn transport.Handler, stopped func()) (Port, error) {
 	d.mu.Lock()
 	if _, dup := d.nodes[obj]; dup {
 		d.mu.Unlock()
@@ -149,7 +156,7 @@ func (d *Directory) Register(obj ident.ObjectID) (*transport.Port, error) {
 	node := d.nextTag
 	d.nodes[obj] = node
 	d.mu.Unlock()
-	port, err := d.fabric.Bind(obj, node)
+	port, err := d.fabric.BindFunc(obj, node, fn, stopped)
 	if err != nil {
 		d.mu.Lock()
 		delete(d.nodes, obj)
@@ -157,12 +164,6 @@ func (d *Directory) Register(obj ident.ObjectID) (*transport.Port, error) {
 		return nil, err
 	}
 	return port, nil
-}
-
-// Bind implements Binder: it registers obj and returns its port behind the
-// portable Port surface.
-func (d *Directory) Bind(obj ident.ObjectID) (Port, error) {
-	return d.Register(obj)
 }
 
 // Lookup returns the node hosting obj.

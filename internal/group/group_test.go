@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/ident"
 	"repro/internal/netsim"
+	"repro/internal/transport"
 )
 
 func newRawPair(t *testing.T) (*netsim.Network, *RawTransport, *RawTransport) {
@@ -35,16 +36,16 @@ func TestDirectory(t *testing.T) {
 	net := netsim.New(netsim.Config{})
 	defer net.Close()
 	dir := NewDirectory(net)
-	if _, err := dir.Register(1); err != nil {
+	if _, err := dir.Bind(1, func(transport.Message) {}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dir.Register(1); !errors.Is(err, ErrDuplicate) {
+	if _, err := dir.Bind(1, func(transport.Message) {}, nil); !errors.Is(err, ErrDuplicate) {
 		t.Errorf("duplicate register: %v", err)
 	}
 	if _, err := dir.Lookup(9); !errors.Is(err, ErrUnknownMember) {
 		t.Errorf("lookup unknown: %v", err)
 	}
-	if _, err := dir.Register(3); err != nil {
+	if _, err := dir.Bind(3, func(transport.Message) {}, nil); err != nil {
 		t.Fatal(err)
 	}
 	members := dir.Members()

@@ -4,41 +4,43 @@ import (
 	"sync"
 
 	"repro/internal/ident"
+	"repro/internal/transport"
 )
 
 // RawTransport is the baseline transport: it relies on the fabric itself
 // being reliable and FIFO (the paper's §4.2 assumption, "FIFO message
 // sending/receiving between objects"). Use it over a netsim configuration
 // that has no drop or duplication. Payloads travel bare on the port — the
-// directory's codec (if any) applies to them directly.
+// directory's codec (if any) applies to them directly. It has no goroutine of
+// its own: deliver runs on the port's.
 type RawTransport struct {
 	self ident.ObjectID
 	port Port
-
-	out  chan Delivery
-	stop chan struct{}
-	done chan struct{}
-	once sync.Once
+	*sink
 }
 
 var _ Transport = (*RawTransport)(nil)
 
-// NewRawTransport binds obj through the membership service and starts its
-// receive loop. Any Binder works: the netsim Directory or the TCPDirectory.
-func NewRawTransport(dir Binder, obj ident.ObjectID) (*RawTransport, error) {
-	port, err := dir.Bind(obj)
+// BindRaw binds obj through the membership service with handler delivery:
+// deliver is called on the port's goroutine, one message at a time, in
+// per-sender FIFO order, and never again once Close has returned. A nil
+// deliver selects the Recv channel. Any Binder works: the netsim Directory or
+// the TCPDirectory.
+func BindRaw(dir Binder, obj ident.ObjectID, deliver func(Delivery)) (*RawTransport, error) {
+	t := &RawTransport{self: obj, sink: newSink(deliver)}
+	port, err := dir.Bind(obj, func(m transport.Message) {
+		t.deliver(Delivery{From: m.From, Kind: m.Kind, Action: m.Action, Payload: m.Payload})
+	}, t.stopped)
 	if err != nil {
 		return nil, err
 	}
-	t := &RawTransport{
-		self: obj,
-		port: port,
-		out:  make(chan Delivery),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-	}
-	go t.loop()
+	t.port = port
 	return t, nil
+}
+
+// NewRawTransport is BindRaw delivering on the Recv channel.
+func NewRawTransport(dir Binder, obj ident.ObjectID) (*RawTransport, error) {
+	return BindRaw(dir, obj, nil)
 }
 
 // Self returns the owning object's identifier.
@@ -55,35 +57,51 @@ func (t *RawTransport) SendTagged(to ident.ObjectID, kind string, action ident.A
 	return memberErr(t.port.SendTagged(to, kind, action, payload))
 }
 
-// Recv yields deliveries in per-sender FIFO order.
-func (t *RawTransport) Recv() <-chan Delivery { return t.out }
-
-// Close stops the receive loop and closes the delivery channel.
+// Close stops delivery and returns once the port's goroutine has exited.
 func (t *RawTransport) Close() {
-	t.once.Do(func() {
-		close(t.stop)
-		<-t.done
-		t.port.Close()
-	})
+	t.halt()
+	t.port.Close()
 }
 
-func (t *RawTransport) loop() {
-	defer close(t.done)
-	defer close(t.out)
-	for {
-		select {
-		case <-t.stop:
-			return
-		case m, ok := <-t.port.Recv():
-			if !ok {
-				return
-			}
-			d := Delivery{From: m.From, Kind: m.Kind, Action: m.Action, Payload: m.Payload}
+// sink is the delivery end both transports share: the function the port's
+// goroutine calls with each delivery and, when the caller supplied none, the
+// Recv channel that function is an adapter onto. There is one delivery path;
+// the channel API is this adapter, not a second loop.
+type sink struct {
+	deliver func(Delivery)
+	out     chan Delivery // Recv channel; nil with a caller-supplied deliver
+	stop    chan struct{} // closed by halt
+	once    sync.Once
+}
+
+func newSink(deliver func(Delivery)) *sink {
+	s := &sink{deliver: deliver, stop: make(chan struct{})}
+	if deliver == nil {
+		s.out = make(chan Delivery)
+		s.deliver = func(d Delivery) {
 			select {
-			case t.out <- d:
-			case <-t.stop:
-				return
+			case s.out <- d:
+			case <-s.stop:
 			}
 		}
+	}
+	return s
+}
+
+// Recv yields deliveries in per-sender FIFO order, duplicates removed; the
+// channel closes when the transport or the network under it shuts down. It
+// is nil for a transport bound with its own deliver function.
+func (s *sink) Recv() <-chan Delivery { return s.out }
+
+// halt releases a deliver blocked on the channel (and R3's ticker loop).
+func (s *sink) halt() { s.once.Do(func() { close(s.stop) }) }
+
+// stopped is the port's stopped hook: its goroutine has made the last deliver
+// call, whether the transport was closed or the network went away under it,
+// so the Recv channel can close behind it.
+func (s *sink) stopped() {
+	s.halt()
+	if s.out != nil {
+		close(s.out)
 	}
 }

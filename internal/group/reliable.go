@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/ident"
+	"repro/internal/transport"
 	"repro/internal/vclock"
 )
 
@@ -18,24 +19,28 @@ import (
 // arrival only leaves the peer owed an ack, and the next data envelope
 // towards that peer, first send or retransmission, carries it in its Ack
 // field. The protocol above is request/response shaped, so most acks ride
-// for free. What is still owed when the loop's ticker fires goes out as a
+// for free. What is still owed when the ticker fires goes out as a
 // stand-alone ack; the ticker runs at half the retransmission period, so on
 // a loss-free link that ack arrives before the sender's first timeout. An
 // arrival that shows the sender is in trouble (a duplicate, a gap, or the
 // retransmission that closes a gap) is acked at once.
+//
+// The receive side has no goroutine: the port's goroutine calls handle, which
+// runs the sequencing under mu and then deliver. The one goroutine the
+// transport owns drives the ticker.
 type R3Transport struct {
 	self ident.ObjectID
-	port Port
+	*sink
 
+	// mu guards peers, and port until the constructor has set it: handle may
+	// run before Bind returns and needs the port for its acks.
 	mu    sync.Mutex
+	port  Port
 	peers map[ident.ObjectID]*peerState
 
 	retransmit time.Duration
 	clk        vclock.Clock
-	out        chan Delivery
-	stop       chan struct{}
-	done       chan struct{}
-	once       sync.Once
+	done       chan struct{} // the ticker goroutine exited
 }
 
 var _ Transport = (*R3Transport)(nil)
@@ -108,37 +113,46 @@ const maxRTO = 50 * time.Millisecond
 // processing that would shrink it (TestNoRetransmissionStorm).
 const retransmitWindow = 256
 
-// NewR3Transport binds obj through the membership service and starts its
-// protocol loop. retransmit is the retransmission period for unacknowledged
-// messages. Any Binder works: the netsim Directory or the TCPDirectory.
-func NewR3Transport(dir Binder, obj ident.ObjectID, retransmit time.Duration) (*R3Transport, error) {
-	return NewR3TransportClock(dir, obj, retransmit, nil)
-}
-
-// NewR3TransportClock is NewR3Transport with an explicit clock seam for the
-// retransmission ticker and RTO timestamps; nil means the real clock.
-func NewR3TransportClock(dir Binder, obj ident.ObjectID, retransmit time.Duration, clk vclock.Clock) (*R3Transport, error) {
-	port, err := dir.Bind(obj)
-	if err != nil {
-		return nil, err
-	}
+// BindR3 binds obj through the membership service (any Binder: the netsim
+// Directory or the TCPDirectory) and starts the retransmission ticker.
+// deliver is called on the port's goroutine with each message exactly once,
+// in per-sender FIFO order, and never again once Close has returned; nil
+// selects the Recv channel. retransmit is the retransmission period for
+// unacknowledged messages; clk is the seam for the ticker and the RTO
+// timestamps, nil meaning the real clock.
+func BindR3(dir Binder, obj ident.ObjectID, retransmit time.Duration, clk vclock.Clock, deliver func(Delivery)) (*R3Transport, error) {
 	if retransmit <= 0 {
 		retransmit = 5 * time.Millisecond
 	}
 	t := &R3Transport{
 		self:       obj,
-		port:       port,
+		sink:       newSink(deliver),
 		peers:      make(map[ident.ObjectID]*peerState),
 		retransmit: retransmit,
 		clk:        vclock.Or(clk),
-		out:        make(chan Delivery),
-		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
+	}
+	t.mu.Lock()
+	port, err := dir.Bind(obj, t.handle, t.stopped)
+	t.port = port
+	t.mu.Unlock()
+	if err != nil {
+		return nil, err
 	}
 	// Armed here and not in the loop, so that a virtual clock advanced right
 	// after construction cannot slip past a ticker that does not exist yet.
 	go t.loop(t.clk.NewTicker(max(retransmit/2, 1)))
 	return t, nil
+}
+
+// NewR3Transport is BindR3 on the real clock delivering on the Recv channel.
+func NewR3Transport(dir Binder, obj ident.ObjectID, retransmit time.Duration) (*R3Transport, error) {
+	return BindR3(dir, obj, retransmit, nil, nil)
+}
+
+// NewR3TransportClock is NewR3Transport with an explicit clock seam.
+func NewR3TransportClock(dir Binder, obj ident.ObjectID, retransmit time.Duration, clk vclock.Clock) (*R3Transport, error) {
+	return BindR3(dir, obj, retransmit, clk, nil)
 }
 
 // Self returns the owning object's identifier.
@@ -167,16 +181,12 @@ func (t *R3Transport) SendTagged(to ident.ObjectID, kind string, action ident.Ac
 	return memberErr(t.port.SendTagged(to, wireKind, action, env))
 }
 
-// Recv yields deliveries in per-sender FIFO order with duplicates removed.
-func (t *R3Transport) Recv() <-chan Delivery { return t.out }
-
-// Close stops the protocol loop.
+// Close stops the ticker and the port, and returns once both goroutines have
+// exited.
 func (t *R3Transport) Close() {
-	t.once.Do(func() {
-		close(t.stop)
-		<-t.done
-		t.port.Close()
-	})
+	t.halt()
+	<-t.done
+	t.port.Close()
 }
 
 // peer returns (creating) the state for one peer. Caller holds t.mu.
@@ -189,9 +199,10 @@ func (t *R3Transport) peer(id ident.ObjectID) *peerState {
 	return ps
 }
 
+// loop is the ticker goroutine; it ends when the transport is closed or the
+// port stops under it.
 func (t *R3Transport) loop(ticker vclock.Ticker) {
 	defer close(t.done)
-	defer close(t.out)
 	defer ticker.Stop()
 	for {
 		select {
@@ -199,44 +210,37 @@ func (t *R3Transport) loop(ticker vclock.Ticker) {
 			return
 		case <-ticker.C():
 			t.tick()
-		case m, ok := <-t.port.Recv():
-			if !ok {
-				return
-			}
-			env, ok := m.Payload.(envelope)
-			if !ok {
-				continue
-			}
-			if env.IsAck {
-				t.handleAck(env)
-				continue
-			}
-			for _, d := range t.handleData(env) {
-				select {
-				case t.out <- d:
-				case <-t.stop:
-					return
-				}
-			}
 		}
 	}
 }
 
+// handle is the port's handler: everything R3 does on receipt happens here,
+// on the port's goroutine.
+func (t *R3Transport) handle(m transport.Message) {
+	switch env, ok := m.Payload.(envelope); {
+	case !ok:
+	case env.IsAck:
+		t.handleAck(env)
+	default:
+		t.handleData(env)
+	}
+}
+
 // handleData processes one data envelope: applies its piggy-backed ack,
-// suppresses duplicates, buffers out-of-order arrivals and returns any
-// now-deliverable messages. Only an arrival that tells of loss is answered
-// on the spot; a plain in-order one waits for a piggyback or the ticker.
-func (t *R3Transport) handleData(env envelope) []Delivery {
+// suppresses duplicates, buffers out-of-order arrivals and delivers whatever
+// became deliverable, in sequence. Only an arrival that tells of loss is
+// answered on the spot; a plain in-order one waits for a piggyback or the
+// ticker. The ack goes out and deliver runs after mu is released.
+func (t *R3Transport) handleData(env envelope) {
 	t.mu.Lock()
 	ps := t.peer(env.From)
 	ps.applyAck(env.Ack)
-	var ready []Delivery
-	ackNow := true
+	inOrder := env.Seq == ps.recvNext
+	var gap []envelope // what env released from the out-of-order buffer
 	switch {
 	case env.Seq < ps.recvNext:
 		// Duplicate of an already-delivered message: our ack went missing.
-	case env.Seq == ps.recvNext:
-		ready = append(ready, Delivery{From: env.From, Kind: env.Kind, Action: env.Action, Payload: env.Payload})
+	case inOrder:
 		ps.recvNext++
 		for {
 			next, ok := ps.pending[ps.recvNext]
@@ -244,25 +248,35 @@ func (t *R3Transport) handleData(env envelope) []Delivery {
 				break
 			}
 			delete(ps.pending, ps.recvNext)
-			ready = append(ready, Delivery{From: next.From, Kind: next.Kind, Action: next.Action, Payload: next.Payload})
+			gap = append(gap, next)
 			ps.recvNext++
 		}
-		// Having closed a gap, the sender is mid-recovery with timers
-		// running on everything behind it: tell it now.
-		ackNow = len(ready) > 1
 		ps.ackOwed = true
 	default:
 		ps.pending[env.Seq] = env
 	}
-	if !ackNow {
-		t.mu.Unlock()
-		return ready
+	// Having closed a gap, the sender is mid-recovery with timers running on
+	// everything behind it: tell it now.
+	ackNow := !inOrder || len(gap) > 0
+	var ackUpTo uint64
+	if ackNow {
+		ackUpTo = ps.takeAck()
 	}
-	ackUpTo := ps.takeAck()
 	t.mu.Unlock()
 
-	_ = t.port.Send(env.From, wireKind, envelope{From: t.self, IsAck: true, Ack: ackUpTo})
-	return ready
+	if ackNow {
+		_ = t.port.Send(env.From, wireKind, envelope{From: t.self, IsAck: true, Ack: ackUpTo})
+	}
+	if inOrder {
+		t.deliver(env.delivery())
+	}
+	for _, next := range gap {
+		t.deliver(next.delivery())
+	}
+}
+
+func (e envelope) delivery() Delivery {
+	return Delivery{From: e.From, Kind: e.Kind, Action: e.Action, Payload: e.Payload}
 }
 
 func (t *R3Transport) handleAck(env envelope) {

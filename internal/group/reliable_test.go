@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/ident"
 	"repro/internal/netsim"
-	"repro/internal/transport"
 	"repro/internal/vclock"
 )
 
@@ -22,6 +21,15 @@ const testRetransmit = 10 * time.Millisecond
 type recordingPort struct {
 	self ident.ObjectID
 	sent []envelope
+	got  []Delivery // what the transport's deliver was called with
+}
+
+// handled feeds one data envelope to the transport and returns what that
+// delivered.
+func (p *recordingPort) handled(tr *R3Transport, env envelope) []Delivery {
+	p.got = nil
+	tr.handleData(env)
+	return p.got
 }
 
 func (p *recordingPort) Self() ident.ObjectID { return p.self }
@@ -32,7 +40,6 @@ func (p *recordingPort) SendTagged(_ ident.ObjectID, _ string, _ ident.ActionID,
 	p.sent = append(p.sent, payload.(envelope))
 	return nil
 }
-func (p *recordingPort) Recv() <-chan transport.Message { return nil }
 func (p *recordingPort) Reachable(ident.ObjectID) error { return nil }
 func (p *recordingPort) Close()                         {}
 
@@ -50,6 +57,7 @@ func newLooplessR3() (*R3Transport, *recordingPort, *vclock.Virtual) {
 	port := &recordingPort{self: 1}
 	return &R3Transport{
 		self:       1,
+		sink:       newSink(func(d Delivery) { port.got = append(port.got, d) }),
 		port:       port,
 		peers:      make(map[ident.ObjectID]*peerState),
 		retransmit: testRetransmit,
@@ -79,7 +87,7 @@ func wantSent(t *testing.T, got []envelope, want ...envelope) {
 func TestR3InOrderArrivalWaitsForTick(t *testing.T) {
 	tr, port, _ := newLooplessR3()
 	for seq := uint64(1); seq <= 3; seq++ {
-		if got := tr.handleData(data(seq, 0)); len(got) != 1 || got[0].Payload != int(seq) {
+		if got := port.handled(tr, data(seq, 0)); len(got) != 1 || got[0].Payload != int(seq) {
 			t.Fatalf("seq %d delivered %+v", seq, got)
 		}
 	}
@@ -106,19 +114,19 @@ func TestR3GapAndDuplicateAckAtOnce(t *testing.T) {
 	tr, port, _ := newLooplessR3()
 
 	// Gap: 2 before 1 is buffered and answered with what we do have.
-	if got := tr.handleData(data(2, 0)); len(got) != 0 {
+	if got := port.handled(tr, data(2, 0)); len(got) != 0 {
 		t.Fatalf("out-of-order arrival delivered %+v", got)
 	}
 	wantSent(t, port.take(), envelope{IsAck: true, Ack: 0})
 
 	// The arrival that closes the gap releases both and is acked at once too.
-	if got := tr.handleData(data(1, 0)); len(got) != 2 || got[0].Payload != 1 || got[1].Payload != 2 {
+	if got := port.handled(tr, data(1, 0)); len(got) != 2 || got[0].Payload != 1 || got[1].Payload != 2 {
 		t.Fatalf("gap fill delivered %+v", got)
 	}
 	wantSent(t, port.take(), envelope{IsAck: true, Ack: 2})
 
 	// Duplicate: the sender did not see our ack, so repeat it now.
-	if got := tr.handleData(data(1, 0)); len(got) != 0 {
+	if got := port.handled(tr, data(1, 0)); len(got) != 0 {
 		t.Fatalf("duplicate delivered %+v", got)
 	}
 	wantSent(t, port.take(), envelope{IsAck: true, Ack: 2})

@@ -78,7 +78,7 @@ func NewTCPDirectory(opts ...TCPDirOption) *TCPDirectory {
 
 // Bind implements Binder: the member gets a fresh loopback fabric, joins the
 // address book and is returned a port whose Close tears its fabric down.
-func (d *TCPDirectory) Bind(obj ident.ObjectID) (Port, error) {
+func (d *TCPDirectory) Bind(obj ident.ObjectID, fn transport.Handler, stopped func()) (Port, error) {
 	d.mu.Lock()
 	err := d.bindErr(obj)
 	listen := d.static[obj]
@@ -97,7 +97,7 @@ func (d *TCPDirectory) Bind(obj ident.ObjectID) (Port, error) {
 	if err != nil {
 		return nil, err
 	}
-	port, err := fab.Bind(obj)
+	port, err := fab.BindFunc(obj, fn, stopped)
 	if err != nil {
 		_ = fab.Close()
 		return nil, err

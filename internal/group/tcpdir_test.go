@@ -265,14 +265,14 @@ func TestTCPDirectoryDuplicateBind(t *testing.T) {
 	defer conformancetest.LeakCheck(t)()
 	dir := NewTCPDirectory()
 	defer dir.Close()
-	if _, err := dir.Bind(1); err != nil {
+	if _, err := dir.Bind(1, func(transport.Message) {}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dir.Bind(1); err == nil {
+	if _, err := dir.Bind(1, func(transport.Message) {}, nil); err == nil {
 		t.Fatal("duplicate bind succeeded")
 	}
 	dir.Close()
-	if _, err := dir.Bind(2); err == nil {
+	if _, err := dir.Bind(2, func(transport.Message) {}, nil); err == nil {
 		t.Fatal("bind after close succeeded")
 	}
 }

@@ -194,7 +194,7 @@ func buildFabric(t *testing.T, flavour string, members []ident.ObjectID, clk vcl
 		net := netsim.New(netsim.Config{Clock: clk})
 		fab := transport.NewConcurrent(net, transport.ConcurrentOptions{Faults: faults})
 		for i, m := range members {
-			if _, err := fab.BindFunc(m, ident.NodeID(i+1), deliver); err != nil {
+			if _, err := fab.BindFunc(m, ident.NodeID(i+1), deliver, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -210,7 +210,7 @@ func buildFabric(t *testing.T, flavour string, members []ident.ObjectID, clk vcl
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := fab.BindFunc(m, deliver); err != nil {
+			if _, err := fab.BindFunc(m, deliver, nil); err != nil {
 				t.Fatal(err)
 			}
 			fabs[m] = fab

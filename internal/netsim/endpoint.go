@@ -1,45 +1,22 @@
 package netsim
 
 import (
-	"sync"
-
 	"repro/internal/ident"
 )
 
-// Endpoint is a node's attachment to the network. Its inbox is a FIFO queue:
-// unbounded by default (Send never blocks on a slow receiver, which mirrors
-// a real network stack's buffering and prevents protocol-level deadlocks
-// from backpressure), or capped at Config.Bound messages with sender
-// blocking to model narrow channels.
+// Endpoint is a node's attachment to the network: the address messages are
+// sent from and the function the network calls with each message that
+// arrives. NodeFunc endpoints hand arrivals straight to their owner (a
+// transport port, which queues them itself); Node endpoints keep netsim's own
+// unbounded inbox (a fifo.Pump, so a send never blocks on a slow receiver)
+// and Recv channel behind the same function.
 type Endpoint struct {
 	id  ident.NodeID
 	net *Network
 
-	mu     sync.Mutex
-	cond   *sync.Cond // inbox became non-empty, or closed
-	space  *sync.Cond // inbox dropped below the bound, or closed
-	bound  int        // 0 = unbounded
-	queue  []Message
-	head   int // index of the oldest queued message
-	closed bool
-
-	out  chan Message
-	done chan struct{}
-}
-
-func newEndpoint(id ident.NodeID, net *Network) *Endpoint {
-	ep := &Endpoint{
-		id:    id,
-		net:   net,
-		bound: net.cfg.Bound,
-		out:   make(chan Message),
-		done:  make(chan struct{}),
-	}
-	ep.cond = sync.NewCond(&ep.mu)
-	ep.space = sync.NewCond(&ep.mu)
-	net.wg.Add(1)
-	go ep.pump()
-	return ep
+	deliver func(Message) // called once per arriving copy, by the sender or the pair's link
+	closed  func()        // called once when the network shuts down; must not block
+	out     chan Message  // Recv channel; nil for NodeFunc endpoints
 }
 
 // ID returns the node identifier.
@@ -58,81 +35,6 @@ func (e *Endpoint) SendTagged(to ident.NodeID, kind string, action ident.ActionI
 }
 
 // Recv returns the channel on which delivered messages arrive, in per-sender
-// FIFO order. The channel is closed when the network shuts down; messages
-// still queued at that point are discarded.
+// FIFO order (nil for NodeFunc endpoints). The channel is closed when the
+// network shuts down; messages still queued at that point are discarded.
 func (e *Endpoint) Recv() <-chan Message { return e.out }
-
-// enqueue appends a delivered message to the inbox queue. With a bounded
-// inbox it blocks the calling goroutine (the sender on the zero-latency
-// path, the pair's link goroutine otherwise) until space frees up; a message
-// still blocked when the network closes is discarded, exactly like one
-// queued at close time.
-func (e *Endpoint) enqueue(m Message) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for e.bound > 0 && len(e.queue)-e.head >= e.bound && !e.closed {
-		e.space.Wait()
-	}
-	if e.closed {
-		return
-	}
-	if e.head > 0 && len(e.queue) == cap(e.queue) {
-		// Compact the live suffix to the front instead of growing: the
-		// buffer is reused and append below stays allocation-free.
-		e.queue = append(e.queue[:0], e.queue[e.head:]...)
-		e.head = 0
-	}
-	e.queue = append(e.queue, m)
-	e.cond.Signal()
-}
-
-// close marks the endpoint closed; pump exits promptly even if no reader is
-// draining the out channel, and blocked senders give up their messages.
-func (e *Endpoint) close() {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return
-	}
-	e.closed = true
-	close(e.done)
-	e.cond.Broadcast()
-	e.space.Broadcast()
-	e.mu.Unlock()
-}
-
-// pump moves messages from the inbox queue to the out channel. Dequeuing
-// advances a head index (the fully drained buffer is then reset and reused)
-// rather than re-slicing the front away, which would leak the consumed
-// capacity and force a fresh allocation per wave of messages.
-func (e *Endpoint) pump() {
-	defer e.net.wg.Done()
-	defer close(e.out)
-	for {
-		e.mu.Lock()
-		for e.head == len(e.queue) && !e.closed {
-			e.cond.Wait()
-		}
-		if e.closed {
-			e.mu.Unlock()
-			return
-		}
-		m := e.queue[e.head]
-		e.queue[e.head] = Message{} // release the payload reference
-		e.head++
-		if e.head == len(e.queue) {
-			e.queue = e.queue[:0]
-			e.head = 0
-		}
-		if e.bound > 0 {
-			e.space.Signal()
-		}
-		e.mu.Unlock()
-
-		select {
-		case e.out <- m:
-		case <-e.done:
-			return
-		}
-	}
-}

@@ -1,77 +1,24 @@
 package netsim
 
-import (
-	"sync"
+import "repro/internal/fifo"
 
-	"repro/internal/ident"
-)
-
-// link serialises delivery for one ordered node pair so that latency never
-// reorders messages: each queued message waits its own latency in turn, then
-// lands in the destination inbox.
-type link struct {
-	net  *Network
-	from ident.NodeID
-	to   ident.NodeID
-
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []Message
-	closed bool
-}
-
-func newLink(net *Network, from, to ident.NodeID) *link {
-	l := &link{net: net, from: from, to: to}
-	l.cond = sync.NewCond(&l.mu)
-	net.wg.Add(1)
-	go l.run()
+// newLink starts the serial delivery link for one ordered node pair, so that
+// latency never reorders messages: each queued message waits its own latency
+// in turn, then is handed to the destination endpoint. Caller holds n.mu.
+func (n *Network) newLink(dst *Endpoint) *fifo.Pump[Message] {
+	l := fifo.NewPump[Message]()
+	n.wg.Add(1)
+	go func() {
+		defer n.wg.Done()
+		l.Run(func(m Message) {
+			if d := n.cfg.Latency(m.From, m.To); d > 0 {
+				n.cfg.Clock.Sleep(d)
+			}
+			n.mu.Lock()
+			n.stats.record(statDelivered, m.Kind)
+			n.mu.Unlock()
+			dst.deliver(m)
+		}, nil)
+	}()
 	return l
-}
-
-func (l *link) enqueue(m Message) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return
-	}
-	l.queue = append(l.queue, m)
-	l.cond.Signal()
-}
-
-func (l *link) close() {
-	l.mu.Lock()
-	l.closed = true
-	l.cond.Signal()
-	l.mu.Unlock()
-}
-
-func (l *link) run() {
-	defer l.net.wg.Done()
-	for {
-		l.mu.Lock()
-		for len(l.queue) == 0 && !l.closed {
-			l.cond.Wait()
-		}
-		if l.closed {
-			l.mu.Unlock()
-			return
-		}
-		m := l.queue[0]
-		l.queue = l.queue[1:]
-		l.mu.Unlock()
-
-		if d := l.net.cfg.Latency(l.from, l.to); d > 0 {
-			l.net.cfg.Clock.Sleep(d)
-		}
-
-		l.net.mu.Lock()
-		dst, ok := l.net.endpoints[m.To]
-		if ok {
-			l.net.stats.record(statDelivered, m.Kind)
-		}
-		l.net.mu.Unlock()
-		if ok {
-			dst.enqueue(m)
-		}
-	}
 }

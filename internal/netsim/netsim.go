@@ -3,12 +3,14 @@
 // network that provides FIFO delivery per ordered node pair (§4.2 "FIFO
 // message sending/receiving between objects").
 //
-// The simulation runs in-process: every node is an Endpoint whose inbox is an
-// unbounded FIFO queue, and every ordered pair of nodes is a link that can be
-// given non-zero latency. Optional fault injection (message drop and
-// duplication) models an unreliable network underneath the reliable-multicast
-// layer in package group, mirroring the implementation route sketched in
-// §4.5 of the paper.
+// The simulation runs in-process and is a link model, not a queueing layer:
+// a send applies fault injection (drop, duplication, partition) and then calls
+// the destination Endpoint's deliver function, at once on the sender's
+// goroutine or, on a pair with latency, from that pair's serial link. Whoever
+// owns the endpoint owns the inbox: a transport port for NodeFunc endpoints,
+// netsim's own unbounded queue and Recv channel for Node endpoints. The fault
+// model sits underneath the reliable-multicast layer in package group,
+// mirroring the implementation route sketched in §4.5 of the paper.
 package netsim
 
 import (
@@ -19,6 +21,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/fifo"
 	"repro/internal/ident"
 	"repro/internal/vclock"
 )
@@ -77,7 +80,11 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// Config controls a Network.
+// Config controls a Network. There is no inbox bound: an endpoint bound
+// through NodeFunc has no netsim inbox to cap, so the old Bound knob could not
+// apply to any path a fabric serves, no test outside netsim's own set it and
+// no bench row showed a benefit. Admission control (core.Options.MaxInFlight)
+// is where backpressure lives.
 type Config struct {
 	// Latency computes per-message one-way delay. Nil means NoLatency.
 	Latency LatencyModel
@@ -88,18 +95,6 @@ type Config struct {
 	// Seed seeds the fault-injection RNG; fault decisions are deterministic
 	// for a fixed seed and send sequence.
 	Seed int64
-	// Bound, when > 0, caps every endpoint's inbox at that many queued
-	// messages; senders block until the receiver drains below the bound.
-	// This models the paper's "relatively narrow bandwidth communication
-	// channels". Zero keeps inboxes unbounded (sends never block).
-	//
-	// Caution: with the full core stack, a bounded inbox couples the fate of
-	// sender and receiver — an engine that blocks sending while its own
-	// inbox is full can deadlock with its peer doing the same. The engine
-	// loops drain continuously so the protocol tolerates small bounds, but
-	// bounded inboxes are opt-in and meant for workloads whose receivers
-	// always drain (see TestBoundedInboxStormNoDeadlock).
-	Bound int
 	// Clock is the time source used for link latency waits. Nil means the
 	// real clock; a vclock.Virtual makes latency deterministic and lets
 	// auto-advance skip over it.
@@ -120,7 +115,7 @@ type Network struct {
 	mu         sync.Mutex
 	rng        *rand.Rand
 	endpoints  map[ident.NodeID]*Endpoint
-	links      map[linkKey]*link
+	links      map[linkKey]*fifo.Pump[Message]
 	isolated   map[ident.NodeID]bool
 	partitions map[string]map[ident.NodeID]bool
 	closed     bool
@@ -143,7 +138,7 @@ func New(cfg Config) *Network {
 		cfg:        cfg,
 		rng:        rand.New(rand.NewSource(cfg.Seed)),
 		endpoints:  make(map[ident.NodeID]*Endpoint),
-		links:      make(map[linkKey]*link),
+		links:      make(map[linkKey]*fifo.Pump[Message]),
 		isolated:   make(map[ident.NodeID]bool),
 		partitions: make(map[string]map[ident.NodeID]bool),
 	}
@@ -211,21 +206,57 @@ func (n *Network) severedLocked(from, to ident.NodeID) bool {
 	return false
 }
 
-// Node returns the endpoint for id, creating it if necessary.
+// ErrNodeTaken is returned by NodeFunc for a node that already has an
+// endpoint.
+var ErrNodeTaken = errors.New("netsim: node already has an endpoint")
+
+// Node returns the endpoint for id, creating it if necessary with netsim's
+// own inbox behind it: arrivals queue without bound and a pump goroutine
+// feeds them to the Recv channel.
 func (n *Network) Node(id ident.NodeID) *Endpoint {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if ep, ok := n.endpoints[id]; ok {
 		return ep
 	}
-	ep := newEndpoint(id, n)
+	in, out := fifo.NewPump[Message](), make(chan Message)
+	ep := &Endpoint{id: id, net: n, deliver: in.Put, closed: in.Shutdown, out: out}
 	n.endpoints[id] = ep
+	n.wg.Add(1)
+	go func() {
+		defer n.wg.Done()
+		in.Run(func(m Message) {
+			select {
+			case out <- m:
+			case <-in.Stopping():
+			}
+		}, func() { close(out) })
+	}()
 	return ep
 }
 
-// Close shuts the network down: all endpoint queues are closed after their
-// pending messages drain, and all internal goroutines exit. Close blocks
-// until that happens. Sends after Close return ErrClosed.
+// NodeFunc attaches a fresh node whose arrivals the network hands to deliver,
+// one call per copy, on the sending goroutine (or the pair's link goroutine
+// when the pair has latency). What one goroutine sends to the node is
+// delivered in that order; calls on behalf of different senders may overlap.
+// deliver must not block: it is the owner's enqueue. closed, when non-nil, is
+// called once when the network shuts down and must not block either. This is
+// the fabric's entry point (transport.Concurrent); everything else uses Node.
+func (n *Network) NodeFunc(id ident.NodeID, deliver func(Message), closed func()) (*Endpoint, error) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if _, taken := n.endpoints[id]; taken {
+		return nil, fmt.Errorf("%w: %s", ErrNodeTaken, id)
+	}
+	ep := &Endpoint{id: id, net: n, deliver: deliver, closed: closed}
+	n.endpoints[id] = ep
+	return ep, nil
+}
+
+// Close shuts the network down: links stop, every endpoint is told (Node
+// inboxes close their Recv channel, queued messages discarded), and Close
+// blocks until netsim's own goroutines have exited. Sends after Close return
+// ErrClosed.
 func (n *Network) Close() {
 	n.mu.Lock()
 	if n.closed {
@@ -233,7 +264,7 @@ func (n *Network) Close() {
 		return
 	}
 	n.closed = true
-	links := make([]*link, 0, len(n.links))
+	links := make([]*fifo.Pump[Message], 0, len(n.links))
 	for _, l := range n.links {
 		links = append(links, l)
 	}
@@ -244,10 +275,12 @@ func (n *Network) Close() {
 	n.mu.Unlock()
 
 	for _, l := range links {
-		l.close()
+		l.Shutdown()
 	}
 	for _, ep := range eps {
-		ep.close()
+		if ep.closed != nil {
+			ep.closed()
+		}
 	}
 	n.wg.Wait()
 }
@@ -268,7 +301,9 @@ func (n *Network) ResetStats() {
 
 // send routes a message from an endpoint. It applies fault injection, then
 // hands the message to the per-pair link (serial, latency-applying) or, with
-// zero latency, directly to the destination queue.
+// zero latency, directly to the destination's deliver function. The instant
+// path takes n.mu once: delivery is certain by then, so it is counted with
+// the send.
 func (n *Network) send(m Message) error {
 	n.mu.Lock()
 	if n.closed {
@@ -302,33 +337,23 @@ func (n *Network) send(m Message) error {
 	// when this particular draw is positive: a zero-delay message taking the
 	// direct path could otherwise overtake earlier messages still waiting
 	// out their latency on the link, breaking per-pair FIFO.
-	lk := n.links[linkKey{from: m.From, to: m.To}]
+	key := linkKey{from: m.From, to: m.To}
+	lk := n.links[key]
 	if lk == nil && n.cfg.Latency(m.From, m.To) > 0 {
-		lk = n.linkLocked(m.From, m.To)
+		lk = n.newLink(dst)
+		n.links[key] = lk
+	}
+	if lk == nil {
+		n.stats.Delivered += copies
 	}
 	n.mu.Unlock()
 
 	for i := 0; i < copies; i++ {
 		if lk != nil {
-			lk.enqueue(m)
+			lk.Put(m)
 		} else {
-			dst.enqueue(m)
-			n.mu.Lock()
-			n.stats.record(statDelivered, m.Kind)
-			n.mu.Unlock()
+			dst.deliver(m)
 		}
 	}
 	return nil
-}
-
-// linkLocked returns (creating on demand) the serial delivery link for the
-// ordered pair. Caller must hold n.mu.
-func (n *Network) linkLocked(from, to ident.NodeID) *link {
-	key := linkKey{from: from, to: to}
-	if l, ok := n.links[key]; ok {
-		return l
-	}
-	l := newLink(n, from, to)
-	n.links[key] = l
-	return l
 }

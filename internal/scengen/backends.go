@@ -80,7 +80,7 @@ func newConcurrentFabric(settle time.Duration) conformancetest.Fabric {
 
 func (f *concurrentFabric) Register(obj ident.ObjectID, h transport.Handler) {
 	f.next++
-	if _, err := f.c.BindFunc(obj, f.next, h); err != nil {
+	if _, err := f.c.BindFunc(obj, f.next, h, nil); err != nil {
 		panic(err)
 	}
 }
@@ -131,7 +131,7 @@ func (f *tcpFabric) Register(obj ident.ObjectID, h transport.Handler) {
 	if err != nil {
 		panic(err)
 	}
-	if _, err := fab.BindFunc(obj, h); err != nil {
+	if _, err := fab.BindFunc(obj, h, nil); err != nil {
 		panic(err)
 	}
 	f.mu.Lock()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/fifo"
 	"repro/internal/ident"
 	"repro/internal/netsim"
 )
@@ -22,24 +23,24 @@ type ConcurrentOptions struct {
 	Faults FaultPolicy
 }
 
-// Concurrent is the goroutine-per-endpoint fabric: objects bound to netsim
-// nodes exchange messages through the simulated network, inheriting its
-// latency models and per-pair FIFO links, while the transport layer supplies
-// the codec boundary, fault injection (with lock-striped per-pair state, so
-// high-N runs do not serialise on a single mutex) and observability hooks.
+// Concurrent is the goroutine-per-object fabric: objects bound to netsim nodes
+// exchange messages through the simulated network, which is the link model
+// (latency, loss, duplication, partition, per-pair FIFO links) and calls each
+// destination port directly. The port owns the one inbox and the one goroutine
+// between a sender and the object's handler; the transport layer supplies the
+// codec boundary, fault injection (with lock-striped per-pair state, so high-N
+// runs do not serialise on a single mutex) and observability hooks.
 // Isolate/Heal expose netsim's partition model at the object level.
 //
-// The fabric does not own the network: several Concurrent fabrics may share
-// one netsim.Network (e.g. successive recovery attempts on one System), and
-// closing the fabric only stops its pumps.
+// The fabric does not own the network: closing the fabric only stops its
+// ports, and the network's owner closes the network.
 type Concurrent struct {
 	net  *netsim.Network
 	opts ConcurrentOptions
 
 	mu     sync.RWMutex
-	nodes  map[ident.ObjectID]ident.NodeID
+	ports  map[ident.ObjectID]*Port
 	objs   map[ident.NodeID]ident.ObjectID
-	ports  []*Port
 	closed bool
 
 	seq seqTable
@@ -52,66 +53,72 @@ func NewConcurrent(net *netsim.Network, opts ConcurrentOptions) *Concurrent {
 	c := &Concurrent{
 		net:   net,
 		opts:  opts,
-		nodes: make(map[ident.ObjectID]ident.NodeID),
+		ports: make(map[ident.ObjectID]*Port),
 		objs:  make(map[ident.NodeID]ident.ObjectID),
 	}
 	c.seq.init()
 	return c
 }
 
-// Port is one object's attachment to a Concurrent fabric.
+// Port is one object's attachment to a Concurrent fabric: the inbox the
+// network delivers into and the goroutine that drains it into the handler.
 type Port struct {
-	c   *Concurrent
-	obj ident.ObjectID
-	ep  *netsim.Endpoint
-
-	out  chan Message
-	stop chan struct{}
-	done chan struct{}
-	once sync.Once
+	c    *Concurrent
+	obj  ident.ObjectID
+	node ident.NodeID
+	ep   *netsim.Endpoint
+	out  chan Message // Recv channel; nil for ports bound with BindFunc
+	in   *fifo.Pump[netsim.Message]
 }
 
 // Bind attaches obj to the given netsim node and returns its port, whose
-// Recv channel yields decoded deliveries in per-sender FIFO order.
+// Recv channel yields decoded deliveries in per-sender FIFO order. It is
+// BindFunc with a handler that sends on that channel and a stopped that
+// closes it.
 func (c *Concurrent) Bind(obj ident.ObjectID, node ident.NodeID) (*Port, error) {
-	return c.bind(obj, node, nil)
+	return c.bind(obj, node, nil, nil)
 }
 
-// BindFunc attaches obj with handler-based delivery: the port's pump invokes
-// fn from its own goroutine, once per message. The returned port's Recv
-// channel is nil.
-func (c *Concurrent) BindFunc(obj ident.ObjectID, node ident.NodeID, fn Handler) (*Port, error) {
+// BindFunc attaches obj with handler-based delivery: the port's goroutine
+// invokes fn once per message, one at a time, in per-sender FIFO order. When
+// the port stops, through Close or because the network shut down, the
+// goroutine's last act is to call stopped (when non-nil); fn is never called
+// after that. The returned port's Recv channel is nil.
+func (c *Concurrent) BindFunc(obj ident.ObjectID, node ident.NodeID, fn Handler, stopped func()) (*Port, error) {
 	if fn == nil {
 		return nil, fmt.Errorf("transport: BindFunc needs a handler")
 	}
-	return c.bind(obj, node, fn)
+	return c.bind(obj, node, fn, stopped)
 }
 
-func (c *Concurrent) bind(obj ident.ObjectID, node ident.NodeID, fn Handler) (*Port, error) {
+func (c *Concurrent) bind(obj ident.ObjectID, node ident.NodeID, fn Handler, stopped func()) (*Port, error) {
+	p := &Port{c: c, obj: obj, node: node, in: fifo.NewPump[netsim.Message]()}
+	if fn == nil {
+		p.out, fn, stopped = recvChan(p.in.Stopping())
+	}
+
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.closed {
-		c.mu.Unlock()
 		return nil, ErrClosed
 	}
-	if _, dup := c.nodes[obj]; dup {
-		c.mu.Unlock()
+	if _, dup := c.ports[obj]; dup {
 		return nil, fmt.Errorf("%w: %s", ErrDuplicateBind, obj)
 	}
-	c.nodes[obj] = node
+	// Arrivals can start the moment the node exists; they queue in the inbox
+	// until the goroutine below is running.
+	ep, err := c.net.NodeFunc(node, p.in.Put, p.in.Shutdown)
+	if err != nil {
+		return nil, err
+	}
+	p.ep = ep
+	c.ports[obj] = p
 	c.objs[node] = obj
-	p := &Port{
-		c:    c,
-		obj:  obj,
-		ep:   c.net.Node(node),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-	}
-	if fn == nil {
-		p.out = make(chan Message)
-	}
-	c.ports = append(c.ports, p)
-	c.mu.Unlock()
-	go p.pump(fn)
+	go p.in.Run(func(nm netsim.Message) {
+		if m, ok := p.translate(nm); ok {
+			fn(m)
+		}
+	}, stopped)
 	return p, nil
 }
 
@@ -119,11 +126,11 @@ func (c *Concurrent) bind(obj ident.ObjectID, node ident.NodeID, fn Handler) (*P
 func (c *Concurrent) Node(obj ident.ObjectID) (ident.NodeID, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	node, ok := c.nodes[obj]
+	p, ok := c.ports[obj]
 	if !ok {
 		return 0, fmt.Errorf("%w: %s", ErrUnknownDestination, obj)
 	}
-	return node, nil
+	return p.node, nil
 }
 
 // Isolate partitions obj's node away: every message to or from it is
@@ -170,30 +177,39 @@ func (c *Concurrent) HealPartition(name string) {
 	c.net.HealPartition(name)
 }
 
-// Send routes one message through the fabric. The codec encodes the payload,
-// the fault policy (with lock-striped per-pair sequence state) decides its
-// fate, and surviving copies enter the network.
+// Send routes one message through the fabric on behalf of m.From, which must
+// be bound. A port's own Send and SendTagged skip the sender lookup.
 func (c *Concurrent) Send(m Message) error {
 	c.mu.RLock()
-	if c.closed {
-		c.mu.RUnlock()
+	src := c.ports[m.From]
+	c.mu.RUnlock()
+	if src == nil {
+		return fmt.Errorf("%w: %s (sender not bound)", ErrUnknownDestination, m.From)
+	}
+	return src.send(m)
+}
+
+// send is the one send path: resolve the destination under a single read
+// lock, encode, draw the fault verdict (lock-striped per-pair sequence
+// state), and hand surviving copies to the network from the port's own
+// endpoint.
+func (p *Port) send(m Message) error {
+	c := p.c
+	c.mu.RLock()
+	closed, dst := c.closed, c.ports[m.To]
+	c.mu.RUnlock()
+	if closed {
 		return ErrClosed
 	}
-	node, ok := c.nodes[m.To]
-	c.mu.RUnlock()
-	if !ok {
+	if dst == nil {
 		return fmt.Errorf("%w: %s", ErrUnknownDestination, m.To)
 	}
-	ep, err := c.endpointOf(m.From)
-	if err != nil {
-		return err
-	}
 	if c.opts.Codec != nil {
-		p, err := c.opts.Codec.Encode(m.Payload)
+		payload, err := c.opts.Codec.Encode(m.Payload)
 		if err != nil {
 			return err
 		}
-		m.Payload = p
+		m.Payload = payload
 	}
 	copies := 1
 	if c.opts.Faults != nil {
@@ -208,26 +224,15 @@ func (c *Concurrent) Send(m Message) error {
 		}
 	}
 	for i := 0; i < copies; i++ {
-		if err := ep.SendTagged(node, m.Kind, m.Action, m.Payload); err != nil {
+		if err := p.ep.SendTagged(dst.node, m.Kind, m.Action, m.Payload); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// endpointOf returns the netsim endpoint of a bound object.
-func (c *Concurrent) endpointOf(obj ident.ObjectID) (*netsim.Endpoint, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	node, ok := c.nodes[obj]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s (sender not bound)", ErrUnknownDestination, obj)
-	}
-	return c.net.Node(node), nil
-}
-
-// Close stops every port pump. The underlying network is left running (its
-// owner closes it).
+// Close stops every port. The underlying network is left running (its owner
+// closes it).
 func (c *Concurrent) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -235,7 +240,10 @@ func (c *Concurrent) Close() error {
 		return nil
 	}
 	c.closed = true
-	ports := c.ports
+	ports := make([]*Port, 0, len(c.ports))
+	for _, p := range c.ports {
+		ports = append(ports, p)
+	}
 	c.mu.Unlock()
 	for _, p := range ports {
 		p.Close()
@@ -259,60 +267,25 @@ func (p *Port) Reachable(to ident.ObjectID) error {
 
 // Send transmits one message from this port to the named object.
 func (p *Port) Send(to ident.ObjectID, kind string, payload any) error {
-	return p.c.Send(Message{From: p.obj, To: to, Kind: kind, Payload: payload})
+	return p.send(Message{From: p.obj, To: to, Kind: kind, Payload: payload})
 }
 
 // SendTagged transmits one message carrying an action routing tag in the
 // envelope, so the receiving side can demultiplex without decoding the
 // payload.
 func (p *Port) SendTagged(to ident.ObjectID, kind string, action ident.ActionID, payload any) error {
-	return p.c.Send(Message{From: p.obj, To: to, Kind: kind, Action: action, Payload: payload})
+	return p.send(Message{From: p.obj, To: to, Kind: kind, Action: action, Payload: payload})
 }
 
 // Recv returns the delivery channel (nil for ports bound with BindFunc).
 // The channel closes when the port or the network shuts down.
 func (p *Port) Recv() <-chan Message { return p.out }
 
-// Close stops the port's pump goroutine.
-func (p *Port) Close() {
-	p.once.Do(func() {
-		close(p.stop)
-		<-p.done
-	})
-}
-
-// pump moves messages from the netsim endpoint to the consumer (the handler
-// when bound with BindFunc, the Recv channel otherwise), translating node
-// identifiers back to objects and applying the codec.
-func (p *Port) pump(fn Handler) {
-	defer close(p.done)
-	if p.out != nil {
-		defer close(p.out)
-	}
-	for {
-		select {
-		case <-p.stop:
-			return
-		case nm, ok := <-p.ep.Recv():
-			if !ok {
-				return
-			}
-			m, ok := p.translate(nm)
-			if !ok {
-				continue
-			}
-			if fn != nil {
-				fn(m)
-				continue
-			}
-			select {
-			case p.out <- m:
-			case <-p.stop:
-				return
-			}
-		}
-	}
-}
+// Close stops the port's goroutine and returns once it has exited: the
+// handler is not running and will not be called again, and a Recv channel is
+// closed. Messages still queued are discarded. Close must not be called from
+// the handler.
+func (p *Port) Close() { p.in.Close() }
 
 // translate converts a netsim message into a transport message, decoding the
 // payload and mapping the source node back to its object.

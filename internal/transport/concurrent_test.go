@@ -3,7 +3,9 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -84,7 +86,7 @@ func TestConcurrentPerSenderFIFO(t *testing.T) {
 		if total == senders*per {
 			close(done)
 		}
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,5 +256,114 @@ func TestConcurrentNamedPartition(t *testing.T) {
 
 	if err := c.Partition("bad", 42); !errors.Is(err, ErrUnknownDestination) {
 		t.Errorf("Partition(unbound) = %v, want ErrUnknownDestination", err)
+	}
+}
+
+// TestConcurrentPortLifecycle pins the BindFunc contract the group transports
+// and core's dispatcher are built on: handlers run one at a time, stopped is
+// the port goroutine's last act whether the port was closed or the network
+// shut down under it, the handler is never called afterwards, and Bind is the
+// same thing with a channel behind it.
+func TestConcurrentPortLifecycle(t *testing.T) {
+	for _, how := range []string{"close", "network shutdown"} {
+		t.Run(how, func(t *testing.T) {
+			net := netsim.New(netsim.Config{})
+			defer net.Close()
+			c := NewConcurrent(net, ConcurrentOptions{})
+			defer c.Close()
+
+			var running, stoppedCalls atomic.Int32
+			var overlap, late atomic.Bool
+			stopped := make(chan struct{})
+			handled := make(chan struct{}, 1)
+			pf, err := c.BindFunc(1, 101, func(Message) {
+				if running.Add(1) != 1 {
+					overlap.Store(true)
+				}
+				if stoppedCalls.Load() != 0 {
+					late.Store(true)
+				}
+				select {
+				case handled <- struct{}{}:
+				default:
+				}
+				runtime.Gosched()
+				running.Add(-1)
+			}, func() {
+				if running.Load() != 0 {
+					overlap.Store(true)
+				}
+				if stoppedCalls.Add(1) == 1 {
+					close(stopped)
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pf.Recv() != nil {
+				t.Error("a BindFunc port has a Recv channel")
+			}
+			pc, err := c.Bind(2, 102)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Bind(3, 102); !errors.Is(err, netsim.ErrNodeTaken) {
+				t.Errorf("second bind on one node: %v, want ErrNodeTaken", err)
+			}
+
+			// Traffic into both ports from two senders, still flowing when
+			// the shutdown comes; nobody reads pc, so its goroutine sits in
+			// the channel send.
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			for _, from := range []*Port{pf, pc} {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; ; i++ {
+						select {
+						case <-stop:
+							return
+						default:
+							_ = from.Send(1, "m", i)
+							_ = from.Send(2, "m", i)
+						}
+					}
+				}()
+			}
+			<-handled
+			if how == "close" {
+				pf.Close()
+				pc.Close()
+			} else {
+				net.Close()
+			}
+			select {
+			case <-stopped:
+			case <-time.After(5 * time.Second):
+				t.Fatalf("stopped hook not called after %s", how)
+			}
+			deadline := time.After(5 * time.Second)
+			for open := true; open; {
+				select {
+				case _, open = <-pc.Recv():
+				case <-deadline:
+					t.Fatalf("Recv still open after %s", how)
+				}
+			}
+			time.Sleep(2 * time.Millisecond) // senders are still going
+			close(stop)
+			wg.Wait()
+			pf.Close() // waits for the goroutine, also after a network shutdown
+			if n := stoppedCalls.Load(); n != 1 {
+				t.Errorf("stopped hook ran %d times, want once", n)
+			}
+			if overlap.Load() {
+				t.Error("two handler calls, or a handler call and the stopped hook, overlapped")
+			}
+			if late.Load() {
+				t.Error("handler called after the stopped hook")
+			}
+		})
 	}
 }

@@ -132,7 +132,7 @@ func newConcurrentFabric(t *testing.T, opts conformancetest.Options) conformance
 
 func (f *concurrentFabric) Register(obj ident.ObjectID, h transport.Handler) {
 	f.next++
-	if _, err := f.c.BindFunc(obj, f.next, h); err != nil {
+	if _, err := f.c.BindFunc(obj, f.next, h, nil); err != nil {
 		panic(err)
 	}
 }
@@ -186,7 +186,7 @@ func (f *tcpFabric) Register(obj ident.ObjectID, h transport.Handler) {
 	if err != nil {
 		f.t.Fatal(err)
 	}
-	if _, err := fab.BindFunc(obj, h); err != nil {
+	if _, err := fab.BindFunc(obj, h, nil); err != nil {
 		f.t.Fatal(err)
 	}
 	f.mu.Lock()

@@ -91,7 +91,7 @@ func TestFaultScheduleParity(t *testing.T) {
 			defer mu.Unlock()
 			conGot[m.Payload.(string)]++
 			conCount++
-		})
+		}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

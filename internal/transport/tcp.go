@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/fifo"
 	"repro/internal/ident"
 	"repro/internal/vclock"
 	"repro/internal/wire/frame"
@@ -142,21 +143,30 @@ func (t *TCP) SetPeer(obj ident.ObjectID, addr string) {
 }
 
 // Bind attaches obj to this fabric with channel delivery: the returned
-// port's Recv channel yields decoded deliveries in per-sender FIFO order.
+// port's Recv channel yields decoded deliveries in per-sender FIFO order. It
+// is BindFunc with a handler that sends on that channel and a stopped that
+// closes it.
 func (t *TCP) Bind(obj ident.ObjectID) (*TCPPort, error) {
-	return t.bind(obj, nil)
+	return t.bind(obj, nil, nil)
 }
 
 // BindFunc attaches obj with handler delivery: fn runs on the port's inbox
-// goroutine, one message at a time, in per-sender FIFO order.
-func (t *TCP) BindFunc(obj ident.ObjectID, fn Handler) (*TCPPort, error) {
+// goroutine, one message at a time, in per-sender FIFO order. When the port
+// stops, the goroutine's last act is to call stopped (when non-nil); fn is
+// never called after that.
+func (t *TCP) BindFunc(obj ident.ObjectID, fn Handler, stopped func()) (*TCPPort, error) {
 	if fn == nil {
 		return nil, fmt.Errorf("transport: BindFunc needs a handler")
 	}
-	return t.bind(obj, fn)
+	return t.bind(obj, fn, stopped)
 }
 
-func (t *TCP) bind(obj ident.ObjectID, fn Handler) (*TCPPort, error) {
+func (t *TCP) bind(obj ident.ObjectID, fn Handler, stopped func()) (*TCPPort, error) {
+	p := &TCPPort{t: t, obj: obj, in: fifo.NewPump[delivery]()}
+	if fn == nil {
+		p.out, fn, stopped = recvChan(p.in.Stopping())
+	}
+
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
@@ -165,20 +175,16 @@ func (t *TCP) bind(obj ident.ObjectID, fn Handler) (*TCPPort, error) {
 	if _, dup := t.local[obj]; dup {
 		return nil, fmt.Errorf("%w: %s", ErrDuplicateBind, obj)
 	}
-	p := &TCPPort{
-		t:    t,
-		obj:  obj,
-		fn:   fn,
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-	}
-	p.cond = sync.NewCond(&p.mu)
-	if fn == nil {
-		p.out = make(chan Message)
-	}
 	t.local[obj] = p
 	t.wg.Add(1)
-	go p.pump()
+	go func() {
+		defer t.wg.Done()
+		p.in.Run(func(d delivery) {
+			if m, ok := p.translate(d); ok {
+				fn(m)
+			}
+		}, stopped)
+	}()
 	return p, nil
 }
 
@@ -226,7 +232,7 @@ func (t *TCP) Send(m Message) error {
 
 	if localPort != nil {
 		for i := 0; i < copies; i++ {
-			localPort.enqueue(delivery{from: m.From, kind: m.Kind, action: m.Action, payload: payload, isString: isString})
+			localPort.in.Put(delivery{from: m.From, kind: m.Kind, action: m.Action, payload: payload, isString: isString})
 		}
 		return nil
 	}
@@ -385,7 +391,7 @@ func (t *TCP) readConn(conn net.Conn) {
 			}
 			continue
 		}
-		port.enqueue(delivery{from: f.From, kind: f.Kind, action: f.Action, payload: f.Payload, isString: f.StringPayload})
+		port.in.Put(delivery{from: f.From, kind: f.Kind, action: f.Action, payload: f.Payload, isString: f.StringPayload})
 	}
 }
 
@@ -533,18 +539,8 @@ type delivery struct {
 type TCPPort struct {
 	t   *TCP
 	obj ident.ObjectID
-	fn  Handler
-	out chan Message
-
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []delivery // inbox; queue[head:] is live
-	head   int
-	closed bool
-
-	stop chan struct{}
-	done chan struct{}
-	once sync.Once
+	out chan Message // Recv channel; nil for ports bound with BindFunc
+	in  *fifo.Pump[delivery]
 }
 
 // Self returns the owning object's identifier.
@@ -572,92 +568,37 @@ func (p *TCPPort) Reachable(to ident.ObjectID) error { return p.t.Reachable(to) 
 // The channel closes when the port or the fabric shuts down.
 func (p *TCPPort) Recv() <-chan Message { return p.out }
 
-// Close stops the port's inbox goroutine and closes its Recv channel.
-// Messages already queued but not yet handed to the consumer are discarded.
-func (p *TCPPort) Close() {
-	p.once.Do(func() {
-		p.mu.Lock()
-		p.closed = true
-		p.cond.Broadcast()
-		p.mu.Unlock()
-		close(p.stop)
-		<-p.done
-	})
-}
+// Close stops the port's inbox goroutine and returns once it has exited: the
+// handler is not running and will not be called again, and a Recv channel is
+// closed. Messages still queued are discarded. Close must not be called from
+// the handler.
+func (p *TCPPort) Close() { p.in.Close() }
 
-// enqueue appends one inbound delivery to the port's FIFO inbox.
-func (p *TCPPort) enqueue(d delivery) {
-	p.mu.Lock()
-	if !p.closed {
-		if p.head > 0 && len(p.queue) == cap(p.queue) {
-			// Compact the live suffix instead of growing, as core.mailbox
-			// does, and clear what it vacated: those slots would otherwise
-			// keep a second reference to deliveries consumed later.
-			n := copy(p.queue, p.queue[p.head:])
-			clear(p.queue[n:])
-			p.queue, p.head = p.queue[:n], 0
-		}
-		p.queue = append(p.queue, d)
-		p.cond.Signal()
+// translate turns one inbound delivery into a message: restore the payload's
+// type, run the codec, observe the delivery.
+func (p *TCPPort) translate(d delivery) (Message, bool) {
+	var payload any
+	switch {
+	case d.isString:
+		payload = string(d.payload)
+	case d.payload == nil:
+		payload = nil
+	default:
+		payload = d.payload
 	}
-	p.mu.Unlock()
-}
-
-// pump drains the inbox: restore the payload's type, run the codec, observe
-// the delivery, hand the message to the handler or channel.
-func (p *TCPPort) pump() {
-	defer p.t.wg.Done()
-	defer close(p.done)
-	if p.out != nil {
-		defer close(p.out)
-	}
-	for {
-		p.mu.Lock()
-		for p.head == len(p.queue) && !p.closed {
-			p.cond.Wait()
-		}
-		if p.closed {
-			p.mu.Unlock()
-			return
-		}
-		d := p.queue[p.head]
-		p.queue[p.head] = delivery{} // release the payload reference
-		if p.head++; p.head == len(p.queue) {
-			p.queue, p.head = p.queue[:0], 0
-		}
-		p.mu.Unlock()
-
-		var payload any
-		switch {
-		case d.isString:
-			payload = string(d.payload)
-		case d.payload == nil:
-			payload = nil
-		default:
-			payload = d.payload
-		}
-		m := Message{From: d.from, To: p.obj, Kind: d.kind, Action: d.action, Payload: payload}
-		if p.t.opts.Codec != nil {
-			decoded, err := p.t.opts.Codec.Decode(m.Payload)
-			if err != nil {
-				if p.t.opts.Sink != nil {
-					p.t.opts.Sink.Dropped(m)
-				}
-				continue
+	m := Message{From: d.from, To: p.obj, Kind: d.kind, Action: d.action, Payload: payload}
+	if p.t.opts.Codec != nil {
+		decoded, err := p.t.opts.Codec.Decode(m.Payload)
+		if err != nil {
+			if p.t.opts.Sink != nil {
+				p.t.opts.Sink.Dropped(m)
 			}
-			m.Payload = decoded
+			return Message{}, false
 		}
-		if p.t.opts.Sink != nil {
-			p.t.opts.Sink.Delivered(m)
-		}
-		if p.fn != nil {
-			p.fn(m)
-			continue
-		}
-		select {
-		case p.out <- m:
-		case <-p.stop:
-			return
-		}
+		m.Payload = decoded
 	}
+	if p.t.opts.Sink != nil {
+		p.t.opts.Sink.Delivered(m)
+	}
+	return m, true
 }

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -154,7 +156,7 @@ func TestTCPConcurrentSendersFIFOPerPair(t *testing.T) {
 			close(doneCh)
 		}
 		mu.Unlock()
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +349,7 @@ func TestTCPFaultScheduleParity(t *testing.T) {
 			tcpGot[string(m.Payload.([]byte))]++
 			tcpCount++
 			mu.Unlock()
-		})
+		}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -617,8 +619,11 @@ func TestTCPPortInboxReleasesConsumed(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 8
+	var freed atomic.Int32
 	for i := 0; i < n; i++ {
-		if err := fab.Send(Message{From: 1, To: 2, Kind: "k", Payload: make([]byte, 64)}); err != nil {
+		payload := make([]byte, 64)
+		runtime.SetFinalizer(&payload[0], func(*byte) { freed.Add(1) })
+		if err := fab.Send(Message{From: 1, To: 2, Kind: "k", Payload: payload}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -626,15 +631,17 @@ func TestTCPPortInboxReleasesConsumed(t *testing.T) {
 		<-port.Recv()
 	}
 	// The pump took the last message out of the queue before it offered it
-	// on the channel, so by now every slot has been consumed.
-	port.mu.Lock()
-	defer port.mu.Unlock()
-	if port.head != 0 || len(port.queue) != 0 {
-		t.Fatalf("drained inbox has head=%d len=%d, want 0 and 0", port.head, len(port.queue))
+	// on the channel, so by now every slot has been consumed and the inbox
+	// (a fifo.Pump over a fifo.Queue, whose own tests pin the slot clearing) is all that could
+	// still reach the payloads.
+	if queued := port.in.Len(); queued != 0 {
+		t.Fatalf("drained inbox still holds %d deliveries", queued)
 	}
-	for i, d := range port.queue[:cap(port.queue)] {
-		if d.payload != nil {
-			t.Errorf("slot %d still references a consumed payload", i)
+	for deadline := time.Now().Add(5 * time.Second); freed.Load() < n; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d consumed payloads are still reachable", n-freed.Load(), n)
 		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -51,9 +51,23 @@ type pair struct {
 }
 
 // Handler consumes a delivered message. Deterministic backends invoke it
-// synchronously from Step; the Concurrent backend invokes it from the
-// destination port's pump goroutine.
+// synchronously from Step; the Concurrent and TCP backends invoke it from the
+// destination port's goroutine, one message at a time.
 type Handler func(m Message)
+
+// recvChan is how the goroutine-backed fabrics express Bind as BindFunc: a
+// handler that blocks sending on the port's Recv channel until stop closes,
+// and a stopped hook that closes the channel behind the last delivery.
+func recvChan(stop <-chan struct{}) (out chan Message, fn Handler, stopped func()) {
+	out = make(chan Message)
+	fn = func(m Message) {
+		select {
+		case out <- m:
+		case <-stop:
+		}
+	}
+	return out, fn, func() { close(out) }
+}
 
 // Codec rewrites payloads at the fabric boundary. Encode runs at send time,
 // Decode at delivery time. Implementations may translate only the payload
