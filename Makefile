@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test fmt-check lint lint-json race bench-smoke fuzz fuzz-smoke
+.PHONY: build test fmt-check lint lint-json race fuzz fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -27,9 +27,6 @@ lint-json:
 
 race:
 	$(GO) test -race ./...
-
-bench-smoke:
-	$(GO) run ./cmd/bench -smoke -label local-smoke -out bench-local.json
 
 # Long-running scenario fuzzing: seeded random action programs checked by the
 # cross-backend differential oracle (see docs/FUZZING.md). This target asks

@@ -19,6 +19,12 @@ func fastMembership() *MembershipOptions {
 	}
 }
 
+// membershipDeadline bounds every membership-monitored run in this package,
+// on the clock its system runs on: a wedged view change then fails in
+// seconds with the outcome printed, not at go test's ten-minute package
+// timeout.
+const membershipDeadline = 20 * time.Second
+
 // pfDef builds a membership-ready definition: every member runs body, the
 // tree declares the participant-failure exception, and Default handlers
 // complete the action after any resolution.
@@ -45,7 +51,7 @@ func TestMembershipValidation(t *testing.T) {
 	// The socket transport's codec cannot carry view payloads.
 	tcp := NewSystem(Options{Transport: TransportTCP, Membership: fastMembership()})
 	defer tcp.Close()
-	if _, err := tcp.Run(pfDef(members, body)); err == nil ||
+	if _, err := tcp.RunTimeout(pfDef(members, body), membershipDeadline); err == nil ||
 		!strings.Contains(err.Error(), "TransportTCP") {
 		t.Errorf("TCP gate error = %v", err)
 	}
@@ -55,7 +61,7 @@ func TestMembershipValidation(t *testing.T) {
 	defer sys.Close()
 	def := pfDef(members, body)
 	def.Spec.Tree = testTree("app")
-	if _, err := sys.Run(def); err == nil ||
+	if _, err := sys.RunTimeout(def, membershipDeadline); err == nil ||
 		!strings.Contains(err.Error(), ExcParticipantFailure) {
 		t.Errorf("tree gate error = %v", err)
 	}
@@ -87,7 +93,7 @@ func TestPartitionExpelsMinority(t *testing.T) {
 		}
 	}()
 
-	out, err := sys.Run(def)
+	out, err := sys.RunTimeout(def, membershipDeadline)
 	if err != nil {
 		t.Fatalf("run: %v (outcome %+v)", err, out)
 	}
@@ -130,23 +136,29 @@ func TestConcurrentMembershipActionsShareOneFabric(t *testing.T) {
 		return nil
 	}
 
-	pendings := make([]*Pending, 2)
-	for k := range pendings {
-		p, err := sys.Submit(pfDef(members, forever))
-		if err != nil {
-			t.Fatalf("submit %d: %v", k, err)
-		}
-		pendings[k] = p
+	type result struct {
+		out Outcome
+		err error
+	}
+	results := make([]chan result, 2)
+	for k := range results {
+		ch := make(chan result, 1)
+		results[k] = ch
+		go func() {
+			out, err := sys.RunTimeout(pfDef(members, forever), membershipDeadline)
+			ch <- result{out, err}
+		}()
 	}
 	time.Sleep(20 * time.Millisecond) // let participants bind and beat
 	if err := sys.Partition("storm", 5); err != nil {
 		t.Fatalf("partition: %v", err)
 	}
-	for k, p := range pendings {
-		out, err := p.Wait()
-		if err != nil {
-			t.Fatalf("action %d: %v (outcome %+v)", k, err, out)
+	for k, ch := range results {
+		r := <-ch
+		if r.err != nil {
+			t.Fatalf("action %d: %v (outcome %+v)", k, r.err, r.out)
 		}
+		out := r.out
 		if !out.Completed || out.Resolved != ExcParticipantFailure {
 			t.Errorf("action %d outcome = %+v, want completed with %q", k, out, ExcParticipantFailure)
 		}
@@ -162,12 +174,12 @@ func TestConcurrentMembershipActionsShareOneFabric(t *testing.T) {
 	}
 
 	sys.HealPartition("storm") // no run in progress
-	out, err := sys.Run(pfDef(members, func(ctx *Context) error {
+	out, err := sys.RunTimeout(pfDef(members, func(ctx *Context) error {
 		ctx.Sleep(100 * time.Millisecond) // four detector timeouts: a standing cut would expel 5
 		return nil
-	}))
+	}), membershipDeadline)
 	if err != nil {
-		t.Fatalf("post-heal run: %v", err)
+		t.Fatalf("post-heal run: %v (outcome %+v)", err, out)
 	}
 	if !out.Completed || out.Resolved != "" || len(out.Expelled) != 0 {
 		t.Errorf("post-heal outcome = %+v, want clean completion with nobody expelled", out)
@@ -196,7 +208,7 @@ func TestPartitionWithSurvivingRaiser(t *testing.T) {
 		_ = sys.Partition("storm", 4, 5)
 	}()
 
-	out, err := sys.Run(def)
+	out, err := sys.RunTimeout(def, membershipDeadline)
 	if err != nil {
 		t.Fatalf("run: %v (outcome %+v)", err, out)
 	}
@@ -228,9 +240,9 @@ func TestNoPartitionOutcomeUnchanged(t *testing.T) {
 		t.Helper()
 		sys := NewSystem(Options{Membership: mo})
 		defer sys.Close()
-		out, err := sys.Run(pfDef(members, body))
+		out, err := sys.RunTimeout(pfDef(members, body), membershipDeadline)
 		if err != nil {
-			t.Fatalf("run: %v", err)
+			t.Fatalf("run: %v (outcome %+v)", err, out)
 		}
 		return out
 	}

@@ -74,12 +74,12 @@ func TestRejoinAcrossRuns(t *testing.T) {
 		ctx.Sleep(time.Hour)
 		return nil
 	}
-	out1, err := sys.Run(Definition{
+	out1, err := sys.RunTimeout(Definition{
 		Spec:   ActionSpec{Name: "cut-run", Tree: tree, Members: members, Handlers: handlers},
 		Bodies: bodies1,
-	})
+	}, membershipDeadline)
 	if err != nil {
-		t.Fatalf("run 1: %v", err)
+		t.Fatalf("run 1: %v (outcome %+v)", err, out1)
 	}
 	if out1.Resolved != ExcParticipantFailure {
 		t.Fatalf("run 1 resolved %q, want %q", out1.Resolved, ExcParticipantFailure)
@@ -104,14 +104,14 @@ func TestRejoinAcrossRuns(t *testing.T) {
 		}
 		return fmt.Errorf("group never became whole: %v", sys.GroupView())
 	}
-	out2, err := sys.Run(Definition{
+	out2, err := sys.RunTimeout(Definition{
 		Spec: ActionSpec{Name: "rejoin-run", Tree: tree, Members: members, Handlers: handlers},
 		Bodies: map[ident.ObjectID]Body{
 			1: waitWhole, 2: waitWhole, 3: waitWhole, 4: idle, 5: idle,
 		},
-	})
+	}, membershipDeadline)
 	if err != nil {
-		t.Fatalf("run 2: %v", err)
+		t.Fatalf("run 2: %v (outcome %+v)", err, out2)
 	}
 	if len(out2.Rejoined) != 2 || out2.Rejoined[0] != 4 || out2.Rejoined[1] != 5 {
 		t.Fatalf("run 2 rejoined %v, want [4 5]", out2.Rejoined)
@@ -144,14 +144,14 @@ func TestRejoinAcrossRuns(t *testing.T) {
 		ctx.Raise("exc-app")
 		return nil
 	}
-	out3, err := sys.Run(Definition{
+	out3, err := sys.RunTimeout(Definition{
 		Spec: ActionSpec{Name: "post-heal-run", Tree: tree, Members: members, Handlers: handlers},
 		Bodies: map[ident.ObjectID]Body{
 			1: idle, 2: raiser, 3: idle, 4: idle, 5: idle,
 		},
-	})
+	}, membershipDeadline)
 	if err != nil {
-		t.Fatalf("run 3: %v", err)
+		t.Fatalf("run 3: %v (outcome %+v)", err, out3)
 	}
 	if out3.Resolved != "exc-app" {
 		t.Fatalf("run 3 resolved %q, want exc-app", out3.Resolved)
@@ -212,12 +212,12 @@ func TestRejoinChurnStress(t *testing.T) {
 			ctx.Sleep(time.Hour)
 			return nil
 		}
-		out, err := sys.Run(Definition{
+		out, err := sys.RunTimeout(Definition{
 			Spec:   ActionSpec{Name: cutName, Tree: tree, Members: members, Handlers: handlers},
 			Bodies: bodies,
-		})
+		}, membershipDeadline)
 		if err != nil {
-			t.Fatalf("cycle %d cut run: %v", cycle, err)
+			t.Fatalf("cycle %d cut run: %v (outcome %+v)", cycle, err, out)
 		}
 		if len(out.Expelled) != 1 || out.Expelled[0] != 5 {
 			t.Fatalf("cycle %d expelled %v, want [5]", cycle, out.Expelled)
@@ -233,14 +233,14 @@ func TestRejoinChurnStress(t *testing.T) {
 			}
 			return fmt.Errorf("member 5 never rejoined: %v", sys.GroupView())
 		}
-		out, err = sys.Run(Definition{
+		out, err = sys.RunTimeout(Definition{
 			Spec: ActionSpec{Name: cutName + "-rejoin", Tree: tree, Members: members, Handlers: handlers},
 			Bodies: map[ident.ObjectID]Body{
 				1: waitWhole, 2: waitWhole, 3: waitWhole, 4: waitWhole, 5: idle,
 			},
-		})
+		}, membershipDeadline)
 		if err != nil {
-			t.Fatalf("cycle %d rejoin run: %v", cycle, err)
+			t.Fatalf("cycle %d rejoin run: %v (outcome %+v)", cycle, err, out)
 		}
 		if len(out.Rejoined) != 1 || out.Rejoined[0] != 5 {
 			t.Fatalf("cycle %d rejoined %v, want [5]", cycle, out.Rejoined)

@@ -108,7 +108,7 @@ func E3() (Table, error) {
 		Title:  "case 3 — all N raise simultaneously: (N-1)(2N+1) messages",
 		Header: []string{"N", "paper (N-1)(2N+1)", "measured", "match"},
 	}
-	for _, n := range []int{2, 3, 4, 8, 16, 32} {
+	for _, n := range []int{2, 3, 4, 8, 16, 32, 64} {
 		want := (n - 1) * (2*n + 1)
 		got, err := simCase(n, n, 0)
 		if err != nil {

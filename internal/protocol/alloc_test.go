@@ -73,7 +73,7 @@ func (h *allocHarness) cycle() {
 // allocations per commit cycle: clearResolution clears the lists in place,
 // the replay/resolve/chooser paths run on reusable scratch buffers, and no
 // trace detail is built when the Log hook is nil. (The old clearResolution
-// allocated four fresh maps per commit — see BENCH_4.json's baseline run.)
+// allocated four fresh maps per commit.)
 func TestEngineCommitCycleAllocs(t *testing.T) {
 	h := newAllocHarness(t)
 	h.cycle() // warm the scratch buffers and map buckets

@@ -682,8 +682,7 @@ func (e *Engine) finish(a ident.ActionID, exc string) {
 // clearResolution empties LE, LO and LP and forgets the resolution level.
 // Everything is cleared in place — clear() keeps a map's buckets, the slice
 // keeps its capacity — so the next resolution over the same membership
-// allocates nothing (the regression is guarded by TestEngineCommitCycleAllocs
-// and visible in BENCH_4.json's baseline-vs-optimised delta).
+// allocates nothing (the regression is guarded by TestEngineCommitCycleAllocs).
 //
 //caa:noalloc
 func (e *Engine) clearResolution() {

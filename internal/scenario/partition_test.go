@@ -114,7 +114,7 @@ func TestMembershipEquivalence(t *testing.T) {
 	withMon.Membership = true
 	mon, err := Run(withMon)
 	if err != nil {
-		t.Fatalf("monitored run: %v", err)
+		t.Fatalf("monitored run: %v (outcome %+v)", err, mon.Outcome)
 	}
 	if len(mon.Outcome.Expelled) != 0 {
 		t.Fatalf("spurious expulsions: %v", mon.Outcome.Expelled)

@@ -278,6 +278,64 @@ loop:
 	}
 }
 
+// TestFaultProxyActionPolicy: a port multiplexes many actions, so "lose this
+// action's frames only" is the natural targeted fault. The proxy must show
+// its policy the frame's action tag, and so drop exactly the frames the
+// in-process TCPOptions.Faults hook drops under the same policy.
+func TestFaultProxyActionPolicy(t *testing.T) {
+	const n = 20
+	dropAction7 := func(_, _ ident.ObjectID, _ uint64, m Message) Verdict {
+		if m.Action == 7 {
+			return Drop
+		}
+		return Deliver
+	}
+	// survivors sends n frames from O1 to O2, alternating between actions 7
+	// and 8, with the policy either inside the sender or at the wire, and
+	// returns the payloads that arrive.
+	survivors := func(hook, wire FaultPolicy) []string {
+		t.Helper()
+		sender, receiver := tcpPair(t, TCPOptions{Faults: hook}, TCPOptions{}, 1, 2)
+		port, err := receiver.Bind(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wire != nil {
+			proxy, err := NewFaultProxy(receiver.Addr(), FaultProxyOptions{Policy: wire})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer proxy.Close()
+			sender.SetPeer(2, proxy.Addr())
+		}
+		for i := 0; i < n; i++ {
+			m := Message{From: 1, To: 2, Action: ident.ActionID(7 + i%2), Kind: "k", Payload: fmt.Sprint(i)}
+			if err := sender.Send(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Per-pair FIFO: when the sentinel arrives, every survivor has.
+		if err := sender.Send(Message{From: 1, To: 2, Action: 8, Kind: "k", Payload: "end"}); err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for {
+			p := drainPort(t, port, 1, 5*time.Second)[0].Payload.(string)
+			if p == "end" {
+				return got
+			}
+			got = append(got, p)
+		}
+	}
+	atHook := survivors(dropAction7, nil)
+	if len(atHook) != n/2 {
+		t.Fatalf("hook delivered %v, want the %d frames of action 8", atHook, n/2)
+	}
+	if atWire := survivors(nil, dropAction7); !reflect.DeepEqual(atWire, atHook) {
+		t.Fatalf("proxy delivered %v, the hook %v", atWire, atHook)
+	}
+}
+
 // TestTCPFaultScheduleParity extends the cross-backend parity property to
 // the TCP fabric: the same seeded schedule delivers the same multiset as the
 // Deterministic backend, even across real sockets.

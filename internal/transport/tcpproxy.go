@@ -158,7 +158,7 @@ func (p *FaultProxy) relay(down net.Conn) {
 		}
 		copies := 1
 		if p.opts.Policy != nil {
-			m := Message{From: f.From, To: f.To, Kind: f.Kind, Payload: f.Payload}
+			m := Message{From: f.From, To: f.To, Kind: f.Kind, Action: f.Action, Payload: f.Payload}
 			copies = p.seq.verdictCopies(p.opts.Policy, m)
 		}
 		for i := 0; i < copies; i++ {

@@ -13,9 +13,8 @@
 // is parked waiting on a timer, waiting out a heartbeat period costs
 // microseconds of real time instead of milliseconds of wall clock. That is
 // what makes churn workloads (repeated partition/heal/rejoin cycles)
-// benchable: BENCH_5's partition rows pay ~45 ms of real heartbeat silence
-// per operation; the same scenario on the virtual clock runs two orders of
-// magnitude faster.
+// cheap to run: a wall-clock partition run pays ~45 ms of real heartbeat
+// silence; the same scenario on the virtual clock ran in ~3 ms.
 //
 // The protolint `timeseam` analyzer enforces the seam: packages netsim,
 // membership, transport, group and core must not call time.Now / time.After /
