@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test fmt-check lint lint-json race fuzz fuzz-smoke
+.PHONY: build test fmt-check loc lint lint-json race fuzz fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,17 @@ test:
 fmt-check:
 	@out="$$(gofmt -l . | grep -v '/testdata/')"; \
 	if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
+
+# Non-test Go lines: the delivery-stack basket ROADMAP's "Smaller deletions"
+# tracks (conformancetest is under internal/transport), then everything
+# outside benchmark/ and the analyzer fixtures. Deletion PRs quote both.
+loc:
+	@printf 'delivery stack (internal/{transport,netsim,group,core}): %s\n' \
+		"$$(find internal/transport internal/netsim internal/group internal/core \
+			-name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
+	@printf 'repo outside benchmark/: %s\n' \
+		"$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' \
+			! -path '*/testdata/*' | xargs cat | wc -l)"
 
 # Run the protolint analyzer suite over the whole tree. The tool re-execs
 # itself through `go vet -vettool`, so results are cached per package and

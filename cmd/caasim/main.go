@@ -7,6 +7,7 @@
 //	caasim -n 8 -p 2                    # 8 objects, 2 concurrent raisers
 //	caasim -n 6 -p 1 -q 3 -depth 2     # 3 objects nested two deep
 //	caasim -n 4 -p 1 -latency 2ms      # with network latency
+//	caasim -n 4 -p 2 -transport tcp    # over real loopback sockets, wire codec, R3
 //	caasim -n 3 -p 1 -policy wait -timeout 1s -belated
 //	caasim -n 5 -partition 4,5 -virtual # membership run on the virtual clock
 //	caasim -n 5 -churn 3 -virtual       # 3 partition/heal/rejoin cycles
@@ -24,26 +25,11 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/ident"
-	"repro/internal/procsim"
+	"repro/internal/netsim"
 	"repro/internal/scenario"
 )
 
-// childEnv marks a re-exec of this binary as one -procs participant.
-const childEnv = "CAASIM_PROCSIM_OBJECT"
-
 func main() {
-	if v := os.Getenv(childEnv); v != "" {
-		obj, err := strconv.Atoi(v)
-		if err == nil {
-			err = procsim.RunChild(ident.ObjectID(obj), os.Stdin, os.Stdout)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "caasim participant:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "caasim:", err)
 		os.Exit(1)
@@ -63,7 +49,6 @@ func run(args []string) error {
 		tport      = fs.String("transport", "raw", "messaging layer: raw | r3 | tcp (real loopback sockets)")
 		timeout    = fs.Duration("timeout", 30*time.Second, "run timeout")
 		concurrent = fs.Int("concurrent", 1, "submit this many copies of the action to one shared server and report aggregate agreement")
-		procs      = fs.Bool("procs", false, "run each participant in its own OS process (re-execs this binary; uses -n, -p, -q)")
 		belated    = fs.Bool("belated", false, "run the belated-participant workload (Figure 1) instead")
 		showTrace  = fs.Bool("trace", false, "print the full event trace (paper-style message log)")
 		partition  = fs.String("partition", "", "comma-separated object numbers to cut away mid-run (enables membership monitoring, e.g. -partition 4,5)")
@@ -94,10 +79,6 @@ func run(args []string) error {
 		kind = core.TransportTCP
 	default:
 		return fmt.Errorf("unknown transport %q", *tport)
-	}
-
-	if *procs {
-		return runProcs(*n, *p, *q, *timeout)
 	}
 
 	if *churn > 0 {
@@ -145,7 +126,7 @@ func run(args []string) error {
 		if spec.Membership {
 			return errors.New("-concurrent and -partition are mutually exclusive (-concurrent submits to a server without membership monitoring)")
 		}
-		return runConcurrent(spec, kind, *concurrent, *timeout)
+		return runConcurrent(spec, *concurrent, *timeout)
 	}
 	res, err := scenario.Run(spec)
 	if err != nil {
@@ -216,12 +197,16 @@ func runChurn(n int, victims []int, cycles int, lease time.Duration, virtual boo
 // submitted together to one shared server, multiplexed over the same
 // per-object transports, and the aggregate report shows whether every copy
 // reached the same outcome the action reaches when run alone.
-func runConcurrent(spec scenario.Spec, kind core.TransportKind, copies int, timeout time.Duration) error {
+func runConcurrent(spec scenario.Spec, copies int, timeout time.Duration) error {
 	def, err := scenario.Build(spec)
 	if err != nil {
 		return err
 	}
-	srv := core.NewServer(core.Options{Transport: kind})
+	srv := core.NewServer(core.Options{
+		Network:    netsim.Config{Latency: netsim.FixedLatency(spec.Latency)},
+		Transport:  spec.Transport,
+		Retransmit: spec.Retransmit,
+	})
 	defer srv.Close()
 
 	outs := make([]core.Outcome, copies)
@@ -255,7 +240,7 @@ func runConcurrent(spec scenario.Spec, kind core.TransportKind, copies int, time
 	}
 
 	fmt.Printf("concurrent: %d copies of N=%d P=%d Q=%d on one shared server (transport=%v)\n",
-		copies, spec.N, spec.P, spec.Q, kind)
+		copies, spec.N, spec.P, spec.Q, spec.Transport)
 	fmt.Printf("agreement: %d/%d copies completed\n", completed, copies)
 	keys := make([]string, 0, len(resolved))
 	for k := range resolved {
@@ -298,49 +283,4 @@ func parsePartition(s string) ([]int, error) {
 		return nil, errors.New("-partition lists no objects")
 	}
 	return out, nil
-}
-
-// runProcs is the -procs mode: the resolution protocol with every
-// participant in its own OS process (protocol messages cross real loopback
-// sockets), checked against the in-process Deterministic fabric.
-func runProcs(n, p, q int, timeout time.Duration) error {
-	sc := procsim.Scenario{
-		N: n, Tree: procsim.TreeFlat,
-		Raisers: make(map[ident.ObjectID]string, p),
-		Nested:  make(map[ident.ObjectID]string, q),
-	}
-	for i := 1; i <= p; i++ {
-		sc.Raisers[ident.ObjectID(i)] = fmt.Sprintf("exc%d", i)
-	}
-	for i := p + 1; i <= p+q; i++ {
-		sc.Nested[ident.ObjectID(i)] = ""
-	}
-	if err := sc.Validate(); err != nil {
-		return err
-	}
-
-	want, err := procsim.Reference(sc)
-	if err != nil {
-		return fmt.Errorf("deterministic reference: %w", err)
-	}
-	exe, err := os.Executable()
-	if err != nil {
-		return err
-	}
-	spawn := procsim.SelfSpawner(exe, nil, os.Environ(), childEnv)
-	out, err := procsim.Coordinate(sc, spawn, timeout)
-	if err != nil {
-		return err
-	}
-	resolved, err := out.Agreed()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("multi-process: N=%d P=%d Q=%d, one OS process per object, messages over TCP loopback\n", n, p, q)
-	fmt.Printf("resolved: %q by all %d processes\n", resolved, len(out.Resolved))
-	fmt.Printf("deterministic reference: %q  [match: %v]\n", want, resolved == want)
-	if resolved != want {
-		return errors.New("multi-process run disagrees with the deterministic reference")
-	}
-	return nil
 }

@@ -1,6 +1,10 @@
 package main
 
-import "testing"
+import (
+	"strings"
+	"testing"
+	"time"
+)
 
 func TestRunBasicScenario(t *testing.T) {
 	if err := run([]string{"-n", "3", "-p", "1", "-raise-delay", "1ms"}); err != nil {
@@ -35,5 +39,26 @@ func TestRunBadPolicy(t *testing.T) {
 func TestRunInvalidSpec(t *testing.T) {
 	if err := run([]string{"-n", "0"}); err == nil {
 		t.Fatal("invalid spec must error")
+	}
+}
+
+// TestRunConcurrentHonoursLatency: the shared server must run on the network
+// the flags describe. One raiser at N=3 resolves in Exception, ACK, Commit:
+// three serial hops, so 20ms links put a floor of 60ms under the run (a lower
+// bound, not a speed gate).
+func TestRunConcurrentHonoursLatency(t *testing.T) {
+	start := time.Now()
+	if err := run([]string{"-concurrent", "2", "-n", "3", "-p", "1", "-latency", "20ms", "-raise-delay", "1ms"}); err != nil {
+		t.Fatal(err)
+	}
+	if got := time.Since(start); got < 60*time.Millisecond {
+		t.Fatalf("two copies over 20ms links finished in %v, under the 60ms three hops take", got)
+	}
+}
+
+func TestRunProcsFlagIsGone(t *testing.T) {
+	err := run([]string{"-procs"})
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+		t.Fatalf("-procs: got %v, want a flag-parsing error", err)
 	}
 }

@@ -11,9 +11,14 @@ import (
 
 // tcpScenarioDef is a nested-action resolution workload: two concurrent
 // raisers, one object inside a nested action (which must be aborted and its
-// abortion exception folded into the resolution), one idler. Both the
-// socket-backed run and the in-process reference run execute it.
-func tcpScenarioDef(nested *ActionSpec, handled *sync.Map) Definition {
+// abortion exception folded into the resolution), one idler. With barrier set
+// the raisers wait until the nested body has been entered, so the raises never
+// race O3's Enclose and the nested action is always the one aborted.
+func tcpScenarioDef(nested *ActionSpec, handled *sync.Map, barrier bool) Definition {
+	var entered chan struct{}
+	if barrier {
+		entered = make(chan struct{})
+	}
 	members := []ident.ObjectID{1, 2, 3, 4}
 	hs := HandlerSet{Default: func(rctx *RecoveryContext, resolved exception.Exception) (string, error) {
 		if handled != nil {
@@ -21,16 +26,28 @@ func tcpScenarioDef(nested *ActionSpec, handled *sync.Map) Definition {
 		}
 		return "", nil
 	}}
+	raise := func(exc string) Body {
+		return func(ctx *Context) error {
+			if entered != nil {
+				<-entered
+			}
+			ctx.Raise(exc)
+			return nil
+		}
+	}
 	return Definition{
 		Spec: ActionSpec{
 			Name: "tcp-nested", Tree: exception.AircraftTree(), Members: members,
 			Handlers: uniformHandlers(members, hs),
 		},
 		Bodies: map[ident.ObjectID]Body{
-			1: func(ctx *Context) error { ctx.Raise("left_engine_exception"); return nil },
-			2: func(ctx *Context) error { ctx.Raise("right_engine_exception"); return nil },
+			1: raise("left_engine_exception"),
+			2: raise("right_engine_exception"),
 			3: func(ctx *Context) error {
 				_, err := ctx.Enclose(nested, func(nc *Context) error {
+					if entered != nil {
+						close(entered)
+					}
 					nc.Sleep(time.Hour)
 					return nil
 				})
@@ -68,32 +85,51 @@ var tcpValidResolutions = map[string]bool{
 // correct resolution with all participants agreeing on it — the behaviour
 // the paper cares about, at socket level.
 func TestRunOverTCPTransport(t *testing.T) {
-	sys := NewSystem(Options{
-		Transport:  TransportTCP,
-		Retransmit: time.Millisecond,
-	})
-	defer sys.Close()
-	var handled sync.Map
-	out, err := sys.RunTimeout(tcpScenarioDef(tcpScenarioNested(), &handled), 30*time.Second)
-	if err != nil {
-		t.Fatalf("tcp run: %v\n%s", err, sys.Trace().Dump())
+	signalling := tcpScenarioNested()
+	signalling.Abortion = map[ident.ObjectID]AbortionHandler{
+		3: func(*RecoveryContext) string { return "universal_exception" },
 	}
-	if !out.Completed {
-		t.Fatalf("tcp outcome = %+v", out)
+	cases := []struct {
+		name    string
+		nested  *ActionSpec
+		barrier bool
+		want    map[string]bool
+	}{
+		{"nested-abort", tcpScenarioNested(), false, tcpValidResolutions},
+		// The abortion handler's signal is raised in the containing action
+		// and drags the resolution to the tree root, whichever raises survive.
+		{"nested-signals", signalling, true, map[string]bool{"universal_exception": true}},
 	}
-	if !tcpValidResolutions[out.Resolved] {
-		t.Errorf("tcp resolved %q, want one of the raised exceptions or their ancestor", out.Resolved)
-	}
-	count := 0
-	handled.Range(func(_, v any) bool {
-		count++
-		if v != out.Resolved {
-			t.Errorf("handler saw %v, outcome %q", v, out.Resolved)
-		}
-		return true
-	})
-	if count != 4 {
-		t.Errorf("handlers ran in %d/4 objects", count)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			sys := NewSystem(Options{
+				Transport:  TransportTCP,
+				Retransmit: time.Millisecond,
+			})
+			defer sys.Close()
+			var handled sync.Map
+			out, err := sys.RunTimeout(tcpScenarioDef(c.nested, &handled, c.barrier), 30*time.Second)
+			if err != nil {
+				t.Fatalf("tcp run: %v\n%s", err, sys.Trace().Dump())
+			}
+			if !out.Completed {
+				t.Fatalf("tcp outcome = %+v", out)
+			}
+			if !c.want[out.Resolved] {
+				t.Errorf("tcp resolved %q, want one of %v", out.Resolved, c.want)
+			}
+			count := 0
+			handled.Range(func(_, v any) bool {
+				count++
+				if v != out.Resolved {
+					t.Errorf("handler saw %v, outcome %q", v, out.Resolved)
+				}
+				return true
+			})
+			if count != 4 {
+				t.Errorf("handlers ran in %d/4 objects", count)
+			}
+		})
 	}
 }
 
@@ -104,7 +140,7 @@ func TestRunOverTCPTransportRepeated(t *testing.T) {
 	sys := NewSystem(Options{Transport: TransportTCP, Retransmit: time.Millisecond})
 	defer sys.Close()
 	for i := 0; i < 3; i++ {
-		out, err := sys.RunTimeout(tcpScenarioDef(tcpScenarioNested(), nil), 30*time.Second)
+		out, err := sys.RunTimeout(tcpScenarioDef(tcpScenarioNested(), nil, false), 30*time.Second)
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}

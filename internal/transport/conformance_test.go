@@ -48,11 +48,19 @@ func TestConformance(t *testing.T) {
 	})
 }
 
-// TestResolutionEquivalence holds the backends behind the hot experiment
-// paths to protocol-level equivalence: the resolution each one commits on the
-// §4.4 grid must be byte-identical to the Deterministic reference. (TCP is
-// exercised by the message-level suite above; running the full grid over
-// sockets adds minutes, not coverage.)
+// newWireTCPFabric is the socket fabric for protocol traffic: sockets carry
+// bytes, so protocol messages need the wire codec.
+func newWireTCPFabric(t *testing.T, opts conformancetest.Options) conformancetest.Fabric {
+	opts.Codec = wire.Codec{}
+	return newTCPFabric(t, opts)
+}
+
+// TestResolutionEquivalence holds the backends to protocol-level
+// equivalence: every resolution each one commits on the §4.4 grid must equal
+// the Deterministic reference's. The TCP leg is the proof that the protocol
+// needs nothing of its carrier but asynchrony, per-pair FIFO and disjoint
+// address spaces: one socket fabric per object, every message crossing
+// loopback as wire-codec bytes.
 func TestResolutionEquivalence(t *testing.T) {
 	t.Run("Deterministic", func(t *testing.T) {
 		conformancetest.RunResolutionEquivalence(t, newDeterministicFabric)
@@ -60,15 +68,15 @@ func TestResolutionEquivalence(t *testing.T) {
 	t.Run("Concurrent", func(t *testing.T) {
 		conformancetest.RunResolutionEquivalence(t, newConcurrentFabric)
 	})
+	t.Run("TCP", func(t *testing.T) {
+		conformancetest.RunResolutionEquivalence(t, newWireTCPFabric)
+	})
 }
 
 // TestMultiplexedEquivalence holds the backends to the multiplexed-runtime
 // contract: K action families interleaved over one fabric, demultiplexed by
-// the Message.Action routing tag, each committing its solo-run resolution.
-// Unlike the solo grid this one includes TCP, because the action tag crosses
-// the wire inside the binary frame and that encoding path deserves
-// end-to-end coverage (the grid here is small enough that sockets stay
-// cheap).
+// the Message.Action routing tag, each committing its solo-run resolutions.
+// On TCP the action tag crosses the wire inside the binary frame.
 func TestMultiplexedEquivalence(t *testing.T) {
 	t.Run("Deterministic", func(t *testing.T) {
 		conformancetest.RunMultiplexedEquivalence(t, newDeterministicFabric)
@@ -77,10 +85,6 @@ func TestMultiplexedEquivalence(t *testing.T) {
 		conformancetest.RunMultiplexedEquivalence(t, newConcurrentFabric)
 	})
 	t.Run("TCP", func(t *testing.T) {
-		conformancetest.RunMultiplexedEquivalence(t, func(t *testing.T, opts conformancetest.Options) conformancetest.Fabric {
-			// Sockets carry bytes: protocol messages need the wire codec.
-			opts.Codec = wire.Codec{}
-			return newTCPFabric(t, opts)
-		})
+		conformancetest.RunMultiplexedEquivalence(t, newWireTCPFabric)
 	})
 }

@@ -12,24 +12,27 @@ import (
 	"repro/internal/transport"
 )
 
-// This file generalises the equivalence suites from the fixed §4.4 grid to
-// arbitrary generated programs: a Program describes any number of action
+// A Program is the one protocol-level case description: any number of action
 // families (each a tree of nested actions over its member objects) with a
-// concurrent raise schedule and optional belated entries, and the two
-// runners execute it — solo per family on the deterministic reference
-// (ReferenceResolutions), or all families multiplexed over one fabric under
-// test (FabricResolutions). The scenario fuzzer (internal/scengen) feeds
-// seeded random programs through both and diffs the committed-resolution
-// maps; everything here is free of *testing.T so the same oracle also runs
-// from cmd/scenfuzz and nightly CI drivers.
+// concurrent raise schedule and optional belated entries. Two runners execute
+// it — solo per family on the deterministic reference (ReferenceResolutions),
+// or all families multiplexed over one fabric under test (FabricResolutions)
+// — and the committed-resolution maps are diffed. The §4.4 grid suites build
+// their cases with GridProgram; the scenario fuzzer (internal/scengen) feeds
+// seeded random programs through the same pair. Everything here is free of
+// *testing.T so the same oracle also runs from cmd/scenfuzz and nightly CI
+// drivers.
 //
-// Soundness of the strict comparison is the raise-barrier argument from
-// RunResolutionEquivalence, extended to nested raise sites: every raise is
-// accepted by its engine before any delivery, so each run starts from the
-// reference's protocol state, and Program.Validate constrains the raise
-// sites to an ancestor-free antichain so no two resolutions can race to
-// abort one another. From that state each action's resolution is confluent
-// in its accepted raise set.
+// Soundness of the strict comparison: each raiser's RaiseLocal is performed
+// before that engine observes any delivery (all raiser engines are locked
+// across the raises, parking their pump goroutines), so every run starts from
+// the same protocol state the reference run starts from — the raises
+// accepted, nothing delivered. Program.Validate constrains the raise sites to
+// an ancestor-free antichain so no two resolutions can race to abort one
+// another. From that state each action's resolution is confluent in its
+// accepted raise set: exceptions accumulate in the chooser's LE regardless of
+// arrival order, and per-pair FIFO (a conformance invariant) rules out the
+// stale-message reorderings that could change it.
 
 // ProgramAction is one CA action of a family: a node of the family's action
 // tree. Members must be a subset of the parent's members; sibling actions
@@ -374,6 +377,14 @@ func ReferenceResolutions(p *Program) (Resolutions, error) {
 	return res, nil
 }
 
+// lockedEngine serialises one engine: concurrent backends run handlers on
+// per-endpoint goroutines, while the engine itself is single-goroutine by
+// contract.
+type lockedEngine struct {
+	mu sync.Mutex
+	e  *protocol.Engine
+}
+
 // FabricResolutions runs all families of the program multiplexed over one
 // fabric under test: one engine per (family, object), every object
 // registered once with deliveries demultiplexed by the Message.Action family
@@ -461,8 +472,11 @@ func FabricResolutions(fab Fabric, p *Program, want int) (Resolutions, error) {
 	// The raise barrier: every raiser engine across every family is locked
 	// while the raises land, so each engine accepts its own raise before its
 	// pump can deliver a peer's — the state the reference started from.
-	// Failures are checked only after all locks drop, so an error never
-	// strands a parked pump goroutine (see RunResolutionEquivalence).
+	// Releasing a lock early would let an Exception arrive first and suppress
+	// that object's raise: a different (valid) execution, but not the one the
+	// reference computed. Failures are checked only after all locks drop, so
+	// an error return never strands a parked pump goroutine and wedges the
+	// caller's Close.
 	type flatRaise struct {
 		family int
 		r      ProgramRaise

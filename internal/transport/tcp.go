@@ -387,7 +387,7 @@ func (t *TCP) readConn(conn net.Conn) {
 		t.mu.RUnlock()
 		if port == nil {
 			if t.opts.Sink != nil {
-				t.opts.Sink.Dropped(Message{From: f.From, To: f.To, Kind: f.Kind, Payload: f.Payload})
+				t.opts.Sink.Dropped(Message{From: f.From, To: f.To, Kind: f.Kind, Action: f.Action, Payload: f.Payload})
 			}
 			continue
 		}

@@ -336,6 +336,34 @@ func TestFaultProxyActionPolicy(t *testing.T) {
 	}
 }
 
+// dropSink forwards every drop it is shown; the other events are ignored.
+type dropSink chan Message
+
+func (dropSink) Sent(Message)        {}
+func (dropSink) Delivered(Message)   {}
+func (s dropSink) Dropped(m Message) { s <- m }
+func (dropSink) Duplicated(Message)  {}
+
+// TestTCPUnboundDropCarriesAction: a frame that arrives for an object the
+// receiving fabric does not host is reported to the sink with the sender's
+// action tag, like every other drop site, so a sink keyed on the action can
+// attribute it.
+func TestTCPUnboundDropCarriesAction(t *testing.T) {
+	drops := make(dropSink, 1)
+	sender, _ := tcpPair(t, TCPOptions{}, TCPOptions{Sink: drops}, 1, 2)
+	if err := sender.Send(Message{From: 1, To: 2, Action: 7, Kind: "k", Payload: "x"}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case m := <-drops:
+		if m.Action != 7 {
+			t.Fatalf("drop recorded as %+v, want action 7", m)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no drop recorded for a frame addressed to an unbound object")
+	}
+}
+
 // TestTCPFaultScheduleParity extends the cross-backend parity property to
 // the TCP fabric: the same seeded schedule delivers the same multiset as the
 // Deterministic backend, even across real sockets.
