@@ -254,6 +254,7 @@ func runConcurrent(spec scenario.Spec, copies int, timeout time.Duration) error 
 		}
 		fmt.Printf("  resolved %-12s %d\n", label, resolved[k])
 	}
+	fmt.Printf("protocol messages: %s\n", srv.Trace().CensusString())
 	fmt.Printf("elapsed: %v (%.0f actions/sec)\n",
 		elapsed.Round(time.Microsecond), float64(copies)/elapsed.Seconds())
 	if firstErr != nil {

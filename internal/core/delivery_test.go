@@ -170,7 +170,8 @@ func TestSessionEntersBeforeBodies(t *testing.T) {
 		},
 		Bodies: bodies,
 	}
-	s := NewServer(Options{Transport: TransportRaw})
+	// The first events of an action are read, so the log must keep them all.
+	s := NewServer(Options{Transport: TransportRaw, Trace: trace.NewLog()})
 	defer s.Close()
 	for round := 0; round < 50; round++ {
 		s.Trace().Reset()

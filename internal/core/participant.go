@@ -102,7 +102,7 @@ func newParticipant(r *run, obj ident.ObjectID) (*participant, error) {
 		Suspend:      p.hookSuspend,
 		AbortNested:  p.hookAbortNested,
 		StartHandler: p.hookStartHandler,
-		Log:          func(ev trace.Event) { r.sys.log.Record(ev) },
+		Log:          r.sys.record,
 	})
 	p.engine = eng
 	if !r.preExpelled[obj] {

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -268,5 +269,58 @@ func TestServerAdmissionBlocks(t *testing.T) {
 	p2 := <-admitted
 	if out, err := p2.Wait(); err != nil || !out.Completed {
 		t.Fatalf("unblocked action: out=%+v err=%v", out, err)
+	}
+}
+
+// TestServerTraceBounded: a server built without Options.Trace counts every
+// send for as long as it lives but holds a bounded suffix of its events, so
+// its heap stops growing once the ring has filled. The shape is the
+// benchmark's `single` workload (N=4, one raiser, raw transport, nine
+// messages an action), and nothing calls Reset.
+func TestServerTraceBounded(t *testing.T) {
+	const actions, warm = 20000, 2000
+	const slack = 2 << 20
+	members := []ident.ObjectID{1, 2, 3, 4}
+	bodies := make(map[ident.ObjectID]Body, len(members))
+	for _, m := range members {
+		bodies[m] = func(*Context) error { return nil }
+	}
+	bodies[1] = func(ctx *Context) error { ctx.Raise("E1"); return nil }
+	def := Definition{
+		Spec: ActionSpec{
+			Name: "single", Tree: testTree("E1"), Members: members,
+			Handlers: uniformHandlers(members, defaultOnly(noopHandler)),
+		},
+		Bodies: bodies,
+	}
+	liveHeap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+
+	s := NewServer(Options{Transport: TransportRaw})
+	defer s.Close()
+	var warmHeap int64
+	for k := 0; k < actions; k++ {
+		if out, err := s.Run(def); err != nil || !out.Completed || out.Resolved != "E1" {
+			t.Fatalf("action %d: out=%+v err=%v", k, out, err)
+		}
+		if k+1 == warm {
+			warmHeap = liveHeap()
+		}
+	}
+	if grown := liveHeap() - warmHeap; grown > slack {
+		t.Errorf("live heap grew %d KiB between action %d and action %d, want at most %d KiB",
+			grown>>10, warm, actions, slack>>10)
+	}
+	if got := len(s.Trace().Events()); got != traceRingEvents {
+		t.Errorf("server holds %d events, want exactly %d", got, traceRingEvents)
+	}
+	// (N-1)(2P+3Q+1) with N=4, P=1, Q=0.
+	if got := s.Trace().TotalSends(); got != 9*actions {
+		t.Errorf("TotalSends = %d, want %d: the census must not depend on the events kept", got, 9*actions)
 	}
 }

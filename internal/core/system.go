@@ -82,9 +82,22 @@ type Options struct {
 	// Overload selects blocking or rejecting admission once MaxInFlight is
 	// reached. Ignored when MaxInFlight is 0.
 	Overload OverloadPolicy
-	// Trace receives all runtime events; nil allocates a private log.
+	// Trace receives all runtime events. Nil gives the server a private log
+	// that counts every send (Census, CountSends and TotalSends are exact for
+	// the server's whole life, or since the last Reset) but keeps only the
+	// most recent traceRingEvents events. Pass trace.NewLog() to keep every
+	// event, as anything that checks a complete history must (CheckFIFO,
+	// CheckHandlersAgree, Dump).
 	Trace *trace.Log
 }
+
+// traceRingEvents is how many events the private log of a server built
+// without Options.Trace keeps: 72 bytes each, 1.25 MiB of backing arrays once
+// the ring has filled, however long the server lives. A constant and not an
+// option: nothing but the benchmark's retained_kb_per_action depends on it,
+// and that repeats to under 1 % at this size and wandered 4.7 % at a quarter
+// of it (ROADMAP item 2(a)).
+const traceRingEvents = 16384
 
 // Server is the long-lived action runtime: it owns the substrates every CA
 // action needs — the simulated network, the shared membership directory, the
@@ -99,6 +112,9 @@ type Server struct {
 	dir   *group.Directory
 	store *atomicobj.Store
 	log   *trace.Log
+	// record is the protocol.Hooks.Log every engine is handed: built once
+	// here, not once per participant per action.
+	record func(trace.Event)
 
 	// group is the server-persistent membership record, maintained across
 	// runs when Options.Membership.Rejoin is set (nil otherwise). Guarded by
@@ -131,7 +147,7 @@ type System = Server
 func NewServer(opts Options) *Server {
 	log := opts.Trace
 	if log == nil {
-		log = trace.NewLog()
+		log = trace.NewRing(traceRingEvents)
 	}
 	clk := vclock.Or(opts.Clock)
 	if opts.Network.Clock == nil {
@@ -143,6 +159,7 @@ func NewServer(opts Options) *Server {
 		clk:         clk,
 		store:       atomicobj.NewStore(),
 		log:         log,
+		record:      func(ev trace.Event) { log.Record(ev) },
 		net:         net,
 		dispatchers: make(map[ident.ObjectID]*dispatcher),
 	}

@@ -81,8 +81,10 @@ func TestTracePropertiesOnFullRuns(t *testing.T) {
 	}
 	for _, wl := range workloads {
 		t.Run(wl.name, func(t *testing.T) {
+			// FIFO and agreement are properties of a complete history.
 			sys := NewSystem(Options{
 				Network: netsim.Config{Latency: netsim.JitterLatency(0, 300*time.Microsecond, 9)},
+				Trace:   trace.NewLog(),
 			})
 			defer sys.Close()
 			if err := wl.run(sys); err != nil {

@@ -100,49 +100,59 @@ func (e Event) String() string {
 
 // kindInterner maps message-kind names to small dense indices, process-wide.
 // The kind universe is tiny and closed (the Kind* constants plus whatever a
-// test invents), so after warm-up every Record hits the read-locked fast path
-// and the census becomes an integer-indexed slab instead of a map — the
-// storm benchmarks stop hashing the same handful of strings on every send.
-// External census APIs stay string-keyed; indices never escape this package.
-var kindInterner = struct {
-	mu    sync.RWMutex
+// test invents), so a log's census is a slab of counters indexed by kind
+// instead of a map. Lookups read an immutable snapshot and take no lock; a
+// name seen for the first time copies the snapshot under mu and publishes the
+// copy. External census APIs stay string-keyed; indices never escape this
+// package.
+var kindInterner struct {
+	mu    sync.Mutex // serialises first sights
+	kinds atomic.Pointer[kindTable]
+}
+
+func init() { kindInterner.kinds.Store(&kindTable{index: map[string]int{}}) }
+
+// kindTable is one immutable snapshot of the interner.
+type kindTable struct {
 	index map[string]int
 	names []string
-}{index: make(map[string]int)}
+}
+
+// lookupKind returns the index of a kind name without allocating one.
+//
+//caa:noalloc
+func lookupKind(name string) (int, bool) {
+	i, ok := kindInterner.kinds.Load().index[name]
+	return i, ok
+}
 
 // internKind returns the dense index for a kind name, allocating one on
 // first sight.
 func internKind(name string) int {
-	kindInterner.mu.RLock()
-	i, ok := kindInterner.index[name]
-	kindInterner.mu.RUnlock()
-	if ok {
+	if i, ok := lookupKind(name); ok {
 		return i
 	}
 	kindInterner.mu.Lock()
 	defer kindInterner.mu.Unlock()
-	if i, ok := kindInterner.index[name]; ok {
-		return i
+	if i, ok := lookupKind(name); ok {
+		return i // interned while this call waited for the lock
 	}
-	i = len(kindInterner.names)
-	kindInterner.names = append(kindInterner.names, name)
-	kindInterner.index[name] = i
-	return i
-}
-
-// lookupKind returns the index of a kind name without allocating one.
-func lookupKind(name string) (int, bool) {
-	kindInterner.mu.RLock()
-	defer kindInterner.mu.RUnlock()
-	i, ok := kindInterner.index[name]
-	return i, ok
+	old := kindInterner.kinds.Load()
+	next := &kindTable{
+		index: make(map[string]int, len(old.index)+1),
+		names: append(old.names[:len(old.names):len(old.names)], name),
+	}
+	for k, i := range old.index {
+		next.index[k] = i
+	}
+	next.index[name] = len(old.names)
+	kindInterner.kinds.Store(next)
+	return len(old.names)
 }
 
 // kindName returns the name for an interned index.
 func kindName(i int) string {
-	kindInterner.mu.RLock()
-	defer kindInterner.mu.RUnlock()
-	return kindInterner.names[i]
+	return kindInterner.kinds.Load().names[i]
 }
 
 // logShardCount is the number of stripes the log's hot record path is spread
@@ -150,54 +160,131 @@ func kindName(i int) string {
 // concurrent recorders almost never contend on the same stripe lock.
 const logShardCount = 16
 
-// logShard is one stripe of the log: its own lock, event slab and census.
+// logShard is one stripe of the log: its own lock and event slab.
 type logShard struct {
 	mu     sync.Mutex
 	events []Event
-	census []int    // send counts indexed by interned kind
+	oldest int      // slot the next record overwrites once the stripe is full
 	_      [24]byte // pad to reduce false sharing between stripes
 }
 
-// Log is a concurrency-safe append-only event log with a message census.
+// Log is a concurrency-safe event log with a message census. What it counts
+// and what it keeps are separate: the census is one atomic counter per message
+// kind and never looks at an event, so a count is the same whether or not the
+// event behind it is still held.
+//
 // The record path is striped: a global atomic counter assigns the sequence
 // number (the total order), and the event lands in the stripe the number
 // selects, so concurrent recorders do not serialise on one mutex. Readers
 // merge the stripes back into sequence order.
-// The zero value is not usable; construct with NewLog.
+//
+// A log from NewLog keeps every event; one from NewRing keeps the most recent
+// ones. The zero value is not usable.
 type Log struct {
-	seq    atomic.Int64
+	seq atomic.Int64
+	//protolint:allow resetcheck the capacity is what kind of log this is, not recorded state: Reset empties a ring, it does not unbound it
+	stripeCap int // events one stripe holds before it wraps; 0 keeps them all
+
+	// sends is the census: one counter per interned kind index, published as
+	// an immutable slab of pointers so that counting takes no lock. A kind
+	// this log has not counted before swaps in a longer slab; the counters
+	// themselves are shared between the old slab and the new, so an Add
+	// racing the growth is not lost.
+	sends atomic.Pointer[[]*atomic.Int64]
+
 	shards [logShardCount]logShard
 }
 
-// NewLog returns an empty log.
+// NewLog returns an empty log that keeps every event recorded into it: the
+// log for anything that reads a complete history (CheckFIFO,
+// CheckHandlersAgree, Dump).
 func NewLog() *Log {
 	return &Log{}
 }
 
-// Record appends an event, assigning its sequence number, and returns it.
-// Send events additionally increment the census bucket for their Label.
+// NewRing returns an empty log that keeps the last capacity events, rounded
+// up to a multiple of the stripe count. Each stripe grows by append until it
+// holds its share and then overwrites its oldest slot, so a ring that never
+// fills costs what an unbounded log costs and a full one records without
+// allocating. Sequence numbers are dealt round-robin over the stripes, so
+// what a full ring holds is the contiguous suffix of the sequence (exactly,
+// when records do not overlap; concurrent recorders that draw numbers for
+// the same stripe may take its lock out of order, which can swap which of
+// them is the one dropped at the old end).
+func NewRing(capacity int) *Log {
+	if capacity <= 0 {
+		panic("trace: ring capacity must be positive")
+	}
+	return &Log{stripeCap: (capacity + logShardCount - 1) / logShardCount}
+}
+
+// Record stores an event, assigning its sequence number, and returns it.
+// Send events additionally increment the census counter for their Label.
+//
+//caa:noalloc
 func (l *Log) Record(e Event) Event {
 	e.Seq = int(l.seq.Add(1))
-	var kind int
 	if e.Kind == EvSend {
-		// Intern outside the stripe lock: the interner's fast path is a
-		// shared read lock, so stripes do not serialise on it.
-		kind = internKind(e.Label)
+		l.countSend(e.Label)
 	}
 	s := &l.shards[e.Seq%logShardCount]
 	s.mu.Lock()
-	s.events = append(s.events, e)
-	if e.Kind == EvSend {
-		for kind >= len(s.census) {
-			s.census = append(s.census, 0)
-		}
-		s.census[kind]++
+	if l.stripeCap == 0 || len(s.events) < l.stripeCap {
+		s.events = append(s.events, e)
+	} else {
+		s.events[s.oldest] = e
+		s.oldest = (s.oldest + 1) % l.stripeCap
 	}
 	s.mu.Unlock()
 	return e
 }
 
-// Events returns a copy of all recorded events in sequence order.
+// countSend adds one to the census counter of a message kind. A kind this
+// process has interned and this log has counted before takes no lock.
+//
+//caa:noalloc
+func (l *Log) countSend(kind string) {
+	idx := internKind(kind)
+	if cs := l.counters(); idx < len(cs) {
+		cs[idx].Add(1)
+		return
+	}
+	l.growSends(idx).Add(1)
+}
+
+// growSends extends the census slab to cover kind index idx and returns that
+// kind's counter.
+func (l *Log) growSends(idx int) *atomic.Int64 {
+	for {
+		p := l.sends.Load()
+		var old []*atomic.Int64
+		if p != nil {
+			old = *p
+		}
+		if idx < len(old) {
+			return old[idx] // another recorder grew it first
+		}
+		fresh := make([]atomic.Int64, idx+1-len(old))
+		grown := make([]*atomic.Int64, len(old), idx+1)
+		copy(grown, old)
+		for i := range fresh {
+			grown = append(grown, &fresh[i])
+		}
+		if l.sends.CompareAndSwap(p, &grown) {
+			return grown[idx]
+		}
+	}
+}
+
+// counters returns the current census slab, indexed by interned kind.
+func (l *Log) counters() []*atomic.Int64 {
+	if p := l.sends.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// Events returns a copy of the events the log holds, in sequence order.
 func (l *Log) Events() []Event {
 	var out []Event
 	for i := range l.shards {
@@ -212,29 +299,11 @@ func (l *Log) Events() []Event {
 
 // Census returns a copy of the send census keyed by message-kind name.
 func (l *Log) Census() map[string]int {
-	merged := l.mergedCensus()
-	out := make(map[string]int, len(merged))
-	for idx, v := range merged {
-		if v != 0 {
-			out[kindName(idx)] = v
+	out := make(map[string]int)
+	for idx, c := range l.counters() {
+		if v := c.Load(); v != 0 {
+			out[kindName(idx)] = int(v)
 		}
-	}
-	return out
-}
-
-// mergedCensus sums the per-stripe slabs into one index-keyed slab.
-func (l *Log) mergedCensus() []int {
-	var out []int
-	for i := range l.shards {
-		s := &l.shards[i]
-		s.mu.Lock()
-		if len(s.census) > len(out) {
-			out = append(out, make([]int, len(s.census)-len(out))...)
-		}
-		for idx, v := range s.census {
-			out[idx] += v
-		}
-		s.mu.Unlock()
 	}
 	return out
 }
@@ -242,13 +311,8 @@ func (l *Log) mergedCensus() []int {
 // TotalSends returns the total number of send events recorded.
 func (l *Log) TotalSends() int {
 	total := 0
-	for i := range l.shards {
-		s := &l.shards[i]
-		s.mu.Lock()
-		for _, v := range s.census {
-			total += v
-		}
-		s.mu.Unlock()
+	for _, c := range l.counters() {
+		total += int(c.Load())
 	}
 	return total
 }
@@ -256,30 +320,24 @@ func (l *Log) TotalSends() int {
 // CountSends returns the number of send events recorded for one kind.
 func (l *Log) CountSends(kind string) int {
 	idx, ok := lookupKind(kind)
-	if !ok {
-		return 0 // never interned, so never recorded anywhere
+	if cs := l.counters(); ok && idx < len(cs) {
+		return int(cs[idx].Load())
 	}
-	total := 0
-	for i := range l.shards {
-		s := &l.shards[i]
-		s.mu.Lock()
-		if idx < len(s.census) {
-			total += s.census[idx]
-		}
-		s.mu.Unlock()
-	}
-	return total
+	return 0 // never interned, or never counted here
 }
 
-// Reset clears all events and census counters. Interned kind indices are
-// process-wide and survive resets.
+// Reset clears all events, dropping their storage, and zeroes the census.
+// Interned kind indices are process-wide and survive resets.
 func (l *Log) Reset() {
 	for i := range l.shards {
 		s := &l.shards[i]
 		s.mu.Lock()
 		s.events = nil
-		s.census = nil
+		s.oldest = 0
 		s.mu.Unlock()
+	}
+	for _, c := range l.counters() {
+		c.Store(0)
 	}
 	l.seq.Store(0)
 }
