@@ -142,6 +142,9 @@ func run(args []string) error {
 			res.Outcome.Expelled)
 	}
 	fmt.Printf("elapsed: %v\n", res.Elapsed.Round(time.Microsecond))
+	if spec.Virtual {
+		fmt.Printf("virtual-elapsed: %v\n", res.VirtualElapsed)
+	}
 
 	kinds := make([]string, 0, len(res.Census))
 	for k := range res.Census {
@@ -190,6 +193,9 @@ func runChurn(n int, victims []int, cycles int, lease time.Duration, virtual boo
 	fmt.Printf("elapsed: %v (%v per cycle)\n",
 		res.Elapsed.Round(time.Microsecond),
 		(res.Elapsed / time.Duration(res.Cycles)).Round(time.Microsecond))
+	if virtual {
+		fmt.Printf("virtual-elapsed: %v\n", res.VirtualElapsed)
+	}
 	return nil
 }
 

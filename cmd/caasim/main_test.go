@@ -103,3 +103,43 @@ func TestRunProcsFlagIsGone(t *testing.T) {
 		t.Fatalf("-procs: got %v, want a flag-parsing error", err)
 	}
 }
+
+// verdictLines returns the lines of a -virtual run that are a function of the
+// command line alone: the result line and the virtual time the run took. The
+// wall-clock "elapsed:" line is left out.
+func verdictLines(out string) []string {
+	var lines []string
+	for _, l := range strings.Split(out, "\n") {
+		if strings.HasPrefix(l, "expelled") || strings.HasPrefix(l, "outcome:") ||
+			strings.HasPrefix(l, "post-heal:") || strings.HasPrefix(l, "virtual-elapsed:") {
+			lines = append(lines, l)
+		}
+	}
+	return lines
+}
+
+// TestRunVirtualVerdictRepeats is the fuzzer's promise from the command line
+// CI runs: one command, one verdict. Three churn cycles, and a partition run,
+// on the virtual clock print the same result and take the same virtual time
+// twice in a row.
+func TestRunVirtualVerdictRepeats(t *testing.T) {
+	for _, args := range [][]string{
+		{"-n", "5", "-churn", "3", "-virtual"},
+		{"-n", "5", "-partition", "4,5", "-virtual"},                                    // the raise beats the cut
+		{"-n", "5", "-p", "1", "-raise-delay", "30ms", "-partition", "4,5", "-virtual"}, // the cut beats the raise
+		{"-n", "5", "-p", "0", "-partition", "4,5", "-virtual"},                         // nobody raises
+	} {
+		first := verdictLines(runCaptured(t, args...))
+		second := verdictLines(runCaptured(t, args...))
+		if len(first) < 2 || !strings.HasPrefix(first[len(first)-1], "virtual-elapsed: ") {
+			t.Fatalf("%v printed verdict lines %q, want a result and a virtual-elapsed line", args, first)
+		}
+		if strings.Join(first, "\n") != strings.Join(second, "\n") {
+			t.Errorf("%v: two runs, two verdicts:\n%s\n--- and ---\n%s", args,
+				strings.Join(first, "\n"), strings.Join(second, "\n"))
+		}
+	}
+	if out := runCaptured(t, "-n", "5", "-churn", "3", "-virtual"); !strings.Contains(out, "expelled=3 rejoined=3 final-epoch=6") {
+		t.Errorf("-churn 3 printed\n%s\nwant expelled=3 rejoined=3 final-epoch=6", out)
+	}
+}

@@ -101,7 +101,7 @@ func main() {
 
 // shrinkFailure minimises a failing program with a faster oracle
 // configuration: known-failing programs are re-checked dozens of times, so
-// the settle deadline drops and the leak check (2s grace per probe when a
+// the settle deadline drops and the leak check (2s allowance per probe when a
 // leak is present) is skipped.
 func shrinkFailure(p *scengen.Program) *scengen.Program {
 	shrinkOpts := scengen.Options{

@@ -37,7 +37,7 @@ func TestSeam(t *testing.T) {
 
 func TestTimeSeam(t *testing.T) {
 	antest.Run(t, "testdata", analysis.TimeSeamAnalyzer,
-		"timeseam/membership", "timeseam/conformancetest", "timeseam/app")
+		"timeseam/membership", "timeseam/group", "timeseam/conformancetest", "timeseam/app")
 }
 
 func TestLockSend(t *testing.T) {

@@ -15,8 +15,12 @@ func After(d Duration) <-chan Time { return nil }
 
 type Timer struct{ C chan Time }
 
-func NewTimer(d Duration) *Timer { return &Timer{} }
-func (t *Timer) Stop() bool      { return true }
+func NewTimer(d Duration) *Timer            { return &Timer{} }
+func AfterFunc(d Duration, f func()) *Timer { return &Timer{} }
+func (t *Timer) Stop() bool                 { return true }
+func (t *Timer) Reset(d Duration) bool      { return true }
+
+func (t Time) Add(d Duration) Time { return t }
 
 type Ticker struct{ C chan Time }
 

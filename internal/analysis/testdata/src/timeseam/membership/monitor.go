@@ -8,7 +8,7 @@ import "time"
 type Clock interface {
 	Now() time.Time
 	Sleep(d time.Duration)
-	NewTicker(d time.Duration) *time.Ticker
+	AfterFunc(d time.Duration, f func()) *time.Timer
 }
 
 type Monitor struct {
@@ -25,6 +25,7 @@ func (m *Monitor) pollDirect() {
 	t.Stop()
 	tk := time.NewTicker(m.heartbeat) // want `call to time.NewTicker in clock-seam package membership`
 	tk.Stop()
+	time.AfterFunc(m.heartbeat, m.pollSeamed) // want `call to time.AfterFunc in clock-seam package membership.*use its Now/AfterFunc/Sleep`
 }
 
 // pollSeamed is the compliant shape: the injected clock arms every timer, and
@@ -32,6 +33,6 @@ func (m *Monitor) pollDirect() {
 func (m *Monitor) pollSeamed() {
 	_ = m.clk.Now()
 	m.clk.Sleep(m.heartbeat)
-	tk := m.clk.NewTicker(2 * m.heartbeat)
+	tk := m.clk.AfterFunc(2*m.heartbeat, m.pollSeamed)
 	tk.Stop()
 }

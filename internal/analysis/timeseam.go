@@ -2,21 +2,24 @@ package analysis
 
 import "go/ast"
 
-// timeseamPkgs are the clock-seam packages: every duration they wait out —
-// heartbeat and poll tickers, failure-detector timeouts, reconnect backoff,
-// run timeouts, link latency — must be armed through vclock.Clock, so an
-// injected vclock.Virtual puts the whole stack on virtual time and a
-// partition/churn scenario that waits out tens of detector periods costs
-// microseconds of wall clock. One direct time.Sleep hidden anywhere on that
-// path silently reintroduces the wall-clock wait the virtual rows claim to
-// have eliminated.
+// timeseamPkgs are the clock-seam packages: every duration they wait out
+// (heartbeats and polls, failure-detector timeouts, retransmission, run
+// timeouts, link latency) must be armed through vclock.Clock, so an injected
+// vclock.Virtual puts the whole stack on virtual time and a partition/churn
+// scenario that waits out tens of detector periods costs microseconds of wall
+// clock. One direct time.Sleep hidden anywhere on that path is a wait the
+// virtual clock cannot count: it moves on while the sleeper is neither
+// parked on it nor holding a token. (A channel timer would be the same hole,
+// and needs no lint: vclock.Clock has no method that returns a channel.)
 //
 // vclock itself implements the seam (its Real clock is the one place the
 // runtime timers belong), and transport/conformancetest is a test harness
 // that legitimately paces real backends; both sit outside this set, as does
 // every _test.go file.
 var timeseamPkgs = map[string]bool{
+	"fifo":       true,
 	"netsim":     true,
+	"group":      true,
 	"membership": true,
 	"transport":  true,
 	"core":       true,
@@ -32,10 +35,11 @@ var bannedSeamTimeFuncs = map[string]bool{
 }
 
 // TimeSeamAnalyzer keeps the clock-seam packages on vclock.Clock: no direct
-// time.Now/Sleep/After/NewTimer/NewTicker (and friends) outside test files.
+// time.Now/Sleep/After/AfterFunc/NewTimer/NewTicker (and friends) outside test
+// files.
 var TimeSeamAnalyzer = &Analyzer{
 	Name: "timeseam",
-	Doc: "clock-seam packages (netsim, membership, transport, core) must arm " +
+	Doc: "clock-seam packages (fifo, netsim, transport, group, membership, core) must arm " +
 		"timers through vclock.Clock, never the time package directly",
 	Run: runTimeSeam,
 }
@@ -55,7 +59,7 @@ func runTimeSeam(pass *Pass) {
 			}
 			if name, ok := pkgFunc(pass.Info, call, "time"); ok && bannedSeamTimeFuncs[name] {
 				pass.Reportf(call.Pos(),
-					"call to time.%s in clock-seam package %s bypasses the virtual-time seam; take a vclock.Clock and use its Now/Sleep/NewTimer/NewTicker/After",
+					"call to time.%s in clock-seam package %s bypasses the virtual-time seam; take a vclock.Clock and use its Now/AfterFunc/Sleep",
 					name, pass.PkgName())
 			}
 			return true

@@ -88,7 +88,11 @@ func TestWaiterAbortedWhileWaiting(t *testing.T) {
 }
 
 // TestLockFairnessManyWaiters: several older transactions waiting on one
-// young holder all proceed eventually after release.
+// young holder all proceed eventually after release. Once the holder is gone
+// the waiters take the lock in whatever order they are scheduled, and one that
+// gets its turn after an older sibling took it is younger than the new holder:
+// wait-die refuses it, correctly, and it does what every caller of the store
+// does with ErrWaitDie, which is to abort and retry as a new transaction.
 func TestLockFairnessManyWaiters(t *testing.T) {
 	s := NewStore()
 	const waiters = 6
@@ -106,13 +110,22 @@ func TestLockFairnessManyWaiters(t *testing.T) {
 		wg.Add(1)
 		go func(i int, tx *Txn) {
 			defer wg.Done()
-			if err := tx.Update("k", func(v any) (any, error) {
-				return v.(int) + 1, nil
-			}); err != nil {
-				errs[i] = err
+			for {
+				err := tx.Update("k", func(v any) (any, error) {
+					return v.(int) + 1, nil
+				})
+				if errors.Is(err, ErrWaitDie) {
+					_ = tx.Abort() // nothing written yet
+					tx = s.Begin()
+					continue
+				}
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				errs[i] = tx.Commit()
 				return
 			}
-			errs[i] = tx.Commit()
 		}(i, tx)
 	}
 	time.Sleep(5 * time.Millisecond)

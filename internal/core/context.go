@@ -2,11 +2,13 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/atomicobj"
 	"repro/internal/ident"
 	"repro/internal/trace"
+	"repro/internal/vclock"
 )
 
 // sentinel is the panic value used internally to terminate body frames when
@@ -64,7 +66,7 @@ func (c *Context) Action() ident.ActionID { return c.inst.id }
 // this action is in progress, the body frame terminates (by panicking with
 // an internal sentinel that the runtime recovers).
 func (c *Context) Checkpoint() {
-	if lvl, _ := c.p.suspendSnapshot(); lvl <= c.level {
+	if lvl := c.p.suspension(); lvl <= c.level {
 		panic(sentinel{level: lvl})
 	}
 }
@@ -75,7 +77,7 @@ func (c *Context) Checkpoint() {
 func (c *Context) Raise(name string) {
 	accepted := c.p.raise(c.level, name)
 	_ = accepted // dropped raises are fine: a resolution is under way
-	lvl, _ := c.p.suspendSnapshot()
+	lvl := c.p.suspension()
 	if lvl > c.level {
 		lvl = c.level
 	}
@@ -86,37 +88,48 @@ func (c *Context) Raise(name string) {
 // runs on the server's clock seam, so bodies sleeping on a virtual clock
 // wake as soon as time advances past them.
 func (c *Context) Sleep(d time.Duration) {
-	deadline := c.p.run.sys.clk.NewTimer(d)
+	var due atomic.Bool
+	deadline := c.p.run.sys.clk.AfterFunc(d, func() {
+		due.Store(true)
+		c.p.wakeBody()
+	})
 	defer deadline.Stop()
-	for {
-		lvl, ch := c.p.suspendSnapshot()
-		if lvl <= c.level {
-			panic(sentinel{level: lvl})
-		}
-		select {
-		case <-deadline.C():
-			return
-		case <-ch:
-		case <-c.p.quit:
-			panic(sentinel{level: levelCancelled})
-		}
-	}
+	c.p.wait(c.level, due.Load, nil)
 }
 
 // Await blocks until ch is readable (or closed), remaining responsive to
-// suspension. It returns the received value and false when ch was closed.
+// suspension. It returns the received value and false when ch was closed. A
+// sender on ch is not counted on the server's clock: a virtual one may move
+// between the send and the body's next step.
 func (c *Context) Await(ch <-chan any) (any, bool) {
+	return c.p.wait(c.level, nil, ch)
+}
+
+// wait parks the body until done reports true or ch yields (either may be
+// nil). It is the one place a body gives its clock token up and, with resume,
+// gets it back: a waker holds it on the body's behalf before it signals, and a
+// body released by ch, which the clock does not count, takes it back itself. A
+// suspension at level or outside it, present or arriving, terminates the frame
+// instead, by the sentinel panic. Whatever makes done true or lowers the
+// suspension level calls wakeBody after it has.
+func (p *participant) wait(level int, done func() bool, ch <-chan any) (any, bool) {
 	for {
-		lvl, sch := c.p.suspendSnapshot()
-		if lvl <= c.level {
+		p.state.Store(bodyParked)
+		if lvl := p.suspension(); lvl <= level {
+			p.resume(bodyParked, false)
 			panic(sentinel{level: lvl})
 		}
+		if done != nil && done() {
+			p.resume(bodyParked, false)
+			return nil, false
+		}
+		p.run.sys.clk.Release(vclock.Body)
 		select {
+		case <-p.wake:
+			p.state.Store(bodyRunning)
 		case v, ok := <-ch:
+			p.resume(bodyParked, true)
 			return v, ok
-		case <-sch:
-		case <-c.p.quit:
-			panic(sentinel{level: levelCancelled})
 		}
 	}
 }
@@ -201,7 +214,7 @@ func (c *Context) Enclose(spec *ActionSpec, body Body) (NestedResult, error) {
 	if err := c.p.enterInstance(c.level, inst); err != nil {
 		if err == ErrSuspendedEntry {
 			// A resolution already covers this level; unwind into it.
-			lvl, _ := c.p.suspendSnapshot()
+			lvl := c.p.suspension()
 			panic(sentinel{level: lvl})
 		}
 		return NestedResult{}, err
@@ -242,10 +255,7 @@ func (p *participant) runScope(ctx *Context, body Body) (NestedResult, error) {
 
 	// Resolution at this very action: park and wait for the resolved
 	// handler's outcome.
-	out, escalated := p.awaitOutcome(level, ctx.inst)
-	if escalated != nil {
-		panic(*escalated)
-	}
+	out := p.awaitOutcome(level, ctx.inst)
 	if out.err != nil {
 		p.run.cancel()
 		return NestedResult{}, out.err
@@ -298,26 +308,18 @@ func (p *participant) protect(level int, f func() (NestedResult, error)) (res Ne
 
 // awaitOutcome parks the body at the resolution level and waits for the
 // handler outcome. If the resolution escalates to an outer action meanwhile,
-// it returns the sentinel to keep unwinding with.
-func (p *participant) awaitOutcome(level int, inst *instance) (handlerOutcome, *sentinel) {
-	ch := p.park(level, inst.id)
-	defer p.unpark()
-	for {
-		lvl, sch := p.suspendSnapshot()
-		if lvl < level {
-			return handlerOutcome{}, &sentinel{level: lvl}
-		}
-		select {
-		case out := <-ch:
-			// The resolution completed here; lift the suspension this
-			// resolution installed so the continuation can proceed.
-			p.liftSuspension(level)
-			return out, nil
-		case <-sch:
-		case <-p.quit:
-			return handlerOutcome{}, &sentinel{level: levelCancelled}
-		}
-	}
+// the wait unwinds to it.
+func (p *participant) awaitOutcome(level int, inst *instance) (out handlerOutcome) {
+	p.park(level)
+	defer p.park(levelNotParked)
+	p.wait(level-1, func() (arrived bool) {
+		out, arrived = p.takeOutcome(inst.id)
+		return arrived
+	}, nil)
+	// The resolution completed here; lift the suspension this resolution
+	// installed so the continuation can proceed.
+	p.liftSuspension(level)
+	return out
 }
 
 // signalToParent completes a nested action exceptionally: pop the frame,
@@ -329,7 +331,7 @@ func (p *participant) signalToParent(ctx *Context, out handlerOutcome) (NestedRe
 	// by awaitOutcome.
 	if err := p.leaveInstance(ctx.level, ctx.inst); err != nil {
 		// A newer, outer resolution got in first; unwind into it.
-		lvl, _ := p.suspendSnapshot()
+		lvl := p.suspension()
 		panic(sentinel{level: lvl})
 	}
 	if ctx.level == 0 {
@@ -337,7 +339,7 @@ func (p *participant) signalToParent(ctx *Context, out handlerOutcome) (NestedRe
 	}
 	parentLevel := ctx.level - 1
 	p.raise(parentLevel, out.signal)
-	lvl, _ := p.suspendSnapshot()
+	lvl := p.suspension()
 	if lvl > parentLevel {
 		lvl = parentLevel
 	}
@@ -347,28 +349,15 @@ func (p *participant) signalToParent(ctx *Context, out handlerOutcome) (NestedRe
 // completeScope takes a normally-completed (or successfully recovered) body
 // through the synchronous leave barrier and out of the action.
 func (p *participant) completeScope(ctx *Context) (NestedResult, error) {
-	done := ctx.inst.arriveExit(p.obj)
-	for {
-		lvl, sch := p.suspendSnapshot()
-		if lvl <= ctx.level {
-			panic(sentinel{level: lvl})
-		}
-		select {
-		case <-done:
-		case <-sch:
-			continue
-		case <-p.quit:
-			panic(sentinel{level: levelCancelled})
-		}
-		break
-	}
+	ctx.inst.arriveExit(p.obj)
+	p.wait(ctx.level, ctx.inst.exitOpen, nil)
 	acceptFailed, err := ctx.inst.exitStatus()
 	if err != nil {
 		p.run.cancel()
 		return NestedResult{}, err
 	}
 	if lErr := p.leaveInstance(ctx.level, ctx.inst); lErr != nil {
-		lvl, _ := p.suspendSnapshot()
+		lvl := p.suspension()
 		panic(sentinel{level: lvl})
 	}
 	if acceptFailed {
@@ -379,13 +368,18 @@ func (p *participant) completeScope(ctx *Context) (NestedResult, error) {
 
 // liftSuspension resets the suspension installed by a resolution at exactly
 // this level, so the post-recovery continuation can run. A deeper suspension
-// cannot exist (those frames are gone); an outer one is preserved.
+// cannot exist (those frames are gone); an outer one is preserved. An event
+// the body gave up on when the suspension arrived runs first, while the
+// suspension still makes it a no-op: run after, it would enter or leave a
+// frame on behalf of a body that is long elsewhere.
 func (p *participant) liftSuspension(level int) {
+	if p.abandoned != nil {
+		<-p.abandoned
+		p.abandoned = nil
+	}
 	p.smu.Lock()
 	defer p.smu.Unlock()
 	if p.suspendLevel == level {
 		p.suspendLevel = levelNone
-		close(p.suspendCh)
-		p.suspendCh = make(chan struct{})
 	}
 }

@@ -3,12 +3,14 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/ident"
 	"repro/internal/protocol"
 	"repro/internal/trace"
+	"repro/internal/vclock"
 )
 
 // quietDef is an N-member action where nobody raises: it binds every member's
@@ -32,21 +34,40 @@ func quietDef(name string, n int, gate <-chan any) Definition {
 	}
 }
 
-// TestServerGoroutineBudget pins the receive path's shape: an idle server
-// holds one long-lived goroutine per bound object (its port's) on
-// TransportRaw, and one more (R3's ticker) on TransportReliable. Before the
-// fabric called the port directly it was four per object: the netsim inbox
-// pump, the port pump, the transport loop and the dispatcher pump.
+// TestServerGoroutineBudget pins the runtime's shape in goroutines. An idle
+// server holds one long-lived goroutine per bound object, its port's, on
+// TransportRaw and on TransportReliable alike: R3's ticker is a callback on
+// the clock seam. (Before the fabric called the port directly it was four per
+// object: the netsim inbox pump, the port pump, the transport loop and the
+// dispatcher pump.) A session in progress adds two per member, its body and
+// its engine loop, and with membership monitoring on still two: the detector's
+// beat and the monitor's poll are callbacks too, and so is RunTimeout's
+// deadline.
 func TestServerGoroutineBudget(t *testing.T) {
 	const n = 8
 	const slack = 2 // goroutines of the runtime or the test binary that come and go
+	within := func(t *testing.T, what string, base, budget int, settled func() bool) {
+		t.Helper()
+		var held int
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			held = runtime.NumGoroutine() - base
+			if settled() && held <= budget {
+				return
+			}
+			if time.Now().After(deadline) {
+				break
+			}
+		}
+		buf := make([]byte, 1<<16)
+		t.Fatalf("%s with %d bound objects holds %d goroutines, budget %d\n%s",
+			what, n, held, budget, buf[:runtime.Stack(buf, true)])
+	}
 	for _, tc := range []struct {
 		name      string
 		transport TransportKind
-		perObject int
 	}{
-		{"raw", TransportRaw, 1},
-		{"reliable", TransportReliable, 2},
+		{"raw", TransportRaw},
+		{"reliable", TransportReliable},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			base := runtime.NumGoroutine()
@@ -60,22 +81,37 @@ func TestServerGoroutineBudget(t *testing.T) {
 			if got := len(s.dispatchers); got != n {
 				t.Fatalf("%d dispatchers bound, want %d", got, n)
 			}
-			budget := tc.perObject*n + slack
-			var held int
-			for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-				held = runtime.NumGoroutine() - base
-				if s.InFlight() == 0 && held <= budget {
-					return
-				}
-				if time.Now().After(deadline) {
-					break
-				}
-			}
-			buf := make([]byte, 1<<16)
-			t.Fatalf("idle server with %d bound objects holds %d goroutines, budget %d\n%s",
-				n, held, budget, buf[:runtime.Stack(buf, true)])
+			within(t, "idle server", base, n+slack, func() bool { return s.InFlight() == 0 })
 		})
 	}
+	t.Run("membership session", func(t *testing.T) {
+		base := runtime.NumGoroutine()
+		// A virtual clock nobody advances: the beats and polls are armed and
+		// never due, so a loaded box cannot expel anyone while we count.
+		s := NewServer(Options{Membership: fastMembership(), Clock: vclock.NewVirtual()})
+		defer s.Close()
+		members := make([]ident.ObjectID, n)
+		for i := range members {
+			members[i] = ident.ObjectID(i + 1)
+		}
+		gate := make(chan any)
+		var parked atomic.Int32
+		done := make(chan error, 1)
+		go func() {
+			_, err := s.RunTimeout(pfDef(members, func(ctx *Context) error {
+				parked.Add(1)
+				ctx.Await(gate)
+				return nil
+			}), membershipDeadline)
+			done <- err
+		}()
+		// The caller above, then a port, an engine loop and a body per member.
+		within(t, "membership session", base, 1+3*n+slack, func() bool { return parked.Load() == n })
+		close(gate)
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestServerStaleDeliveryRecycledMailbox is the hazard pooled mailboxes

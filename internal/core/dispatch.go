@@ -7,6 +7,7 @@ import (
 	"repro/internal/fifo"
 	"repro/internal/group"
 	"repro/internal/ident"
+	"repro/internal/vclock"
 )
 
 // Admission errors.
@@ -126,18 +127,23 @@ func (d *dispatcher) close() {
 // Mailboxes are pooled on the server with their capacity: the port empties
 // into them in bursts, and a per-action mailbox would regrow through every
 // doubling each time.
+//
+// A delivery holds a vclock.Mailbox token from put until the engine step it
+// caused has returned (participant.loop) or Reset discarded it.
 type mailbox struct {
+	clk   vclock.Clock
 	mu    sync.Mutex
 	queue fifo.Queue[group.Delivery]
 
 	ready chan struct{} // 1-buffered: armed whenever the queue may be non-empty
 }
 
-func newMailbox() *mailbox {
-	return &mailbox{ready: make(chan struct{}, 1)}
+func newMailbox(clk vclock.Clock) *mailbox {
+	return &mailbox{clk: clk, ready: make(chan struct{}, 1)}
 }
 
 func (m *mailbox) put(d group.Delivery) {
+	m.clk.Hold(vclock.Mailbox)
 	m.mu.Lock()
 	m.queue.Push(d)
 	m.mu.Unlock()
@@ -159,6 +165,9 @@ func (m *mailbox) take() (group.Delivery, bool) {
 // stopped its consumer, so nothing else touches it.
 func (m *mailbox) Reset() {
 	m.mu.Lock()
+	for n := m.queue.Len(); n > 0; n-- {
+		m.clk.Release(vclock.Mailbox)
+	}
 	m.queue.Reset()
 	m.mu.Unlock()
 	select {

@@ -75,7 +75,6 @@ func (r *run) instanceFor(spec *ActionSpec, parent *instance) (*instance, error)
 		id:          id,
 		parent:      parent,
 		exitArrived: make(map[ident.ObjectID]bool),
-		exitDone:    make(chan struct{}),
 	}
 	if parent != nil {
 		inst.path = append(append([]ident.ActionID{}, parent.path...), id)
@@ -138,8 +137,7 @@ type instance struct {
 	mu           sync.Mutex
 	exitArrived  map[ident.ObjectID]bool
 	expelled     map[ident.ObjectID]bool // members the barrier no longer waits for
-	exitDone     chan struct{}
-	exitClosed   bool
+	exitClosed   bool                    // the barrier has opened
 	acceptFailed bool
 	commitErr    error
 	aborted      bool
@@ -218,29 +216,37 @@ func (i *instance) abortTxn() {
 
 // arriveExit records obj at the completion barrier ("must leave it at the
 // same time"). When the last member arrives, the acceptance test (if any)
-// runs and the transaction commits or aborts. The returned channel closes
-// when the barrier opens.
-func (i *instance) arriveExit(obj ident.ObjectID) <-chan struct{} {
+// runs, the transaction commits or aborts and the barrier opens (exitOpen).
+func (i *instance) arriveExit(obj ident.ObjectID) {
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	if i.expelled[obj] {
 		// An expelled member racing its own termination must not re-enter
 		// the barrier accounting.
-		return i.exitDone
+		return
 	}
 	i.exitArrived[obj] = true
 	if !i.exitClosed && i.allArrivedLocked() {
 		i.finishLocked()
 	}
-	return i.exitDone
+}
+
+// exitOpen reports whether the completion barrier has opened.
+func (i *instance) exitOpen() bool {
+	i.mu.Lock()
+	defer i.mu.Unlock()
+	return i.exitClosed
 }
 
 // finishLocked completes the action at the barrier: acceptance test, then
-// transaction commit (into the parent for nested actions). Caller holds i.mu.
+// transaction commit (into the parent for nested actions), then the barrier
+// opens and the members waiting at it are woken. Caller holds i.mu.
 func (i *instance) finishLocked() {
 	defer func() {
 		i.exitClosed = true
-		close(i.exitDone)
+		for obj := range i.exitArrived {
+			i.run.participants[obj].wakeBody()
+		}
 	}()
 	if i.aborted {
 		return
@@ -266,7 +272,7 @@ func (i *instance) finishLocked() {
 	}
 }
 
-// exitStatus reads the barrier result after exitDone closes.
+// exitStatus reads the barrier result once exitOpen.
 func (i *instance) exitStatus() (acceptFailed bool, err error) {
 	i.mu.Lock()
 	defer i.mu.Unlock()

@@ -218,9 +218,10 @@ func (s *System) HealPartition(name string) {
 }
 
 // startMembership wires a participant's failure detector and view monitor
-// onto its session route. The detector runs in fed mode — the participant's
-// engine loop owns the session inbox and tees heartbeat arrivals in — and the
-// monitor's installations travel as ordinary tagged messages.
+// onto its session route. The participant's engine loop owns the session inbox
+// and tees heartbeat arrivals in to the detector, and the monitor's
+// installations travel as ordinary tagged messages. Neither has a goroutine:
+// both are callbacks on the server's clock.
 func (p *participant) startMembership() {
 	mo := p.run.sys.opts.Membership
 	if mo == nil {
@@ -255,7 +256,8 @@ func (p *participant) startMembership() {
 	p.monitor.Subscribe(p.viewChanged)
 }
 
-// viewChanged runs on the monitor's goroutine whenever a view installs:
+// viewChanged runs in one of the monitor's clock callbacks whenever a view
+// installs:
 // every member the new view dropped is expelled at the run level, and in
 // rejoin mode the persistent group record follows the installed epochs.
 func (p *participant) viewChanged(old, new membership.View) {
@@ -334,10 +336,11 @@ func (r *run) expel(obj ident.ObjectID) {
 	}
 	for _, p := range parts {
 		if p.obj != obj {
-			// Each engine takes the expulsion on its own goroutine; the
-			// posting must not block the monitor callback behind a busy
-			// engine loop.
-			go p.postExpel(obj)
+			// Each engine takes the expulsion the way it takes a message,
+			// from its session mailbox: queued without blocking the monitor
+			// callback behind a busy engine loop, counted on the clock, and
+			// dropped if the participant has shut down.
+			p.route.disp.route(group.Delivery{From: obj, Kind: expelNote, Action: p.route.root})
 		}
 	}
 	if victim != nil {
@@ -356,21 +359,9 @@ func (r *run) expelledMembers() []ident.ObjectID {
 	return out
 }
 
-// postExpel hands the expulsion to the engine goroutine, giving up if the
-// participant shuts down first.
-func (p *participant) postExpel(obj ident.ObjectID) {
-	ev := &event{
-		fn: func() error {
-			p.engine.ExpelMember(obj, ExcParticipantFailure)
-			return nil
-		},
-		reply: make(chan error, 1),
-	}
-	select {
-	case p.events <- ev:
-	case <-p.quit:
-	}
-}
+// expelNote is the kind of the local delivery that tells an engine a member
+// was expelled (Delivery.From). It never crosses the fabric.
+const expelNote = "core.expelled"
 
 // markExpelled terminates this (expelled) participant's body: it unwinds
 // like a cancellation, but runTop reports it as an expulsion.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"repro/internal/vclock"
 	"slices"
 	"strings"
 	"testing"
@@ -10,7 +11,7 @@ import (
 )
 
 // fastMembership keeps partition tests quick without racing the detector's
-// grace period.
+// initial all-alive timeout.
 func fastMembership() *MembershipOptions {
 	return &MembershipOptions{
 		Heartbeat: time.Millisecond,
@@ -54,6 +55,15 @@ func TestMembershipValidation(t *testing.T) {
 	if _, err := tcp.RunTimeout(pfDef(members, body), membershipDeadline); err == nil ||
 		!strings.Contains(err.Error(), "TransportTCP") {
 		t.Errorf("TCP gate error = %v", err)
+	}
+
+	// Nor can the socket transport run on a virtual clock, with membership
+	// or without: bytes in the kernel cannot be counted.
+	vtcp := NewSystem(Options{Transport: TransportTCP, Clock: vclock.NewVirtual()})
+	defer vtcp.Close()
+	if _, err := vtcp.Run(pfDef(members, body)); err == nil ||
+		!strings.Contains(err.Error(), "real clock") {
+		t.Errorf("TCP on a virtual clock: error = %v", err)
 	}
 
 	// The tree must declare the participant-failure exception.

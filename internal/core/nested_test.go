@@ -284,7 +284,7 @@ func TestNestedEntryRacingOuterResolution(t *testing.T) {
 		}, 30*time.Second)
 		sys.Close()
 		if err != nil {
-			t.Fatalf("run %d: %v", i, err)
+			t.Fatalf("run %d: %v (per object: %+v)", i, err, out.PerObject)
 		}
 		if !out.Completed || out.Resolved != "ofault" {
 			t.Fatalf("run %d outcome = %+v", i, out)

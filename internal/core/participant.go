@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/exception"
 	"repro/internal/group"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/membership"
 	"repro/internal/protocol"
 	"repro/internal/trace"
+	"repro/internal/vclock"
 )
 
 // Suspension levels. Levels index the participant's action stack (0 =
@@ -50,6 +52,7 @@ type participant struct {
 	events   chan *event
 	quit     chan struct{}
 	loopDone chan struct{}
+	result   ParticipantResult // written by the body goroutine, read once it has returned
 
 	// Membership monitoring (nil without Options.Membership). The detector
 	// runs in fed mode — this participant's loop owns the session inbox and
@@ -66,12 +69,26 @@ type participant struct {
 	smu          sync.Mutex
 	parkCond     *sync.Cond
 	suspendLevel int
-	suspendCh    chan struct{}
 	parkedLevel  int
 	bodyDone     bool
 	expelledSelf bool
-	outcomes     map[ident.ActionID]chan handlerOutcome
+	outcomes     []handlerOutcome // delivered, not yet taken; one at most but for nesting
+
+	state     atomic.Int32  // how the body is blocked
+	wake      chan struct{} // 1-buffered: the waker that claimed state signals here
+	abandoned chan error    // reply of an event the engine took and the body gave up on; body goroutine only
 }
+
+// Body states. A body about to block stores how, then re-checks what it waits
+// for (in that order: a change made after the check finds the word set);
+// whoever makes such a change calls wakeBody, which claims the wake-up by
+// compare-and-swap, so one waker signals however many race.
+const (
+	bodyRunning int32 = iota // not blocked; holds its token
+	bodyWaiting              // blocked in post: the engine is working for it, so it keeps its token
+	bodyParked               // blocked in a Context wait: it has given its token up
+	bodyWoken                // a waker has claimed the wake-up
+)
 
 func newParticipant(r *run, obj ident.ObjectID) (*participant, error) {
 	p := &participant{
@@ -80,9 +97,8 @@ func newParticipant(r *run, obj ident.ObjectID) (*participant, error) {
 		events:       make(chan *event),
 		quit:         make(chan struct{}),
 		suspendLevel: levelNone,
-		suspendCh:    make(chan struct{}),
 		parkedLevel:  levelNotParked,
-		outcomes:     make(map[ident.ActionID]chan handlerOutcome),
+		wake:         make(chan struct{}, 1),
 	}
 	// Attach to the object's long-lived dispatcher, keyed by this session's
 	// root action tag (allocated before any participant exists, see
@@ -163,6 +179,7 @@ func (p *participant) loop() {
 					break
 				}
 				p.handleDelivery(d)
+				inbox.clk.Release(vclock.Mailbox) // taken by put
 			}
 		case ev := <-p.events:
 			ev.reply <- ev.fn()
@@ -176,6 +193,9 @@ func (p *participant) loop() {
 // off before the engine sees it.
 func (p *participant) handleDelivery(d group.Delivery) {
 	switch d.Kind {
+	case expelNote:
+		p.engine.ExpelMember(d.From, ExcParticipantFailure)
+		return
 	case group.KindHeartbeat:
 		if p.detector != nil {
 			p.detector.Observe(d.From)
@@ -217,40 +237,66 @@ func (p *participant) stop() {
 
 // post runs fn on the engine goroutine and waits for its result. level is
 // the body's current action depth: if a suspension targeting that level (or
-// an outer one) arrives while the engine is busy — typically because it is
-// waiting for this very body to park before running abortion handlers — post
-// abandons the request and unwinds the body instead of deadlocking.
+// an outer one) arrives while the engine is busy (typically waiting for this
+// very body to park before running abortion handlers, possibly inside fn),
+// post abandons the request and unwinds the body instead of deadlocking. The
+// event closure is suspension-aware and degrades to a no-op if it runs after
+// that; liftSuspension sees to it that it has run before the suspension goes.
+// The body keeps its clock token throughout: the engine works on its behalf.
 func (p *participant) post(level int, fn func() error) error {
 	ev := &event{fn: fn, reply: make(chan error, 1)}
+	events, reply := p.events, (chan error)(nil) // first the one, then the other
 	for {
-		susp, ch := p.suspendSnapshot()
-		if susp <= level {
+		p.state.Store(bodyWaiting)
+		if susp := p.suspension(); susp <= level {
+			p.resume(bodyWaiting, false)
+			p.abandoned = reply // nil unless the engine has the event
 			panic(sentinel{level: susp})
 		}
 		select {
-		case p.events <- ev:
-		case <-ch:
-			continue
-		case <-p.quit:
-			panic(sentinel{level: levelCancelled})
-		}
-		break
-	}
-	for {
-		susp, ch := p.suspendSnapshot()
-		select {
-		case err := <-ev.reply:
+		case <-p.wake:
+			p.state.Store(bodyRunning)
+		case events <- ev:
+			p.resume(bodyWaiting, false)
+			events, reply = nil, ev.reply
+		case err := <-reply:
+			p.resume(bodyWaiting, false)
 			return err
-		case <-ch:
-			if susp <= level {
-				// The engine may be blocked waiting for this body to park;
-				// abandon the pending reply and unwind. The event closure is
-				// suspension-aware and degrades to a no-op when it runs.
-				susp2, _ := p.suspendSnapshot()
-				panic(sentinel{level: susp2})
+		}
+	}
+}
+
+// resume ends a block that p.wake did not end: what the body stored mode for
+// held already, or another channel fired. released says the body had given
+// its clock token up; it returns holding exactly one (a waker that claimed the
+// word meanwhile has signalled and, for a parked body, holds one too).
+func (p *participant) resume(mode int32, released bool) {
+	clk := p.run.sys.clk
+	if p.state.CompareAndSwap(mode, bodyRunning) {
+		if released {
+			clk.Hold(vclock.Body)
+		}
+		return
+	}
+	<-p.wake
+	p.state.Store(bodyRunning)
+	if mode == bodyParked && !released {
+		clk.Release(vclock.Body)
+	}
+}
+
+// wakeBody tells a blocked body that something it may be waiting for has
+// changed. The caller is itself counted on the clock (an engine step, a
+// handler, a body, a timer callback). No-op when the body is not blocked or
+// another waker got there first.
+func (p *participant) wakeBody() {
+	for s := p.state.Load(); s == bodyWaiting || s == bodyParked; s = p.state.Load() {
+		if p.state.CompareAndSwap(s, bodyWoken) {
+			if s == bodyParked {
+				p.run.sys.clk.Hold(vclock.Body)
 			}
-		case <-p.quit:
-			panic(sentinel{level: levelCancelled})
+			p.wake <- struct{}{}
+			return
 		}
 	}
 }
@@ -314,10 +360,12 @@ func (p *participant) hookStartHandler(action ident.ActionID, exc string) {
 	if inst == nil {
 		return
 	}
+	p.run.sys.clk.Hold(vclock.Handler)
 	go p.runHandler(inst, exc)
 }
 
 func (p *participant) runHandler(inst *instance, exc string) {
+	defer p.run.sys.clk.Release(vclock.Handler)
 	out := handlerOutcome{action: inst.id, resolved: exc}
 	hs := inst.spec.Handlers[p.obj]
 	h, ok := hs.Lookup(exc)
@@ -345,42 +393,30 @@ func (p *participant) runHandler(inst *instance, exc string) {
 
 func (p *participant) setSuspendLevel(level int) {
 	p.smu.Lock()
-	defer p.smu.Unlock()
 	if level >= p.suspendLevel {
+		p.smu.Unlock()
 		return
 	}
 	p.suspendLevel = level
-	close(p.suspendCh)
-	p.suspendCh = make(chan struct{})
 	p.parkCond.Broadcast()
+	p.smu.Unlock()
+	p.wakeBody()
 }
 
-// suspendSnapshot returns the current suspension level and its change signal.
-func (p *participant) suspendSnapshot() (int, chan struct{}) {
+// suspension returns the current suspension level.
+func (p *participant) suspension() int {
 	p.smu.Lock()
 	defer p.smu.Unlock()
-	return p.suspendLevel, p.suspendCh
+	return p.suspendLevel
 }
 
 // park marks the body parked at the given level (resolution in progress
-// there) and returns the outcome channel to await.
-func (p *participant) park(level int, action ident.ActionID) chan handlerOutcome {
+// there), which is what waitParked waits for, or with levelNotParked no
+// longer parked.
+func (p *participant) park(level int) {
 	p.smu.Lock()
 	defer p.smu.Unlock()
 	p.parkedLevel = level
-	ch, ok := p.outcomes[action]
-	if !ok {
-		ch = make(chan handlerOutcome, 1)
-		p.outcomes[action] = ch
-	}
-	p.parkCond.Broadcast()
-	return ch
-}
-
-func (p *participant) unpark() {
-	p.smu.Lock()
-	defer p.smu.Unlock()
-	p.parkedLevel = levelNotParked
 	p.parkCond.Broadcast()
 }
 
@@ -403,18 +439,26 @@ func (p *participant) markBodyDone() {
 	p.parkCond.Broadcast()
 }
 
+// deliverOutcome hands the body the outcome of the handler for out.action.
 func (p *participant) deliverOutcome(out handlerOutcome) {
 	p.smu.Lock()
-	ch, ok := p.outcomes[out.action]
-	if !ok {
-		ch = make(chan handlerOutcome, 1)
-		p.outcomes[out.action] = ch
-	}
+	p.outcomes = append(p.outcomes, out)
 	p.smu.Unlock()
-	select {
-	case ch <- out:
-	default: // duplicate outcome; keep the first
+	p.wakeBody()
+}
+
+// takeOutcome removes and returns the (first) handler outcome delivered for
+// action, if one has been.
+func (p *participant) takeOutcome(action ident.ActionID) (handlerOutcome, bool) {
+	p.smu.Lock()
+	defer p.smu.Unlock()
+	for i, o := range p.outcomes {
+		if o.action == action {
+			p.outcomes = append(p.outcomes[:i], p.outcomes[i+1:]...)
+			return o, true
+		}
 	}
+	return handlerOutcome{}, false
 }
 
 // levelOf returns the index of the action in the engine-side stack (engine
@@ -435,7 +479,7 @@ func (p *participant) levelOf(action ident.ActionID) int {
 // bodyLevel is the body's depth before entering.
 func (p *participant) enterInstance(bodyLevel int, inst *instance) error {
 	return p.post(bodyLevel, func() error {
-		lvl, _ := p.suspendSnapshot()
+		lvl := p.suspension()
 		if lvl <= len(p.estack)-1 {
 			return ErrSuspendedEntry
 		}
@@ -471,7 +515,7 @@ func (p *participant) enterFrame(inst *instance) error {
 // bodyLevel is the level of the action being left.
 func (p *participant) leaveInstance(bodyLevel int, inst *instance) error {
 	return p.post(bodyLevel, func() error {
-		lvl, _ := p.suspendSnapshot()
+		lvl := p.suspension()
 		if lvl <= bodyLevel {
 			// A resolution is (or was) in progress at or outside this level;
 			// the frame must stay for the protocol. The body unwinds instead.

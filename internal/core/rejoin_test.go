@@ -39,7 +39,7 @@ func rejoinHandlers(members []ident.ObjectID) map[ident.ObjectID]HandlerSet {
 func TestRejoinAcrossRuns(t *testing.T) {
 	leak := conformancetest.LeakCheckErr()
 	clk := vclock.NewVirtual()
-	clk.StartAuto(0)
+	clk.StartAuto()
 	defer clk.StopAuto()
 
 	sys := NewSystem(Options{
@@ -79,7 +79,7 @@ func TestRejoinAcrossRuns(t *testing.T) {
 		Bodies: bodies1,
 	}, membershipDeadline)
 	if err != nil {
-		t.Fatalf("run 1: %v (outcome %+v)", err, out1)
+		t.Fatalf("run 1: %v (clock: %v; outcome %+v)", err, clk, out1)
 	}
 	if out1.Resolved != ExcParticipantFailure {
 		t.Fatalf("run 1 resolved %q, want %q", out1.Resolved, ExcParticipantFailure)
@@ -111,7 +111,7 @@ func TestRejoinAcrossRuns(t *testing.T) {
 		},
 	}, membershipDeadline)
 	if err != nil {
-		t.Fatalf("run 2: %v (outcome %+v)", err, out2)
+		t.Fatalf("run 2: %v (clock: %v; outcome %+v)", err, clk, out2)
 	}
 	if len(out2.Rejoined) != 2 || out2.Rejoined[0] != 4 || out2.Rejoined[1] != 5 {
 		t.Fatalf("run 2 rejoined %v, want [4 5]", out2.Rejoined)
@@ -151,7 +151,7 @@ func TestRejoinAcrossRuns(t *testing.T) {
 		},
 	}, membershipDeadline)
 	if err != nil {
-		t.Fatalf("run 3: %v (outcome %+v)", err, out3)
+		t.Fatalf("run 3: %v (clock: %v; outcome %+v)", err, clk, out3)
 	}
 	if out3.Resolved != "exc-app" {
 		t.Fatalf("run 3 resolved %q, want exc-app", out3.Resolved)
@@ -177,7 +177,7 @@ func TestRejoinAcrossRuns(t *testing.T) {
 func TestRejoinChurnStress(t *testing.T) {
 	leak := conformancetest.LeakCheckErr()
 	clk := vclock.NewVirtual()
-	clk.StartAuto(0)
+	clk.StartAuto()
 	defer clk.StopAuto()
 
 	sys := NewSystem(Options{
@@ -217,7 +217,7 @@ func TestRejoinChurnStress(t *testing.T) {
 			Bodies: bodies,
 		}, membershipDeadline)
 		if err != nil {
-			t.Fatalf("cycle %d cut run: %v (outcome %+v)", cycle, err, out)
+			t.Fatalf("cycle %d cut run: %v (clock: %v; outcome %+v)", cycle, err, clk, out)
 		}
 		if len(out.Expelled) != 1 || out.Expelled[0] != 5 {
 			t.Fatalf("cycle %d expelled %v, want [5]", cycle, out.Expelled)
@@ -240,7 +240,7 @@ func TestRejoinChurnStress(t *testing.T) {
 			},
 		}, membershipDeadline)
 		if err != nil {
-			t.Fatalf("cycle %d rejoin run: %v (outcome %+v)", cycle, err, out)
+			t.Fatalf("cycle %d rejoin run: %v (clock: %v; outcome %+v)", cycle, err, clk, out)
 		}
 		if len(out.Rejoined) != 1 || out.Rejoined[0] != 5 {
 			t.Fatalf("cycle %d rejoined %v, want [5]", cycle, out.Rejoined)

@@ -4,10 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/ident"
+	"repro/internal/vclock"
 )
 
 // ParticipantResult is one participating object's view of how the top-level
@@ -99,6 +100,13 @@ func (s *System) runAttempt(def Definition, timeout time.Duration, attempt int) 
 	if err := s.validateMembership(&def); err != nil {
 		return Outcome{}, err
 	}
+	if _, real := s.clk.(vclock.Real); s.opts.Transport == TransportTCP && !real {
+		return Outcome{}, errors.New("core: TransportTCP runs on the real clock only: bytes in the kernel cannot be counted")
+	}
+	// Set-up and tear-down are work the clock waits for (or it could fire 25 ms
+	// of heartbeats while participant 4 of 5 is being built), as the bodies are.
+	s.clk.Hold(vclock.Run)
+	defer s.clk.Release(vclock.Run)
 	r := newRun(s, &def)
 	r.attempt = attempt
 	if s.opts.Membership != nil && s.opts.Membership.Rejoin {
@@ -138,56 +146,34 @@ func (s *System) runAttempt(def Definition, timeout time.Duration, attempt int) 
 		r.participants[obj] = p
 	}
 
-	timedOut := false
-	var timedOutMu sync.Mutex
+	var timedOut atomic.Bool
 	if timeout > 0 {
-		// The deadline runs on the server's clock seam: on a virtual clock a
-		// 30s timeout costs no wall-clock time unless it actually expires.
-		timer := s.clk.NewTimer(timeout)
-		cancelTimer := make(chan struct{})
-		go func() {
-			select {
-			case <-timer.C():
-				timedOutMu.Lock()
-				timedOut = true
-				timedOutMu.Unlock()
-				r.cancel()
-			case <-cancelTimer:
-			}
-		}()
-		defer close(cancelTimer)
-		defer timer.Stop()
+		// On a virtual clock a 30s timeout costs no wall-clock time.
+		deadline := s.clk.AfterFunc(timeout, func() {
+			timedOut.Store(true)
+			r.cancel()
+		})
+		defer deadline.Stop()
 	}
 
-	results := make(map[ident.ObjectID]ParticipantResult, len(members))
-	var (
-		mu sync.Mutex
-		wg sync.WaitGroup
-	)
+	// Out of the group at admission: no body, no frames; the participant's
+	// membership machinery still runs (started in newParticipant), so the
+	// member can petition and rejoin.
+	bodies := len(members) - len(r.preExpelled)
+	live := int32(bodies)            // still running
+	exited := make(chan struct{}, 1) // the last one has returned
 	for _, obj := range members {
 		p := r.participants[obj]
-		if r.preExpelled[obj] {
-			// Out of the group at admission: no body, no frames. The
-			// participant's membership machinery still runs (started in
-			// newParticipant), so the member can petition and rejoin.
-			mu.Lock()
-			results[obj] = ParticipantResult{Expelled: true}
-			mu.Unlock()
-			p.start()
-			continue
+		if !r.preExpelled[obj] {
+			s.clk.Hold(vclock.Body)
+			go p.runBody(topInst, def.Bodies[obj], &live, exited)
 		}
-		body := def.Bodies[obj]
-		wg.Add(1)
-		go func(obj ident.ObjectID, p *participant, body Body) {
-			defer wg.Done()
-			res := p.runTop(topInst, body)
-			mu.Lock()
-			results[obj] = res
-			mu.Unlock()
-		}(obj, p, body)
 		p.start() // behind its body, see participant.start
 	}
-	wg.Wait()
+	if bodies > 0 {
+		s.clk.Release(vclock.Run)
+		<-exited // the last body took the token back for us
+	}
 
 	for _, p := range r.participants {
 		p.stop()
@@ -201,10 +187,11 @@ func (s *System) runAttempt(def Definition, timeout time.Duration, attempt int) 
 	snapshots := r.snapshots // every participant has stopped: no more installs
 	r.mu.Unlock()
 
+	results := make(map[ident.ObjectID]ParticipantResult, len(members))
 	out := Outcome{Completed: true, PerObject: results}
 	var firstErr error
 	for _, obj := range members {
-		res := results[obj]
+		res := r.participants[obj].result
 		if expelled[obj] {
 			// The member was removed by the membership service; the
 			// survivors' outcome stands regardless of how its body unwound.
@@ -219,6 +206,7 @@ func (s *System) runAttempt(def Definition, timeout time.Duration, attempt int) 
 			out.Expelled = append(out.Expelled, obj) // members is sorted
 			continue
 		}
+		results[obj] = res
 		if res.Err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("%s: %w", obj, res.Err)
 		}
@@ -244,13 +232,22 @@ func (s *System) runAttempt(def Definition, timeout time.Duration, attempt int) 
 	if s.opts.Membership != nil && s.opts.Membership.Rejoin && out.Resolved != "" {
 		s.appendHistory(out.Resolved)
 	}
-	timedOutMu.Lock()
-	expired := timedOut
-	timedOutMu.Unlock()
-	if expired {
+	if timedOut.Load() {
 		return out, ErrTimeout
 	}
 	return out, firstErr
+}
+
+// runBody is the body goroutine. It holds a clock token from go to exit, and
+// the last of a run's to return wakes runAttempt, holding its token for it.
+func (p *participant) runBody(inst *instance, body Body, live *int32, exited chan<- struct{}) {
+	clk := p.run.sys.clk
+	p.result = p.runTop(inst, body)
+	if atomic.AddInt32(live, -1) == 0 {
+		clk.Hold(vclock.Run)
+		exited <- struct{}{}
+	}
+	clk.Release(vclock.Body)
 }
 
 // runTop is the body-goroutine entry: it runs the scope machinery of the
@@ -272,7 +269,7 @@ func (p *participant) runTop(inst *instance, body Body) (res ParticipantResult) 
 			panic(r)
 		}
 	}()
-	if lvl, _ := p.suspendSnapshot(); lvl == levelCancelled {
+	if lvl := p.suspension(); lvl == levelCancelled {
 		// Cancelled (or expelled) before the body started: it never runs.
 		panic(sentinel{level: lvl})
 	}

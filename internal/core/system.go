@@ -69,11 +69,14 @@ type Options struct {
 	// ExcParticipantFailure exception. Requires a netsim-backed transport
 	// and an exception tree declaring ExcParticipantFailure.
 	Membership *MembershipOptions
-	// Clock is the time seam for every timer the server arms: run timeouts,
-	// Context.Sleep deadlines, heartbeat and retransmission tickers, and
-	// (unless Network.Clock is set separately) netsim link latency. Nil means
-	// the real clock; a vclock.Virtual makes whole partition/churn scenarios
-	// run in microseconds of wall-clock time.
+	// Clock is the time seam for every timer the server arms (run timeouts,
+	// Context.Sleep deadlines, heartbeats, polls, retransmission: all
+	// callbacks) and, unless Network.Clock is set, netsim link latency. It is
+	// also what the server counts its outstanding work on (docs/VCLOCK.md): a
+	// vclock.Virtual moves only when nothing is queued, stepping or running,
+	// so partition/churn scenarios cost microseconds of wall clock and reach
+	// the same verdict every time. Nil means the real clock, which counts
+	// nothing; TransportTCP needs it (bytes in the kernel cannot be counted).
 	Clock vclock.Clock
 	// MaxInFlight caps the number of top-level actions executing
 	// concurrently on this server (0 = unlimited). Submissions beyond the
@@ -172,7 +175,7 @@ func NewServer(opts Options) *Server {
 	}
 	s.dir = group.NewDirectory(net, dirOpts...)
 	s.enginePool.New = func() any { return protocol.NewEngine(0, protocol.Hooks{}) }
-	s.mailboxPool.New = func() any { return newMailbox() }
+	s.mailboxPool.New = func() any { return newMailbox(clk) }
 	return s
 }
 

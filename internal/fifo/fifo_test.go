@@ -1,6 +1,12 @@
 package fifo
 
-import "testing"
+import (
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/vclock"
+)
 
 func TestQueueFIFOAcrossWraps(t *testing.T) {
 	var q Queue[int]
@@ -83,7 +89,7 @@ func TestQueueSteadyStateDoesNotGrow(t *testing.T) {
 // A pump hands over in order on one goroutine, stopped runs behind the last
 // handle call, and nothing is handled once Close has returned.
 func TestPumpLifecycle(t *testing.T) {
-	p := NewPump[int]()
+	p := NewPump[int](nil)
 	var got []int
 	stoppedAfter := -1
 	half := make(chan struct{})
@@ -121,7 +127,7 @@ func TestPumpLifecycle(t *testing.T) {
 // Shutdown does not wait: a handler blocked on its own send gets out through
 // Stopping, and what was still queued is dropped.
 func TestPumpShutdownReleasesBlockedHandler(t *testing.T) {
-	p := NewPump[int]()
+	p := NewPump[int](nil)
 	out := make(chan int)
 	handled := 0
 	go p.Run(func(v int) {
@@ -140,5 +146,35 @@ func TestPumpShutdownReleasesBlockedHandler(t *testing.T) {
 	p.Close() // nobody reads out any more
 	if handled > 2 {
 		t.Fatalf("%d elements handled: the backlog was not discarded", handled)
+	}
+}
+
+// On a virtual clock a pump with anything queued is outstanding work: Advance
+// returns only when the handler has had all of it, and a pump closed with a
+// backlog gives its token back.
+func TestPumpHoldsTokensOnVirtualClock(t *testing.T) {
+	clk := vclock.NewVirtual()
+	p := NewPump[int](clk)
+	handled := 0
+	go p.Run(func(int) { handled++ }, nil)
+	for i := 0; i < 100; i++ {
+		p.Put(i)
+	}
+	clk.Advance(time.Millisecond) // no deadline armed: this only settles
+	if handled != 100 {
+		t.Fatalf("Advance returned with %d of 100 elements handled", handled)
+	}
+
+	gate := make(chan struct{})
+	q := NewPump[int](clk)
+	go q.Run(func(int) { <-gate }, nil)
+	for i := 0; i < 10; i++ {
+		q.Put(i)
+	}
+	q.Shutdown()
+	close(gate)
+	<-q.done
+	if s := clk.String(); !strings.Contains(s, "tokens=0 pump=0") {
+		t.Fatalf("after closing a pump with a backlog the clock reads %q", s)
 	}
 }

@@ -1,25 +1,39 @@
 package fifo
 
-import "sync"
+import (
+	"sync"
+
+	"repro/internal/vclock"
+)
 
 // Pump is a Queue with the lock, the wake-up and the one goroutine that the
 // delivery stack's inboxes put around it: Put queues without blocking, on
 // whatever goroutine the producer runs, and Run drains the queue into a
 // handler, one element at a time. netsim's Node inboxes and latency links and
 // the fabric ports are each a Pump with their own handler.
+//
+// A pump with work holds one vclock.Pump token on its clock, from the Put that
+// found it idle until Run has handled (or, on close, discarded) everything
+// queued: a virtual clock does not move while a pump has work. The token is
+// the goroutine's, not the element's, so a handler that waits in Clock.Sleep
+// (a latency link) lends the clock the only token the pump holds, however many
+// messages queue up behind the one that is waiting.
 type Pump[T any] struct {
+	clk    vclock.Clock
 	mu     sync.Mutex
 	cond   sync.Cond // queue became non-empty, or closed
 	queue  Queue[T]
+	busy   bool // the pump holds its token
 	closed bool
 
 	stop chan struct{} // closed with closed: releases a handler that blocks
 	done chan struct{} // Run returned
 }
 
-// NewPump returns an empty pump; the owner starts Run on a goroutine.
-func NewPump[T any]() *Pump[T] {
-	p := &Pump[T]{stop: make(chan struct{}), done: make(chan struct{})}
+// NewPump returns an empty pump whose elements are counted on clk (nil: the
+// real clock, which counts nothing); the owner starts Run on a goroutine.
+func NewPump[T any](clk vclock.Clock) *Pump[T] {
+	p := &Pump[T]{clk: vclock.Or(clk), stop: make(chan struct{}), done: make(chan struct{})}
 	p.cond.L = &p.mu
 	return p
 }
@@ -28,10 +42,22 @@ func NewPump[T any]() *Pump[T] {
 func (p *Pump[T]) Put(v T) {
 	p.mu.Lock()
 	if !p.closed {
+		if !p.busy {
+			p.busy = true
+			p.clk.Hold(vclock.Pump)
+		}
 		p.queue.Push(v)
 		p.cond.Signal()
 	}
 	p.mu.Unlock()
+}
+
+// idleLocked gives the pump's token back: nothing is queued or being handled.
+func (p *Pump[T]) idleLocked() {
+	if p.busy {
+		p.busy = false
+		p.clk.Release(vclock.Pump)
+	}
 }
 
 // Len returns the number of queued elements.
@@ -74,10 +100,12 @@ func (p *Pump[T]) Run(handle func(T), stopped func()) {
 	for {
 		p.mu.Lock()
 		for p.queue.Len() == 0 && !p.closed {
+			p.idleLocked()
 			p.cond.Wait()
 		}
 		if p.closed {
 			p.queue.Reset()
+			p.idleLocked()
 			p.mu.Unlock()
 			return
 		}

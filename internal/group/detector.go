@@ -16,13 +16,15 @@ import (
 // whether a belated participant is merely slow or gone for good (the case
 // that motivates the abort-nested strategy of Figure 1(b)).
 //
-// A detector created with NewDetector owns its transport: heartbeats do not
-// interleave with application messages. One created with NewFedDetector only
-// sends; the owner of the receive stream feeds arrivals in through Observe.
+// The detector only sends: whoever owns the member's receive stream (a
+// participant's engine loop, a transport's deliver function) feeds heartbeat
+// arrivals in through Observe, so membership traffic shares the member's
+// fabric attachment, and with it its partition fate, instead of needing a
+// second transport per object. It has no goroutine: the beat is a callback on
+// the clock seam that re-arms itself.
 type Detector struct {
 	self     ident.ObjectID
 	send     func(to ident.ObjectID, kind string, payload any) error
-	recv     <-chan Delivery // nil when receptions arrive via Observe
 	peers    []ident.ObjectID
 	interval time.Duration
 	timeout  time.Duration
@@ -30,56 +32,38 @@ type Detector struct {
 
 	mu       sync.Mutex
 	lastSeen map[ident.ObjectID]time.Time
-
-	stop chan struct{}
-	done chan struct{}
-	once sync.Once
+	timer    vclock.Handle // nil once stopped
 }
 
 // KindHeartbeat is the wire kind of detector messages.
 const KindHeartbeat = "group.heartbeat"
 
-// NewDetector creates a detector for the given peers. interval is the
-// heartbeat period; a peer is suspected when no heartbeat arrived for
-// timeout. clk is the clock seam for both the beat ticker and staleness
-// cutoffs; nil means the real clock.
-func NewDetector(t Transport, peers []ident.ObjectID, interval, timeout time.Duration, clk vclock.Clock) *Detector {
-	return startDetector(t.Self(), t.Send, t.Recv(), peers, interval, timeout, clk)
-}
-
-// NewFedDetector is NewDetector for a member whose receive stream is owned by
-// somebody else (e.g. a participant's engine loop): the detector multicasts
-// self's heartbeats through send, and heartbeat receptions must be fed in by
-// the stream's owner via Observe. This lets membership traffic share the
-// participant's fabric attachment — and therefore its partition fate —
-// instead of requiring a second transport per object.
+// NewFedDetector creates a detector for the given peers and arms its first
+// beat for the current instant. self's heartbeats go out through send every
+// interval; a peer is suspected when Observe has not been called for it for
+// timeout. clk is the clock seam for both the beat and the staleness cutoffs;
+// nil means the real clock.
 func NewFedDetector(self ident.ObjectID, send func(to ident.ObjectID, kind string, payload any) error,
 	peers []ident.ObjectID, interval, timeout time.Duration, clk vclock.Clock) *Detector {
-	return startDetector(self, send, nil, peers, interval, timeout, clk)
-}
-
-func startDetector(self ident.ObjectID, send func(to ident.ObjectID, kind string, payload any) error,
-	recv <-chan Delivery, peers []ident.ObjectID, interval, timeout time.Duration, clk vclock.Clock) *Detector {
 	clk = vclock.Or(clk)
 	d := &Detector{
 		self:     self,
 		send:     send,
-		recv:     recv,
 		peers:    append([]ident.ObjectID{}, peers...),
 		interval: interval,
 		timeout:  timeout,
 		clk:      clk,
 		lastSeen: make(map[ident.ObjectID]time.Time, len(peers)),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
 	}
 	start := clk.Now()
 	for _, p := range d.peers {
 		if p != self {
-			d.lastSeen[p] = start // grace period: everyone starts alive
+			d.lastSeen[p] = start // everyone starts alive, for one timeout
 		}
 	}
-	go d.loop()
+	d.mu.Lock()
+	d.timer = clk.AfterFunc(0, d.beat)
+	d.mu.Unlock()
 	return d
 }
 
@@ -93,12 +77,15 @@ func (d *Detector) Observe(p ident.ObjectID) {
 	d.mu.Unlock()
 }
 
-// Stop terminates the detector's goroutine.
+// Stop disarms the beat. Idempotent; a beat already running on another
+// goroutine (real clock) finishes its sends and does not re-arm.
 func (d *Detector) Stop() {
-	d.once.Do(func() {
-		close(d.stop)
-		<-d.done
-	})
+	d.mu.Lock()
+	if d.timer != nil {
+		d.timer.Stop()
+		d.timer = nil
+	}
+	d.mu.Unlock()
 }
 
 // Suspects returns the peers whose heartbeats have stopped, sorted.
@@ -116,21 +103,6 @@ func (d *Detector) Suspects() []ident.ObjectID {
 	return out
 }
 
-// Alive returns the peers currently considered alive, sorted.
-func (d *Detector) Alive() []ident.ObjectID {
-	cutoff := d.clk.Now().Add(-d.timeout)
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var out []ident.ObjectID
-	for p, seen := range d.lastSeen {
-		if !seen.Before(cutoff) {
-			out = append(out, p)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // Suspected reports whether one peer is currently suspected.
 func (d *Detector) Suspected(p ident.ObjectID) bool {
 	cutoff := d.clk.Now().Add(-d.timeout)
@@ -140,29 +112,8 @@ func (d *Detector) Suspected(p ident.ObjectID) bool {
 	return ok && seen.Before(cutoff)
 }
 
-func (d *Detector) loop() {
-	defer close(d.done)
-	ticker := d.clk.NewTicker(d.interval)
-	defer ticker.Stop()
-	d.beat()
-	for {
-		select {
-		case <-d.stop:
-			return
-		case <-ticker.C():
-			d.beat()
-		case msg, ok := <-d.recv: // a nil channel (fed mode) never fires
-			if !ok {
-				return
-			}
-			if msg.Kind != KindHeartbeat {
-				continue
-			}
-			d.Observe(msg.From)
-		}
-	}
-}
-
+// beat is the timer callback: one heartbeat to every peer, then the next beat
+// is armed.
 func (d *Detector) beat() {
 	for _, p := range d.peers {
 		if p == d.self {
@@ -170,4 +121,9 @@ func (d *Detector) beat() {
 		}
 		_ = d.send(p, KindHeartbeat, nil)
 	}
+	d.mu.Lock()
+	if d.timer != nil {
+		d.timer.Reset(d.interval)
+	}
+	d.mu.Unlock()
 }

@@ -1,7 +1,7 @@
 package group
 
 import (
-	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -10,11 +10,13 @@ import (
 	"repro/internal/vclock"
 )
 
-// detectorCluster builds n detectors over one network, returning them plus
-// the node each object lives on (for partitioning).
-func detectorCluster(t *testing.T, n int, interval, timeout time.Duration) (*netsim.Network, []*Detector, map[ident.ObjectID]ident.NodeID) {
+// detectorCluster builds n detectors over one network, all on a virtual clock
+// only the test advances, returning them plus the node each object lives on
+// (for partitioning).
+func detectorCluster(t *testing.T, n int, interval, timeout time.Duration) (*vclock.Virtual, *netsim.Network, []*Detector, map[ident.ObjectID]ident.NodeID) {
 	t.Helper()
-	net := netsim.New(netsim.Config{})
+	clk := vclock.NewVirtual()
+	net := netsim.New(netsim.Config{Clock: clk})
 	dir := NewDirectory(net)
 	members := make([]ident.ObjectID, n)
 	for i := range members {
@@ -23,17 +25,7 @@ func detectorCluster(t *testing.T, n int, interval, timeout time.Duration) (*net
 	detectors := make([]*Detector, n)
 	nodes := make(map[ident.ObjectID]ident.NodeID, n)
 	for i, m := range members {
-		tr, err := NewRawTransport(dir, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		node, err := dir.Lookup(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[m] = node
-		detectors[i] = NewDetector(tr, members, interval, timeout, nil)
-		t.Cleanup(tr.Close)
+		detectors[i], nodes[m] = fedDetector(t, dir, m, members, interval, timeout, clk)
 	}
 	t.Cleanup(func() {
 		for _, d := range detectors {
@@ -41,65 +33,76 @@ func detectorCluster(t *testing.T, n int, interval, timeout time.Duration) (*net
 		}
 		net.Close()
 	})
-	return net, detectors, nodes
+	return clk, net, detectors, nodes
 }
 
-func waitFor(t *testing.T, what string, cond func() bool) {
+// fedDetector binds m on dir and starts its detector, fed from the transport's
+// deliver function (the port's goroutine). The detector exists before a
+// heartbeat can arrive: beats are only sent by detectors, and a peer's first
+// can only be answered by looking ours up through the pointer set here.
+func fedDetector(t *testing.T, dir *Directory, m ident.ObjectID, members []ident.ObjectID,
+	interval, timeout time.Duration, clk vclock.Clock) (*Detector, ident.NodeID) {
 	t.Helper()
-	deadline := time.After(5 * time.Second)
-	for {
-		if cond() {
-			return
+	var d atomic.Pointer[Detector]
+	tr, err := BindRaw(dir, m, func(dv Delivery) {
+		if det := d.Load(); det != nil && dv.Kind == KindHeartbeat {
+			det.Observe(dv.From)
 		}
-		select {
-		case <-deadline:
-			t.Fatalf("timed out waiting for %s", what)
-		case <-time.After(2 * time.Millisecond):
-		}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	t.Cleanup(tr.Close)
+	node, err := dir.Lookup(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Store(NewFedDetector(m, tr.Send, members, interval, timeout, clk))
+	return d.Load(), node
 }
 
 func TestDetectorAllAlive(t *testing.T) {
-	_, detectors, _ := detectorCluster(t, 3, time.Millisecond, 50*time.Millisecond)
-	waitFor(t, "everyone alive", func() bool {
-		for _, d := range detectors {
-			if len(d.Alive()) != 2 || len(d.Suspects()) != 0 {
-				return false
-			}
+	clk, _, detectors, _ := detectorCluster(t, 3, time.Millisecond, 50*time.Millisecond)
+	clk.Advance(200 * time.Millisecond) // four timeouts of beats, every one delivered
+	for i, d := range detectors {
+		if s := d.Suspects(); len(s) != 0 {
+			t.Errorf("detector %d suspects %v on a healthy network", i, s)
 		}
-		return true
-	})
+	}
 }
 
 func TestDetectorSuspectsPartitionedNode(t *testing.T) {
-	net, detectors, nodes := detectorCluster(t, 3, time.Millisecond, 20*time.Millisecond)
-	waitFor(t, "initial liveness", func() bool {
-		return len(detectors[0].Alive()) == 2
-	})
+	const timeout = 20 * time.Millisecond
+	clk, net, detectors, nodes := detectorCluster(t, 3, time.Millisecond, timeout)
+	clk.Advance(timeout)
+	if s := detectors[0].Suspects(); len(s) != 0 {
+		t.Fatalf("O1 suspects %v before the cut", s)
+	}
 
-	// Partition O3's node away.
+	// Partition O3's node away: one timeout and a beat later it is suspected,
+	// and it suspects everyone, while O1 and O2 still see each other.
 	net.Isolate(nodes[3])
-	waitFor(t, "O3 suspected by O1 and O2", func() bool {
-		return detectors[0].Suspected(3) && detectors[1].Suspected(3)
-	})
-	// O1 and O2 still see each other.
+	clk.Advance(timeout + 2*time.Millisecond)
+	if !detectors[0].Suspected(3) || !detectors[1].Suspected(3) {
+		t.Fatal("O3 not suspected by O1 and O2 a timeout after the cut")
+	}
 	if detectors[0].Suspected(2) || detectors[1].Suspected(1) {
 		t.Error("connected peers wrongly suspected")
 	}
-	// The isolated node suspects everyone.
-	waitFor(t, "O3 suspects the rest", func() bool {
-		return len(detectors[2].Suspects()) == 2
-	})
+	if s := detectors[2].Suspects(); len(s) != 2 {
+		t.Errorf("the isolated O3 suspects %v, want both peers", s)
+	}
 
-	// Heal: O3 must come back.
+	// Heal: one beat and O3 is back.
 	net.Heal(nodes[3])
-	waitFor(t, "O3 alive again", func() bool {
-		return !detectors[0].Suspected(3) && !detectors[1].Suspected(3)
-	})
+	clk.Advance(2 * time.Millisecond)
+	if detectors[0].Suspected(3) || detectors[1].Suspected(3) {
+		t.Error("O3 still suspected a beat after the heal")
+	}
 }
 
 func TestDetectorStopIdempotent(t *testing.T) {
-	_, detectors, _ := detectorCluster(t, 2, time.Millisecond, 10*time.Millisecond)
+	_, _, detectors, _ := detectorCluster(t, 2, time.Millisecond, 10*time.Millisecond)
 	detectors[0].Stop()
 	detectors[0].Stop()
 }
@@ -138,101 +141,73 @@ func TestNetworkIsolateDropsBothDirections(t *testing.T) {
 	}
 }
 
-// fakeClock is a manual clock for driving the detector's suspicion logic
-// deterministically: timers and tickers still fly in real time (embedded
-// vclock.Real), but Now — and therefore staleness — is judged against fake
-// time, so a test can age the world at will without stalling heartbeats.
-type fakeClock struct {
-	vclock.Real
-	mu sync.Mutex
-	t  time.Time
-}
-
-func (c *fakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *fakeClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
-}
-
 // TestDetectorSuspectResumeUnsuspectUnderJitter drives the full suspicion
-// cycle — alive, partitioned and suspected, healed and unsuspected — on a
-// jittery network, with the clock seam injected so the timeout is crossed by
-// advancing fake time, not by sleeping it off.
+// cycle (alive, partitioned and suspected, healed and unsuspected) on a
+// jittery network, all of it on a virtual clock only the test advances: beats,
+// link delays and the timeout are facts of the test. Advance returns when
+// everything a beat caused has been delivered, so each assertion reads settled
+// state.
 func TestDetectorSuspectResumeUnsuspectUnderJitter(t *testing.T) {
-	clock := &fakeClock{t: time.Unix(1000, 0)}
-	const timeout = 50 * time.Millisecond // fake time
+	clock := vclock.NewVirtual()
+	const timeout = 50 * time.Millisecond
 
-	net := netsim.New(netsim.Config{Latency: netsim.JitterLatency(0, 2*time.Millisecond, 7)})
-	defer net.Close()
+	net := netsim.New(netsim.Config{Latency: netsim.JitterLatency(0, 2*time.Millisecond, 7), Clock: clock})
 	dir := NewDirectory(net)
 	members := []ident.ObjectID{1, 2, 3}
 	detectors := make([]*Detector, len(members))
 	nodes := make(map[ident.ObjectID]ident.NodeID, len(members))
 	for i, m := range members {
-		tr, err := NewRawTransport(dir, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		node, err := dir.Lookup(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[m] = node
-		// Beats are four times the mean link delay apart. A pair's link is
-		// serial, so beats sent as fast as the link delivers them (1 ms
-		// against a 0-2 ms draw, plus timer slack under -race) pile up on
-		// it, and O3's backlog would go on arriving, and re-stamping O3,
-		// long after the partition below.
-		detectors[i] = NewDetector(tr, members, 4*time.Millisecond, timeout, clock)
-		t.Cleanup(tr.Close)
+		// Beats are four times the mean link delay apart: a pair's link is
+		// serial, so beats sent as fast as the link delivers them would pile
+		// up on it.
+		detectors[i], nodes[m] = fedDetector(t, dir, m, members, 4*time.Millisecond, timeout, clock)
 	}
 	defer func() {
 		for _, d := range detectors {
 			d.Stop()
 		}
+		// A link waiting out its latency waits for the clock: let the beats
+		// still in flight land before the network waits for its links.
+		clock.Advance(10 * time.Millisecond)
+		net.Close()
 	}()
 
-	waitFor(t, "initial liveness", func() bool {
-		return len(detectors[0].Alive()) == 2 && len(detectors[1].Alive()) == 2
-	})
-
-	// Fake time does not advance on its own: nobody becomes suspect no
-	// matter how much real time the jittery heartbeats take.
-	time.Sleep(10 * time.Millisecond)
-	if s := detectors[0].Suspects(); len(s) != 0 {
-		t.Fatalf("suspects with frozen clock: %v", s)
+	// Long enough for every beat to have crossed its link, short of the timeout.
+	clock.Advance(timeout / 2)
+	for i, d := range detectors {
+		if suspects := d.Suspects(); len(suspects) != 0 {
+			t.Fatalf("detector %d before the cut: suspects %v", i, suspects)
+		}
 	}
 
-	// Partition O3 away, let its in-flight heartbeats (jitter-delayed) drain
-	// in real time, then age the world past the timeout. O1/O2 keep
-	// re-stamping each other at current fake time; O3's stamp goes stale.
+	// Partition O3 away and age the world past the timeout. O1/O2 keep
+	// re-stamping each other; O3's stamp goes stale.
 	net.Isolate(nodes[3])
-	time.Sleep(10 * time.Millisecond)
-	clock.Advance(timeout + time.Millisecond)
-	waitFor(t, "O3 suspected under jitter", func() bool {
-		return detectors[0].Suspected(3) && detectors[1].Suspected(3) &&
-			!detectors[0].Suspected(2) && !detectors[1].Suspected(1)
-	})
+	clock.Advance(timeout + 4*time.Millisecond)
+	if !detectors[0].Suspected(3) || !detectors[1].Suspected(3) ||
+		detectors[0].Suspected(2) || detectors[1].Suspected(1) {
+		t.Fatalf("after the cut: O1 suspects %v, O2 suspects %v, want [O3] each",
+			detectors[0].Suspects(), detectors[1].Suspects())
+	}
+	if s := detectors[2].Suspects(); len(s) != 2 {
+		t.Fatalf("the isolated O3 suspects %v, want both peers", s)
+	}
 
-	// Heal: heartbeats resume (still jittered) and must clear the suspicion
-	// without the clock ever moving backward.
+	// Heal: two beat periods later everyone has heard from everyone.
 	net.Heal(nodes[3])
-	waitFor(t, "O3 unsuspected after heartbeats resume", func() bool {
-		return !detectors[0].Suspected(3) && !detectors[1].Suspected(3)
-	})
+	clock.Advance(10 * time.Millisecond)
+	for i, d := range detectors {
+		if s := d.Suspects(); len(s) != 0 {
+			t.Fatalf("detector %d still suspects %v after the heal", i, s)
+		}
+	}
 }
 
 // TestFedDetectorObserve checks the passive mode: the detector never touches
 // the transport's Recv stream (its owner does), and suspicion is driven
 // purely by Observe calls.
 func TestFedDetectorObserve(t *testing.T) {
-	clock := &fakeClock{t: time.Unix(2000, 0)}
+	clock := vclock.NewVirtual()
 	const timeout = 20 * time.Millisecond
 
 	net := netsim.New(netsim.Config{})
@@ -248,18 +223,21 @@ func TestFedDetectorObserve(t *testing.T) {
 	defer d.Stop()
 
 	if d.Suspected(2) {
-		t.Fatal("peer suspected during the grace period")
+		t.Fatal("peer suspected before its first timeout")
 	}
 	clock.Advance(timeout + time.Millisecond)
-	waitFor(t, "peer suspected without observations", func() bool { return d.Suspected(2) })
+	if !d.Suspected(2) {
+		t.Fatal("peer not suspected after a timeout without observations")
+	}
 
 	d.Observe(2)
 	if d.Suspected(2) {
 		t.Fatal("peer still suspected after Observe")
 	}
 	d.Observe(42) // unknown sender: ignored, not adopted into the peer set
-	if got := len(d.Alive()); got != 1 {
-		t.Fatalf("alive = %d, want 1", got)
+	clock.Advance(timeout + time.Millisecond)
+	if got := d.Suspects(); len(got) != 1 || got[0] != 2 {
+		t.Fatalf("suspects = %v, want [O2] alone: the tracked set is the declared peers", got)
 	}
 
 	// The owner of the transport still sees the raw heartbeat traffic the
@@ -270,6 +248,7 @@ func TestFedDetectorObserve(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tr2.Close()
+	clock.Advance(time.Millisecond) // one beat
 	select {
 	case msg := <-tr2.Recv():
 		if msg.Kind != KindHeartbeat || msg.From != 1 {

@@ -93,7 +93,7 @@ func newSink(deliver func(Delivery)) *sink {
 // is nil for a transport bound with its own deliver function.
 func (s *sink) Recv() <-chan Delivery { return s.out }
 
-// halt releases a deliver blocked on the channel (and R3's ticker loop).
+// halt releases a deliver blocked on the channel (and stops R3's ticker).
 func (s *sink) halt() { s.once.Do(func() { close(s.stop) }) }
 
 // stopped is the port's stopped hook: its goroutine has made the last deliver

@@ -25,22 +25,22 @@ import (
 // arrival that shows the sender is in trouble (a duplicate, a gap, or the
 // retransmission that closes a gap) is acked at once.
 //
-// The receive side has no goroutine: the port's goroutine calls handle, which
-// runs the sequencing under mu and then deliver. The one goroutine the
-// transport owns drives the ticker.
+// The transport has no goroutine: the port's goroutine calls handle, which
+// runs the sequencing under mu and then deliver, and the ticker is one
+// callback on the clock seam that re-arms its own timer.
 type R3Transport struct {
 	self ident.ObjectID
 	*sink
 
-	// mu guards peers, and port until the constructor has set it: handle may
-	// run before Bind returns and needs the port for its acks.
-	mu    sync.Mutex
-	port  Port
-	peers map[ident.ObjectID]*peerState
+	// mu guards peers and ticker, and port until the constructor has set it:
+	// handle may run before Bind returns and needs the port for its acks.
+	mu     sync.Mutex
+	port   Port
+	peers  map[ident.ObjectID]*peerState
+	ticker vclock.Handle
 
 	retransmit time.Duration
 	clk        vclock.Clock
-	done       chan struct{} // the ticker goroutine exited
 }
 
 var _ Transport = (*R3Transport)(nil)
@@ -130,29 +130,24 @@ func BindR3(dir Binder, obj ident.ObjectID, retransmit time.Duration, clk vclock
 		peers:      make(map[ident.ObjectID]*peerState),
 		retransmit: retransmit,
 		clk:        vclock.Or(clk),
-		done:       make(chan struct{}),
 	}
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	port, err := dir.Bind(obj, t.handle, t.stopped)
-	t.port = port
-	t.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	// Armed here and not in the loop, so that a virtual clock advanced right
-	// after construction cannot slip past a ticker that does not exist yet.
-	go t.loop(t.clk.NewTicker(max(retransmit/2, 1)))
+	t.port = port
+	t.ticker = t.clk.AfterFunc(t.period(), t.onTick)
 	return t, nil
 }
+
+// period is the ticker's: half the retransmission period.
+func (t *R3Transport) period() time.Duration { return max(t.retransmit/2, 1) }
 
 // NewR3Transport is BindR3 on the real clock delivering on the Recv channel.
 func NewR3Transport(dir Binder, obj ident.ObjectID, retransmit time.Duration) (*R3Transport, error) {
 	return BindR3(dir, obj, retransmit, nil, nil)
-}
-
-// NewR3TransportClock is NewR3Transport with an explicit clock seam.
-func NewR3TransportClock(dir Binder, obj ident.ObjectID, retransmit time.Duration, clk vclock.Clock) (*R3Transport, error) {
-	return BindR3(dir, obj, retransmit, clk, nil)
 }
 
 // Self returns the owning object's identifier.
@@ -181,11 +176,14 @@ func (t *R3Transport) SendTagged(to ident.ObjectID, kind string, action ident.Ac
 	return memberErr(t.port.SendTagged(to, wireKind, action, env))
 }
 
-// Close stops the ticker and the port, and returns once both goroutines have
-// exited.
+// Close stops the ticker and the port, and returns once the port's goroutine
+// has exited. A tick already running on another goroutine (real clock) may
+// still send; the closed port refuses it.
 func (t *R3Transport) Close() {
 	t.halt()
-	<-t.done
+	t.mu.Lock()
+	t.ticker.Stop()
+	t.mu.Unlock()
 	t.port.Close()
 }
 
@@ -199,19 +197,17 @@ func (t *R3Transport) peer(id ident.ObjectID) *peerState {
 	return ps
 }
 
-// loop is the ticker goroutine; it ends when the transport is closed or the
-// port stops under it.
-func (t *R3Transport) loop(ticker vclock.Ticker) {
-	defer close(t.done)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-t.stop:
-			return
-		case <-ticker.C():
-			t.tick()
-		}
+// onTick is the ticker callback: one tick, then the next is armed, unless the
+// transport was closed or the port stopped under it.
+func (t *R3Transport) onTick() {
+	t.tick()
+	t.mu.Lock()
+	select {
+	case <-t.stop:
+	default:
+		t.ticker.Reset(t.period())
 	}
+	t.mu.Unlock()
 }
 
 // handle is the port's handler: everything R3 does on receipt happens here,

@@ -218,18 +218,20 @@ func TestR3PiggybackedAckApplied(t *testing.T) {
 	}
 }
 
-// newVirtualPair runs two real transports, loops and all, over a loss-free
-// instant netsim, their tickers on a clock only the test advances.
+// newVirtualPair runs two real transports, tickers and all, over a loss-free
+// instant netsim, everything on a clock only the test advances: the network
+// counts its queued messages on it too, so Advance returns when a tick and
+// all it sent have been handled.
 func newVirtualPair(t *testing.T) (*netsim.Network, *vclock.Virtual, *R3Transport, *R3Transport) {
 	t.Helper()
 	clk := vclock.NewVirtual()
-	net := netsim.New(netsim.Config{})
+	net := netsim.New(netsim.Config{Clock: clk})
 	dir := NewDirectory(net)
-	a, err := NewR3TransportClock(dir, 1, testRetransmit, clk)
+	a, err := BindR3(dir, 1, testRetransmit, clk, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewR3TransportClock(dir, 2, testRetransmit, clk)
+	b, err := BindR3(dir, 2, testRetransmit, clk, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,14 +254,14 @@ func recvWithin(t *testing.T, tr *R3Transport) Delivery {
 	}
 }
 
-// awaitAcked waits until tr has nothing unacknowledged towards peer.
-func awaitAcked(t *testing.T, tr *R3Transport, peer ident.ObjectID) {
+// wantAcked checks that tr has nothing unacknowledged towards peer.
+func wantAcked(t *testing.T, tr *R3Transport, peer ident.ObjectID) {
 	t.Helper()
-	waitFor(t, "unacked window to drain", func() bool {
-		tr.mu.Lock()
-		defer tr.mu.Unlock()
-		return len(tr.peer(peer).unacked) == 0
-	})
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	if n := len(tr.peer(peer).unacked); n != 0 {
+		t.Fatalf("%s still has %d messages to %s unacknowledged", tr.Self(), n, peer)
+	}
 }
 
 func TestR3RoundTripsPiggybackEveryAck(t *testing.T) {
@@ -288,8 +290,8 @@ func TestR3RoundTripsPiggybackEveryAck(t *testing.T) {
 	// a retransmission period, acknowledges it; no timeout can have expired,
 	// so none of the sends is a retransmission.
 	clk.Advance(testRetransmit / 2)
-	awaitAcked(t, b, 1)
-	awaitAcked(t, a, 2)
+	wantAcked(t, b, 1)
+	wantAcked(t, a, 2)
 	if sent := net.Stats().Sent; sent > 2*k+2 {
 		t.Fatalf("%d round trips and a tick cost %d network sends, want at most %d", k, sent, 2*k+2)
 	}
@@ -312,7 +314,7 @@ func TestR3OneWayStreamAckedByOneTick(t *testing.T) {
 		t.Fatalf("%d one-way messages cost %d network sends before any tick, want %d", k, sent, k)
 	}
 	clk.Advance(testRetransmit / 2)
-	awaitAcked(t, src, 2)
+	wantAcked(t, src, 2)
 	if sent := net.Stats().Sent; sent != k+1 {
 		t.Fatalf("%d one-way messages and a tick cost %d network sends, want %d", k, sent, k+1)
 	}

@@ -29,8 +29,10 @@
 //     coordinator and a freshly healed one can never elect concurrently —
 //     the degraded biggest-surviving-member chooser is unique per lease term.
 //
-// All timers run on the vclock.Clock seam: with a vclock.Virtual the whole
-// suspicion/expel/heal/rejoin cycle executes in microseconds of real time.
+// All timers run on the vclock.Clock seam as callbacks (a Monitor has no
+// goroutine): with a vclock.Virtual the whole suspicion/expel/heal/rejoin
+// cycle executes in microseconds of real time and in an order that is a
+// function of the program.
 package membership
 
 import (
@@ -88,8 +90,8 @@ type Config struct {
 	Send func(to ident.ObjectID, kind string, payload any) error
 	// Poll is the suspicion-polling period.
 	Poll time.Duration
-	// Clock is the seam for the poll ticker and lease expiry. Nil means the
-	// real clock.
+	// Clock is the seam for the poll timer, callback dispatch and lease
+	// expiry. Nil means the real clock.
 	Clock vclock.Clock
 	// Rejoin enables view-synchronous readmission: expelled members petition
 	// after their partition heals and the coordinator welcomes them back into
@@ -142,13 +144,16 @@ type Monitor struct {
 	granted grantState
 	grants  map[ident.ObjectID]time.Time
 
-	// Callbacks fire from the monitor's own goroutine, never from the caller
-	// of Deliver — a subscriber may synchronously re-enter the participant
-	// machinery that called Deliver in the first place.
-	kick chan struct{}
-	stop chan struct{}
-	done chan struct{}
-	once sync.Once
+	// Subscribers are called from clock callbacks (the poll, or a dispatch
+	// armed for the current instant by an install), never from the caller of
+	// Deliver: a subscriber may synchronously re-enter the participant
+	// machinery that called Deliver in the first place. run serialises those
+	// callbacks with each other and with Stop, so changes are delivered in
+	// installation order and none after Stop has returned; it guards poller
+	// and stopped.
+	run     sync.Mutex
+	poller  vclock.Handle // re-armed by each poll
+	stopped bool
 }
 
 type viewChange struct{ old, new View }
@@ -168,11 +173,10 @@ func NewMonitor(cfg Config) *Monitor {
 		clk:      vclock.Or(cfg.Clock),
 		cur:      cur,
 		isolated: cfg.Isolated,
-		kick:     make(chan struct{}, 1),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
 	}
-	go m.loop()
+	m.run.Lock()
+	m.poller = m.clk.AfterFunc(cfg.Poll, m.onPoll)
+	m.run.Unlock()
 	return m
 }
 
@@ -189,8 +193,8 @@ func (m *Monitor) Base() []ident.ObjectID {
 	return append([]ident.ObjectID(nil), m.cfg.Members...)
 }
 
-// Subscribe registers a view-change callback, fired from the monitor's
-// goroutine with the old and new views, in installation order.
+// Subscribe registers a view-change callback, fired from a clock callback
+// with the old and new views, in installation order.
 func (m *Monitor) Subscribe(fn func(old, new View)) {
 	m.mu.Lock()
 	m.subs = append(m.subs, fn)
@@ -210,47 +214,53 @@ func (m *Monitor) Deliver(v View) {
 	m.installLocked(v.Clone())
 }
 
-// Stop terminates the monitor. Pending callbacks are drained first.
+// Stop terminates the monitor: the poll is disarmed, a callback in progress
+// is waited for and queued changes are delivered first, so Stop means "all
+// callbacks delivered". Idempotent; it must not be called from a subscriber.
 func (m *Monitor) Stop() {
-	m.once.Do(func() {
-		close(m.stop)
-		<-m.done
-	})
+	m.run.Lock()
+	defer m.run.Unlock()
+	if !m.stopped {
+		m.stopped = true
+		m.poller.Stop()
+		m.dispatch()
+	}
 }
 
-// installLocked swaps the view in and queues the change for asynchronous
-// callback dispatch. Callers hold m.mu; the queue is unbounded so installing
-// never blocks against the dispatch goroutine.
+// installLocked swaps the view in, queues the change and arms its dispatch for
+// the current instant. Callers hold m.mu; the queue is unbounded so installing
+// never blocks against a dispatch in progress.
 func (m *Monitor) installLocked(v View) {
 	old := m.cur
 	m.cur = v
 	m.pending = append(m.pending, viewChange{old: old, new: v.Clone()})
-	select {
-	case m.kick <- struct{}{}:
-	default:
+	m.clk.AfterFunc(0, m.onInstall)
+}
+
+// onPoll is the poll timer's callback: one suspicion check, the changes it
+// queued, and the next poll is armed.
+func (m *Monitor) onPoll() {
+	m.run.Lock()
+	defer m.run.Unlock()
+	if m.stopped {
+		return
+	}
+	m.poll()
+	m.dispatch()
+	m.poller.Reset(m.cfg.Poll)
+}
+
+// onInstall delivers what an install outside the poll queued.
+func (m *Monitor) onInstall() {
+	m.run.Lock()
+	defer m.run.Unlock()
+	if !m.stopped {
+		m.dispatch()
 	}
 }
 
-func (m *Monitor) loop() {
-	defer close(m.done)
-	ticker := m.clk.NewTicker(m.cfg.Poll)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-m.stop:
-			// Drain queued changes so Stop means "all callbacks delivered".
-			m.dispatch()
-			return
-		case <-m.kick:
-			m.dispatch()
-		case <-ticker.C():
-			m.poll()
-			m.dispatch()
-		}
-	}
-}
-
-// dispatch fires every queued view change, in installation order.
+// dispatch fires every queued view change, in installation order. Caller
+// holds m.run.
 func (m *Monitor) dispatch() {
 	for {
 		m.mu.Lock()

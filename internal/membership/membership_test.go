@@ -9,6 +9,7 @@ import (
 	"repro/internal/group"
 	"repro/internal/ident"
 	"repro/internal/netsim"
+	"repro/internal/vclock"
 )
 
 type suspectorFunc func() []ident.ObjectID
@@ -223,7 +224,10 @@ func TestMonitorMinorityIslandStalls(t *testing.T) {
 // {4,5} away; the majority installs {1,2,3}; a view multicast then reports
 // exactly the expelled members as unreachable.
 func TestViewSynchronousMulticastOverPartition(t *testing.T) {
-	net := netsim.New(netsim.Config{})
+	// Everything on a virtual clock only the test advances, the network's
+	// queues included: each assertion reads a settled system.
+	clk := vclock.NewVirtual()
+	net := netsim.New(netsim.Config{Clock: clk})
 	defer net.Close()
 	dir := group.NewDirectory(net)
 	members := []ident.ObjectID{1, 2, 3, 4, 5}
@@ -236,38 +240,36 @@ func TestViewSynchronousMulticastOverPartition(t *testing.T) {
 		got []group.Delivery
 	}
 	nodes := make(map[ident.ObjectID]*node, len(members))
-	var wg sync.WaitGroup
 	for _, m := range members {
-		tr, err := group.NewRawTransport(dir, m)
+		n := &node{}
+		tr, err := group.BindRaw(dir, m, func(d group.Delivery) {
+			switch d.Kind {
+			case group.KindHeartbeat:
+				n.det.Observe(d.From)
+			case KindView:
+				n.mon.Deliver(d.Payload.(View))
+			default:
+				n.mu.Lock()
+				n.got = append(n.got, d)
+				n.mu.Unlock()
+			}
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := &node{tr: tr}
-		n.det = group.NewFedDetector(m, tr.Send, members, time.Millisecond, 30*time.Millisecond, nil)
+		// Nothing is delivered before the first Advance: det and mon are set
+		// by then.
+		n.tr = tr
+		n.det = group.NewFedDetector(m, tr.Send, members, time.Millisecond, 30*time.Millisecond, clk)
 		n.mon = NewMonitor(Config{
 			Self:      m,
 			Members:   members,
 			Suspector: n.det,
 			Send:      tr.Send,
 			Poll:      2 * time.Millisecond,
+			Clock:     clk,
 		})
 		nodes[m] = n
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for d := range tr.Recv() {
-				switch d.Kind {
-				case group.KindHeartbeat:
-					n.det.Observe(d.From)
-				case KindView:
-					n.mon.Deliver(d.Payload.(View))
-				default:
-					n.mu.Lock()
-					n.got = append(n.got, d)
-					n.mu.Unlock()
-				}
-			}
-		}()
 	}
 	defer func() {
 		for _, n := range nodes {
@@ -275,21 +277,21 @@ func TestViewSynchronousMulticastOverPartition(t *testing.T) {
 			n.det.Stop()
 			n.tr.Close()
 		}
-		wg.Wait()
 	}()
 
-	waitFor(t, "initial liveness", func() bool {
-		return len(nodes[1].det.Alive()) == 4
-	})
+	clk.Advance(10 * time.Millisecond)
+	if s := nodes[1].det.Suspects(); len(s) != 0 {
+		t.Fatalf("O1 suspects %v before the cut", s)
+	}
 
 	if err := dir.Fabric().Partition("storm", 4, 5); err != nil {
 		t.Fatal(err)
 	}
+	clk.Advance(40 * time.Millisecond) // the 30ms timeout, a poll and the view's delivery
 	for _, m := range []ident.ObjectID{1, 2, 3} {
-		waitFor(t, "majority view installed", func() bool {
-			cur := nodes[m].mon.Current()
-			return cur.Epoch == 1 && sameMembers(cur.Members, []ident.ObjectID{1, 2, 3})
-		})
+		if cur := nodes[m].mon.Current(); cur.Epoch != 1 || !sameMembers(cur.Members, []ident.ObjectID{1, 2, 3}) {
+			t.Fatalf("member %d holds %+v, want the majority view at epoch 1", m, cur)
+		}
 	}
 	// The minority never moves past epoch 0.
 	if cur := nodes[4].mon.Current(); cur.Epoch != 0 {
@@ -312,19 +314,20 @@ func TestViewSynchronousMulticastOverPartition(t *testing.T) {
 			t.Errorf("unreachable[%s] = %v, want ErrNotInView", m, report.Unreachable[m])
 		}
 	}
+	clk.Advance(0) // settle: the multicast has been delivered
 	for _, m := range []ident.ObjectID{2, 3} {
 		n := nodes[m]
-		waitFor(t, "in-view delivery", func() bool {
-			n.mu.Lock()
-			defer n.mu.Unlock()
-			return len(n.got) == 1 && n.got[0].Kind == "app.msg"
-		})
+		n.mu.Lock()
+		if len(n.got) != 1 || n.got[0].Kind != "app.msg" {
+			t.Errorf("member %d got %+v, want the one in-view delivery", m, n.got)
+		}
+		n.mu.Unlock()
 	}
 
 	// Healing the partition must not resurrect the expelled members: views
 	// are one-way, so the report stays the same.
 	dir.Fabric().HealPartition("storm")
-	time.Sleep(10 * time.Millisecond)
+	clk.Advance(50 * time.Millisecond)
 	report2, err := vm.Multicast("app.msg", "still-three")
 	if err != nil {
 		t.Fatal(err)

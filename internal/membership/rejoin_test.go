@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fifo"
 	"repro/internal/group"
 	"repro/internal/ident"
 	"repro/internal/netsim"
@@ -43,20 +44,18 @@ func (i *islands) policy(from, to ident.ObjectID, _ uint64, _ transport.Message)
 }
 
 // memNode is one member of the rejoin harness: a fed detector plus a monitor
-// fed off a per-node mailbox, over whatever fabric the flavour provides.
+// fed off the harness inbox, over whatever fabric the flavour provides.
 type memNode struct {
 	self ident.ObjectID
 	send func(m transport.Message) error
-	mbox chan transport.Message
 	det  *group.Detector
 	mon  *Monitor
 
 	installed atomic.Value // last Welcome snapshot, as string
-	done      chan struct{}
 }
 
 // sendTo is the node's send function for its fed detector and monitor.
-// Receptions flow through the harness mailbox.
+// Receptions flow through the harness inbox.
 func (n *memNode) sendTo(to ident.ObjectID, kind string, payload any) error {
 	return n.send(transport.Message{From: n.self, To: to, Kind: kind, Payload: payload})
 }
@@ -138,15 +137,14 @@ func (membershipCodec) Decode(v any) (any, error) {
 }
 
 // buildFabric constructs one of the four delivery fabrics and routes every
-// delivery to the per-destination deliver callback. The returned send is safe
-// for concurrent use on every flavour (the step-driven fabrics get a lock and
-// a pump goroutine).
+// delivery to the deliver callback. The returned send is safe for concurrent
+// use on every flavour (the step-driven fabrics get a lock and a stepping
+// pump). The tcp flavour ignores clk: bytes in the kernel cannot be counted.
 func buildFabric(t *testing.T, flavour string, members []ident.ObjectID, clk vclock.Clock,
 	faults transport.FaultPolicy, deliver func(m transport.Message)) (func(transport.Message) error, func()) {
 	t.Helper()
 	switch flavour {
 	case "deterministic", "randomized":
-		var fab *Deterministic
 		opts := transport.Options{Faults: faults}
 		var det *transport.Deterministic
 		if flavour == "deterministic" {
@@ -154,37 +152,28 @@ func buildFabric(t *testing.T, flavour string, members []ident.ObjectID, clk vcl
 		} else {
 			det = transport.NewRandomized(7, opts).Deterministic
 		}
-		_ = fab
 		for _, m := range members {
 			det.Register(m, deliver)
 		}
+		// The stepper is a pump on the test's clock, kicked by every send, so
+		// the clock counts a message the fabric has queued as outstanding work.
+		// deliver must not send from inside Step (the harness inbox does not).
 		var mu sync.Mutex
-		stop := make(chan struct{})
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				mu.Lock()
-				progressed := det.Step()
-				mu.Unlock()
-				if !progressed {
-					time.Sleep(50 * time.Microsecond)
-				}
+		stepper := fifo.NewPump[struct{}](clk)
+		go stepper.Run(func(struct{}) {
+			mu.Lock()
+			for det.Step() {
 			}
-		}()
+			mu.Unlock()
+		}, nil)
 		send := func(m transport.Message) error {
 			mu.Lock()
 			defer mu.Unlock()
+			stepper.Put(struct{}{})
 			return det.Send(m)
 		}
 		cleanup := func() {
-			close(stop)
-			<-done
+			stepper.Close()
 			mu.Lock()
 			_ = det.Close()
 			mu.Unlock()
@@ -205,7 +194,6 @@ func buildFabric(t *testing.T, flavour string, members []ident.ObjectID, clk vcl
 			fab, err := transport.NewTCP(transport.TCPOptions{
 				Codec:  membershipCodec{},
 				Faults: faults,
-				Clock:  clk,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -233,40 +221,19 @@ func buildFabric(t *testing.T, flavour string, members []ident.ObjectID, clk vcl
 	return nil, nil
 }
 
-// Deterministic is aliased so the deterministic/randomized arm above can hold
-// either in one variable without exporting new surface.
-type Deterministic = transport.Deterministic
-
-// startNodes spins up the full membership stack — fed detector, monitor with
-// rejoin + leases, mailbox consumer — for every member on the given fabric.
+// startNodes spins up the full membership stack (fed detector, monitor with
+// rejoin + leases) for every member on the given fabric. Every delivery goes
+// through one inbox pump counted on clk, whose handler feeds the destination's
+// detector or monitor: nothing in the harness is invisible to the clock.
 func startNodes(t *testing.T, flavour string, members []ident.ObjectID, clk vclock.Clock,
 	isl *islands, lease, timeout time.Duration) (map[ident.ObjectID]*memNode, func()) {
 	t.Helper()
 	nodes := make(map[ident.ObjectID]*memNode, len(members))
-	deliver := func(m transport.Message) {
-		n := nodes[m.To]
-		if n == nil {
-			return
-		}
-		select {
-		case n.mbox <- m:
-		default: // overflow behaves like network loss; heartbeats tolerate it
-		}
-	}
-	send, cleanupFabric := buildFabric(t, flavour, members, clk, isl.policy, deliver)
-	// Two passes: the map must be fully populated before any detector or
-	// monitor starts, because the first heartbeat can reach deliver (and read
-	// nodes[m.To]) while later members are still being inserted.
+	inbox := fifo.NewPump[transport.Message](clk)
+	send, cleanupFabric := buildFabric(t, flavour, members, clk, isl.policy, inbox.Put)
 	for _, m := range members {
-		nodes[m] = &memNode{
-			self: m,
-			send: send,
-			mbox: make(chan transport.Message, 1<<14),
-			done: make(chan struct{}),
-		}
-	}
-	for _, m := range members {
-		n := nodes[m]
+		n := &memNode{self: m, send: send}
+		nodes[m] = n
 		n.det = group.NewFedDetector(m, n.sendTo, members, time.Millisecond, timeout, clk)
 		self := m
 		n.mon = NewMonitor(Config{
@@ -274,7 +241,7 @@ func startNodes(t *testing.T, flavour string, members []ident.ObjectID, clk vclo
 			Members:   members,
 			Suspector: n.det,
 			Send:      n.sendTo,
-			Poll:      2 * time.Millisecond,
+			Poll:      pollEvery,
 			Clock:     clk,
 			Rejoin:    true,
 			Lease:     lease,
@@ -282,34 +249,43 @@ func startNodes(t *testing.T, flavour string, members []ident.ObjectID, clk vclo
 			Install:   func(snap any) { n.installed.Store(fmt.Sprint(snap)) },
 		})
 	}
-	// Consumers start after every node exists so cross-deliveries route.
-	for _, n := range nodes {
-		n := n
-		go func() {
-			defer close(n.done)
-			for m := range n.mbox {
-				if m.Kind == group.KindHeartbeat {
-					n.det.Observe(m.From)
-					continue
-				}
-				if n.mon.DeliverMessage(m.From, m.Kind, m.Payload) {
-					continue
-				}
-			}
-		}()
-	}
+	// The consumer starts after every node exists, so the map is only read
+	// from here on; what arrived meanwhile (real-clock beats) waited in the pump.
+	go inbox.Run(func(m transport.Message) {
+		n := nodes[m.To]
+		if m.Kind == group.KindHeartbeat {
+			n.det.Observe(m.From)
+			return
+		}
+		n.mon.DeliverMessage(m.From, m.Kind, m.Payload)
+	}, nil)
 	cleanup := func() {
 		for _, n := range nodes {
 			n.mon.Stop()
 			n.det.Stop()
 		}
 		cleanupFabric()
-		for _, n := range nodes {
-			close(n.mbox)
-			<-n.done
-		}
+		inbox.Close()
 	}
 	return nodes, cleanup
+}
+
+// pollEvery is the monitors' poll period and the step the hand-advanced tests
+// move the clock by.
+const pollEvery = 2 * time.Millisecond
+
+// advanceUntil moves a hand-advanced clock one poll at a time until cond
+// holds. Advance returns when everything the step caused has settled, so cond
+// reads a quiescent system and the instant it first holds is exact.
+func advanceUntil(t *testing.T, clk *vclock.Virtual, what string, cond func() bool) {
+	t.Helper()
+	for i := 0; i < 5000; i++ { // 10 s of virtual time
+		if cond() {
+			return
+		}
+		clk.Advance(pollEvery)
+	}
+	t.Fatalf("%s: still false after 10s of virtual time; clock: %v", what, clk)
 }
 
 // TestRejoinStateTransferAllFabrics is the acceptance check for rejoin: on
@@ -322,34 +298,37 @@ func TestRejoinStateTransferAllFabrics(t *testing.T) {
 		flavour := flavour
 		t.Run(flavour, func(t *testing.T) {
 			leak := conformancetest.LeakCheckErr()
-			clk := vclock.NewVirtual()
-			// TCP ships real bytes through real sockets, which the virtual
-			// clock cannot see: give it a coarser auto-advance grace and a
-			// longer timeout so in-flight frames are not outrun.
-			grace, timeout := time.Duration(0), 25*time.Millisecond
+			// Three fabrics run on a hand-advanced virtual clock. TCP ships real
+			// bytes through real sockets, which no clock can count: it runs on
+			// the real one, polled, with a timeout long enough for a loaded box.
+			var clk vclock.Clock
+			timeout := 25 * time.Millisecond
+			wait := func(what string, cond func() bool) { waitFor(t, what, cond) }
 			if flavour == "tcp" {
-				grace, timeout = time.Millisecond, 100*time.Millisecond
+				timeout = 100 * time.Millisecond
+			} else {
+				v := vclock.NewVirtual()
+				clk = v
+				wait = func(what string, cond func() bool) { advanceUntil(t, v, what, cond) }
 			}
-			clk.StartAuto(grace)
-			defer clk.StopAuto()
 
 			members := []ident.ObjectID{1, 2, 3, 4, 5}
 			isl := &islands{}
 			nodes, cleanup := startNodes(t, flavour, members, clk, isl, 50*time.Millisecond, timeout)
 
-			waitFor(t, "initial liveness", func() bool {
-				return len(nodes[1].det.Alive()) == 4 && len(nodes[4].det.Alive()) == 4
+			wait("initial liveness", func() bool {
+				return len(nodes[1].det.Suspects()) == 0 && len(nodes[4].det.Suspects()) == 0
 			})
 
 			isl.set(map[ident.ObjectID]int{4: 1, 5: 1})
 			for _, m := range []ident.ObjectID{1, 2, 3} {
 				m := m
-				waitFor(t, fmt.Sprintf("%s: majority view on %d", flavour, m), func() bool {
+				wait(fmt.Sprintf("%s: majority view on %d", flavour, m), func() bool {
 					cur := nodes[m].mon.Current()
 					return cur.Epoch >= 1 && sameMembers(cur.Members, []ident.ObjectID{1, 2, 3})
 				})
 			}
-			waitFor(t, "cut members detect isolation", func() bool {
+			wait("cut members detect isolation", func() bool {
 				return nodes[4].mon.Isolated() && nodes[5].mon.Isolated()
 			})
 
@@ -358,7 +337,7 @@ func TestRejoinStateTransferAllFabrics(t *testing.T) {
 			// same epoch, the full membership, and no lingering isolation.
 			// (Point-in-time reads would race transient suspicion flaps that
 			// the rejoin protocol heals on its own.)
-			waitFor(t, flavour+": all members converge on the full view", func() bool {
+			wait(flavour+": all members converge on the full view", func() bool {
 				e := nodes[1].mon.Current().Epoch
 				for _, m := range members {
 					cur := nodes[m].mon.Current()
@@ -380,7 +359,6 @@ func TestRejoinStateTransferAllFabrics(t *testing.T) {
 			}
 
 			cleanup()
-			clk.StopAuto()
 			if err := leak(); err != nil {
 				t.Error(err)
 			}
@@ -395,24 +373,22 @@ func TestRejoinStateTransferAllFabrics(t *testing.T) {
 func TestLeaseBlocksStaleElection(t *testing.T) {
 	leak := conformancetest.LeakCheckErr()
 	clk := vclock.NewVirtual()
-	clk.StartAuto(0)
-	defer clk.StopAuto()
 
-	const lease = 500 * time.Millisecond // virtual; dwarfs poll and timeout
+	const lease = 500 * time.Millisecond // dwarfs poll and timeout
 	members := []ident.ObjectID{1, 2, 3, 4, 5}
 	isl := &islands{}
 	nodes, cleanup := startNodes(t, "concurrent", members, clk, isl, lease, 25*time.Millisecond)
 
-	waitFor(t, "initial liveness", func() bool {
-		return len(nodes[1].det.Alive()) == 4
+	advanceUntil(t, clk, "initial liveness", func() bool {
+		return len(nodes[1].det.Suspects()) == 0
 	})
 	// Let the coordinator acquire (and start renewing) the quorum lease.
-	waitFor(t, "coordinator holds lease", func() bool { return nodes[1].mon.HoldsLease() })
+	advanceUntil(t, clk, "coordinator holds lease", func() bool { return nodes[1].mon.HoldsLease() })
 
 	cutAt := clk.Now()
 	isl.set(map[ident.ObjectID]int{1: 1})
 
-	waitFor(t, "new majority view without the old coordinator", func() bool {
+	advanceUntil(t, clk, "new majority view without the old coordinator", func() bool {
 		cur := nodes[2].mon.Current()
 		return cur.Epoch == 1 && sameMembers(cur.Members, []ident.ObjectID{2, 3, 4, 5})
 	})
@@ -420,8 +396,8 @@ func TestLeaseBlocksStaleElection(t *testing.T) {
 
 	// The election could not have happened while the stale lease stood: the
 	// grantors' promises ran until at least cutAt + lease - poll (the last
-	// renewal was at most one poll before the cut).
-	if waited := electedAt.Sub(cutAt); waited < lease-10*time.Millisecond {
+	// renewal was at most one poll before the cut). Both instants are exact.
+	if waited := electedAt.Sub(cutAt); waited < lease-pollEvery {
 		t.Errorf("majority elected after %v, inside the stale %v lease", waited, lease)
 	}
 
@@ -433,15 +409,12 @@ func TestLeaseBlocksStaleElection(t *testing.T) {
 		t.Error("stale coordinator still holds the lease after expiry")
 	}
 	// And it stays that way: give it plenty of virtual time alone.
-	waitFor(t, "virtual time passes in the minority island", func() bool {
-		return clk.Now().Sub(electedAt) > 2*lease
-	})
+	clk.Advance(2 * lease)
 	if cur := nodes[1].mon.Current(); cur.Epoch != 0 {
 		t.Errorf("stale coordinator eventually installed epoch %d", cur.Epoch)
 	}
 
 	cleanup()
-	clk.StopAuto()
 	if err := leak(); err != nil {
 		t.Error(err)
 	}
@@ -512,26 +485,24 @@ func TestLeaseGrantConflict(t *testing.T) {
 func TestRejoinFlappingMember(t *testing.T) {
 	leak := conformancetest.LeakCheckErr()
 	clk := vclock.NewVirtual()
-	clk.StartAuto(0)
-	defer clk.StopAuto()
 
 	members := []ident.ObjectID{1, 2, 3, 4, 5}
 	isl := &islands{}
 	nodes, cleanup := startNodes(t, "concurrent", members, clk, isl, 0, 25*time.Millisecond)
 
-	waitFor(t, "initial liveness", func() bool {
-		return len(nodes[1].det.Alive()) == 4
+	advanceUntil(t, clk, "initial liveness", func() bool {
+		return len(nodes[1].det.Suspects()) == 0
 	})
 
 	lastEpoch := uint64(0)
 	for cycle := 0; cycle < 3; cycle++ {
 		isl.set(map[ident.ObjectID]int{5: 1})
-		waitFor(t, fmt.Sprintf("cycle %d: member 5 expelled", cycle), func() bool {
+		advanceUntil(t, clk, fmt.Sprintf("cycle %d: member 5 expelled", cycle), func() bool {
 			cur := nodes[1].mon.Current()
 			return cur.Epoch > lastEpoch && !cur.Contains(5)
 		})
 		isl.heal()
-		waitFor(t, fmt.Sprintf("cycle %d: member 5 readmitted", cycle), func() bool {
+		advanceUntil(t, clk, fmt.Sprintf("cycle %d: member 5 readmitted", cycle), func() bool {
 			cur := nodes[1].mon.Current()
 			return cur.Contains(5) && nodes[5].mon.Current().Epoch == cur.Epoch
 		})
@@ -551,7 +522,6 @@ func TestRejoinFlappingMember(t *testing.T) {
 	}
 
 	cleanup()
-	clk.StopAuto()
 	if err := leak(); err != nil {
 		t.Error(err)
 	}

@@ -4,9 +4,11 @@ import "repro/internal/fifo"
 
 // newLink starts the serial delivery link for one ordered node pair, so that
 // latency never reorders messages: each queued message waits its own latency
-// in turn, then is handed to the destination endpoint. Caller holds n.mu.
+// in turn, then is handed to the destination endpoint. The wait is a
+// Clock.Sleep under the message's pump token, which Sleep lends to the clock:
+// a virtual clock may move while every link is only waiting. Caller holds n.mu.
 func (n *Network) newLink(dst *Endpoint) *fifo.Pump[Message] {
-	l := fifo.NewPump[Message]()
+	l := fifo.NewPump[Message](n.cfg.Clock)
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()

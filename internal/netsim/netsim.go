@@ -95,9 +95,10 @@ type Config struct {
 	// Seed seeds the fault-injection RNG; fault decisions are deterministic
 	// for a fixed seed and send sequence.
 	Seed int64
-	// Clock is the time source used for link latency waits. Nil means the
-	// real clock; a vclock.Virtual makes latency deterministic and lets
-	// auto-advance skip over it.
+	// Clock is the time source for link latency waits and the clock queued
+	// messages are counted on (links, Node inboxes, a fabric's ports). Nil
+	// means the real clock, which counts nothing; on a vclock.Virtual latency
+	// is exact and time stands still while a message is being handled.
 	Clock vclock.Clock
 }
 
@@ -143,6 +144,9 @@ func New(cfg Config) *Network {
 		partitions: make(map[string]map[ident.NodeID]bool),
 	}
 }
+
+// Clock returns the clock the network runs on (never nil).
+func (n *Network) Clock() vclock.Clock { return n.cfg.Clock }
 
 // Isolate partitions a node away: every message to or from it is dropped
 // until Heal. Models a crashed or partitioned node (the paper's fault model
@@ -219,7 +223,7 @@ func (n *Network) Node(id ident.NodeID) *Endpoint {
 	if ep, ok := n.endpoints[id]; ok {
 		return ep
 	}
-	in, out := fifo.NewPump[Message](), make(chan Message)
+	in, out := fifo.NewPump[Message](n.cfg.Clock), make(chan Message)
 	ep := &Endpoint{id: id, net: n, deliver: in.Put, closed: in.Shutdown, out: out}
 	n.endpoints[id] = ep
 	n.wg.Add(1)

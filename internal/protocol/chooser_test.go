@@ -89,7 +89,7 @@ func TestChooserGroupConstantFactor(t *testing.T) {
 	}
 }
 
-// TestChooserGroupLargerThanRaisers degrades gracefully to all raisers
+// TestChooserGroupLargerThanRaisers degrades cleanly to all raisers
 // choosing.
 func TestChooserGroupLargerThanRaisers(t *testing.T) {
 	b := buildChooserScenario(t, 4, 2, 10)

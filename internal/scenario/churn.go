@@ -51,6 +51,9 @@ type ChurnResult struct {
 	PostHealParticipants int
 	// Elapsed is the wall-clock duration of the whole workload.
 	Elapsed time.Duration
+	// VirtualElapsed is how far the virtual clock moved (zero on the wall
+	// clock): a function of the spec, the same on every run.
+	VirtualElapsed time.Duration
 }
 
 // Validate checks the spec.
@@ -118,13 +121,12 @@ func RunChurn(spec ChurnSpec) (ChurnResult, error) {
 			Lease:     spec.Lease,
 		},
 	}
+	var virtual *vclock.Virtual // nil on the wall clock
 	if spec.Virtual {
-		clk := vclock.NewVirtual()
-		// See scenario.Run: one quiesce round per virtual millisecond.
-		clk.SetQuantum(time.Millisecond)
-		clk.StartAuto(0)
-		defer clk.StopAuto()
-		opts.Clock = clk
+		virtual = vclock.NewVirtual()
+		virtual.StartAuto()
+		defer virtual.StopAuto()
+		opts.Clock = virtual
 	}
 	sys := core.NewSystem(opts)
 	defer sys.Close()
@@ -196,7 +198,7 @@ func RunChurn(spec ChurnSpec) (ChurnResult, error) {
 			Bodies: bodies,
 		}, timeout)
 		if err != nil {
-			return res, fmt.Errorf("cycle %d cut run: %w", cycle, err)
+			return res, fmt.Errorf("cycle %d cut run: %w", cycle, withClock(err, virtual))
 		}
 		res.Expelled += len(out.Expelled)
 		if out.Resolved != core.ExcParticipantFailure {
@@ -218,7 +220,7 @@ func RunChurn(spec ChurnSpec) (ChurnResult, error) {
 			Bodies: bodies,
 		}, timeout)
 		if err != nil {
-			return res, fmt.Errorf("cycle %d rejoin run: %w", cycle, err)
+			return res, fmt.Errorf("cycle %d rejoin run: %w", cycle, withClock(err, virtual))
 		}
 		res.Rejoined += len(out.Rejoined)
 		res.Cycles++
@@ -240,7 +242,7 @@ func RunChurn(spec ChurnSpec) (ChurnResult, error) {
 		Bodies: bodies,
 	}, timeout)
 	if err != nil {
-		return res, fmt.Errorf("post-heal run: %w", err)
+		return res, fmt.Errorf("post-heal run: %w", withClock(err, virtual))
 	}
 	res.PostHealResolved = out.Resolved
 	for _, c := range cut {
@@ -250,5 +252,8 @@ func RunChurn(spec ChurnSpec) (ChurnResult, error) {
 	}
 	res.FinalEpoch = sys.GroupView().Epoch
 	res.Elapsed = time.Since(start)
+	if virtual != nil {
+		res.VirtualElapsed = virtual.Now().Sub(vclock.Epoch)
+	}
 	return res, nil
 }

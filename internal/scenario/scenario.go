@@ -103,6 +103,9 @@ type Result struct {
 	Predicted int
 	// Elapsed is the wall-clock duration of the run.
 	Elapsed time.Duration
+	// VirtualElapsed is the virtual time the run took (zero on the wall
+	// clock): a function of the spec, the same on every run.
+	VirtualElapsed time.Duration
 	// Trace is the rendered event log (only when Spec.KeepTrace).
 	Trace string
 }
@@ -166,6 +169,16 @@ func (s Spec) Validate() error {
 	return nil
 }
 
+// withClock attaches the virtual clock's state to a failed run's error: a run
+// that timed out in virtual time because a clock token leaked reads e.g.
+// "body=1 ... next=[+1ms]" instead of nothing.
+func withClock(err error, clk *vclock.Virtual) error {
+	if clk == nil {
+		return err
+	}
+	return fmt.Errorf("%w (virtual clock: %v)", err, clk)
+}
+
 // protocolKinds are the message kinds counted as protocol overhead.
 var protocolKinds = []string{
 	protocol.KindException,
@@ -191,17 +204,12 @@ func Run(spec Spec) (Result, error) {
 		Retransmit: spec.Retransmit,
 		Trace:      log,
 	}
+	var virtual *vclock.Virtual // nil on the wall clock
 	if spec.Virtual {
-		clk := vclock.NewVirtual()
-		// Coalesce auto-advance to the heartbeat period: the membership
-		// timings (1ms heartbeats, 25ms detector timeout) tolerate a
-		// millisecond of timer bunching, and one quiesce round per virtual
-		// millisecond instead of one per distinct deadline is what makes the
-		// virtual run an order of magnitude faster than the wall clock.
-		clk.SetQuantum(time.Millisecond)
-		clk.StartAuto(0)
-		defer clk.StopAuto()
-		opts.Clock = clk
+		virtual = vclock.NewVirtual()
+		virtual.StartAuto()
+		defer virtual.StopAuto()
+		opts.Clock = virtual
 	}
 	if spec.Membership {
 		// Timings tuned for simulation runs: fast enough that a partition is
@@ -226,19 +234,31 @@ func Run(spec Spec) (Result, error) {
 		if delay == 0 {
 			delay = 20 * time.Millisecond
 		}
+		// The cut is a callback on the run's clock, armed by the first body
+		// to start and so counted from the instant the run starts: on the
+		// virtual clock it lands at exactly that instant of the run (armed out
+		// here, where nothing is counted yet, an auto-advancing clock would
+		// fire it before the run had bound anything to cut). Best-effort: a
+		// cut that lands after the run finished changes nothing the result
+		// reports, which then shows no expulsions.
 		clk := vclock.Or(opts.Clock)
-		go func() {
-			clk.Sleep(delay)
-			// Best-effort: a cut that lands after the run finished changes
-			// nothing the result reports — it then shows no expulsions.
-			_ = sys.Partition("storm", cut...)
+		first := def.Bodies[1]
+		var cutTimer vclock.Handle
+		def.Bodies[1] = func(ctx *core.Context) error {
+			cutTimer = clk.AfterFunc(delay, func() { _ = sys.Partition("storm", cut...) })
+			return first(ctx)
+		}
+		defer func() {
+			if cutTimer != nil {
+				cutTimer.Stop()
+			}
 		}()
 	}
 	start := time.Now()
 	out, err := sys.RunTimeout(def, timeout)
 	elapsed := time.Since(start)
 	if err != nil {
-		return Result{Outcome: out, Elapsed: elapsed}, err
+		return Result{Outcome: out, Elapsed: elapsed}, withClock(err, virtual)
 	}
 	_ = nestedSpecs
 
@@ -246,6 +266,9 @@ func Run(spec Spec) (Result, error) {
 		Outcome: out,
 		Census:  make(map[string]int, len(protocolKinds)),
 		Elapsed: elapsed,
+	}
+	if virtual != nil {
+		res.VirtualElapsed = virtual.Now().Sub(vclock.Epoch)
 	}
 	for _, kind := range protocolKinds {
 		n := log.CountSends(kind)

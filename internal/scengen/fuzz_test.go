@@ -45,7 +45,7 @@ func FuzzScenario(f *testing.F) {
 
 // shrinkForTest minimises a failing program with a faster oracle
 // configuration: known-failing programs are re-probed dozens of times, so the
-// settle deadline drops and the leak check (which adds a grace wait per
+// settle deadline drops and the leak check (which adds a settling wait per
 // probe) is skipped.
 func shrinkForTest(p *Program) *Program {
 	opts := Options{Settle: 3 * time.Second, RunTimeout: 10 * time.Second, SkipLeak: true}

@@ -92,7 +92,7 @@ func (c *Concurrent) BindFunc(obj ident.ObjectID, node ident.NodeID, fn Handler,
 }
 
 func (c *Concurrent) bind(obj ident.ObjectID, node ident.NodeID, fn Handler, stopped func()) (*Port, error) {
-	p := &Port{c: c, obj: obj, node: node, in: fifo.NewPump[netsim.Message]()}
+	p := &Port{c: c, obj: obj, node: node, in: fifo.NewPump[netsim.Message](c.net.Clock())}
 	if fn == nil {
 		p.out, fn, stopped = recvChan(p.in.Stopping())
 	}

@@ -52,7 +52,7 @@ type Fabric interface {
 	Send(m transport.Message) error
 	// Settle blocks until delivery has finished: step backends drain their
 	// queue; asynchronous backends wait until count() reaches want, then a
-	// grace period for stragglers.
+	// settling period for stragglers.
 	Settle(count func() int, want int) error
 	// Close shuts the whole universe down (fabric plus any substrate the
 	// adapter owns, e.g. a netsim network).

@@ -38,7 +38,7 @@ func (s stepFabric) Settle(func() int, int) error                     { return s
 func (s stepFabric) Close()                                           { _ = s.f.Close() }
 
 // awaitCount waits for an asynchronous backend's delivery count to reach
-// want within the deadline, then grants a grace period so late extras would
+// want within the deadline, then grants a settling period so late extras would
 // still be observed by the caller's assertions.
 func awaitCount(count func() int, want int, deadline time.Duration) error {
 	limit := time.Now().Add(deadline)

@@ -9,7 +9,7 @@ import (
 )
 
 // LeakCheck snapshots the fabric goroutines alive now and returns a function
-// that fails the test if any are still running at the end (after a grace
+// that fails the test if any are still running at the end (after a settling
 // period for asynchronous teardown). Use as:
 //
 //	defer LeakCheck(t)()
@@ -32,7 +32,7 @@ func LeakCheck(t *testing.T) func() {
 // not tests (the scenario fuzzer runs it after every generated case, so a
 // leaked dispatcher or session goroutine fails the oracle itself). It
 // snapshots the repository goroutines alive now and returns a function that
-// reports the ones still running when called, after the same grace period.
+// reports the ones still running when called, after the same settling period.
 func LeakCheckErr() func() error {
 	baseline := stacks()
 	return func() error {

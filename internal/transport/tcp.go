@@ -43,17 +43,12 @@ type TCPOptions struct {
 	RedialMin time.Duration
 	// RedialMax caps the exponential reconnect backoff (default 1s).
 	RedialMax time.Duration
-	// Clock is the seam for backoff waits on the reconnect path. Nil means
-	// the real clock. Dial timeouts stay on the real clock — they bound a
-	// kernel syscall, not simulated time.
-	Clock vclock.Clock
 }
 
 func (o *TCPOptions) fillDefaults() {
 	if o.Listen == "" {
 		o.Listen = "127.0.0.1:0"
 	}
-	o.Clock = vclock.Or(o.Clock)
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 2 * time.Second
 	}
@@ -162,7 +157,7 @@ func (t *TCP) BindFunc(obj ident.ObjectID, fn Handler, stopped func()) (*TCPPort
 }
 
 func (t *TCP) bind(obj ident.ObjectID, fn Handler, stopped func()) (*TCPPort, error) {
-	p := &TCPPort{t: t, obj: obj, in: fifo.NewPump[delivery]()}
+	p := &TCPPort{t: t, obj: obj, in: fifo.NewPump[delivery](nil)}
 	if fn == nil {
 		p.out, fn, stopped = recvChan(p.in.Stopping())
 	}
@@ -515,10 +510,11 @@ func (p *tcpPeer) writeLoop() {
 // sleep waits d or until the fabric closes; it reports whether the writer
 // should keep running.
 func (p *tcpPeer) sleep(d time.Duration) bool {
-	timer := p.t.opts.Clock.NewTimer(d)
+	woke := make(chan struct{})
+	timer := vclock.System.AfterFunc(d, func() { close(woke) })
 	defer timer.Stop()
 	select {
-	case <-timer.C():
+	case <-woke:
 		return true
 	case <-p.t.stop:
 		return false

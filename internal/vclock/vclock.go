@@ -1,62 +1,71 @@
 // Package vclock is the repository's clock seam: every time-dependent
 // component (heartbeat failure detection, membership polling, retransmission,
-// reconnect backoff, run timeouts, body sleeps) reads time and arms timers
-// through a Clock instead of the time package, so a whole distributed run can
-// execute against a deterministic virtual clock.
+// run timeouts, body sleeps, link latency) reads time and arms timers through
+// a Clock instead of the time package, so a whole distributed run can execute
+// against a deterministic virtual clock.
 //
 // Two implementations are provided. Real delegates to package time and is the
-// default everywhere — production behaviour is unchanged. Virtual keeps its
-// own notion of "now" that only moves when told to: manually (Advance /
-// AdvanceToNext) or automatically (StartAuto), where a background goroutine
-// jumps straight to the next armed timer as soon as the process has been
-// quiescent for a short real-time grace window — the moment every goroutine
-// is parked waiting on a timer, waiting out a heartbeat period costs
-// microseconds of real time instead of milliseconds of wall clock. That is
-// what makes churn workloads (repeated partition/heal/rejoin cycles)
-// cheap to run: a wall-clock partition run pays ~45 ms of real heartbeat
-// silence; the same scenario on the virtual clock ran in ~3 ms.
+// default everywhere. Virtual keeps its own "now", which moves only when an
+// advancer fires the next armed deadline, and an advancer does that only when
+// no work is outstanding. Outstanding work is counted, not watched: whatever
+// queues, runs or wakes something on a Clock holds a token for it (Hold) and
+// gives it back when that work is done or parked (Release). The rule is
+// testing/synctest's: time moves only when every participant is durably
+// blocked. docs/VCLOCK.md says who holds what.
 //
-// The protolint `timeseam` analyzer enforces the seam: packages netsim,
+// A Clock has no method that returns a channel. A channel timer hands its
+// wake-up to a receiver the clock cannot see, so it cannot carry a token;
+// timers are callbacks (AfterFunc), run by the advancer, and a callback that
+// wakes a goroutine holds a token on its behalf before it returns.
+//
+// The protolint `timeseam` analyzer enforces the seam: packages fifo, netsim,
 // membership, transport, group and core must not call time.Now / time.After /
 // time.Sleep / time.NewTimer / time.NewTicker directly.
 package vclock
 
-import (
-	"time"
+import "time"
+
+// Label names what a token is held for. Labels are for reading a stuck clock
+// (Virtual.String), not for behaviour: every token counts the same.
+type Label uint8
+
+// The holders of tokens; docs/VCLOCK.md has the rule for each.
+const (
+	Pump    Label = iota // a fifo.Pump element, from Put until its handler returned
+	Mailbox              // a session-mailbox delivery, from put until the engine step returned
+	Body                 // a body goroutine that is not parked in a Context wait
+	Handler              // a resolution-handler or expulsion goroutine, from go to exit
+	Run                  // a run being set up or torn down
+	nLabels
 )
 
-// Timer is the seam's view of a one-shot timer. C is the firing channel;
-// Stop and Reset follow time.Timer semantics.
-type Timer interface {
-	// C returns the channel the firing time is delivered on.
-	C() <-chan time.Time
-	// Stop disarms the timer; it reports whether the timer was still armed.
-	Stop() bool
-	// Reset re-arms the timer for d from now; it reports whether the timer
-	// was still armed.
-	Reset(d time.Duration) bool
-}
+var labelNames = [nLabels]string{"pump", "mailbox", "body", "handler", "run"}
 
-// Ticker is the seam's view of a repeating timer.
-type Ticker interface {
-	// C returns the tick channel.
-	C() <-chan time.Time
-	// Stop disarms the ticker.
-	Stop()
+// Handle is an armed AfterFunc. Stop and Reset follow time.Timer: each reports
+// whether the callback was still due. A callback may Reset its own handle to
+// run again.
+type Handle interface {
+	Stop() bool
+	Reset(d time.Duration) bool
 }
 
 // Clock is the time source every clock-seam package depends on.
 type Clock interface {
 	// Now returns the current time on this clock.
 	Now() time.Time
-	// NewTimer arms a one-shot timer firing d from now.
-	NewTimer(d time.Duration) Timer
-	// After arms a one-shot timer and returns its channel.
-	After(d time.Duration) <-chan time.Time
-	// Sleep blocks the calling goroutine for d of this clock's time.
+	// AfterFunc runs f once, d from now: on its own goroutine on Real, on
+	// the advancer's on Virtual, where callbacks run one at a time in
+	// deadline-then-arm order and only when no token is held.
+	AfterFunc(d time.Duration, f func()) Handle
+	// Sleep blocks the caller for d of this clock's time. The caller holds a
+	// token; Sleep lends it to the clock while asleep and the firing gives it
+	// back before the caller runs again.
 	Sleep(d time.Duration)
-	// NewTicker arms a repeating timer with period d (d must be > 0).
-	NewTicker(d time.Duration) Ticker
+	// Hold takes a token for work that is about to be queued, started or
+	// woken; Release gives it back when that work has finished or parked.
+	// Both are no-ops on Real.
+	Hold(Label)
+	Release(Label)
 }
 
 // Real is the production clock: a stateless wrapper over package time.
@@ -65,8 +74,8 @@ type Real struct{}
 // System is the shared Real instance; Or(nil) returns it.
 var System Clock = Real{}
 
-// Or returns c, or the system Real clock when c is nil — the idiom every
-// seam constructor uses to default its clock.
+// Or returns c, or the system Real clock when c is nil: the idiom every seam
+// constructor uses to default its clock.
 func Or(c Clock) Clock {
 	if c == nil {
 		return System
@@ -77,25 +86,14 @@ func Or(c Clock) Clock {
 // Now implements Clock.
 func (Real) Now() time.Time { return time.Now() }
 
+// AfterFunc implements Clock.
+func (Real) AfterFunc(d time.Duration, f func()) Handle { return time.AfterFunc(d, f) }
+
 // Sleep implements Clock.
 func (Real) Sleep(d time.Duration) { time.Sleep(d) }
 
-// After implements Clock.
-func (Real) After(d time.Duration) <-chan time.Time { return time.After(d) }
+// Hold implements Clock.
+func (Real) Hold(Label) {}
 
-// NewTimer implements Clock.
-func (Real) NewTimer(d time.Duration) Timer { return realTimer{t: time.NewTimer(d)} }
-
-// NewTicker implements Clock.
-func (Real) NewTicker(d time.Duration) Ticker { return realTicker{t: time.NewTicker(d)} }
-
-type realTimer struct{ t *time.Timer }
-
-func (r realTimer) C() <-chan time.Time        { return r.t.C }
-func (r realTimer) Stop() bool                 { return r.t.Stop() }
-func (r realTimer) Reset(d time.Duration) bool { return r.t.Reset(d) }
-
-type realTicker struct{ t *time.Ticker }
-
-func (r realTicker) C() <-chan time.Time { return r.t.C }
-func (r realTicker) Stop()               { r.t.Stop() }
+// Release implements Clock.
+func (Real) Release(Label) {}

@@ -1,78 +1,85 @@
 package vclock
 
 import (
-	"runtime"
+	"container/heap"
+	"fmt"
+	"sort"
+	"strings"
+	"sync"
 	"time"
 )
 
-// Virtual is a deterministic Clock. Time never moves on its own: Now returns
-// the same instant until Advance / AdvanceToNext moves it, or — in auto mode
-// (StartAuto) — until the auto-advance goroutine decides the process is
-// quiescent and jumps to the earliest armed deadline.
-//
-// Quiescence detection is heuristic but safe: a generation counter is bumped
-// every time a timer is armed, fired, stopped or reset (but NOT on Now), and
-// the auto goroutine jumps only after the counter has been stable for a real
-// -time grace window. If some goroutine is still doing productive work it
-// will arm or consume a timer soon and push the jump back; if every
-// goroutine is parked on a timer channel, nothing can bump the generation,
-// so the jump proceeds and wakes exactly the earliest sleeper. Heartbeat and
-// poll tickers are always armed in the near future while a run is live, so
-// auto-advance never leaps to far-out deadlines (run timeouts, hour-long
-// idle sleeps) past them.
-type Virtual struct {
-	mu      chMutex
-	now     time.Time
-	gen     uint64 // bumped on arm/fire/stop/reset, not on Now
-	heap    timerHeap
-	seq     uint64 // tiebreak for equal deadlines: FIFO arm order
-	quantum time.Duration
+// Epoch is the instant every Virtual starts at: virtual timestamps are
+// offsets from it, not wall-clock readings.
+var Epoch = time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC)
 
-	auto chan struct{} // non-nil while the auto goroutine runs; close to stop
+// Virtual is a deterministic Clock. Time never moves on its own: Now returns
+// the same instant until an advancer fires an armed deadline. There are two
+// advancers, the caller of Advance / AdvanceToNext and, between StartAuto and
+// StopAuto, the auto goroutine, and both obey one rule: the earliest deadline
+// fires only when no token is outstanding and no callback is running. A
+// callback runs on the advancer's goroutine with the clock unlocked; what it
+// queues or wakes holds tokens, so the next deadline waits for all of it.
+//
+// A token that is never released stops the clock for good. String shows who
+// holds what.
+type Virtual struct {
+	mu     sync.Mutex
+	cond   sync.Cond // tokens reached zero, a deadline was armed, a callback returned or auto mode stopped
+	now    time.Time
+	timers timerHeap
+	seq    uint64 // arm order, the tiebreak between equal deadlines
+
+	held   [nLabels]int
+	asleep int  // callers inside Sleep; each has lent the clock one token
+	tokens int  // sum of held minus asleep
+	firing bool // a callback is running
+
+	auto chan struct{} // non-nil while the auto goroutine runs; closed when it has exited
 }
 
-// chMutex is a channel-based mutex so virtual-clock internals never hold a
-// sync.Mutex while closing over user-visible channel sends (fires happen
-// outside the critical section anyway; this keeps lockorder's class graph
-// clean for the vclock package).
-type chMutex chan struct{}
-
-func newChMutex() chMutex { m := make(chMutex, 1); m <- struct{}{}; return m }
-
-func (m chMutex) lock()   { <-m }
-func (m chMutex) unlock() { m <- struct{}{} }
-
-// NewVirtual returns a Virtual clock whose epoch is an arbitrary fixed
-// instant. Time does not move until Advance/AdvanceToNext/StartAuto.
+// NewVirtual returns a Virtual clock standing at Epoch.
 func NewVirtual() *Virtual {
-	return &Virtual{
-		mu: newChMutex(),
-		// A fixed, recognisable epoch: virtual timestamps in traces are
-		// offsets from this instant, not wall-clock readings.
-		now: time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC),
-	}
+	v := &Virtual{now: Epoch}
+	v.cond.L = &v.mu
+	return v
 }
 
 // Now implements Clock.
 func (v *Virtual) Now() time.Time {
-	v.mu.lock()
-	t := v.now
-	v.mu.unlock()
-	return t
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.now
 }
 
-// NewTimer implements Clock.
-func (v *Virtual) NewTimer(d time.Duration) Timer {
-	t := &vTimer{clk: v, ch: make(chan time.Time, 1)}
-	v.mu.lock()
+// Hold implements Clock.
+func (v *Virtual) Hold(l Label) {
+	v.mu.Lock()
+	v.held[l]++
+	v.tokens++
+	v.mu.Unlock()
+}
+
+// Release implements Clock.
+func (v *Virtual) Release(l Label) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if v.held[l] == 0 {
+		panic("vclock: Release of a " + labelNames[l] + " token nobody holds")
+	}
+	v.held[l]--
+	if v.tokens--; v.tokens == 0 {
+		v.cond.Broadcast()
+	}
+}
+
+// AfterFunc implements Clock.
+func (v *Virtual) AfterFunc(d time.Duration, f func()) Handle {
+	t := &timer{clk: v, f: f, index: -1}
+	v.mu.Lock()
 	v.armLocked(t, d)
-	v.mu.unlock()
-	return t
-}
-
-// After implements Clock.
-func (v *Virtual) After(d time.Duration) <-chan time.Time {
-	return v.NewTimer(d).C()
+	v.mu.Unlock()
+	return handle{t}
 }
 
 // Sleep implements Clock.
@@ -80,332 +87,240 @@ func (v *Virtual) Sleep(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	<-v.After(d)
-}
-
-// NewTicker implements Clock.
-func (v *Virtual) NewTicker(d time.Duration) Ticker {
-	if d <= 0 {
-		panic("vclock: non-positive ticker period")
+	woken := make(chan struct{})
+	v.mu.Lock()
+	if v.tokens == 0 {
+		v.mu.Unlock()
+		panic("vclock: Sleep by a caller that holds no token")
 	}
-	t := &vTicker{clk: v, period: d, ch: make(chan time.Time, 1)}
-	v.mu.lock()
-	v.armTickLocked(t)
-	v.mu.unlock()
-	return t
+	v.asleep++
+	v.tokens--
+	v.armLocked(&timer{clk: v, f: func() { close(woken) }, sleeper: true, index: -1}, d)
+	v.mu.Unlock()
+	<-woken
 }
 
-// Advance moves virtual time forward by d, firing every timer whose deadline
-// falls inside the window, in deadline order. Tickers re-arm as they fire,
-// so a 10ms Advance on a 1ms ticker yields ten ticks.
+// Advance moves virtual time forward by d, firing every deadline inside the
+// window in deadline-then-arm order. It waits for zero tokens before each
+// firing and once more before it returns: everything the caller did before
+// and everything the last firing caused has settled.
 func (v *Virtual) Advance(d time.Duration) {
-	v.mu.lock()
-	v.advanceToLocked(v.now.Add(d))
-	v.mu.unlock()
+	for target := v.Now().Add(d); v.fireThrough(target); {
+	}
 }
 
-// AdvanceToNext jumps virtual time to the earliest armed deadline and fires
-// everything due there. It reports whether a timer was armed; false means
-// time did not move.
+// AdvanceToNext settles, jumps to the earliest armed deadline and fires
+// everything due at that instant, settling after each. It reports whether a
+// deadline was armed; false means time did not move.
 func (v *Virtual) AdvanceToNext() bool {
-	v.mu.lock()
-	defer v.mu.unlock()
-	if len(v.heap) == 0 {
+	v.mu.Lock()
+	v.settleLocked()
+	if len(v.timers) == 0 {
+		v.mu.Unlock()
 		return false
 	}
-	v.advanceToLocked(v.heap[0].deadline)
+	at := v.timers[0].deadline
+	v.mu.Unlock()
+	for v.fireThrough(at) {
+	}
 	return true
 }
 
-// Pending returns the number of armed timers (tickers count as one each).
+// Pending returns the number of armed deadlines.
 func (v *Virtual) Pending() int {
-	v.mu.lock()
-	n := len(v.heap)
-	v.mu.unlock()
-	return n
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return len(v.timers)
 }
 
-// SetQuantum sets the auto-advance coalescing window: each auto jump moves
-// time to the earliest armed deadline PLUS q, firing the whole batch of
-// deadlines inside the window in one quiesce round instead of paying a grace
-// wait per distinct deadline. Sub-quantum timer precision is traded away —
-// a timer can fire up to q of virtual time "bunched" with its neighbours —
-// so q must stay well below the shortest interval the workload relies on
-// (heartbeat periods, detector timeouts). Zero (the default) disables
-// coalescing. Manual Advance/AdvanceToNext are unaffected.
-func (v *Virtual) SetQuantum(q time.Duration) {
-	if q < 0 {
-		q = 0
-	}
-	v.mu.lock()
-	v.quantum = q
-	v.mu.unlock()
-}
-
-// StartAuto launches the auto-advance goroutine: whenever no timer activity
-// (arm/fire/stop/reset) has been observed for the real-time window grace and
-// at least one timer is armed, virtual time jumps to the earliest deadline
-// (plus the SetQuantum coalescing window, if any). grace <= 0 selects a
-// default suited to tests and benches: 50µs, widened to 200µs under the race
-// detector, whose instrumentation stretches the gap between a timer fire and
-// the woken goroutine's next arm. Call StopAuto when done; StartAuto on a
-// running clock panics.
-func (v *Virtual) StartAuto(grace time.Duration) {
-	if grace <= 0 {
-		grace = 50 * time.Microsecond
-		if raceEnabled {
-			grace = 200 * time.Microsecond
-		}
-	}
-	v.mu.lock()
+// StartAuto launches the auto advancer: a goroutine parked on the clock's
+// condition that fires the earliest deadline whenever no token is held and
+// one is armed. StartAuto on a running clock panics.
+func (v *Virtual) StartAuto() {
+	v.mu.Lock()
+	defer v.mu.Unlock()
 	if v.auto != nil {
-		v.mu.unlock()
 		panic("vclock: StartAuto on running Virtual")
 	}
-	stop := make(chan struct{})
-	v.auto = stop
-	v.mu.unlock()
-	go v.autoLoop(stop, grace)
-}
-
-// StopAuto halts the auto-advance goroutine. It is idempotent and safe to
-// call on a clock that never started auto mode.
-func (v *Virtual) StopAuto() {
-	v.mu.lock()
-	stop := v.auto
-	v.auto = nil
-	v.mu.unlock()
-	if stop != nil {
-		close(stop)
-	}
-}
-
-func (v *Virtual) autoLoop(stop chan struct{}, grace time.Duration) {
-	// A yield-spin quiesce detector: check the generation counter on every
-	// scheduler yield and jump as soon as it has been stable for a full
-	// grace window of real time. Spinning (rather than sleeping on a ticker)
-	// keeps the jump cadence at reaction-time + grace instead of quantizing
-	// it to timer granularity, and every Gosched hands the processor to
-	// whatever woken goroutine still has work to do — the activity we are
-	// probing for. The idle arm parks on the heap-empty case so a stopped
-	// workload does not burn a core.
-	var lastGen uint64
-	quiet := time.Now()
-	first := true
-	idleSpins := 0
-	for {
-		select {
-		case <-stop:
-			return
-		default:
-		}
-		v.mu.lock()
-		gen := v.gen
-		pending := len(v.heap) > 0
-		if first || gen != lastGen {
-			first = false
-			lastGen = gen
-			quiet = time.Now()
-		} else if pending && time.Since(quiet) >= grace {
-			// A full quiet window: everything that could arm or consume a
-			// timer is parked. Jump.
-			v.advanceToLocked(v.heap[0].deadline.Add(v.quantum))
-			lastGen = v.gen
-			quiet = time.Now()
-		}
-		v.mu.unlock()
-		if !pending {
-			idleSpins++
-			if idleSpins > 64 {
-				// Nothing armed for a while: the workload is gone or between
-				// phases. Back off to a real sleep.
-				time.Sleep(grace)
+	done := make(chan struct{})
+	v.auto = done
+	go func() {
+		defer close(done)
+		for {
+			v.mu.Lock()
+			for v.auto == done && (v.tokens != 0 || v.firing || len(v.timers) == 0) {
+				v.cond.Wait()
 			}
-		} else {
-			idleSpins = 0
+			if v.auto != done {
+				v.mu.Unlock()
+				return
+			}
+			f := v.popLocked()
+			v.mu.Unlock()
+			v.fire(f)
 		}
-		runtime.Gosched()
+	}()
+}
+
+// StopAuto halts the auto advancer and returns once it has exited (behind the
+// callback it may be running). Idempotent, and safe on a clock that never
+// started auto mode; it must not be called from a callback.
+func (v *Virtual) StopAuto() {
+	v.mu.Lock()
+	done := v.auto
+	v.auto = nil
+	v.cond.Broadcast()
+	v.mu.Unlock()
+	if done != nil {
+		<-done
 	}
 }
 
-// advanceToLocked moves now to target, firing due timers in deadline order.
-func (v *Virtual) advanceToLocked(target time.Time) {
-	for len(v.heap) > 0 && !v.heap[0].deadline.After(target) {
-		e := v.heap.pop()
-		v.now = e.deadline
-		v.gen++
-		e.fire(v)
+// String renders the state an advancer decides on: tokens outstanding, how
+// many are held under each label, how many callers are inside Sleep, and the
+// armed deadlines as offsets from now, earliest first (the first eight). A
+// clock that will not move reads e.g. "tokens=1 ... body=1 ... next=[+1ms]":
+// some body neither finished nor parked.
+func (v *Virtual) String() string {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	var b strings.Builder
+	fmt.Fprintf(&b, "now=+%v tokens=%d", v.now.Sub(Epoch), v.tokens)
+	for l, n := range v.held {
+		fmt.Fprintf(&b, " %s=%d", labelNames[l], n)
 	}
-	if target.After(v.now) {
-		v.now = target
+	fmt.Fprintf(&b, " sleep=%d firing=%v timers=%d next=[", v.asleep, v.firing, len(v.timers))
+	due := make([]time.Duration, len(v.timers))
+	for i, t := range v.timers {
+		due[i] = t.deadline.Sub(v.now)
 	}
-}
-
-func (v *Virtual) armLocked(t *vTimer, d time.Duration) {
-	t.armed = true
-	v.seq++
-	v.gen++
-	v.heap.push(&entry{deadline: v.now.Add(d), seq: v.seq, timer: t})
-}
-
-func (v *Virtual) armTickLocked(t *vTicker) {
-	v.seq++
-	v.gen++
-	v.heap.push(&entry{deadline: v.now.Add(t.period), seq: v.seq, ticker: t})
-}
-
-// removeLocked drops the heap entry owned by owner (a *vTimer or *vTicker).
-// Reports whether an entry was found (i.e. the timer was still armed).
-func (v *Virtual) removeLocked(owner any) bool {
-	for i, e := range v.heap {
-		if e.timer == owner || (e.ticker != nil && any(e.ticker) == owner) {
-			v.heap.remove(i)
-			v.gen++
-			return true
+	sort.Slice(due, func(i, j int) bool { return due[i] < due[j] })
+	for i, d := range due[:min(len(due), 8)] {
+		if i > 0 {
+			b.WriteByte(' ')
 		}
+		fmt.Fprintf(&b, "+%v", d)
 	}
-	return false
+	b.WriteByte(']')
+	return b.String()
 }
 
-// entry is one armed deadline: exactly one of timer/ticker is set.
-type entry struct {
-	deadline time.Time
-	seq      uint64
-	timer    *vTimer
-	ticker   *vTicker
+// settleLocked waits until nothing is outstanding.
+func (v *Virtual) settleLocked() {
+	for v.tokens != 0 || v.firing {
+		v.cond.Wait()
+	}
 }
 
-// fire delivers the deadline. Called with v.mu held; channel sends are
-// non-blocking onto 1-buffered channels, matching time.Timer semantics
-// (a slow ticker consumer loses ticks rather than stalling the clock).
-func (e *entry) fire(v *Virtual) {
-	if e.timer != nil {
-		e.timer.armed = false
-		select {
-		case e.timer.ch <- e.deadline:
-		default:
+// fireThrough settles, then fires the earliest deadline if it is not after
+// limit and reports true; otherwise the clock moves to limit and it reports
+// false.
+func (v *Virtual) fireThrough(limit time.Time) bool {
+	v.mu.Lock()
+	v.settleLocked()
+	if len(v.timers) == 0 || v.timers[0].deadline.After(limit) {
+		if limit.After(v.now) {
+			v.now = limit
 		}
-		return
-	}
-	select {
-	case e.ticker.ch <- e.deadline:
-	default:
-	}
-	if !e.ticker.stopped {
-		v.seq++
-		v.heap.push(&entry{deadline: e.deadline.Add(e.ticker.period), seq: v.seq, ticker: e.ticker})
-	}
-}
-
-type vTimer struct {
-	clk *Virtual
-	//protolint:allow resetcheck Reset is the standard timer rearm (time.Timer.Reset semantics), not a pool recycle: the channel must survive rearming.
-	ch chan time.Time
-	//protolint:allow resetcheck Reset rearms the timer and sets armed itself; nothing is pool-recycled.
-	armed bool // guarded by clk.mu
-}
-
-func (t *vTimer) C() <-chan time.Time { return t.ch }
-
-func (t *vTimer) Stop() bool {
-	t.clk.mu.lock()
-	defer t.clk.mu.unlock()
-	if !t.armed {
+		v.mu.Unlock()
 		return false
 	}
-	t.armed = false
-	return t.clk.removeLocked(t)
+	f := v.popLocked()
+	v.mu.Unlock()
+	v.fire(f)
+	return true
 }
 
-func (t *vTimer) Reset(d time.Duration) bool {
-	t.clk.mu.lock()
-	defer t.clk.mu.unlock()
-	was := t.armed
-	if was {
-		t.clk.removeLocked(t)
+// popLocked moves the clock to the earliest deadline and returns its callback
+// for fire, marking the clock firing so that no other advancer moves
+// meanwhile. A sleeper's token comes back here, before the sleeper can run.
+func (v *Virtual) popLocked() func() {
+	t := heap.Pop(&v.timers).(*timer)
+	if t.deadline.After(v.now) {
+		v.now = t.deadline
 	}
-	t.clk.armLocked(t, d)
+	if t.sleeper {
+		v.asleep--
+		v.tokens++
+	}
+	v.firing = true
+	return t.f
+}
+
+// fire runs a popped callback on the advancer's goroutine, clock unlocked.
+func (v *Virtual) fire(f func()) {
+	f()
+	v.mu.Lock()
+	v.firing = false
+	v.cond.Broadcast()
+	v.mu.Unlock()
+}
+
+func (v *Virtual) armLocked(t *timer, d time.Duration) {
+	v.seq++
+	t.deadline, t.seq = v.now.Add(max(d, 0)), v.seq
+	heap.Push(&v.timers, t)
+	v.cond.Broadcast()
+}
+
+// timer is one AfterFunc (or one Sleep): armed while index >= 0.
+type timer struct {
+	clk      *Virtual
+	f        func()
+	sleeper  bool // a Sleep: firing takes the lent token back
+	deadline time.Time
+	seq      uint64
+	index    int // position in clk.timers, -1 when not armed; guarded by clk.mu
+}
+
+// set disarms the timer and, with arm, arms it again for d from now; it
+// reports whether it was armed.
+func (t *timer) set(arm bool, d time.Duration) bool {
+	t.clk.mu.Lock()
+	defer t.clk.mu.Unlock()
+	was := t.index >= 0
+	if was {
+		heap.Remove(&t.clk.timers, t.index)
+	}
+	if arm {
+		t.clk.armLocked(t, d)
+	}
 	return was
 }
 
-type vTicker struct {
-	clk     *Virtual
-	period  time.Duration
-	ch      chan time.Time
-	stopped bool // guarded by clk.mu
-}
+// handle is the Handle of one AfterFunc.
+type handle struct{ t *timer }
 
-func (t *vTicker) C() <-chan time.Time { return t.ch }
+// Stop implements Handle.
+func (h handle) Stop() bool { return h.t.set(false, 0) }
 
-func (t *vTicker) Stop() {
-	t.clk.mu.lock()
-	defer t.clk.mu.unlock()
-	if t.stopped {
-		return
-	}
-	t.stopped = true
-	t.clk.removeLocked(t)
-}
+// Reset implements Handle.
+func (h handle) Reset(d time.Duration) bool { return h.t.set(true, d) }
 
-// timerHeap is a deadline-ordered min-heap with FIFO tiebreak on seq.
-type timerHeap []*entry
+// timerHeap orders armed timers by deadline, then by arm order.
+type timerHeap []*timer
 
-func (h timerHeap) less(i, j int) bool {
+func (h timerHeap) Len() int { return len(h) }
+func (h timerHeap) Less(i, j int) bool {
 	if !h[i].deadline.Equal(h[j].deadline) {
 		return h[i].deadline.Before(h[j].deadline)
 	}
 	return h[i].seq < h[j].seq
 }
-
-func (h *timerHeap) push(e *entry) {
-	*h = append(*h, e)
-	i := len(*h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
-		i = parent
-	}
+func (h timerHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].index, h[j].index = i, j
 }
-
-func (h *timerHeap) pop() *entry {
-	e := (*h)[0]
-	h.remove(0)
-	return e
+func (h *timerHeap) Push(x any) {
+	t := x.(*timer)
+	t.index = len(*h)
+	*h = append(*h, t)
 }
-
-func (h *timerHeap) remove(i int) {
-	n := len(*h) - 1
-	(*h)[i] = (*h)[n]
-	(*h)[n] = nil
-	*h = (*h)[:n]
-	if i == n {
-		return
-	}
-	// Sift down, then up (the swapped-in element may violate either way).
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && h.less(l, small) {
-			small = l
-		}
-		if r < n && h.less(r, small) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		(*h)[i], (*h)[small] = (*h)[small], (*h)[i]
-		i = small
-	}
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
-		i = parent
-	}
+func (h *timerHeap) Pop() any {
+	old := *h
+	t := old[len(old)-1]
+	old[len(old)-1] = nil
+	*h = old[:len(old)-1]
+	t.index = -1
+	return t
 }
