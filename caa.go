@@ -6,9 +6,9 @@
 // A minimal use looks like:
 //
 //	tree := caa.NewTree("failure").Add("disk_full", "failure").MustBuild()
-//	sys := caa.NewSystem(caa.Options{})
-//	defer sys.Close()
-//	out, err := sys.Run(caa.Definition{
+//	srv := caa.NewServer(caa.Options{})
+//	defer srv.Close()
+//	out, err := srv.Run(caa.Definition{
 //		Spec: caa.ActionSpec{
 //			Name: "job", Tree: tree, Members: []caa.ObjectID{1, 2},
 //			Handlers: map[caa.ObjectID]caa.HandlerSet{
@@ -75,10 +75,10 @@ func ChainTree(n int) *Tree { return exception.ChainTree(n) }
 
 // CA-action model.
 type (
-	// System owns the simulated network, membership, atomic-object store
-	// and trace log.
-	System = core.System
-	// Options configures a System.
+	// Server owns the simulated network, membership, atomic-object store
+	// and trace log, and runs any number of concurrent actions.
+	Server = core.Server
+	// Options configures a Server.
 	Options = core.Options
 	// Definition is a top-level CA action: spec plus member bodies.
 	Definition = core.Definition
@@ -165,8 +165,8 @@ const (
 	TransportReliable = core.TransportReliable
 )
 
-// NewSystem creates a System.
-func NewSystem(opts Options) *System { return core.NewSystem(opts) }
+// NewServer creates a Server; release it with Close.
+func NewServer(opts Options) *Server { return core.NewServer(opts) }
 
 // Network simulation configuration.
 type (

@@ -37,7 +37,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		1: {Default: recover}, 2: {Default: recover}, 3: {Default: recover},
 	}
 
-	sys := caa.NewSystem(caa.Options{
+	sys := caa.NewServer(caa.Options{
 		Network: caa.NetworkConfig{Latency: caa.JitterLatency(0, 100*time.Microsecond, 5)},
 	})
 	defer sys.Close()
@@ -81,14 +81,14 @@ func TestPublicTrees(t *testing.T) {
 	}
 }
 
-// ExampleSystem_Run demonstrates the basic flow: one raiser, shared
+// ExampleServer_Run demonstrates the basic flow: one raiser, shared
 // handlers, deterministic output.
-func ExampleSystem_Run() {
+func ExampleServer_Run() {
 	tree := caa.NewTree("failure").Add("disk_full", "failure").MustBuild()
 	recover := func(rctx *caa.RecoveryContext, resolved caa.Exception) (string, error) {
 		return "", nil // recovered: complete the action
 	}
-	sys := caa.NewSystem(caa.Options{})
+	sys := caa.NewServer(caa.Options{})
 	defer sys.Close()
 
 	out, err := sys.Run(caa.Definition{
@@ -122,7 +122,7 @@ func ExampleContext_Enclose() {
 		Name: "inner", Tree: tree, Members: []caa.ObjectID{1}, Handlers: handlers,
 	}
 
-	sys := caa.NewSystem(caa.Options{})
+	sys := caa.NewServer(caa.Options{})
 	defer sys.Close()
 	_, err := sys.Run(caa.Definition{
 		Spec: caa.ActionSpec{

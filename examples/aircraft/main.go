@@ -109,7 +109,7 @@ func run() error {
 		},
 	}
 
-	sys := caa.NewSystem(caa.Options{
+	sys := caa.NewServer(caa.Options{
 		Network: caa.NetworkConfig{
 			Latency: caa.JitterLatency(100*time.Microsecond, 400*time.Microsecond, 42),
 		},

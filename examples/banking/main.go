@@ -45,7 +45,7 @@ func run() error {
 // forwardRecovery: overdraft raised inside a nested transfer action; the
 // handler repairs state rather than undoing it.
 func forwardRecovery() error {
-	sys := caa.NewSystem(caa.Options{})
+	sys := caa.NewServer(caa.Options{})
 	defer sys.Close()
 
 	if err := seedAccounts(sys, 80, 500); err != nil {
@@ -148,7 +148,7 @@ func forwardRecovery() error {
 // backwardRecovery: a conversation-style acceptance test rejects the primary
 // attempt; the alternate passes.
 func backwardRecovery() error {
-	sys := caa.NewSystem(caa.Options{})
+	sys := caa.NewServer(caa.Options{})
 	defer sys.Close()
 
 	if err := seedAccounts(sys, 300, 500); err != nil {
@@ -213,7 +213,7 @@ func transferBody(amount int) caa.Body {
 }
 
 // seedAccounts initialises the two atomic objects outside any CA action.
-func seedAccounts(sys *caa.System, alice, bob int) error {
+func seedAccounts(sys *caa.Server, alice, bob int) error {
 	tx := sys.Store().Begin()
 	if err := tx.Write("acct:alice", alice); err != nil {
 		return err

@@ -42,7 +42,7 @@ func main() {
 }
 
 func run() error {
-	sys := caa.NewSystem(caa.Options{})
+	sys := caa.NewServer(caa.Options{})
 	defer sys.Close()
 
 	seed := sys.Store().Begin()

@@ -139,7 +139,7 @@ func run() error {
 		},
 	}
 
-	sys := caa.NewSystem(caa.Options{
+	sys := caa.NewServer(caa.Options{
 		Network: caa.NetworkConfig{Latency: caa.JitterLatency(50*time.Microsecond, 200*time.Microsecond, 7)},
 	})
 	defer sys.Close()

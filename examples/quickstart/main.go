@@ -64,7 +64,7 @@ func run() error {
 
 	// 4. Run the action on a simulated distributed system (each object gets
 	// its own network node; messages have 1ms one-way latency).
-	sys := caa.NewSystem(caa.Options{
+	sys := caa.NewServer(caa.Options{
 		Network: caa.NetworkConfig{Latency: caa.FixedLatency(time.Millisecond)},
 	})
 	defer sys.Close()

@@ -75,8 +75,7 @@ func (c *Context) Checkpoint() {
 // (termination model). It never returns. If a resolution is already in
 // progress the raise is subsumed by it, exactly as in the protocol engine.
 func (c *Context) Raise(name string) {
-	accepted := c.p.raise(c.level, name)
-	_ = accepted // dropped raises are fine: a resolution is under way
+	c.p.raise(c.level, name) // a dropped raise is fine: a resolution is under way
 	lvl := c.p.suspension()
 	if lvl > c.level {
 		lvl = c.level
@@ -88,13 +87,20 @@ func (c *Context) Raise(name string) {
 // runs on the server's clock seam, so bodies sleeping on a virtual clock
 // wake as soon as time advances past them.
 func (c *Context) Sleep(d time.Duration) {
+	p := c.p
 	var due atomic.Bool
-	deadline := c.p.run.sys.clk.AfterFunc(d, func() {
+	p.pending.Add(1) // until the deadline is stopped, or has fired and woken p
+	deadline := p.run.sys.clk.AfterFunc(d, func() {
 		due.Store(true)
-		c.p.wakeBody()
+		p.wakeBody()
+		p.pending.Add(-1)
 	})
-	defer deadline.Stop()
-	c.p.wait(c.level, due.Load, nil)
+	defer func() {
+		if deadline.Stop() {
+			p.pending.Add(-1)
+		}
+	}()
+	p.wait(c.level, due.Load, nil)
 }
 
 // Await blocks until ch is readable (or closed), remaining responsive to
@@ -373,9 +379,9 @@ func (p *participant) completeScope(ctx *Context) (NestedResult, error) {
 // suspension still makes it a no-op: run after, it would enter or leave a
 // frame on behalf of a body that is long elsewhere.
 func (p *participant) liftSuspension(level int) {
-	if p.abandoned != nil {
-		<-p.abandoned
-		p.abandoned = nil
+	if p.abandoned {
+		<-p.reply
+		p.abandoned = false
 	}
 	p.smu.Lock()
 	defer p.smu.Unlock()

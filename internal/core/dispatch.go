@@ -124,9 +124,9 @@ func (d *dispatcher) close() {
 // blocks (the port's goroutine must keep draining the shared transport); take
 // is non-blocking and re-arms the ready signal while messages remain, so a
 // consumer draining in bounded bursts never sleeps on a non-empty queue.
-// Mailboxes are pooled on the server with their capacity: the port empties
-// into them in bursts, and a per-action mailbox would regrow through every
-// doubling each time.
+// A mailbox is pooled with its participant, queue capacity included: the port
+// empties into it in bursts, and a per-action mailbox would regrow through
+// every doubling each time.
 //
 // A delivery holds a vclock.Mailbox token from put until the engine step it
 // caused has returned (participant.loop) or Reset discarded it.
@@ -161,8 +161,9 @@ func (m *mailbox) take() (group.Delivery, bool) {
 	return d, ok
 }
 
-// Reset empties the mailbox for the pool. The caller has unregistered it and
-// stopped its consumer, so nothing else touches it.
+// Reset empties the mailbox, releasing the tokens of what it discards. The
+// caller has unregistered it and stopped its consumer, so nothing else
+// touches it.
 func (m *mailbox) Reset() {
 	m.mu.Lock()
 	for n := m.queue.Len(); n > 0; n-- {
@@ -185,17 +186,18 @@ func (m *mailbox) signal() {
 
 // sessionRoute is one participant's attachment to the shared runtime: sends
 // go out through the object's shared transport stamped with the session's
-// root action tag, and deliveries tagged with it arrive in the inbox.
+// root action tag, and deliveries tagged with it arrive in the inbox. The
+// inbox belongs to the pooled participant; disp and root to one session.
 type sessionRoute struct {
 	disp  *dispatcher
 	root  ident.ActionID
 	inbox *mailbox
 }
 
-func (s *Server) newSessionRoute(d *dispatcher, root ident.ActionID) *sessionRoute {
-	r := &sessionRoute{disp: d, root: root, inbox: s.mailboxPool.Get().(*mailbox)}
+// attach registers the inbox on d for the session tagged root.
+func (r *sessionRoute) attach(d *dispatcher, root ident.ActionID) {
+	r.disp, r.root = d, root
 	d.register(root, r.inbox)
-	return r
 }
 
 // send transmits one message on the shared transport, tagged for this
@@ -204,14 +206,12 @@ func (r *sessionRoute) send(to ident.ObjectID, kind string, payload any) error {
 	return r.disp.tr.SendTagged(to, kind, r.root, payload)
 }
 
-// close detaches the session from the dispatcher and returns its mailbox,
-// emptied, to the pool. The session's consumer must have stopped. The shared
-// transport stays up for other sessions.
-func (s *Server) closeSessionRoute(r *sessionRoute) {
+// detach unregisters the session from the dispatcher and empties the inbox.
+// The session's consumer must have stopped. The shared transport stays up
+// for other sessions.
+func (r *sessionRoute) detach() {
 	r.disp.unregister(r.root)
 	r.inbox.Reset()
-	s.mailboxPool.Put(r.inbox)
-	r.inbox = nil
 }
 
 // Pending is an asynchronously submitted action; Wait blocks until it

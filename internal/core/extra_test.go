@@ -17,7 +17,7 @@ import (
 // serialised to the binary wire format: the outcome must be identical to the
 // in-memory run.
 func TestRunWithWireEncoding(t *testing.T) {
-	sys := NewSystem(Options{WireEncoding: true})
+	sys := NewServer(Options{WireEncoding: true})
 	defer sys.Close()
 	members := []ident.ObjectID{1, 2, 3}
 	def := Definition{
@@ -45,7 +45,7 @@ func TestRunWithWireEncoding(t *testing.T) {
 // (retransmission + dedup) must make the protocol behave exactly as on a
 // reliable network.
 func TestRunOverLossyNetworkWithReliableTransport(t *testing.T) {
-	sys := NewSystem(Options{
+	sys := NewServer(Options{
 		Network:    netsim.Config{DropRate: 0.20, DupRate: 0.10, Seed: 42},
 		Transport:  TransportReliable,
 		Retransmit: time.Millisecond,
@@ -97,7 +97,7 @@ func TestRunOverLossyNetworkWithReliableTransport(t *testing.T) {
 func TestNoGoroutineLeaks(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 5; i++ {
-		sys := NewSystem(Options{})
+		sys := NewServer(Options{})
 		members := []ident.ObjectID{1, 2, 3}
 		def := Definition{
 			Spec: ActionSpec{

@@ -3,7 +3,9 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/atomicobj"
 	"repro/internal/ident"
@@ -26,8 +28,9 @@ var (
 // and the session's traffic, membership monitoring included, is multiplexed
 // over long-lived transports under the session's root action tag.
 type run struct {
-	sys *System
-	def *Definition
+	sys     *Server
+	spec    ActionSpec       // the top-level action's, copied from the Definition
+	members []ident.ObjectID // spec.Members, sorted
 
 	mu        sync.Mutex
 	instances map[*ActionSpec]*instance
@@ -45,16 +48,28 @@ type run struct {
 	top          *instance
 	participants map[ident.ObjectID]*participant
 	attempt      int
+
+	live     atomic.Int32  // bodies still running
+	exited   chan struct{} // 1-buffered: the last body has returned
+	timedOut atomic.Bool   // RunTimeout's deadline fired
 }
 
-func newRun(sys *System, def *Definition) *run {
-	return &run{
+func newRun(sys *Server, spec *ActionSpec, attempt int) *run {
+	r := &run{
 		sys:          sys,
-		def:          def,
+		spec:         *spec,
+		members:      spec.Members,
+		attempt:      attempt,
 		instances:    make(map[*ActionSpec]*instance),
 		byID:         make(map[ident.ActionID]*instance),
-		participants: make(map[ident.ObjectID]*participant),
+		participants: make(map[ident.ObjectID]*participant, len(spec.Members)),
+		exited:       make(chan struct{}, 1),
 	}
+	if !slices.IsSorted(r.members) {
+		r.members = slices.Clone(r.members)
+		slices.Sort(r.members)
+	}
+	return r
 }
 
 // instanceFor returns (creating on demand) the instance of spec nested under
@@ -65,14 +80,17 @@ func (r *run) instanceFor(spec *ActionSpec, parent *instance) (*instance, error)
 	if inst, ok := r.instances[spec]; ok {
 		return inst, nil
 	}
-	if err := spec.Validate(); err != nil {
-		return nil, err
+	if parent != nil { // the top-level spec was validated with its Definition
+		if err := spec.Validate(); err != nil {
+			return nil, err
+		}
 	}
 	id := r.sys.allocAction()
 	inst := &instance{
 		run:         r,
 		spec:        spec,
 		id:          id,
+		members:     r.frameMembers(spec.Members),
 		parent:      parent,
 		exitArrived: make(map[ident.ObjectID]bool),
 	}
@@ -124,11 +142,12 @@ func (r *run) cancel() {
 // instance is one action execution: the shared barrier, transaction and
 // abort bookkeeping for all its members.
 type instance struct {
-	run    *run
-	spec   *ActionSpec
-	id     ident.ActionID
-	path   []ident.ActionID
-	parent *instance
+	run     *run
+	spec    *ActionSpec
+	id      ident.ActionID
+	members []ident.ObjectID // the frame's: spec.Members less the run's pre-expelled
+	path    []ident.ActionID
+	parent  *instance
 
 	txmu    sync.Mutex
 	txn     *atomicobj.Txn

@@ -183,7 +183,7 @@ func (s *Server) excludedOf(members []ident.ObjectID) map[ident.ObjectID]bool {
 // codec cannot carry view payloads, and the participant-failure exception
 // must be resolvable (declared in the tree; handler coverage then follows
 // from ActionSpec.Validate).
-func (s *System) validateMembership(def *Definition) error {
+func (s *Server) validateMembership(def *Definition) error {
 	if s.opts.Membership == nil {
 		return nil
 	}
@@ -203,7 +203,7 @@ func (s *System) validateMembership(def *Definition) error {
 // fabric. The objects must be bound (have taken part in a run). With
 // membership monitoring enabled, a minority island's members are eventually
 // expelled by the surviving majority of each action they take part in.
-func (s *System) Partition(name string, objs ...ident.ObjectID) error {
+func (s *Server) Partition(name string, objs ...ident.ObjectID) error {
 	if s.opts.Transport == TransportTCP {
 		return errors.New("core: named partitions require a netsim-backed transport")
 	}
@@ -213,7 +213,7 @@ func (s *System) Partition(name string, objs ...ident.ObjectID) error {
 // HealPartition removes a named partition group installed with Partition,
 // whether or not a run is in progress. Expulsions already decided stay
 // decided: views are one-way.
-func (s *System) HealPartition(name string) {
+func (s *Server) HealPartition(name string) {
 	s.dir.Fabric().HealPartition(name)
 }
 
@@ -228,7 +228,7 @@ func (p *participant) startMembership() {
 		return
 	}
 	cfg := mo.withDefaults()
-	members := p.run.def.Spec.Members
+	members := p.run.spec.Members
 	clk := p.run.sys.clk
 	p.detector = group.NewFedDetector(p.obj, p.route.send, members, cfg.Heartbeat, cfg.Timeout, clk)
 	mcfg := membership.Config{
@@ -346,17 +346,6 @@ func (r *run) expel(obj ident.ObjectID) {
 	if victim != nil {
 		victim.markExpelled()
 	}
-}
-
-// expelledMembers returns the members expelled so far, unordered.
-func (r *run) expelledMembers() []ident.ObjectID {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]ident.ObjectID, 0, len(r.expelled))
-	for obj := range r.expelled {
-		out = append(out, obj)
-	}
-	return out
 }
 
 // expelNote is the kind of the local delivery that tells an engine a member

@@ -50,7 +50,7 @@ func TestMembershipValidation(t *testing.T) {
 	body := func(ctx *Context) error { return nil }
 
 	// The socket transport's codec cannot carry view payloads.
-	tcp := NewSystem(Options{Transport: TransportTCP, Membership: fastMembership()})
+	tcp := NewServer(Options{Transport: TransportTCP, Membership: fastMembership()})
 	defer tcp.Close()
 	if _, err := tcp.RunTimeout(pfDef(members, body), membershipDeadline); err == nil ||
 		!strings.Contains(err.Error(), "TransportTCP") {
@@ -59,7 +59,7 @@ func TestMembershipValidation(t *testing.T) {
 
 	// Nor can the socket transport run on a virtual clock, with membership
 	// or without: bytes in the kernel cannot be counted.
-	vtcp := NewSystem(Options{Transport: TransportTCP, Clock: vclock.NewVirtual()})
+	vtcp := NewServer(Options{Transport: TransportTCP, Clock: vclock.NewVirtual()})
 	defer vtcp.Close()
 	if _, err := vtcp.Run(pfDef(members, body)); err == nil ||
 		!strings.Contains(err.Error(), "real clock") {
@@ -67,7 +67,7 @@ func TestMembershipValidation(t *testing.T) {
 	}
 
 	// The tree must declare the participant-failure exception.
-	sys := NewSystem(Options{Membership: fastMembership()})
+	sys := NewServer(Options{Membership: fastMembership()})
 	defer sys.Close()
 	def := pfDef(members, body)
 	def.Spec.Tree = testTree("app")
@@ -88,7 +88,7 @@ func TestMembershipValidation(t *testing.T) {
 // (no raiser survives, so the degraded chooser concludes it), run handlers,
 // and complete; the expelled members must unwind as expelled, not as errors.
 func TestPartitionExpelsMinority(t *testing.T) {
-	sys := NewSystem(Options{Membership: fastMembership()})
+	sys := NewServer(Options{Membership: fastMembership()})
 	defer sys.Close()
 	members := []ident.ObjectID{1, 2, 3, 4, 5}
 	def := pfDef(members, func(ctx *Context) error {
@@ -138,7 +138,7 @@ func TestPartitionExpelsMinority(t *testing.T) {
 // failure; the cut then stands until healed with no run in progress, after
 // which a third action sees the whole group.
 func TestConcurrentMembershipActionsShareOneFabric(t *testing.T) {
-	sys := NewSystem(Options{Membership: fastMembership()})
+	sys := NewServer(Options{Membership: fastMembership()})
 	defer sys.Close()
 	members := []ident.ObjectID{1, 2, 3, 4, 5}
 	forever := func(ctx *Context) error {
@@ -201,7 +201,7 @@ func TestConcurrentMembershipActionsShareOneFabric(t *testing.T) {
 // away, so the survivors' LE holds both and the committed resolution must be
 // their least common ancestor.
 func TestPartitionWithSurvivingRaiser(t *testing.T) {
-	sys := NewSystem(Options{Membership: fastMembership()})
+	sys := NewServer(Options{Membership: fastMembership()})
 	defer sys.Close()
 	members := []ident.ObjectID{1, 2, 3, 4, 5}
 	def := pfDef(members, func(ctx *Context) error {
@@ -248,7 +248,7 @@ func TestNoPartitionOutcomeUnchanged(t *testing.T) {
 
 	run := func(mo *MembershipOptions) Outcome {
 		t.Helper()
-		sys := NewSystem(Options{Membership: mo})
+		sys := NewServer(Options{Membership: mo})
 		defer sys.Close()
 		out, err := sys.RunTimeout(pfDef(members, body), membershipDeadline)
 		if err != nil {

@@ -255,7 +255,7 @@ func TestOuterExceptionAbortsNested(t *testing.T) {
 func TestNestedEntryRacingOuterResolution(t *testing.T) {
 	members := []ident.ObjectID{1, 2, 3, 4}
 	for i := 0; i < 300; i++ {
-		sys := NewSystem(Options{})
+		sys := NewServer(Options{})
 		nested := &ActionSpec{
 			Name: "inner", Tree: testTree("ofault"), Members: []ident.ObjectID{2},
 			Handlers: uniformHandlers([]ident.ObjectID{2}, defaultOnly(noopHandler)),
@@ -477,7 +477,7 @@ func TestRunWithRecoveryRetriesAlternate(t *testing.T) {
 // run times out. The abort strategy (default) completes.
 func TestWaitForNestedPolicyBlocksOnBelated(t *testing.T) {
 	runWith := func(policy NestedPolicy, timeout time.Duration) (Outcome, error) {
-		sys := NewSystem(Options{})
+		sys := NewServer(Options{})
 		defer sys.Close()
 		members := []ident.ObjectID{1, 2, 3}
 		inner := []ident.ObjectID{2, 3}

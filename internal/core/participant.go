@@ -32,27 +32,45 @@ type handlerOutcome struct {
 	err      error
 }
 
-// event is a local request executed on the engine goroutine.
-type event struct {
-	fn    func() error
-	reply chan error
+// request is a body's request to its engine goroutine. A body has at most one
+// outstanding, so a request travels by value over the participant's events
+// channel and is answered on its reply channel, both made once per pooled
+// participant.
+type request struct {
+	op    requestOp
+	level int       // the body's level: see post
+	inst  *instance // opEnter, opLeave
+	exc   string    // opRaise
 }
 
+type requestOp uint8
+
+const (
+	opEnter requestOp = iota // push inst's frame
+	opLeave                  // pop inst's frame
+	opRaise                  // raise exc in the active action
+	opStop                   // end the engine goroutine; not answered
+)
+
 // participant is one participating object: a protocol engine goroutine plus
-// a body goroutine, communicating only through events and suspension state.
+// a body goroutine, communicating only through requests and suspension state.
 // It attaches to its object's dispatcher through a sessionRoute: everything it
 // sends — protocol messages and membership traffic alike — carries the
 // session's root action tag, and everything so tagged arrives in its inbox.
+//
+// Participants come from the server's pool: newParticipant builds what one
+// keeps for life (engine and hooks, mailbox, channels), run.join binds it to
+// one run and Server.recycle returns it.
 type participant struct {
 	run    *run
 	obj    ident.ObjectID
-	route  *sessionRoute
+	route  sessionRoute
 	engine *protocol.Engine
+	hooks  protocol.Hooks // bound to this participant once, by newParticipant
 
-	events   chan *event
-	quit     chan struct{}
-	loopDone chan struct{}
-	result   ParticipantResult // written by the body goroutine, read once it has returned
+	events chan request      // unbuffered: a body request, or stop
+	reply  chan error        // 1-buffered: the answer to a body request
+	result ParticipantResult // written by the body goroutine, read once it has returned
 
 	// Membership monitoring (nil without Options.Membership). The detector
 	// runs in fed mode — this participant's loop owns the session inbox and
@@ -65,6 +83,11 @@ type participant struct {
 	// goroutine only.
 	estack []*instance
 
+	// pending counts what may still touch p once its body and engine have
+	// returned: handler goroutines and Context.Sleep deadlines. recycle
+	// leaves a participant with any to the garbage collector.
+	pending atomic.Int32
+
 	// Body/engine shared suspension state.
 	smu          sync.Mutex
 	parkCond     *sync.Cond
@@ -76,7 +99,7 @@ type participant struct {
 
 	state     atomic.Int32  // how the body is blocked
 	wake      chan struct{} // 1-buffered: the waker that claimed state signals here
-	abandoned chan error    // reply of an event the engine took and the body gave up on; body goroutine only
+	abandoned bool          // reply owes the answer to a request the body gave up on; body goroutine only
 }
 
 // Body states. A body about to block stores how, then re-checks what it waits
@@ -90,48 +113,92 @@ const (
 	bodyWoken                // a waker has claimed the wake-up
 )
 
-func newParticipant(r *run, obj ident.ObjectID) (*participant, error) {
+// newParticipant builds a participant for the server's pool: what it keeps
+// for life, and nothing a run sets.
+func newParticipant(s *Server) *participant {
 	p := &participant{
-		run:          r,
-		obj:          obj,
-		events:       make(chan *event),
-		quit:         make(chan struct{}),
-		suspendLevel: levelNone,
-		parkedLevel:  levelNotParked,
-		wake:         make(chan struct{}, 1),
+		route:  sessionRoute{inbox: newMailbox(s.clk)},
+		events: make(chan request),
+		reply:  make(chan error, 1),
+		wake:   make(chan struct{}, 1),
 	}
-	// Attach to the object's long-lived dispatcher, keyed by this session's
-	// root action tag (allocated before any participant exists, see
-	// runAttempt).
-	d, err := r.sys.dispatcherFor(obj)
-	if err != nil {
-		return nil, err
-	}
-	p.route = r.sys.newSessionRoute(d, r.top.id)
 	p.parkCond = sync.NewCond(&p.smu)
-	// Engines are pooled: Reset rebinds a warm engine (ledger capacity
-	// intact) to this participant instead of allocating fresh maps per
-	// action.
-	eng := r.sys.enginePool.Get().(*protocol.Engine)
-	eng.Reset(obj, protocol.Hooks{
+	p.hooks = protocol.Hooks{
 		Send:         p.hookSend,
 		Suspend:      p.hookSuspend,
 		AbortNested:  p.hookAbortNested,
 		StartHandler: p.hookStartHandler,
-		Log:          r.sys.record,
-	})
-	p.engine = eng
+		Log:          s.record,
+	}
+	p.engine = protocol.NewEngine(0, p.hooks)
+	p.Reset()
+	return p
+}
+
+// Reset empties p for the pool. What it keeps for life stays: the engine
+// (Engine.Reset rebinds it in join) and its hooks, the mailbox (emptied by
+// detach), the channels, and the capacity of estack and outcomes. Everything
+// a run set is zeroed, a field added later included.
+func (p *participant) Reset() {
+	select {
+	case <-p.reply: // the engine's answer to a request the body abandoned
+	default:
+	}
+	clear(p.estack[:cap(p.estack)])
+	clear(p.outcomes[:cap(p.outcomes)])
+	*p = participant{
+		route:        sessionRoute{inbox: p.route.inbox},
+		engine:       p.engine,
+		hooks:        p.hooks,
+		events:       p.events,
+		reply:        p.reply,
+		estack:       p.estack[:0],
+		parkCond:     p.parkCond,
+		suspendLevel: levelNone,
+		parkedLevel:  levelNotParked,
+		outcomes:     p.outcomes[:0],
+		wake:         p.wake,
+	}
+}
+
+// join takes a participant from the server's pool and binds it to the run as
+// obj: engine rebound, session route registered on obj's long-lived
+// dispatcher under the session's root action tag (allocated before any
+// participant exists, see runAttempt), top-level action entered, membership
+// started.
+func (r *run) join(obj ident.ObjectID) (*participant, error) {
+	d, err := r.sys.dispatcherFor(obj)
+	if err != nil {
+		return nil, err
+	}
+	p := r.sys.participants.Get().(*participant)
+	p.run, p.obj = r, obj
+	p.engine.Reset(obj, p.hooks)
+	p.route.attach(d, r.top.id)
 	if !r.preExpelled[obj] {
 		// The top-level action is entered here, on the creating goroutine,
 		// while nothing else can reach the engine, so entering costs the
 		// body no hand-off.
 		if err := p.enterFrame(r.top); err != nil {
-			p.stop()
+			p.detach()
+			r.sys.recycle(p)
 			return nil, err
 		}
 	}
 	p.startMembership()
 	return p, nil
+}
+
+// recycle returns p to the pool. The caller has stopped or detached it; p
+// goes back only if nothing else can still touch it (see pending), and not
+// from a membership session, whose detector may have a heartbeat in flight
+// past Stop.
+func (s *Server) recycle(p *participant) {
+	if p.pending.Load() != 0 || p.detector != nil {
+		return
+	}
+	p.Reset()
+	s.participants.Put(p)
 }
 
 // start launches the engine goroutine. runAttempt calls it right behind the
@@ -144,34 +211,32 @@ func newParticipant(r *run, obj ident.ObjectID) (*participant, error) {
 // listening while its body waits at the back of the run queue, and a peer's
 // Exception usually reaches it first. See docs/SERVER.md.)
 func (p *participant) start() {
-	p.loopDone = make(chan struct{})
 	go p.loop()
 }
 
-// burst caps the deliveries one engine-loop wakeup drains before local events
-// get another turn.
+// burst caps the deliveries one engine-loop wakeup drains before body
+// requests get another turn.
 const burst = 32
 
-// loop is the engine goroutine: it serialises protocol messages and local
-// events onto the engine state machine. Deliveries arrive in the session's
+// loop is the engine goroutine: it serialises protocol messages and body
+// requests onto the engine state machine. Deliveries arrive in the session's
 // mailbox (fed by the object's dispatcher), and each wakeup drains a bounded
-// burst, serving a local event that is already waiting before each delivery,
-// so local events never starve behind a message storm (nor deliveries behind
-// local events: one delivery follows each). The mailbox re-arms its ready
-// signal while non-empty, so stopping at the burst cap never strands queued
+// burst, serving a request that is already waiting before each delivery, so
+// requests never starve behind a message storm (nor deliveries behind
+// requests: one delivery follows each). The mailbox re-arms its ready signal
+// while non-empty, so stopping at the burst cap never strands queued
 // messages.
 func (p *participant) loop() {
-	defer close(p.loopDone)
 	inbox := p.route.inbox
 	for {
 		select {
-		case <-p.quit:
-			return
 		case <-inbox.ready:
 			for n := 0; n < burst; n++ {
 				select {
-				case ev := <-p.events:
-					ev.reply <- ev.fn()
+				case r := <-p.events:
+					if !p.serve(r) {
+						return
+					}
 				default:
 				}
 				d, ok := inbox.take()
@@ -181,10 +246,37 @@ func (p *participant) loop() {
 				p.handleDelivery(d)
 				inbox.clk.Release(vclock.Mailbox) // taken by put
 			}
-		case ev := <-p.events:
-			ev.reply <- ev.fn()
+		case r := <-p.events:
+			if !p.serve(r) {
+				return
+			}
 		}
 	}
+}
+
+// serve carries out one body request and answers it. It reports false for
+// opStop, which gets no answer: the loop returns, and the stopper's send
+// completing tells it so.
+func (p *participant) serve(r request) bool {
+	var err error
+	switch r.op {
+	case opStop:
+		return false
+	case opEnter:
+		// Refused when a resolution already covers the current level (the
+		// body is about to be terminated anyway).
+		if p.suspension() <= len(p.estack)-1 {
+			err = ErrSuspendedEntry
+		} else {
+			err = p.enterFrame(r.inst)
+		}
+	case opLeave:
+		err = p.leaveFrame(r.level, r.inst)
+	case opRaise:
+		_, err = p.engine.RaiseLocal(r.exc) // a raise a resolution subsumes is fine
+	}
+	p.reply <- err
+	return true
 }
 
 // handleDelivery feeds one transport delivery to the engine. Wire decoding
@@ -213,52 +305,52 @@ func (p *participant) handleDelivery(d group.Delivery) {
 	}
 }
 
-// stop terminates the engine goroutine, the membership machinery and the
-// session route, in that order (the monitor's final callbacks must find the
-// participant already quit, and the detector must stop beating before its
-// route detaches). Only the route is unregistered — the object's shared
-// transport stays up for other sessions — and the engine, now quiescent,
-// returns to the server's pool.
+// stop ends the engine goroutine, then detaches the participant. The send is
+// unbuffered, so once it completes the loop has taken the stop and steps the
+// engine no more.
 func (p *participant) stop() {
-	close(p.quit)
-	if p.loopDone != nil { // nil: torn down before start
-		<-p.loopDone
-	}
+	p.events <- request{op: opStop}
+	p.detach()
+}
+
+// detach stops the membership machinery and the session route, in that order
+// (the monitor's final callbacks must find the engine stopped, and the
+// detector must stop beating before its route detaches). Only the route is
+// unregistered: the object's shared transport stays up for other sessions.
+func (p *participant) detach() {
 	if p.monitor != nil {
 		p.monitor.Stop()
 	}
 	if p.detector != nil {
 		p.detector.Stop()
 	}
-	p.run.sys.closeSessionRoute(p.route)
-	p.run.sys.enginePool.Put(p.engine)
-	p.engine = nil
+	p.route.detach()
 }
 
-// post runs fn on the engine goroutine and waits for its result. level is
+// post hands r to the engine goroutine and waits for the answer. r.level is
 // the body's current action depth: if a suspension targeting that level (or
 // an outer one) arrives while the engine is busy (typically waiting for this
-// very body to park before running abortion handlers, possibly inside fn),
-// post abandons the request and unwinds the body instead of deadlocking. The
-// event closure is suspension-aware and degrades to a no-op if it runs after
-// that; liftSuspension sees to it that it has run before the suspension goes.
-// The body keeps its clock token throughout: the engine works on its behalf.
-func (p *participant) post(level int, fn func() error) error {
-	ev := &event{fn: fn, reply: make(chan error, 1)}
+// very body to park before running abortion handlers, possibly serving r),
+// post abandons the request and unwinds the body instead of deadlocking.
+// Every request is suspension-aware and degrades to a no-op if it is served
+// after that; liftSuspension sees to it that it has been before the
+// suspension goes. The body keeps its clock token throughout: the engine
+// works on its behalf.
+func (p *participant) post(r request) error {
 	events, reply := p.events, (chan error)(nil) // first the one, then the other
 	for {
 		p.state.Store(bodyWaiting)
-		if susp := p.suspension(); susp <= level {
+		if susp := p.suspension(); susp <= r.level {
 			p.resume(bodyWaiting, false)
-			p.abandoned = reply // nil unless the engine has the event
+			p.abandoned = reply != nil // the engine has r and will answer it
 			panic(sentinel{level: susp})
 		}
 		select {
 		case <-p.wake:
 			p.state.Store(bodyRunning)
-		case events <- ev:
+		case events <- r:
 			p.resume(bodyWaiting, false)
-			events, reply = nil, ev.reply
+			events, reply = nil, p.reply
 		case err := <-reply:
 			p.resume(bodyWaiting, false)
 			return err
@@ -361,11 +453,12 @@ func (p *participant) hookStartHandler(action ident.ActionID, exc string) {
 		return
 	}
 	p.run.sys.clk.Hold(vclock.Handler)
+	p.pending.Add(1)
 	go p.runHandler(inst, exc)
 }
 
 func (p *participant) runHandler(inst *instance, exc string) {
-	defer p.run.sys.clk.Release(vclock.Handler)
+	clk := p.run.sys.clk
 	out := handlerOutcome{action: inst.id, resolved: exc}
 	hs := inst.spec.Handlers[p.obj]
 	h, ok := hs.Lookup(exc)
@@ -387,6 +480,8 @@ func (p *participant) runHandler(inst *instance, exc string) {
 		inst.abortTxn()
 	}
 	p.deliverOutcome(out)
+	clk.Release(vclock.Handler)
+	p.pending.Add(-1) // the last touch: p may be recycled from here on
 }
 
 // --- suspension / parking (shared state) ---
@@ -472,19 +567,24 @@ func (p *participant) levelOf(action ident.ActionID) int {
 	return -1
 }
 
-// --- engine-goroutine events posted by the body ---
+// --- requests a body posts to its engine goroutine ---
 
-// enterInstance pushes the action frame; refused when a resolution already
-// covers the current level (the body is about to be terminated anyway).
-// bodyLevel is the body's depth before entering.
+// enterInstance asks the engine to push inst's frame. bodyLevel is the
+// body's depth before entering.
 func (p *participant) enterInstance(bodyLevel int, inst *instance) error {
-	return p.post(bodyLevel, func() error {
-		lvl := p.suspension()
-		if lvl <= len(p.estack)-1 {
-			return ErrSuspendedEntry
-		}
-		return p.enterFrame(inst)
-	})
+	return p.post(request{op: opEnter, level: bodyLevel, inst: inst})
+}
+
+// leaveInstance asks the engine to pop inst's frame after the completion
+// barrier. bodyLevel is the level of the action being left.
+func (p *participant) leaveInstance(bodyLevel int, inst *instance) error {
+	return p.post(request{op: opLeave, level: bodyLevel, inst: inst})
+}
+
+// raise asks the engine to raise an exception in the active action.
+// bodyLevel is the body's current depth.
+func (p *participant) raise(bodyLevel int, exc string) {
+	_ = p.post(request{op: opRaise, level: bodyLevel, exc: exc})
 }
 
 // enterFrame pushes inst's frame onto the engine (engine goroutine, or the
@@ -493,7 +593,7 @@ func (p *participant) enterFrame(inst *instance) error {
 	frame := protocol.Frame{
 		Action:  inst.id,
 		Path:    inst.path,
-		Members: p.run.frameMembers(inst.spec.Members),
+		Members: inst.members,
 		Tree:    inst.spec.Tree,
 	}
 	if inst.spec.Policy == WaitForNestedActions {
@@ -511,34 +611,20 @@ func (p *participant) enterFrame(inst *instance) error {
 	return nil
 }
 
-// leaveInstance pops the action frame after the completion barrier.
-// bodyLevel is the level of the action being left.
-func (p *participant) leaveInstance(bodyLevel int, inst *instance) error {
-	return p.post(bodyLevel, func() error {
-		lvl := p.suspension()
-		if lvl <= bodyLevel {
-			// A resolution is (or was) in progress at or outside this level;
-			// the frame must stay for the protocol. The body unwinds instead.
-			return ErrSuspendedEntry
-		}
-		if len(p.estack) == 0 || p.estack[len(p.estack)-1] != inst {
-			return fmt.Errorf("%w: %s not active", protocol.ErrNotInAction, inst.id)
-		}
-		if err := p.engine.LeaveAction(inst.id); err != nil {
-			return err
-		}
-		p.estack = p.estack[:len(p.estack)-1]
-		return nil
-	})
-}
-
-// raise asks the engine to raise an exception in the active action.
-// bodyLevel is the body's current depth.
-func (p *participant) raise(bodyLevel int, exc string) (accepted bool) {
-	_ = p.post(bodyLevel, func() error {
-		ok, err := p.engine.RaiseLocal(exc)
-		accepted = ok
+// leaveFrame pops inst's frame (engine goroutine). bodyLevel is the level of
+// the action being left.
+func (p *participant) leaveFrame(bodyLevel int, inst *instance) error {
+	if p.suspension() <= bodyLevel {
+		// A resolution is (or was) in progress at or outside this level;
+		// the frame must stay for the protocol. The body unwinds instead.
+		return ErrSuspendedEntry
+	}
+	if len(p.estack) == 0 || p.estack[len(p.estack)-1] != inst {
+		return fmt.Errorf("%w: %s not active", protocol.ErrNotInAction, inst.id)
+	}
+	if err := p.engine.LeaveAction(inst.id); err != nil {
 		return err
-	})
-	return accepted
+	}
+	p.estack = p.estack[:len(p.estack)-1]
+	return nil
 }

@@ -1,0 +1,207 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"runtime"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/exception"
+	"repro/internal/ident"
+	"repro/internal/vclock"
+)
+
+// TestServerRecyclesOnlyQuiescentParticipants is the pool-lifetime
+// regression. Two actions end while one participant's handler is still
+// blocked, released only after they have returned: one by RunTimeout's
+// deadline, one cancelled by its peer's handler error. If either participant
+// went back to the pool, that handler would deliver its outcome into a
+// participant serving a later action. 500 mixed actions follow on the same
+// server (raising, nested with abortion, cancelled while bodies are posting,
+// quiet); every outcome must be the expected one and no body may find an
+// earlier action's outcome waiting for it. On a virtual clock the server must
+// end holding no token.
+func TestServerRecyclesOnlyQuiescentParticipants(t *testing.T) {
+	t.Run("real", func(t *testing.T) { testPoolLifetime(t, vclock.System) })
+	t.Run("virtual", func(t *testing.T) {
+		clk := vclock.NewVirtual()
+		clk.StartAuto()
+		defer clk.StopAuto()
+		testPoolLifetime(t, clk)
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			if s := clk.String(); strings.Contains(s, " tokens=0 ") {
+				break
+			} else if time.Now().After(deadline) {
+				t.Fatalf("clock still counts work: %s", s)
+			}
+		}
+	})
+}
+
+func testPoolLifetime(t *testing.T, clk vclock.Clock) {
+	const timeout = 20 * time.Millisecond
+	s := NewServer(Options{Clock: clk})
+	defer s.Close()
+	boom := errors.New("boom")
+	release := make(chan struct{})
+	released := false
+	defer func() {
+		if !released {
+			close(release)
+		}
+	}()
+
+	// noStale fails the test if p holds the outcome of an earlier action.
+	noStale := func(ctx *Context) {
+		p := ctx.p
+		p.smu.Lock()
+		defer p.smu.Unlock()
+		for _, o := range p.outcomes {
+			if o.action < p.run.top.id {
+				t.Errorf("%s in %s holds a stale outcome for %s", p.obj, p.run.top.id, o.action)
+			}
+		}
+	}
+	flat := func(name string, members []ident.ObjectID, hs HandlerSet, bodies map[ident.ObjectID]Body) Definition {
+		for obj, b := range bodies {
+			bodies[obj] = func(ctx *Context) error { noStale(ctx); return b(ctx) }
+		}
+		return Definition{
+			Spec: ActionSpec{
+				Name: name, Tree: testTree("E1", "ofault"), Members: members,
+				Handlers: uniformHandlers(members, hs),
+			},
+			Bodies: bodies,
+		}
+	}
+	raise := func(ctx *Context) error { ctx.Raise("E1"); return nil }
+	idle := func(*Context) error { return nil }
+	pair := []ident.ObjectID{1, 2}
+
+	// O1 raises; O1's handler blocks past the action's end. O2's handler
+	// either completes (the deadline ends the action) or fails once O1's is
+	// blocked (the error ends it).
+	blocked := func(o2 func(blocked chan struct{}) error) Definition {
+		blockedCh := make(chan struct{}, 1)
+		hs := HandlerSet{Default: func(rctx *RecoveryContext, _ exception.Exception) (string, error) {
+			if rctx.Object == 2 {
+				return "", o2(blockedCh)
+			}
+			blockedCh <- struct{}{}
+			clk.Sleep(2 * timeout) // lends its token to a virtual clock, so the deadline can fire
+			<-release
+			return "", nil
+		}}
+		return flat("blocked", pair, hs, map[ident.ObjectID]Body{1: raise, 2: idle})
+	}
+	if _, err := s.RunTimeout(blocked(func(chan struct{}) error { return nil }), timeout); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("timed-out action: err = %v, want ErrTimeout", err)
+	}
+	out, err := s.Run(blocked(func(b chan struct{}) error { <-b; return boom }))
+	if err == nil || !errors.Is(out.PerObject[1].Err, ErrCancelled) || !errors.Is(out.PerObject[2].Err, boom) {
+		t.Fatalf("cancelled action: err = %v, per object %+v; want O1 cancelled, O2 boom", err, out.PerObject)
+	}
+	close(release)
+	released = true
+
+	trio := []ident.ObjectID{1, 2, 3}
+	quad := []ident.ObjectID{1, 2, 3, 4}
+	noop := defaultOnly(noopHandler)
+	var aborted atomic.Int32
+	for i := 0; i < 500; i++ {
+		var def Definition
+		check := func(out Outcome, err error) error {
+			if err != nil || !out.Completed {
+				return fmt.Errorf("out=%+v err=%v", out, err)
+			}
+			return nil
+		}
+		switch i % 4 {
+		case 0: // one raiser
+			def = flat("raise", trio, noop, map[ident.ObjectID]Body{1: raise, 2: idle, 3: idle})
+			check = func(out Outcome, err error) error {
+				if err != nil || !out.Completed || out.Resolved != "E1" {
+					return fmt.Errorf("out=%+v err=%v, want E1 resolved", out, err)
+				}
+				return nil
+			}
+		case 1: // O2 and O3 inside a nested action the outer raise aborts
+			var entered atomic.Int32
+			inner := []ident.ObjectID{2, 3}
+			count := func(*RecoveryContext) string { aborted.Add(1); return "" }
+			nested := &ActionSpec{
+				Name: "inner", Tree: testTree("E1"), Members: inner,
+				Handlers: uniformHandlers(inner, noop),
+				Abortion: map[ident.ObjectID]AbortionHandler{2: count, 3: count},
+			}
+			enclose := func(ctx *Context) error {
+				_, err := ctx.Enclose(nested, func(n *Context) error {
+					entered.Add(1)
+					n.Sleep(time.Hour)
+					return nil
+				})
+				return err
+			}
+			def = flat("abort", trio, noop, map[ident.ObjectID]Body{
+				1: func(ctx *Context) error {
+					// Polled on the server's clock: a channel sender is not
+					// counted, so a virtual clock could leap to the deadline.
+					for entered.Load() < 2 {
+						ctx.Sleep(time.Millisecond)
+					}
+					ctx.Raise("ofault")
+					return nil
+				},
+				2: enclose, 3: enclose,
+			})
+			before := aborted.Load()
+			check = func(out Outcome, err error) error {
+				if err != nil || !out.Completed || out.Resolved != "ofault" || aborted.Load()-before != 2 {
+					return fmt.Errorf("out=%+v err=%v, %d abortion handlers; want ofault resolved, 2",
+						out, err, aborted.Load()-before)
+				}
+				return nil
+			}
+		case 2: // O1 fails while O2..O4 are entering and leaving nested actions
+			first := make(chan any, 3)
+			loop := func(ctx *Context) error {
+				for {
+					solo := []ident.ObjectID{ctx.Object()}
+					spec := &ActionSpec{Name: "solo", Tree: testTree("E1"), Members: solo,
+						Handlers: uniformHandlers(solo, noop)}
+					if _, err := ctx.Enclose(spec, idle); err != nil {
+						return err
+					}
+					select {
+					case first <- nil:
+					default:
+					}
+					runtime.Gosched() // on one P, let O1 in
+				}
+			}
+			def = flat("cancel", quad, noop, map[ident.ObjectID]Body{
+				1: func(ctx *Context) error { ctx.Await(first); return boom },
+				2: loop, 3: loop, 4: loop,
+			})
+			check = func(out Outcome, err error) error {
+				if !errors.Is(err, boom) {
+					return fmt.Errorf("err = %v, want boom", err)
+				}
+				for _, obj := range quad[1:] {
+					if res := out.PerObject[obj]; !errors.Is(res.Err, ErrCancelled) {
+						return fmt.Errorf("%s: %+v, want cancelled", obj, res)
+					}
+				}
+				return nil
+			}
+		case 3: // nobody raises
+			def = flat("quiet", trio, noop, map[ident.ObjectID]Body{1: idle, 2: idle, 3: idle})
+		}
+		if err := check(s.RunTimeout(def, 30*time.Second)); err != nil {
+			t.Fatalf("action %d (%s): %v", i, def.Spec.Name, err)
+		}
+	}
+}

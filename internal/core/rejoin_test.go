@@ -42,7 +42,7 @@ func TestRejoinAcrossRuns(t *testing.T) {
 	clk.StartAuto()
 	defer clk.StopAuto()
 
-	sys := NewSystem(Options{
+	sys := NewServer(Options{
 		Clock: clk,
 		Membership: &MembershipOptions{
 			Heartbeat: time.Millisecond,
@@ -180,7 +180,7 @@ func TestRejoinChurnStress(t *testing.T) {
 	clk.StartAuto()
 	defer clk.StopAuto()
 
-	sys := NewSystem(Options{
+	sys := NewServer(Options{
 		Clock: clk,
 		Membership: &MembershipOptions{
 			Heartbeat: time.Millisecond,

@@ -3,8 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/ident"
@@ -93,7 +91,7 @@ func (s *Server) RunTimeout(def Definition, d time.Duration) (Outcome, error) {
 	return s.runAttempt(def, d, 1)
 }
 
-func (s *System) runAttempt(def Definition, timeout time.Duration, attempt int) (Outcome, error) {
+func (s *Server) runAttempt(def Definition, timeout time.Duration, attempt int) (Outcome, error) {
 	if err := def.Validate(); err != nil {
 		return Outcome{}, err
 	}
@@ -107,8 +105,7 @@ func (s *System) runAttempt(def Definition, timeout time.Duration, attempt int) 
 	// of heartbeats while participant 4 of 5 is being built), as the bodies are.
 	s.clk.Hold(vclock.Run)
 	defer s.clk.Release(vclock.Run)
-	r := newRun(s, &def)
-	r.attempt = attempt
+	r := newRun(s, &def.Spec, attempt)
 	if s.opts.Membership != nil && s.opts.Membership.Rejoin {
 		// Admission: members the persistent group expelled in earlier runs
 		// stay out of this action's frames until they rejoin (view synchrony
@@ -124,73 +121,68 @@ func (s *System) runAttempt(def Definition, timeout time.Duration, attempt int) 
 			}
 		}
 	}
-	topInst, err := r.instanceFor(&def.Spec, nil)
+	topInst, err := r.instanceFor(&r.spec, nil)
 	if err != nil {
 		return Outcome{}, err
 	}
 	r.top = topInst
 
-	members := make([]ident.ObjectID, len(def.Spec.Members))
-	copy(members, def.Spec.Members)
-	sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
-
-	for _, obj := range members {
-		p, err := newParticipant(r, obj)
+	for _, obj := range r.members {
+		p, err := r.join(obj)
 		if err != nil {
 			r.cancel()
 			for _, q := range r.participants {
-				q.stop()
+				q.detach()
+				s.recycle(q)
 			}
 			return Outcome{}, fmt.Errorf("participant %s: %w", obj, err)
 		}
 		r.participants[obj] = p
 	}
 
-	var timedOut atomic.Bool
+	var deadline vclock.Handle
 	if timeout > 0 {
 		// On a virtual clock a 30s timeout costs no wall-clock time.
-		deadline := s.clk.AfterFunc(timeout, func() {
-			timedOut.Store(true)
+		deadline = s.clk.AfterFunc(timeout, func() {
+			r.timedOut.Store(true)
 			r.cancel()
 		})
-		defer deadline.Stop()
 	}
 
 	// Out of the group at admission: no body, no frames; the participant's
-	// membership machinery still runs (started in newParticipant), so the
-	// member can petition and rejoin.
-	bodies := len(members) - len(r.preExpelled)
-	live := int32(bodies)            // still running
-	exited := make(chan struct{}, 1) // the last one has returned
-	for _, obj := range members {
+	// membership machinery still runs (started in join), so the member can
+	// petition and rejoin.
+	bodies := len(r.members) - len(r.preExpelled)
+	r.live.Store(int32(bodies))
+	for _, obj := range r.members {
 		p := r.participants[obj]
 		if !r.preExpelled[obj] {
 			s.clk.Hold(vclock.Body)
-			go p.runBody(topInst, def.Bodies[obj], &live, exited)
+			go p.runBody(def.Bodies[obj])
 		}
 		p.start() // behind its body, see participant.start
 	}
 	if bodies > 0 {
 		s.clk.Release(vclock.Run)
-		<-exited // the last body took the token back for us
+		<-r.exited // the last body took the token back for us
 	}
+	// A deadline that has fired may still be cancelling r's participants:
+	// none of them goes back to the pool then.
+	reuse := deadline == nil || deadline.Stop()
 
 	for _, p := range r.participants {
 		p.stop()
 	}
 
-	expelled := make(map[ident.ObjectID]bool)
-	for _, obj := range r.expelledMembers() {
-		expelled[obj] = true
-	}
 	r.mu.Lock()
-	snapshots := r.snapshots // every participant has stopped: no more installs
+	// Every participant has stopped: no more expulsions or installs.
+	expelled, snapshots := r.expelled, r.snapshots
 	r.mu.Unlock()
 
-	results := make(map[ident.ObjectID]ParticipantResult, len(members))
+	results := make(map[ident.ObjectID]ParticipantResult, len(r.members))
 	out := Outcome{Completed: true, PerObject: results}
 	var firstErr error
-	for _, obj := range members {
+	for _, obj := range r.members {
 		res := r.participants[obj].result
 		if expelled[obj] {
 			// The member was removed by the membership service; the
@@ -229,10 +221,15 @@ func (s *System) runAttempt(def Definition, timeout time.Duration, attempt int) 
 			out.Signalled = res.Signalled
 		}
 	}
+	if reuse {
+		for _, p := range r.participants {
+			s.recycle(p)
+		}
+	}
 	if s.opts.Membership != nil && s.opts.Membership.Rejoin && out.Resolved != "" {
 		s.appendHistory(out.Resolved)
 	}
-	if timedOut.Load() {
+	if r.timedOut.Load() {
 		return out, ErrTimeout
 	}
 	return out, firstErr
@@ -240,18 +237,18 @@ func (s *System) runAttempt(def Definition, timeout time.Duration, attempt int) 
 
 // runBody is the body goroutine. It holds a clock token from go to exit, and
 // the last of a run's to return wakes runAttempt, holding its token for it.
-func (p *participant) runBody(inst *instance, body Body, live *int32, exited chan<- struct{}) {
-	clk := p.run.sys.clk
-	p.result = p.runTop(inst, body)
-	if atomic.AddInt32(live, -1) == 0 {
-		clk.Hold(vclock.Run)
-		exited <- struct{}{}
+func (p *participant) runBody(body Body) {
+	r := p.run
+	p.result = p.runTop(r.top, body)
+	if r.live.Add(-1) == 0 {
+		r.sys.clk.Hold(vclock.Run)
+		r.exited <- struct{}{}
 	}
-	clk.Release(vclock.Body)
+	r.sys.clk.Release(vclock.Body)
 }
 
 // runTop is the body-goroutine entry: it runs the scope machinery of the
-// top-level action (entered by newParticipant) and converts sentinels and
+// top-level action (entered by run.join) and converts sentinels and
 // results into a ParticipantResult.
 func (p *participant) runTop(inst *instance, body Body) (res ParticipantResult) {
 	defer p.markBodyDone()

@@ -33,9 +33,9 @@ func noopHandler(*RecoveryContext, exception.Exception) (string, error) { return
 
 func defaultOnly(h Handler) HandlerSet { return HandlerSet{Default: h} }
 
-func newTestSystem(t *testing.T) *System {
+func newTestSystem(t *testing.T) *Server {
 	t.Helper()
-	sys := NewSystem(Options{})
+	sys := NewServer(Options{})
 	t.Cleanup(sys.Close)
 	return sys
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/group"
 	"repro/internal/ident"
 	"repro/internal/netsim"
-	"repro/internal/protocol"
 	"repro/internal/trace"
 	"repro/internal/vclock"
 	"repro/internal/wire"
@@ -105,7 +104,7 @@ const traceRingEvents = 16384
 // Server is the long-lived action runtime: it owns the substrates every CA
 // action needs — the simulated network, the shared membership directory, the
 // per-object dispatchers multiplexing concurrent actions over shared
-// transports, the engine pool, the atomic-object store and the event log —
+// transports, the participant pool, the atomic-object store and the event log —
 // and hosts any number of concurrent, independent top-level actions.
 // Create with NewServer, release with Close.
 type Server struct {
@@ -116,7 +115,7 @@ type Server struct {
 	store *atomicobj.Store
 	log   *trace.Log
 	// record is the protocol.Hooks.Log every engine is handed: built once
-	// here, not once per participant per action.
+	// here, not once per participant.
 	record func(trace.Event)
 
 	// group is the server-persistent membership record, maintained across
@@ -134,17 +133,11 @@ type Server struct {
 	dispatchers map[ident.ObjectID]*dispatcher
 	tcpDir      *group.TCPDirectory // shared socket directory, TransportTCP only
 
-	// enginePool recycles protocol engines across actions: Engine.Reset
-	// keeps ledger capacity, so a server draining many short actions stops
-	// paying per-action map/slice allocation.
-	enginePool sync.Pool
-	// mailboxPool recycles session mailboxes with their queue capacity.
-	mailboxPool sync.Pool
+	// participants recycles participants across actions, each with its
+	// engine, mailbox, channels and hooks (participant.Reset), so a server
+	// draining many short actions builds none of them per action.
+	participants sync.Pool
 }
-
-// System is the historical name of Server, kept so existing callers (and the
-// mental model "one system per experiment") keep working unchanged.
-type System = Server
 
 // NewServer creates a server.
 func NewServer(opts Options) *Server {
@@ -174,22 +167,18 @@ func NewServer(opts Options) *Server {
 		dirOpts = append(dirOpts, group.WithCodec(wire.Codec{}))
 	}
 	s.dir = group.NewDirectory(net, dirOpts...)
-	s.enginePool.New = func() any { return protocol.NewEngine(0, protocol.Hooks{}) }
-	s.mailboxPool.New = func() any { return newMailbox(clk) }
+	s.participants.New = func() any { return newParticipant(s) }
 	return s
 }
 
-// NewSystem creates a server (historical name).
-func NewSystem(opts Options) *System { return NewServer(opts) }
-
 // Store returns the external atomic-object store.
-func (s *System) Store() *atomicobj.Store { return s.store }
+func (s *Server) Store() *atomicobj.Store { return s.store }
 
 // Trace returns the event log.
-func (s *System) Trace() *trace.Log { return s.log }
+func (s *Server) Trace() *trace.Log { return s.log }
 
 // NetworkStats returns a snapshot of network counters.
-func (s *System) NetworkStats() netsim.Stats { return s.net.Stats() }
+func (s *Server) NetworkStats() netsim.Stats { return s.net.Stats() }
 
 // Close shuts the server down: new submissions are rejected with ErrClosed,
 // in-flight runs drain to completion, then the dispatchers, shared
@@ -259,7 +248,7 @@ func (s *Server) InFlight() int {
 }
 
 // allocAction returns a fresh action identifier.
-func (s *System) allocAction() ident.ActionID {
+func (s *Server) allocAction() ident.ActionID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.nextAction++

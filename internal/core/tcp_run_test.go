@@ -102,7 +102,7 @@ func TestRunOverTCPTransport(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			sys := NewSystem(Options{
+			sys := NewServer(Options{
 				Transport:  TransportTCP,
 				Retransmit: time.Millisecond,
 			})
@@ -137,7 +137,7 @@ func TestRunOverTCPTransport(t *testing.T) {
 // collide (each run gets fresh fabrics and listeners) and must each reach a
 // correct resolution.
 func TestRunOverTCPTransportRepeated(t *testing.T) {
-	sys := NewSystem(Options{Transport: TransportTCP, Retransmit: time.Millisecond})
+	sys := NewServer(Options{Transport: TransportTCP, Retransmit: time.Millisecond})
 	defer sys.Close()
 	for i := 0; i < 3; i++ {
 		out, err := sys.RunTimeout(tcpScenarioDef(tcpScenarioNested(), nil, false), 30*time.Second)

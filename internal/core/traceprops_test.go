@@ -16,11 +16,11 @@ import (
 func TestTracePropertiesOnFullRuns(t *testing.T) {
 	workloads := []struct {
 		name string
-		run  func(sys *System) error
+		run  func(sys *Server) error
 	}{
 		{
 			name: "concurrent raises",
-			run: func(sys *System) error {
+			run: func(sys *Server) error {
 				members := []ident.ObjectID{1, 2, 3, 4}
 				def := Definition{
 					Spec: ActionSpec{
@@ -40,7 +40,7 @@ func TestTracePropertiesOnFullRuns(t *testing.T) {
 		},
 		{
 			name: "nested abort",
-			run: func(sys *System) error {
+			run: func(sys *Server) error {
 				members := []ident.ObjectID{1, 2, 3}
 				inner := []ident.ObjectID{2, 3}
 				nested := &ActionSpec{
@@ -82,7 +82,7 @@ func TestTracePropertiesOnFullRuns(t *testing.T) {
 	for _, wl := range workloads {
 		t.Run(wl.name, func(t *testing.T) {
 			// FIFO and agreement are properties of a complete history.
-			sys := NewSystem(Options{
+			sys := NewServer(Options{
 				Network: netsim.Config{Latency: netsim.JitterLatency(0, 300*time.Microsecond, 9)},
 				Trace:   trace.NewLog(),
 			})

@@ -21,7 +21,7 @@ func (o ObjectID) String() string { return "O" + strconv.Itoa(int(o)) }
 func (o ObjectID) Less(other ObjectID) bool { return o < other }
 
 // ActionID identifies a CA action instance. Nested actions receive fresh IDs;
-// the identifier is unique within a System run.
+// the identifier is unique within a Server.
 type ActionID int
 
 // String returns the conventional "A<n>" rendering used in the paper.

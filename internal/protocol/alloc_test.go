@@ -1,10 +1,12 @@
 package protocol
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/exception"
 	"repro/internal/ident"
+	"repro/internal/trace"
 )
 
 // allocHarness is a two-engine pair over a preallocated message queue: sends
@@ -79,6 +81,29 @@ func TestEngineCommitCycleAllocs(t *testing.T) {
 	h.cycle() // warm the scratch buffers and map buckets
 	if avg := testing.AllocsPerRun(200, h.cycle); avg != 0 {
 		t.Fatalf("steady-state commit cycle: %v allocs/op, want 0", avg)
+	}
+}
+
+// TestEngineCommitCycleAllocsLogged is the same cycle with a Log hook, as
+// every engine a core server runs has: the chooser's LE detail costs one
+// string, and its bytes are what fmt's %v made of LE (EXPERIMENTS.md quotes
+// them).
+func TestEngineCommitCycleAllocsLogged(t *testing.T) {
+	h := newAllocHarness(t)
+	log := trace.NewRing(1024)
+	record := func(ev trace.Event) { log.Record(ev) }
+	for _, e := range h.engines {
+		e.hooks.Log = record
+	}
+	h.cycle()
+	if avg := testing.AllocsPerRun(200, h.cycle); avg > 1 {
+		t.Fatalf("logged commit cycle: %v allocs/op, want at most 1", avg)
+	}
+	want := fmt.Sprintf("LE=%v", []Raised{{Action: 1, Obj: 1, Exc: "E1"}})
+	for _, ev := range log.Events() {
+		if ev.Kind == trace.EvCommitChosen && ev.Detail != want {
+			t.Fatalf("chooser detail %q, want %q", ev.Detail, want)
+		}
 	}
 }
 

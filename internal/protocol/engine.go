@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strconv"
 
 	"repro/internal/exception"
 	"repro/internal/ident"
@@ -101,6 +102,7 @@ type Engine struct {
 	replayScratch []Msg
 	nameScratch   []string
 	raiserScratch []ident.ObjectID
+	detailScratch []byte // the chooser's trace detail (leDetail)
 	//protolint:allow resetcheck the capacity watermark must survive Reset so a pooled engine keeps its pre-sized ledgers
 	sizedFor int // widest membership the lists are pre-sized for
 }
@@ -652,8 +654,7 @@ func (e *Engine) maybeReady() {
 	}
 	if e.hooks.Log != nil {
 		e.log(trace.Event{Kind: trace.EvCommitChosen, Object: e.self,
-			//protolint:allow noalloc tracing is opt-in (hooks.Log != nil) and off on the steady-state path
-			Action: frame.Action, Label: resolved, Detail: fmt.Sprintf("LE=%v", e.le)})
+			Action: frame.Action, Label: resolved, Detail: e.leDetail()})
 	}
 	e.multicast(frame, Msg{
 		Kind:   KindCommit,
@@ -663,6 +664,32 @@ func (e *Engine) maybeReady() {
 		Exc:    resolved,
 	}, false /* wantAck */)
 	e.finish(frame.Action, resolved)
+}
+
+// leDetail renders LE for the chooser's trace event byte for byte as
+// fmt.Sprintf("LE=%v", e.le) did ("LE=[<A1, O2, E3> <A1, O1, E1>]"), in a
+// scratch buffer.
+//
+//caa:noalloc
+func (e *Engine) leDetail() string {
+	b := e.detailScratch[:0]
+	b = append(b, "LE=["...)
+	for i, r := range e.le {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = append(b, "<A"...)
+		b = strconv.AppendInt(b, int64(r.Action), 10)
+		b = append(b, ", O"...)
+		b = strconv.AppendInt(b, int64(r.Obj), 10)
+		b = append(b, ", "...)
+		b = append(b, r.Exc...)
+		b = append(b, '>')
+	}
+	b = append(b, ']')
+	e.detailScratch = b
+	//protolint:allow noalloc one string per resolution, which the event keeps: every core engine logs into its server's trace
+	return string(b)
 }
 
 // finish completes the resolution: record the committed exception, clear the
@@ -722,6 +749,7 @@ func (e *Engine) Reset(self ident.ObjectID, hooks Hooks) {
 	e.replayScratch = e.replayScratch[:0]
 	e.nameScratch = e.nameScratch[:0]
 	e.raiserScratch = e.raiserScratch[:0]
+	e.detailScratch = e.detailScratch[:0]
 }
 
 // degradedMode reports whether the current resolution can only be concluded

@@ -128,7 +128,7 @@ func RunChurn(spec ChurnSpec) (ChurnResult, error) {
 		defer virtual.StopAuto()
 		opts.Clock = virtual
 	}
-	sys := core.NewSystem(opts)
+	sys := core.NewServer(opts)
 	defer sys.Close()
 
 	members := make([]ident.ObjectID, spec.N)

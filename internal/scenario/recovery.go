@@ -15,7 +15,7 @@ import (
 // completes; under WaitForNestedActions it cannot make progress and the
 // timeout cancels it (returning core.ErrTimeout).
 func RunBelated(policy core.NestedPolicy, timeout time.Duration) (core.Outcome, error) {
-	sys := core.NewSystem(core.Options{})
+	sys := core.NewServer(core.Options{})
 	defer sys.Close()
 
 	members := []ident.ObjectID{1, 2, 3}
@@ -75,7 +75,7 @@ type RecoveryResult struct {
 // and raises; the resolved handler repairs the object into a new valid state
 // which then commits — no rollback.
 func RunForwardRecovery() (RecoveryResult, error) {
-	sys := core.NewSystem(core.Options{})
+	sys := core.NewServer(core.Options{})
 	defer sys.Close()
 
 	seed := sys.Store().Begin()
@@ -128,7 +128,7 @@ func RunForwardRecovery() (RecoveryResult, error) {
 // acceptance test, its transaction aborts (the object rolls back), and the
 // alternate attempt commits.
 func RunBackwardRecovery() (RecoveryResult, error) {
-	sys := core.NewSystem(core.Options{})
+	sys := core.NewServer(core.Options{})
 	defer sys.Close()
 
 	seed := sys.Store().Begin()

@@ -221,7 +221,7 @@ func Run(spec Spec) (Result, error) {
 			Poll:      2 * time.Millisecond,
 		}
 	}
-	sys := core.NewSystem(opts)
+	sys := core.NewServer(opts)
 	defer sys.Close()
 
 	def, nestedSpecs := buildDefinition(spec)
@@ -428,7 +428,7 @@ func buildDefinition(spec Spec) (core.Definition, []*core.ActionSpec) {
 // protocol-message total (expected: 0) and the elapsed time.
 func RunNoException(n, writes int, latency time.Duration) (Result, error) {
 	log := trace.NewLog()
-	sys := core.NewSystem(core.Options{
+	sys := core.NewServer(core.Options{
 		Network: netsim.Config{Latency: netsim.FixedLatency(latency)},
 		Trace:   log,
 	})
