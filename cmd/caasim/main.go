@@ -21,12 +21,12 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/netsim"
+	"repro/internal/ident"
 	"repro/internal/scenario"
+	"repro/internal/scengen"
 )
 
 func main() {
@@ -52,10 +52,9 @@ func run(args []string) error {
 		belated    = fs.Bool("belated", false, "run the belated-participant workload (Figure 1) instead")
 		showTrace  = fs.Bool("trace", false, "print the full event trace (paper-style message log)")
 		partition  = fs.String("partition", "", "comma-separated object numbers to cut away mid-run (enables membership monitoring, e.g. -partition 4,5)")
-		partDelay  = fs.Duration("partition-delay", 0, "delay before the partition cut (0 = scenario default)")
+		partDelay  = fs.Duration("partition-delay", 0, "delay before the partition cut (0 = 20ms)")
 		virtual    = fs.Bool("virtual", false, "run on an auto-advancing virtual clock (netsim transports only): timeouts cost virtual time, not wall clock")
-		churn      = fs.Int("churn", 0, "run this many partition/heal/rejoin cycles on one persistent group (uses -n, -partition as the victim set, -lease, -virtual)")
-		leaseTerm  = fs.Duration("lease", 200*time.Millisecond, "quorum-lease term protecting the view chooser during -churn (0 disables leases)")
+		churn      = fs.Int("churn", 0, "run this many partition/heal/rejoin cycles on one persistent group (uses -n, -partition as the victim set, -virtual)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -70,26 +69,26 @@ func run(args []string) error {
 		return fmt.Errorf("unknown policy %q", *policy)
 	}
 
-	kind := core.TransportRaw
+	cfg := scengen.Config{Latency: *latency, Virtual: *virtual, Timeout: *timeout}
 	switch *tport {
 	case "raw":
 	case "r3":
-		kind = core.TransportReliable
+		cfg.Transport = core.TransportReliable
 	case "tcp":
-		kind = core.TransportTCP
+		cfg.Transport = core.TransportTCP
 	default:
 		return fmt.Errorf("unknown transport %q", *tport)
 	}
 
-	if *churn > 0 {
-		var victims []int
-		if *partition != "" {
-			var err error
-			if victims, err = parsePartition(*partition); err != nil {
-				return err
-			}
+	var cut []int
+	if *partition != "" {
+		var err error
+		if cut, err = parsePartition(*partition); err != nil {
+			return err
 		}
-		return runChurn(*n, victims, *churn, *leaseTerm, *virtual, *timeout)
+	}
+	if *churn > 0 {
+		return runChurn(*n, cut, *churn, cfg)
 	}
 
 	if *belated {
@@ -106,43 +105,35 @@ func run(args []string) error {
 		return nil
 	}
 
-	spec := scenario.Spec{
-		N: *n, P: *p, Q: *q, Depth: *depth,
-		RaiseDelay: *raiseDelay, Latency: *latency,
-		Policy: pol, Transport: kind,
-		Timeout: *timeout, KeepTrace: *showTrace,
-	}
-	if *partition != "" {
-		cut, err := parsePartition(*partition)
-		if err != nil {
-			return err
-		}
-		spec.Membership = true
-		spec.Partition = cut
-		spec.PartitionDelay = *partDelay
-	}
-	spec.Virtual = *virtual
-	if *concurrent > 1 {
-		if spec.Membership {
-			return errors.New("-concurrent and -partition are mutually exclusive (-concurrent submits to a server without membership monitoring)")
-		}
-		return runConcurrent(spec, *concurrent, *timeout)
-	}
-	res, err := scenario.Run(spec)
+	prog, err := scengen.Grid(*n, *p, *q, *depth, *raiseDelay, pol == core.WaitForNestedActions)
 	if err != nil {
 		return err
 	}
+	if cut != nil {
+		if prog, err = scengen.Partitioned(prog, cut, *partDelay); err != nil {
+			return err
+		}
+	}
+	if *concurrent > 1 {
+		return runConcurrent(prog, *concurrent, cfg,
+			fmt.Sprintf("N=%d P=%d Q=%d", *n, *p, *q), *tport)
+	}
+	res, err := scengen.Run(prog, cfg)
+	if err != nil {
+		return err
+	}
+	out := res.Outcomes[0]
 
 	fmt.Printf("scenario: N=%d P=%d Q=%d depth=%d latency=%v policy=%s transport=%s\n",
 		*n, *p, *q, *depth, *latency, *policy, *tport)
 	fmt.Printf("outcome: completed=%v resolved=%q signalled=%q\n",
-		res.Outcome.Completed, res.Outcome.Resolved, res.Outcome.Signalled)
-	if len(res.Outcome.Expelled) > 0 {
+		out.Completed, out.Resolved, out.Signalled)
+	if len(out.Expelled) > 0 {
 		fmt.Printf("expelled: %v (membership views decided these participants failed)\n",
-			res.Outcome.Expelled)
+			out.Expelled)
 	}
 	fmt.Printf("elapsed: %v\n", res.Elapsed.Round(time.Microsecond))
-	if spec.Virtual {
+	if cfg.Virtual {
 		fmt.Printf("virtual-elapsed: %v\n", res.VirtualElapsed)
 	}
 
@@ -160,7 +151,7 @@ func run(args []string) error {
 		res.ObservedP, res.ObservedQ, res.Predicted, res.Predicted == res.Total)
 	if *showTrace {
 		fmt.Println("\nevent trace:")
-		fmt.Print(res.Trace)
+		fmt.Print(res.Log.Dump())
 	}
 	return nil
 }
@@ -169,84 +160,69 @@ func run(args []string) error {
 // partition/heal/rejoin cycles, each expelling the victim set and readmitting
 // it via petition, quorum-leased view change and state transfer, then a final
 // whole-group exception run proves the rejoined members resolve again.
-func runChurn(n int, victims []int, cycles int, lease time.Duration, virtual bool, timeout time.Duration) error {
-	res, err := scenario.RunChurn(scenario.ChurnSpec{
-		N:       n,
-		Victims: victims,
-		Cycles:  cycles,
-		Lease:   lease,
-		Virtual: virtual,
-		Timeout: timeout,
-	})
+func runChurn(n int, victims []int, cycles int, cfg scengen.Config) error {
+	prog, err := scengen.Churn(n, victims, cycles)
 	if err != nil {
 		return err
 	}
-	if len(victims) == 0 {
-		victims = []int{n}
+	res, err := scengen.Run(prog, cfg)
+	if err != nil {
+		return err
 	}
-	fmt.Printf("churn: N=%d victims=%v cycles=%d lease=%v virtual=%v\n",
-		n, victims, res.Cycles, lease, virtual)
-	fmt.Printf("expelled=%d rejoined=%d final-epoch=%d\n",
-		res.Expelled, res.Rejoined, res.FinalEpoch)
+	expelled, rejoined := 0, 0
+	for i, c := range res.Cycles {
+		if c.Cut.Resolved != core.ExcParticipantFailure {
+			return fmt.Errorf("cycle %d cut run resolved %q, want %q", i, c.Cut.Resolved, core.ExcParticipantFailure)
+		}
+		expelled += len(c.Cut.Expelled)
+		rejoined += len(c.Rejoin.Rejoined)
+	}
+	out := res.Outcomes[0]
+	participants := 0
+	for _, v := range prog.Partition.Cut {
+		if r := out.PerObject[ident.ObjectID(v)]; r.Resolved == out.Resolved && out.Resolved != "" {
+			participants++
+		}
+	}
+	fmt.Printf("churn: N=%d victims=%v cycles=%d virtual=%v\n",
+		n, prog.Partition.Cut, len(res.Cycles), cfg.Virtual)
+	fmt.Printf("expelled=%d rejoined=%d final-epoch=%d\n", expelled, rejoined, res.FinalEpoch)
 	fmt.Printf("post-heal: resolved=%q with %d/%d rejoined members participating\n",
-		res.PostHealResolved, res.PostHealParticipants, len(victims))
+		out.Resolved, participants, len(prog.Partition.Cut))
 	fmt.Printf("elapsed: %v (%v per cycle)\n",
 		res.Elapsed.Round(time.Microsecond),
-		(res.Elapsed / time.Duration(res.Cycles)).Round(time.Microsecond))
-	if virtual {
+		(res.Elapsed / time.Duration(len(res.Cycles))).Round(time.Microsecond))
+	if cfg.Virtual {
 		fmt.Printf("virtual-elapsed: %v\n", res.VirtualElapsed)
 	}
 	return nil
 }
 
 // runConcurrent is the -concurrent mode: copies of the same action are
-// submitted together to one shared server, multiplexed over the same
-// per-object transports, and the aggregate report shows whether every copy
-// reached the same outcome the action reaches when run alone.
-func runConcurrent(spec scenario.Spec, copies int, timeout time.Duration) error {
-	def, err := scenario.Build(spec)
-	if err != nil {
+// submitted together to the one server the flags describe, multiplexed over
+// the same per-object transports, and the aggregate report shows whether
+// every copy reached the same outcome the action reaches when run alone.
+func runConcurrent(prog *scengen.Program, copies int, cfg scengen.Config, shape, tport string) error {
+	for k := 1; k < copies; k++ {
+		prog.Families = append(prog.Families, prog.Families[0])
+	}
+	res, err := scengen.Run(prog, cfg)
+	if len(res.Outcomes) == 0 {
 		return err
 	}
-	srv := core.NewServer(core.Options{
-		Network:    netsim.Config{Latency: netsim.FixedLatency(spec.Latency)},
-		Transport:  spec.Transport,
-		Retransmit: spec.Retransmit,
-	})
-	defer srv.Close()
-
-	outs := make([]core.Outcome, copies)
-	errs := make([]error, copies)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for k := 0; k < copies; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			outs[k], errs[k] = srv.RunTimeout(def, timeout)
-		}(k)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
 	completed := 0
 	resolved := make(map[string]int)
-	var firstErr error
-	for k := 0; k < copies; k++ {
-		if errs[k] != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("copy %d: %w", k, errs[k])
-			}
+	for k, out := range res.Outcomes {
+		if res.Errs[k] != nil {
 			continue
 		}
-		if outs[k].Completed {
+		if out.Completed {
 			completed++
 		}
-		resolved[outs[k].Resolved]++
+		resolved[out.Resolved]++
 	}
 
-	fmt.Printf("concurrent: %d copies of N=%d P=%d Q=%d on one shared server (transport=%v)\n",
-		copies, spec.N, spec.P, spec.Q, spec.Transport)
+	fmt.Printf("concurrent: %d copies of %s on one shared server (transport=%s)\n", copies, shape, tport)
 	fmt.Printf("agreement: %d/%d copies completed\n", completed, copies)
 	keys := make([]string, 0, len(resolved))
 	for k := range resolved {
@@ -260,11 +236,14 @@ func runConcurrent(spec scenario.Spec, copies int, timeout time.Duration) error 
 		}
 		fmt.Printf("  resolved %-12s %d\n", label, resolved[k])
 	}
-	fmt.Printf("protocol messages: %s\n", srv.Trace().CensusString())
+	fmt.Printf("protocol messages: %s\n", res.Log.CensusString())
 	fmt.Printf("elapsed: %v (%.0f actions/sec)\n",
-		elapsed.Round(time.Microsecond), float64(copies)/elapsed.Seconds())
-	if firstErr != nil {
-		return firstErr
+		res.Elapsed.Round(time.Microsecond), float64(copies)/res.Elapsed.Seconds())
+	if cfg.Virtual {
+		fmt.Printf("virtual-elapsed: %v\n", res.VirtualElapsed)
+	}
+	if err != nil {
+		return err
 	}
 	if completed != copies {
 		return fmt.Errorf("%d of %d copies did not complete", copies-completed, copies)

@@ -84,6 +84,25 @@ func TestRunConcurrentHonoursLatency(t *testing.T) {
 	}
 }
 
+// TestRunConcurrentHonoursVirtual: the shared server runs on the clock the
+// flags describe too. On the virtual clock the three serial 200ms hops cost
+// at least 600ms of virtual time, reported as the single-run mode reports it.
+func TestRunConcurrentHonoursVirtual(t *testing.T) {
+	out := runCaptured(t, "-concurrent", "2", "-n", "3", "-p", "1", "-latency", "200ms", "-raise-delay", "1ms", "-virtual")
+	if !strings.Contains(out, "(transport=raw)") {
+		t.Errorf("output does not name the transport by its flag:\n%s", out)
+	}
+	for _, l := range strings.Split(out, "\n") {
+		if v, ok := strings.CutPrefix(l, "virtual-elapsed: "); ok {
+			if d, err := time.ParseDuration(v); err != nil || d < 600*time.Millisecond {
+				t.Fatalf("virtual-elapsed %q, want at least 600ms", v)
+			}
+			return
+		}
+	}
+	t.Fatalf("no virtual-elapsed line:\n%s", out)
+}
+
 // TestRunConcurrentCensusPastTheRing: 600 copies of a nine-message action
 // record some 25 000 events on the shared server, more than its log keeps,
 // and the census line still reads (N-1)(2P+3Q+1) = 9 an action: a count never
@@ -98,9 +117,11 @@ func TestRunConcurrentCensusPastTheRing(t *testing.T) {
 }
 
 func TestRunProcsFlagIsGone(t *testing.T) {
-	err := run([]string{"-procs"})
-	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
-		t.Fatalf("-procs: got %v, want a flag-parsing error", err)
+	for _, flag := range []string{"-procs", "-lease"} {
+		err := run([]string{flag})
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%s: got %v, want a flag-parsing error", flag, err)
+		}
 	}
 }
 

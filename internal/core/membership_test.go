@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/ident"
+	"repro/internal/protocol"
 )
 
 // fastMembership keeps partition tests quick without racing the detector's
@@ -246,7 +247,13 @@ func TestNoPartitionOutcomeUnchanged(t *testing.T) {
 	}
 	members := []ident.ObjectID{1, 2, 3}
 
-	run := func(mo *MembershipOptions) Outcome {
+	// The membership traffic rides the fabric but never enters the engines,
+	// so the protocol census must come out the same.
+	kinds := []string{
+		protocol.KindException, protocol.KindAck, protocol.KindHaveNested,
+		protocol.KindNestedCompleted, protocol.KindCommit,
+	}
+	run := func(mo *MembershipOptions) (Outcome, []int) {
 		t.Helper()
 		sys := NewServer(Options{Membership: mo})
 		defer sys.Close()
@@ -254,11 +261,18 @@ func TestNoPartitionOutcomeUnchanged(t *testing.T) {
 		if err != nil {
 			t.Fatalf("run: %v (outcome %+v)", err, out)
 		}
-		return out
+		census := make([]int, len(kinds))
+		for i, k := range kinds {
+			census[i] = sys.Trace().CountSends(k)
+		}
+		return out, census
 	}
 
-	plain := run(nil)
-	monitored := run(fastMembership())
+	plain, plainCensus := run(nil)
+	monitored, monitoredCensus := run(fastMembership())
+	if !slices.Equal(plainCensus, monitoredCensus) {
+		t.Errorf("censuses of %v diverge: plain %v vs monitored %v", kinds, plainCensus, monitoredCensus)
+	}
 	if len(monitored.Expelled) != 0 {
 		t.Fatalf("spurious expulsions: %v", monitored.Expelled)
 	}

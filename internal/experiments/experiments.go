@@ -11,6 +11,7 @@ import (
 	"repro/internal/ident"
 	"repro/internal/protocol"
 	"repro/internal/scenario"
+	"repro/internal/scengen"
 	"repro/internal/trace"
 )
 
@@ -69,7 +70,11 @@ func E1() (Table, error) {
 		if err != nil {
 			return t, err
 		}
-		res, err := scenario.Run(scenario.Spec{N: n, P: 1})
+		prog, err := scengen.Grid(n, 1, 0, 0, 0, false)
+		if err != nil {
+			return t, err
+		}
+		res, err := scengen.Run(prog, scengen.Config{})
 		if err != nil {
 			return t, err
 		}
@@ -189,7 +194,11 @@ func E6() (Table, error) {
 		Header: []string{"N", "writes/object", "protocol msgs", "match (want 0)"},
 	}
 	for _, n := range []int{2, 4, 16, 64} {
-		res, err := scenario.RunNoException(n, 4, 0)
+		prog, err := scengen.NoException(n)
+		if err != nil {
+			return t, err
+		}
+		res, err := scengen.Run(prog, scengen.Config{})
 		if err != nil {
 			return t, err
 		}
@@ -495,12 +504,11 @@ func E13() (Table, error) {
 	}
 	const raiseDelay = 50 * time.Millisecond
 	for _, depth := range []int{1, 2, 4, 8, 16} {
-		res, err := scenario.Run(scenario.Spec{
-			N: 3, P: 1, Q: 2, Depth: depth,
-			RaiseDelay:   raiseDelay,
-			AbortionCost: 2 * time.Millisecond,
-			Latency:      200 * time.Microsecond,
-		})
+		prog, err := scengen.Grid(3, 1, 2, depth, raiseDelay, false)
+		if err != nil {
+			return t, err
+		}
+		res, err := scengen.Run(prog, scengen.Config{Latency: 200 * time.Microsecond})
 		if err != nil {
 			return t, err
 		}

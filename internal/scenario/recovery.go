@@ -1,3 +1,7 @@
+// Package scenario holds the hand-written workloads of the paper's figures that
+// need handler bodies the fuzz grammar (scengen.Program) cannot yet express:
+// Figure 1's belated participant and Figure 2's forward and backward
+// recovery. The §4.4 measurement workloads are scengen presets.
 package scenario
 
 import (

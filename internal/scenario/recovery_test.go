@@ -44,23 +44,3 @@ func TestRunBackwardRecovery(t *testing.T) {
 		t.Errorf("result = %+v", res)
 	}
 }
-
-func TestRunAbortionCostDelaysResolution(t *testing.T) {
-	fast, err := Run(Spec{N: 2, P: 1, Q: 1, Depth: 2, RaiseDelay: 10 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow, err := Run(Spec{N: 2, P: 1, Q: 1, Depth: 2,
-		RaiseDelay: 10 * time.Millisecond, AbortionCost: 20 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fast.Outcome.Completed || !slow.Outcome.Completed {
-		t.Fatalf("outcomes: %+v / %+v", fast.Outcome, slow.Outcome)
-	}
-	// Two nested levels at 20ms each: the slow run must be at least ~40ms
-	// slower than the fast one.
-	if delta := slow.Elapsed - fast.Elapsed; delta < 35*time.Millisecond {
-		t.Errorf("abortion cost not reflected: delta = %v", delta)
-	}
-}

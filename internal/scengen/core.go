@@ -3,6 +3,7 @@ package scengen
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -12,17 +13,18 @@ import (
 	"repro/internal/exception"
 	"repro/internal/ident"
 	"repro/internal/transport/conformancetest"
-	"repro/internal/vclock"
 )
 
 // The core tier runs every generated program through the full stack — server,
 // dispatchers, participants, transactions — and holds the outcomes to the
 // protocol-level reference. The timing scheme makes the checks deterministic:
 // raisers raise a few milliseconds in, everyone else lingers at their leaf
-// long enough (coreLinger) that every raise lands while its site's members
-// are still inside the action, so which nested actions get aborted, which
-// transactions commit and which resolutions run never depends on backend
-// speed. Families without raises do not linger at all.
+// long enough (oracleTiming's linger) that every raise lands while its site's
+// members are still inside the action, so which nested actions get aborted,
+// which transactions commit and which resolutions run never depends on
+// backend speed. Families without raises do not linger at all. Run's presets
+// compile with their own timing (presetTiming); the timing is all that
+// differs.
 
 const excParticipantFailure = core.ExcParticipantFailure
 
@@ -38,7 +40,14 @@ type coreTiming struct {
 	// forever makes non-raisers dwell until a resolution terminates them —
 	// partition runs, where the run ends through the expulsion machinery.
 	forever bool
+	// abortCost is the work each abortion handler of a nested action does.
+	abortCost time.Duration
 }
+
+// oracleTiming is the core tier's timing for partition-free runs. The linger
+// must comfortably exceed raise delivery so the abort/commit structure never
+// depends on timing.
+var oracleTiming = coreTiming{linger: 150 * time.Millisecond, belated: 10 * time.Millisecond, raiseAt: 2 * time.Millisecond}
 
 // recKey addresses one recorded nested-action result.
 type recKey struct {
@@ -121,6 +130,16 @@ func compileFamily(fi int, fam *Family, tree *exception.Tree, rec *recorder, t c
 			Handlers: handlers,
 			Policy:   policy,
 		}
+		if ai > 0 && t.abortCost > 0 {
+			cost := t.abortCost
+			specs[ai].Abortion = make(map[ident.ObjectID]core.AbortionHandler, len(members))
+			for _, m := range members {
+				specs[ai].Abortion[m] = func(*core.RecoveryContext) string {
+					time.Sleep(cost)
+					return ""
+				}
+			}
+		}
 	}
 
 	raiseOf := make(map[int]Raise, len(fam.Raises))
@@ -176,7 +195,9 @@ func compileFamily(fi int, fam *Family, tree *exception.Tree, rec *recorder, t c
 				}
 			}
 			if r, ok := raiseOf[obj]; ok {
-				ctx.Sleep(t.raiseAt + time.Duration(r.DelayMS)*time.Millisecond)
+				if d := t.raiseAt + time.Duration(r.DelayMS)*time.Millisecond; d > 0 {
+					ctx.Sleep(d)
+				}
 				ctx.Raise(r.Exc) // never returns
 			}
 			if t.forever {
@@ -415,147 +436,59 @@ func checkSums(rep *Report, stage string, snapshot map[string]any, want map[stri
 	}
 }
 
-// coreBackends lists the full-stack servers the core tier runs: the raw
-// netsim transport and — when the program is small enough to afford sockets —
-// TCP.
-func coreBackends(p *Program, opts Options) []struct {
-	name string
-	opts core.Options
-} {
-	backends := []struct {
-		name string
-		opts core.Options
-	}{
-		{name: "core/raw", opts: core.Options{Transport: core.TransportRaw}},
-	}
-	objects := 0
-	for fi := range p.Families {
-		objects += len(p.Families[fi].Objects)
-	}
-	if opts.CoreTCP && objects <= 8 {
-		backends = append(backends, struct {
-			name string
-			opts core.Options
-		}{name: "core/tcp", opts: core.Options{Transport: core.TransportTCP}})
-	}
-	return backends
-}
-
-// checkCore runs the (partition-free) program through the full stack on every
-// core backend: each family solo, then — when there are several — all
-// families concurrently on one shared server via Submit.
-func checkCore(p *Program, ref conformancetest.Resolutions, opts Options, rep *Report) {
-	tree, err := p.Tree()
-	if err != nil {
-		rep.add("core", "exception tree: %v", err)
-		return
-	}
+// checkCore runs the (partition-free) program through the full stack over the
+// raw netsim transport: each family solo, then — when there are several — all
+// families concurrently on one shared server.
+func checkCore(p *Program, tree *exception.Tree, ref conformancetest.Resolutions, opts Options, rep *Report) {
 	refSites := siteRef(p, ref, rep)
-	timing := coreTiming{linger: opts.Linger, belated: 10 * time.Millisecond, raiseAt: 2 * time.Millisecond}
+	cfg := Config{Timeout: opts.RunTimeout}
 
-	for _, backend := range coreBackends(p, opts) {
-		// Solo: one private server per family, so the store sums and the
-		// outcome are attributable to that family alone.
-		for fi := range p.Families {
-			sys := core.NewServer(backend.opts)
-			rec := newRecorder()
-			def := compileFamily(fi, &p.Families[fi], tree, rec, timing)
-			out, err := sys.RunTimeout(def, opts.RunTimeout)
-			stage := backend.name + "/solo"
-			checkFamilyOutcome(rep, stage, p, tree, fi, out, err, rec, refSites)
-			if err == nil {
-				checkSums(rep, stage, sys.Store().Snapshot(), expectedSums(p, []int{fi}))
-			}
-			sys.Close()
+	// Solo: one private server per family, so the store sums and the outcome
+	// are attributable to that family alone.
+	for fi := range p.Families {
+		const stage = "core/raw/solo"
+		res := run(p, cfg, []int{fi}, oracleTiming)
+		checkFamilyOutcome(rep, stage, p, tree, fi, res.Outcomes[0], res.Errs[0], res.rec, refSites)
+		if res.Errs[0] == nil {
+			checkSums(rep, stage, res.store, expectedSums(p, []int{fi}))
 		}
-		// Multiplexed: every family concurrently on one shared server.
-		if len(p.Families) > 1 {
-			sys := core.NewServer(backend.opts)
-			stage := backend.name + "/multi"
-			pendings := make([]*core.Pending, len(p.Families))
-			recs := make([]*recorder, len(p.Families))
-			submitErr := false
-			for fi := range p.Families {
-				recs[fi] = newRecorder()
-				def := compileFamily(fi, &p.Families[fi], tree, recs[fi], timing)
-				pend, err := sys.Submit(def)
-				if err != nil {
-					rep.add(stage, "family %d: submit: %v", fi, err)
-					submitErr = true
-					break
-				}
-				pendings[fi] = pend
-			}
-			if !submitErr {
-				ok := true
-				for fi, pend := range pendings {
-					out, err := pend.Wait()
-					if err != nil {
-						ok = false
-					}
-					checkFamilyOutcome(rep, stage, p, tree, fi, out, err, recs[fi], refSites)
-				}
-				if ok {
-					all := make([]int, len(p.Families))
-					for fi := range p.Families {
-						all[fi] = fi
-					}
-					checkSums(rep, stage, sys.Store().Snapshot(), expectedSums(p, all))
-				}
-			}
-			sys.Close()
+	}
+	// Multiplexed: every family concurrently on one shared server.
+	if len(p.Families) > 1 {
+		const stage = "core/raw/multi"
+		all := make([]int, len(p.Families))
+		for fi := range all {
+			all[fi] = fi
+		}
+		res := run(p, cfg, all, oracleTiming)
+		ok := true
+		for fi := range all {
+			ok = ok && res.Errs[fi] == nil
+			checkFamilyOutcome(rep, stage, p, tree, fi, res.Outcomes[fi], res.Errs[fi], res.rec, refSites)
+		}
+		if ok {
+			checkSums(rep, stage, res.store, expectedSums(p, all))
 		}
 	}
 }
 
 // checkPartition runs a partition program through the membership-monitored
-// stack: the cut is installed mid-run, the survivors must expel exactly the
-// cut, and the resolution must account for the participant failure.
-func checkPartition(p *Program, ref conformancetest.Resolutions, opts Options, rep *Report) {
-	tree, err := p.Tree()
-	if err != nil {
-		rep.add("core/partition", "exception tree: %v", err)
-		return
-	}
-	refSites := siteRef(p, ref, rep)
-	_ = refSites // the partition run has its own expectations below
+// stack on the virtual clock: the cut is installed mid-run, the survivors must
+// expel exactly the cut, and the resolution must account for the participant
+// failure.
+func checkPartition(p *Program, tree *exception.Tree, ref conformancetest.Resolutions, opts Options, rep *Report) {
+	const stage = "core/partition"
+	siteRef(p, ref, rep) // the reference must agree; the run has its own expectations below
 	fam := &p.Families[0]
 
-	delay := time.Duration(p.Partition.DelayMS) * time.Millisecond
-	if delay == 0 {
-		delay = 20 * time.Millisecond
-	}
 	timing := coreTiming{
 		// Raises fire only after the cut is decided, so the expulsion always
 		// participates in the resolution.
-		raiseAt: delay + 60*time.Millisecond,
-		belated: 10 * time.Millisecond,
+		raiseAt: p.Partition.delay() + 60*time.Millisecond,
 		forever: true,
 	}
-	sys := core.NewServer(core.Options{
-		Transport: core.TransportRaw,
-		Membership: &core.MembershipOptions{
-			Heartbeat: time.Millisecond,
-			Timeout:   25 * time.Millisecond,
-			Poll:      2 * time.Millisecond,
-		},
-	})
-	defer sys.Close()
-
-	rec := newRecorder()
-	def := compileFamily(0, fam, tree, rec, timing)
-	cut := make([]ident.ObjectID, len(p.Partition.Cut))
-	for i, c := range p.Partition.Cut {
-		cut[i] = ident.ObjectID(c)
-	}
-	go func() {
-		time.Sleep(delay)
-		// Best-effort, as in scenario.Run: if the run somehow ended first the
-		// cut lands on an idle server, and the expulsion check below reports it.
-		_ = sys.Partition("storm", cut...)
-	}()
-	out, err := sys.RunTimeout(def, opts.RunTimeout)
-	stage := "core/partition"
+	res := run(p, Config{Virtual: true, Timeout: opts.RunTimeout}, []int{0}, timing)
+	out, err := res.Outcomes[0], res.Errs[0]
 	if err != nil {
 		rep.add(stage, "run error: %v", err)
 		return
@@ -563,7 +496,7 @@ func checkPartition(p *Program, ref conformancetest.Resolutions, opts Options, r
 	if !out.Completed {
 		rep.add(stage, "action did not complete")
 	}
-	expectExpelled(rep, stage, out.Expelled, cut)
+	expectExpelled(rep, stage, out.Expelled, p.Partition.objects())
 	if len(fam.Raises) == 0 {
 		if out.Resolved != excParticipantFailure {
 			rep.add(stage, "crash-only partition resolved %q, want %q", out.Resolved, excParticipantFailure)
@@ -579,22 +512,16 @@ func checkPartition(p *Program, ref conformancetest.Resolutions, opts Options, r
 		}
 	}
 	for _, obj := range fam.Objects {
-		res, ok := out.PerObject[ident.ObjectID(obj)]
+		po, ok := out.PerObject[ident.ObjectID(obj)]
 		if !ok {
 			rep.add(stage, "object %d has no per-object result", obj)
 			continue
 		}
-		inCut := false
-		for _, c := range p.Partition.Cut {
-			if c == obj {
-				inCut = true
-			}
-		}
-		if inCut {
-			if !res.Expelled {
+		if slices.Contains(p.Partition.Cut, obj) {
+			if !po.Expelled {
 				rep.add(stage, "cut object %d was not marked expelled", obj)
 			}
-		} else if !res.Completed {
+		} else if !po.Completed {
 			rep.add(stage, "surviving object %d did not complete", obj)
 		}
 	}
@@ -620,167 +547,46 @@ func expectExpelled(rep *Report, stage string, got, cut []ident.ObjectID) {
 
 // checkChurn runs a heal-and-continue (Heal) or flapping-member (Flap > 0)
 // partition program through the persistent, rejoin-enabled stack: each cycle
-// the cut is partitioned away and expelled by the surviving majority, the
-// partition heals, and the expelled members rejoin view-synchronously via
-// petition and state transfer. Only after the last cycle do the program's own
-// raises fire, in a whole-group post-heal run held to the same expectations
-// as any partition-free family — plus the churn-specific one: every rejoined
-// member commits the post-heal resolution like everyone else. The whole
-// schedule runs on an auto-advancing virtual clock, so the detector timeouts
-// and lease terms cost virtual time only and a multi-cycle program stays
-// cheap enough for fuzz workers.
-func checkChurn(p *Program, ref conformancetest.Resolutions, opts Options, rep *Report) {
+// the cut must be expelled by the surviving majority as the participant
+// failure and, once the partition heals, readmitted whole. Only after the last
+// cycle do the program's own raises fire, in a whole-group post-heal run held
+// to the same expectations as any partition-free family — plus the
+// churn-specific one: every rejoined member commits the post-heal resolution
+// like everyone else. The whole schedule runs on the virtual clock, so the
+// detector timeouts and lease terms cost virtual time only and a multi-cycle
+// program stays cheap enough for fuzz workers.
+func checkChurn(p *Program, tree *exception.Tree, ref conformancetest.Resolutions, opts Options, rep *Report) {
 	const stage = "core/churn"
-	tree, err := p.Tree()
-	if err != nil {
-		rep.add(stage, "exception tree: %v", err)
-		return
-	}
 	refSites := siteRef(p, ref, rep)
-	fam := &p.Families[0]
+	cut := p.Partition.objects()
 
-	cut := make([]ident.ObjectID, len(p.Partition.Cut))
-	isCut := make(map[ident.ObjectID]bool, len(cut))
-	for i, c := range p.Partition.Cut {
-		cut[i] = ident.ObjectID(c)
-		isCut[cut[i]] = true
-	}
-	members := make([]ident.ObjectID, len(fam.Objects))
-	for i, o := range fam.Objects {
-		members[i] = ident.ObjectID(o)
-	}
-	var cutter ident.ObjectID // lowest survivor triggers each cut
-	for _, m := range members {
-		if !isCut[m] && (cutter == 0 || m < cutter) {
-			cutter = m
+	res := run(p, Config{Virtual: true, Timeout: opts.RunTimeout}, []int{0}, oracleTiming)
+	for cycle, c := range res.Cycles {
+		expectExpelled(rep, stage, c.Cut.Expelled, cut)
+		if c.Cut.Resolved != excParticipantFailure {
+			rep.add(stage, "cycle %d cut run resolved %q, want %q", cycle, c.Cut.Resolved, excParticipantFailure)
+		}
+		if len(c.Rejoin.Rejoined) != len(cut) {
+			rep.add(stage, "cycle %d readmitted %v, want the whole cut %v", cycle, c.Rejoin.Rejoined, cut)
 		}
 	}
-	delay := time.Duration(p.Partition.DelayMS) * time.Millisecond
-	if delay == 0 {
-		delay = 20 * time.Millisecond
-	}
-
-	clk := vclock.NewVirtual()
-	clk.StartAuto()
-	defer clk.StopAuto()
-	sys := core.NewServer(core.Options{
-		Transport: core.TransportRaw,
-		Clock:     clk,
-		Membership: &core.MembershipOptions{
-			Heartbeat: time.Millisecond,
-			Timeout:   25 * time.Millisecond,
-			Poll:      2 * time.Millisecond,
-			Rejoin:    true,
-			Lease:     200 * time.Millisecond,
-		},
-	})
-	defer sys.Close()
-
-	noop := core.HandlerSet{Default: func(*core.RecoveryContext, exception.Exception) (string, error) {
-		return "", nil
-	}}
-	handlers := make(map[ident.ObjectID]core.HandlerSet, len(members))
-	for _, m := range members {
-		handlers[m] = noop
-	}
-	idle := func(ctx *core.Context) error {
-		ctx.Sleep(time.Hour)
-		return nil
-	}
-	whole := func() bool {
-		v := sys.GroupView()
-		for _, c := range cut {
-			if !v.Contains(c) {
-				return false
-			}
-		}
-		return true
-	}
-	waitWhole := func(ctx *core.Context) error {
-		for i := 0; i < 50000; i++ {
-			if whole() {
-				return nil
-			}
-			ctx.Sleep(2 * time.Millisecond)
-		}
-		return fmt.Errorf("cut never rejoined: %v", sys.GroupView())
-	}
-
-	cycles := 1 + p.Partition.Flap
-	for cycle := 0; cycle < cycles; cycle++ {
-		cutName := fmt.Sprintf("churn-%d", cycle)
-		bodies := make(map[ident.ObjectID]core.Body, len(members))
-		for _, m := range members {
-			bodies[m] = idle
-		}
-		bodies[cutter] = func(ctx *core.Context) error {
-			ctx.Sleep(delay)
-			if err := sys.Partition(cutName, cut...); err != nil {
-				return err
-			}
-			ctx.Sleep(time.Hour)
-			return nil
-		}
-		out, err := sys.RunTimeout(core.Definition{
-			Spec:   core.ActionSpec{Name: cutName, Tree: tree, Members: members, Handlers: handlers},
-			Bodies: bodies,
-		}, opts.RunTimeout)
-		if err != nil {
-			rep.add(stage, "cycle %d cut run: %v (virtual clock: %v)", cycle, err, clk)
-			return
-		}
-		expectExpelled(rep, stage, out.Expelled, cut)
-		if out.Resolved != excParticipantFailure {
-			rep.add(stage, "cycle %d cut run resolved %q, want %q", cycle, out.Resolved, excParticipantFailure)
-		}
-
-		// Heal between the runs, so the expelled members' petitions get
-		// through in the rejoin run.
-		sys.HealPartition(cutName)
-		bodies = make(map[ident.ObjectID]core.Body, len(members))
-		for _, m := range members {
-			if isCut[m] {
-				bodies[m] = idle
-			} else {
-				bodies[m] = waitWhole
-			}
-		}
-		out, err = sys.RunTimeout(core.Definition{
-			Spec:   core.ActionSpec{Name: cutName + "-rejoin", Tree: tree, Members: members, Handlers: handlers},
-			Bodies: bodies,
-		}, opts.RunTimeout)
-		if err != nil {
-			rep.add(stage, "cycle %d rejoin run: %v (virtual clock: %v)", cycle, err, clk)
-			return
-		}
-		if len(out.Rejoined) != len(cut) {
-			rep.add(stage, "cycle %d readmitted %v, want the whole cut %v", cycle, out.Rejoined, cut)
-		}
-	}
-
-	// Post-heal: the compiled family itself — raises, nesting, atomic ops —
-	// on the now-whole persistent group, held to the partition-free
-	// expectations plus the rejoined members' participation.
-	timing := coreTiming{linger: opts.Linger, belated: 10 * time.Millisecond, raiseAt: 2 * time.Millisecond}
-	rec := newRecorder()
-	def := compileFamily(0, fam, tree, rec, timing)
-	out, err := sys.RunTimeout(def, opts.RunTimeout)
-	checkFamilyOutcome(rep, stage+"/postheal", p, tree, 0, out, err, rec, refSites)
+	out, err := res.Outcomes[0], res.Errs[0]
+	checkFamilyOutcome(rep, stage+"/postheal", p, tree, 0, out, err, res.rec, refSites)
 	if err != nil {
 		return
 	}
 	for _, c := range cut {
-		res, ok := out.PerObject[c]
+		po, ok := out.PerObject[c]
 		if !ok {
 			rep.add(stage, "rejoined object %d has no post-heal result", c)
 			continue
 		}
-		if !res.Completed {
+		if !po.Completed {
 			rep.add(stage, "rejoined object %d did not complete the post-heal run", c)
 		}
-		if res.Resolved != out.Resolved {
-			rep.add(stage, "rejoined object %d resolved %q post-heal, the run resolved %q", c, res.Resolved, out.Resolved)
+		if po.Resolved != out.Resolved {
+			rep.add(stage, "rejoined object %d resolved %q post-heal, the run resolved %q", c, po.Resolved, out.Resolved)
 		}
 	}
-	checkSums(rep, stage, sys.Store().Snapshot(), expectedSums(p, []int{0}))
+	checkSums(rep, stage, res.store, expectedSums(p, []int{0}))
 }

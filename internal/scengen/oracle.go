@@ -17,13 +17,6 @@ type Options struct {
 	Settle time.Duration
 	// RunTimeout bounds each full-stack core run (default 20s).
 	RunTimeout time.Duration
-	// Linger is the leaf dwell of core-level bodies in raising families: it
-	// must comfortably exceed raise delivery on the slowest backend so the
-	// abort/commit structure never depends on timing (default 150ms).
-	Linger time.Duration
-	// CoreTCP also runs the core tier over real sockets when the program is
-	// small enough (the protocol tier always includes TCP).
-	CoreTCP bool
 	// SkipLeak disables the goroutine-leak check — required when several
 	// oracle runs share a process concurrently, since each run's transient
 	// goroutines would count as the others' leaks.
@@ -36,9 +29,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.RunTimeout == 0 {
 		o.RunTimeout = 20 * time.Second
-	}
-	if o.Linger == 0 {
-		o.Linger = 150 * time.Millisecond
 	}
 	return o
 }
@@ -100,6 +90,10 @@ func Check(p *Program, opts Options) *Report {
 		rep.add("validate", "%v", err)
 		return rep
 	}
+	if err := withinTiming(p); err != nil {
+		rep.add("validate", "%v", err)
+		return rep
+	}
 	var leak func() error
 	if !opts.SkipLeak {
 		leak = conformancetest.LeakCheckErr()
@@ -128,15 +122,16 @@ func Check(p *Program, opts Options) *Report {
 		}
 	}
 
-	checkCR(p, ref, rep)
+	tree, _ := p.Tree() // p is valid, and Validate built this tree
+	checkCR(p, tree, ref, rep)
 
 	switch {
 	case p.Partition != nil && p.Partition.Heal:
-		checkChurn(p, ref, opts, rep)
+		checkChurn(p, tree, ref, opts, rep)
 	case p.Partition != nil:
-		checkPartition(p, ref, opts, rep)
+		checkPartition(p, tree, ref, opts, rep)
 	default:
-		checkCore(p, ref, opts, rep)
+		checkCore(p, tree, ref, opts, rep)
 	}
 
 	if leak != nil {
@@ -147,16 +142,32 @@ func Check(p *Program, opts Options) *Report {
 	return rep
 }
 
+// withinTiming holds a program to what the oracle's timing assumes beyond
+// Validate: every raise lands within 50 ms (the linger outlasts it), the cut
+// within 200 ms, and a flapping partition repeats at most twice. The
+// generator stays inside these bounds; the presets need not.
+func withinTiming(p *Program) error {
+	for fi, fam := range p.Families {
+		for _, r := range fam.Raises {
+			if r.DelayMS > 50 {
+				return fmt.Errorf("scengen: family %d raise delay %dms out of [0, 50]", fi, r.DelayMS)
+			}
+		}
+	}
+	if p.Partition != nil && p.Partition.DelayMS > 200 {
+		return fmt.Errorf("scengen: partition delay %dms out of [0, 200]", p.Partition.DelayMS)
+	}
+	if p.Partition != nil && p.Partition.Flap > 2 {
+		return fmt.Errorf("scengen: partition flap %d out of [0, 2]", p.Partition.Flap)
+	}
+	return nil
+}
+
 // checkCR holds the reconstructed 1986 baseline to the reference: for every
 // raise site, CR participants with FULL reduced trees (everyone handles
 // everything, so no domino re-raises can widen the raise set) must converge
 // on exactly the resolution the new algorithm committed there.
-func checkCR(p *Program, ref conformancetest.Resolutions, rep *Report) {
-	tree, err := p.Tree()
-	if err != nil {
-		rep.add("crbaseline", "exception tree: %v", err)
-		return
-	}
+func checkCR(p *Program, tree *exception.Tree, ref conformancetest.Resolutions, rep *Report) {
 	full, err := exception.NewReducedTree(tree, tree.Names()...)
 	if err != nil {
 		rep.add("crbaseline", "full reduced tree: %v", err)

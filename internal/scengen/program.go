@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"time"
 
 	"repro/internal/exception"
 	"repro/internal/ident"
@@ -99,7 +100,7 @@ type AtomicOp struct {
 // Family is one independent top-level CA action: an action tree over its
 // objects, a raise schedule, belated joins and atomic-object traffic.
 // Programs with several families run them concurrently over one shared
-// server (Server.Submit) and demand each family still matches its solo run.
+// server and demand each family still matches its solo run.
 type Family struct {
 	// Objects lists the family's participating objects (1-based numbers).
 	// Families may share objects: the multiplexing layers must keep their
@@ -137,9 +138,26 @@ type Partition struct {
 	DelayMS int   `json:"delay_ms,omitempty"`
 	// Heal selects the heal-and-continue schedule described above.
 	Heal bool `json:"heal,omitempty"`
-	// Flap adds extra expel/heal/rejoin cycles (Flap+1 total) in [0, 2];
-	// requires Heal.
+	// Flap adds extra expel/heal/rejoin cycles (Flap+1 total); requires Heal.
 	Flap int `json:"flap,omitempty"`
+}
+
+// delay is how long after the run starts the cut lands: DelayMS, by default
+// 20 ms, time for the participants to bind and exchange first heartbeats.
+func (pt *Partition) delay() time.Duration {
+	if pt.DelayMS == 0 {
+		return 20 * time.Millisecond
+	}
+	return time.Duration(pt.DelayMS) * time.Millisecond
+}
+
+// objects returns the cut as object identifiers.
+func (pt *Partition) objects() []ident.ObjectID {
+	objs := make([]ident.ObjectID, len(pt.Cut))
+	for i, c := range pt.Cut {
+		objs[i] = ident.ObjectID(c)
+	}
+	return objs
 }
 
 // Program is one complete generated case.
@@ -182,7 +200,7 @@ func Decode(data []byte) (*Program, error) {
 
 // Tree builds the program's exception tree. With a partition present the
 // predefined core participant-failure exception is grafted under the root,
-// exactly as scenario.Run does.
+// which membership monitoring requires.
 func (p *Program) Tree() (*exception.Tree, error) {
 	if len(p.Exceptions) == 0 {
 		return nil, errors.New("scengen: no exceptions")
@@ -278,20 +296,6 @@ func (f *Family) RaiseSites() []int {
 	return sites
 }
 
-// Deterministic reports whether the family's outcome is fully determined:
-// at most one raiser per raise site, so no storm race decides which raises
-// survive suppression. Deterministic families must produce identical
-// results on every backend; stormy ones are held to agreement and
-// resolution-set membership instead.
-func (f *Family) Deterministic() bool {
-	for _, site := range f.RaiseSites() {
-		if len(f.raisersAt(site)) > 1 {
-			return false
-		}
-	}
-	return true
-}
-
 // Validate checks the program, including the structural obligations the
 // protocol-level lowering adds (antichain raise sites, chain membership).
 func (p *Program) Validate() error {
@@ -347,8 +351,8 @@ func (p *Program) Validate() error {
 			}
 		}
 		for _, r := range fam.Raises {
-			if r.DelayMS < 0 || r.DelayMS > 50 {
-				return fmt.Errorf("scengen: family %d raise delay %dms out of [0, 50]", fi, r.DelayMS)
+			if r.DelayMS < 0 {
+				return fmt.Errorf("scengen: family %d raise delay %dms is negative", fi, r.DelayMS)
 			}
 		}
 		// Belated entries never target the family root: at the core level
@@ -436,11 +440,11 @@ func (p *Program) Validate() error {
 		if len(fam.Belated) > 0 {
 			return errors.New("scengen: partition programs cannot have belated joins")
 		}
-		if p.Partition.DelayMS < 0 || p.Partition.DelayMS > 200 {
-			return fmt.Errorf("scengen: partition delay %dms out of [0, 200]", p.Partition.DelayMS)
+		if p.Partition.DelayMS < 0 {
+			return fmt.Errorf("scengen: partition delay %dms is negative", p.Partition.DelayMS)
 		}
-		if p.Partition.Flap < 0 || p.Partition.Flap > 2 {
-			return fmt.Errorf("scengen: partition flap %d out of [0, 2]", p.Partition.Flap)
+		if p.Partition.Flap < 0 {
+			return fmt.Errorf("scengen: partition flap %d is negative", p.Partition.Flap)
 		}
 		if p.Partition.Flap > 0 && !p.Partition.Heal {
 			return errors.New("scengen: flapping partitions must heal")

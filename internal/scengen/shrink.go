@@ -174,9 +174,9 @@ func dropObject(p *Program, fi, obj int) *Program {
 	for ai := range fam.Actions {
 		fam.Actions[ai].Members = removeInt(fam.Actions[ai].Members, obj)
 	}
-	fam.Raises = filterRaises(fam.Raises, func(r Raise) bool { return r.Obj != obj })
-	fam.Belated = filterBelated(fam.Belated, func(b Belated) bool { return b.Obj != obj })
-	fam.Ops = filterOps(fam.Ops, func(o AtomicOp) bool { return o.Obj != obj })
+	fam.Raises = filter(fam.Raises, func(r Raise) bool { return r.Obj != obj })
+	fam.Belated = filter(fam.Belated, func(b Belated) bool { return b.Obj != obj })
+	fam.Ops = filter(fam.Ops, func(o AtomicOp) bool { return o.Obj != obj })
 	if c.Partition != nil {
 		c.Partition.Cut = removeInt(c.Partition.Cut, obj)
 		if len(c.Partition.Cut) == 0 {
@@ -222,7 +222,7 @@ func removeAction(c *Program, fi, ai int) *Program {
 			fam.Actions[i].Parent--
 		}
 	}
-	fam.Belated = filterBelated(fam.Belated, func(b Belated) bool { return b.Action != ai })
+	fam.Belated = filter(fam.Belated, func(b Belated) bool { return b.Action != ai })
 	for i := range fam.Belated {
 		if fam.Belated[i].Action > ai {
 			fam.Belated[i].Action--
@@ -293,27 +293,8 @@ func removeInt(in []int, v int) []int {
 	return out
 }
 
-func filterRaises(in []Raise, keep func(Raise) bool) []Raise {
-	out := in[:0]
-	for _, x := range in {
-		if keep(x) {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
-func filterBelated(in []Belated, keep func(Belated) bool) []Belated {
-	out := in[:0]
-	for _, x := range in {
-		if keep(x) {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
-func filterOps(in []AtomicOp, keep func(AtomicOp) bool) []AtomicOp {
+// filter keeps the elements of in that keep accepts, in place.
+func filter[T any](in []T, keep func(T) bool) []T {
 	out := in[:0]
 	for _, x := range in {
 		if keep(x) {
