@@ -207,14 +207,14 @@ func (s *Server) Partition(name string, objs ...ident.ObjectID) error {
 	if s.opts.Transport == TransportTCP {
 		return errors.New("core: named partitions require a netsim-backed transport")
 	}
-	return s.dir.Fabric().Partition(name, objs...)
+	return s.dir.Partition(name, objs...)
 }
 
 // HealPartition removes a named partition group installed with Partition,
 // whether or not a run is in progress. Expulsions already decided stay
 // decided: views are one-way.
 func (s *Server) HealPartition(name string) {
-	s.dir.Fabric().HealPartition(name)
+	s.dir.HealPartition(name)
 }
 
 // startMembership wires a participant's failure detector and view monitor

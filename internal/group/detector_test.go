@@ -11,9 +11,9 @@ import (
 )
 
 // detectorCluster builds n detectors over one network, all on a virtual clock
-// only the test advances, returning them plus the node each object lives on
-// (for partitioning).
-func detectorCluster(t *testing.T, n int, interval, timeout time.Duration) (*vclock.Virtual, *netsim.Network, []*Detector, map[ident.ObjectID]ident.NodeID) {
+// only the test advances, returning them plus their directory (for
+// partitioning).
+func detectorCluster(t *testing.T, n int, interval, timeout time.Duration) (*vclock.Virtual, *Directory, []*Detector) {
 	t.Helper()
 	clk := vclock.NewVirtual()
 	net := netsim.New(netsim.Config{Clock: clk})
@@ -23,9 +23,8 @@ func detectorCluster(t *testing.T, n int, interval, timeout time.Duration) (*vcl
 		members[i] = ident.ObjectID(i + 1)
 	}
 	detectors := make([]*Detector, n)
-	nodes := make(map[ident.ObjectID]ident.NodeID, n)
 	for i, m := range members {
-		detectors[i], nodes[m] = fedDetector(t, dir, m, members, interval, timeout, clk)
+		detectors[i] = fedDetector(t, dir, m, members, interval, timeout, clk)
 	}
 	t.Cleanup(func() {
 		for _, d := range detectors {
@@ -33,7 +32,7 @@ func detectorCluster(t *testing.T, n int, interval, timeout time.Duration) (*vcl
 		}
 		net.Close()
 	})
-	return clk, net, detectors, nodes
+	return clk, dir, detectors
 }
 
 // fedDetector binds m on dir and starts its detector, fed from the transport's
@@ -41,7 +40,7 @@ func detectorCluster(t *testing.T, n int, interval, timeout time.Duration) (*vcl
 // heartbeat can arrive: beats are only sent by detectors, and a peer's first
 // can only be answered by looking ours up through the pointer set here.
 func fedDetector(t *testing.T, dir *Directory, m ident.ObjectID, members []ident.ObjectID,
-	interval, timeout time.Duration, clk vclock.Clock) (*Detector, ident.NodeID) {
+	interval, timeout time.Duration, clk vclock.Clock) *Detector {
 	t.Helper()
 	var d atomic.Pointer[Detector]
 	tr, err := BindRaw(dir, m, func(dv Delivery) {
@@ -53,16 +52,12 @@ func fedDetector(t *testing.T, dir *Directory, m ident.ObjectID, members []ident
 		t.Fatal(err)
 	}
 	t.Cleanup(tr.Close)
-	node, err := dir.Lookup(m)
-	if err != nil {
-		t.Fatal(err)
-	}
 	d.Store(NewFedDetector(m, tr.Send, members, interval, timeout, clk))
-	return d.Load(), node
+	return d.Load()
 }
 
 func TestDetectorAllAlive(t *testing.T) {
-	clk, _, detectors, _ := detectorCluster(t, 3, time.Millisecond, 50*time.Millisecond)
+	clk, _, detectors := detectorCluster(t, 3, time.Millisecond, 50*time.Millisecond)
 	clk.Advance(200 * time.Millisecond) // four timeouts of beats, every one delivered
 	for i, d := range detectors {
 		if s := d.Suspects(); len(s) != 0 {
@@ -73,15 +68,17 @@ func TestDetectorAllAlive(t *testing.T) {
 
 func TestDetectorSuspectsPartitionedNode(t *testing.T) {
 	const timeout = 20 * time.Millisecond
-	clk, net, detectors, nodes := detectorCluster(t, 3, time.Millisecond, timeout)
+	clk, dir, detectors := detectorCluster(t, 3, time.Millisecond, timeout)
 	clk.Advance(timeout)
 	if s := detectors[0].Suspects(); len(s) != 0 {
 		t.Fatalf("O1 suspects %v before the cut", s)
 	}
 
-	// Partition O3's node away: one timeout and a beat later it is suspected,
-	// and it suspects everyone, while O1 and O2 still see each other.
-	net.Isolate(nodes[3])
+	// Partition O3 away: one timeout and a beat later it is suspected, and it
+	// suspects everyone, while O1 and O2 still see each other.
+	if err := dir.Partition("cut", 3); err != nil {
+		t.Fatal(err)
+	}
 	clk.Advance(timeout + 2*time.Millisecond)
 	if !detectors[0].Suspected(3) || !detectors[1].Suspected(3) {
 		t.Fatal("O3 not suspected by O1 and O2 a timeout after the cut")
@@ -94,7 +91,7 @@ func TestDetectorSuspectsPartitionedNode(t *testing.T) {
 	}
 
 	// Heal: one beat and O3 is back.
-	net.Heal(nodes[3])
+	dir.HealPartition("cut")
 	clk.Advance(2 * time.Millisecond)
 	if detectors[0].Suspected(3) || detectors[1].Suspected(3) {
 		t.Error("O3 still suspected a beat after the heal")
@@ -102,43 +99,9 @@ func TestDetectorSuspectsPartitionedNode(t *testing.T) {
 }
 
 func TestDetectorStopIdempotent(t *testing.T) {
-	_, _, detectors, _ := detectorCluster(t, 2, time.Millisecond, 10*time.Millisecond)
+	_, _, detectors := detectorCluster(t, 2, time.Millisecond, 10*time.Millisecond)
 	detectors[0].Stop()
 	detectors[0].Stop()
-}
-
-func TestNetworkIsolateDropsBothDirections(t *testing.T) {
-	net := netsim.New(netsim.Config{})
-	defer net.Close()
-	a := net.Node(1)
-	b := net.Node(2)
-	net.Isolate(2)
-	if err := a.Send(2, "m", nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Send(1, "m", nil); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case m := <-a.Recv():
-		t.Fatalf("message %v crossed a partition", m)
-	case m := <-b.Recv():
-		t.Fatalf("message %v crossed a partition", m)
-	case <-time.After(20 * time.Millisecond):
-	}
-	st := net.Stats()
-	if st.Dropped != 2 {
-		t.Errorf("dropped = %d, want 2", st.Dropped)
-	}
-	// Heal restores connectivity.
-	net.Heal(2)
-	if err := a.Send(2, "m2", nil); err != nil {
-		t.Fatal(err)
-	}
-	m := <-b.Recv()
-	if m.Kind != "m2" {
-		t.Errorf("got %v", m)
-	}
 }
 
 // TestDetectorSuspectResumeUnsuspectUnderJitter drives the full suspicion
@@ -155,12 +118,11 @@ func TestDetectorSuspectResumeUnsuspectUnderJitter(t *testing.T) {
 	dir := NewDirectory(net)
 	members := []ident.ObjectID{1, 2, 3}
 	detectors := make([]*Detector, len(members))
-	nodes := make(map[ident.ObjectID]ident.NodeID, len(members))
 	for i, m := range members {
 		// Beats are four times the mean link delay apart: a pair's link is
 		// serial, so beats sent as fast as the link delivers them would pile
 		// up on it.
-		detectors[i], nodes[m] = fedDetector(t, dir, m, members, 4*time.Millisecond, timeout, clock)
+		detectors[i] = fedDetector(t, dir, m, members, 4*time.Millisecond, timeout, clock)
 	}
 	defer func() {
 		for _, d := range detectors {
@@ -182,7 +144,9 @@ func TestDetectorSuspectResumeUnsuspectUnderJitter(t *testing.T) {
 
 	// Partition O3 away and age the world past the timeout. O1/O2 keep
 	// re-stamping each other; O3's stamp goes stale.
-	net.Isolate(nodes[3])
+	if err := dir.Partition("cut", 3); err != nil {
+		t.Fatal(err)
+	}
 	clock.Advance(timeout + 4*time.Millisecond)
 	if !detectors[0].Suspected(3) || !detectors[1].Suspected(3) ||
 		detectors[0].Suspected(2) || detectors[1].Suspected(1) {
@@ -194,7 +158,7 @@ func TestDetectorSuspectResumeUnsuspectUnderJitter(t *testing.T) {
 	}
 
 	// Heal: two beat periods later everyone has heard from everyone.
-	net.Heal(nodes[3])
+	dir.HealPartition("cut")
 	clock.Advance(10 * time.Millisecond)
 	for i, d := range detectors {
 		if s := d.Suspects(); len(s) != 0 {

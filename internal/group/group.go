@@ -118,11 +118,13 @@ func WithCodec(c transport.Codec) Option {
 
 // Directory is the membership service: it assigns each participating object
 // a network node on the concurrent transport fabric and tracks closed-group
-// views.
+// views. Its fabric's fault policy is the directory's partitions, so cutting
+// the network is a call on the directory.
 type Directory struct {
 	mu      sync.Mutex
 	fabric  *transport.Concurrent
 	codec   transport.Codec
+	cuts    transport.Partitions
 	nodes   map[ident.ObjectID]ident.NodeID
 	nextTag ident.NodeID
 }
@@ -135,14 +137,30 @@ func NewDirectory(net *netsim.Network, opts ...Option) *Directory {
 		o(d)
 	}
 	d.fabric = transport.NewConcurrent(net, transport.ConcurrentOptions{
-		Codec: envelopeCodec{inner: d.codec},
+		Codec:  envelopeCodec{inner: d.codec},
+		Faults: d.cuts.Verdict, // bound once: a send with no cut allocates nothing
 	})
 	return d
 }
 
-// Fabric exposes the directory's concurrent transport (for Isolate/Heal and
-// direct port use).
+// Fabric exposes the directory's concurrent transport for direct port use.
 func (d *Directory) Fabric() *transport.Concurrent { return d.fabric }
+
+// Partition installs (or replaces) a named group of the fabric's Partitions:
+// every message between the named objects and everyone else is dropped until
+// HealPartition. The objects must be bound; an empty list heals the group.
+func (d *Directory) Partition(name string, objs ...ident.ObjectID) error {
+	for _, obj := range objs {
+		if _, err := d.fabric.Node(obj); err != nil {
+			return err
+		}
+	}
+	d.cuts.Set(name, objs...)
+	return nil
+}
+
+// HealPartition removes a named partition group.
+func (d *Directory) HealPartition(name string) { d.cuts.Heal(name) }
 
 // Bind implements Binder: it places obj on a fresh node and returns its port
 // behind the portable Port surface.
@@ -164,17 +182,6 @@ func (d *Directory) Bind(obj ident.ObjectID, fn transport.Handler, stopped func(
 		return nil, err
 	}
 	return port, nil
-}
-
-// Lookup returns the node hosting obj.
-func (d *Directory) Lookup(obj ident.ObjectID) (ident.NodeID, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	node, ok := d.nodes[obj]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrUnknownMember, obj)
-	}
-	return node, nil
 }
 
 // Members returns the sorted identifiers of every registered object — the

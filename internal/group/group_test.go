@@ -42,8 +42,8 @@ func TestDirectory(t *testing.T) {
 	if _, err := dir.Bind(1, func(transport.Message) {}, nil); !errors.Is(err, ErrDuplicate) {
 		t.Errorf("duplicate register: %v", err)
 	}
-	if _, err := dir.Lookup(9); !errors.Is(err, ErrUnknownMember) {
-		t.Errorf("lookup unknown: %v", err)
+	if err := dir.Partition("cut", 9); !errors.Is(err, transport.ErrUnknownDestination) {
+		t.Errorf("partition of an unbound object: %v", err)
 	}
 	if _, err := dir.Bind(3, func(transport.Message) {}, nil); err != nil {
 		t.Fatal(err)

@@ -24,8 +24,8 @@ func WithTCPCodec(c transport.Codec) TCPDirOption {
 
 // WithDialRewrite interposes on address resolution: whenever the member
 // `from` dials toward `to`, the hook may substitute the address (e.g. a
-// transport.FaultProxy's) for the member's real one. Tests use it to make
-// specific directed links lossy while the rest of the mesh stays clean.
+// conformancetest.SeverRelay's) for the member's real one. Tests use it to
+// make specific directed links sever while the rest of the mesh stays clean.
 func WithDialRewrite(f func(from, to ident.ObjectID, addr string) string) TCPDirOption {
 	return func(d *TCPDirectory) { d.rewrite = f }
 }

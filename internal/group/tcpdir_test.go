@@ -175,42 +175,40 @@ func TestTCPDirectoryRawTransport(t *testing.T) {
 }
 
 // TestTCPDirectoryR3OverLossyWire is the reliability proof the TCP backend
-// exists for: R3Transport's retransmission/dedup layer must mask genuine
-// wire-level faults — frames dropped and duplicated mid-flight by a proxy,
-// connections severed under traffic — and still deliver exactly-once FIFO,
-// just as it does over the simulated lossy network.
+// exists for: R3Transport's retransmission/dedup layer must mask the one
+// fault real sockets add, connections severed under traffic and the frames
+// in flight lost with them, and still deliver exactly-once FIFO. (Drops and
+// duplicates are a sender-side fault policy, masked the same way over lossy
+// netsim in group_test and handler_test.)
 func TestTCPDirectoryR3OverLossyWire(t *testing.T) {
 	defer conformancetest.LeakCheck(t)()
 
-	// Every directed link goes through its own lossy, severing proxy: data
-	// frames and acks both live dangerously. The rewrite hook runs on every
-	// address resolution, so proxies are memoised per directed pair.
+	// Every directed link goes through its own severing relay: data frames
+	// and acks both live dangerously. The rewrite hook runs on every address
+	// resolution, so relays are memoised per directed pair.
 	type link struct{ from, to ident.ObjectID }
-	var proxyMu sync.Mutex
-	proxies := make(map[link]*transport.FaultProxy)
+	var relayMu sync.Mutex
+	relays := make(map[link]*conformancetest.SeverRelay)
 	defer func() {
-		proxyMu.Lock()
-		defer proxyMu.Unlock()
-		for _, p := range proxies {
-			_ = p.Close()
+		relayMu.Lock()
+		defer relayMu.Unlock()
+		for _, r := range relays {
+			r.Close()
 		}
 	}()
 	dir := NewTCPDirectory(WithDialRewrite(func(from, to ident.ObjectID, addr string) string {
-		proxyMu.Lock()
-		defer proxyMu.Unlock()
-		if p, ok := proxies[link{from, to}]; ok {
-			return p.Addr()
+		relayMu.Lock()
+		defer relayMu.Unlock()
+		if r, ok := relays[link{from, to}]; ok {
+			return r.Addr()
 		}
-		proxy, err := transport.NewFaultProxy(addr, transport.FaultProxyOptions{
-			Policy:     transport.SeededFaults(int64(from)*100+int64(to), 0.25, 0.15),
-			SeverEvery: 40,
-		})
+		r, err := conformancetest.NewSeverRelay(addr, 40)
 		if err != nil {
-			t.Errorf("proxy for %v->%v: %v", from, to, err)
+			t.Errorf("relay for %v->%v: %v", from, to, err)
 			return addr
 		}
-		proxies[link{from, to}] = proxy
-		return proxy.Addr()
+		relays[link{from, to}] = r
+		return r.Addr()
 	}))
 	defer dir.Close()
 
@@ -233,6 +231,9 @@ func TestTCPDirectoryR3OverLossyWire(t *testing.T) {
 		if err := b.Send(1, "msg", fmt.Sprintf("b%d", i)); err != nil {
 			t.Fatal(err)
 		}
+		// Pace the stream so frames leave in chunks of their own and the
+		// relays cut the links several times under traffic.
+		time.Sleep(time.Millisecond)
 	}
 
 	recv := func(tr *R3Transport, prefix string) {
@@ -258,6 +259,16 @@ func TestTCPDirectoryR3OverLossyWire(t *testing.T) {
 	go func() { recv(a, "b"); close(done) }()
 	recv(b, "a")
 	<-done
+
+	relayMu.Lock()
+	defer relayMu.Unlock()
+	severed := 0
+	for _, r := range relays {
+		severed += r.Severed()
+	}
+	if severed < 2 {
+		t.Errorf("the relays cut %d connections; the test needs several to mean anything", severed)
+	}
 }
 
 // TestTCPDirectoryDuplicateBind pins the closed-group invariant.

@@ -284,7 +284,7 @@ func TestViewSynchronousMulticastOverPartition(t *testing.T) {
 		t.Fatalf("O1 suspects %v before the cut", s)
 	}
 
-	if err := dir.Fabric().Partition("storm", 4, 5); err != nil {
+	if err := dir.Partition("storm", 4, 5); err != nil {
 		t.Fatal(err)
 	}
 	clk.Advance(40 * time.Millisecond) // the 30ms timeout, a poll and the view's delivery
@@ -326,7 +326,7 @@ func TestViewSynchronousMulticastOverPartition(t *testing.T) {
 
 	// Healing the partition must not resurrect the expelled members: views
 	// are one-way, so the report stays the same.
-	dir.Fabric().HealPartition("storm")
+	dir.HealPartition("storm")
 	clk.Advance(50 * time.Millisecond)
 	report2, err := vm.Multicast("app.msg", "still-three")
 	if err != nil {

@@ -3,6 +3,7 @@ package membership
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,32 +17,6 @@ import (
 	"repro/internal/transport/conformancetest"
 	"repro/internal/vclock"
 )
-
-// islands is a mutable partition policy shared by every fabric flavour: a
-// message crossing island boundaries is dropped at the sender, exactly like
-// netsim's named partition groups but expressed as a transport.FaultPolicy so
-// the same cut works identically on all four backends.
-type islands struct {
-	mu  sync.Mutex
-	cut map[ident.ObjectID]int
-}
-
-func (i *islands) set(assign map[ident.ObjectID]int) {
-	i.mu.Lock()
-	i.cut = assign
-	i.mu.Unlock()
-}
-
-func (i *islands) heal() { i.set(nil) }
-
-func (i *islands) policy(from, to ident.ObjectID, _ uint64, _ transport.Message) transport.Verdict {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	if i.cut[from] != i.cut[to] {
-		return transport.Drop
-	}
-	return transport.Deliver
-}
 
 // memNode is one member of the rejoin harness: a fed detector plus a monitor
 // fed off the harness inbox, over whatever fabric the flavour provides.
@@ -145,12 +120,9 @@ func buildFabric(t *testing.T, flavour string, members []ident.ObjectID, clk vcl
 	t.Helper()
 	switch flavour {
 	case "deterministic", "randomized":
-		opts := transport.Options{Faults: faults}
-		var det *transport.Deterministic
-		if flavour == "deterministic" {
-			det = transport.NewDeterministic(opts)
-		} else {
-			det = transport.NewRandomized(7, opts).Deterministic
+		det := transport.NewDeterministic(transport.Options{Faults: faults})
+		if flavour == "randomized" {
+			det.SetChooser(transport.RandChooser(rand.New(rand.NewSource(7))))
 		}
 		for _, m := range members {
 			det.Register(m, deliver)
@@ -222,15 +194,16 @@ func buildFabric(t *testing.T, flavour string, members []ident.ObjectID, clk vcl
 }
 
 // startNodes spins up the full membership stack (fed detector, monitor with
-// rejoin + leases) for every member on the given fabric. Every delivery goes
+// rejoin + leases) for every member on the given fabric, whose fault policy
+// is cuts: the same partition works identically on all four backends. Every delivery goes
 // through one inbox pump counted on clk, whose handler feeds the destination's
 // detector or monitor: nothing in the harness is invisible to the clock.
 func startNodes(t *testing.T, flavour string, members []ident.ObjectID, clk vclock.Clock,
-	isl *islands, lease, timeout time.Duration) (map[ident.ObjectID]*memNode, func()) {
+	cuts *transport.Partitions, lease, timeout time.Duration) (map[ident.ObjectID]*memNode, func()) {
 	t.Helper()
 	nodes := make(map[ident.ObjectID]*memNode, len(members))
 	inbox := fifo.NewPump[transport.Message](clk)
-	send, cleanupFabric := buildFabric(t, flavour, members, clk, isl.policy, inbox.Put)
+	send, cleanupFabric := buildFabric(t, flavour, members, clk, cuts.Verdict, inbox.Put)
 	for _, m := range members {
 		n := &memNode{self: m, send: send}
 		nodes[m] = n
@@ -313,14 +286,14 @@ func TestRejoinStateTransferAllFabrics(t *testing.T) {
 			}
 
 			members := []ident.ObjectID{1, 2, 3, 4, 5}
-			isl := &islands{}
-			nodes, cleanup := startNodes(t, flavour, members, clk, isl, 50*time.Millisecond, timeout)
+			var cuts transport.Partitions
+			nodes, cleanup := startNodes(t, flavour, members, clk, &cuts, 50*time.Millisecond, timeout)
 
 			wait("initial liveness", func() bool {
 				return len(nodes[1].det.Suspects()) == 0 && len(nodes[4].det.Suspects()) == 0
 			})
 
-			isl.set(map[ident.ObjectID]int{4: 1, 5: 1})
+			cuts.Set("cut", 4, 5)
 			for _, m := range []ident.ObjectID{1, 2, 3} {
 				m := m
 				wait(fmt.Sprintf("%s: majority view on %d", flavour, m), func() bool {
@@ -332,7 +305,7 @@ func TestRejoinStateTransferAllFabrics(t *testing.T) {
 				return nodes[4].mon.Isolated() && nodes[5].mon.Isolated()
 			})
 
-			isl.heal()
+			cuts.Heal("cut")
 			// Convergence is one polled condition: every member reports the
 			// same epoch, the full membership, and no lingering isolation.
 			// (Point-in-time reads would race transient suspicion flaps that
@@ -376,8 +349,8 @@ func TestLeaseBlocksStaleElection(t *testing.T) {
 
 	const lease = 500 * time.Millisecond // dwarfs poll and timeout
 	members := []ident.ObjectID{1, 2, 3, 4, 5}
-	isl := &islands{}
-	nodes, cleanup := startNodes(t, "concurrent", members, clk, isl, lease, 25*time.Millisecond)
+	var cuts transport.Partitions
+	nodes, cleanup := startNodes(t, "concurrent", members, clk, &cuts, lease, 25*time.Millisecond)
 
 	advanceUntil(t, clk, "initial liveness", func() bool {
 		return len(nodes[1].det.Suspects()) == 0
@@ -386,7 +359,7 @@ func TestLeaseBlocksStaleElection(t *testing.T) {
 	advanceUntil(t, clk, "coordinator holds lease", func() bool { return nodes[1].mon.HoldsLease() })
 
 	cutAt := clk.Now()
-	isl.set(map[ident.ObjectID]int{1: 1})
+	cuts.Set("cut", 1)
 
 	advanceUntil(t, clk, "new majority view without the old coordinator", func() bool {
 		cur := nodes[2].mon.Current()
@@ -487,8 +460,8 @@ func TestRejoinFlappingMember(t *testing.T) {
 	clk := vclock.NewVirtual()
 
 	members := []ident.ObjectID{1, 2, 3, 4, 5}
-	isl := &islands{}
-	nodes, cleanup := startNodes(t, "concurrent", members, clk, isl, 0, 25*time.Millisecond)
+	var cuts transport.Partitions
+	nodes, cleanup := startNodes(t, "concurrent", members, clk, &cuts, 0, 25*time.Millisecond)
 
 	advanceUntil(t, clk, "initial liveness", func() bool {
 		return len(nodes[1].det.Suspects()) == 0
@@ -496,12 +469,12 @@ func TestRejoinFlappingMember(t *testing.T) {
 
 	lastEpoch := uint64(0)
 	for cycle := 0; cycle < 3; cycle++ {
-		isl.set(map[ident.ObjectID]int{5: 1})
+		cuts.Set("cut", 5)
 		advanceUntil(t, clk, fmt.Sprintf("cycle %d: member 5 expelled", cycle), func() bool {
 			cur := nodes[1].mon.Current()
 			return cur.Epoch > lastEpoch && !cur.Contains(5)
 		})
-		isl.heal()
+		cuts.Heal("cut")
 		advanceUntil(t, clk, fmt.Sprintf("cycle %d: member 5 readmitted", cycle), func() bool {
 			cur := nodes[1].mon.Current()
 			return cur.Contains(5) && nodes[5].mon.Current().Epoch == cur.Epoch

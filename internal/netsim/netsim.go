@@ -4,13 +4,18 @@
 // message sending/receiving between objects").
 //
 // The simulation runs in-process and is a link model, not a queueing layer:
-// a send applies fault injection (drop, duplication, partition) and then calls
-// the destination Endpoint's deliver function, at once on the sender's
-// goroutine or, on a pair with latency, from that pair's serial link. Whoever
-// owns the endpoint owns the inbox: a transport port for NodeFunc endpoints,
-// netsim's own unbounded queue and Recv channel for Node endpoints. The fault
-// model sits underneath the reliable-multicast layer in package group,
-// mirroring the implementation route sketched in §4.5 of the paper.
+// a send applies the seeded loss model (drop, duplication) and then calls the
+// destination Endpoint's deliver function, at once on the sender's goroutine
+// or, on a pair with latency, from that pair's serial link. Whoever owns the
+// endpoint owns the inbox: a transport port for NodeFunc endpoints, netsim's
+// own unbounded queue and Recv channel for Node endpoints. The loss model sits
+// underneath the reliable-multicast layer in package group, mirroring the
+// implementation route sketched in §4.5 of the paper.
+//
+// Partitions are not netsim's: a cut is a transport.Partitions fault policy
+// the sending fabric applies, the one place faults are decided on every
+// backend. The seeded DropRate/DupRate model stays because the benchmark's
+// lossy workload sets it; it is to become a fault-policy client too.
 package netsim
 
 import (
@@ -113,14 +118,12 @@ var ErrUnknownNode = errors.New("netsim: unknown node")
 type Network struct {
 	cfg Config
 
-	mu         sync.Mutex
-	rng        *rand.Rand
-	endpoints  map[ident.NodeID]*Endpoint
-	links      map[linkKey]*fifo.Pump[Message]
-	isolated   map[ident.NodeID]bool
-	partitions map[string]map[ident.NodeID]bool
-	closed     bool
-	stats      Stats
+	mu        sync.Mutex
+	rng       *rand.Rand
+	endpoints map[ident.NodeID]*Endpoint
+	links     map[linkKey]*fifo.Pump[Message]
+	closed    bool
+	stats     Stats
 
 	wg sync.WaitGroup
 }
@@ -136,79 +139,15 @@ func New(cfg Config) *Network {
 	}
 	cfg.Clock = vclock.Or(cfg.Clock)
 	return &Network{
-		cfg:        cfg,
-		rng:        rand.New(rand.NewSource(cfg.Seed)),
-		endpoints:  make(map[ident.NodeID]*Endpoint),
-		links:      make(map[linkKey]*fifo.Pump[Message]),
-		isolated:   make(map[ident.NodeID]bool),
-		partitions: make(map[string]map[ident.NodeID]bool),
+		cfg:       cfg,
+		rng:       rand.New(rand.NewSource(cfg.Seed)),
+		endpoints: make(map[ident.NodeID]*Endpoint),
+		links:     make(map[linkKey]*fifo.Pump[Message]),
 	}
 }
 
 // Clock returns the clock the network runs on (never nil).
 func (n *Network) Clock() vclock.Clock { return n.cfg.Clock }
-
-// Isolate partitions a node away: every message to or from it is dropped
-// until Heal. Models a crashed or partitioned node (the paper's fault model
-// includes "crashes or transient errors of nodes or the communication
-// network").
-func (n *Network) Isolate(id ident.NodeID) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.isolated[id] = true
-}
-
-// Heal reconnects a node isolated with Isolate. Messages dropped while
-// partitioned are lost (transports with retransmission recover them).
-func (n *Network) Heal(id ident.NodeID) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	delete(n.isolated, id)
-}
-
-// Partition installs (or replaces) a named partition group: the given nodes
-// form one island and everybody else forms the other, so every message
-// crossing the boundary — in either direction — is dropped until
-// HealPartition. Isolate is the degenerate single-node case; named groups
-// generalise it to arbitrary splits ("crashes or transient errors of nodes or
-// the communication network"), and several groups may be active at once (a
-// message must stay on the same side of every group to get through). An empty
-// node list heals the group.
-func (n *Network) Partition(name string, nodes ...ident.NodeID) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if len(nodes) == 0 {
-		delete(n.partitions, name)
-		return
-	}
-	g := make(map[ident.NodeID]bool, len(nodes))
-	for _, id := range nodes {
-		g[id] = true
-	}
-	n.partitions[name] = g
-}
-
-// HealPartition removes a named partition group. Messages dropped while the
-// partition stood are lost (transports with retransmission recover them).
-func (n *Network) HealPartition(name string) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	delete(n.partitions, name)
-}
-
-// severedLocked reports whether the pair is cut by an isolation or by any
-// named partition group. Caller holds n.mu.
-func (n *Network) severedLocked(from, to ident.NodeID) bool {
-	if n.isolated[from] || n.isolated[to] {
-		return true
-	}
-	for _, g := range n.partitions {
-		if g[from] != g[to] {
-			return true
-		}
-	}
-	return false
-}
 
 // ErrNodeTaken is returned by NodeFunc for a node that already has an
 // endpoint.
@@ -303,7 +242,7 @@ func (n *Network) ResetStats() {
 	n.stats = Stats{}
 }
 
-// send routes a message from an endpoint. It applies fault injection, then
+// send routes a message from an endpoint. It applies the loss model, then
 // hands the message to the per-pair link (serial, latency-applying) or, with
 // zero latency, directly to the destination's deliver function. The instant
 // path takes n.mu once: delivery is certain by then, so it is counted with
@@ -322,10 +261,7 @@ func (n *Network) send(m Message) error {
 	n.stats.record(statSent, m.Kind)
 
 	copies := 1
-	if n.severedLocked(m.From, m.To) {
-		copies = 0
-		n.stats.record(statDropped, m.Kind)
-	} else if n.cfg.DropRate > 0 && n.rng.Float64() < n.cfg.DropRate {
+	if n.cfg.DropRate > 0 && n.rng.Float64() < n.cfg.DropRate {
 		copies = 0
 		n.stats.record(statDropped, m.Kind)
 	} else if n.cfg.DupRate > 0 && n.rng.Float64() < n.cfg.DupRate {

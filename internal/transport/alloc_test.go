@@ -9,9 +9,12 @@ import (
 // TestDeterministicStepAllocs pins the fabric's steady-state send/step path
 // at zero allocations: per-pair rings reuse their buffers once a pair has
 // carried a message, instead of the old `q = q[1:]` dequeue that leaked the
-// front capacity and reallocated per message.
+// front capacity and reallocated per message. A partition policy that leaves
+// the pair alone adds nothing either.
 func TestDeterministicStepAllocs(t *testing.T) {
-	d := NewDeterministic(Options{})
+	var cuts Partitions
+	cuts.Set("elsewhere", 9)
+	d := NewDeterministic(Options{Faults: cuts.Verdict})
 	d.Register(2, func(Message) {})
 	m := Message{From: 1, To: 2, Kind: "k"}
 	// Warm-up allocates the pair's ring and its activation slot.

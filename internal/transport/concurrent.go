@@ -17,20 +17,18 @@ type ConcurrentOptions struct {
 	// Sink, when non-nil, observes sends, deliveries, drops, duplications.
 	// It must be safe for concurrent use.
 	Sink Sink
-	// Faults, when non-nil, decides a drop/duplicate verdict per send,
-	// keyed by per-pair sequence numbers (see SeededFaults) so verdicts are
-	// reproducible regardless of goroutine interleaving.
+	// Faults, when non-nil, decides each send's fate (drop, duplicate,
+	// deliver) before the message enters the network: a partition is a
+	// Partitions policy installed here.
 	Faults FaultPolicy
 }
 
 // Concurrent is the goroutine-per-object fabric: objects bound to netsim nodes
 // exchange messages through the simulated network, which is the link model
-// (latency, loss, duplication, partition, per-pair FIFO links) and calls each
-// destination port directly. The port owns the one inbox and the one goroutine
-// between a sender and the object's handler; the transport layer supplies the
-// codec boundary, fault injection (with lock-striped per-pair state, so high-N
-// runs do not serialise on a single mutex) and observability hooks.
-// Isolate/Heal expose netsim's partition model at the object level.
+// (latency and per-pair FIFO links) and calls each destination port directly.
+// The port owns the one inbox and the one goroutine between a sender and the
+// object's handler; the transport layer supplies the codec boundary, the fault
+// policy (partitions included) and observability hooks.
 //
 // The fabric does not own the network: closing the fabric only stops its
 // ports, and the network's owner closes the network.
@@ -42,22 +40,18 @@ type Concurrent struct {
 	ports  map[ident.ObjectID]*Port
 	objs   map[ident.NodeID]ident.ObjectID
 	closed bool
-
-	seq seqTable
 }
 
 var _ Transport = (*Concurrent)(nil)
 
 // NewConcurrent creates a fabric over the given network.
 func NewConcurrent(net *netsim.Network, opts ConcurrentOptions) *Concurrent {
-	c := &Concurrent{
+	return &Concurrent{
 		net:   net,
 		opts:  opts,
 		ports: make(map[ident.ObjectID]*Port),
 		objs:  make(map[ident.NodeID]ident.ObjectID),
 	}
-	c.seq.init()
-	return c
 }
 
 // Port is one object's attachment to a Concurrent fabric: the inbox the
@@ -133,50 +127,6 @@ func (c *Concurrent) Node(obj ident.ObjectID) (ident.NodeID, error) {
 	return p.node, nil
 }
 
-// Isolate partitions obj's node away: every message to or from it is
-// dropped until Heal.
-func (c *Concurrent) Isolate(obj ident.ObjectID) error {
-	node, err := c.Node(obj)
-	if err != nil {
-		return err
-	}
-	c.net.Isolate(node)
-	return nil
-}
-
-// Heal reconnects an isolated object's node.
-func (c *Concurrent) Heal(obj ident.ObjectID) error {
-	node, err := c.Node(obj)
-	if err != nil {
-		return err
-	}
-	c.net.Heal(node)
-	return nil
-}
-
-// Partition installs (or replaces) a named partition group at the object
-// level: the named objects' nodes form one island, every other node the
-// other, and messages crossing the boundary are dropped until HealPartition.
-// This generalises Isolate's single-node exile to arbitrary splits of the
-// world. Every object must be bound; an empty object list heals the group.
-func (c *Concurrent) Partition(name string, objs ...ident.ObjectID) error {
-	nodes := make([]ident.NodeID, len(objs))
-	for i, obj := range objs {
-		node, err := c.Node(obj)
-		if err != nil {
-			return err
-		}
-		nodes[i] = node
-	}
-	c.net.Partition(name, nodes...)
-	return nil
-}
-
-// HealPartition removes a named partition group installed with Partition.
-func (c *Concurrent) HealPartition(name string) {
-	c.net.HealPartition(name)
-}
-
 // Send routes one message through the fabric on behalf of m.From, which must
 // be bound. A port's own Send and SendTagged skip the sender lookup.
 func (c *Concurrent) Send(m Message) error {
@@ -190,9 +140,8 @@ func (c *Concurrent) Send(m Message) error {
 }
 
 // send is the one send path: resolve the destination under a single read
-// lock, encode, draw the fault verdict (lock-striped per-pair sequence
-// state), and hand surviving copies to the network from the port's own
-// endpoint.
+// lock, encode, draw the fault verdict, and hand surviving copies to the
+// network from the port's own endpoint.
 func (p *Port) send(m Message) error {
 	c := p.c
 	c.mu.RLock()
@@ -211,19 +160,8 @@ func (p *Port) send(m Message) error {
 		}
 		m.Payload = payload
 	}
-	copies := 1
-	if c.opts.Faults != nil {
-		copies = c.seq.verdictCopies(c.opts.Faults, m)
-	}
-	if c.opts.Sink != nil {
-		c.opts.Sink.Sent(m)
-		if copies == 0 {
-			c.opts.Sink.Dropped(m)
-		} else if copies == 2 {
-			c.opts.Sink.Duplicated(m)
-		}
-	}
-	for i := 0; i < copies; i++ {
+	n := copies(c.opts.Faults, c.opts.Sink, m)
+	for i := 0; i < n; i++ {
 		if err := p.ep.SendTagged(dst.node, m.Kind, m.Action, m.Payload); err != nil {
 			return err
 		}
@@ -253,9 +191,6 @@ func (c *Concurrent) Close() error {
 
 // Self returns the owning object's identifier.
 func (p *Port) Self() ident.ObjectID { return p.obj }
-
-// Fabric returns the Concurrent transport the port is bound to.
-func (p *Port) Fabric() *Concurrent { return p.c }
 
 // Reachable reports whether the fabric can currently route to the named
 // object (nil when it can). It is the backend-portable replacement for

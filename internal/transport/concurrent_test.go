@@ -119,51 +119,6 @@ func TestConcurrentPerSenderFIFO(t *testing.T) {
 	}
 }
 
-func TestConcurrentIsolateHeal(t *testing.T) {
-	net := netsim.New(netsim.Config{})
-	defer net.Close()
-	census := NewCensus()
-	c := NewConcurrent(net, ConcurrentOptions{Sink: census})
-	defer c.Close()
-
-	pa, err := c.Bind(1, 101)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pb, err := c.Bind(2, 102)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Isolate(2); err != nil {
-		t.Fatal(err)
-	}
-	if err := pa.Send(2, "k", "lost"); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case m := <-pb.Recv():
-		t.Fatalf("isolated node received %+v", m)
-	case <-time.After(50 * time.Millisecond):
-	}
-	if err := c.Heal(2); err != nil {
-		t.Fatal(err)
-	}
-	if err := pa.Send(2, "k", "ok"); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case m := <-pb.Recv():
-		if m.Payload != "ok" {
-			t.Errorf("after heal got %+v", m)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("delivery after heal timed out")
-	}
-	if err := c.Isolate(42); !errors.Is(err, ErrUnknownDestination) {
-		t.Errorf("Isolate(unbound) = %v, want ErrUnknownDestination", err)
-	}
-}
-
 func TestConcurrentCodecBoundary(t *testing.T) {
 	net := netsim.New(netsim.Config{})
 	defer net.Close()
@@ -188,74 +143,6 @@ func TestConcurrentCodecBoundary(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("delivery timed out")
-	}
-}
-
-func TestConcurrentNamedPartition(t *testing.T) {
-	net := netsim.New(netsim.Config{})
-	defer net.Close()
-	c := NewConcurrent(net, ConcurrentOptions{})
-	defer c.Close()
-
-	ports := make(map[ident.ObjectID]*Port, 4)
-	for i := ident.ObjectID(1); i <= 4; i++ {
-		p, err := c.Bind(i, ident.NodeID(100+i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ports[i] = p
-	}
-
-	if err := c.Partition("split", 3, 4); err != nil {
-		t.Fatal(err)
-	}
-
-	// Within each island traffic flows; across the split it is dropped.
-	if err := ports[1].Send(2, "k", "in"); err != nil {
-		t.Fatal(err)
-	}
-	if err := ports[3].Send(4, "k", "in"); err != nil {
-		t.Fatal(err)
-	}
-	for _, to := range []ident.ObjectID{2, 4} {
-		select {
-		case m := <-ports[to].Recv():
-			if m.Payload != "in" {
-				t.Fatalf("island delivery = %+v", m)
-			}
-		case <-time.After(2 * time.Second):
-			t.Fatalf("island delivery to %s timed out", to)
-		}
-	}
-	if err := ports[1].Send(3, "k", "cross"); err != nil {
-		t.Fatal(err)
-	}
-	if err := ports[4].Send(2, "k", "cross"); err != nil {
-		t.Fatal(err)
-	}
-	for _, to := range []ident.ObjectID{3, 2} {
-		select {
-		case m := <-ports[to].Recv():
-			t.Fatalf("cross-partition delivery %+v", m)
-		case <-time.After(30 * time.Millisecond):
-		}
-	}
-
-	c.HealPartition("split")
-	if err := ports[1].Send(3, "k", "healed"); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case m := <-ports[3].Recv():
-		if m.Payload != "healed" {
-			t.Errorf("after heal got %+v", m)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("delivery after heal timed out")
-	}
-
-	if err := c.Partition("bad", 42); !errors.Is(err, ErrUnknownDestination) {
-		t.Errorf("Partition(unbound) = %v, want ErrUnknownDestination", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package transport_test
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -35,9 +36,11 @@ func TestConformance(t *testing.T) {
 	})
 	t.Run("Randomized", func(t *testing.T) {
 		conformancetest.Run(t, func(t *testing.T, opts conformancetest.Options) conformancetest.Fabric {
-			return conformancetest.NewStepFabric(transport.NewRandomized(99, transport.Options{
+			d := transport.NewDeterministic(transport.Options{
 				Codec: opts.Codec, Sink: opts.Sink, Faults: opts.Faults,
-			}))
+			})
+			d.SetChooser(transport.RandChooser(rand.New(rand.NewSource(99))))
+			return conformancetest.NewStepFabric(d)
 		})
 	})
 	t.Run("Concurrent", func(t *testing.T) {

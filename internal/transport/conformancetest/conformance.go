@@ -14,6 +14,9 @@
 //   - a seeded fault schedule yields the same delivered multiset as on the
 //     Deterministic reference backend, regardless of interleaving
 //     (FaultScheduleParity)
+//   - a partition (transport.Partitions as the fault policy) drops exactly
+//     the messages crossing it, overlapping groups compose, healing restores
+//     delivery, and uncut pairs keep FIFO order (Partitions)
 //   - Close releases every goroutine the fabric started, promptly, even
 //     with traffic still queued (CloseReleasesGoroutines, plus a leak check
 //     after every other subtest)
@@ -48,7 +51,7 @@ type Fabric interface {
 	// Register attaches an object with handler delivery. The suite
 	// registers every object before the first Send.
 	Register(obj ident.ObjectID, h transport.Handler)
-	// Send routes one message.
+	// Send routes one message. It must be safe for concurrent use.
 	Send(m transport.Message) error
 	// Settle blocks until delivery has finished: step backends drain their
 	// queue; asynchronous backends wait until count() reaches want, then a
@@ -63,7 +66,8 @@ type Fabric interface {
 type Factory func(t *testing.T, opts Options) Fabric
 
 // suite objects: a small full mesh is enough to exercise pair state without
-// making the socket backends slow.
+// making the socket backends slow. Every leg sends it with one goroutine per
+// sender.
 const (
 	objects = 4
 	perPair = 25
@@ -76,6 +80,7 @@ func Run(t *testing.T, factory Factory) {
 	t.Run("CodecRoundTrip", func(t *testing.T) { testCodecRoundTrip(t, factory) })
 	t.Run("SinkAccounting", func(t *testing.T) { testSinkAccounting(t, factory) })
 	t.Run("FaultScheduleParity", func(t *testing.T) { testFaultScheduleParity(t, factory) })
+	t.Run("Partitions", func(t *testing.T) { testPartitions(t, factory) })
 	t.Run("CloseReleasesGoroutines", func(t *testing.T) { testCloseReleasesGoroutines(t, factory) })
 }
 
@@ -107,29 +112,40 @@ func (r *recorder) count() int {
 }
 
 // mesh sends perPair numbered messages along every ordered pair, payload
-// "from->to#i".
-func mesh(send func(transport.Message) error) (int, error) {
-	total := 0
-	for i := 0; i < perPair; i++ {
-		for from := 1; from <= objects; from++ {
-			for to := 1; to <= objects; to++ {
-				if from == to {
-					continue
+// "from->to#i", with every sender on its own goroutine: the interleaving
+// across pairs is the scheduler's, each pair's order is fixed. Round r
+// numbers its messages from r*perPair, so rounds sent one after another stay
+// in FIFO order on each pair.
+func mesh(send func(transport.Message) error, round int) (int, error) {
+	errs := make(chan error, objects)
+	for from := 1; from <= objects; from++ {
+		go func(from int) {
+			for i := round * perPair; i < (round+1)*perPair; i++ {
+				for to := 1; to <= objects; to++ {
+					if from == to {
+						continue
+					}
+					if err := send(transport.Message{
+						From:    ident.ObjectID(from),
+						To:      ident.ObjectID(to),
+						Kind:    "conformance",
+						Payload: fmt.Sprintf("%d->%d#%d", from, to, i),
+					}); err != nil {
+						errs <- err
+						return
+					}
 				}
-				m := transport.Message{
-					From:    ident.ObjectID(from),
-					To:      ident.ObjectID(to),
-					Kind:    "conformance",
-					Payload: fmt.Sprintf("%d->%d#%d", from, to, i),
-				}
-				if err := send(m); err != nil {
-					return total, err
-				}
-				total++
 			}
+			errs <- nil
+		}(from)
+	}
+	var err error
+	for from := 1; from <= objects; from++ {
+		if e := <-errs; e != nil {
+			err = e
 		}
 	}
-	return total, nil
+	return objects * (objects - 1) * perPair, err
 }
 
 func testBasicDelivery(t *testing.T, factory Factory) {
@@ -140,7 +156,7 @@ func testBasicDelivery(t *testing.T, factory Factory) {
 	for o := 1; o <= objects; o++ {
 		fab.Register(ident.ObjectID(o), rec.handler())
 	}
-	total, err := mesh(fab.Send)
+	total, err := mesh(fab.Send, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +213,7 @@ func testFIFOPerPair(t *testing.T, factory Factory) {
 	for o := 1; o <= objects; o++ {
 		fab.Register(ident.ObjectID(o), handler)
 	}
-	total, err := mesh(fab.Send)
+	total, err := mesh(fab.Send, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +258,7 @@ func testCodecRoundTrip(t *testing.T, factory Factory) {
 	for o := 1; o <= objects; o++ {
 		fab.Register(ident.ObjectID(o), rec.handler())
 	}
-	total, err := mesh(fab.Send)
+	total, err := mesh(fab.Send, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,80 +277,35 @@ func testCodecRoundTrip(t *testing.T, factory Factory) {
 	}
 }
 
-// ledger is a counting sink with atomic-ish totals behind a lock.
-type ledger struct {
-	mu                                   sync.Mutex
-	sent, delivered, dropped, duplicated int
-}
-
-func (l *ledger) Sent(transport.Message) {
-	l.mu.Lock()
-	l.sent++
-	l.mu.Unlock()
-}
-func (l *ledger) Delivered(transport.Message) {
-	l.mu.Lock()
-	l.delivered++
-	l.mu.Unlock()
-}
-func (l *ledger) Dropped(transport.Message) {
-	l.mu.Lock()
-	l.dropped++
-	l.mu.Unlock()
-}
-func (l *ledger) Duplicated(transport.Message) {
-	l.mu.Lock()
-	l.duplicated++
-	l.mu.Unlock()
-}
-
-func (l *ledger) totals() (sent, delivered, dropped, duplicated int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.sent, l.delivered, l.dropped, l.duplicated
-}
-
 func testSinkAccounting(t *testing.T, factory Factory) {
 	defer LeakCheck(t)()
-	led := &ledger{}
+	census := transport.NewCensus()
 	rec := newRecorder()
-	faults := transport.SeededFaults(7, 0.2, 0.2)
-	fab := factory(t, Options{Sink: led, Faults: faults})
+	fab := factory(t, Options{Sink: census, Faults: transport.SeededFaults(7, 0.2, 0.2)})
 	defer fab.Close()
 	for o := 1; o <= objects; o++ {
 		fab.Register(ident.ObjectID(o), rec.handler())
 	}
-	total, err := mesh(fab.Send)
+	total, err := mesh(fab.Send, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The expected delivery count is the ledger's own balance; wait for the
-	// handlers to reach it.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		sent, _, dropped, duplicated := led.totals()
-		if sent == total {
-			want := sent - dropped + duplicated
-			if err := fab.Settle(rec.count, want); err != nil {
-				t.Fatal(err)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("sink saw %d of %d sends", sent, total)
-		}
-		time.Sleep(time.Millisecond)
+	// Every verdict is drawn inside Send, so the send side of the ledger is
+	// final; the expected delivery count is its balance.
+	sent, dropped, duplicated := census.TotalSent(), census.DroppedCount(), census.DuplicatedCount()
+	want := sent - dropped + duplicated
+	if err := fab.Settle(rec.count, want); err != nil {
+		t.Fatal(err)
 	}
-	sent, delivered, dropped, duplicated := led.totals()
 	if sent != total {
 		t.Errorf("sink sent = %d, want %d", sent, total)
 	}
-	if want := sent - dropped + duplicated; delivered != want {
+	if delivered := census.DeliveredCount(); delivered != want {
 		t.Errorf("ledger unbalanced: delivered %d, want sent(%d) - dropped(%d) + duplicated(%d) = %d",
 			delivered, sent, dropped, duplicated, want)
 	}
-	if rec.count() != delivered {
-		t.Errorf("handlers saw %d deliveries, sink recorded %d", rec.count(), delivered)
+	if rec.count() != want {
+		t.Errorf("handlers saw %d deliveries, the ledger balances at %d", rec.count(), want)
 	}
 	if dropped == 0 || duplicated == 0 {
 		t.Errorf("fault schedule degenerate: dropped=%d duplicated=%d", dropped, duplicated)
@@ -347,25 +318,19 @@ func testFaultScheduleParity(t *testing.T, factory Factory) {
 	faults := func() transport.FaultPolicy { return transport.SeededFaults(seed, 0.25, 0.15) }
 
 	// Deterministic reference: the multiset every backend must reproduce.
-	want := make(map[string]int)
-	det := transport.NewDeterministic(transport.Options{Faults: faults()})
+	want := newRecorder()
+	ref := NewStepFabric(transport.NewDeterministic(transport.Options{Faults: faults()}))
 	for o := 1; o <= objects; o++ {
-		det.Register(ident.ObjectID(o), func(m transport.Message) {
-			want[m.Payload.(string)]++
-		})
+		ref.Register(ident.ObjectID(o), want.handler())
 	}
-	total, err := mesh(det.Send)
+	total, err := mesh(ref.Send, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := det.Drain(1 << 20); err != nil {
+	if err := ref.Settle(nil, 0); err != nil {
 		t.Fatal(err)
 	}
-	wantCount := 0
-	for _, n := range want {
-		wantCount += n
-	}
-	if wantCount == 0 || wantCount == total {
+	if want.n == 0 || want.n == total {
 		t.Fatal("degenerate fault schedule")
 	}
 
@@ -375,26 +340,88 @@ func testFaultScheduleParity(t *testing.T, factory Factory) {
 	for o := 1; o <= objects; o++ {
 		fab.Register(ident.ObjectID(o), rec.handler())
 	}
-	if _, err := mesh(fab.Send); err != nil {
+	if _, err := mesh(fab.Send, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := fab.Settle(rec.count, wantCount); err != nil {
+	if err := fab.Settle(rec.count, want.n); err != nil {
 		t.Fatal(err)
 	}
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
-	if rec.n != wantCount {
-		t.Errorf("delivered %d, deterministic reference delivered %d", rec.n, wantCount)
+	if rec.n != want.n {
+		t.Errorf("delivered %d, deterministic reference delivered %d", rec.n, want.n)
 	}
-	for payload, n := range want {
+	for payload, n := range want.seen {
 		if got := rec.seen[payload]; got != n {
 			t.Errorf("message %q: delivered %d, reference %d", payload, got, n)
 		}
 	}
 	for payload := range rec.seen {
-		if _, ok := want[payload]; !ok {
+		if _, ok := want.seen[payload]; !ok {
 			t.Errorf("message %q delivered but dropped on reference", payload)
 		}
+	}
+}
+
+// testPartitions sends one mesh round per cut. Each round names every
+// object's side of every standing group; a pair communicates iff both its
+// objects are on the same side of each. Exactly the messages of such pairs
+// must arrive, and each pair's deliveries stay in send order across rounds.
+func testPartitions(t *testing.T, factory Factory) {
+	defer LeakCheck(t)()
+	var cuts transport.Partitions
+	rec := newRecorder()
+	fab := factory(t, Options{Faults: cuts.Verdict})
+	defer fab.Close()
+	for o := 1; o <= objects; o++ {
+		fab.Register(ident.ObjectID(o), rec.handler())
+	}
+	rounds := []struct {
+		name string
+		cut  func()
+		side map[int]string // side[o]: the groups o is inside
+	}{
+		{"split {1,2} from {3,4}", func() { cuts.Set("a", 1, 2) }, map[int]string{1: "a", 2: "a"}},
+		{"isolate 1 inside the split", func() { cuts.Set("b", 1) }, map[int]string{1: "ab", 2: "a"}},
+		{"heal the split", func() { cuts.Heal("a") }, map[int]string{1: "b"}},
+		{"heal the isolation", func() { cuts.Heal("b") }, map[int]string{}},
+	}
+	want := 0
+	for r, round := range rounds {
+		round.cut()
+		if _, err := mesh(fab.Send, r); err != nil {
+			t.Fatal(err)
+		}
+		for from := 1; from <= objects; from++ {
+			for to := 1; to <= objects; to++ {
+				if from != to && round.side[from] == round.side[to] {
+					want += perPair
+				}
+			}
+		}
+		if err := fab.Settle(rec.count, want); err != nil {
+			t.Fatalf("%s: %v", round.name, err)
+		}
+	}
+
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	if rec.n != want {
+		t.Errorf("delivered %d, want the %d messages no cut crossed", rec.n, want)
+	}
+	type pairKey struct{ from, to int }
+	last := make(map[pairKey]int)
+	for _, m := range rec.msgs {
+		var from, to, i int
+		fmt.Sscanf(m.Payload.(string), "%d->%d#%d", &from, &to, &i)
+		round := rounds[i/perPair]
+		if round.side[from] != round.side[to] {
+			t.Errorf("%s: %v crossed the cut", round.name, m.Payload)
+		}
+		if prev, ok := last[pairKey{from, to}]; ok && i <= prev {
+			t.Errorf("%d->%d: #%d delivered after #%d (reordered or duplicated)", from, to, i, prev)
+		}
+		last[pairKey{from, to}] = i
 	}
 }
 
@@ -407,7 +434,7 @@ func testCloseReleasesGoroutines(t *testing.T, factory Factory) {
 	}
 	// Close with traffic still in flight: shutdown must not wait for, nor
 	// wedge on, queued messages.
-	if _, err := mesh(fab.Send); err != nil {
+	if _, err := mesh(fab.Send, 0); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan struct{})

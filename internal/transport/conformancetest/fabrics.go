@@ -17,8 +17,8 @@ import (
 // not pay a ten-second timeout per probe. Register panics where it cannot
 // bind: the interface has no error to return and no caller can go on.
 
-// Stepper is the surface of the single-goroutine backends (Deterministic,
-// Randomized).
+// Stepper is the surface of the single-goroutine backend (Deterministic,
+// with or without a seeded chooser).
 type Stepper interface {
 	Register(ident.ObjectID, transport.Handler)
 	Send(transport.Message) error
@@ -26,16 +26,25 @@ type Stepper interface {
 	Close() error
 }
 
-// NewStepFabric adapts a single-goroutine backend: Settle is an explicit
+// NewStepFabric adapts a single-goroutine backend: Send takes a lock, so
+// senders on their own goroutines are serialised, and Settle is an explicit
 // drain.
-func NewStepFabric(f Stepper) Fabric { return stepFabric{f} }
+func NewStepFabric(f Stepper) Fabric { return &stepFabric{f: f} }
 
-type stepFabric struct{ f Stepper }
+type stepFabric struct {
+	mu sync.Mutex
+	f  Stepper
+}
 
-func (s stepFabric) Register(obj ident.ObjectID, h transport.Handler) { s.f.Register(obj, h) }
-func (s stepFabric) Send(m transport.Message) error                   { return s.f.Send(m) }
-func (s stepFabric) Settle(func() int, int) error                     { return s.f.Drain(1 << 20) }
-func (s stepFabric) Close()                                           { _ = s.f.Close() }
+func (s *stepFabric) Register(obj ident.ObjectID, h transport.Handler) { s.f.Register(obj, h) }
+func (s *stepFabric) Settle(func() int, int) error                     { return s.f.Drain(1 << 20) }
+func (s *stepFabric) Close()                                           { _ = s.f.Close() }
+
+func (s *stepFabric) Send(m transport.Message) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.f.Send(m) //protolint:allow locksend a step fabric's Send only queues; handlers run in Settle, outside the lock
+}
 
 // awaitCount waits for an asynchronous backend's delivery count to reach
 // want within the deadline, then grants a settling period so late extras would

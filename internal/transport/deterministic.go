@@ -1,6 +1,10 @@
 package transport
 
-import "repro/internal/ident"
+import (
+	"math/rand"
+
+	"repro/internal/ident"
+)
 
 // Deterministic is the in-memory, single-goroutine fabric: one FIFO queue
 // per ordered object pair, with messages delivered one Step at a time. It is
@@ -31,7 +35,6 @@ type Deterministic struct {
 
 	chooser func(n int) int
 	filter  func(m Message) bool
-	pairSeq map[pair]uint64
 	closed  bool
 }
 
@@ -135,7 +138,6 @@ func NewDeterministic(opts Options) *Deterministic {
 		opts:     opts,
 		handlers: make(map[ident.ObjectID]Handler),
 		queues:   make(map[pair]*ring),
-		pairSeq:  make(map[pair]uint64),
 	}
 }
 
@@ -151,9 +153,16 @@ func (d *Deterministic) Register(obj ident.ObjectID, h Handler) {
 // SetChooser installs the delivery-choice function for
 // DisciplinePairActivation: given n pending pairs it returns the index of
 // the pair to deliver from. Nil restores the default (always the first, in
-// activation order). protocol.Sim's SetRand and the Randomized backend are
-// thin wrappers over this hook.
+// activation order). With RandChooser it is the seeded randomised
+// interleaving that protocol.Sim's SetRand installs.
 func (d *Deterministic) SetChooser(choose func(n int) int) { d.chooser = choose }
+
+// RandChooser adapts a *rand.Rand into a delivery chooser for SetChooser:
+// per-pair FIFO is preserved while the interleaving across pairs is drawn
+// from the RNG (one Intn per considered pair set).
+func RandChooser(rng *rand.Rand) func(n int) int {
+	return func(n int) int { return rng.Intn(n) }
+}
 
 // SetFilter installs a delivery-time filter used for failure injection: a
 // message is silently dropped (still consuming its Step) when the filter
@@ -176,28 +185,8 @@ func (d *Deterministic) Send(m Message) error {
 		}
 		m.Payload = p
 	}
-	copies := 1
-	if d.opts.Faults != nil {
-		key := pair{from: m.From, to: m.To}
-		d.pairSeq[key]++
-		switch d.opts.Faults(m.From, m.To, d.pairSeq[key], m) {
-		case Drop:
-			copies = 0
-		case Duplicate:
-			copies = 2
-		case Deliver:
-			// copies stays 1.
-		}
-	}
-	if d.opts.Sink != nil {
-		d.opts.Sink.Sent(m)
-		if copies == 0 {
-			d.opts.Sink.Dropped(m)
-		} else if copies == 2 {
-			d.opts.Sink.Duplicated(m)
-		}
-	}
-	for i := 0; i < copies; i++ {
+	n := copies(d.opts.Faults, d.opts.Sink, m)
+	for i := 0; i < n; i++ {
 		d.enqueue(m)
 	}
 	return nil

@@ -3,6 +3,7 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -146,9 +147,9 @@ func TestSeededFaultsDeterministic(t *testing.T) {
 	a := SeededFaults(42, 0.2, 0.1)
 	b := SeededFaults(42, 0.2, 0.1)
 	counts := map[Verdict]int{}
-	for seq := uint64(1); seq <= 2000; seq++ {
-		va := a(1, 2, seq, Message{})
-		vb := b(1, 2, seq, Message{})
+	for seq := 1; seq <= 2000; seq++ {
+		va := a(Message{From: 1, To: 2})
+		vb := b(Message{From: 1, To: 2})
 		if va != vb {
 			t.Fatalf("seq %d: verdicts differ (%v vs %v)", seq, va, vb)
 		}
@@ -161,10 +162,11 @@ func TestSeededFaultsDeterministic(t *testing.T) {
 	if d := counts[Duplicate]; d < 120 || d > 280 {
 		t.Errorf("duplicates = %d over 2000 at rate 0.1", d)
 	}
-	// Different pairs see different schedules.
+	// Different pairs see different schedules, each counted on its own.
+	c := SeededFaults(42, 0.2, 0.1)
 	same := 0
-	for seq := uint64(1); seq <= 200; seq++ {
-		if a(1, 2, seq, Message{}) == a(3, 4, seq, Message{}) {
+	for seq := 1; seq <= 200; seq++ {
+		if c(Message{From: 1, To: 2}) == c(Message{From: 3, To: 4}) {
 			same++
 		}
 	}
@@ -178,9 +180,11 @@ func TestDeterministicFaultCounts(t *testing.T) {
 	// exact expected counts: out of 12, seqs 3,6,9,12 drop (4), seqs 4,8
 	// duplicate (2; 12 is already dropped), the rest deliver once.
 	census := NewCensus()
+	seq := 0
 	d := NewDeterministic(Options{
 		Sink: census,
-		Faults: func(_, _ ident.ObjectID, seq uint64, _ Message) Verdict {
+		Faults: func(Message) Verdict {
+			seq++
 			if seq%3 == 0 {
 				return Drop
 			}
@@ -209,9 +213,12 @@ func TestDeterministicFaultCounts(t *testing.T) {
 	}
 }
 
+// TestRandomizedReproducible: a seeded chooser gives one interleaving per
+// seed and keeps per-pair FIFO.
 func TestRandomizedReproducible(t *testing.T) {
 	run := func(seed int64) []any {
-		r := NewRandomized(seed, Options{})
+		r := NewDeterministic(Options{})
+		r.SetChooser(RandChooser(rand.New(rand.NewSource(seed))))
 		var got []any
 		r.Register(9, collect(&got))
 		for from := 1; from <= 4; from++ {

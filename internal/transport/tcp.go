@@ -27,38 +27,25 @@ type TCPOptions struct {
 	// Sink, when non-nil, observes sends, deliveries, drops, duplications.
 	// It must be safe for concurrent use.
 	Sink Sink
-	// Faults, when non-nil, decides a drop/duplicate verdict per send, keyed
-	// by lock-striped per-pair sequence numbers so the same seeded schedule
-	// yields the same delivered multiset as on every other backend. For
-	// wire-level fault injection (dropping frames mid-flight, severing
-	// connections) interpose a FaultProxy instead.
+	// Faults, when non-nil, decides each send's fate (drop, duplicate,
+	// deliver) before the message is framed, as on every other backend. The
+	// one fault real TCP adds, a connection severed mid-stream, is for a relay
+	// between the fabrics to inject (conformancetest.SeverRelay).
 	Faults FaultPolicy
 	// Resolve maps a destination object to a peer fabric's address. It is
 	// consulted at send time for objects not bound locally and not in the
 	// static peer table (SetPeer). Nil means only SetPeer entries route.
 	Resolve func(obj ident.ObjectID) (string, error)
-	// DialTimeout bounds one dial attempt (default 2s).
-	DialTimeout time.Duration
-	// RedialMin is the initial reconnect backoff (default 5ms).
-	RedialMin time.Duration
-	// RedialMax caps the exponential reconnect backoff (default 1s).
-	RedialMax time.Duration
 }
 
-func (o *TCPOptions) fillDefaults() {
-	if o.Listen == "" {
-		o.Listen = "127.0.0.1:0"
-	}
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 2 * time.Second
-	}
-	if o.RedialMin <= 0 {
-		o.RedialMin = 5 * time.Millisecond
-	}
-	if o.RedialMax <= 0 {
-		o.RedialMax = time.Second
-	}
-}
+// Dialling: one attempt is bounded by dialTimeout, and a writer whose dial
+// failed retries after a backoff that starts at redialMin and doubles up to
+// redialMax.
+const (
+	dialTimeout = 2 * time.Second
+	redialMin   = 5 * time.Millisecond
+	redialMax   = time.Second
+)
 
 // TCP is the fourth delivery fabric: real TCP connections between OS
 // processes (or between listeners inside one process), carrying
@@ -96,7 +83,6 @@ type TCP struct {
 	conns  map[net.Conn]struct{} // accepted connections, for Close
 	closed bool
 
-	seq  seqTable
 	stop chan struct{}
 	wg   sync.WaitGroup // accept loop + per-conn readers
 }
@@ -105,7 +91,9 @@ var _ Transport = (*TCP)(nil)
 
 // NewTCP creates a fabric and starts its listener.
 func NewTCP(opts TCPOptions) (*TCP, error) {
-	opts.fillDefaults()
+	if opts.Listen == "" {
+		opts.Listen = "127.0.0.1:0"
+	}
 	ln, err := net.Listen("tcp", opts.Listen)
 	if err != nil {
 		return nil, fmt.Errorf("transport: tcp listen: %w", err)
@@ -119,7 +107,6 @@ func NewTCP(opts TCPOptions) (*TCP, error) {
 		conns: make(map[net.Conn]struct{}),
 		stop:  make(chan struct{}),
 	}
-	t.seq.init()
 	t.wg.Add(1)
 	go t.acceptLoop()
 	return t, nil
@@ -209,24 +196,13 @@ func (t *TCP) Send(m Message) error {
 		return err
 	}
 
-	copies := 1
-	if t.opts.Faults != nil {
-		copies = t.seq.verdictCopies(t.opts.Faults, m)
-	}
-	if t.opts.Sink != nil {
-		t.opts.Sink.Sent(m)
-		if copies == 0 {
-			t.opts.Sink.Dropped(m)
-		} else if copies == 2 {
-			t.opts.Sink.Duplicated(m)
-		}
-	}
-	if copies == 0 {
+	n := copies(t.opts.Faults, t.opts.Sink, m)
+	if n == 0 {
 		return nil
 	}
 
 	if localPort != nil {
-		for i := 0; i < copies; i++ {
+		for i := 0; i < n; i++ {
 			localPort.in.Put(delivery{from: m.From, kind: m.Kind, action: m.Action, payload: payload, isString: isString})
 		}
 		return nil
@@ -245,7 +221,7 @@ func (t *TCP) Send(m Message) error {
 	if err != nil {
 		return err
 	}
-	return peer.enqueue(frame.Frame{From: m.From, To: m.To, Kind: m.Kind, Action: m.Action, Payload: payload, StringPayload: isString}, copies)
+	return peer.enqueue(frame.Frame{From: m.From, To: m.To, Kind: m.Kind, Action: m.Action, Payload: payload, StringPayload: isString}, n)
 }
 
 // Reachable reports whether the fabric can currently route to obj.
@@ -410,14 +386,14 @@ type tcpPeer struct {
 // the backlog of one long disconnect is not pinned for the peer's lifetime.
 const maxSpareBuffer = 64 << 10
 
-// enqueue frames f onto the pending buffer, copies times.
-func (p *tcpPeer) enqueue(f frame.Frame, copies int) error {
+// enqueue frames f onto the pending buffer, n times.
+func (p *tcpPeer) enqueue(f frame.Frame, n int) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
 		return nil
 	}
-	for i := 0; i < copies; i++ {
+	for i := 0; i < n; i++ {
 		buf, err := frame.Append(p.pending, f)
 		if err != nil {
 			return err
@@ -448,7 +424,7 @@ func (p *tcpPeer) close() {
 // connection could duplicate frames) and the writer reconnects for the next.
 func (p *tcpPeer) writeLoop() {
 	defer p.t.wg.Done()
-	backoff := p.t.opts.RedialMin
+	backoff := redialMin
 	for {
 		p.mu.Lock()
 		for len(p.pending) == 0 && !p.closed {
@@ -470,17 +446,17 @@ func (p *tcpPeer) writeLoop() {
 		p.mu.Unlock()
 
 		if conn == nil {
-			c, err := net.DialTimeout("tcp", p.addr, p.t.opts.DialTimeout)
+			c, err := net.DialTimeout("tcp", p.addr, dialTimeout)
 			if err != nil {
 				if !p.sleep(backoff) {
 					return
 				}
-				if backoff *= 2; backoff > p.t.opts.RedialMax {
-					backoff = p.t.opts.RedialMax
+				if backoff *= 2; backoff > redialMax {
+					backoff = redialMax
 				}
 				continue
 			}
-			backoff = p.t.opts.RedialMin
+			backoff = redialMin
 			p.mu.Lock()
 			if p.closed {
 				p.mu.Unlock()
@@ -541,9 +517,6 @@ type TCPPort struct {
 
 // Self returns the owning object's identifier.
 func (p *TCPPort) Self() ident.ObjectID { return p.obj }
-
-// Fabric returns the TCP transport the port is bound to.
-func (p *TCPPort) Fabric() *TCP { return p.t }
 
 // Send transmits one message from this port to the named object.
 func (p *TCPPort) Send(to ident.ObjectID, kind string, payload any) error {

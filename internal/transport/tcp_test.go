@@ -203,139 +203,6 @@ func TestTCPConcurrentSendersFIFOPerPair(t *testing.T) {
 	}
 }
 
-// TestTCPReconnect severs the live connection mid-stream through a fault
-// proxy: the sender must redial and later messages must still arrive, while
-// FIFO order among the survivors is preserved.
-func TestTCPReconnect(t *testing.T) {
-	const n = 60
-	receiver, err := NewTCP(TCPOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer receiver.Close()
-	port, err := receiver.Bind(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	proxy, err := NewFaultProxy(receiver.Addr(), FaultProxyOptions{SeverEvery: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer proxy.Close()
-
-	sender, err := NewTCP(TCPOptions{RedialMin: time.Millisecond, RedialMax: 20 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sender.Close()
-	sender.SetPeer(2, proxy.Addr())
-
-	for i := 0; i < n; i++ {
-		if err := sender.Send(Message{From: 1, To: 2, Kind: "k", Payload: fmt.Sprintf("%d", i)}); err != nil {
-			t.Fatal(err)
-		}
-		// Pace the stream so severs land between frames, exercising several
-		// reconnect cycles rather than one burst.
-		time.Sleep(time.Millisecond)
-	}
-
-	// At-most-once across severs: some messages may be lost to broken
-	// connections (including the last one), none may be duplicated or
-	// reordered. Keep sending sentinels until one survives — per-pair FIFO
-	// guarantees every surviving burst message precedes it.
-	var got []int
-	timeout := time.After(10 * time.Second)
-	retry := time.NewTicker(5 * time.Millisecond)
-	defer retry.Stop()
-	next := n
-loop:
-	for {
-		select {
-		case m := <-port.Recv():
-			var v int
-			fmt.Sscanf(m.Payload.(string), "%d", &v)
-			if v >= n {
-				break loop // a sentinel made it through
-			}
-			got = append(got, v)
-		case <-retry.C:
-			if err := sender.Send(Message{From: 1, To: 2, Kind: "k", Payload: fmt.Sprintf("%d", next)}); err != nil {
-				t.Fatal(err)
-			}
-			next++
-		case <-timeout:
-			t.Fatalf("no sentinel arrived; got %d messages %v", len(got), got)
-		}
-	}
-	if len(got) < n/2 {
-		t.Fatalf("only %d/%d survived — severs should lose at most a frame each", len(got), n)
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i] <= got[i-1] {
-			t.Fatalf("order violated or duplicate at %d: %v", i, got)
-		}
-	}
-}
-
-// TestFaultProxyActionPolicy: a port multiplexes many actions, so "lose this
-// action's frames only" is the natural targeted fault. The proxy must show
-// its policy the frame's action tag, and so drop exactly the frames the
-// in-process TCPOptions.Faults hook drops under the same policy.
-func TestFaultProxyActionPolicy(t *testing.T) {
-	const n = 20
-	dropAction7 := func(_, _ ident.ObjectID, _ uint64, m Message) Verdict {
-		if m.Action == 7 {
-			return Drop
-		}
-		return Deliver
-	}
-	// survivors sends n frames from O1 to O2, alternating between actions 7
-	// and 8, with the policy either inside the sender or at the wire, and
-	// returns the payloads that arrive.
-	survivors := func(hook, wire FaultPolicy) []string {
-		t.Helper()
-		sender, receiver := tcpPair(t, TCPOptions{Faults: hook}, TCPOptions{}, 1, 2)
-		port, err := receiver.Bind(2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if wire != nil {
-			proxy, err := NewFaultProxy(receiver.Addr(), FaultProxyOptions{Policy: wire})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer proxy.Close()
-			sender.SetPeer(2, proxy.Addr())
-		}
-		for i := 0; i < n; i++ {
-			m := Message{From: 1, To: 2, Action: ident.ActionID(7 + i%2), Kind: "k", Payload: fmt.Sprint(i)}
-			if err := sender.Send(m); err != nil {
-				t.Fatal(err)
-			}
-		}
-		// Per-pair FIFO: when the sentinel arrives, every survivor has.
-		if err := sender.Send(Message{From: 1, To: 2, Action: 8, Kind: "k", Payload: "end"}); err != nil {
-			t.Fatal(err)
-		}
-		var got []string
-		for {
-			p := drainPort(t, port, 1, 5*time.Second)[0].Payload.(string)
-			if p == "end" {
-				return got
-			}
-			got = append(got, p)
-		}
-	}
-	atHook := survivors(dropAction7, nil)
-	if len(atHook) != n/2 {
-		t.Fatalf("hook delivered %v, want the %d frames of action 8", atHook, n/2)
-	}
-	if atWire := survivors(nil, dropAction7); !reflect.DeepEqual(atWire, atHook) {
-		t.Fatalf("proxy delivered %v, the hook %v", atWire, atHook)
-	}
-}
-
 // dropSink forwards every drop it is shown; the other events are ignored.
 type dropSink chan Message
 
@@ -361,143 +228,6 @@ func TestTCPUnboundDropCarriesAction(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("no drop recorded for a frame addressed to an unbound object")
-	}
-}
-
-// TestTCPFaultScheduleParity extends the cross-backend parity property to
-// the TCP fabric: the same seeded schedule delivers the same multiset as the
-// Deterministic backend, even across real sockets.
-func TestTCPFaultScheduleParity(t *testing.T) {
-	const (
-		seed    = 2026
-		objects = 3
-		perPair = 30
-	)
-	sends := func(send func(m Message) error) error {
-		for i := 0; i < perPair; i++ {
-			for from := 1; from <= objects; from++ {
-				for to := 1; to <= objects; to++ {
-					if from == to {
-						continue
-					}
-					m := Message{From: ident.ObjectID(from), To: ident.ObjectID(to),
-						Kind: "k", Payload: fmt.Sprintf("%d->%d#%d", from, to, i)}
-					if err := send(m); err != nil {
-						return err
-					}
-				}
-			}
-		}
-		return nil
-	}
-	faults := func() FaultPolicy { return SeededFaults(seed, 0.25, 0.15) }
-
-	// Deterministic reference.
-	detGot := make(map[string]int)
-	det := NewDeterministic(Options{Faults: faults()})
-	for o := 1; o <= objects; o++ {
-		det.Register(ident.ObjectID(o), func(m Message) { detGot[m.Payload.(string)]++ })
-	}
-	if err := sends(det.Send); err != nil {
-		t.Fatal(err)
-	}
-	if err := det.Drain(1 << 20); err != nil {
-		t.Fatal(err)
-	}
-	delivered := 0
-	for _, c := range detGot {
-		delivered += c
-	}
-	if delivered == 0 || delivered == objects*(objects-1)*perPair {
-		t.Fatal("degenerate fault schedule")
-	}
-
-	// TCP run: one fabric per object, full peer mesh, same seeded schedule.
-	// The fault table is per-fabric, but SeededFaults verdicts depend only on
-	// (seed, pair, seq) and each ordered pair's sends all leave one fabric,
-	// so the verdicts match the deterministic run exactly.
-	var mu sync.Mutex
-	tcpGot := make(map[string]int)
-	tcpCount := 0
-	fabrics := make(map[ident.ObjectID]*TCP)
-	for o := 1; o <= objects; o++ {
-		f, err := NewTCP(TCPOptions{Faults: faults()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		fabrics[ident.ObjectID(o)] = f
-	}
-	for o, f := range fabrics {
-		obj := o
-		_, err := f.BindFunc(obj, func(m Message) {
-			mu.Lock()
-			tcpGot[string(m.Payload.([]byte))]++
-			tcpCount++
-			mu.Unlock()
-		}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for peer, pf := range fabrics {
-			if peer != obj {
-				f.SetPeer(peer, pf.Addr())
-			}
-		}
-	}
-	var wg sync.WaitGroup
-	for from := 1; from <= objects; from++ {
-		wg.Add(1)
-		go func(from int) {
-			defer wg.Done()
-			for i := 0; i < perPair; i++ {
-				for to := 1; to <= objects; to++ {
-					if from == to {
-						continue
-					}
-					err := fabrics[ident.ObjectID(from)].Send(Message{
-						From: ident.ObjectID(from), To: ident.ObjectID(to),
-						Kind: "k", Payload: []byte(fmt.Sprintf("%d->%d#%d", from, to, i)),
-					})
-					if err != nil {
-						t.Error(err)
-						return
-					}
-				}
-			}
-		}(from)
-	}
-	wg.Wait()
-
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		mu.Lock()
-		n := tcpCount
-		mu.Unlock()
-		if n >= delivered {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("tcp delivered %d, deterministic delivered %d", n, delivered)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	time.Sleep(20 * time.Millisecond)
-
-	mu.Lock()
-	defer mu.Unlock()
-	if tcpCount != delivered {
-		t.Errorf("delivery counts differ: tcp %d, deterministic %d", tcpCount, delivered)
-	}
-	for k, want := range detGot {
-		if got := tcpGot[k]; got != want {
-			t.Errorf("message %q: tcp %d, deterministic %d", k, got, want)
-		}
-	}
-	for k := range tcpGot {
-		if _, ok := detGot[k]; !ok {
-			t.Errorf("message %q delivered on tcp but dropped on deterministic", k)
-		}
 	}
 }
 

@@ -1,8 +1,5 @@
 // Package transport is the single message-delivery seam of the repository:
-// every fabric the reproduction runs on — the deterministic step-by-step
-// simulator behind protocol.Sim and the bounded model checker, the seeded
-// randomised interleaver, and the concurrent goroutine network behind
-// package group — implements the same contract here.
+// every fabric the reproduction runs on implements the same contract here.
 //
 // The contract is the paper's §4.2 substrate: disjoint address spaces that
 // "must communicate by the exchange of messages", with FIFO delivery per
@@ -10,17 +7,19 @@
 // trace, fault-inject and accelerate every message the system sends:
 //
 //   - Backends: Deterministic (absorbs protocol.Sim's queue/order logic and
-//     Explore's schedule-enumeration hooks), Randomized (seeded
-//     interleaving), Concurrent (goroutine endpoints over netsim, with
-//     sharded per-pair fault state).
+//     Explore's schedule-enumeration hooks; SetChooser with RandChooser
+//     randomises the interleaving), Concurrent (goroutine endpoints over
+//     netsim) and TCP (one listener per fabric, framed sockets).
 //   - Codec hook: payloads can be forced through an encode/decode boundary
 //     (package wire provides the protocol-message codec), so any backend can
 //     enforce the disjoint-address-space assumption.
 //   - Sink hook: every send/delivery/drop/duplication is observable without
 //     the backends growing bespoke counters.
-//   - FaultPolicy hook: drop/duplicate schedules are decided per ordered
-//     pair and per-pair sequence number, so the same seeded schedule yields
-//     the same delivered multiset on every backend (see SeededFaults).
+//   - FaultPolicy hook: the one place a message's fate is decided, once per
+//     Send by the sending fabric. One SeededFaults schedule yields the same
+//     delivered multiset on every backend; a network partition is a
+//     Partitions policy. The one fault real TCP adds, a severed connection,
+//     is conformancetest.SeverRelay's.
 package transport
 
 import (
@@ -120,7 +119,7 @@ var (
 
 // Census is a concurrency-safe Sink that counts messages, mirroring the
 // trace-log census shape ("kind=N"): it is what the reconstructed baselines
-// and the parity tests measure with.
+// and the fabric tests measure with.
 type Census struct {
 	mu         sync.Mutex
 	sent       map[string]int
@@ -189,7 +188,7 @@ func (c *Census) CountSent(kind string) int {
 	return c.sent[kind]
 }
 
-// Delivered returns the number of deliveries observed.
+// DeliveredCount returns the number of deliveries observed.
 func (c *Census) DeliveredCount() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -201,4 +200,11 @@ func (c *Census) DroppedCount() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.dropped
+}
+
+// DuplicatedCount returns the number of duplications observed.
+func (c *Census) DuplicatedCount() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.duplicated
 }
