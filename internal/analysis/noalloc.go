@@ -14,10 +14,11 @@ import (
 // may not contain allocating constructs. Flagged: escaping composite
 // literals (&T{…}, slice and map literals), make and new, capturing
 // closures, fmt calls, string concatenation and string<->[]byte
-// conversions, interface boxing of non-pointer-shaped values, and any
-// append that is not the reassignment form `x = append(x, …)` /
-// `x = append(x[:i], …)` (the presized-buffer idiom the hot paths use;
-// actual growth is still caught by the bench gates).
+// conversions, interface boxing of non-pointer-shaped values, `go`
+// statements that need a closure (arguments, a method value, a capturing
+// literal), and any append that is not the reassignment form
+// `x = append(x, …)` / `x = append(x[:i], …)` (the presized-buffer idiom the
+// hot paths use; actual growth is still caught by the bench gates).
 //
 // panic(...) argument subtrees are exempt: the failure path is allowed to
 // allocate its message. The analyzer checks only the annotated function's
@@ -176,8 +177,50 @@ func (w *noAllocWalker) visit(n ast.Node) bool {
 
 	case *ast.CallExpr:
 		return w.visitCall(n)
+
+	case *ast.GoStmt:
+		w.visitGo(n)
+		return false
 	}
 	return true
+}
+
+// visitGo flags a go statement whose new goroutine needs a closure: the
+// compiler wraps arguments, a method value's receiver and a literal's
+// captured variables into one heap-allocated func value. `go f()` on a
+// package-level function or a func variable hands the func value over as it
+// is. The statement's operands are still checked as ordinary expressions.
+func (w *noAllocWalker) visitGo(n *ast.GoStmt) {
+	call := n.Call
+	fun := ast.Unparen(call.Fun)
+	lit, isLit := fun.(*ast.FuncLit)
+	switch {
+	case len(call.Args) > 0:
+		w.report(n.Pos(), "go statement with arguments allocates the closure that carries them to the new goroutine")
+	case w.isMethodValue(fun):
+		w.report(n.Pos(), "go on a method value allocates the closure binding its receiver")
+	case isLit:
+		if captured := freeVars(w.pass.Info, lit); len(captured) > 0 {
+			w.report(n.Pos(), "go statement's closure captures %s: it escapes to the heap with the new goroutine", captured[0].Name())
+		}
+	}
+	if !isLit { // a literal's body is another function
+		ast.Inspect(fun, w.visit)
+	}
+	for _, arg := range call.Args {
+		ast.Inspect(arg, w.visit)
+	}
+}
+
+// isMethodValue reports whether e selects a method through a value (x.m), as
+// opposed to a package-qualified function or a method expression (T.m).
+func (w *noAllocWalker) isMethodValue(e ast.Expr) bool {
+	sel, ok := e.(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	s, ok := w.pass.Info.Selections[sel]
+	return ok && s.Kind() == types.MethodVal
 }
 
 func (w *noAllocWalker) visitCall(n *ast.CallExpr) bool {

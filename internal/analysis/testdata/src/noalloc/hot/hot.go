@@ -97,6 +97,24 @@ func allowed(n int) *item {
 	return &item{n: n} //protolint:allow noalloc init-time only, never on the steady-state path
 }
 
+func work(n int) {}
+
+func idle() {}
+
+func (r *ring) drain() {}
+
+//caa:noalloc
+func spawns(r *ring, n int, f func()) {
+	go idle()               // package-level function, no arguments: clean
+	go f()                  // func value handed over as it is: clean
+	go func() {}()          // non-capturing literal: clean
+	go work(n)              // want `go statement with arguments`
+	go r.drain()            // want `go on a method value`
+	go func() { work(n) }() // want `closure captures n`
+	go work(len([]int{n}))  // want `go statement with arguments` `slice literal`
+	go work(n)              //protolint:allow noalloc cold path: the pool starts a worker only when none is idle
+}
+
 // cold is not annotated: it may allocate freely.
 func cold(n int) *item {
 	xs := []int{n}

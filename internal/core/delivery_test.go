@@ -36,13 +36,17 @@ func quietDef(name string, n int, gate <-chan any) Definition {
 
 // TestServerGoroutineBudget pins the runtime's shape in goroutines. An idle
 // server holds one long-lived goroutine per bound object, its port's, on
-// TransportRaw and on TransportReliable alike: R3's ticker is a callback on
-// the clock seam. (Before the fabric called the port directly it was four per
-// object: the netsim inbox pump, the port pump, the transport loop and the
-// dispatcher pump.) A session in progress adds two per member, its body and
-// its engine loop, and with membership monitoring on still two: the detector's
-// beat and the monitor's poll are callbacks too, and so is RunTimeout's
-// deadline.
+// TransportRaw and on TransportReliable alike (R3's ticker is a callback on
+// the clock seam), plus its parked workers. (Before the fabric called the
+// port directly it was four per object: the netsim inbox pump, the port
+// pump, the transport loop and the dispatcher pump.) Engine loops, bodies,
+// handlers and submitted actions run on those workers, and a worker is
+// started only when none is idle: a submitted action whose N bodies all wait
+// at a gate at once grows a fresh pool to exactly 2N+1 workers (a body and
+// an engine loop per member, and the Submit), all of which park once it
+// ends, and Close returns the count to where it was before the server. With
+// membership monitoring on a session still needs no more: the detector's
+// beat and the monitor's poll are callbacks, and so is RunTimeout's deadline.
 func TestServerGoroutineBudget(t *testing.T) {
 	const n = 8
 	const slack = 2 // goroutines of the runtime or the test binary that come and go
@@ -74,14 +78,33 @@ func TestServerGoroutineBudget(t *testing.T) {
 			s := NewServer(Options{Transport: tc.transport})
 			defer s.Close()
 			gate := make(chan any)
+			var waiting atomic.Int32
+			def := quietDef("budget", n, gate)
+			for obj, body := range def.Bodies {
+				def.Bodies[obj] = func(ctx *Context) error { waiting.Add(1); return body(ctx) }
+			}
+			pend, err := s.Submit(def)
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitUntil(t, "every body at the gate", func() bool { return waiting.Load() == n })
 			close(gate)
-			if out, err := s.Run(quietDef("budget", n, gate)); err != nil || !out.Completed {
+			if out, err := pend.Wait(); err != nil || !out.Completed {
 				t.Fatalf("run: out=%+v err=%v", out, err)
 			}
 			if got := len(s.dispatchers); got != n {
 				t.Fatalf("%d dispatchers bound, want %d", got, n)
 			}
-			within(t, "idle server", base, n+slack, func() bool { return s.InFlight() == 0 })
+			const workers = 2*n + 1
+			within(t, "idle server", base, n+workers+slack, func() bool {
+				idle, _ := s.workers.counts()
+				return s.InFlight() == 0 && idle == workers
+			})
+			if _, started := s.workers.counts(); started != workers {
+				t.Fatalf("%d workers started, want %d", started, workers)
+			}
+			s.Close()
+			within(t, "closed server", base, slack, func() bool { return true })
 		})
 	}
 	t.Run("membership session", func(t *testing.T) {
@@ -105,7 +128,8 @@ func TestServerGoroutineBudget(t *testing.T) {
 			}), membershipDeadline)
 			done <- err
 		}()
-		// The caller above, then a port, an engine loop and a body per member.
+		// The caller above, then per member a port and two workers: its
+		// engine loop's and its body's.
 		within(t, "membership session", base, 1+3*n+slack, func() bool { return parked.Load() == n })
 		close(gate)
 		if err := <-done; err != nil {

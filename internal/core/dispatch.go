@@ -218,6 +218,7 @@ func (r *sessionRoute) detach() {
 // concludes.
 type Pending struct {
 	done chan struct{}
+	def  Definition // what the worker runs; cleared once it has
 	out  Outcome
 	err  error
 }
@@ -237,11 +238,15 @@ func (s *Server) Submit(def Definition) (*Pending, error) {
 	if err := s.admit(); err != nil {
 		return nil, err
 	}
-	p := &Pending{done: make(chan struct{})}
-	go func() {
-		defer close(p.done)
-		defer s.release()
-		p.out, p.err = s.runAttempt(def, 0, 1)
-	}()
+	p := &Pending{done: make(chan struct{}), def: def}
+	s.spawn(task{op: taskSubmit, pend: p})
 	return p, nil
+}
+
+// runSubmitted runs a submitted action on its worker and concludes p.
+func (s *Server) runSubmitted(p *Pending) {
+	p.out, p.err = s.runAttempt(p.def, 0, 1)
+	p.def = Definition{}
+	s.release()
+	close(p.done)
 }

@@ -49,11 +49,12 @@ const (
 	opEnter requestOp = iota // push inst's frame
 	opLeave                  // pop inst's frame
 	opRaise                  // raise exc in the active action
-	opStop                   // end the engine goroutine; not answered
+	opStop                   // end the engine loop; not answered
 )
 
-// participant is one participating object: a protocol engine goroutine plus
-// a body goroutine, communicating only through requests and suspension state.
+// participant is one participating object: a protocol engine loop plus a
+// body, each run by a server worker (worker.go), communicating only through
+// requests and suspension state.
 // It attaches to its object's dispatcher through a sessionRoute: everything it
 // sends — protocol messages and membership traffic alike — carries the
 // session's root action tag, and everything so tagged arrives in its inbox.
@@ -84,7 +85,7 @@ type participant struct {
 	estack []*instance
 
 	// pending counts what may still touch p once its body and engine have
-	// returned: handler goroutines and Context.Sleep deadlines. recycle
+	// returned: handler tasks and Context.Sleep deadlines. recycle
 	// leaves a participant with any to the garbage collector.
 	pending atomic.Int32
 
@@ -201,31 +202,34 @@ func (s *Server) recycle(p *participant) {
 	s.participants.Put(p)
 }
 
-// start launches the engine goroutine. runAttempt calls it right behind the
-// launch of the participant's body: the body's first request is then already
-// waiting when its engine first looks, and loop serves a waiting request
-// before the next delivery, so whether a body that raises at once is still
-// heard does not hang on how soon the scheduler gets round to it. Deliveries
-// that arrive earlier wait in the mailbox. (The exception is the run's last
-// member: Go runs the goroutine started last first, so that engine is already
+// start hands the engine loop to a pool worker. runAttempt calls it right
+// behind handing over the participant's body: the body's first request is
+// then already waiting when its engine first looks, and loop serves a waiting
+// request before the next delivery, so whether a body that raises at once is
+// still heard does not hang on how soon the scheduler gets round to it.
+// Deliveries that arrive earlier wait in the mailbox. (The exception is the
+// run's last member: Go runs the goroutine readied last first, whether it is
+// a new one or a parked worker handed a task, so that engine is already
 // listening while its body waits at the back of the run queue, and a peer's
-// Exception usually reaches it first. See docs/SERVER.md.)
+// Exception usually reaches it first. See docs/SERVER.md.) The loop returns
+// on opStop and its worker parks again: a pooled participant owns no
+// goroutine.
 func (p *participant) start() {
-	go p.loop()
+	p.run.sys.spawn(task{op: taskLoop, p: p})
 }
 
 // burst caps the deliveries one engine-loop wakeup drains before body
 // requests get another turn.
 const burst = 32
 
-// loop is the engine goroutine: it serialises protocol messages and body
-// requests onto the engine state machine. Deliveries arrive in the session's
-// mailbox (fed by the object's dispatcher), and each wakeup drains a bounded
-// burst, serving a request that is already waiting before each delivery, so
-// requests never starve behind a message storm (nor deliveries behind
-// requests: one delivery follows each). The mailbox re-arms its ready signal
-// while non-empty, so stopping at the burst cap never strands queued
-// messages.
+// loop is the engine loop, run by a worker until opStop: it serialises
+// protocol messages and body requests onto the engine state machine.
+// Deliveries arrive in the session's mailbox (fed by the object's
+// dispatcher), and each wakeup drains a bounded burst, serving a request that
+// is already waiting before each delivery, so requests never starve behind a
+// message storm (nor deliveries behind requests: one delivery follows each).
+// The mailbox re-arms its ready signal while non-empty, so stopping at the
+// burst cap never strands queued messages.
 func (p *participant) loop() {
 	inbox := p.route.inbox
 	for {
@@ -305,7 +309,7 @@ func (p *participant) handleDelivery(d group.Delivery) {
 	}
 }
 
-// stop ends the engine goroutine, then detaches the participant. The send is
+// stop ends the engine loop, then detaches the participant. The send is
 // unbuffered, so once it completes the loop has taken the stop and steps the
 // engine no more.
 func (p *participant) stop() {
@@ -444,9 +448,10 @@ func (p *participant) hookAbortNested(downTo ident.ActionID) string {
 	return signal
 }
 
-// hookStartHandler launches the resolved exception handler for this
-// participant on its own goroutine (the engine keeps serving messages, e.g.
-// ACKs owed to late raisers).
+// hookStartHandler hands the resolved exception handler for this participant
+// to a pool worker, so the engine keeps serving messages (e.g. ACKs owed to
+// late raisers) while it runs. The handler counts as pending on p until it
+// has delivered its outcome.
 func (p *participant) hookStartHandler(action ident.ActionID, exc string) {
 	inst := p.run.instanceByID(action)
 	if inst == nil {
@@ -454,7 +459,7 @@ func (p *participant) hookStartHandler(action ident.ActionID, exc string) {
 	}
 	p.run.sys.clk.Hold(vclock.Handler)
 	p.pending.Add(1)
-	go p.runHandler(inst, exc)
+	p.run.sys.spawn(task{op: taskHandler, p: p, inst: inst, exc: exc})
 }
 
 func (p *participant) runHandler(inst *instance, exc string) {

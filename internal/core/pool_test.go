@@ -5,12 +5,14 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/exception"
 	"repro/internal/ident"
+	"repro/internal/transport/conformancetest"
 	"repro/internal/vclock"
 )
 
@@ -24,6 +26,10 @@ import (
 // quiet); every outcome must be the expected one and no body may find an
 // earlier action's outcome waiting for it. On a virtual clock the server must
 // end holding no token.
+//
+// The last case is the worker such a handler runs on: the server closes while
+// the handler is still blocked, Close returns all the same, and once the
+// handler is released its worker exits instead of parking.
 func TestServerRecyclesOnlyQuiescentParticipants(t *testing.T) {
 	t.Run("real", func(t *testing.T) { testPoolLifetime(t, vclock.System) })
 	t.Run("virtual", func(t *testing.T) {
@@ -37,6 +43,36 @@ func TestServerRecyclesOnlyQuiescentParticipants(t *testing.T) {
 			} else if time.Now().After(deadline) {
 				t.Fatalf("clock still counts work: %s", s)
 			}
+		}
+	})
+	t.Run("handler blocked at close", func(t *testing.T) {
+		leak := conformancetest.LeakCheckErr()
+		s := NewServer(Options{})
+		release := make(chan struct{})
+		hs := HandlerSet{Default: func(rctx *RecoveryContext, _ exception.Exception) (string, error) {
+			if rctx.Object == 1 {
+				<-release
+			}
+			return "", nil
+		}}
+		pair := []ident.ObjectID{1, 2}
+		def := Definition{
+			Spec: ActionSpec{
+				Name: "blocked", Tree: testTree("E1"), Members: pair,
+				Handlers: uniformHandlers(pair, hs),
+			},
+			Bodies: map[ident.ObjectID]Body{
+				1: func(ctx *Context) error { ctx.Raise("E1"); return nil },
+				2: func(*Context) error { return nil },
+			},
+		}
+		if _, err := s.RunTimeout(def, 20*time.Millisecond); !errors.Is(err, ErrTimeout) {
+			t.Fatalf("err = %v, want ErrTimeout", err)
+		}
+		s.Close()
+		close(release)
+		if err := leak(); err != nil {
+			t.Fatal(err)
 		}
 	})
 }
@@ -202,6 +238,95 @@ func testPoolLifetime(t *testing.T, clk vclock.Clock) {
 		}
 		if err := check(s.RunTimeout(def, 30*time.Second)); err != nil {
 			t.Fatalf("action %d (%s): %v", i, def.Spec.Name, err)
+		}
+	}
+}
+
+// counts returns how many of the pool's workers are parked and how many it
+// has ever started.
+func (wp *workerPool) counts() (idle, started int) {
+	wp.mu.Lock()
+	defer wp.mu.Unlock()
+	return len(wp.idle), wp.started
+}
+
+// TestNoGoroutinePerAction pins that actions run on the server's parked
+// workers. One warm-up action holds at once every worker an N=4 action with a
+// raiser can use: Submit's, and per member its engine loop, its body and its
+// handler, the handlers meeting at a barrier. 500 such actions follow, each
+// submitted once the workers of the one before have all parked again, and
+// none of them may start a worker.
+func TestNoGoroutinePerAction(t *testing.T) {
+	const n = 4
+	members := []ident.ObjectID{1, 2, 3, 4}
+	def := func(h Handler) Definition {
+		bodies := make(map[ident.ObjectID]Body, n)
+		for _, m := range members {
+			bodies[m] = func(*Context) error { return nil }
+		}
+		bodies[1] = func(ctx *Context) error { ctx.Raise("E1"); return nil }
+		return Definition{
+			Spec: ActionSpec{
+				Name: "raise", Tree: testTree("E1"), Members: members,
+				Handlers: uniformHandlers(members, defaultOnly(h)),
+			},
+			Bodies: bodies,
+		}
+	}
+	s := NewServer(Options{Transport: TransportRaw})
+	defer s.Close()
+	action := func(def Definition) {
+		p, err := s.Submit(def)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out, err := p.Wait(); err != nil || !out.Completed || out.Resolved != "E1" {
+			t.Fatalf("out=%+v err=%v", out, err)
+		}
+		waitUntil(t, "every worker parked", func() bool {
+			idle, started := s.workers.counts()
+			return idle == started
+		})
+	}
+	var barrier sync.WaitGroup
+	barrier.Add(n)
+	action(def(func(*RecoveryContext, exception.Exception) (string, error) {
+		barrier.Done()
+		barrier.Wait()
+		return "", nil
+	}))
+	_, warm := s.workers.counts()
+	if warm != 3*n+1 {
+		t.Fatalf("the warm-up action started %d workers, want %d", warm, 3*n+1)
+	}
+	steady := def(noopHandler)
+	for i := 0; i < 500; i++ {
+		action(steady)
+	}
+	if _, started := s.workers.counts(); started != warm {
+		t.Fatalf("500 actions started %d workers", started-warm)
+	}
+}
+
+// TestCloseStopsIdleWorkers pins that Close leaves no worker behind: after a
+// few actions have grown the pool, Close stops every parked worker.
+func TestCloseStopsIdleWorkers(t *testing.T) {
+	for _, transport := range []TransportKind{TransportRaw, TransportReliable} {
+		leak := conformancetest.LeakCheckErr()
+		s := NewServer(Options{Transport: transport})
+		open := make(chan any)
+		close(open)
+		for i := 0; i < 10; i++ {
+			if out, err := s.Run(raiseDef("close", "E1", open)); err != nil || !out.Completed {
+				t.Fatalf("transport %d: out=%+v err=%v", transport, out, err)
+			}
+		}
+		if idle, _ := s.workers.counts(); idle == 0 {
+			t.Fatalf("transport %d: no worker parked after 10 actions", transport)
+		}
+		s.Close()
+		if err := leak(); err != nil {
+			t.Fatalf("transport %d: %v", transport, err)
 		}
 	}
 }

@@ -158,7 +158,7 @@ func (s *Server) runAttempt(def Definition, timeout time.Duration, attempt int) 
 		p := r.participants[obj]
 		if !r.preExpelled[obj] {
 			s.clk.Hold(vclock.Body)
-			go p.runBody(def.Bodies[obj])
+			s.spawn(task{op: taskBody, p: p, body: def.Bodies[obj]})
 		}
 		p.start() // behind its body, see participant.start
 	}
@@ -235,8 +235,9 @@ func (s *Server) runAttempt(def Definition, timeout time.Duration, attempt int) 
 	return out, firstErr
 }
 
-// runBody is the body goroutine. It holds a clock token from go to exit, and
-// the last of a run's to return wakes runAttempt, holding its token for it.
+// runBody runs a participant's body on a pool worker. It holds the clock
+// token runAttempt took for it from spawn to return, and the last of a run's
+// bodies to return wakes runAttempt, holding its token for it.
 func (p *participant) runBody(body Body) {
 	r := p.run
 	p.result = p.runTop(r.top, body)

@@ -137,6 +137,10 @@ type Server struct {
 	// engine, mailbox, channels and hooks (participant.Reset), so a server
 	// draining many short actions builds none of them per action.
 	participants sync.Pool
+
+	// workers runs every engine loop, body, handler and submitted action
+	// (worker.go); a participant owns no goroutine.
+	workers workerPool
 }
 
 // NewServer creates a server.
@@ -181,9 +185,10 @@ func (s *Server) Trace() *trace.Log { return s.log }
 func (s *Server) NetworkStats() netsim.Stats { return s.net.Stats() }
 
 // Close shuts the server down: new submissions are rejected with ErrClosed,
-// in-flight runs drain to completion, then the dispatchers, shared
-// directories and the network are torn down. Safe to call concurrently with
-// running actions and idempotent.
+// in-flight runs drain to completion, the idle workers exit (a worker still
+// running a handler whose run ended without it exits when the handler
+// returns), then the dispatchers, shared directories and the network are
+// torn down. Safe to call concurrently with running actions and idempotent.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -203,6 +208,7 @@ func (s *Server) Close() {
 	tcpDir := s.tcpDir
 	s.tcpDir = nil
 	s.mu.Unlock()
+	s.workers.close()
 	for _, d := range disps {
 		d.close()
 	}
