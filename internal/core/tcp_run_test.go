@@ -71,8 +71,8 @@ func tcpScenarioNested() *ActionSpec {
 // both yield their least common ancestor. Any member of this set is a
 // correct resolution; which one a particular run lands on is not a
 // transport property. (The strict cross-backend claim — identical committed
-// resolutions — is proved by transport/conformancetest's
-// RunResolutionEquivalence, which pins the raise set before any delivery.)
+// resolutions — is proved by the transport package's
+// TestResolutionEquivalence, which pins the raise set before any delivery.)
 var tcpValidResolutions = map[string]bool{
 	"left_engine_exception":           true,
 	"right_engine_exception":          true,

@@ -15,45 +15,16 @@ import (
 	"repro/internal/trace"
 )
 
-// simCase runs the deterministic protocol fabric for (n, p, q) and returns
-// the exact message total. Single-member nested actions are used for the Q
-// objects, exactly as in the §4.4 parameterisation.
-func simCase(n, p, q int) (int, error) {
-	sim := protocol.NewSim()
-	tb := exception.NewBuilder("root")
-	for i := 1; i <= n; i++ {
-		tb.Add(fmt.Sprintf("E%d", i), "root")
-	}
-	tree := tb.MustBuild()
-	all := make([]ident.ObjectID, n)
-	for i := range all {
-		all[i] = ident.ObjectID(i + 1)
-		sim.AddEngine(all[i])
-	}
-	if err := sim.EnterAll(protocol.Frame{
-		Action: 1, Path: []ident.ActionID{1}, Members: all, Tree: tree,
-	}, all...); err != nil {
+// protoCount runs the §4.4 grid (n, p, q) on the protocol-level reference
+// and returns the exact message total. Each of the Q objects sits in a
+// singleton nested action, exactly as in the §4.4 parameterisation.
+func protoCount(n, p, q int) (int, error) {
+	prog, err := scengen.Grid(n, p, q, 1, 0, false)
+	if err != nil {
 		return 0, err
 	}
-	for i := 0; i < q; i++ {
-		obj := all[p+i]
-		na := ident.ActionID(100 + i)
-		if err := sim.EnterAll(protocol.Frame{
-			Action: na, Path: []ident.ActionID{1, na},
-			Members: []ident.ObjectID{obj}, Tree: tree,
-		}, obj); err != nil {
-			return 0, err
-		}
-	}
-	for i := 0; i < p; i++ {
-		if _, err := sim.Engines[all[i]].RaiseLocal(fmt.Sprintf("E%d", i+1)); err != nil {
-			return 0, err
-		}
-	}
-	if err := sim.Drain(10_000_000); err != nil {
-		return 0, err
-	}
-	return sim.Log.TotalSends(), nil
+	_, sent, err := scengen.ReferenceResolutions(prog)
+	return sent, err
 }
 
 // E1 reproduces §4.4 case 1: one exception, no nested actions, 3(N-1)
@@ -66,7 +37,7 @@ func E1() (Table, error) {
 	}
 	for _, n := range []int{2, 3, 4, 8, 16, 32, 64} {
 		want := 3 * (n - 1)
-		got, err := simCase(n, 1, 0)
+		got, err := protoCount(n, 1, 0)
 		if err != nil {
 			return t, err
 		}
@@ -96,7 +67,7 @@ func E2() (Table, error) {
 	}
 	for _, n := range []int{2, 3, 4, 8, 16, 32} {
 		want := 3 * n * (n - 1)
-		got, err := simCase(n, 1, n-1)
+		got, err := protoCount(n, 1, n-1)
 		if err != nil {
 			return t, err
 		}
@@ -115,7 +86,7 @@ func E3() (Table, error) {
 	}
 	for _, n := range []int{2, 3, 4, 8, 16, 32, 64} {
 		want := (n - 1) * (2*n + 1)
-		got, err := simCase(n, n, 0)
+		got, err := protoCount(n, n, 0)
 		if err != nil {
 			return t, err
 		}
@@ -135,7 +106,7 @@ func E4() (Table, error) {
 		for p := 1; p <= n; p += 2 {
 			for q := 0; q <= n-p; q += 2 {
 				want := protocol.PredictMessages(n, p, q)
-				got, err := simCase(n, p, q)
+				got, err := protoCount(n, p, q)
 				if err != nil {
 					return t, err
 				}

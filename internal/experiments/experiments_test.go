@@ -72,11 +72,11 @@ func TestTableRendering(t *testing.T) {
 }
 
 func TestSimCaseAgainstFormula(t *testing.T) {
-	got, err := simCase(5, 2, 1)
+	got, err := protoCount(5, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := 4 * (4 + 3 + 1); got != want {
-		t.Errorf("simCase(5,2,1) = %d, want %d", got, want)
+		t.Errorf("protoCount(5,2,1) = %d, want %d", got, want)
 	}
 }

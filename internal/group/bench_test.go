@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/ident"
 	"repro/internal/netsim"
 )
 
@@ -74,40 +73,5 @@ func BenchmarkR3TransportReliableDelivery(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-func BenchmarkMulticast16(b *testing.B) {
-	net := netsim.New(netsim.Config{})
-	dir := NewDirectory(net)
-	members := make([]ident.ObjectID, 16)
-	transports := make([]*RawTransport, 16)
-	for i := range members {
-		members[i] = ident.ObjectID(i + 1)
-		tr, err := NewRawTransport(dir, members[i])
-		if err != nil {
-			b.Fatal(err)
-		}
-		transports[i] = tr
-		if i > 0 {
-			go func(tr *RawTransport) {
-				for range tr.Recv() {
-				}
-			}(tr)
-		}
-	}
-	defer func() {
-		for _, tr := range transports {
-			tr.Close()
-		}
-		net.Close()
-	}()
-	mc := NewMulticaster(transports[0], members)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := mc.Multicast("m", i); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -12,9 +12,10 @@
 //     ("reliable over unreliable") adds sequence numbers, cumulative acks,
 //     retransmission and duplicate suppression so the same guarantees hold on
 //     a lossy/duplicating netsim configuration.
-//   - Multicaster: totally-ordered multicast used by the ablation that elides
-//     protocol-level ACK messages ("if a reliable multicast can be used,
-//     acknowledgement messages will no longer be necessary").
+//
+// A multicast is the sender's loop over the view: the protocol engine sends
+// each service message point to point, so the package has no multicast
+// primitive of its own.
 package group
 
 import (

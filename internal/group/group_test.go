@@ -2,7 +2,6 @@ package group
 
 import (
 	"errors"
-	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -192,149 +191,5 @@ func TestR3Bidirectional(t *testing.T) {
 	db := <-a.Recv()
 	if da.Kind != "ping" || db.Kind != "pong" {
 		t.Errorf("got %v %v", da, db)
-	}
-}
-
-func TestMulticastSkipsSelf(t *testing.T) {
-	net := netsim.New(netsim.Config{})
-	defer net.Close()
-	dir := NewDirectory(net)
-	members := []ident.ObjectID{1, 2, 3}
-	var ts []*RawTransport
-	for _, m := range members {
-		tr, err := NewRawTransport(dir, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer tr.Close()
-		ts = append(ts, tr)
-	}
-	mc := NewMulticaster(ts[0], members)
-	sent, err := mc.Multicast("news", "hello")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sent != 2 {
-		t.Errorf("sent = %d, want 2", sent)
-	}
-	for _, tr := range ts[1:] {
-		d := <-tr.Recv()
-		if d.Kind != "news" || d.From != 1 {
-			t.Errorf("delivery = %+v", d)
-		}
-	}
-	got := mc.Members()
-	if len(got) != 3 {
-		t.Errorf("Members = %v", got)
-	}
-}
-
-func TestOrderedMulticastTotalOrder(t *testing.T) {
-	net := netsim.New(netsim.Config{})
-	defer net.Close()
-	dir := NewDirectory(net)
-	members := []ident.ObjectID{1, 2, 3, 4}
-	var seq sync.Mutex
-	trs := make(map[ident.ObjectID]*RawTransport)
-	mcs := make(map[ident.ObjectID]*Multicaster)
-	for _, m := range members {
-		tr, err := NewRawTransport(dir, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer tr.Close()
-		trs[m] = tr
-		mcs[m] = NewOrderedMulticaster(tr, members, &seq)
-	}
-
-	// Members 1 and 2 multicast concurrently many times; receivers 3 and 4
-	// must observe identical total orders.
-	const per = 50
-	var wg sync.WaitGroup
-	for _, sender := range []ident.ObjectID{1, 2} {
-		wg.Add(1)
-		go func(s ident.ObjectID) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				if _, err := mcs[s].Multicast("m", [2]int{int(s), i}); err != nil {
-					t.Errorf("multicast: %v", err)
-				}
-			}
-		}(sender)
-	}
-	orders := make(map[ident.ObjectID][][2]int)
-	for _, receiver := range []ident.ObjectID{3, 4} {
-		for i := 0; i < 2*per; i++ {
-			d := <-trs[receiver].Recv()
-			orders[receiver] = append(orders[receiver], d.Payload.([2]int))
-		}
-	}
-	wg.Wait()
-	for i := range orders[3] {
-		if orders[3][i] != orders[4][i] {
-			t.Fatalf("total order violated at %d: %v vs %v", i, orders[3][i], orders[4][i])
-		}
-	}
-}
-
-// TestMulticastDetailReportsFailures pins the no-silent-drop contract: a
-// multicast with unreachable members still attempts every destination, and
-// the report names exactly the members that failed — the primitive the
-// membership layer's per-send reports are built on.
-func TestMulticastDetailReportsFailures(t *testing.T) {
-	net := netsim.New(netsim.Config{})
-	defer net.Close()
-	dir := NewDirectory(net)
-	// Members O4 and O5 are in the group view but never registered: their
-	// sends fail at the directory, like members whose node has left.
-	members := []ident.ObjectID{1, 2, 3, 4, 5}
-	var ts []*RawTransport
-	for _, m := range members[:3] {
-		tr, err := NewRawTransport(dir, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer tr.Close()
-		ts = append(ts, tr)
-	}
-
-	mc := NewMulticaster(ts[0], members)
-	sent, failed := mc.MulticastDetail("news", "hello")
-	if len(sent) != 2 || sent[0] != 2 || sent[1] != 3 {
-		t.Errorf("sent = %v, want [2 3]", sent)
-	}
-	if len(failed) != 2 {
-		t.Fatalf("failed = %v, want exactly O4 and O5", failed)
-	}
-	for _, m := range []ident.ObjectID{4, 5} {
-		if err := failed[m]; !errors.Is(err, ErrUnknownMember) {
-			t.Errorf("failed[%s] = %v, want ErrUnknownMember", m, err)
-		}
-	}
-	for _, tr := range ts[1:] {
-		if d := <-tr.Recv(); d.Kind != "news" {
-			t.Errorf("delivery = %+v", d)
-		}
-	}
-
-	// The classic Multicast surface reports the same thing as a joined error.
-	sentN, err := mc.Multicast("news", "again")
-	if sentN != 2 {
-		t.Errorf("sent = %d, want 2", sentN)
-	}
-	if !errors.Is(err, ErrUnknownMember) {
-		t.Errorf("Multicast error = %v, want ErrUnknownMember in the join", err)
-	}
-	for _, tr := range ts[1:] {
-		<-tr.Recv()
-	}
-
-	// With every member reachable, the failure map is nil, not empty.
-	mcOK := NewMulticaster(ts[0], members[:3])
-	if sent, failed := mcOK.MulticastDetail("ok", nil); failed != nil || len(sent) != 2 {
-		t.Errorf("healthy multicast: sent=%v failed=%v", sent, failed)
-	}
-	for _, tr := range ts[1:] {
-		<-tr.Recv()
 	}
 }

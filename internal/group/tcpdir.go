@@ -30,21 +30,6 @@ func WithDialRewrite(f func(from, to ident.ObjectID, addr string) string) TCPDir
 	return func(d *TCPDirectory) { d.rewrite = f }
 }
 
-// WithTCPAddressBook seeds the directory with an explicit host:port per
-// member, instead of the default "every member listens on an ephemeral
-// loopback port of this process". A member with an entry binds its listener
-// at that address (a ":0" port is still resolved at listen time), and dials
-// toward members that are NOT bound in this process resolve to their book
-// entry — the multi-host deployment shape, where each process binds its own
-// members and knows the others only by address.
-func WithTCPAddressBook(book map[ident.ObjectID]string) TCPDirOption {
-	return func(d *TCPDirectory) {
-		for obj, addr := range book {
-			d.static[obj] = addr
-		}
-	}
-}
-
 // TCPDirectory is the membership service over real sockets: each bound
 // member gets its own TCP fabric (own listener, own address space — the
 // paper's §2.1 "disjoint address spaces" made literal even inside one test
@@ -59,7 +44,6 @@ type TCPDirectory struct {
 	mu      sync.Mutex
 	fabrics map[ident.ObjectID]*transport.TCP
 	book    map[ident.ObjectID]string
-	static  map[ident.ObjectID]string // explicit address book (WithTCPAddressBook)
 	closed  bool
 }
 
@@ -68,7 +52,6 @@ func NewTCPDirectory(opts ...TCPDirOption) *TCPDirectory {
 	d := &TCPDirectory{
 		fabrics: make(map[ident.ObjectID]*transport.TCP),
 		book:    make(map[ident.ObjectID]string),
-		static:  make(map[ident.ObjectID]string),
 	}
 	for _, o := range opts {
 		o(d)
@@ -81,15 +64,13 @@ func NewTCPDirectory(opts ...TCPDirOption) *TCPDirectory {
 func (d *TCPDirectory) Bind(obj ident.ObjectID, fn transport.Handler, stopped func()) (Port, error) {
 	d.mu.Lock()
 	err := d.bindErr(obj)
-	listen := d.static[obj]
 	d.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
 
 	fab, err := transport.NewTCP(transport.TCPOptions{
-		Listen: listen, // "" = ephemeral loopback
-		Codec:  newTCPCodec(d.codec),
+		Codec: newTCPCodec(d.codec),
 		Resolve: func(to ident.ObjectID) (string, error) {
 			return d.resolve(obj, to)
 		},
@@ -131,32 +112,16 @@ func (d *TCPDirectory) bindErr(obj ident.ObjectID) error {
 }
 
 // resolve maps a destination member to the address the `from` member should
-// dial, applying the rewrite hook. Members bound in this process resolve to
-// their live listener; others fall back to the explicit address book, which
-// is what lets two processes on different hosts split one group between them.
+// dial — its live listener — applying the rewrite hook.
 func (d *TCPDirectory) resolve(from, to ident.ObjectID) (string, error) {
 	d.mu.Lock()
 	addr, ok := d.book[to]
-	if !ok {
-		addr, ok = d.static[to]
-	}
 	d.mu.Unlock()
 	if !ok {
 		return "", fmt.Errorf("%w: %s", ErrUnknownMember, to)
 	}
 	if d.rewrite != nil {
 		addr = d.rewrite(from, to, addr)
-	}
-	return addr, nil
-}
-
-// Addr returns the listening address of a member's fabric.
-func (d *TCPDirectory) Addr(obj ident.ObjectID) (string, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	addr, ok := d.book[obj]
-	if !ok {
-		return "", fmt.Errorf("%w: %s", ErrUnknownMember, obj)
 	}
 	return addr, nil
 }

@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"fmt"
-	"net"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -285,83 +283,5 @@ func TestTCPDirectoryDuplicateBind(t *testing.T) {
 	dir.Close()
 	if _, err := dir.Bind(2, func(transport.Message) {}, nil); err == nil {
 		t.Fatal("bind after close succeeded")
-	}
-}
-
-// TestTCPDirectoryAddressBook exercises the explicit host:port deployment
-// shape: two members with distinct loopback addresses seeded up front, each
-// binding its listener where the book says and finding the other through it.
-func TestTCPDirectoryAddressBook(t *testing.T) {
-	defer conformancetest.LeakCheck(t)()
-	dir := NewTCPDirectory(WithTCPAddressBook(map[ident.ObjectID]string{
-		1: "127.0.0.1:0",
-		2: "127.0.0.2:0",
-	}))
-	defer dir.Close()
-
-	a, err := NewRawTransport(dir, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := NewRawTransport(dir, 2)
-	if err != nil {
-		if strings.Contains(err.Error(), "cannot assign requested address") {
-			t.Skip("secondary loopback address unavailable on this host")
-		}
-		t.Fatal(err)
-	}
-	defer b.Close()
-
-	addr1, err := dir.Addr(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr2, err := dir.Addr(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	host1, _, err := net.SplitHostPort(addr1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	host2, _, err := net.SplitHostPort(addr2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if host1 != "127.0.0.1" || host2 != "127.0.0.2" {
-		t.Fatalf("listeners bound at %s and %s, want the book's hosts", addr1, addr2)
-	}
-
-	if err := a.Send(2, "hello", "from-1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Send(1, "hello", "from-2"); err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		tr   *RawTransport
-		from ident.ObjectID
-		body string
-	}{{b, 1, "from-1"}, {a, 2, "from-2"}} {
-		select {
-		case d := <-tc.tr.Recv():
-			if d.From != tc.from || d.Payload.(string) != tc.body {
-				t.Fatalf("delivery = %+v", d)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("no delivery reached %s", tc.tr.Self())
-		}
-	}
-
-	// A member bound elsewhere (not in this process) still resolves through
-	// the book instead of failing as unknown.
-	dir2 := NewTCPDirectory(WithTCPAddressBook(map[ident.ObjectID]string{
-		9: addr1, // pretend O9 is a remote process listening where O1 does
-	}))
-	defer dir2.Close()
-	addr, err := dir2.resolve(8, 9)
-	if err != nil || addr != addr1 {
-		t.Fatalf("resolve via book = %q, %v", addr, err)
 	}
 }

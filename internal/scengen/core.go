@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/exception"
 	"repro/internal/ident"
-	"repro/internal/transport/conformancetest"
 )
 
 // The core tier runs every generated program through the full stack — server,
@@ -91,10 +90,11 @@ func (r *recorder) sortedKeys() []recKey {
 	return keys
 }
 
-// chainOf returns obj's action chain within the family, root first.
-func chainOf(f *Family, obj int) []int {
+// chainTo returns the chain of actions from the family root down to the
+// indexed action, root first.
+func chainTo(f *Family, action int) []int {
 	var rev []int
-	for i := f.leafOf(obj); i >= 0; i = f.Actions[i].Parent {
+	for i := action; i >= 0; i = f.Actions[i].Parent {
 		rev = append(rev, i)
 	}
 	chain := make([]int, len(rev))
@@ -178,7 +178,7 @@ func compileFamily(fi int, fam *Family, tree *exception.Tree, rec *recorder, t c
 	bodies := make(map[ident.ObjectID]core.Body, len(fam.Objects))
 	for _, obj := range fam.Objects {
 		obj := obj
-		chain := chainOf(fam, obj)
+		chain := chainTo(fam, fam.leafOf(obj))
 		atLeaf := func(ctx *core.Context) error {
 			for _, op := range opsOf[obj] {
 				if op.Fast {
@@ -235,14 +235,14 @@ func compileFamily(fi int, fam *Family, tree *exception.Tree, rec *recorder, t c
 
 // siteRef extracts the reference resolution of every (family, raise site)
 // from the protocol-level reference map, checking the members agree.
-func siteRef(p *Program, ref conformancetest.Resolutions, rep *Report) map[[2]int]string {
+func siteRef(p *Program, ref Resolutions, rep *Report) map[[2]int]string {
 	out := make(map[[2]int]string)
 	for fi := range p.Families {
 		fam := &p.Families[fi]
 		for _, site := range fam.RaiseSites() {
 			var val string
 			for i, m := range fam.Actions[site].Members {
-				v, ok := ref[conformancetest.ResolutionKey{
+				v, ok := ref[ResolutionKey{
 					Family: fi, Obj: ident.ObjectID(m), Action: actionID(fi, site),
 				}]
 				if !ok {
@@ -439,7 +439,7 @@ func checkSums(rep *Report, stage string, snapshot map[string]any, want map[stri
 // checkCore runs the (partition-free) program through the full stack over the
 // raw netsim transport: each family solo, then — when there are several — all
 // families concurrently on one shared server.
-func checkCore(p *Program, tree *exception.Tree, ref conformancetest.Resolutions, opts Options, rep *Report) {
+func checkCore(p *Program, tree *exception.Tree, ref Resolutions, opts Options, rep *Report) {
 	refSites := siteRef(p, ref, rep)
 	cfg := Config{Timeout: opts.RunTimeout}
 
@@ -476,7 +476,7 @@ func checkCore(p *Program, tree *exception.Tree, ref conformancetest.Resolutions
 // stack on the virtual clock: the cut is installed mid-run, the survivors must
 // expel exactly the cut, and the resolution must account for the participant
 // failure.
-func checkPartition(p *Program, tree *exception.Tree, ref conformancetest.Resolutions, opts Options, rep *Report) {
+func checkPartition(p *Program, tree *exception.Tree, ref Resolutions, opts Options, rep *Report) {
 	const stage = "core/partition"
 	siteRef(p, ref, rep) // the reference must agree; the run has its own expectations below
 	fam := &p.Families[0]
@@ -555,7 +555,7 @@ func expectExpelled(rep *Report, stage string, got, cut []ident.ObjectID) {
 // like everyone else. The whole schedule runs on the virtual clock, so the
 // detector timeouts and lease terms cost virtual time only and a multi-cycle
 // program stays cheap enough for fuzz workers.
-func checkChurn(p *Program, tree *exception.Tree, ref conformancetest.Resolutions, opts Options, rep *Report) {
+func checkChurn(p *Program, tree *exception.Tree, ref Resolutions, opts Options, rep *Report) {
 	const stage = "core/churn"
 	refSites := siteRef(p, ref, rep)
 	cut := p.Partition.objects()

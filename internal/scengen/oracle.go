@@ -99,19 +99,14 @@ func Check(p *Program, opts Options) *Report {
 		leak = conformancetest.LeakCheckErr()
 	}
 
-	cp, err := p.ToProto()
-	if err != nil {
-		rep.add("proto/lower", "%v", err)
-		return rep
-	}
-	ref, err := conformancetest.ReferenceResolutions(cp)
+	ref, _, err := ReferenceResolutions(p)
 	if err != nil {
 		rep.add("proto/reference", "%v", err)
 		return rep
 	}
 	for _, b := range protoBackends() {
 		fab := b.make(opts.Settle)
-		got, err := conformancetest.FabricResolutions(fab, cp, len(ref))
+		got, err := FabricResolutions(fab, p, len(ref))
 		fab.Close()
 		if err != nil {
 			rep.add(b.name, "%v", err)
@@ -167,7 +162,7 @@ func withinTiming(p *Program) error {
 // raise site, CR participants with FULL reduced trees (everyone handles
 // everything, so no domino re-raises can widen the raise set) must converge
 // on exactly the resolution the new algorithm committed there.
-func checkCR(p *Program, tree *exception.Tree, ref conformancetest.Resolutions, rep *Report) {
+func checkCR(p *Program, tree *exception.Tree, ref Resolutions, rep *Report) {
 	full, err := exception.NewReducedTree(tree, tree.Names()...)
 	if err != nil {
 		rep.add("crbaseline", "full reduced tree: %v", err)
@@ -193,7 +188,7 @@ func checkCR(p *Program, tree *exception.Tree, ref conformancetest.Resolutions, 
 				rep.add("crbaseline", "family %d site %d: %v", fi, site, err)
 				continue
 			}
-			want := ref[conformancetest.ResolutionKey{
+			want := ref[ResolutionKey{
 				Family: fi, Obj: ident.ObjectID(raises[0].Obj), Action: actionID(fi, site),
 			}]
 			if res.Final != want {

@@ -20,12 +20,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
 	"repro/internal/exception"
 	"repro/internal/ident"
-	"repro/internal/transport/conformancetest"
 )
 
 // Version is the program format version; bump on incompatible changes so
@@ -152,13 +152,7 @@ func (pt *Partition) delay() time.Duration {
 }
 
 // objects returns the cut as object identifiers.
-func (pt *Partition) objects() []ident.ObjectID {
-	objs := make([]ident.ObjectID, len(pt.Cut))
-	for i, c := range pt.Cut {
-		objs[i] = ident.ObjectID(c)
-	}
-	return objs
-}
+func (pt *Partition) objects() []ident.ObjectID { return objectIDs(pt.Cut) }
 
 // Program is one complete generated case.
 type Program struct {
@@ -215,46 +209,22 @@ func (p *Program) Tree() (*exception.Tree, error) {
 	return b.Build()
 }
 
+// maxActions bounds a family's action tree so that actionID stays unique.
+const maxActions = 1000
+
 // actionID assigns globally unique protocol-level action identifiers:
 // family f's action a gets f*1000 + a + 1, so the root of family 0 is 1.
 func actionID(family, action int) ident.ActionID {
-	return ident.ActionID(family*1000 + action + 1)
+	return ident.ActionID(family*maxActions + action + 1)
 }
 
-// ToProto lowers the program to the protocol-level equivalence case: every
-// family's action tree, raises and belated joins, multiplexed over one
-// fabric. Core-only features (delays, policies, atomic ops, partitions) do
-// not exist at this level.
-func (p *Program) ToProto() (*conformancetest.Program, error) {
-	tree, err := p.Tree()
-	if err != nil {
-		return nil, err
+// objectIDs converts 1-based object numbers to object identifiers.
+func objectIDs(objs []int) []ident.ObjectID {
+	ids := make([]ident.ObjectID, len(objs))
+	for i, o := range objs {
+		ids[i] = ident.ObjectID(o)
 	}
-	cp := &conformancetest.Program{Tree: tree}
-	for fi, fam := range p.Families {
-		pf := conformancetest.ProgramFamily{}
-		for ai, a := range fam.Actions {
-			members := make([]ident.ObjectID, len(a.Members))
-			for i, m := range a.Members {
-				members[i] = ident.ObjectID(m)
-			}
-			pf.Actions = append(pf.Actions, conformancetest.ProgramAction{
-				ID: actionID(fi, ai), Parent: a.Parent, Members: members,
-			})
-		}
-		for _, r := range fam.Raises {
-			pf.Raises = append(pf.Raises, conformancetest.ProgramRaise{
-				Obj: ident.ObjectID(r.Obj), Exc: r.Exc,
-			})
-		}
-		for _, b := range fam.Belated {
-			pf.Belated = append(pf.Belated, conformancetest.ProgramEntry{
-				Obj: ident.ObjectID(b.Obj), Action: b.Action,
-			})
-		}
-		cp.Families = append(cp.Families, pf)
-	}
-	return cp, nil
+	return ids
 }
 
 // leafOf returns the index of obj's innermost action in the family, or -1.
@@ -296,8 +266,8 @@ func (f *Family) RaiseSites() []int {
 	return sites
 }
 
-// Validate checks the program, including the structural obligations the
-// protocol-level lowering adds (antichain raise sites, chain membership).
+// Validate checks the program: the exception tree, each family's structure
+// (validateTree), the atomic-object schedule and the partition.
 func (p *Program) Validate() error {
 	if p.Version != Version {
 		return fmt.Errorf("scengen: program version %d, want %d", p.Version, Version)
@@ -318,6 +288,10 @@ func (p *Program) Validate() error {
 		if n.Name == excParticipantFailure {
 			return fmt.Errorf("scengen: exception name %q is reserved", n.Name)
 		}
+	}
+	tree, err := p.Tree()
+	if err != nil {
+		return fmt.Errorf("scengen: %w", err)
 	}
 	if len(p.Families) == 0 {
 		return errors.New("scengen: no families")
@@ -350,32 +324,26 @@ func (p *Program) Validate() error {
 				return fmt.Errorf("scengen: family %d root member %d not an object", fi, m)
 			}
 		}
+		if err := fam.validateTree(fi, tree); err != nil {
+			return err
+		}
 		for _, r := range fam.Raises {
 			if r.DelayMS < 0 {
 				return fmt.Errorf("scengen: family %d raise delay %dms is negative", fi, r.DelayMS)
 			}
 		}
-		// Belated entries never target the family root: at the core level
-		// every body starts together, so only nested actions can be entered
-		// late (via a delayed Enclose).
 		belatedObjs := make(map[int]bool, len(fam.Belated))
 		for _, b := range fam.Belated {
-			if b.Action == 0 {
-				return fmt.Errorf("scengen: family %d object %d belated at the root", fi, b.Obj)
-			}
 			belatedObjs[b.Obj] = true
 		}
+		sites := fam.RaiseSites()
 		underRaise := func(action int) bool {
-			for _, site := range fam.RaiseSites() {
+			for _, site := range sites {
 				if site == action || fam.isAncestorAction(site, action) {
 					return true
 				}
 			}
 			return false
-		}
-		raiseSiteSet := make(map[int]bool)
-		for _, s := range fam.RaiseSites() {
-			raiseSiteSet[s] = true
 		}
 		for _, op := range fam.Ops {
 			leaf := fam.leafOf(op.Obj)
@@ -398,7 +366,7 @@ func (p *Program) Validate() error {
 				// abort/body race. AT a site the op's own transaction races
 				// the resolution, so that stays out; a raiser's leaf is a
 				// site by definition.
-				if raiseSiteSet[leaf] {
+				if slices.Contains(sites, leaf) {
 					return fmt.Errorf("scengen: family %d fast op on %d sits at a raise site", fi, op.Obj)
 				}
 				fastKeys[op.Key] = true
@@ -488,11 +456,97 @@ func (p *Program) Validate() error {
 			}
 		}
 	}
-	// Everything structural about the action trees, raises and belated joins
-	// is delegated to the protocol-level lowering — one validator, one truth.
-	cp, err := p.ToProto()
-	if err != nil {
-		return fmt.Errorf("scengen: %w", err)
+	return nil
+}
+
+// validateTree checks the family's action tree, raises and belated joins
+// against the rules that make the protocol tier's strict comparison sound
+// (see resolutions.go): every object's actions form one chain, the raise
+// sites form an ancestor-free antichain, and a belated entry never races a
+// containing resolution.
+func (f *Family) validateTree(fi int, tree *exception.Tree) error {
+	if len(f.Actions) > maxActions {
+		return fmt.Errorf("scengen: family %d has %d actions, more than %d", fi, len(f.Actions), maxActions)
 	}
-	return cp.Validate()
+	if f.Actions[0].Parent != -1 {
+		return fmt.Errorf("scengen: family %d root action must have parent -1", fi)
+	}
+	// Sibling actions share no member: each object's entered actions form a
+	// chain (it can descend into at most one child).
+	inChild := make(map[[2]int]int) // (parent, member) -> child
+	for ai, a := range f.Actions {
+		if ai > 0 && (a.Parent < 0 || a.Parent >= ai) {
+			return fmt.Errorf("scengen: family %d action %d: parent %d must precede it", fi, ai, a.Parent)
+		}
+		if len(a.Members) == 0 {
+			return fmt.Errorf("scengen: family %d action %d has no members", fi, ai)
+		}
+		seen := make(map[int]bool, len(a.Members))
+		for _, m := range a.Members {
+			if seen[m] {
+				return fmt.Errorf("scengen: family %d action %d lists member %d twice", fi, ai, m)
+			}
+			seen[m] = true
+			if ai == 0 {
+				continue
+			}
+			if !slices.Contains(f.Actions[a.Parent].Members, m) {
+				return fmt.Errorf("scengen: family %d action %d: member %d not in parent", fi, ai, m)
+			}
+			if prev, ok := inChild[[2]int{a.Parent, m}]; ok {
+				return fmt.Errorf("scengen: family %d: object %d in sibling actions %d and %d", fi, m, prev, ai)
+			}
+			inChild[[2]int{a.Parent, m}] = ai
+		}
+	}
+	raised := make(map[int]bool, len(f.Raises))
+	for _, r := range f.Raises {
+		if raised[r.Obj] {
+			return fmt.Errorf("scengen: family %d: object %d raises twice", fi, r.Obj)
+		}
+		raised[r.Obj] = true
+		if !tree.Contains(r.Exc) {
+			return fmt.Errorf("scengen: family %d: unknown exception %q", fi, r.Exc)
+		}
+		if f.leafOf(r.Obj) < 0 {
+			return fmt.Errorf("scengen: family %d: raiser %d is not a member", fi, r.Obj)
+		}
+	}
+	// Ancestor-free raise sites: no two resolutions race to abort each other.
+	sites := f.RaiseSites()
+	for _, a := range sites {
+		for _, b := range sites {
+			if a != b && f.isAncestorAction(a, b) {
+				return fmt.Errorf("scengen: family %d: raise sites %d and %d are ancestor-related", fi, a, b)
+			}
+		}
+	}
+	// Belated entries: only at an object's own leaf, never for raisers, and
+	// never under a raise site (the entry would race the containing
+	// resolution's abort sweep). Entering the raise site itself late is the
+	// pending-replay path the engine must get right. The root is never
+	// entered late: at the core level every body starts together, so only
+	// nested actions can be (via a delayed Enclose).
+	seen := make(map[Belated]bool, len(f.Belated))
+	for _, b := range f.Belated {
+		if b.Action < 1 || b.Action >= len(f.Actions) {
+			return fmt.Errorf("scengen: family %d: belated entry %d/%d outside the nested actions", fi, b.Obj, b.Action)
+		}
+		if seen[b] {
+			return fmt.Errorf("scengen: family %d: belated entry %d/%d listed twice", fi, b.Obj, b.Action)
+		}
+		seen[b] = true
+		if raised[b.Obj] {
+			return fmt.Errorf("scengen: family %d: raiser %d cannot be belated", fi, b.Obj)
+		}
+		if f.leafOf(b.Obj) != b.Action {
+			return fmt.Errorf("scengen: family %d: belated entry %d/%d is not the object's leaf", fi, b.Obj, b.Action)
+		}
+		for anc := f.Actions[b.Action].Parent; anc >= 0; anc = f.Actions[anc].Parent {
+			if slices.Contains(sites, anc) {
+				return fmt.Errorf("scengen: family %d: belated entry %d/%d under raise site %d", fi, b.Obj, b.Action, anc)
+			}
+		}
+	}
+	return nil
 }

@@ -15,9 +15,6 @@ import (
 
 // TCPOptions configure a TCP fabric.
 type TCPOptions struct {
-	// Listen is the address the fabric's listener binds ("127.0.0.1:0" when
-	// empty: an ephemeral loopback port).
-	Listen string
 	// Codec, when non-nil, encodes payloads at Send and decodes them at
 	// delivery, exactly as on the in-process backends. After encoding, a
 	// payload must be a []byte or string — the fabric genuinely serialises
@@ -89,12 +86,10 @@ type TCP struct {
 
 var _ Transport = (*TCP)(nil)
 
-// NewTCP creates a fabric and starts its listener.
+// NewTCP creates a fabric and starts its listener on an ephemeral loopback
+// port.
 func NewTCP(opts TCPOptions) (*TCP, error) {
-	if opts.Listen == "" {
-		opts.Listen = "127.0.0.1:0"
-	}
-	ln, err := net.Listen("tcp", opts.Listen)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, fmt.Errorf("transport: tcp listen: %w", err)
 	}
