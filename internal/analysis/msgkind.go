@@ -154,13 +154,15 @@ func checkSendEventLit(pass *Pass, lit *ast.CompositeLit) {
 }
 
 // checkTransportMessageLit validates transport.Message composite literals
-// that put a protocol message on the fabric directly: the Kind, when a bare
-// string literal, must be a declared kind, and the literal must set the
-// Action routing tag — an untagged protocol message cannot be demultiplexed
-// by a shared-transport receiver, and its sends fall out of any per-action
-// census cut. Envelope-building layers (group, transport itself) are exempt
-// via kindDefiningPkgs/test-file filtering above; non-protocol payloads pass
-// untouched (conformance traffic, control metadata).
+// that put a protocol message on the fabric directly, as its Body: the Kind,
+// when a bare string literal, must be a declared kind, and the literal must
+// set the Action routing tag — an untagged protocol message cannot be
+// demultiplexed by a shared-transport receiver, and its sends fall out of any
+// per-action census cut. A protocol.Msg in Payload is reported too: it would
+// be boxed, and no codec translates it. Envelope-building layers (group,
+// transport itself) are exempt via kindDefiningPkgs/test-file filtering
+// above; other payloads pass untouched (conformance traffic, control
+// metadata).
 func checkTransportMessageLit(pass *Pass, lit *ast.CompositeLit) {
 	tv, ok := pass.Info.Types[lit]
 	if !ok {
@@ -170,8 +172,8 @@ func checkTransportMessageLit(pass *Pass, lit *ast.CompositeLit) {
 	if !ok || pkgName != "transport" || typeName != "Message" {
 		return
 	}
-	var kind, payload ast.Expr
-	hasAction := false
+	var kind ast.Expr
+	hasAction, hasBody := false, false
 	for _, el := range lit.Elts {
 		kv, ok := el.(*ast.KeyValueExpr)
 		if !ok {
@@ -186,19 +188,18 @@ func checkTransportMessageLit(pass *Pass, lit *ast.CompositeLit) {
 			kind = kv.Value
 		case "Action":
 			hasAction = true
+		case "Body":
+			hasBody = true
 		case "Payload":
-			payload = kv.Value
+			if ptv, ok := pass.Info.Types[kv.Value]; ok {
+				if ppkg, ptype, ok := namedOf(ptv.Type); ok && ppkg == "protocol" && ptype == "Msg" {
+					pass.Reportf(kv.Value.Pos(),
+						"protocol message boxed into Message.Payload: carry its Body by value")
+				}
+			}
 		}
 	}
-	if payload == nil {
-		return
-	}
-	ptv, ok := pass.Info.Types[payload]
-	if !ok {
-		return
-	}
-	ppkg, ptype, ok := namedOf(ptv.Type)
-	if !ok || ppkg != "protocol" || ptype != "Msg" {
+	if !hasBody {
 		return
 	}
 	if kind != nil {

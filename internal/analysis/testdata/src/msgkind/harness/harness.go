@@ -32,12 +32,14 @@ func record(l *trace.Log, k string) {
 	l.Record(trace.Event{Kind: trace.EvSend, Label: k})        // dynamic labels pass
 }
 
-// Protocol messages entering the fabric directly must carry a declared kind
-// and the Action routing tag; other payloads are control traffic and pass.
+// Protocol messages entering the fabric directly, as a Body, must carry a
+// declared kind and the Action routing tag; a protocol message boxed into
+// Payload is reported; other payloads are control traffic and pass.
 func sends(p protocol.Msg, k string) {
-	_ = transport.Send(transport.Message{From: 1, To: 2, Kind: "Exception", Action: 9, Payload: p})
-	_ = transport.Send(transport.Message{From: 1, To: 2, Kind: "Excepton", Action: 9, Payload: p}) // want "undeclared message kind"
-	_ = transport.Send(transport.Message{From: 1, To: 2, Kind: "Exception", Payload: p})           // want "enters the fabric untagged"
-	_ = transport.Send(transport.Message{From: 1, To: 2, Kind: k, Action: 9, Payload: p})          // dynamic kinds pass
-	_ = transport.Send(transport.Message{From: 1, To: 2, Kind: "conformance", Payload: "scratch"}) // non-protocol payload passes
+	_ = transport.Send(transport.Message{From: 1, To: 2, Kind: "Exception", Action: 9, Body: p.Body()})
+	_ = transport.Send(transport.Message{From: 1, To: 2, Kind: "Excepton", Action: 9, Body: p.Body()}) // want "undeclared message kind"
+	_ = transport.Send(transport.Message{From: 1, To: 2, Kind: "Exception", Body: p.Body()})           // want "enters the fabric untagged"
+	_ = transport.Send(transport.Message{From: 1, To: 2, Kind: k, Action: 9, Body: p.Body()})          // dynamic kinds pass
+	_ = transport.Send(transport.Message{From: 1, To: 2, Kind: "Exception", Action: 9, Payload: p})    // want "boxed into Message.Payload"
+	_ = transport.Send(transport.Message{From: 1, To: 2, Kind: "conformance", Payload: "scratch"})     // non-protocol payload passes
 }

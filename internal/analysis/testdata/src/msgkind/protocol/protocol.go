@@ -2,6 +2,10 @@
 // transport fabric carries: the analyzers match it by package and type name.
 package protocol
 
+import "msgkind/transport"
+
 type Msg struct {
 	Kind string
 }
+
+func (Msg) Body() transport.Body { return transport.Body{} }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/fifo"
 	"repro/internal/group"
 	"repro/internal/ident"
+	"repro/internal/transport"
 	"repro/internal/vclock"
 )
 
@@ -83,6 +84,8 @@ func (s *Server) dispatcherFor(obj ident.ObjectID) (*dispatcher, error) {
 // the object. The put happens under d.mu: once unregister has returned no put
 // is in flight, so a recycled mailbox can never receive a finished action's
 // late message.
+//
+//caa:noalloc
 func (d *dispatcher) route(dv group.Delivery) {
 	d.mu.Lock()
 	if mb := d.routes[dv.Action]; mb != nil {
@@ -142,6 +145,9 @@ func newMailbox(clk vclock.Clock) *mailbox {
 	return &mailbox{clk: clk, ready: make(chan struct{}, 1)}
 }
 
+// put queues one delivery, by value, and holds its clock token.
+//
+//caa:noalloc
 func (m *mailbox) put(d group.Delivery) {
 	m.clk.Hold(vclock.Mailbox)
 	m.mu.Lock()
@@ -150,6 +156,9 @@ func (m *mailbox) put(d group.Delivery) {
 	m.signal()
 }
 
+// take pops the oldest delivery, if any.
+//
+//caa:noalloc
 func (m *mailbox) take() (group.Delivery, bool) {
 	m.mu.Lock()
 	d, ok := m.queue.Pop()
@@ -200,9 +209,18 @@ func (r *sessionRoute) attach(d *dispatcher, root ident.ActionID) {
 	d.register(root, r.inbox)
 }
 
-// send transmits one message on the shared transport, tagged for this
-// session.
-func (r *sessionRoute) send(to ident.ObjectID, kind string, payload any) error {
+// send transmits one protocol message on the shared transport, tagged for
+// this session. The body travels by value all the way to the receiving
+// engine.
+//
+//caa:noalloc
+func (r *sessionRoute) send(to ident.ObjectID, kind string, body transport.Body) error {
+	return r.disp.tr.SendMessage(transport.Message{To: to, Kind: kind, Action: r.root, Body: body})
+}
+
+// notify transmits one membership control message (heartbeat, view, rejoin
+// or lease traffic) on the shared transport, tagged for this session.
+func (r *sessionRoute) notify(to ident.ObjectID, kind string, payload any) error {
 	return r.disp.tr.SendTagged(to, kind, r.root, payload)
 }
 

@@ -230,12 +230,12 @@ func (p *participant) startMembership() {
 	cfg := mo.withDefaults()
 	members := p.run.spec.Members
 	clk := p.run.sys.clk
-	p.detector = group.NewFedDetector(p.obj, p.route.send, members, cfg.Heartbeat, cfg.Timeout, clk)
+	p.detector = group.NewFedDetector(p.obj, p.route.notify, members, cfg.Heartbeat, cfg.Timeout, clk)
 	mcfg := membership.Config{
 		Self:      p.obj,
 		Members:   members,
 		Suspector: p.detector,
-		Send:      p.route.send,
+		Send:      p.route.notify,
 		Poll:      cfg.Poll,
 		Clock:     clk,
 		Lease:     mo.Lease,

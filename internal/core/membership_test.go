@@ -1,14 +1,15 @@
 package core
 
 import (
-	"repro/internal/vclock"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/ident"
 	"repro/internal/protocol"
+	"repro/internal/vclock"
 )
 
 // fastMembership keeps partition tests quick without racing the detector's
@@ -139,14 +140,25 @@ func TestPartitionExpelsMinority(t *testing.T) {
 // failure; the cut then stands until healed with no run in progress, after
 // which a third action sees the whole group.
 func TestConcurrentMembershipActionsShareOneFabric(t *testing.T) {
-	sys := NewServer(Options{Membership: fastMembership()})
+	// Virtual time: a heartbeat is late only when the test says so, never
+	// because the box was busy.
+	clk := vclock.NewVirtual()
+	clk.StartAuto()
+	defer clk.StopAuto()
+	sys := NewServer(Options{Membership: fastMembership(), Clock: clk})
 	defer sys.Close()
 	members := []ident.ObjectID{1, 2, 3, 4, 5}
+	var bound sync.WaitGroup
+	bound.Add(2 * len(members))
 	forever := func(ctx *Context) error {
+		bound.Done()
 		ctx.Sleep(time.Hour)
 		return nil
 	}
 
+	// The test holds a token until the cut is in place: time stands still
+	// while both runs bind, then moves exactly 20 ms of beats before the cut.
+	clk.Hold(vclock.Run)
 	type result struct {
 		out Outcome
 		err error
@@ -160,14 +172,17 @@ func TestConcurrentMembershipActionsShareOneFabric(t *testing.T) {
 			ch <- result{out, err}
 		}()
 	}
-	time.Sleep(20 * time.Millisecond) // let participants bind and beat
-	if err := sys.Partition("storm", 5); err != nil {
+	bound.Wait()                     // every body of both runs has started
+	clk.Sleep(20 * time.Millisecond) // let participants beat
+	err := sys.Partition("storm", 5)
+	clk.Release(vclock.Run)
+	if err != nil {
 		t.Fatalf("partition: %v", err)
 	}
 	for k, ch := range results {
 		r := <-ch
 		if r.err != nil {
-			t.Fatalf("action %d: %v (outcome %+v)", k, r.err, r.out)
+			t.Fatalf("action %d: %v (clock: %v; outcome %+v)", k, r.err, clk, r.out)
 		}
 		out := r.out
 		if !out.Completed || out.Resolved != ExcParticipantFailure {
@@ -178,10 +193,10 @@ func TestConcurrentMembershipActionsShareOneFabric(t *testing.T) {
 		}
 	}
 	sys.mu.Lock()
-	bound := len(sys.dispatchers)
+	dispatchers := len(sys.dispatchers)
 	sys.mu.Unlock()
-	if bound != len(members) {
-		t.Errorf("%d dispatchers, want one per object (%d)", bound, len(members))
+	if dispatchers != len(members) {
+		t.Errorf("%d dispatchers, want one per object (%d)", dispatchers, len(members))
 	}
 
 	sys.HealPartition("storm") // no run in progress
@@ -190,7 +205,7 @@ func TestConcurrentMembershipActionsShareOneFabric(t *testing.T) {
 		return nil
 	}), membershipDeadline)
 	if err != nil {
-		t.Fatalf("post-heal run: %v (outcome %+v)", err, out)
+		t.Fatalf("post-heal run: %v (clock: %v; outcome %+v)", err, clk, out)
 	}
 	if !out.Completed || out.Resolved != "" || len(out.Expelled) != 0 {
 		t.Errorf("post-heal outcome = %+v, want clean completion with nobody expelled", out)

@@ -283,29 +283,29 @@ func (p *participant) serve(r request) bool {
 	return true
 }
 
-// handleDelivery feeds one transport delivery to the engine. Wire decoding
-// (when enabled) happens at the transport boundary, so deliveries always
-// carry native messages. Membership traffic shares the stream and is teed
-// off before the engine sees it.
+// handleDelivery feeds one transport delivery to the engine, rebuilding the
+// protocol message from the envelope's kind and sender and the body carried
+// by value. Wire decoding (when enabled) happens at the transport boundary,
+// so deliveries always carry native bodies. Membership traffic shares the
+// stream and is teed off before the engine sees it.
+//
+//caa:noalloc
 func (p *participant) handleDelivery(d group.Delivery) {
 	switch d.Kind {
 	case expelNote:
 		p.engine.ExpelMember(d.From, ExcParticipantFailure)
-		return
 	case group.KindHeartbeat:
 		if p.detector != nil {
 			p.detector.Observe(d.From)
 		}
-		return
 	case membership.KindView, membership.KindRejoinRequest, membership.KindWelcome,
 		membership.KindLeaseRequest, membership.KindLeaseGrant:
 		if p.monitor != nil {
 			p.monitor.DeliverMessage(d.From, d.Kind, d.Payload)
 		}
-		return
-	}
-	if m, ok := d.Payload.(protocol.Msg); ok {
-		p.engine.HandleMessage(m)
+	case protocol.KindException, protocol.KindHaveNested, protocol.KindNestedCompleted,
+		protocol.KindAck, protocol.KindCommit:
+		p.engine.HandleMessage(protocol.MsgOf(d.Kind, d.From, d.Body))
 	}
 }
 
@@ -399,12 +399,16 @@ func (p *participant) wakeBody() {
 
 // --- engine hooks (engine goroutine) ---
 
+// hookSend sends one protocol message as its body, by value: the envelope
+// carries its kind and sender. The directory's codec (wire encoding, when
+// enabled) applies at the transport boundary; encode failures surface as
+// send errors. The send carries the session's root action tag so the
+// receiving dispatcher can route the frame without decoding it.
+//
+//caa:noalloc
 func (p *participant) hookSend(to ident.ObjectID, m protocol.Msg) {
-	// The directory's codec (wire encoding, when enabled) applies at the
-	// transport boundary; encode failures surface as send errors. The send
-	// carries the session's root action tag so the receiving dispatcher can
-	// route the frame without decoding it.
-	if err := p.route.send(to, m.Kind, m); err != nil {
+	if err := p.route.send(to, m.Kind, m.Body()); err != nil {
+		//protolint:allow noalloc send-failure path: the error's text, never taken while the object is bound
 		p.run.sys.log.Record(trace.Event{Kind: trace.EvNote, Object: p.obj,
 			Label: "send-error", Detail: err.Error()})
 	}

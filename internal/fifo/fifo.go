@@ -30,6 +30,10 @@ func (q *Queue[T]) Push(v T) {
 	q.buf = append(q.buf, v)
 }
 
+// At returns the i-th queued element (0 = the front), in place. i must be
+// below Len.
+func (q *Queue[T]) At(i int) *T { return &q.buf[q.head+i] }
+
 // Pop removes and returns the front element; ok is false on an empty queue.
 func (q *Queue[T]) Pop() (v T, ok bool) {
 	if q.head == len(q.buf) {

@@ -16,6 +16,11 @@ func TestQueueFIFOAcrossWraps(t *testing.T) {
 			q.Push(next)
 			next++
 		}
+		for i := 0; i < q.Len(); i++ {
+			if v := *q.At(i); v != want+i {
+				t.Fatalf("round %d: At(%d) = %d, want %d", round, i, v, want+i)
+			}
+		}
 		for i := 0; i < 1+round%5 && q.Len() > 0; i++ {
 			v, ok := q.Pop()
 			if !ok || v != want {

@@ -32,11 +32,13 @@ import (
 // Delivery is a message handed to the application layer. Action carries the
 // sender's routing tag (zero when sent with plain Send), so a receiver hosting
 // many concurrent actions can demultiplex deliveries — protocol messages and
-// membership traffic alike — without inspecting payloads.
+// membership traffic alike — without inspecting their content. Body is a
+// protocol message's content, by value; Payload is everything else's.
 type Delivery struct {
 	From    ident.ObjectID
 	Kind    string
 	Action  ident.ActionID
+	Body    transport.Body
 	Payload any
 }
 
@@ -50,6 +52,11 @@ type Transport interface {
 	// SendTagged is Send with an action routing tag carried in the envelope;
 	// it surfaces as Delivery.Action at the receiver.
 	SendTagged(to ident.ObjectID, kind string, action ident.ActionID, payload any) error
+	// SendMessage transmits m to m.To: the one send path, which Send and
+	// SendTagged wrap. m's Kind, Action, Body and Payload surface in the
+	// Delivery; its From is the transport's own and its Header the
+	// transport's to set.
+	SendMessage(m transport.Message) error
 	// Recv yields deliveries; the channel closes when the transport closes.
 	// It is nil for a transport bound with a deliver function (BindRaw,
 	// BindR3), which hands deliveries over on the port's goroutine instead.
@@ -68,11 +75,8 @@ type Transport interface {
 type Port interface {
 	// Self returns the owning object's identifier.
 	Self() ident.ObjectID
-	// Send transmits one message to the named object.
-	Send(to ident.ObjectID, kind string, payload any) error
-	// SendTagged transmits one message with an action routing tag in the
-	// fabric envelope.
-	SendTagged(to ident.ObjectID, kind string, action ident.ActionID, payload any) error
+	// SendMessage transmits m, stamped as sent from this port, to m.To.
+	SendMessage(m transport.Message) error
 	// Reachable reports whether the fabric can currently route to the named
 	// object (nil when it can).
 	Reachable(to ident.ObjectID) error
@@ -109,10 +113,10 @@ func memberErr(err error) error {
 // Option configures a Directory.
 type Option func(*Directory)
 
-// WithCodec forces every application payload the group's transports carry
-// through the given encode/decode boundary (the disjoint-address-space
-// enforcement of §2.1). The codec applies to the payload inside the group's
-// envelopes, so it composes with both the raw and the reliable transport.
+// WithCodec forces every protocol body the group's transports carry through
+// the given codec's bytes (the disjoint-address-space enforcement of §2.1).
+// The codec sees a reliable-transport envelope as the message it wraps, so
+// it composes with both the raw and the reliable transport.
 func WithCodec(c transport.Codec) Option {
 	return func(d *Directory) { d.codec = c }
 }
@@ -137,8 +141,12 @@ func NewDirectory(net *netsim.Network, opts ...Option) *Directory {
 	for _, o := range opts {
 		o(d)
 	}
+	var codec transport.Codec
+	if d.codec != nil {
+		codec = envelopeCodec{inner: d.codec}
+	}
 	d.fabric = transport.NewConcurrent(net, transport.ConcurrentOptions{
-		Codec:  envelopeCodec{inner: d.codec},
+		Codec:  codec,
 		Faults: d.cuts.Verdict, // bound once: a send with no cut allocates nothing
 	})
 	return d
@@ -198,61 +206,42 @@ func (d *Directory) Members() []ident.ObjectID {
 	return out
 }
 
-// envelope is the wire format of the reliable transport: the application
-// payload plus the sequencing metadata reliability needs. The raw transport
-// sends application payloads bare.
-type envelope struct {
-	From    ident.ObjectID
-	Kind    string
-	Action  ident.ActionID // routing tag; survives retransmission with the envelope
-	Payload any
-	Seq     uint64
-	Ack     uint64 // cumulative ack piggyback / explicit ack
-	IsAck   bool
-}
-
-// KindEnvelope is the wire kind of the reliable transport's envelopes; it is
-// exported (with KindHeartbeat and membership.KindView) so the msgkind census
-// and the viewkind analyzer can enumerate the group-layer kinds.
+// KindEnvelope is the wire kind of the reliable transport's envelopes: a
+// message of this kind carries its sequencing in its Header, and Header.Kind
+// is the kind of the message it wraps. It is exported (with KindHeartbeat and
+// membership.KindView) so the msgkind census and the viewkind analyzer can
+// enumerate the group-layer kinds.
 const KindEnvelope = "group.envelope"
 
 const wireKind = KindEnvelope
 
-// envelopeCodec adapts an application-payload codec to the group's traffic:
-// bare payloads (raw transport) go straight through the inner codec, while
-// reliable-transport envelopes have their inner payload translated so the
-// sequencing metadata stays native. A nil inner codec passes everything
-// through untouched.
+// unwrap presents a reliable-transport envelope to a codec as the message it
+// wraps; any other message is its own.
+//
+//caa:noalloc
+func unwrap(m transport.Message) transport.Message {
+	if m.Kind == wireKind {
+		m.Kind = m.Header.Kind
+	}
+	return m
+}
+
+// envelopeCodec adapts a protocol-body codec to the group's in-process
+// traffic: a reliable-transport envelope is shown to the inner codec as the
+// message it wraps, so its body is translated while the sequencing header
+// stays native.
 type envelopeCodec struct {
 	inner transport.Codec
 }
 
-func (c envelopeCodec) Encode(v any) (any, error) {
-	if c.inner == nil {
-		return v, nil
-	}
-	if env, ok := v.(envelope); ok {
-		p, err := c.inner.Encode(env.Payload)
-		if err != nil {
-			return nil, err
-		}
-		env.Payload = p
-		return env, nil
-	}
-	return c.inner.Encode(v)
+func (c envelopeCodec) Size(m transport.Message) (int, bool) { return c.inner.Size(unwrap(m)) }
+
+func (c envelopeCodec) Append(dst []byte, m transport.Message) ([]byte, error) {
+	return c.inner.Append(dst, unwrap(m))
 }
 
-func (c envelopeCodec) Decode(v any) (any, error) {
-	if c.inner == nil {
-		return v, nil
-	}
-	if env, ok := v.(envelope); ok {
-		p, err := c.inner.Decode(env.Payload)
-		if err != nil {
-			return nil, err
-		}
-		env.Payload = p
-		return env, nil
-	}
-	return c.inner.Decode(v)
+func (c envelopeCodec) Decode(m transport.Message, b []byte) (transport.Message, error) {
+	d, err := c.inner.Decode(unwrap(m), b)
+	d.Kind = m.Kind
+	return d, err
 }

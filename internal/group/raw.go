@@ -10,7 +10,7 @@ import (
 // RawTransport is the baseline transport: it relies on the fabric itself
 // being reliable and FIFO (the paper's §4.2 assumption, "FIFO message
 // sending/receiving between objects"). Use it over a netsim configuration
-// that has no drop or duplication. Payloads travel bare on the port — the
+// that has no drop or duplication. Messages travel bare on the port — the
 // directory's codec (if any) applies to them directly. It has no goroutine of
 // its own: deliver runs on the port's.
 type RawTransport struct {
@@ -29,7 +29,7 @@ var _ Transport = (*RawTransport)(nil)
 func BindRaw(dir Binder, obj ident.ObjectID, deliver func(Delivery)) (*RawTransport, error) {
 	t := &RawTransport{self: obj, sink: newSink(deliver)}
 	port, err := dir.Bind(obj, func(m transport.Message) {
-		t.deliver(Delivery{From: m.From, Kind: m.Kind, Action: m.Action, Payload: m.Payload})
+		t.deliver(Delivery{From: m.From, Kind: m.Kind, Action: m.Action, Body: m.Body, Payload: m.Payload})
 	}, t.stopped)
 	if err != nil {
 		return nil, err
@@ -48,13 +48,20 @@ func (t *RawTransport) Self() ident.ObjectID { return t.self }
 
 // Send transmits one message to a peer.
 func (t *RawTransport) Send(to ident.ObjectID, kind string, payload any) error {
-	return memberErr(t.port.Send(to, kind, payload))
+	return t.SendMessage(transport.Message{To: to, Kind: kind, Payload: payload})
 }
 
 // SendTagged transmits one message with an action routing tag in the fabric
 // envelope.
 func (t *RawTransport) SendTagged(to ident.ObjectID, kind string, action ident.ActionID, payload any) error {
-	return memberErr(t.port.SendTagged(to, kind, action, payload))
+	return t.SendMessage(transport.Message{To: to, Kind: kind, Action: action, Payload: payload})
+}
+
+// SendMessage transmits m to m.To as it is: the raw transport adds nothing.
+//
+//caa:noalloc
+func (t *RawTransport) SendMessage(m transport.Message) error {
+	return memberErr(t.port.SendMessage(m))
 }
 
 // Close stops delivery and returns once the port's goroutine has exited.

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/fifo"
 	"repro/internal/ident"
 	"repro/internal/transport"
 	"repro/internal/vclock"
@@ -48,11 +49,11 @@ var _ Transport = (*R3Transport)(nil)
 type peerState struct {
 	// Sender side.
 	sendSeq uint64
-	ackedTo uint64 // highest cumulative ack processed
-	unacked map[uint64]*outMsg
+	ackedTo uint64             // highest cumulative ack processed
+	unacked fifo.Queue[outMsg] // the messages (ackedTo, sendSeq], oldest first, by value
 	// Receiver side.
 	recvNext uint64 // next expected sequence number (first is 1)
-	pending  map[uint64]envelope
+	pending  map[uint64]Delivery
 	ackOwed  bool // an in-order arrival that no outgoing envelope has acknowledged yet
 }
 
@@ -65,9 +66,8 @@ func (ps *peerState) takeAck() uint64 {
 
 // applyAck processes a cumulative ack from this peer, stand-alone or
 // piggy-backed. Acks are cumulative and sequence numbers contiguous: advance
-// the watermark and delete exactly the newly covered range. Scanning the
-// whole map per ack would be O(window) and lets the window growth feed on
-// itself under load.
+// the watermark and drop exactly the newly covered messages from the front
+// of the window.
 func (ps *peerState) applyAck(ack uint64) {
 	if ack > ps.sendSeq {
 		// Off the wire, so not to be trusted: nothing beyond what was sent
@@ -75,22 +75,22 @@ func (ps *peerState) applyAck(ack uint64) {
 		// (ackedTo, sendSeq], which tick walks.
 		ack = ps.sendSeq
 	}
-	for seq := ps.ackedTo + 1; seq <= ack; seq++ {
-		delete(ps.unacked, seq)
-	}
-	if ack > ps.ackedTo {
-		ps.ackedTo = ack
+	for ; ps.ackedTo < ack; ps.ackedTo++ {
+		ps.unacked.Pop()
 	}
 }
 
-// outMsg tracks one unacknowledged message with its retransmission state.
-// Each entry has its own timeout with exponential backoff: without it, the
-// ticker re-blasts the whole backlog every period, the duplicates trigger
-// re-acks, and the ack backlog delays the very acknowledgements that would
-// clear the window — a self-amplifying retransmission storm (congestion
-// collapse).
+// outMsg tracks one unacknowledged message with its retransmission state;
+// its sequence number is its place in the queue. Each entry has its own
+// timeout with exponential backoff: without it, the ticker re-blasts the
+// whole backlog every period, the duplicates trigger re-acks, and the ack
+// backlog delays the very acknowledgements that would clear the window — a
+// self-amplifying retransmission storm (congestion collapse).
 type outMsg struct {
-	env      envelope
+	kind     string
+	action   ident.ActionID
+	body     transport.Body
+	payload  any
 	lastSent time.Time
 	rto      time.Duration
 }
@@ -98,8 +98,7 @@ type outMsg struct {
 func newPeerState() *peerState {
 	return &peerState{
 		recvNext: 1,
-		unacked:  make(map[uint64]*outMsg),
-		pending:  make(map[uint64]envelope),
+		pending:  make(map[uint64]Delivery),
 	}
 }
 
@@ -153,27 +152,37 @@ func NewR3Transport(dir Binder, obj ident.ObjectID, retransmit time.Duration) (*
 // Self returns the owning object's identifier.
 func (t *R3Transport) Self() ident.ObjectID { return t.self }
 
-// Send queues one message for reliable delivery to a peer. The destination
-// is validated before any sender state changes, so a failed send leaves no
-// phantom retransmission entry behind.
+// Send queues one message for reliable delivery to a peer.
 func (t *R3Transport) Send(to ident.ObjectID, kind string, payload any) error {
-	return t.SendTagged(to, kind, 0, payload)
+	return t.SendMessage(transport.Message{To: to, Kind: kind, Payload: payload})
 }
 
 // SendTagged queues one message for reliable delivery with an action routing
-// tag. The tag lives in the reliable envelope itself, so retransmitted copies
-// stay routable.
+// tag.
 func (t *R3Transport) SendTagged(to ident.ObjectID, kind string, action ident.ActionID, payload any) error {
-	if err := t.port.Reachable(to); err != nil {
+	return t.SendMessage(transport.Message{To: to, Kind: kind, Action: action, Payload: payload})
+}
+
+// SendMessage queues m for reliable delivery to m.To. The destination is
+// validated before any sender state changes, so a failed send leaves no
+// phantom retransmission entry behind. The envelope is m itself, by value:
+// its Header carries m's kind and the sequencing, and its Action stays the
+// routing tag, so retransmitted copies stay routable.
+//
+//caa:noalloc
+func (t *R3Transport) SendMessage(m transport.Message) error {
+	if err := t.port.Reachable(m.To); err != nil {
 		return memberErr(err)
 	}
 	t.mu.Lock()
-	ps := t.peer(to)
+	ps := t.peer(m.To)
 	ps.sendSeq++
-	env := envelope{From: t.self, Kind: kind, Action: action, Payload: payload, Seq: ps.sendSeq, Ack: ps.takeAck()}
-	ps.unacked[env.Seq] = &outMsg{env: env, lastSent: t.clk.Now(), rto: t.retransmit}
+	ps.unacked.Push(outMsg{kind: m.Kind, action: m.Action, body: m.Body, payload: m.Payload,
+		lastSent: t.clk.Now(), rto: t.retransmit})
+	m.Header = transport.Header{Kind: m.Kind, Seq: ps.sendSeq, Ack: ps.takeAck()}
 	t.mu.Unlock()
-	return memberErr(t.port.SendTagged(to, wireKind, action, env))
+	m.Kind = wireKind
+	return memberErr(t.port.SendMessage(m))
 }
 
 // Close stops the ticker and the port, and returns once the port's goroutine
@@ -213,12 +222,12 @@ func (t *R3Transport) onTick() {
 // handle is the port's handler: everything R3 does on receipt happens here,
 // on the port's goroutine.
 func (t *R3Transport) handle(m transport.Message) {
-	switch env, ok := m.Payload.(envelope); {
-	case !ok:
-	case env.IsAck:
-		t.handleAck(env)
+	switch {
+	case m.Kind != wireKind:
+	case m.Header.IsAck:
+		t.handleAck(m.From, m.Header.Ack)
 	default:
-		t.handleData(env)
+		t.handleData(m)
 	}
 }
 
@@ -227,14 +236,16 @@ func (t *R3Transport) handle(m transport.Message) {
 // became deliverable, in sequence. Only an arrival that tells of loss is
 // answered on the spot; a plain in-order one waits for a piggyback or the
 // ticker. The ack goes out and deliver runs after mu is released.
-func (t *R3Transport) handleData(env envelope) {
+func (t *R3Transport) handleData(m transport.Message) {
+	d := Delivery{From: m.From, Kind: m.Header.Kind, Action: m.Action, Body: m.Body, Payload: m.Payload}
+	seq := m.Header.Seq
 	t.mu.Lock()
-	ps := t.peer(env.From)
-	ps.applyAck(env.Ack)
-	inOrder := env.Seq == ps.recvNext
-	var gap []envelope // what env released from the out-of-order buffer
+	ps := t.peer(m.From)
+	ps.applyAck(m.Header.Ack)
+	inOrder := seq == ps.recvNext
+	var gap []Delivery // what m released from the out-of-order buffer
 	switch {
-	case env.Seq < ps.recvNext:
+	case seq < ps.recvNext:
 		// Duplicate of an already-delivered message: our ack went missing.
 	case inOrder:
 		ps.recvNext++
@@ -249,7 +260,7 @@ func (t *R3Transport) handleData(env envelope) {
 		}
 		ps.ackOwed = true
 	default:
-		ps.pending[env.Seq] = env
+		ps.pending[seq] = d
 	}
 	// Having closed a gap, the sender is mid-recovery with timers running on
 	// everything behind it: tell it now.
@@ -261,23 +272,25 @@ func (t *R3Transport) handleData(env envelope) {
 	t.mu.Unlock()
 
 	if ackNow {
-		_ = t.port.Send(env.From, wireKind, envelope{From: t.self, IsAck: true, Ack: ackUpTo})
+		_ = t.port.SendMessage(standaloneAck(m.From, ackUpTo))
 	}
 	if inOrder {
-		t.deliver(env.delivery())
+		t.deliver(d)
 	}
 	for _, next := range gap {
-		t.deliver(next.delivery())
+		t.deliver(next)
 	}
 }
 
-func (e envelope) delivery() Delivery {
-	return Delivery{From: e.From, Kind: e.Kind, Action: e.Action, Payload: e.Payload}
+// standaloneAck is the envelope that acknowledges everything up to ack to
+// the named peer and carries nothing else.
+func standaloneAck(to ident.ObjectID, ack uint64) transport.Message {
+	return transport.Message{To: to, Kind: wireKind, Header: transport.Header{IsAck: true, Ack: ack}}
 }
 
-func (t *R3Transport) handleAck(env envelope) {
+func (t *R3Transport) handleAck(from ident.ObjectID, ack uint64) {
 	t.mu.Lock()
-	t.peer(env.From).applyAck(env.Ack)
+	t.peer(from).applyAck(ack)
 	t.mu.Unlock()
 }
 
@@ -288,14 +301,10 @@ func (t *R3Transport) handleAck(env envelope) {
 func (t *R3Transport) tick() {
 	now := t.clk.Now()
 	t.mu.Lock()
-	type outgoing struct {
-		to  ident.ObjectID
-		env envelope
-	}
-	var batch []outgoing
+	var batch []transport.Message
 	for peerID, ps := range t.peers {
-		for seq := ps.ackedTo + 1; seq <= min(ps.sendSeq, ps.ackedTo+retransmitWindow); seq++ {
-			m := ps.unacked[seq]
+		for i := 0; i < min(ps.unacked.Len(), retransmitWindow); i++ {
+			m := ps.unacked.At(i)
 			if now.Sub(m.lastSent) < m.rto {
 				continue // its own timeout has not expired yet
 			}
@@ -303,15 +312,17 @@ func (t *R3Transport) tick() {
 			if m.rto *= 2; m.rto > maxRTO {
 				m.rto = maxRTO
 			}
-			m.env.Ack = ps.takeAck()
-			batch = append(batch, outgoing{to: peerID, env: m.env})
+			batch = append(batch, transport.Message{To: peerID, Kind: wireKind, Action: m.action,
+				Header:  transport.Header{Kind: m.kind, Seq: ps.ackedTo + 1 + uint64(i), Ack: ps.takeAck()},
+				Body:    m.body,
+				Payload: m.payload})
 		}
 		if ps.ackOwed {
-			batch = append(batch, outgoing{to: peerID, env: envelope{From: t.self, IsAck: true, Ack: ps.takeAck()}})
+			batch = append(batch, standaloneAck(peerID, ps.takeAck()))
 		}
 	}
 	t.mu.Unlock()
-	for _, o := range batch {
-		_ = t.port.SendTagged(o.to, wireKind, o.env.Action, o.env)
+	for _, m := range batch {
+		_ = t.port.SendMessage(m)
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/ident"
 	"repro/internal/netsim"
+	"repro/internal/transport"
 	"repro/internal/vclock"
 )
 
@@ -20,31 +21,28 @@ const testRetransmit = 10 * time.Millisecond
 // the envelopes that left.
 type recordingPort struct {
 	self ident.ObjectID
-	sent []envelope
+	sent []transport.Message
 	got  []Delivery // what the transport's deliver was called with
 }
 
 // handled feeds one data envelope to the transport and returns what that
 // delivered.
-func (p *recordingPort) handled(tr *R3Transport, env envelope) []Delivery {
+func (p *recordingPort) handled(tr *R3Transport, env transport.Message) []Delivery {
 	p.got = nil
 	tr.handleData(env)
 	return p.got
 }
 
 func (p *recordingPort) Self() ident.ObjectID { return p.self }
-func (p *recordingPort) Send(to ident.ObjectID, kind string, payload any) error {
-	return p.SendTagged(to, kind, 0, payload)
-}
-func (p *recordingPort) SendTagged(_ ident.ObjectID, _ string, _ ident.ActionID, payload any) error {
-	p.sent = append(p.sent, payload.(envelope))
+func (p *recordingPort) SendMessage(m transport.Message) error {
+	p.sent = append(p.sent, m)
 	return nil
 }
 func (p *recordingPort) Reachable(ident.ObjectID) error { return nil }
 func (p *recordingPort) Close()                         {}
 
 // take returns and forgets what was sent since the last call.
-func (p *recordingPort) take() []envelope {
+func (p *recordingPort) take() []transport.Message {
 	out := p.sent
 	p.sent = nil
 	return out
@@ -66,17 +64,23 @@ func newLooplessR3() (*R3Transport, *recordingPort, *vclock.Virtual) {
 }
 
 // data is an envelope from peer 2.
-func data(seq, ack uint64) envelope {
-	return envelope{From: 2, Kind: "m", Payload: int(seq), Seq: seq, Ack: ack}
+func data(seq, ack uint64) transport.Message {
+	return transport.Message{From: 2, Kind: wireKind, Header: transport.Header{Kind: "m", Seq: seq, Ack: ack}, Payload: int(seq)}
 }
 
-func wantSent(t *testing.T, got []envelope, want ...envelope) {
+// envelope is what a test expects of a sent envelope's header.
+type envelope = transport.Header
+
+func wantSent(t *testing.T, got []transport.Message, want ...envelope) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("sent %d envelopes %+v, want %d %+v", len(got), got, len(want), want)
 	}
 	for i := range want {
-		g, w := got[i], want[i]
+		g, w := got[i].Header, want[i]
+		if got[i].Kind != wireKind {
+			t.Errorf("envelope %d has kind %q, want %q", i, got[i].Kind, wireKind)
+		}
 		if g.IsAck != w.IsAck || g.Ack != w.Ack || g.Seq != w.Seq {
 			t.Errorf("envelope %d = {IsAck:%v Ack:%d Seq:%d}, want {IsAck:%v Ack:%d Seq:%d}",
 				i, g.IsAck, g.Ack, g.Seq, w.IsAck, w.Ack, w.Seq)
@@ -171,20 +175,20 @@ func TestR3RetransmitsOldestFirst(t *testing.T) {
 
 	// The window slides with the watermark: what an ack lets in is overdue
 	// already and goes out on the next tick, the rest keeps its backoff.
-	tr.handleAck(envelope{From: 2, IsAck: true, Ack: over / 2})
+	tr.handleAck(2, over/2)
 	tr.tick()
 	wantSeqs(t, port.take(), retransmitWindow+1, retransmitWindow+over/2)
 }
 
 // wantSeqs checks that got is the data envelopes first..last, in that order.
-func wantSeqs(t *testing.T, got []envelope, first, last uint64) {
+func wantSeqs(t *testing.T, got []transport.Message, first, last uint64) {
 	t.Helper()
 	if uint64(len(got)) != last-first+1 {
 		t.Fatalf("retransmitted %d envelopes, want seq %d..%d", len(got), first, last)
 	}
 	for i, env := range got {
-		if env.Seq != first+uint64(i) {
-			t.Fatalf("retransmission %d has seq %d, want %d: not in sequence order", i, env.Seq, first+uint64(i))
+		if env.Header.Seq != first+uint64(i) {
+			t.Fatalf("retransmission %d has seq %d, want %d: not in sequence order", i, env.Header.Seq, first+uint64(i))
 		}
 	}
 }
@@ -199,21 +203,21 @@ func TestR3PiggybackedAckApplied(t *testing.T) {
 	ps := tr.peers[2]
 
 	tr.handleData(data(1, 2)) // a data envelope's Ack counts exactly as an ack's does
-	if ps.ackedTo != 2 || len(ps.unacked) != 1 {
-		t.Fatalf("after piggy-backed ack 2: ackedTo=%d unacked=%d, want 2 and 1", ps.ackedTo, len(ps.unacked))
+	if ps.ackedTo != 2 || ps.unacked.Len() != 1 {
+		t.Fatalf("after piggy-backed ack 2: ackedTo=%d unacked=%d, want 2 and 1", ps.ackedTo, ps.unacked.Len())
 	}
 	tr.handleData(data(2, 1)) // stale: below the watermark
-	if ps.ackedTo != 2 || len(ps.unacked) != 1 {
-		t.Fatalf("after stale piggy-backed ack 1: ackedTo=%d unacked=%d, want 2 and 1", ps.ackedTo, len(ps.unacked))
+	if ps.ackedTo != 2 || ps.unacked.Len() != 1 {
+		t.Fatalf("after stale piggy-backed ack 1: ackedTo=%d unacked=%d, want 2 and 1", ps.ackedTo, ps.unacked.Len())
 	}
-	tr.handleAck(envelope{From: 2, IsAck: true, Ack: 99}) // beyond anything sent
-	if ps.ackedTo != 3 || len(ps.unacked) != 0 {
-		t.Fatalf("after ack 99: ackedTo=%d unacked=%d, want 3 and 0", ps.ackedTo, len(ps.unacked))
+	tr.handleAck(2, 99) // beyond anything sent
+	if ps.ackedTo != 3 || ps.unacked.Len() != 0 {
+		t.Fatalf("after ack 99: ackedTo=%d unacked=%d, want 3 and 0", ps.ackedTo, ps.unacked.Len())
 	}
 	if err := tr.Send(2, "m", "next"); err != nil {
 		t.Fatal(err)
 	}
-	if _, tracked := ps.unacked[4]; !tracked || ps.sendSeq != 4 {
+	if tracked := ps.ackedTo == 3 && ps.unacked.Len() == 1; !tracked || ps.sendSeq != 4 {
 		t.Fatalf("send after an over-reaching ack: seq=%d tracked=%v, want 4 and true", ps.sendSeq, tracked)
 	}
 }
@@ -259,7 +263,7 @@ func wantAcked(t *testing.T, tr *R3Transport, peer ident.ObjectID) {
 	t.Helper()
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	if n := len(tr.peer(peer).unacked); n != 0 {
+	if n := tr.peer(peer).unacked.Len(); n != 0 {
 		t.Fatalf("%s still has %d messages to %s unacknowledged", tr.Self(), n, peer)
 	}
 }

@@ -50,7 +50,7 @@ func TestNoRetransmissionStorm(t *testing.T) {
 	deadline := time.After(2 * time.Second)
 	for {
 		src.mu.Lock()
-		pending := len(src.peers[2].unacked)
+		pending := src.peers[2].unacked.Len()
 		src.mu.Unlock()
 		if pending < 64 {
 			break

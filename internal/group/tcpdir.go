@@ -3,6 +3,7 @@ package group
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 
@@ -14,9 +15,9 @@ import (
 // TCPDirOption configures a TCPDirectory.
 type TCPDirOption func(*TCPDirectory)
 
-// WithTCPCodec forces every application payload through the given
-// encode/decode boundary before it enters a socket, mirroring WithCodec on
-// the netsim directory. Post-encode payloads must be []byte, string or nil —
+// WithTCPCodec sends every protocol body through the given codec's bytes,
+// mirroring WithCodec on the netsim directory. Without one, and for any
+// message it does not translate, the payload must be []byte, string or nil:
 // over real sockets there is no in-process shortcut for richer values.
 func WithTCPCodec(c transport.Codec) TCPDirOption {
 	return func(d *TCPDirectory) { d.codec = c }
@@ -70,7 +71,7 @@ func (d *TCPDirectory) Bind(obj ident.ObjectID, fn transport.Handler, stopped fu
 	}
 
 	fab, err := transport.NewTCP(transport.TCPOptions{
-		Codec: newTCPCodec(d.codec),
+		Codec: tcpCodec{inner: d.codec},
 		Resolve: func(to ident.ObjectID) (string, error) {
 			return d.resolve(obj, to)
 		},
@@ -165,9 +166,9 @@ type tcpDirPort struct {
 func (p *tcpDirPort) Close() { _ = p.fabric.Close() }
 
 // Tagged byte layout the group's socket traffic uses. The codec must turn
-// every payload the transports emit — reliable-layer envelopes and bare
-// application payloads alike — into self-describing bytes, because a socket
-// carries no Go types.
+// every message the transports emit — reliable-layer envelopes and bare
+// messages alike — into self-describing bytes, because a socket carries no
+// Go types.
 const (
 	tagEnvelope = 'E'
 	tagBytes    = 'B'
@@ -175,210 +176,171 @@ const (
 	tagNil      = 'N'
 )
 
-// tcpCodec serialises group traffic for a socket fabric: envelopes keep
-// their sequencing metadata native to the layout while their application
-// payload goes through the inner codec; bare payloads go through the inner
-// codec directly. It is the socket-world counterpart of envelopeCodec.
+// tcpCodec is the group's socket layout, the codec of every member fabric: an
+// envelope's sequencing header goes first, then the content, tagged: the
+// body through the inner codec when that translates the message (the header
+// shows it the message it wraps), else the payload's own bytes. Every
+// message is translated, so its Size never says no. Bodies take no
+// intermediate slice: the inner codec appends straight into the message's
+// one buffer and decodes straight out of the frame body.
 type tcpCodec struct {
 	inner transport.Codec
-	// place is inner's in-place side when it has one: the payload is then
-	// encoded straight into the message's one buffer and decoded straight
-	// out of the frame body, with no intermediate slice on either side.
-	place inPlaceCodec
 }
 
-// inPlaceCodec is what an inner codec offers on top of transport.Codec when
-// it can work on a caller's buffer (wire.Codec does).
-type inPlaceCodec interface {
-	// EncodedSize reports the exact length AppendEncoded adds for payload;
-	// ok is false for a payload the codec passes through untranslated.
-	EncodedSize(payload any) (n int, ok bool)
-	// AppendEncoded appends the encoding of a payload EncodedSize accepted.
-	AppendEncoded(dst []byte, payload any) ([]byte, error)
-	// DecodeBytes is Decode for bytes off the wire; it must not retain b.
-	DecodeBytes(b []byte) (any, error)
-}
+var _ transport.Codec = tcpCodec{}
 
-func newTCPCodec(inner transport.Codec) tcpCodec {
-	place, _ := inner.(inPlaceCodec)
-	return tcpCodec{inner: inner, place: place}
-}
-
-// Encode implements transport.Codec.
-func (c tcpCodec) Encode(v any) (any, error) {
-	b, err := c.marshal(v)
-	if err != nil {
-		return nil, err
-	}
-	return b, nil
-}
-
-// marshal lays one message out in one exactly sized buffer: the envelope
-// header when v is an envelope, then the tagged payload.
-func (c tcpCodec) marshal(v any) ([]byte, error) {
-	env, isEnv := v.(envelope)
-	if isEnv {
-		v = env.Payload
-	}
-
-	// Settle the payload's tag and length first, so the buffer is sized once.
-	tag, n, inPlace := byte(tagNil), 0, false
-	if c.place != nil && v != nil {
-		n, inPlace = c.place.EncodedSize(v)
-	}
-	if inPlace {
-		tag = tagBytes
-	} else {
-		if c.inner != nil && v != nil {
-			ev, err := c.inner.Encode(v)
-			if err != nil {
-				return nil, err
-			}
-			v = ev
-		}
-		switch p := v.(type) {
-		case []byte:
-			tag, n = tagBytes, len(p)
-		case string:
-			tag, n = tagString, len(p)
-		case nil:
-		default:
-			return nil, fmt.Errorf("group: tcp payload must encode to []byte or string, got %T", v)
+// content settles how m's content is laid out after the header: its tag,
+// its length, and whether it is the body through the inner codec.
+func (c tcpCodec) content(m transport.Message) (tag byte, n int, body bool, err error) {
+	if c.inner != nil {
+		if n, ok := c.inner.Size(unwrap(m)); ok {
+			return tagBytes, n, true, nil
 		}
 	}
-
-	// The fixed-width-bounded fields go through a stack scratch, which gives
-	// their exact length without a second pass over the varints.
-	var scratch [2 + 6*binary.MaxVarintLen64 + 1]byte
-	head := scratch[:0]
-	if isEnv {
-		head = append(head, tagEnvelope, boolByte(env.IsAck))
-		head = binary.AppendVarint(head, int64(env.From))
-		head = binary.AppendVarint(head, int64(env.Action))
-		head = binary.AppendUvarint(head, env.Seq)
-		head = binary.AppendUvarint(head, env.Ack)
-		head = binary.AppendUvarint(head, uint64(len(env.Kind)))
-	}
-	kindAt := len(head)
-	head = append(head, tag)
-	if tag != tagNil {
-		head = binary.AppendUvarint(head, uint64(n))
-	}
-
-	buf := make([]byte, 0, len(head)+len(env.Kind)+n)
-	buf = append(buf, head[:kindAt]...)
-	buf = append(buf, env.Kind...)
-	buf = append(buf, head[kindAt:]...)
-	if inPlace {
-		return c.place.AppendEncoded(buf, v)
-	}
-	switch p := v.(type) {
+	switch p := m.Payload.(type) {
 	case []byte:
-		buf = append(buf, p...)
+		return tagBytes, len(p), false, nil
 	case string:
-		buf = append(buf, p...)
+		return tagString, len(p), false, nil
+	case nil:
+		return tagNil, 0, false, nil
 	}
-	return buf, nil
+	return 0, 0, false, fmt.Errorf("group: tcp payload must be []byte, string or nil, got %T", m.Payload)
 }
 
-// Decode implements transport.Codec. A bare or enveloped []byte payload in
-// the result is a sub-slice of v, not a copy: the fabric hands over one
-// buffer per frame and never reuses it.
-func (c tcpCodec) Decode(v any) (any, error) {
-	b, ok := v.([]byte)
-	if !ok {
-		return nil, fmt.Errorf("group: tcp codec expects bytes off the wire, got %T", v)
+// Size implements transport.Codec: the exact length Append lays m out in.
+// A payload Append refuses is sized as empty.
+func (c tcpCodec) Size(m transport.Message) (int, bool) {
+	tag, n, _, _ := c.content(m)
+	size := 1 + n
+	if tag != tagNil {
+		size += uvarintLen(uint64(n))
 	}
+	if m.Kind == wireKind {
+		h := m.Header
+		size += 2 + varintLen(int64(m.From)) + varintLen(int64(m.Action)) +
+			uvarintLen(h.Seq) + uvarintLen(h.Ack) + uvarintLen(uint64(len(h.Kind))) + len(h.Kind)
+	}
+	return size, true
+}
+
+// Append implements transport.Codec.
+func (c tcpCodec) Append(dst []byte, m transport.Message) ([]byte, error) {
+	tag, n, body, err := c.content(m)
+	if err != nil {
+		return dst, err
+	}
+	if m.Kind == wireKind {
+		h := m.Header
+		dst = append(dst, tagEnvelope, boolByte(h.IsAck))
+		dst = binary.AppendVarint(dst, int64(m.From))
+		dst = binary.AppendVarint(dst, int64(m.Action))
+		dst = binary.AppendUvarint(dst, h.Seq)
+		dst = binary.AppendUvarint(dst, h.Ack)
+		dst = binary.AppendUvarint(dst, uint64(len(h.Kind)))
+		dst = append(dst, h.Kind...)
+	}
+	dst = append(dst, tag)
+	if tag != tagNil {
+		dst = binary.AppendUvarint(dst, uint64(n))
+	}
+	if body {
+		return c.inner.Append(dst, unwrap(m))
+	}
+	switch p := m.Payload.(type) {
+	case []byte:
+		dst = append(dst, p...)
+	case string:
+		dst = append(dst, p...)
+	}
+	return dst, nil
+}
+
+// Decode implements transport.Codec. A []byte payload in the result is a
+// sub-slice of b, not a copy: the fabric hands over one buffer per frame and
+// never reuses it. An envelope's sender and action must be the frame's.
+func (c tcpCodec) Decode(m transport.Message, b []byte) (transport.Message, error) {
 	if len(b) == 0 {
-		return nil, fmt.Errorf("group: empty tcp payload")
+		return m, fmt.Errorf("group: empty tcp payload")
 	}
-	if b[0] != tagEnvelope {
-		val, rest, err := c.decodeTagged(b)
-		if err != nil {
-			return nil, err
+	if (b[0] == tagEnvelope) != (m.Kind == wireKind) {
+		return m, fmt.Errorf("group: %s frame with tag %q", m.Kind, b[0])
+	}
+	rest := b
+	if b[0] == tagEnvelope {
+		var err error
+		if rest, err = decodeHeader(&m, b); err != nil {
+			return m, err
 		}
+	}
+	if len(rest) == 0 {
+		return m, fmt.Errorf("group: missing payload tag")
+	}
+	tag, rest := rest[0], rest[1:]
+	if tag == tagNil {
 		if len(rest) != 0 {
-			return nil, fmt.Errorf("group: %d trailing bytes after payload", len(rest))
+			return m, fmt.Errorf("group: %d trailing bytes after payload", len(rest))
 		}
-		return val, nil
+		return m, nil
 	}
+	n, rest, ok := readUvarint(rest)
+	if !ok || n != uint64(len(rest)) {
+		return m, fmt.Errorf("group: bad payload length")
+	}
+	switch {
+	case tag == tagBytes && c.inner != nil && translates(c.inner, m):
+		d, err := c.inner.Decode(unwrap(m), rest)
+		d.Kind = m.Kind
+		return d, err
+	case tag == tagBytes:
+		m.Payload = rest
+	case tag == tagString:
+		m.Payload = string(rest)
+	default:
+		return m, fmt.Errorf("group: unknown payload tag %q", tag)
+	}
+	return m, nil
+}
+
+// translates reports whether inner translates m's body; the body plays no
+// part in the answer (transport.Codec), so the header alone asks.
+func translates(inner transport.Codec, m transport.Message) bool {
+	_, ok := inner.Size(unwrap(m))
+	return ok
+}
+
+// decodeHeader reads an envelope's sequencing header from b into m's Header
+// and returns what follows it.
+func decodeHeader(m *transport.Message, b []byte) ([]byte, error) {
 	if len(b) < 2 {
 		return nil, fmt.Errorf("group: truncated envelope")
 	}
-	env := envelope{IsAck: b[1] != 0}
+	h := transport.Header{IsAck: b[1] != 0}
 	rest := b[2:]
 	from, n := binary.Varint(rest)
-	if n <= 0 {
+	if n <= 0 || ident.ObjectID(from) != m.From {
 		return nil, fmt.Errorf("group: bad envelope sender")
 	}
-	env.From = ident.ObjectID(from)
 	rest = rest[n:]
 	action, n := binary.Varint(rest)
-	if n <= 0 {
+	if n <= 0 || ident.ActionID(action) != m.Action {
 		return nil, fmt.Errorf("group: bad envelope action")
 	}
-	env.Action = ident.ActionID(action)
 	rest = rest[n:]
-	if env.Seq, rest, ok = readUvarint(rest); !ok {
+	var ok bool
+	if h.Seq, rest, ok = readUvarint(rest); !ok {
 		return nil, fmt.Errorf("group: bad envelope seq")
 	}
-	if env.Ack, rest, ok = readUvarint(rest); !ok {
+	if h.Ack, rest, ok = readUvarint(rest); !ok {
 		return nil, fmt.Errorf("group: bad envelope ack")
 	}
 	var kindLen uint64
 	if kindLen, rest, ok = readUvarint(rest); !ok || kindLen > uint64(len(rest)) {
 		return nil, fmt.Errorf("group: bad envelope kind")
 	}
-	env.Kind = frame.Intern(rest[:kindLen])
-	payload, rest, err := c.decodeTagged(rest[kindLen:])
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("group: %d trailing bytes after envelope", len(rest))
-	}
-	env.Payload = payload
-	return env, nil
-}
-
-// decodeTagged reads one tagged primitive and hands it to the inner codec.
-func (c tcpCodec) decodeTagged(b []byte) (any, []byte, error) {
-	if len(b) == 0 {
-		return nil, nil, fmt.Errorf("group: missing payload tag")
-	}
-	tag, rest := b[0], b[1:]
-	if tag == tagNil {
-		return nil, rest, nil
-	}
-	n, rest, ok := readUvarint(rest)
-	if !ok || n > uint64(len(rest)) {
-		return nil, nil, fmt.Errorf("group: bad payload length")
-	}
-	raw, rest := rest[:n:n], rest[n:]
-	if tag == tagBytes && c.place != nil {
-		v, err := c.place.DecodeBytes(raw)
-		if err != nil {
-			return nil, nil, err
-		}
-		return v, rest, nil
-	}
-	var v any
-	switch tag {
-	case tagBytes:
-		v = raw
-	case tagString:
-		v = string(raw)
-	default:
-		return nil, nil, fmt.Errorf("group: unknown payload tag %q", tag)
-	}
-	if c.inner != nil {
-		dv, err := c.inner.Decode(v)
-		if err != nil {
-			return nil, nil, err
-		}
-		v = dv
-	}
-	return v, rest, nil
+	h.Kind = frame.Intern(rest[:kindLen])
+	m.Header = h
+	return rest[kindLen:], nil
 }
 
 func readUvarint(b []byte) (uint64, []byte, bool) {
@@ -388,6 +350,10 @@ func readUvarint(b []byte) (uint64, []byte, bool) {
 	}
 	return v, b[n:], true
 }
+
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+func varintLen(v int64) int { return uvarintLen(uint64(v<<1) ^ uint64(v>>63)) }
 
 func boolByte(v bool) byte {
 	if v {

@@ -1,7 +1,6 @@
 package group
 
 import (
-	"bytes"
 	"encoding/hex"
 	"fmt"
 	"reflect"
@@ -17,112 +16,96 @@ import (
 	"repro/internal/wire/frame"
 )
 
+// encode lays m out through c as a fabric does, checking that Size was exact.
+func encode(t *testing.T, c transport.Codec, m transport.Message) []byte {
+	t.Helper()
+	n, ok := c.Size(m)
+	if !ok {
+		t.Fatalf("%+v: codec does not translate it", m)
+	}
+	b, err := c.Append(make([]byte, 0, n), m)
+	if err != nil {
+		t.Fatalf("%+v: Append: %v", m, err)
+	}
+	if len(b) != n || cap(b) != n {
+		t.Fatalf("%+v: Size said %d, Append filled %d of %d", m, n, len(b), cap(b))
+	}
+	return b
+}
+
+// envelopeOf is what a receiving fabric knows of m before decoding: the frame.
+func envelopeOf(m transport.Message) transport.Message {
+	return transport.Message{From: m.From, To: m.To, Kind: m.Kind, Action: m.Action}
+}
+
 func TestTCPCodecRoundTrip(t *testing.T) {
 	c := tcpCodec{}
-	cases := []any{
-		envelope{From: 3, Kind: "app.kind", Payload: []byte("data"), Seq: 7, Ack: 2},
-		envelope{From: -9, Kind: "", Payload: "text", Seq: 1},
-		envelope{From: 1, IsAck: true, Ack: 41},
-		[]byte("bare bytes"),
-		"bare string",
-		nil,
+	cases := []transport.Message{
+		{From: 3, Kind: wireKind, Header: transport.Header{Kind: "app.kind", Seq: 7, Ack: 2}, Payload: []byte("data")},
+		{From: -9, Kind: wireKind, Header: transport.Header{Seq: 1}, Payload: "text"},
+		{From: 1, Kind: wireKind, Header: transport.Header{IsAck: true, Ack: 41}},
+		{From: 1, Kind: "app", Payload: []byte("bare bytes")},
+		{From: 1, Kind: "app", Payload: "bare string"},
+		{From: 1, Kind: "app"},
 	}
 	for i, want := range cases {
-		enc, err := c.Encode(want)
-		if err != nil {
-			t.Fatalf("case %d: Encode: %v", i, err)
-		}
-		got, err := c.Decode(enc)
+		got, err := c.Decode(envelopeOf(want), encode(t, c, want))
 		if err != nil {
 			t.Fatalf("case %d: Decode: %v", i, err)
 		}
-		switch w := want.(type) {
-		case envelope:
-			g, ok := got.(envelope)
-			if !ok {
-				t.Fatalf("case %d: decoded to %T", i, got)
-			}
-			if g.From != w.From || g.Kind != w.Kind || g.Seq != w.Seq || g.Ack != w.Ack || g.IsAck != w.IsAck {
-				t.Errorf("case %d: metadata mismatch: got %+v want %+v", i, g, w)
-			}
-			switch wp := w.Payload.(type) {
-			case []byte:
-				if !bytes.Equal(g.Payload.([]byte), wp) {
-					t.Errorf("case %d: payload mismatch", i)
-				}
-			default:
-				if g.Payload != w.Payload {
-					t.Errorf("case %d: payload %v != %v", i, g.Payload, w.Payload)
-				}
-			}
-		case []byte:
-			if !bytes.Equal(got.([]byte), w) {
-				t.Errorf("case %d: bytes mismatch", i)
-			}
-		default:
-			if got != want {
-				t.Errorf("case %d: got %v want %v", i, got, want)
-			}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("case %d: decoded %+v, want %+v", i, got, want)
 		}
 	}
-	if _, err := c.Encode(envelope{Payload: struct{ X int }{1}}); err == nil {
-		t.Error("non-serialisable envelope payload accepted")
+	if _, err := c.Append(nil, transport.Message{Kind: "app", Payload: struct{ X int }{1}}); err == nil {
+		t.Error("non-serialisable payload accepted")
 	}
-	if _, err := c.Decode([]byte{}); err == nil {
+	if _, err := c.Decode(transport.Message{Kind: "app"}, []byte{}); err == nil {
 		t.Error("empty wire payload accepted")
 	}
 	// Mutated streams must fail cleanly, never panic.
-	enc, err := c.Encode(envelope{From: 2, Kind: "k", Payload: []byte("xyz"), Seq: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for cut := 0; cut < len(enc.([]byte)); cut++ {
-		_, _ = c.Decode(enc.([]byte)[:cut])
+	m := transport.Message{From: 2, Kind: wireKind, Header: transport.Header{Kind: "k", Seq: 3}, Payload: []byte("xyz")}
+	enc := encode(t, c, m)
+	for cut := 0; cut < len(enc); cut++ {
+		_, _ = c.Decode(envelopeOf(m), enc[:cut])
 	}
 }
 
 // TestTCPCodecWireFormatPinned holds the socket layout to bytes recorded
-// before the codec was rebuilt around one buffer per message: what a member
-// writes, a member running the old code reads. Each case is encoded twice,
-// through wire.Codec's in-place side and through the same codec with that
-// side hidden (the path any other inner codec takes), and both must decode
-// back to the input.
+// before the codec was rebuilt around one buffer per message, and before
+// messages carried their header and body by value: what a member writes, a
+// member running the old code reads. Each case must decode back to the input
+// from its frame envelope.
 func TestTCPCodecWireFormatPinned(t *testing.T) {
 	msg := protocol.Msg{Kind: protocol.KindException, Action: 300, Path: []ident.ActionID{1, 300}, From: -7, Exc: "left_engine_exception"}
 	cases := []struct {
-		give any
+		give transport.Message
 		hex  string
 	}{
-		{envelope{From: -7, Kind: protocol.KindException, Action: 300, Payload: msg, Seq: 200, Ack: 199},
+		{transport.Message{From: -7, Kind: wireKind, Action: 300,
+			Header: transport.Header{Kind: protocol.KindException, Seq: 200, Ack: 199}, Body: msg.Body()},
 			"45000dd804c801c70109457863657074696f6e421f0101d8040202d8040d156c6566745f656e67696e655f657863657074696f6e"},
-		{envelope{From: 2, IsAck: true, Ack: 41}, "450104000029004e"},
-		{envelope{From: 3, Kind: "app", Payload: "text", Seq: 1}, "45000600010003617070530474657874"},
-		{envelope{From: 3, Kind: "app", Payload: nil, Seq: 2}, "450006000200036170704e"},
-		{msg, "421f0101d8040202d8040d156c6566745f656e67696e655f657863657074696f6e"},
-		{"bare", "530462617265"},
-		{nil, "4e"},
+		{transport.Message{From: 2, Kind: wireKind, Header: transport.Header{IsAck: true, Ack: 41}}, "450104000029004e"},
+		{transport.Message{From: 3, Kind: wireKind, Header: transport.Header{Kind: "app", Seq: 1}, Payload: "text"},
+			"45000600010003617070530474657874"},
+		{transport.Message{From: 3, Kind: wireKind, Header: transport.Header{Kind: "app", Seq: 2}}, "450006000200036170704e"},
+		{transport.Message{From: -7, Kind: protocol.KindException, Action: 300, Body: msg.Body()},
+			"421f0101d8040202d8040d156c6566745f656e67696e655f657863657074696f6e"},
+		{transport.Message{From: 3, Kind: "app", Payload: "bare"}, "530462617265"},
+		{transport.Message{From: 3, Kind: "app"}, "4e"},
 	}
-	inPlace := newTCPCodec(wire.Codec{})
-	generic := newTCPCodec(struct{ transport.Codec }{wire.Codec{}})
-	if inPlace.place == nil || generic.place != nil {
-		t.Fatal("the two codecs under test do not take the two paths")
-	}
+	c := tcpCodec{inner: wire.Codec{}}
 	for i, tc := range cases {
-		for name, c := range map[string]tcpCodec{"in-place": inPlace, "generic": generic} {
-			enc, err := c.Encode(tc.give)
-			if err != nil {
-				t.Fatalf("case %d %s: Encode: %v", i, name, err)
-			}
-			if got := hex.EncodeToString(enc.([]byte)); got != tc.hex {
-				t.Errorf("case %d %s: encoded\n %s\nwant\n %s", i, name, got, tc.hex)
-			}
-			got, err := c.Decode(enc)
-			if err != nil {
-				t.Fatalf("case %d %s: Decode: %v", i, name, err)
-			}
-			if !reflect.DeepEqual(got, tc.give) {
-				t.Errorf("case %d %s: decoded %+v, want %+v", i, name, got, tc.give)
-			}
+		enc := encode(t, c, tc.give)
+		if got := hex.EncodeToString(enc); got != tc.hex {
+			t.Errorf("case %d: encoded\n %s\nwant\n %s", i, got, tc.hex)
+		}
+		got, err := c.Decode(envelopeOf(tc.give), enc)
+		if err != nil {
+			t.Fatalf("case %d: Decode: %v", i, err)
+		}
+		if !reflect.DeepEqual(got, tc.give) {
+			t.Errorf("case %d: decoded %+v, want %+v", i, got, tc.give)
 		}
 	}
 	if got := frame.Intern([]byte(KindEnvelope)); got != KindEnvelope {

@@ -36,7 +36,8 @@ func (n *memNode) sendTo(to ident.ObjectID, kind string, payload any) error {
 }
 
 // membershipCodec serialises the membership-layer payloads for the TCP
-// fabric, which genuinely ships bytes between listeners.
+// fabric, which genuinely ships bytes between listeners: the harness encodes
+// each payload to bytes before the send and decodes it on delivery.
 type membershipCodec struct{}
 
 type codedMsg struct {
@@ -44,7 +45,7 @@ type codedMsg struct {
 	D json.RawMessage
 }
 
-func (membershipCodec) Encode(v any) (any, error) {
+func (membershipCodec) Encode(v any) ([]byte, error) {
 	var t string
 	switch v.(type) {
 	case nil:
@@ -72,11 +73,7 @@ func (membershipCodec) Encode(v any) (any, error) {
 func (membershipCodec) Decode(v any) (any, error) {
 	raw, ok := v.([]byte)
 	if !ok {
-		if s, oks := v.(string); oks {
-			raw = []byte(s)
-		} else {
-			return nil, fmt.Errorf("membershipCodec: non-bytes %T", v)
-		}
+		return nil, fmt.Errorf("membershipCodec: non-bytes %T", v)
 	}
 	var cm codedMsg
 	if err := json.Unmarshal(raw, &cm); err != nil {
@@ -162,15 +159,22 @@ func buildFabric(t *testing.T, flavour string, members []ident.ObjectID, clk vcl
 		return fab.Send, func() { _ = fab.Close(); net.Close() }
 	case "tcp":
 		fabs := make(map[ident.ObjectID]*transport.TCP, len(members))
+		var codec membershipCodec
+		decoded := func(m transport.Message) {
+			p, err := codec.Decode(m.Payload)
+			if err != nil {
+				t.Errorf("delivery %+v: %v", m, err)
+				return
+			}
+			m.Payload = p
+			deliver(m)
+		}
 		for _, m := range members {
-			fab, err := transport.NewTCP(transport.TCPOptions{
-				Codec:  membershipCodec{},
-				Faults: faults,
-			})
+			fab, err := transport.NewTCP(transport.TCPOptions{Faults: faults})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := fab.BindFunc(m, deliver, nil); err != nil {
+			if _, err := fab.BindFunc(m, decoded, nil); err != nil {
 				t.Fatal(err)
 			}
 			fabs[m] = fab
@@ -182,7 +186,14 @@ func buildFabric(t *testing.T, flavour string, members []ident.ObjectID, clk vcl
 				}
 			}
 		}
-		send := func(m transport.Message) error { return fabs[m.From].Send(m) }
+		send := func(m transport.Message) error {
+			b, err := codec.Encode(m.Payload)
+			if err != nil {
+				return err
+			}
+			m.Payload = b
+			return fabs[m.From].Send(m)
+		}
 		return send, func() {
 			for _, fab := range fabs {
 				_ = fab.Close()

@@ -24,14 +24,21 @@ func (e *Endpoint) ID() ident.NodeID { return e.id }
 
 // Send transmits a message from this endpoint to the named node.
 func (e *Endpoint) Send(to ident.NodeID, kind string, payload any) error {
-	return e.net.send(Message{From: e.id, To: to, Kind: kind, Payload: payload})
+	return e.SendMessage(Message{To: to, Kind: kind, Payload: payload})
 }
 
 // SendTagged transmits a message carrying an action routing tag. The tag
 // travels in the envelope, not the payload, so multiplexing receivers can
 // route frames to the owning action without decoding them.
 func (e *Endpoint) SendTagged(to ident.NodeID, kind string, action ident.ActionID, payload any) error {
-	return e.net.send(Message{From: e.id, To: to, Kind: kind, Action: action, Payload: payload})
+	return e.SendMessage(Message{To: to, Kind: kind, Action: action, Payload: payload})
+}
+
+// SendMessage transmits m, stamped as sent from this endpoint, to m.To: the
+// one send path, which Send and SendTagged wrap.
+func (e *Endpoint) SendMessage(m Message) error {
+	m.From = e.id
+	return e.net.send(m)
 }
 
 // Recv returns the channel on which delivered messages arrive, in per-sender

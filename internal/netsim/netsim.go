@@ -31,16 +31,48 @@ import (
 	"repro/internal/vclock"
 )
 
-// Message is a unit of communication between two nodes. Payload is opaque to
-// the network. Action, when non-zero, tags the message with the top-level
-// action it belongs to so a multiplexing receiver can route it without
-// inspecting the payload; the network itself never reads it.
+// Message is a unit of communication between two nodes. Action, when
+// non-zero, tags the message with the top-level action it belongs to so a
+// multiplexing receiver can route it without inspecting the content; the
+// network itself never reads it. The content is typed: Body carries a
+// protocol message, Header the reliable layer's sequencing, both by value,
+// so a message crosses the network without an allocation. Payload is opaque
+// and for everything else (membership control traffic, tests).
 type Message struct {
 	From    ident.NodeID
 	To      ident.NodeID
 	Kind    string
 	Action  ident.ActionID
+	Header  Header
+	Body    Body
 	Payload any
+}
+
+// Body is what a protocol message says beyond its envelope: the action it
+// concerns, that action's ancestry (outermost first, ending with Action) and
+// the exception it carries ("" for none). The envelope's Kind and From are
+// the message's kind and sender, so the body repeats neither. It lives here,
+// at the bottom of the delivery stack, so every layer above carries it by
+// value.
+type Body struct {
+	Action ident.ActionID
+	Path   []ident.ActionID
+	Exc    string
+}
+
+// IsZero reports whether b carries nothing.
+func (b Body) IsZero() bool { return b.Action == 0 && b.Path == nil && b.Exc == "" }
+
+// Header is the reliable layer's sequencing header (group.R3Transport): the
+// kind of the message it wraps, that message's sequence number on its pair
+// and the cumulative acknowledgement riding with it. IsAck marks a
+// stand-alone acknowledgement, which wraps nothing. The zero Header is a
+// message sent without one.
+type Header struct {
+	Kind  string
+	Seq   uint64
+	Ack   uint64
+	IsAck bool
 }
 
 // String renders the message envelope.

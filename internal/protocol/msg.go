@@ -14,6 +14,7 @@ import (
 	"fmt"
 
 	"repro/internal/ident"
+	"repro/internal/transport"
 )
 
 // Message kind names. These appear verbatim in traces and censuses so that
@@ -44,6 +45,18 @@ type Msg struct {
 	Path   []ident.ActionID
 	From   ident.ObjectID
 	Exc    string // exception name; "" is the paper's null
+}
+
+// Body is the message's content beyond its envelope: what a fabric carries
+// by value next to the kind and sender it already has.
+func (m Msg) Body() transport.Body {
+	return transport.Body{Action: m.Action, Path: m.Path, Exc: m.Exc}
+}
+
+// MsgOf rebuilds the message a fabric delivered: kind and sender from the
+// envelope, the rest from the body.
+func MsgOf(kind string, from ident.ObjectID, b transport.Body) Msg {
+	return Msg{Kind: kind, Action: b.Action, Path: b.Path, From: from, Exc: b.Exc}
 }
 
 // String renders the message as in the paper, e.g. "Exception(A1, O2, E2)".

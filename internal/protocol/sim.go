@@ -71,7 +71,7 @@ func (s *Sim) SetFilter(f func(from, to ident.ObjectID, m Msg) bool) {
 		return
 	}
 	s.fabric.SetFilter(func(m transport.Message) bool {
-		return f(m.From, m.To, m.Payload.(Msg))
+		return f(m.From, m.To, MsgOf(m.Kind, m.From, m.Body))
 	})
 }
 
@@ -79,7 +79,7 @@ func (s *Sim) SetFilter(f func(from, to ident.ObjectID, m Msg) bool) {
 func (s *Sim) AddEngine(obj ident.ObjectID) *Engine {
 	e := NewEngine(obj, Hooks{
 		Send: func(to ident.ObjectID, m Msg) {
-			_ = s.fabric.Send(transport.Message{From: obj, To: to, Kind: m.Kind, Payload: m})
+			_ = s.fabric.Send(transport.Message{From: obj, To: to, Kind: m.Kind, Body: m.Body()})
 		},
 		AbortNested: func(downTo ident.ActionID) string {
 			s.Aborts[obj] = append(s.Aborts[obj], downTo)
@@ -95,7 +95,7 @@ func (s *Sim) AddEngine(obj ident.ObjectID) *Engine {
 	})
 	s.Engines[obj] = e
 	s.fabric.Register(obj, func(m transport.Message) {
-		e.HandleMessage(m.Payload.(Msg))
+		e.HandleMessage(MsgOf(m.Kind, m.From, m.Body))
 	})
 	return e
 }

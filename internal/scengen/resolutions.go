@@ -203,7 +203,7 @@ func FabricResolutions(fab conformancetest.Fabric, p *Program, want int) (Resolu
 			le.e = protocol.NewEngine(obj, protocol.Hooks{
 				Send: func(to ident.ObjectID, m protocol.Msg) {
 					if err := fab.Send(transport.Message{
-						From: obj, To: to, Kind: m.Kind, Action: root, Payload: m,
+						From: obj, To: to, Kind: m.Kind, Action: root, Body: m.Body(),
 					}); err != nil {
 						execErrOnce.Do(func() {
 							execErr = fmt.Errorf("family %d send %s -> %s: %w", fi, obj, to, err)
@@ -230,7 +230,7 @@ func FabricResolutions(fab conformancetest.Fabric, p *Program, want int) (Resolu
 				return
 			}
 			le.mu.Lock()
-			le.e.HandleMessage(m.Payload.(protocol.Msg))
+			le.e.HandleMessage(protocol.MsgOf(m.Kind, m.From, m.Body))
 			le.mu.Unlock()
 		})
 	}

@@ -11,8 +11,8 @@ import (
 
 // ConcurrentOptions configure a Concurrent fabric.
 type ConcurrentOptions struct {
-	// Codec, when non-nil, encodes payloads at Send and decodes them at
-	// delivery.
+	// Codec, when non-nil, passes every body it translates through bytes at
+	// Send.
 	Codec Codec
 	// Sink, when non-nil, observes sends, deliveries, drops, duplications.
 	// It must be safe for concurrent use.
@@ -140,8 +140,11 @@ func (c *Concurrent) Send(m Message) error {
 }
 
 // send is the one send path: resolve the destination under a single read
-// lock, encode, draw the fault verdict, and hand surviving copies to the
-// network from the port's own endpoint.
+// lock, pass the body through the codec, draw the fault verdict, and hand
+// surviving copies to the network from the port's own endpoint. The message
+// travels by value: nothing on the way is boxed.
+//
+//caa:noalloc
 func (p *Port) send(m Message) error {
 	c := p.c
 	c.mu.RLock()
@@ -151,18 +154,20 @@ func (p *Port) send(m Message) error {
 		return ErrClosed
 	}
 	if dst == nil {
+		//protolint:allow noalloc unknown-destination failure path, never taken by a bound group's traffic
 		return fmt.Errorf("%w: %s", ErrUnknownDestination, m.To)
 	}
 	if c.opts.Codec != nil {
-		payload, err := c.opts.Codec.Encode(m.Payload)
-		if err != nil {
+		var err error
+		if m, err = roundTrip(c.opts.Codec, m); err != nil {
 			return err
 		}
-		m.Payload = payload
 	}
 	n := copies(c.opts.Faults, c.opts.Sink, m)
 	for i := 0; i < n; i++ {
-		if err := p.ep.SendTagged(dst.node, m.Kind, m.Action, m.Payload); err != nil {
+		err := p.ep.SendMessage(netsim.Message{To: dst.node, Kind: m.Kind, Action: m.Action,
+			Header: m.Header, Body: m.Body, Payload: m.Payload})
+		if err != nil {
 			return err
 		}
 	}
@@ -202,14 +207,20 @@ func (p *Port) Reachable(to ident.ObjectID) error {
 
 // Send transmits one message from this port to the named object.
 func (p *Port) Send(to ident.ObjectID, kind string, payload any) error {
-	return p.send(Message{From: p.obj, To: to, Kind: kind, Payload: payload})
+	return p.SendMessage(Message{To: to, Kind: kind, Payload: payload})
 }
 
 // SendTagged transmits one message carrying an action routing tag in the
 // envelope, so the receiving side can demultiplex without decoding the
 // payload.
 func (p *Port) SendTagged(to ident.ObjectID, kind string, action ident.ActionID, payload any) error {
-	return p.send(Message{From: p.obj, To: to, Kind: kind, Action: action, Payload: payload})
+	return p.SendMessage(Message{To: to, Kind: kind, Action: action, Payload: payload})
+}
+
+// SendMessage transmits m, stamped as sent from this port, to m.To.
+func (p *Port) SendMessage(m Message) error {
+	m.From = p.obj
+	return p.send(m)
 }
 
 // Recv returns the delivery channel (nil for ports bound with BindFunc).
@@ -222,8 +233,11 @@ func (p *Port) Recv() <-chan Message { return p.out }
 // the handler.
 func (p *Port) Close() { p.in.Close() }
 
-// translate converts a netsim message into a transport message, decoding the
-// payload and mapping the source node back to its object.
+// translate converts a netsim message into a transport message, mapping the
+// source node back to its object. The content was settled at Send: the body
+// crossed the codec there.
+//
+//caa:noalloc
 func (p *Port) translate(nm netsim.Message) (Message, bool) {
 	p.c.mu.RLock()
 	from, ok := p.c.objs[nm.From]
@@ -231,17 +245,8 @@ func (p *Port) translate(nm netsim.Message) (Message, bool) {
 	if !ok {
 		return Message{}, false
 	}
-	m := Message{From: from, To: p.obj, Kind: nm.Kind, Action: nm.Action, Payload: nm.Payload}
-	if p.c.opts.Codec != nil {
-		payload, err := p.c.opts.Codec.Decode(m.Payload)
-		if err != nil {
-			if p.c.opts.Sink != nil {
-				p.c.opts.Sink.Dropped(m)
-			}
-			return Message{}, false
-		}
-		m.Payload = payload
-	}
+	m := Message{From: from, To: p.obj, Kind: nm.Kind, Action: nm.Action,
+		Header: nm.Header, Body: nm.Body, Payload: nm.Payload}
 	if p.c.opts.Sink != nil {
 		p.c.opts.Sink.Delivered(m)
 	}

@@ -133,13 +133,13 @@ func TestConcurrentCodecBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pa.Send(2, "k", "payload"); err != nil {
+	if err := pa.SendMessage(Message{To: 2, Kind: "k", Body: Body{Exc: "body"}}); err != nil {
 		t.Fatal(err)
 	}
 	select {
 	case m := <-pb.Recv():
-		if m.Payload != "payload" {
-			t.Errorf("payload through codec = %v", m.Payload)
+		if m.Body.Exc != "body" {
+			t.Errorf("body through codec = %q", m.Body.Exc)
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("delivery timed out")

@@ -7,8 +7,8 @@
 //   - every accepted send is delivered exactly once, with fields intact
 //     (BasicDelivery)
 //   - deliveries between one ordered pair arrive in send order (FIFOPerPair)
-//   - the codec hook encodes at Send and decodes at delivery, on every path
-//     (CodecRoundTrip)
+//   - the codec hook passes every body it translates through its bytes
+//     exactly once, on every path (CodecRoundTrip)
 //   - the sink's ledger balances: delivered = sent − dropped + duplicated
 //     (SinkAccounting)
 //   - a seeded fault schedule yields the same delivered multiset as on the
@@ -227,27 +227,28 @@ func testFIFOPerPair(t *testing.T, factory Factory) {
 	}
 }
 
-// prefixCodec is the suite's codec: Encode turns a string payload into
-// tagged bytes, Decode reverses it. Backends that genuinely serialise (TCP)
-// ship the bytes; in-process backends carry them as a value — either way the
-// handler must observe the original string, proving both hooks run exactly
-// once and in order.
+// prefixCodec is the suite's codec: it translates the body of every
+// "conformance" message, whose Exc holds the label. Encode writes the label
+// after a tag byte, Decode checks the tag and marks the label decoded.
+// Backends that genuinely serialise (TCP) ship the bytes; in-process backends
+// decode them at once — either way the handler must observe the label marked
+// exactly once, proving both hooks run exactly once and in order.
 type prefixCodec struct{}
 
-func (prefixCodec) Encode(v any) (any, error) {
-	s, ok := v.(string)
-	if !ok {
-		return nil, fmt.Errorf("conformance codec: want string, got %T", v)
-	}
-	return append([]byte{0xC0}, s...), nil
+func (prefixCodec) Size(m transport.Message) (int, bool) {
+	return 1 + len(m.Body.Exc), m.Kind == "conformance"
 }
 
-func (prefixCodec) Decode(v any) (any, error) {
-	b, ok := v.([]byte)
-	if !ok || len(b) == 0 || b[0] != 0xC0 {
-		return nil, fmt.Errorf("conformance codec: bad wire value %v", v)
+func (prefixCodec) Append(dst []byte, m transport.Message) ([]byte, error) {
+	return append(append(dst, 0xC0), m.Body.Exc...), nil
+}
+
+func (prefixCodec) Decode(m transport.Message, b []byte) (transport.Message, error) {
+	if len(b) == 0 || b[0] != 0xC0 {
+		return m, fmt.Errorf("conformance codec: bad wire value %v", b)
 	}
-	return string(b[1:]), nil
+	m.Body.Exc = "decoded " + string(b[1:])
+	return m, nil
 }
 
 func testCodecRoundTrip(t *testing.T, factory Factory) {
@@ -258,7 +259,11 @@ func testCodecRoundTrip(t *testing.T, factory Factory) {
 	for o := 1; o <= objects; o++ {
 		fab.Register(ident.ObjectID(o), rec.handler())
 	}
-	total, err := mesh(fab.Send, 0)
+	// The label rides in the body, the codec's to translate.
+	total, err := mesh(func(m transport.Message) error {
+		m.Body.Exc, m.Payload = m.Payload.(string), nil
+		return fab.Send(m)
+	}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,8 +273,9 @@ func testCodecRoundTrip(t *testing.T, factory Factory) {
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
 	for _, m := range rec.msgs {
-		if _, ok := m.Payload.(string); !ok {
-			t.Fatalf("payload not decoded back to string: %T %v", m.Payload, m.Payload)
+		var from, to, i int
+		if _, err := fmt.Sscanf(m.Body.Exc, "decoded %d->%d#%d", &from, &to, &i); err != nil {
+			t.Fatalf("body not decoded exactly once: %q", m.Body.Exc)
 		}
 	}
 	if rec.n != total {

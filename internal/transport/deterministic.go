@@ -123,8 +123,8 @@ const (
 type Options struct {
 	// Discipline selects the delivery order.
 	Discipline Discipline
-	// Codec, when non-nil, encodes payloads at Send and decodes them at
-	// delivery.
+	// Codec, when non-nil, passes every body it translates through bytes at
+	// Send.
 	Codec Codec
 	// Sink, when non-nil, observes sends, deliveries, drops, duplications.
 	Sink Sink
@@ -170,8 +170,8 @@ func RandChooser(rng *rand.Rand) func(n int) int {
 // sends from some point on.
 func (d *Deterministic) SetFilter(f func(m Message) bool) { d.filter = f }
 
-// Send accepts a message: the codec encodes its payload, the fault policy
-// decides its fate, and surviving copies join the pair's FIFO queue.
+// Send accepts a message: the codec passes its body through bytes, the fault
+// policy decides its fate, and surviving copies join the pair's FIFO queue.
 //
 //caa:noalloc
 func (d *Deterministic) Send(m Message) error {
@@ -179,11 +179,10 @@ func (d *Deterministic) Send(m Message) error {
 		return ErrClosed
 	}
 	if d.opts.Codec != nil {
-		p, err := d.opts.Codec.Encode(m.Payload)
-		if err != nil {
+		var err error
+		if m, err = roundTrip(d.opts.Codec, m); err != nil {
 			return err
 		}
-		m.Payload = p
 	}
 	n := copies(d.opts.Faults, d.opts.Sink, m)
 	for i := 0; i < n; i++ {
@@ -268,8 +267,8 @@ func (d *Deterministic) Step() bool {
 	return false
 }
 
-// deliver applies the delivery-time filter and codec, then invokes the
-// destination handler.
+// deliver applies the delivery-time filter, then invokes the destination
+// handler.
 //
 //caa:noalloc
 func (d *Deterministic) deliver(m Message) {
@@ -282,16 +281,6 @@ func (d *Deterministic) deliver(m Message) {
 	h, ok := d.handlers[m.To]
 	if !ok {
 		return
-	}
-	if d.opts.Codec != nil {
-		p, err := d.opts.Codec.Decode(m.Payload)
-		if err != nil {
-			if d.opts.Sink != nil {
-				d.opts.Sink.Dropped(m)
-			}
-			return
-		}
-		m.Payload = p
 	}
 	if d.opts.Sink != nil {
 		d.opts.Sink.Delivered(m)

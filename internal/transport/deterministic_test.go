@@ -89,31 +89,36 @@ func TestDeterministicClosedSend(t *testing.T) {
 	}
 }
 
-// doubler is a test codec: Encode wraps, Decode unwraps, proving both sides
-// of the boundary run.
+// doubler is a test codec: Append writes the body's exception twice, Decode
+// checks the halves agree and keeps one, proving both sides of the boundary
+// run exactly once.
 type doubler struct{}
 
-type wrapped struct{ inner any }
+func (doubler) Size(m Message) (int, bool) { return 2 * len(m.Body.Exc), true }
 
-func (doubler) Encode(v any) (any, error) { return wrapped{inner: v}, nil }
-func (doubler) Decode(v any) (any, error) {
-	w, ok := v.(wrapped)
-	if !ok {
-		return nil, fmt.Errorf("not wrapped: %v", v)
+func (doubler) Append(dst []byte, m Message) ([]byte, error) {
+	return append(append(dst, m.Body.Exc...), m.Body.Exc...), nil
+}
+
+func (doubler) Decode(m Message, b []byte) (Message, error) {
+	half := len(b) / 2
+	if string(b[:half]) != string(b[half:]) {
+		return m, fmt.Errorf("not doubled: %q", b)
 	}
-	return w.inner, nil
+	m.Body.Exc = string(b[:half])
+	return m, nil
 }
 
 func TestDeterministicCodecBoundary(t *testing.T) {
 	d := NewDeterministic(Options{Codec: doubler{}})
-	var got []any
-	d.Register(2, collect(&got))
-	_ = d.Send(Message{From: 1, To: 2, Payload: "x"})
+	var got []string
+	d.Register(2, func(m Message) { got = append(got, m.Body.Exc) })
+	_ = d.Send(Message{From: 1, To: 2, Body: Body{Exc: "x"}})
 	if err := d.Drain(10); err != nil {
 		t.Fatal(err)
 	}
-	if want := []any{"x"}; !reflect.DeepEqual(got, want) {
-		t.Errorf("payload through codec = %v, want %v", got, want)
+	if want := []string{"x"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("body through codec = %v, want %v", got, want)
 	}
 }
 

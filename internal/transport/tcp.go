@@ -15,11 +15,11 @@ import (
 
 // TCPOptions configure a TCP fabric.
 type TCPOptions struct {
-	// Codec, when non-nil, encodes payloads at Send and decodes them at
-	// delivery, exactly as on the in-process backends. After encoding, a
-	// payload must be a []byte or string — the fabric genuinely serialises
-	// every message, so install the wire codec (or equivalent) for anything
-	// richer.
+	// Codec, when non-nil, encodes the content of every message it
+	// translates at Send and decodes it at delivery. Any other message must
+	// carry a []byte, string or nil payload and nothing else: the fabric
+	// genuinely serialises every message, so install the wire codec (or
+	// the group layer's socket codec) for anything richer.
 	Codec Codec
 	// Sink, when non-nil, observes sends, deliveries, drops, duplications.
 	// It must be safe for concurrent use.
@@ -179,14 +179,7 @@ func (t *TCP) Send(m Message) error {
 		return ErrClosed
 	}
 
-	if t.opts.Codec != nil {
-		p, err := t.opts.Codec.Encode(m.Payload)
-		if err != nil {
-			return err
-		}
-		m.Payload = p
-	}
-	payload, isString, err := framePayload(m.Payload)
+	payload, isString, err := t.content(m)
 	if err != nil {
 		return err
 	}
@@ -236,7 +229,23 @@ func (t *TCP) Reachable(obj ident.ObjectID) error {
 	return fmt.Errorf("%w: %s", ErrUnknownDestination, obj)
 }
 
-// framePayload converts a post-codec payload to its frame bytes.
+// content lays m's content out as frame bytes: the codec's encoding when it
+// translates m, the payload's own bytes otherwise. A header or body the codec
+// does not translate cannot cross a socket.
+func (t *TCP) content(m Message) ([]byte, bool, error) {
+	if t.opts.Codec != nil {
+		if n, ok := t.opts.Codec.Size(m); ok {
+			b, err := t.opts.Codec.Append(make([]byte, 0, n), m)
+			return b, false, err
+		}
+	}
+	if m.Header != (Header{}) || !m.Body.IsZero() {
+		return nil, false, fmt.Errorf("transport: tcp %s message carries a header or body no codec translates", m.Kind)
+	}
+	return framePayload(m.Payload)
+}
+
+// framePayload converts a payload to its frame bytes.
 func framePayload(v any) ([]byte, bool, error) {
 	switch p := v.(type) {
 	case []byte:
@@ -353,7 +362,7 @@ func (t *TCP) readConn(conn net.Conn) {
 		t.mu.RUnlock()
 		if port == nil {
 			if t.opts.Sink != nil {
-				t.opts.Sink.Dropped(Message{From: f.From, To: f.To, Kind: f.Kind, Action: f.Action, Payload: f.Payload})
+				t.opts.Sink.Dropped(Message{From: f.From, To: f.To, Kind: f.Kind, Action: f.Action})
 			}
 			continue
 		}
@@ -515,13 +524,19 @@ func (p *TCPPort) Self() ident.ObjectID { return p.obj }
 
 // Send transmits one message from this port to the named object.
 func (p *TCPPort) Send(to ident.ObjectID, kind string, payload any) error {
-	return p.t.Send(Message{From: p.obj, To: to, Kind: kind, Payload: payload})
+	return p.SendMessage(Message{To: to, Kind: kind, Payload: payload})
 }
 
 // SendTagged transmits one message carrying an action routing tag in the
 // frame envelope.
 func (p *TCPPort) SendTagged(to ident.ObjectID, kind string, action ident.ActionID, payload any) error {
-	return p.t.Send(Message{From: p.obj, To: to, Kind: kind, Action: action, Payload: payload})
+	return p.SendMessage(Message{To: to, Kind: kind, Action: action, Payload: payload})
+}
+
+// SendMessage transmits m, stamped as sent from this port, to m.To.
+func (p *TCPPort) SendMessage(m Message) error {
+	m.From = p.obj
+	return p.t.Send(m)
 }
 
 // Reachable reports whether the fabric can currently route to the named
@@ -538,28 +553,31 @@ func (p *TCPPort) Recv() <-chan Message { return p.out }
 // the handler.
 func (p *TCPPort) Close() { p.in.Close() }
 
-// translate turns one inbound delivery into a message: restore the payload's
-// type, run the codec, observe the delivery.
+// translate turns one inbound delivery into a message: the codec decodes
+// the content of a message it translates, any other keeps its payload's
+// original type; then the delivery is observed. Whether the codec translates
+// the message is asked of the envelope alone, the bytes being still encoded.
 func (p *TCPPort) translate(d delivery) (Message, bool) {
-	var payload any
-	switch {
-	case d.isString:
-		payload = string(d.payload)
-	case d.payload == nil:
-		payload = nil
-	default:
-		payload = d.payload
+	m := Message{From: d.from, To: p.obj, Kind: d.kind, Action: d.action}
+	c, translated := p.t.opts.Codec, false
+	if c != nil {
+		_, translated = c.Size(m)
 	}
-	m := Message{From: d.from, To: p.obj, Kind: d.kind, Action: d.action, Payload: payload}
-	if p.t.opts.Codec != nil {
-		decoded, err := p.t.opts.Codec.Decode(m.Payload)
-		if err != nil {
+	if translated {
+		var err error
+		if m, err = c.Decode(m, d.payload); err != nil {
 			if p.t.opts.Sink != nil {
 				p.t.opts.Sink.Dropped(m)
 			}
 			return Message{}, false
 		}
-		m.Payload = decoded
+	} else {
+		switch {
+		case d.isString:
+			m.Payload = string(d.payload)
+		case d.payload != nil:
+			m.Payload = d.payload
+		}
 	}
 	if p.t.opts.Sink != nil {
 		p.t.opts.Sink.Delivered(m)

@@ -10,9 +10,9 @@
 //     Explore's schedule-enumeration hooks; SetChooser with RandChooser
 //     randomises the interleaving), Concurrent (goroutine endpoints over
 //     netsim) and TCP (one listener per fabric, framed sockets).
-//   - Codec hook: payloads can be forced through an encode/decode boundary
-//     (package wire provides the protocol-message codec), so any backend can
-//     enforce the disjoint-address-space assumption.
+//   - Codec hook: protocol bodies can be forced through bytes (package wire
+//     provides the protocol-message codec), so any backend can enforce the
+//     disjoint-address-space assumption.
 //   - Sink hook: every send/delivery/drop/duplication is observable without
 //     the backends growing bespoke counters.
 //   - FaultPolicy hook: the one place a message's fate is decided, once per
@@ -27,22 +27,35 @@ import (
 	"sync"
 
 	"repro/internal/ident"
+	"repro/internal/netsim"
 )
 
-// Message is one unit of communication between two objects. Payload is
-// opaque to the fabric; a Codec may rewrite it at the send/delivery
-// boundary. Action, when non-zero, tags the message with the top-level
-// action it belongs to: it travels in the envelope (every backend carries it
-// alongside the payload, the TCP framing encodes it explicitly) so a
-// receiver multiplexing many actions over one port can route the frame
-// without decoding the payload.
+// Message is one unit of communication between two objects. Action, when
+// non-zero, tags the message with the top-level action it belongs to: it
+// travels in the envelope (every backend carries it alongside the content,
+// the TCP framing encodes it explicitly) so a receiver multiplexing many
+// actions over one port can route the frame without decoding the content.
+//
+// The content is typed and carried by value from sender to handler: Body is
+// a protocol message's (Kind and From are the envelope's), Header the
+// reliable layer's sequencing. Payload is opaque and for everything else:
+// membership control traffic, baselines, tests. A Codec turns a body into
+// bytes at the fabric boundary.
 type Message struct {
 	From    ident.ObjectID
 	To      ident.ObjectID
 	Kind    string
 	Action  ident.ActionID
+	Header  Header
+	Body    Body
 	Payload any
 }
+
+// Body is a protocol message's content beyond its envelope (netsim.Body).
+type Body = netsim.Body
+
+// Header is the reliable layer's sequencing header (netsim.Header).
+type Header = netsim.Header
 
 // pair is an ordered (from, to) object pair — the FIFO unit.
 type pair struct {
@@ -68,13 +81,46 @@ func recvChan(stop <-chan struct{}) (out chan Message, fn Handler, stopped func(
 	return out, fn, func() { close(out) }
 }
 
-// Codec rewrites payloads at the fabric boundary. Encode runs at send time,
-// Decode at delivery time. Implementations may translate only the payload
-// types they know (e.g. protocol messages to bytes) and pass everything else
-// through unchanged.
+// Codec is the byte boundary for protocol bodies (package wire provides the
+// protocol-message codec). A fabric with a codec lays out as bytes, at Send,
+// every message the codec translates, and restores the message from them:
+// TCP ships the bytes, the in-process fabrics decode them again at once, so
+// what a handler receives shares no memory with what was sent. What the
+// bytes hold is the codec's to say: the body alone (wire), or the whole
+// content a socket must carry (the group layer's socket layout, header and
+// payload included). What a codec leaves out travels as it is.
+//
+// Whether a codec translates a message must not depend on its body. On TCP,
+// where the receiver asks before it decodes, it rests on the envelope (From,
+// To, Kind, Action) alone.
 type Codec interface {
-	Encode(payload any) (any, error)
-	Decode(payload any) (any, error)
+	// Size reports the exact length Append adds for m, and false when the
+	// codec does not translate m.
+	Size(m Message) (n int, ok bool)
+	// Append appends the encoding of m, which Size accepted, to dst.
+	Append(dst []byte, m Message) ([]byte, error)
+	// Decode parses what Append encoded for a message with m's envelope and
+	// returns m carrying it. The result may alias b: a fabric never reuses a
+	// buffer it handed over.
+	Decode(m Message, b []byte) (Message, error)
+}
+
+// roundTrip passes m's body through the codec's bytes, when the codec
+// translates m: the in-process fabrics' Send, which leaves the receiver a
+// body that shares nothing with the sender's.
+//
+//caa:noalloc
+func roundTrip(c Codec, m Message) (Message, error) {
+	n, ok := c.Size(m)
+	if !ok {
+		return m, nil
+	}
+	//protolint:allow noalloc the body's bytes: the one allocation a codec exists to make
+	b, err := c.Append(make([]byte, 0, n), m)
+	if err != nil {
+		return m, err
+	}
+	return c.Decode(m, b)
 }
 
 // Sink observes fabric-level events. Implementations must be safe for

@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/ident"
 	"repro/internal/protocol"
+	"repro/internal/transport"
 )
 
 // Format identifies the codec version.
@@ -177,59 +178,44 @@ func Decode(b []byte) (protocol.Msg, error) {
 }
 
 // Codec plugs the binary encoding into the transport layer's codec seam
-// (transport.Codec): protocol messages cross the fabric as bytes and are
-// decoded back at the receiving port, so neither side ever shares a Go
-// pointer with its peer. Values of other types pass through untouched,
-// letting non-protocol traffic (e.g. group control metadata) stay native.
+// (transport.Codec): the body of every protocol message, told by its kind,
+// crosses the fabric as bytes and is decoded back into a body of its own, so
+// neither side ever shares a Go pointer with its peer. Other messages (group
+// control traffic) pass untranslated. The bytes are the message's whole
+// encoding, kind and sender included, so a decoded body is checked against
+// the envelope it arrived in.
 type Codec struct{}
 
-// Encode implements transport.Codec.
-func (Codec) Encode(v any) (any, error) {
-	if m, ok := v.(protocol.Msg); ok {
-		return Encode(m)
-	}
-	return v, nil
-}
+var _ transport.Codec = Codec{}
 
-// Decode implements transport.Codec.
-func (c Codec) Decode(v any) (any, error) {
-	if b, ok := v.([]byte); ok {
-		return c.DecodeBytes(b)
-	}
-	return v, nil
-}
+// ErrEnvelope reports encoded bytes whose kind or sender disagrees with the
+// envelope that carried them.
+var ErrEnvelope = errors.New("wire: message disagrees with its envelope")
 
-// EncodedSize, AppendEncoded and DecodeBytes are the codec's in-place side:
-// a caller that lays a protocol message out inside a larger buffer (the
-// group layer's socket codec) sizes that buffer once, has the message
-// appended to it, and decodes from a sub-slice of what it received, so the
-// message never exists as a slice of its own.
-
-// EncodedSize reports the exact length AppendEncoded adds for v; ok is false
-// when v is not a protocol message (Encode passes such values through).
-func (Codec) EncodedSize(v any) (n int, ok bool) {
-	m, ok := v.(protocol.Msg)
-	if !ok {
+// Size implements transport.Codec: the exact length Append adds for a
+// protocol message, false for any other kind.
+func (Codec) Size(m transport.Message) (int, bool) {
+	if kindCode(m.Kind) == 0 {
 		return 0, false
 	}
-	return Size(m), true
+	return Size(protocol.MsgOf(m.Kind, m.From, m.Body)), true
 }
 
-// AppendEncoded appends the encoding of a protocol message to dst.
-func (Codec) AppendEncoded(dst []byte, v any) ([]byte, error) {
-	m, ok := v.(protocol.Msg)
-	if !ok {
-		return dst, fmt.Errorf("wire: AppendEncoded of %T, want protocol.Msg", v)
-	}
-	return Append(dst, m)
+// Append implements transport.Codec.
+func (Codec) Append(dst []byte, m transport.Message) ([]byte, error) {
+	return Append(dst, protocol.MsgOf(m.Kind, m.From, m.Body))
 }
 
-// DecodeBytes decodes a protocol message; the result does not alias b.
-func (Codec) DecodeBytes(b []byte) (any, error) {
-	m, err := Decode(b)
+// Decode implements transport.Codec; the body does not alias b.
+func (Codec) Decode(m transport.Message, b []byte) (transport.Message, error) {
+	pm, err := Decode(b)
 	if err != nil {
-		return nil, err
+		return m, err
 	}
+	if pm.Kind != m.Kind || pm.From != m.From {
+		return m, fmt.Errorf("%w: %s from %s in a %s envelope from %s", ErrEnvelope, pm.Kind, pm.From, m.Kind, m.From)
+	}
+	m.Body = pm.Body()
 	return m, nil
 }
 
