@@ -107,6 +107,10 @@ type object struct {
 	// lock release (commit folds first, abort restores first).
 	dirty bool
 	owner *Txn // topmost lock acquirer; nil when free
+	// logged is the lock owner whose undo log already holds the object's
+	// pre-lock image, so further writes under the same lock tenure log
+	// nothing. Invariant: logged is nil or equal to owner.
+	logged *Txn
 
 	// pending is the commutativity fast path's delta log (fastpath.go):
 	// same-class operations append here without taking the lock and fold
@@ -201,7 +205,9 @@ func (s *Store) shardFor(key string) *shard {
 // brings its own family mutex.
 func (s *Store) Begin() *Txn {
 	id := s.nextID.Add(1)
-	return &Txn{store: s, id: id, root: id, fam: &family{}, state: TxnActive}
+	t := &Txn{store: s, id: id, root: id, state: TxnActive}
+	t.fam = &t.ownFam
+	return t
 }
 
 // Snapshot returns a copy of the committed values of all existing objects.
@@ -260,6 +266,7 @@ type Txn struct {
 	root   int64 // root ancestor's id, used for wait-die priority
 	parent *Txn
 	fam    *family
+	ownFam family // a top-level transaction's family; children share fam
 
 	// All fields below are guarded by fam.mu.
 	state       TxnState
@@ -326,13 +333,28 @@ func (t *Txn) Write(key string, value any) error {
 	if err != nil {
 		return err
 	}
-	t.undo = append(t.undo, undoRec{key: key, prev: o.value, existed: o.exists})
+	t.logWriteLocked(o, key)
 	o.value = value
 	o.exists = true
 	o.dirty = true
 	sh.mu.Unlock()
 	t.fam.mu.Unlock()
 	return nil
+}
+
+// logWriteLocked records o's pre-image in t's undo log before an in-place
+// write, once per lock tenure: under its own lock t logs only the first
+// write, whose record restores the pre-lock value on abort; under an
+// ancestor's lock t logs every write, so a child's abort stays exact. Caller
+// holds fam.mu and the object's shard mutex.
+func (t *Txn) logWriteLocked(o *object, key string) {
+	if o.owner == t && o.logged == t {
+		return
+	}
+	t.undo = append(t.undo, undoRec{key: key, prev: o.value, existed: o.exists})
+	if o.owner == t {
+		o.logged = t
+	}
 }
 
 // Update applies f to the current value of key and writes the result back.
@@ -386,7 +408,12 @@ func (t *Txn) absorbIntoParentLocked() {
 		sh := t.store.shardFor(key)
 		sh.mu.Lock()
 		if o := sh.objects[key]; o != nil && o.owner == t {
+			// The child's first record, now in p's log, is the pre-lock
+			// image, so p inherits the logged mark with the lock.
 			o.owner = p
+			if o.logged == t {
+				o.logged = p
+			}
 			p.acquired = append(p.acquired, key)
 		}
 		sh.mu.Unlock()
@@ -430,6 +457,8 @@ func (t *Txn) abortLocked() {
 		t.waiter.wake()
 		t.waiter = nil
 	}
+	// Backwards, so a key's earliest record, its pre-lock image, is restored
+	// last.
 	for i := len(t.undo) - 1; i >= 0; i-- {
 		rec := &t.undo[i]
 		sh := t.store.shardFor(rec.key)
@@ -546,6 +575,7 @@ func (t *Txn) releaseLocked() {
 		sh.mu.Lock()
 		if o := sh.objects[key]; o != nil && o.owner == t {
 			o.owner = nil
+			o.logged = nil
 			o.dirty = false
 			o.wakeAllLocked()
 		}

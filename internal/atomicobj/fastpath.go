@@ -208,7 +208,7 @@ func (t *Txn) applyInPlaceLocked(o *object, key string, op Op) error {
 	if o.exists && !classMatches(op.class, o.value) {
 		return fmt.Errorf("%w: key %q holds %T, want a %s object", ErrClassMismatch, key, o.value, op.class)
 	}
-	t.undo = append(t.undo, undoRec{key: key, prev: o.value, existed: o.exists})
+	t.logWriteLocked(o, key)
 	if op.class == SetInsert {
 		set := make(map[string]bool)
 		if o.exists {
@@ -302,14 +302,19 @@ func coalesceOwned(pending []pendingRec, t *Txn, op Op) bool {
 // materializeLocked folds the object's (entirely own-chain) delta log into
 // its value under the freshly taken lock, recording an undo entry that can
 // restore both the value and the records of owners that outlive an abort of
-// t. Caller holds fam.mu and the shard mutex; foreign records must already
-// be drained.
+// t. The entry always goes in, since it carries the records; under t's own
+// lock it is also the pre-lock image, so later writes log nothing. Caller
+// holds fam.mu and the shard mutex; foreign records must already be
+// drained.
 func (t *Txn) materializeLocked(o *object, key string) {
 	if len(o.pending) == 0 {
 		return
 	}
 	t.undo = append(t.undo, undoRec{key: key, prev: o.value, existed: o.exists,
 		repend: o.pending, rependClass: o.pclass})
+	if o.owner == t {
+		o.logged = t
+	}
 	o.value = applyRecs(o.value, o.exists, o.pclass, o.pending)
 	o.exists = true
 	o.dirty = true
