@@ -330,3 +330,152 @@ func TestCloseStopsIdleWorkers(t *testing.T) {
 		}
 	}
 }
+
+// TestRetainedContextsFailClosed pins docs/SERVER.md's rule that what user
+// code may keep is never pooled. In a first action a body keeps its
+// *Context, a resolved handler its *RecoveryContext and that context's
+// *TxnView, and the acceptance test its *TxnView. Later actions on the same
+// warm server, whose participants come from the pool, use every one of them
+// from inside a body: each Add, Write and Read fails with ErrActionFinished,
+// and the later actions' own sums are exact.
+func TestRetainedContextsFailClosed(t *testing.T) {
+	s := newTestSystem(t)
+	members := []ident.ObjectID{1, 2, 3, 4}
+	var (
+		mu      sync.Mutex
+		bodies  []*Context
+		rctxs   []*RecoveryContext
+		views   []*TxnView
+		stashed bool
+	)
+	keep := func(ctx *Context, rctx *RecoveryContext, view *TxnView) {
+		mu.Lock()
+		defer mu.Unlock()
+		if stashed {
+			return
+		}
+		if ctx != nil {
+			bodies = append(bodies, ctx)
+		}
+		if rctx != nil {
+			rctxs = append(rctxs, rctx)
+		}
+		if view != nil {
+			views = append(views, view)
+		}
+	}
+	first := Definition{
+		Spec: ActionSpec{
+			Name: "keeper", Tree: testTree("E1"), Members: members,
+			Handlers: uniformHandlers(members, defaultOnly(
+				func(rctx *RecoveryContext, _ exception.Exception) (string, error) {
+					keep(nil, rctx, rctx.View)
+					return "", rctx.View.Add("hot", 1)
+				})),
+			AcceptanceTest: func(view *TxnView) bool {
+				keep(nil, nil, view)
+				return true
+			},
+		},
+		Bodies: make(map[ident.ObjectID]Body, len(members)),
+	}
+	for _, m := range members {
+		first.Bodies[m] = func(ctx *Context) error {
+			keep(ctx, nil, nil)
+			if ctx.Object() == 1 {
+				ctx.Raise("E1")
+			}
+			return nil
+		}
+	}
+	if out, err := s.Run(first); err != nil || !out.Completed || out.Resolved != "E1" {
+		t.Fatalf("first action: out=%+v err=%v", out, err)
+	}
+	mu.Lock()
+	stashed = true
+	if len(bodies) != len(members) || len(rctxs) != len(members) || len(views) != len(members)+1 {
+		mu.Unlock()
+		t.Fatalf("kept %d contexts, %d recovery contexts, %d views", len(bodies), len(rctxs), len(views))
+	}
+	mu.Unlock()
+
+	// Every retained value, used from a later action's body.
+	misuse := func() error {
+		type txn interface {
+			Read(string) (any, error)
+			Write(string, any) error
+			Add(string, int) error
+		}
+		var all []txn
+		for _, c := range bodies {
+			all = append(all, c)
+		}
+		for _, r := range rctxs {
+			all = append(all, r.View)
+		}
+		for _, v := range views {
+			all = append(all, v)
+		}
+		for i, v := range all {
+			if err := v.Add("hot", 1000); !errors.Is(err, ErrActionFinished) {
+				return fmt.Errorf("retained #%d: Add = %v", i, err)
+			}
+			if err := v.Write("leak", i); !errors.Is(err, ErrActionFinished) {
+				return fmt.Errorf("retained #%d: Write = %v", i, err)
+			}
+			if _, err := v.Read("hot"); !errors.Is(err, ErrActionFinished) {
+				return fmt.Errorf("retained #%d: Read = %v", i, err)
+			}
+		}
+		return nil
+	}
+	const later, adds = 20, 16
+	for a := 0; a < later; a++ {
+		def := Definition{
+			Spec: ActionSpec{
+				Name: "later", Tree: testTree("E1"), Members: members,
+				Handlers: uniformHandlers(members, defaultOnly(noopHandler)),
+			},
+			Bodies: make(map[ident.ObjectID]Body, len(members)),
+		}
+		for _, m := range members {
+			def.Bodies[m] = func(ctx *Context) error {
+				if ctx.Object() == 1 {
+					if err := misuse(); err != nil {
+						return err
+					}
+				}
+				for i := 0; i < adds; i++ {
+					if err := ctx.Add("hot", 1); err != nil {
+						return err
+					}
+				}
+				priv := fmt.Sprintf("priv-%d", ctx.Object())
+				n := 0
+				if v, err := ctx.Read(priv); err == nil && v != nil {
+					n = v.(int)
+				}
+				return ctx.Write(priv, n+1)
+			}
+		}
+		p, err := s.Submit(def)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out, err := p.Wait(); err != nil || !out.Completed {
+			t.Fatalf("later action %d: out=%+v err=%v", a, out, err)
+		}
+	}
+	snap := s.Store().Snapshot()
+	if got, want := snap["hot"], len(members)+later*len(members)*adds; got != want {
+		t.Errorf("hot = %v, want %d", got, want)
+	}
+	for _, m := range members {
+		if got := snap[fmt.Sprintf("priv-%d", m)]; got != later {
+			t.Errorf("priv-%d = %v, want %d", m, got, later)
+		}
+	}
+	if v, ok := snap["leak"]; ok {
+		t.Errorf("a retained context wrote leak = %v", v)
+	}
+}

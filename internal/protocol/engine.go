@@ -459,6 +459,10 @@ func (e *Engine) handleExceptionOrHaveNested(m Msg) {
 	// resolution level ("clean up messages related to nested actions").
 	e.dropPendingNestedIn(m.Action)
 
+	// The body is suspended before the ACK leaves: no handler of this
+	// resolution can start anywhere while this object's body still counts as
+	// having completed the action normally.
+	e.suspend(m.Action)
 	switch m.Kind {
 	case KindException:
 		e.le = append(e.le, Raised{Action: m.Action, Obj: m.From, Exc: m.Exc})
@@ -472,7 +476,6 @@ func (e *Engine) handleExceptionOrHaveNested(m Msg) {
 	if e.state == StateNormal {
 		e.setState(StateSuspended, m.Action)
 	}
-	e.suspend(m.Action)
 	e.maybeReady()
 }
 
