@@ -15,26 +15,36 @@ import (
 // on a warm server, Submit+Wait: the benchmark's `single` shape (N=4) with
 // and without its raiser, and its `storm` shape (N=8, all eight raise), on
 // the raw transport; and `reliable`, N=4 with two raisers over R3 with every
-// body wire-encoded. Engine loops, bodies, handlers and Submit run on the
-// server's parked workers; when each had a goroutine of its own, every `go`
-// allocated the closure carrying its arguments: 13 allocations of `single`'s
-// 57 (Submit's, and per member its engine loop's, its body's and its
-// handler's) and 9 of `empty`'s 31. A protocol message travels by value from
-// engine to engine; when hookSend boxed it into an `any`, that was one
-// allocation per message: 9 of `single`'s 44 and 105 of `storm`'s 156. The
-// action's transaction is one allocation; its family mutex was a second.
+// body wire-encoded; and `nested`, N=4 where every member encloses one
+// nested action in which two of them raise. Engine loops, bodies, handlers
+// and Submit run on the server's parked workers; when each had a goroutine of
+// its own, every `go` allocated the closure carrying its arguments: 13
+// allocations of `single`'s 57 (Submit's, and per member its engine loop's,
+// its body's and its handler's) and 9 of `empty`'s 31. A protocol message
+// travels by value from engine to engine; when hookSend boxed it into an
+// `any`, that was one allocation per message: 9 of `single`'s 44 and 105 of
+// `storm`'s 156. The action's transaction is one allocation; its family mutex
+// was a second. A run holds its top-level instance, and each instance makes
+// one slab of its members' contexts, recovery contexts and views; when the
+// run kept participant and instance maps and each body, handler and view was
+// its own allocation, `empty` took 21, `single` 34, `storm` 50, `reliable` 67
+// and `nested` 45. What is left of `single`'s 7: the run, the slab, the
+// transaction, the Pending, the outcome's PerObject map (2) and the chooser's
+// trace detail.
 func TestServerActionAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		n       int
 		raisers int
+		nested  bool // every member encloses one nested action, and the raisers raise in it
 		opts    Options
 		max     float64
 	}{
-		{"empty", 4, 0, Options{Transport: TransportRaw}, 24},
-		{"single", 4, 1, Options{Transport: TransportRaw}, 35},
-		{"storm", 8, 8, Options{Transport: TransportRaw}, 59},
-		{"reliable", 4, 2, Options{Transport: TransportReliable, WireEncoding: true}, 69},
+		{"empty", 4, 0, false, Options{Transport: TransportRaw}, 7},
+		{"single", 4, 1, false, Options{Transport: TransportRaw}, 8},
+		{"storm", 8, 8, false, Options{Transport: TransportRaw}, 8},
+		{"reliable", 4, 2, false, Options{Transport: TransportReliable, WireEncoding: true}, 41},
+		{"nested", 4, 2, true, Options{Transport: TransportRaw}, 16},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			members := make([]ident.ObjectID, tc.n)
@@ -47,6 +57,22 @@ func TestServerActionAllocs(t *testing.T) {
 			for _, m := range members[:tc.raisers] {
 				bodies[m] = func(ctx *Context) error { ctx.Raise("E1"); return nil }
 				want = "E1"
+			}
+			if tc.nested {
+				inner := &ActionSpec{
+					Name: "inner", Tree: testTree("E1"), Members: members,
+					Handlers: uniformHandlers(members, defaultOnly(noopHandler)),
+				}
+				resolved := want
+				for m, body := range bodies {
+					bodies[m] = func(ctx *Context) error {
+						if res, err := ctx.Enclose(inner, body); err != nil || !res.Completed || res.Resolved != resolved {
+							t.Errorf("nested res=%+v err=%v", res, err)
+						}
+						return nil
+					}
+				}
+				want = "" // resolved inside the nested action, not at the top
 			}
 			def := Definition{
 				Spec: ActionSpec{

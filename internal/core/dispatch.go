@@ -235,15 +235,15 @@ func (r *sessionRoute) detach() {
 // Pending is an asynchronously submitted action; Wait blocks until it
 // concludes.
 type Pending struct {
-	done chan struct{}
-	def  Definition // what the worker runs; cleared once it has
+	done sync.WaitGroup // 1 until the action concludes
+	def  Definition     // what the worker runs; cleared once it has
 	out  Outcome
 	err  error
 }
 
 // Wait blocks until the action concludes and returns its outcome.
 func (p *Pending) Wait() (Outcome, error) {
-	<-p.done
+	p.done.Wait()
 	return p.out, p.err
 }
 
@@ -256,7 +256,8 @@ func (s *Server) Submit(def Definition) (*Pending, error) {
 	if err := s.admit(); err != nil {
 		return nil, err
 	}
-	p := &Pending{done: make(chan struct{}), def: def}
+	p := &Pending{def: def}
+	p.done.Add(1)
 	s.spawn(task{op: taskSubmit, pend: p})
 	return p, nil
 }
@@ -266,5 +267,5 @@ func (s *Server) runSubmitted(p *Pending) {
 	p.out, p.err = s.runAttempt(p.def, 0, 1)
 	p.def = Definition{}
 	s.release()
-	close(p.done)
+	p.done.Done()
 }
