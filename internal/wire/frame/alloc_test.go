@@ -2,7 +2,11 @@
 
 package frame
 
-import "testing"
+import (
+	"bufio"
+	"bytes"
+	"testing"
+)
 
 // The socket path frames every message into a buffer it already owns and
 // decodes every message out of the one buffer Read allocated for it, so
@@ -40,5 +44,27 @@ func TestDecodeInternedKindAllocs(t *testing.T) {
 		if avg != 0 {
 			t.Errorf("Decode of a %q frame: %v allocs/op, want 0", kind, avg)
 		}
+	}
+}
+
+// TestReadBufferedAllocs: reading from a bufio.Reader, the length prefix is
+// read in the reader's own buffer, so the body Read hands over is a frame's
+// only allocation.
+func TestReadBufferedAllocs(t *testing.T) {
+	full, err := Encode(Frame{From: 1, To: 2, Kind: "Exception", Action: 42, Payload: []byte("payload bytes")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := bytes.NewReader(nil)
+	br := bufio.NewReader(src)
+	avg := testing.AllocsPerRun(500, func() {
+		src.Reset(full)
+		br.Reset(src)
+		if _, err := Read(br); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg != 1 {
+		t.Fatalf("Read from a bufio.Reader: %v allocs/op, want 1 (the body)", avg)
 	}
 }

@@ -29,6 +29,7 @@
 package frame
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -93,12 +94,27 @@ type Frame struct {
 //
 //caa:noalloc
 func Append(dst []byte, f Frame) ([]byte, error) {
-	if len(f.Kind)+len(f.Payload)+headerSize+32 > MaxFrameSize {
-		//protolint:allow noalloc oversize-frame failure path, never taken by well-formed traffic
-		return dst, fmt.Errorf("%w: kind %d + payload %d bytes", ErrFrameTooLarge, len(f.Kind), len(f.Payload))
-	}
 	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0) // length prefix, patched below
+	dst, err := AppendHead(dst, f, len(f.Payload))
+	if err != nil {
+		return dst, err
+	}
+	dst = append(dst, f.Payload...)
+	return Seal(dst, start)
+}
+
+// AppendHead appends the part of f's frame that comes before the payload's
+// bytes, from the length prefix (left for Seal to fill in) to the length n of
+// a payload the caller appends next, so a payload can be encoded in place.
+// f.Payload is not read.
+//
+//caa:noalloc
+func AppendHead(dst []byte, f Frame, n int) ([]byte, error) {
+	if len(f.Kind)+n+headerSize+32 > MaxFrameSize {
+		//protolint:allow noalloc oversize-frame failure path, never taken by well-formed traffic
+		return dst, fmt.Errorf("%w: kind %d + payload %d bytes", ErrFrameTooLarge, len(f.Kind), n)
+	}
+	dst = append(dst, 0, 0, 0, 0) // length prefix, patched by Seal
 	var flags byte
 	if f.StringPayload {
 		flags |= flagStringPayload
@@ -114,8 +130,15 @@ func Append(dst []byte, f Frame) ([]byte, error) {
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(f.Kind)))
 	dst = append(dst, f.Kind...)
-	dst = binary.AppendUvarint(dst, uint64(len(f.Payload)))
-	dst = append(dst, f.Payload...)
+	dst = binary.AppendUvarint(dst, uint64(n))
+	return dst, nil
+}
+
+// Seal fills in the length prefix of the frame AppendHead began at
+// dst[start:], once its payload has been appended, and returns dst.
+//
+//caa:noalloc
+func Seal(dst []byte, start int) ([]byte, error) {
 	body := len(dst) - start - headerSize
 	if body > MaxFrameSize {
 		//protolint:allow noalloc oversize-frame failure path, never taken by well-formed traffic
@@ -145,14 +168,13 @@ func Write(w io.Writer, f Frame) error {
 // boundary (no bytes of the next frame read); a stream ending mid-frame
 // yields ErrShortFrame.
 func Read(r io.Reader) (Frame, error) {
-	var hdr [headerSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	n, err := readPrefix(r)
+	if err != nil {
 		if err == io.EOF {
 			return Frame{}, io.EOF
 		}
 		return Frame{}, fmt.Errorf("%w: length prefix: %v", ErrShortFrame, err)
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
 	if n == 0 {
 		return Frame{}, ErrEmptyFrame
 	}
@@ -164,6 +186,29 @@ func Read(r io.Reader) (Frame, error) {
 		return Frame{}, fmt.Errorf("%w: body: %v", ErrShortFrame, err)
 	}
 	return Decode(body)
+}
+
+// readPrefix reads the length prefix with io.ReadFull's errors. A
+// bufio.Reader's prefix is read in its own buffer: an array handed to
+// io.ReadFull escapes through the io.Reader, one allocation per frame.
+func readPrefix(r io.Reader) (uint32, error) {
+	if br, ok := r.(*bufio.Reader); ok {
+		b, err := br.Peek(headerSize)
+		switch {
+		case err == nil:
+			_, _ = br.Discard(headerSize) // Peek has buffered them
+			return binary.BigEndian.Uint32(b), nil
+		case err == io.EOF && len(b) > 0:
+			return 0, io.ErrUnexpectedEOF
+		default:
+			return 0, err
+		}
+	}
+	var hdr [headerSize]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return 0, err
+	}
+	return binary.BigEndian.Uint32(hdr[:]), nil
 }
 
 // Decode parses one frame body (without the length prefix). The returned

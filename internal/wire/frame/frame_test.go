@@ -1,6 +1,7 @@
 package frame
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -110,12 +111,20 @@ func TestReadPartialReads(t *testing.T) {
 	if err := Write(&buf, want); err != nil {
 		t.Fatal(err)
 	}
+	encoded := bytes.Clone(buf.Bytes())
 	got, err := Read(iotest.OneByteReader(&buf))
 	if err != nil {
 		t.Fatalf("Read over one-byte reader: %v", err)
 	}
 	if got.Kind != want.Kind || !bytes.Equal(got.Payload, want.Payload) {
 		t.Errorf("partial-read mismatch: got %+v", got)
+	}
+	got, err = Read(bufio.NewReader(iotest.OneByteReader(bytes.NewReader(encoded))))
+	if err != nil {
+		t.Fatalf("Read through bufio over one-byte reader: %v", err)
+	}
+	if got.Kind != want.Kind || !bytes.Equal(got.Payload, want.Payload) {
+		t.Errorf("partial-read mismatch through bufio: got %+v", got)
 	}
 }
 
@@ -125,7 +134,8 @@ func TestReadTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Every strict prefix must fail with ErrShortFrame (or io.EOF for the
-	// zero-byte prefix, a clean boundary).
+	// zero-byte prefix, a clean boundary), read through a bufio.Reader, whose
+	// length prefix Read peeks at in place, exactly as through any reader.
 	for cut := 1; cut < len(full); cut++ {
 		_, err := Read(bytes.NewReader(full[:cut]))
 		if err == nil {
@@ -134,9 +144,15 @@ func TestReadTruncated(t *testing.T) {
 		if !errors.Is(err, ErrShortFrame) {
 			t.Errorf("prefix %d: err = %v, want ErrShortFrame", cut, err)
 		}
+		if _, berr := Read(bufio.NewReader(bytes.NewReader(full[:cut]))); berr == nil || berr.Error() != err.Error() {
+			t.Errorf("prefix %d through bufio: err = %v, want %v", cut, berr, err)
+		}
 	}
 	if _, err := Read(bytes.NewReader(nil)); err != io.EOF {
 		t.Errorf("empty stream: err = %v, want io.EOF", err)
+	}
+	if _, err := Read(bufio.NewReader(bytes.NewReader(nil))); err != io.EOF {
+		t.Errorf("empty stream through bufio: err = %v, want io.EOF", err)
 	}
 }
 
