@@ -3,11 +3,13 @@ package core
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/exception"
 	"repro/internal/ident"
+	"repro/internal/vclock"
 )
 
 // TestHandlerErrorCancelsRun: a handler returning a non-nil error is a
@@ -246,5 +248,59 @@ func TestAbortionHandlerReadsParentTxn(t *testing.T) {
 	}
 	if _, ok := snap["nested-key"]; ok {
 		t.Error("aborted nested write leaked")
+	}
+}
+
+// TestBarrierWaitsForEveryHandler: a member whose body reached the completion
+// barrier before a peer raised takes its arrival back when the resolution
+// suspends it, so the barrier, and the acceptance test at it, waits for every
+// member's handler. Members 2 to 4 finish their bodies at once; member 1
+// raises once virtual time moves, that is once they are parked at the
+// barrier. Their handlers are held until well after member 1's own handler has
+// returned and its body has arrived.
+func TestBarrierWaitsForEveryHandler(t *testing.T) {
+	clk := vclock.NewVirtual()
+	clk.StartAuto()
+	defer clk.StopAuto()
+	sys := NewServer(Options{Clock: clk})
+	defer sys.Close()
+	members := []ident.ObjectID{1, 2, 3, 4}
+	gate := make(chan struct{})
+	var handled atomic.Int32
+	hs := HandlerSet{Default: func(rctx *RecoveryContext, _ exception.Exception) (string, error) {
+		if rctx.Object == 1 {
+			time.AfterFunc(20*time.Millisecond, func() { close(gate) })
+			return "", nil
+		}
+		<-gate
+		handled.Add(1)
+		return "", rctx.View.Add("handled", 1)
+	}}
+	accepted := int32(-1)
+	def := Definition{
+		Spec: ActionSpec{
+			Name: "barrier", Tree: testTree("f"), Members: members,
+			Handlers: uniformHandlers(members, hs),
+			AcceptanceTest: func(*TxnView) bool {
+				accepted = handled.Load()
+				return true
+			},
+		},
+		Bodies: map[ident.ObjectID]Body{
+			1: func(ctx *Context) error { ctx.Sleep(time.Millisecond); ctx.Raise("f"); return nil },
+			2: func(*Context) error { return nil },
+			3: func(*Context) error { return nil },
+			4: func(*Context) error { return nil },
+		},
+	}
+	out, err := sys.Run(def)
+	if err != nil || !out.Completed || out.Resolved != "f" {
+		t.Fatalf("out=%+v err=%v", out, err)
+	}
+	if accepted != 3 {
+		t.Errorf("the acceptance test ran after %d of 3 held handlers", accepted)
+	}
+	if got := sys.Store().Snapshot()["handled"]; got != 3 {
+		t.Errorf("handled = %v, want 3", got)
 	}
 }
