@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -35,18 +36,17 @@ func quietDef(name string, n int, gate <-chan any) Definition {
 }
 
 // TestServerGoroutineBudget pins the runtime's shape in goroutines. An idle
-// server holds one long-lived goroutine per bound object, its port's, on
-// TransportRaw and on TransportReliable alike (R3's ticker is a callback on
-// the clock seam), plus its parked workers. (Before the fabric called the
-// port directly it was four per object: the netsim inbox pump, the port
-// pump, the transport loop and the dispatcher pump.) Engine loops, bodies,
-// handlers and submitted actions run on those workers, and a worker is
-// started only when none is idle: a submitted action whose N bodies all wait
-// at a gate at once grows a fresh pool to exactly 2N+1 workers (a body and
-// an engine loop per member, and the Submit), all of which park once it
-// ends, and Close returns the count to where it was before the server. With
-// membership monitoring on a session still needs no more: the detector's
-// beat and the monitor's poll are callbacks, and so is RunTimeout's deadline.
+// server holds no goroutine per bound object, on TransportRaw and on
+// TransportReliable alike, only its parked workers: a port calls its handler
+// on the delivering goroutine, and R3's ticker is a callback on the clock
+// seam. Engine loops, bodies, handlers and submitted actions run on those
+// workers, and a worker is started only when none is idle: a submitted action
+// whose N bodies all wait at a gate at once grows a fresh pool to exactly
+// 2N+1 workers (a body and an engine loop per member, and the Submit), all of
+// which park once it ends, and Close returns the count to where it was before
+// the server. With membership monitoring on a session still needs no more:
+// the detector's beat and the monitor's poll are callbacks, and so is
+// RunTimeout's deadline.
 func TestServerGoroutineBudget(t *testing.T) {
 	const n = 8
 	const slack = 2 // goroutines of the runtime or the test binary that come and go
@@ -96,7 +96,7 @@ func TestServerGoroutineBudget(t *testing.T) {
 				t.Fatalf("%d dispatchers bound, want %d", got, n)
 			}
 			const workers = 2*n + 1
-			within(t, "idle server", base, n+workers+slack, func() bool {
+			within(t, "idle server", base, workers+slack, func() bool {
 				idle, _ := s.workers.counts()
 				return s.InFlight() == 0 && idle == workers
 			})
@@ -118,6 +118,9 @@ func TestServerGoroutineBudget(t *testing.T) {
 			members[i] = ident.ObjectID(i + 1)
 		}
 		gate := make(chan any)
+		var opened sync.Once
+		open := func() { opened.Do(func() { close(gate) }) }
+		defer open() // before the deferred Close, which waits for the parked action
 		var parked atomic.Int32
 		done := make(chan error, 1)
 		go func() {
@@ -128,10 +131,10 @@ func TestServerGoroutineBudget(t *testing.T) {
 			}), membershipDeadline)
 			done <- err
 		}()
-		// The caller above, then per member a port and two workers: its
-		// engine loop's and its body's.
-		within(t, "membership session", base, 1+3*n+slack, func() bool { return parked.Load() == n })
-		close(gate)
+		// The caller above, then per member two workers: its engine loop's
+		// and its body's.
+		within(t, "membership session", base, 1+2*n+slack, func() bool { return parked.Load() == n })
+		open()
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +146,7 @@ func TestServerGoroutineBudget(t *testing.T) {
 // B starts on the same objects and takes them out again, and then a message
 // still tagged A arrives. It must be dropped and counted; B's mailbox must
 // never hold it. The message takes the real path, object 2's transport to
-// object 1's port goroutine, R3 and route.
+// object 1's port, R3 and route, on object 2's sending goroutine.
 func TestServerStaleDeliveryRecycledMailbox(t *testing.T) {
 	for _, transport := range []TransportKind{TransportRaw, TransportReliable} {
 		s := NewServer(Options{Transport: transport})

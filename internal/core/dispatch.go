@@ -22,9 +22,10 @@ var (
 
 // dispatcher multiplexes one object's shared transport across concurrent
 // actions. It has no goroutine: route is the deliver function the transport
-// was bound with, so the port's goroutine — the one goroutine the object owns
-// on the receive path — carries each delivery through the reliable layer and
-// into the mailbox of the session owning its envelope's action tag. The
+// was bound with, so whichever goroutine delivers to the object's port (the
+// sender's, a latency link's, a socket reader's) carries each delivery
+// through the reliable layer and into the mailbox of the session owning its
+// envelope's action tag. The object owns no goroutine on the receive path. The
 // transport, and with it the object's node binding, reliable-layer state and
 // socket fabric, lives as long as the server, not as long as any one action.
 type dispatcher struct {
@@ -79,9 +80,9 @@ func (s *Server) dispatcherFor(obj ident.ObjectID) (*dispatcher, error) {
 }
 
 // route hands one delivery to the session owning its action tag. It runs on
-// the port's goroutine and never blocks on a session: mailboxes are unbounded,
-// so one slow engine cannot stall the traffic of every other action sharing
-// the object. The put happens under d.mu: once unregister has returned no put
+// the delivering goroutine, under R3's lock on the reliable transports, and
+// never blocks on a session: mailboxes are unbounded, so one slow engine
+// cannot stall the traffic of every other action sharing the object. The put happens under d.mu: once unregister has returned no put
 // is in flight, so a recycled mailbox can never receive a finished action's
 // late message.
 //
@@ -113,8 +114,8 @@ func (d *dispatcher) unregister(action ident.ActionID) {
 	d.mu.Unlock()
 }
 
-// close tears the shared transport down and returns once its goroutines have
-// exited, so route is not running and will not run again. An entry still
+// close tears the shared transport down and returns once its port has
+// stopped, so route is not running and will not run again. An entry still
 // binding is waited for first; one whose bind failed has no transport.
 func (d *dispatcher) close() {
 	<-d.bound
@@ -124,11 +125,11 @@ func (d *dispatcher) close() {
 }
 
 // mailbox is one session's unbounded FIFO inbox on a dispatcher. put never
-// blocks (the port's goroutine must keep draining the shared transport); take
+// blocks (it runs on the goroutine delivering to the shared transport); take
 // is non-blocking and re-arms the ready signal while messages remain, so a
 // consumer draining in bounded bursts never sleeps on a non-empty queue.
-// A mailbox is pooled with its participant, queue capacity included: the port
-// empties into it in bursts, and a per-action mailbox would regrow through
+// A mailbox is pooled with its participant, queue capacity included:
+// deliveries arrive in bursts, and a per-action mailbox would regrow through
 // every doubling each time.
 //
 // A delivery holds a vclock.Mailbox token from put until the engine step it

@@ -277,7 +277,7 @@ func (s *Server) binder() group.Binder {
 }
 
 // newTransport binds obj's long-lived transport of the configured kind;
-// deliver is called on the port's goroutine with each delivery.
+// deliver is called with each delivery on the goroutine delivering it.
 func (s *Server) newTransport(obj ident.ObjectID, deliver func(group.Delivery)) (group.Transport, error) {
 	switch s.opts.Transport {
 	case TransportRaw:

@@ -1,8 +1,11 @@
 // Package fifo holds the one unbounded FIFO queue the delivery stack is built
-// from. netsim inboxes and links, fabric port inboxes and session mailboxes
-// all queue the same way: Queue is that queue, unsynchronised, and Pump is
-// the lock, wake-up and draining goroutine all of them but the session
-// mailbox (which is polled, not pumped) put around it.
+// from. Queue is that queue, unsynchronised: session mailboxes and R3's
+// retransmission window keep one under their own lock. Pump is the lock,
+// wake-up and draining goroutine put around it where the consumer may block:
+// netsim's latency links, which sleep out each message's delay, the
+// conformance adapters' handlers, which send under a lock, and every Recv
+// channel, which is a Chan. Fabric ports queue nothing: they call their
+// handler on the delivering goroutine.
 package fifo
 
 // Queue is an unbounded FIFO over a single reusable buffer. Pop advances a

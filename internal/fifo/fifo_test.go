@@ -94,11 +94,10 @@ func TestQueueSteadyStateDoesNotGrow(t *testing.T) {
 // A pump hands over in order on one goroutine, stopped runs behind the last
 // handle call, and nothing is handled once Close has returned.
 func TestPumpLifecycle(t *testing.T) {
-	p := NewPump[int](nil)
 	var got []int
 	stoppedAfter := -1
 	half := make(chan struct{})
-	go p.Run(func(v int) {
+	p := Start(nil, func(v int) {
 		got = append(got, v)
 		if v == 49 {
 			close(half)
@@ -114,11 +113,6 @@ func TestPumpLifecycle(t *testing.T) {
 	if p.Len() != 0 {
 		t.Fatalf("a closed pump queued %d elements", p.Len())
 	}
-	select {
-	case <-p.Stopping():
-	default:
-		t.Fatal("Stopping still open after Close")
-	}
 	if len(got) != 50 || stoppedAfter != 50 {
 		t.Fatalf("handled %d, stopped hook saw %d, want 50 and 50", len(got), stoppedAfter)
 	}
@@ -129,28 +123,22 @@ func TestPumpLifecycle(t *testing.T) {
 	}
 }
 
-// Shutdown does not wait: a handler blocked on its own send gets out through
-// Stopping, and what was still queued is dropped.
+// A Chan offers its elements in order, and shutdown does not wait for a
+// reader: the handler blocked offering one gets out, what was still queued is
+// dropped, and the channel closes.
 func TestPumpShutdownReleasesBlockedHandler(t *testing.T) {
-	p := NewPump[int](nil)
-	out := make(chan int)
-	handled := 0
-	go p.Run(func(v int) {
-		handled++
-		select {
-		case out <- v:
-		case <-p.Stopping():
-		}
-	}, nil)
+	p, out := Chan[int](nil)
 	for i := 0; i < 10; i++ {
 		p.Put(i)
 	}
-	if v := <-out; v != 0 {
-		t.Fatalf("first element %d", v)
+	for i := 0; i < 3; i++ {
+		if v := <-out; v != i {
+			t.Fatalf("element %d is %d", i, v)
+		}
 	}
 	p.Close() // nobody reads out any more
-	if handled > 2 {
-		t.Fatalf("%d elements handled: the backlog was not discarded", handled)
+	if v, open := <-out; open {
+		t.Fatalf("%d delivered after Close: the backlog was not discarded", v)
 	}
 }
 
@@ -159,9 +147,8 @@ func TestPumpShutdownReleasesBlockedHandler(t *testing.T) {
 // backlog gives its token back.
 func TestPumpHoldsTokensOnVirtualClock(t *testing.T) {
 	clk := vclock.NewVirtual()
-	p := NewPump[int](clk)
 	handled := 0
-	go p.Run(func(int) { handled++ }, nil)
+	p := Start(clk, func(int) { handled++ }, nil)
 	for i := 0; i < 100; i++ {
 		p.Put(i)
 	}
@@ -169,10 +156,10 @@ func TestPumpHoldsTokensOnVirtualClock(t *testing.T) {
 	if handled != 100 {
 		t.Fatalf("Advance returned with %d of 100 elements handled", handled)
 	}
+	p.Close()
 
 	gate := make(chan struct{})
-	q := NewPump[int](clk)
-	go q.Run(func(int) { <-gate }, nil)
+	q := Start(clk, func(int) { <-gate }, nil)
 	for i := 0; i < 10; i++ {
 		q.Put(i)
 	}

@@ -7,17 +7,18 @@ import (
 )
 
 // Pump is a Queue with the lock, the wake-up and the one goroutine that the
-// delivery stack's inboxes put around it: Put queues without blocking, on
-// whatever goroutine the producer runs, and Run drains the queue into a
-// handler, one element at a time. netsim's Node inboxes and latency links and
-// the fabric ports are each a Pump with their own handler.
+// delivery stack puts around it where a consumer may block: Put queues
+// without blocking, on whatever goroutine the producer runs, and the pump's
+// goroutine drains the queue into a handler, one element at a time. netsim's
+// latency links and the conformance adapters' inboxes are pumps with their
+// own handler; every Recv channel is a Chan.
 //
 // A pump with work holds one vclock.Pump token on its clock, from the Put that
-// found it idle until Run has handled (or, on close, discarded) everything
-// queued: a virtual clock does not move while a pump has work. The token is
-// the goroutine's, not the element's, so a handler that waits in Clock.Sleep
-// (a latency link) lends the clock the only token the pump holds, however many
-// messages queue up behind the one that is waiting.
+// found it idle until its handler has had (or, on close, the pump discarded)
+// everything queued: a virtual clock does not move while a pump has work. The
+// token is the goroutine's, not the element's, so a handler that waits in
+// Clock.Sleep (a latency link) lends the clock the only token the pump holds,
+// however many messages queue up behind the one that is waiting.
 type Pump[T any] struct {
 	clk    vclock.Clock
 	mu     sync.Mutex
@@ -27,15 +28,34 @@ type Pump[T any] struct {
 	closed bool
 
 	stop chan struct{} // closed with closed: releases a handler that blocks
-	done chan struct{} // Run returned
+	done chan struct{} // the goroutine returned
 }
 
-// NewPump returns an empty pump whose elements are counted on clk (nil: the
-// real clock, which counts nothing); the owner starts Run on a goroutine.
-func NewPump[T any](clk vclock.Clock) *Pump[T] {
+// Start returns an empty pump whose elements are counted on clk (nil: the
+// real clock, which counts nothing) and whose goroutine hands each one to
+// handle, in order. The goroutine's last act is to call stopped (when
+// non-nil), behind the last handle call.
+func Start[T any](clk vclock.Clock, handle func(T), stopped func()) *Pump[T] {
 	p := &Pump[T]{clk: vclock.Or(clk), stop: make(chan struct{}), done: make(chan struct{})}
 	p.cond.L = &p.mu
+	go p.run(handle, stopped)
 	return p
+}
+
+// Chan starts a pump that feeds the returned channel, the one queue behind
+// every Recv channel: Put never blocks, the pump's goroutine offers the
+// elements on the channel in order, and the channel closes once the pump has
+// shut down, what was still queued discarded.
+func Chan[T any](clk vclock.Clock) (*Pump[T], <-chan T) {
+	out := make(chan T)
+	var p *Pump[T]
+	p = Start(clk, func(v T) {
+		select {
+		case out <- v:
+		case <-p.stop:
+		}
+	}, func() { close(out) })
+	return p, out
 }
 
 // Put queues v; after Shutdown it discards it.
@@ -67,11 +87,8 @@ func (p *Pump[T]) Len() int {
 	return p.queue.Len()
 }
 
-// Stopping is closed by Shutdown; a handler that blocks selects on it.
-func (p *Pump[T]) Stopping() <-chan struct{} { return p.stop }
-
-// Shutdown closes the pump and wakes Run without waiting for it. What is
-// still queued is discarded. Idempotent.
+// Shutdown closes the pump and wakes its goroutine without waiting for it.
+// What is still queued is discarded. Idempotent.
 func (p *Pump[T]) Shutdown() {
 	p.mu.Lock()
 	if !p.closed {
@@ -82,17 +99,16 @@ func (p *Pump[T]) Shutdown() {
 	p.mu.Unlock()
 }
 
-// Close is Shutdown, then wait until Run has returned: the handler is not
-// running and will not be called again. It must not be called from the
-// handler.
+// Close is Shutdown, then wait until the goroutine has returned: the handler
+// is not running and will not be called again. It must not be called from
+// the handler.
 func (p *Pump[T]) Close() {
 	p.Shutdown()
 	<-p.done
 }
 
-// Run is the pump's goroutine. Its last act is to call stopped (when
-// non-nil), behind the last handle call.
-func (p *Pump[T]) Run(handle func(T), stopped func()) {
+// run is the pump's goroutine.
+func (p *Pump[T]) run(handle func(T), stopped func()) {
 	defer close(p.done)
 	if stopped != nil {
 		defer stopped()

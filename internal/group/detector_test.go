@@ -36,7 +36,7 @@ func detectorCluster(t *testing.T, n int, interval, timeout time.Duration) (*vcl
 }
 
 // fedDetector binds m on dir and starts its detector, fed from the transport's
-// deliver function (the port's goroutine). The detector exists before a
+// deliver function (on the delivering goroutine). The detector exists before a
 // heartbeat can arrive: beats are only sent by detectors, and a peer's first
 // can only be answered by looking ours up through the pointer set here.
 func fedDetector(t *testing.T, dir *Directory, m ident.ObjectID, members []ident.ObjectID,

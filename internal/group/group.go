@@ -59,7 +59,8 @@ type Transport interface {
 	SendMessage(m transport.Message) error
 	// Recv yields deliveries; the channel closes when the transport closes.
 	// It is nil for a transport bound with a deliver function (BindRaw,
-	// BindR3), which hands deliveries over on the port's goroutine instead.
+	// BindR3), which hands deliveries over on the delivering goroutine
+	// instead.
 	Recv() <-chan Delivery
 	// Close releases resources.
 	Close()
@@ -68,8 +69,8 @@ type Transport interface {
 // Port is the fabric attachment the group transports are built on: the
 // surface shared by every transport backend's port type (*transport.Port
 // over netsim, *transport.TCPPort over sockets). Deliveries do not come
-// through it: the handler given to Binder.Bind receives them on the port's
-// goroutine. Reachable replaces backend-specific lookups (netsim node
+// through it: the handler given to Binder.Bind receives them on whichever
+// goroutine delivers. Reachable replaces backend-specific lookups (netsim node
 // resolution, TCP address books) so RawTransport and R3Transport run
 // unchanged over any fabric.
 type Port interface {
@@ -80,17 +81,19 @@ type Port interface {
 	// Reachable reports whether the fabric can currently route to the named
 	// object (nil when it can).
 	Reachable(to ident.ObjectID) error
-	// Close releases the attachment and returns once the port's goroutine
-	// has exited: the handler will not be called again.
+	// Close releases the attachment and returns once no handler call is in
+	// progress: the handler will not be called again.
 	Close()
 }
 
 // Binder is a membership service that can attach an object to its fabric:
 // *Directory binds onto the shared netsim fabric, *TCPDirectory onto
 // per-object TCP fabrics. The transport constructors accept any Binder. fn
-// and stopped are the fabric's BindFunc contract: fn runs on the port's
-// goroutine, one message at a time, possibly before Bind has returned, and
-// stopped (when non-nil) is that goroutine's last act.
+// and stopped are the fabric's BindFunc contract (transport.Handler): fn runs
+// on whichever goroutine delivers, possibly before Bind has returned; it must
+// not block; calls for different senders may overlap, and one sender's
+// arrive in its order. stopped (when non-nil) runs once when the port stops,
+// after which fn is never called.
 type Binder interface {
 	Bind(obj ident.ObjectID, fn transport.Handler, stopped func()) (Port, error)
 }

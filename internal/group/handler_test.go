@@ -34,7 +34,8 @@ func handlerBackends(t *testing.T) map[string]func() (Binder, func()) {
 // TestHandlerFIFOExactlyOnce drives the path core uses: four R3 transports
 // send concurrently into a fifth bound with a deliver function. Every message
 // arrives exactly once, in its sender's order, and deliver calls never
-// overlap: they all come from the one port goroutine.
+// overlap: the port's handler calls do, one per delivering goroutine, and
+// R3's lock serialises what they deliver.
 func TestHandlerFIFOExactlyOnce(t *testing.T) {
 	const senders, per = 4, 300
 	for name, open := range handlerBackends(t) {
@@ -44,7 +45,7 @@ func TestHandlerFIFOExactlyOnce(t *testing.T) {
 			defer closeDir()
 
 			var inDeliver atomic.Int32
-			next := make(map[ident.ObjectID]int) // port goroutine only, read after done
+			next := make(map[ident.ObjectID]int) // deliver calls only, read after done
 			violations := make(chan string, 1)
 			done := make(chan struct{})
 			total := 0
@@ -205,8 +206,8 @@ func TestRecvClosesOnCloseAndNetworkShutdown(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				// Two unread messages: b's port goroutine sits in the
-				// adapter's send when the shutdown comes.
+				// Two unread messages: b's Recv adapter sits offering
+				// the first when the shutdown comes.
 				for i := 0; i < 2; i++ {
 					if err := a.Send(2, "m", i); err != nil {
 						t.Fatal(err)
@@ -235,7 +236,7 @@ func TestRecvClosesOnCloseAndNetworkShutdown(t *testing.T) {
 
 // earlyBinder is a Binder whose port delivers before Bind has returned, as a
 // real port may: the node is reachable from the moment it exists, and the
-// port's goroutine does not wait for whoever called Bind.
+// delivering goroutine does not wait for whoever called Bind.
 type earlyBinder struct {
 	port    *recordingPort
 	first   transport.Message

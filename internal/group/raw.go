@@ -3,8 +3,10 @@ package group
 import (
 	"sync"
 
+	"repro/internal/fifo"
 	"repro/internal/ident"
 	"repro/internal/transport"
+	"repro/internal/vclock"
 )
 
 // RawTransport is the baseline transport: it relies on the fabric itself
@@ -12,7 +14,7 @@ import (
 // sending/receiving between objects"). Use it over a netsim configuration
 // that has no drop or duplication. Messages travel bare on the port — the
 // directory's codec (if any) applies to them directly. It has no goroutine of
-// its own: deliver runs on the port's.
+// its own: deliver runs on whichever goroutine the port delivers on.
 type RawTransport struct {
 	self ident.ObjectID
 	port Port
@@ -22,12 +24,13 @@ type RawTransport struct {
 var _ Transport = (*RawTransport)(nil)
 
 // BindRaw binds obj through the membership service with handler delivery:
-// deliver is called on the port's goroutine, one message at a time, in
-// per-sender FIFO order, and never again once Close has returned. A nil
+// deliver is called under the port's handler contract (transport.Handler):
+// it must not block, calls for different senders may overlap, one sender's
+// messages arrive in order, and none arrives once Close has returned. A nil
 // deliver selects the Recv channel. Any Binder works: the netsim Directory or
 // the TCPDirectory.
 func BindRaw(dir Binder, obj ident.ObjectID, deliver func(Delivery)) (*RawTransport, error) {
-	t := &RawTransport{self: obj, sink: newSink(deliver)}
+	t := &RawTransport{self: obj, sink: newSink(nil, deliver)}
 	port, err := dir.Bind(obj, func(m transport.Message) {
 		t.deliver(Delivery{From: m.From, Kind: m.Kind, Action: m.Action, Body: m.Body, Payload: m.Payload})
 	}, t.stopped)
@@ -64,33 +67,27 @@ func (t *RawTransport) SendMessage(m transport.Message) error {
 	return memberErr(t.port.SendMessage(m))
 }
 
-// Close stops delivery and returns once the port's goroutine has exited.
-func (t *RawTransport) Close() {
-	t.halt()
-	t.port.Close()
-}
+// Close stops delivery and returns once no deliver call is in progress.
+func (t *RawTransport) Close() { t.port.Close() }
 
 // sink is the delivery end both transports share: the function the port's
-// goroutine calls with each delivery and, when the caller supplied none, the
-// Recv channel that function is an adapter onto. There is one delivery path;
-// the channel API is this adapter, not a second loop.
+// handler calls with each delivery and, when the caller supplied none, the
+// fifo.Chan behind the Recv channel, which that function queues into. There
+// is one delivery path; the channel API is this adapter, not a second loop.
 type sink struct {
 	deliver func(Delivery)
-	out     chan Delivery // Recv channel; nil with a caller-supplied deliver
+	in      *fifo.Pump[Delivery] // Recv adapter; nil with a caller-supplied deliver
+	out     <-chan Delivery
 	stop    chan struct{} // closed by halt
 	once    sync.Once
 }
 
-func newSink(deliver func(Delivery)) *sink {
+// newSink returns the delivery end; a Recv adapter counts its queue on clk.
+func newSink(clk vclock.Clock, deliver func(Delivery)) *sink {
 	s := &sink{deliver: deliver, stop: make(chan struct{})}
 	if deliver == nil {
-		s.out = make(chan Delivery)
-		s.deliver = func(d Delivery) {
-			select {
-			case s.out <- d:
-			case <-s.stop:
-			}
-		}
+		s.in, s.out = fifo.Chan[Delivery](clk)
+		s.deliver = s.in.Put
 	}
 	return s
 }
@@ -100,15 +97,15 @@ func newSink(deliver func(Delivery)) *sink {
 // is nil for a transport bound with its own deliver function.
 func (s *sink) Recv() <-chan Delivery { return s.out }
 
-// halt releases a deliver blocked on the channel (and stops R3's ticker).
+// halt stops R3's ticker.
 func (s *sink) halt() { s.once.Do(func() { close(s.stop) }) }
 
-// stopped is the port's stopped hook: its goroutine has made the last deliver
-// call, whether the transport was closed or the network went away under it,
-// so the Recv channel can close behind it.
+// stopped is the port's stopped hook: the last deliver call has returned,
+// whether the transport was closed or the network went away under it, so the
+// Recv channel can close behind it.
 func (s *sink) stopped() {
 	s.halt()
-	if s.out != nil {
-		close(s.out)
+	if s.in != nil {
+		s.in.Close()
 	}
 }

@@ -26,15 +26,18 @@ import (
 // arrival that shows the sender is in trouble (a duplicate, a gap, or the
 // retransmission that closes a gap) is acked at once.
 //
-// The transport has no goroutine: the port's goroutine calls handle, which
-// runs the sequencing under mu and then deliver, and the ticker is one
-// callback on the clock seam that re-arms its own timer.
+// The transport has no goroutine: whichever goroutine the port delivers on
+// calls handle, and the ticker is one callback on the clock seam that re-arms
+// its own timer. handle sequences and delivers under mu, so mu is the one
+// point where deliveries to the object are serialised: deliver calls never
+// overlap, though the port's handler calls do.
 type R3Transport struct {
 	self ident.ObjectID
 	*sink
 
 	// mu guards peers and ticker, and port until the constructor has set it:
-	// handle may run before Bind returns and needs the port for its acks.
+	// handle may run before Bind returns and needs the port for its acks. It
+	// is held across deliver, and never across a send.
 	mu     sync.Mutex
 	port   Port
 	peers  map[ident.ObjectID]*peerState
@@ -114,9 +117,10 @@ const retransmitWindow = 256
 
 // BindR3 binds obj through the membership service (any Binder: the netsim
 // Directory or the TCPDirectory) and starts the retransmission ticker.
-// deliver is called on the port's goroutine with each message exactly once,
-// in per-sender FIFO order, and never again once Close has returned; nil
-// selects the Recv channel. retransmit is the retransmission period for
+// deliver is called with each message exactly once, in per-sender FIFO order,
+// one call at a time, and never again once Close has returned; it runs under
+// the transport's lock, so it must not block or send. nil selects the Recv
+// channel, whose queue counts on clk. retransmit is the retransmission period for
 // unacknowledged messages; clk is the seam for the ticker and the RTO
 // timestamps, nil meaning the real clock.
 func BindR3(dir Binder, obj ident.ObjectID, retransmit time.Duration, clk vclock.Clock, deliver func(Delivery)) (*R3Transport, error) {
@@ -125,7 +129,7 @@ func BindR3(dir Binder, obj ident.ObjectID, retransmit time.Duration, clk vclock
 	}
 	t := &R3Transport{
 		self:       obj,
-		sink:       newSink(deliver),
+		sink:       newSink(clk, deliver),
 		peers:      make(map[ident.ObjectID]*peerState),
 		retransmit: retransmit,
 		clk:        vclock.Or(clk),
@@ -185,8 +189,8 @@ func (t *R3Transport) SendMessage(m transport.Message) error {
 	return memberErr(t.port.SendMessage(m))
 }
 
-// Close stops the ticker and the port, and returns once the port's goroutine
-// has exited. A tick already running on another goroutine (real clock) may
+// Close stops the ticker and the port, and returns once no deliver call is in
+// progress. A tick already running on another goroutine (real clock) may
 // still send; the closed port refuses it.
 func (t *R3Transport) Close() {
 	t.halt()
@@ -220,7 +224,7 @@ func (t *R3Transport) onTick() {
 }
 
 // handle is the port's handler: everything R3 does on receipt happens here,
-// on the port's goroutine.
+// on the delivering goroutine.
 func (t *R3Transport) handle(m transport.Message) {
 	switch {
 	case m.Kind != wireKind:
@@ -233,9 +237,11 @@ func (t *R3Transport) handle(m transport.Message) {
 
 // handleData processes one data envelope: applies its piggy-backed ack,
 // suppresses duplicates, buffers out-of-order arrivals and delivers whatever
-// became deliverable, in sequence. Only an arrival that tells of loss is
-// answered on the spot; a plain in-order one waits for a piggyback or the
-// ticker. The ack goes out and deliver runs after mu is released.
+// became deliverable, in sequence, under mu. Only an arrival that tells of
+// loss is answered on the spot, once mu is released; a plain in-order one
+// waits for a piggyback or the ticker.
+//
+//caa:noalloc
 func (t *R3Transport) handleData(m transport.Message) {
 	d := Delivery{From: m.From, Kind: m.Header.Kind, Action: m.Action, Body: m.Body, Payload: m.Payload}
 	seq := m.Header.Seq
@@ -243,28 +249,28 @@ func (t *R3Transport) handleData(m transport.Message) {
 	ps := t.peer(m.From)
 	ps.applyAck(m.Header.Ack)
 	inOrder := seq == ps.recvNext
-	var gap []Delivery // what m released from the out-of-order buffer
+	released := false // m closed a gap: the out-of-order buffer gave something up
 	switch {
 	case seq < ps.recvNext:
 		// Duplicate of an already-delivered message: our ack went missing.
 	case inOrder:
-		ps.recvNext++
-		for {
+		t.deliver(d)
+		for ps.recvNext++; ; ps.recvNext++ {
 			next, ok := ps.pending[ps.recvNext]
 			if !ok {
 				break
 			}
 			delete(ps.pending, ps.recvNext)
-			gap = append(gap, next)
-			ps.recvNext++
+			t.deliver(next)
+			released = true
 		}
 		ps.ackOwed = true
 	default:
-		ps.pending[seq] = d
+		ps.pending[seq] = d // the one path that may allocate, and only after a loss
 	}
 	// Having closed a gap, the sender is mid-recovery with timers running on
 	// everything behind it: tell it now.
-	ackNow := !inOrder || len(gap) > 0
+	ackNow := !inOrder || released
 	var ackUpTo uint64
 	if ackNow {
 		ackUpTo = ps.takeAck()
@@ -273,12 +279,6 @@ func (t *R3Transport) handleData(m transport.Message) {
 
 	if ackNow {
 		_ = t.port.SendMessage(standaloneAck(m.From, ackUpTo))
-	}
-	if inOrder {
-		t.deliver(d)
-	}
-	for _, next := range gap {
-		t.deliver(next)
 	}
 }
 

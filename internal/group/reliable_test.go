@@ -55,7 +55,7 @@ func newLooplessR3() (*R3Transport, *recordingPort, *vclock.Virtual) {
 	port := &recordingPort{self: 1}
 	return &R3Transport{
 		self:       1,
-		sink:       newSink(func(d Delivery) { port.got = append(port.got, d) }),
+		sink:       newSink(nil, func(d Delivery) { port.got = append(port.got, d) }),
 		port:       port,
 		peers:      make(map[ident.ObjectID]*peerState),
 		retransmit: testRetransmit,

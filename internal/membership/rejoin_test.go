@@ -128,8 +128,7 @@ func buildFabric(t *testing.T, flavour string, members []ident.ObjectID, clk vcl
 		// the clock counts a message the fabric has queued as outstanding work.
 		// deliver must not send from inside Step (the harness inbox does not).
 		var mu sync.Mutex
-		stepper := fifo.NewPump[struct{}](clk)
-		go stepper.Run(func(struct{}) {
+		stepper := fifo.Start(clk, func(struct{}) {
 			mu.Lock()
 			for det.Step() {
 			}
@@ -213,7 +212,19 @@ func startNodes(t *testing.T, flavour string, members []ident.ObjectID, clk vclo
 	cuts *transport.Partitions, lease, timeout time.Duration) (map[ident.ObjectID]*memNode, func()) {
 	t.Helper()
 	nodes := make(map[ident.ObjectID]*memNode, len(members))
-	inbox := fifo.NewPump[transport.Message](clk)
+	// The consumer waits until every node exists, so the map is only read
+	// once it is complete; what arrives meanwhile (real-clock beats) waits in
+	// the pump.
+	built := make(chan struct{})
+	inbox := fifo.Start(clk, func(m transport.Message) {
+		<-built
+		n := nodes[m.To]
+		if m.Kind == group.KindHeartbeat {
+			n.det.Observe(m.From)
+			return
+		}
+		n.mon.DeliverMessage(m.From, m.Kind, m.Payload)
+	}, nil)
 	send, cleanupFabric := buildFabric(t, flavour, members, clk, cuts.Verdict, inbox.Put)
 	for _, m := range members {
 		n := &memNode{self: m, send: send}
@@ -233,16 +244,7 @@ func startNodes(t *testing.T, flavour string, members []ident.ObjectID, clk vclo
 			Install:   func(snap any) { n.installed.Store(fmt.Sprint(snap)) },
 		})
 	}
-	// The consumer starts after every node exists, so the map is only read
-	// from here on; what arrived meanwhile (real-clock beats) waited in the pump.
-	go inbox.Run(func(m transport.Message) {
-		n := nodes[m.To]
-		if m.Kind == group.KindHeartbeat {
-			n.det.Observe(m.From)
-			return
-		}
-		n.mon.DeliverMessage(m.From, m.Kind, m.Payload)
-	}, nil)
+	close(built)
 	cleanup := func() {
 		for _, n := range nodes {
 			n.mon.Stop()

@@ -7,16 +7,16 @@ import (
 // Endpoint is a node's attachment to the network: the address messages are
 // sent from and the function the network calls with each message that
 // arrives. NodeFunc endpoints hand arrivals straight to their owner (a
-// transport port, which queues them itself); Node endpoints keep netsim's own
-// unbounded inbox (a fifo.Pump, so a send never blocks on a slow receiver)
-// and Recv channel behind the same function.
+// transport port, whose handler runs on the delivering goroutine); Node
+// endpoints keep netsim's own unbounded inbox (a fifo.Chan, so a send never
+// blocks on a slow receiver) and Recv channel behind the same function.
 type Endpoint struct {
 	id  ident.NodeID
 	net *Network
 
-	deliver func(Message) // called once per arriving copy, by the sender or the pair's link
-	closed  func()        // called once when the network shuts down; must not block
-	out     chan Message  // Recv channel; nil for NodeFunc endpoints
+	deliver func(Message)  // called once per arriving copy, by the sender or the pair's link
+	closed  func()         // called once when the network shuts down
+	out     <-chan Message // Recv channel; nil for NodeFunc endpoints
 }
 
 // ID returns the node identifier.

@@ -8,19 +8,13 @@ import "repro/internal/fifo"
 // Clock.Sleep under the message's pump token, which Sleep lends to the clock:
 // a virtual clock may move while every link is only waiting. Caller holds n.mu.
 func (n *Network) newLink(dst *Endpoint) *fifo.Pump[Message] {
-	l := fifo.NewPump[Message](n.cfg.Clock)
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		l.Run(func(m Message) {
-			if d := n.cfg.Latency(m.From, m.To); d > 0 {
-				n.cfg.Clock.Sleep(d)
-			}
-			n.mu.Lock()
-			n.stats.record(statDelivered, m.Kind)
-			n.mu.Unlock()
-			dst.deliver(m)
-		}, nil)
-	}()
-	return l
+	return fifo.Start(n.cfg.Clock, func(m Message) {
+		if d := n.cfg.Latency(m.From, m.To); d > 0 {
+			n.cfg.Clock.Sleep(d)
+		}
+		n.mu.Lock()
+		n.stats.record(statDelivered, m.Kind)
+		n.mu.Unlock()
+		dst.deliver(m)
+	}, nil)
 }

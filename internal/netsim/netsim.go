@@ -6,11 +6,12 @@
 // The simulation runs in-process and is a link model, not a queueing layer:
 // a send applies the seeded loss model (drop, duplication) and then calls the
 // destination Endpoint's deliver function, at once on the sender's goroutine
-// or, on a pair with latency, from that pair's serial link. Whoever owns the
-// endpoint owns the inbox: a transport port for NodeFunc endpoints, netsim's
-// own unbounded queue and Recv channel for Node endpoints. The loss model sits
-// underneath the reliable-multicast layer in package group, mirroring the
-// implementation route sketched in §4.5 of the paper.
+// or, on a pair with latency, from that pair's serial link. A NodeFunc
+// endpoint's owner (a transport port) queues nothing: its handler runs on
+// that goroutine. A Node endpoint has netsim's own unbounded queue and Recv
+// channel behind it. The loss model sits underneath the reliable-multicast
+// layer in package group, mirroring the implementation route sketched in
+// §4.5 of the paper.
 //
 // Partitions are not netsim's: a cut is a transport.Partitions fault policy
 // the sending fabric applies, the one place faults are decided on every
@@ -156,8 +157,6 @@ type Network struct {
 	links     map[linkKey]*fifo.Pump[Message]
 	closed    bool
 	stats     Stats
-
-	wg sync.WaitGroup
 }
 
 type linkKey struct {
@@ -186,27 +185,17 @@ func (n *Network) Clock() vclock.Clock { return n.cfg.Clock }
 var ErrNodeTaken = errors.New("netsim: node already has an endpoint")
 
 // Node returns the endpoint for id, creating it if necessary with netsim's
-// own inbox behind it: arrivals queue without bound and a pump goroutine
-// feeds them to the Recv channel.
+// own inbox behind it: arrivals queue without bound in a fifo.Chan, which
+// feeds the Recv channel.
 func (n *Network) Node(id ident.NodeID) *Endpoint {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if ep, ok := n.endpoints[id]; ok {
 		return ep
 	}
-	in, out := fifo.NewPump[Message](n.cfg.Clock), make(chan Message)
-	ep := &Endpoint{id: id, net: n, deliver: in.Put, closed: in.Shutdown, out: out}
+	in, out := fifo.Chan[Message](n.cfg.Clock)
+	ep := &Endpoint{id: id, net: n, deliver: in.Put, closed: in.Close, out: out}
 	n.endpoints[id] = ep
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		in.Run(func(m Message) {
-			select {
-			case out <- m:
-			case <-in.Stopping():
-			}
-		}, func() { close(out) })
-	}()
 	return ep
 }
 
@@ -214,9 +203,11 @@ func (n *Network) Node(id ident.NodeID) *Endpoint {
 // one call per copy, on the sending goroutine (or the pair's link goroutine
 // when the pair has latency). What one goroutine sends to the node is
 // delivered in that order; calls on behalf of different senders may overlap.
-// deliver must not block: it is the owner's enqueue. closed, when non-nil, is
-// called once when the network shuts down and must not block either. This is
-// the fabric's entry point (transport.Concurrent); everything else uses Node.
+// deliver must not block: it runs on the sender's goroutine, or holds up
+// everything behind it on the link. closed, when non-nil, is called once when
+// the network shuts down; it may wait out deliver calls in progress, but no
+// more. This is the fabric's entry point (transport.Concurrent); everything
+// else uses Node.
 func (n *Network) NodeFunc(id ident.NodeID, deliver func(Message), closed func()) (*Endpoint, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -257,7 +248,9 @@ func (n *Network) Close() {
 			ep.closed()
 		}
 	}
-	n.wg.Wait()
+	for _, l := range links {
+		l.Close()
+	}
 }
 
 // Stats returns a snapshot of network counters.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/fifo"
 	"repro/internal/ident"
 	"repro/internal/netsim"
 )
@@ -23,12 +22,12 @@ type ConcurrentOptions struct {
 	Faults FaultPolicy
 }
 
-// Concurrent is the goroutine-per-object fabric: objects bound to netsim nodes
-// exchange messages through the simulated network, which is the link model
-// (latency and per-pair FIFO links) and calls each destination port directly.
-// The port owns the one inbox and the one goroutine between a sender and the
-// object's handler; the transport layer supplies the codec boundary, the fault
-// policy (partitions included) and observability hooks.
+// Concurrent is the in-process concurrent fabric: objects bound to netsim
+// nodes exchange messages through the simulated network, which is the link
+// model (latency and per-pair FIFO links) and calls each destination port
+// directly. A port queues nothing and owns no goroutine: the network's call
+// runs the object's handler. The transport layer supplies the codec boundary,
+// the fault policy (partitions included) and observability hooks.
 //
 // The fabric does not own the network: closing the fabric only stops its
 // ports, and the network's owner closes the network.
@@ -54,43 +53,29 @@ func NewConcurrent(net *netsim.Network, opts ConcurrentOptions) *Concurrent {
 	}
 }
 
-// Port is one object's attachment to a Concurrent fabric: the inbox the
-// network delivers into and the goroutine that drains it into the handler.
+// Port is one object's attachment to a Concurrent fabric: the endpoint it
+// sends from and the receive end the network delivers into.
 type Port struct {
 	c    *Concurrent
 	obj  ident.ObjectID
 	node ident.NodeID
 	ep   *netsim.Endpoint
-	out  chan Message // Recv channel; nil for ports bound with BindFunc
-	in   *fifo.Pump[netsim.Message]
+	*receiver
 }
 
 // Bind attaches obj to the given netsim node and returns its port, whose
-// Recv channel yields decoded deliveries in per-sender FIFO order. It is
-// BindFunc with a handler that sends on that channel and a stopped that
-// closes it.
+// Recv channel yields decoded deliveries in per-sender FIFO order: BindFunc
+// with a nil handler.
 func (c *Concurrent) Bind(obj ident.ObjectID, node ident.NodeID) (*Port, error) {
-	return c.bind(obj, node, nil, nil)
+	return c.BindFunc(obj, node, nil, nil)
 }
 
-// BindFunc attaches obj with handler-based delivery: the port's goroutine
-// invokes fn once per message, one at a time, in per-sender FIFO order. When
-// the port stops, through Close or because the network shut down, the
-// goroutine's last act is to call stopped (when non-nil); fn is never called
-// after that. The returned port's Recv channel is nil.
+// BindFunc attaches obj with handler-based delivery: fn is called once per
+// message on the delivering goroutine, under the Handler contract, possibly
+// before BindFunc has returned. When the port stops, through Close or because
+// the network shut down, stopped (when non-nil) runs once, and fn is never
+// called after that. A nil fn selects the Recv channel.
 func (c *Concurrent) BindFunc(obj ident.ObjectID, node ident.NodeID, fn Handler, stopped func()) (*Port, error) {
-	if fn == nil {
-		return nil, fmt.Errorf("transport: BindFunc needs a handler")
-	}
-	return c.bind(obj, node, fn, stopped)
-}
-
-func (c *Concurrent) bind(obj ident.ObjectID, node ident.NodeID, fn Handler, stopped func()) (*Port, error) {
-	p := &Port{c: c, obj: obj, node: node, in: fifo.NewPump[netsim.Message](c.net.Clock())}
-	if fn == nil {
-		p.out, fn, stopped = recvChan(p.in.Stopping())
-	}
-
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
@@ -99,20 +84,17 @@ func (c *Concurrent) bind(obj ident.ObjectID, node ident.NodeID, fn Handler, sto
 	if _, dup := c.ports[obj]; dup {
 		return nil, fmt.Errorf("%w: %s", ErrDuplicateBind, obj)
 	}
-	// Arrivals can start the moment the node exists; they queue in the inbox
-	// until the goroutine below is running.
-	ep, err := c.net.NodeFunc(node, p.in.Put, p.in.Shutdown)
+	p := &Port{c: c, obj: obj, node: node, receiver: newReceiver(c.net.Clock(), c.opts.Sink, fn, stopped)}
+	ep, err := c.net.NodeFunc(node, p.deliver, p.Close)
 	if err != nil {
+		if fn == nil {
+			p.Close() // stop the Recv adapter
+		}
 		return nil, err
 	}
 	p.ep = ep
 	c.ports[obj] = p
 	c.objs[node] = obj
-	go p.in.Run(func(nm netsim.Message) {
-		if m, ok := p.translate(nm); ok {
-			fn(m)
-		}
-	}, stopped)
 	return p, nil
 }
 
@@ -223,32 +205,18 @@ func (p *Port) SendMessage(m Message) error {
 	return p.send(m)
 }
 
-// Recv returns the delivery channel (nil for ports bound with BindFunc).
-// The channel closes when the port or the network shuts down.
-func (p *Port) Recv() <-chan Message { return p.out }
-
-// Close stops the port's goroutine and returns once it has exited: the
-// handler is not running and will not be called again, and a Recv channel is
-// closed. Messages still queued are discarded. Close must not be called from
-// the handler.
-func (p *Port) Close() { p.in.Close() }
-
-// translate converts a netsim message into a transport message, mapping the
-// source node back to its object. The content was settled at Send: the body
-// crossed the codec there.
+// deliver is the network's call for each arrival: it converts the netsim
+// message into a transport message, mapping the source node back to its
+// object, and hands it to the receive end. The content was settled at Send:
+// the body crossed the codec there.
 //
 //caa:noalloc
-func (p *Port) translate(nm netsim.Message) (Message, bool) {
+func (p *Port) deliver(nm netsim.Message) {
 	p.c.mu.RLock()
 	from, ok := p.c.objs[nm.From]
 	p.c.mu.RUnlock()
-	if !ok {
-		return Message{}, false
+	if ok {
+		p.receiver.deliver(Message{From: from, To: p.obj, Kind: nm.Kind, Action: nm.Action,
+			Header: nm.Header, Body: nm.Body, Payload: nm.Payload})
 	}
-	m := Message{From: from, To: p.obj, Kind: nm.Kind, Action: nm.Action,
-		Header: nm.Header, Body: nm.Body, Payload: nm.Payload}
-	if p.c.opts.Sink != nil {
-		p.c.opts.Sink.Delivered(m)
-	}
-	return m, true
 }

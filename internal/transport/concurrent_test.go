@@ -147,10 +147,12 @@ func TestConcurrentCodecBoundary(t *testing.T) {
 }
 
 // TestConcurrentPortLifecycle pins the BindFunc contract the group transports
-// and core's dispatcher are built on: handlers run one at a time, stopped is
-// the port goroutine's last act whether the port was closed or the network
-// shut down under it, the handler is never called afterwards, and Bind is the
-// same thing with a channel behind it.
+// and core's dispatcher are built on. The handler runs on the delivering
+// goroutine, so calls for different senders may overlap, but each sender's
+// messages arrive in its send order. stopped runs exactly once, whether the
+// port was closed or the network shut down under it, and no handler call
+// starts once it has begun or once Close has returned. Bind is the same thing
+// with a channel behind it, which closes either way.
 func TestConcurrentPortLifecycle(t *testing.T) {
 	for _, how := range []string{"close", "network shutdown"} {
 		t.Run(how, func(t *testing.T) {
@@ -159,27 +161,35 @@ func TestConcurrentPortLifecycle(t *testing.T) {
 			c := NewConcurrent(net, ConcurrentOptions{})
 			defer c.Close()
 
-			var running, stoppedCalls atomic.Int32
-			var overlap, late atomic.Bool
+			var stoppedCalls atomic.Int32
+			var shut, late atomic.Bool
+			disorder := make(chan string, 1)
+			inOrder := func(next map[ident.ObjectID]int, m Message) {
+				if want := next[m.From]; m.Payload != want {
+					select {
+					case disorder <- fmt.Sprintf("%s->%s: %v arrived, want %d", m.From, m.To, m.Payload, want):
+					default:
+					}
+				}
+				next[m.From] = m.Payload.(int) + 1
+			}
+			var mu sync.Mutex // the handler's calls overlap: it guards next
+			next := make(map[ident.ObjectID]int)
 			stopped := make(chan struct{})
 			handled := make(chan struct{}, 1)
-			pf, err := c.BindFunc(1, 101, func(Message) {
-				if running.Add(1) != 1 {
-					overlap.Store(true)
-				}
-				if stoppedCalls.Load() != 0 {
+			pf, err := c.BindFunc(1, 101, func(m Message) {
+				if stoppedCalls.Load() != 0 || shut.Load() {
 					late.Store(true)
 				}
+				mu.Lock()
+				inOrder(next, m)
+				mu.Unlock()
 				select {
 				case handled <- struct{}{}:
 				default:
 				}
 				runtime.Gosched()
-				running.Add(-1)
 			}, func() {
-				if running.Load() != 0 {
-					overlap.Store(true)
-				}
 				if stoppedCalls.Add(1) == 1 {
 					close(stopped)
 				}
@@ -199,8 +209,8 @@ func TestConcurrentPortLifecycle(t *testing.T) {
 			}
 
 			// Traffic into both ports from two senders, still flowing when
-			// the shutdown comes; nobody reads pc, so its goroutine sits in
-			// the channel send.
+			// the shutdown comes; nobody reads pc until then, so its Recv
+			// adapter sits offering the first message.
 			stop := make(chan struct{})
 			var wg sync.WaitGroup
 			for _, from := range []*Port{pf, pc} {
@@ -225,15 +235,20 @@ func TestConcurrentPortLifecycle(t *testing.T) {
 			} else {
 				net.Close()
 			}
+			shut.Store(true)
 			select {
 			case <-stopped:
-			case <-time.After(5 * time.Second):
-				t.Fatalf("stopped hook not called after %s", how)
+			default:
+				t.Fatalf("stopped hook had not run when %s returned", how)
 			}
+			drained := make(map[ident.ObjectID]int)
 			deadline := time.After(5 * time.Second)
 			for open := true; open; {
 				select {
-				case _, open = <-pc.Recv():
+				case m, ok := <-pc.Recv():
+					if open = ok; ok {
+						inOrder(drained, m)
+					}
 				case <-deadline:
 					t.Fatalf("Recv still open after %s", how)
 				}
@@ -241,15 +256,17 @@ func TestConcurrentPortLifecycle(t *testing.T) {
 			time.Sleep(2 * time.Millisecond) // senders are still going
 			close(stop)
 			wg.Wait()
-			pf.Close() // waits for the goroutine, also after a network shutdown
+			pf.Close() // a second Close, also after a network shutdown, is harmless
 			if n := stoppedCalls.Load(); n != 1 {
 				t.Errorf("stopped hook ran %d times, want once", n)
 			}
-			if overlap.Load() {
-				t.Error("two handler calls, or a handler call and the stopped hook, overlapped")
-			}
 			if late.Load() {
-				t.Error("handler called after the stopped hook")
+				t.Error("handler called after the stopped hook began or Close returned")
+			}
+			select {
+			case msg := <-disorder:
+				t.Error(msg)
+			default:
 			}
 		})
 	}

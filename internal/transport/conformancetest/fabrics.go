@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/fifo"
 	"repro/internal/ident"
 	"repro/internal/netsim"
 	"repro/internal/transport"
@@ -61,7 +62,17 @@ func awaitCount(count func() int, want int, deadline time.Duration) error {
 	return nil
 }
 
-// concurrentFabric adapts the goroutine-per-endpoint backend, owning the
+// inbox gives a handler a pump of its own, closed when its port stops. The
+// fabrics call a handler on the delivering goroutine, often the sender's, and
+// the handlers these adapters serve step an engine under a lock and then
+// send: called inline, a send could re-enter the lock of the handler that
+// made it.
+func inbox(h transport.Handler) (put transport.Handler, stopped func()) {
+	p := fifo.Start(nil, h, nil)
+	return p.Put, p.Close
+}
+
+// concurrentFabric adapts the in-process concurrent backend, owning the
 // netsim network under it.
 type concurrentFabric struct {
 	net    *netsim.Network
@@ -82,7 +93,8 @@ func NewConcurrentFabric(opts Options, settle time.Duration) Fabric {
 
 func (f *concurrentFabric) Register(obj ident.ObjectID, h transport.Handler) {
 	f.next++
-	if _, err := f.c.BindFunc(obj, f.next, h, nil); err != nil {
+	put, stopped := inbox(h)
+	if _, err := f.c.BindFunc(obj, f.next, put, stopped); err != nil {
 		panic(err)
 	}
 }
@@ -140,7 +152,8 @@ func (f *tcpFabric) Register(obj ident.ObjectID, h transport.Handler) {
 	if err != nil {
 		panic(err)
 	}
-	if _, err := fab.BindFunc(obj, h, nil); err != nil {
+	put, stopped := inbox(h)
+	if _, err := fab.BindFunc(obj, put, stopped); err != nil {
 		panic(err)
 	}
 	f.mu.Lock()

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/fifo"
 	"repro/internal/ident"
 	"repro/internal/vclock"
 	"repro/internal/wire/frame"
@@ -56,8 +55,8 @@ const (
 // address shares a single lazily dialled connection whose frames are written
 // in send-call order, so FIFO-per-ordered-pair holds end to end: the sender
 // sequences frames, TCP preserves stream order, and the receiving fabric
-// dispatches each connection from a single reader goroutine into per-object
-// FIFO inboxes.
+// reads each connection on a single goroutine, which calls the destination
+// object's handler frame by frame.
 //
 // Reliability: while a connection lives, delivery is reliable and ordered.
 // When a connection breaks, the writer redials with exponential backoff and
@@ -121,29 +120,17 @@ func (t *TCP) SetPeer(obj ident.ObjectID, addr string) {
 
 // Bind attaches obj to this fabric with channel delivery: the returned
 // port's Recv channel yields decoded deliveries in per-sender FIFO order. It
-// is BindFunc with a handler that sends on that channel and a stopped that
-// closes it.
+// is BindFunc with a nil handler.
 func (t *TCP) Bind(obj ident.ObjectID) (*TCPPort, error) {
-	return t.bind(obj, nil, nil)
+	return t.BindFunc(obj, nil, nil)
 }
 
-// BindFunc attaches obj with handler delivery: fn runs on the port's inbox
-// goroutine, one message at a time, in per-sender FIFO order. When the port
-// stops, the goroutine's last act is to call stopped (when non-nil); fn is
-// never called after that.
+// BindFunc attaches obj with handler delivery: fn is called once per message
+// on the delivering goroutine (a connection's reader, or the sender's for a
+// destination bound to this fabric), under the Handler contract. When the
+// port stops, stopped (when non-nil) runs once, and fn is never called after
+// that. A nil fn selects the Recv channel.
 func (t *TCP) BindFunc(obj ident.ObjectID, fn Handler, stopped func()) (*TCPPort, error) {
-	if fn == nil {
-		return nil, fmt.Errorf("transport: BindFunc needs a handler")
-	}
-	return t.bind(obj, fn, stopped)
-}
-
-func (t *TCP) bind(obj ident.ObjectID, fn Handler, stopped func()) (*TCPPort, error) {
-	p := &TCPPort{t: t, obj: obj, in: fifo.NewPump[delivery](nil)}
-	if fn == nil {
-		p.out, fn, stopped = recvChan(p.in.Stopping())
-	}
-
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
@@ -152,23 +139,15 @@ func (t *TCP) bind(obj ident.ObjectID, fn Handler, stopped func()) (*TCPPort, er
 	if _, dup := t.local[obj]; dup {
 		return nil, fmt.Errorf("%w: %s", ErrDuplicateBind, obj)
 	}
+	p := &TCPPort{t: t, obj: obj, receiver: newReceiver(nil, t.opts.Sink, fn, stopped)}
 	t.local[obj] = p
-	t.wg.Add(1)
-	go func() {
-		defer t.wg.Done()
-		p.in.Run(func(d delivery) {
-			if m, ok := p.translate(d); ok {
-				fn(m)
-			}
-		}, stopped)
-	}()
 	return p, nil
 }
 
 // Send routes one message through the fabric: the codec encodes the payload,
 // the fault policy decides its fate, and surviving copies are framed onto
-// the destination peer's connection (or looped through the local inbox when
-// the destination is bound to this fabric).
+// the destination peer's connection (or handed to the destination's handler
+// when it is bound to this fabric).
 func (t *TCP) Send(m Message) error {
 	t.mu.RLock()
 	closed := t.closed
@@ -189,9 +168,10 @@ func (t *TCP) Send(m Message) error {
 		return nil
 	}
 
+	f := frame.Frame{From: m.From, To: m.To, Kind: m.Kind, Action: m.Action, Payload: payload, StringPayload: isString}
 	if localPort != nil {
 		for i := 0; i < n; i++ {
-			localPort.in.Put(delivery{from: m.From, kind: m.Kind, action: m.Action, payload: payload, isString: isString})
+			localPort.deliver(f)
 		}
 		return nil
 	}
@@ -209,7 +189,6 @@ func (t *TCP) Send(m Message) error {
 	if err != nil {
 		return err
 	}
-	f := frame.Frame{From: m.From, To: m.To, Kind: m.Kind, Action: m.Action, Payload: payload, StringPayload: isString}
 	return peer.enqueue(f, m, size, n)
 }
 
@@ -345,10 +324,10 @@ func (t *TCP) acceptLoop() {
 	}
 }
 
-// readConn deframes one inbound connection and dispatches each frame to its
-// destination port's inbox. A malformed frame poisons the stream (framing
-// offers no resynchronisation point), so the connection is dropped; the
-// sender redials and continues.
+// readConn deframes one inbound connection and hands each frame to its
+// destination port, whose handler runs on this goroutine. A malformed frame
+// poisons the stream (framing offers no resynchronisation point), so the
+// connection is dropped; the sender redials and continues.
 func (t *TCP) readConn(conn net.Conn) {
 	defer t.wg.Done()
 	defer func() {
@@ -372,7 +351,7 @@ func (t *TCP) readConn(conn net.Conn) {
 			}
 			continue
 		}
-		port.in.Put(delivery{from: f.From, kind: f.Kind, action: f.Action, payload: f.Payload, isString: f.StringPayload})
+		port.deliver(f)
 	}
 }
 
@@ -533,22 +512,11 @@ func (p *tcpPeer) sleep(d time.Duration) bool {
 	}
 }
 
-// delivery is one inbound message queued on a port: the frame fields plus
-// the payload's original Go type.
-type delivery struct {
-	from     ident.ObjectID
-	kind     string
-	action   ident.ActionID
-	payload  []byte
-	isString bool
-}
-
 // TCPPort is one object's attachment to a TCP fabric.
 type TCPPort struct {
 	t   *TCP
 	obj ident.ObjectID
-	out chan Message // Recv channel; nil for ports bound with BindFunc
-	in  *fifo.Pump[delivery]
+	*receiver
 }
 
 // Self returns the owning object's identifier.
@@ -575,29 +543,29 @@ func (p *TCPPort) SendMessage(m Message) error {
 // object.
 func (p *TCPPort) Reachable(to ident.ObjectID) error { return p.t.Reachable(to) }
 
-// Recv returns the delivery channel (nil for ports bound with BindFunc).
-// The channel closes when the port or the fabric shuts down.
-func (p *TCPPort) Recv() <-chan Message { return p.out }
+// deliver turns one inbound frame into a message and hands it to the
+// receive end: the codec decodes the content of a message it translates, any
+// other keeps its payload's original type. Whether the codec translates the
+// message is asked of the envelope alone, the bytes being still encoded.
+//
+//caa:noalloc
+func (p *TCPPort) deliver(f frame.Frame) {
+	if m, ok := p.translate(f); ok {
+		p.receiver.deliver(m)
+	}
+}
 
-// Close stops the port's inbox goroutine and returns once it has exited: the
-// handler is not running and will not be called again, and a Recv channel is
-// closed. Messages still queued are discarded. Close must not be called from
-// the handler.
-func (p *TCPPort) Close() { p.in.Close() }
-
-// translate turns one inbound delivery into a message: the codec decodes
-// the content of a message it translates, any other keeps its payload's
-// original type; then the delivery is observed. Whether the codec translates
-// the message is asked of the envelope alone, the bytes being still encoded.
-func (p *TCPPort) translate(d delivery) (Message, bool) {
-	m := Message{From: d.from, To: p.obj, Kind: d.kind, Action: d.action}
+// translate is deliver's conversion; a frame the codec cannot decode is
+// dropped.
+func (p *TCPPort) translate(f frame.Frame) (Message, bool) {
+	m := Message{From: f.From, To: p.obj, Kind: f.Kind, Action: f.Action}
 	c, translated := p.t.opts.Codec, false
 	if c != nil {
 		_, translated = c.Size(m)
 	}
 	if translated {
 		var err error
-		if m, err = c.Decode(m, d.payload); err != nil {
+		if m, err = c.Decode(m, f.Payload); err != nil {
 			if p.t.opts.Sink != nil {
 				p.t.opts.Sink.Dropped(m)
 			}
@@ -605,14 +573,11 @@ func (p *TCPPort) translate(d delivery) (Message, bool) {
 		}
 	} else {
 		switch {
-		case d.isString:
-			m.Payload = string(d.payload)
-		case d.payload != nil:
-			m.Payload = d.payload
+		case f.StringPayload:
+			m.Payload = string(f.Payload)
+		case f.Payload != nil:
+			m.Payload = f.Payload
 		}
-	}
-	if p.t.opts.Sink != nil {
-		p.t.opts.Sink.Delivered(m)
 	}
 	return m, true
 }

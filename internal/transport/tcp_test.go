@@ -446,12 +446,12 @@ func TestTCPPortInboxReleasesConsumed(t *testing.T) {
 	for i := 0; i < n; i++ {
 		<-port.Recv()
 	}
-	// The pump took the last message out of the queue before it offered it
-	// on the channel, so by now every slot has been consumed and the inbox
-	// (a fifo.Pump over a fifo.Queue, whose own tests pin the slot clearing) is all that could
-	// still reach the payloads.
+	// The Recv adapter's pump took the last message out of its queue before
+	// it offered it on the channel, so by now every slot has been consumed
+	// and the queue (a fifo.Pump over a fifo.Queue, whose own tests pin the
+	// slot clearing) is all that could still reach the payloads.
 	if queued := port.in.Len(); queued != 0 {
-		t.Fatalf("drained inbox still holds %d deliveries", queued)
+		t.Fatalf("drained Recv queue still holds %d deliveries", queued)
 	}
 	for deadline := time.Now().Add(5 * time.Second); freed.Load() < n; {
 		if time.Now().After(deadline) {

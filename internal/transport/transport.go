@@ -8,8 +8,8 @@
 //
 //   - Backends: Deterministic (absorbs protocol.Sim's queue/order logic and
 //     Explore's schedule-enumeration hooks; SetChooser with RandChooser
-//     randomises the interleaving), Concurrent (goroutine endpoints over
-//     netsim) and TCP (one listener per fabric, framed sockets).
+//     randomises the interleaving), Concurrent (ports over netsim, which
+//     calls them directly) and TCP (one listener per fabric, framed sockets).
 //   - Codec hook: protocol bodies can be forced through bytes (package wire
 //     provides the protocol-message codec), so any backend can enforce the
 //     disjoint-address-space assumption.
@@ -26,8 +26,10 @@ import (
 	"errors"
 	"sync"
 
+	"repro/internal/fifo"
 	"repro/internal/ident"
 	"repro/internal/netsim"
+	"repro/internal/vclock"
 )
 
 // Message is one unit of communication between two objects. Action, when
@@ -63,22 +65,72 @@ type pair struct {
 }
 
 // Handler consumes a delivered message. Deterministic backends invoke it
-// synchronously from Step; the Concurrent and TCP backends invoke it from the
-// destination port's goroutine, one message at a time.
+// synchronously from Step. The Concurrent and TCP backends invoke it on
+// whichever goroutine delivers: the sender's, a netsim latency link's or a
+// socket reader's. There it must not block, calls on behalf of different
+// senders may overlap, and one sender's messages arrive in its send order.
 type Handler func(m Message)
 
-// recvChan is how the goroutine-backed fabrics express Bind as BindFunc: a
-// handler that blocks sending on the port's Recv channel until stop closes,
-// and a stopped hook that closes the channel behind the last delivery.
-func recvChan(stop <-chan struct{}) (out chan Message, fn Handler, stopped func()) {
-	out = make(chan Message)
-	fn = func(m Message) {
-		select {
-		case out <- m:
-		case <-stop:
-		}
+// receiver is the receive end both goroutine-free ports share: deliver calls
+// the handler on the delivering goroutine, under a read lock that Close takes
+// for writing, so once Close has returned the handler is not running and will
+// not be called again. Bound with a nil handler it is the Recv adapter: the
+// handler queues into a fifo.Chan, which a consumer may drain at leisure.
+type receiver struct {
+	mu      sync.RWMutex
+	fn      Handler
+	stopped func()
+	sink    Sink
+	closed  bool
+	once    sync.Once           // runs stopped
+	in      *fifo.Pump[Message] // Recv adapter's queue; nil with a caller's handler
+	out     <-chan Message      // Recv channel
+}
+
+func newReceiver(clk vclock.Clock, sink Sink, fn Handler, stopped func()) *receiver {
+	r := &receiver{fn: fn, stopped: stopped, sink: sink}
+	if fn == nil {
+		r.in, r.out = fifo.Chan[Message](clk)
+		r.fn, r.stopped = r.in.Put, r.in.Close
 	}
-	return out, fn, func() { close(out) }
+	return r
+}
+
+// deliver hands m to the handler. It never waits for the lock: a writer
+// holding or awaiting it is a Close in progress, and a message arriving then
+// is discarded as one still queued at Close always was. Not waiting is also
+// what lets a handler's own send re-enter a receiver (R3's ack) while that
+// receiver is closing.
+//
+//caa:noalloc
+func (r *receiver) deliver(m Message) {
+	if !r.mu.TryRLock() {
+		return
+	}
+	if !r.closed {
+		if r.sink != nil {
+			r.sink.Delivered(m)
+		}
+		r.fn(m)
+	}
+	r.mu.RUnlock()
+}
+
+// Recv returns the delivery channel (nil for ports bound with BindFunc and a
+// handler). The channel closes when the port or its fabric shuts down.
+func (r *receiver) Recv() <-chan Message { return r.out }
+
+// Close stops delivery and returns once no handler call is in progress and
+// the stopped hook, which runs exactly once, has returned: the handler will
+// not be called again, and a Recv channel is closed. Close must not be
+// called from the handler.
+func (r *receiver) Close() {
+	r.mu.Lock()
+	r.closed = true
+	r.mu.Unlock()
+	if r.stopped != nil {
+		r.once.Do(r.stopped)
+	}
 }
 
 // Codec is the byte boundary for protocol bodies (package wire provides the
