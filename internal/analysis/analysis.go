@@ -7,7 +7,7 @@
 // The analyzers are:
 //
 //   - exhaustive:  every switch over a protocol enum (protocol.State,
-//     trace.EventKind, atomicobj.TxnState, transport.Verdict/Discipline,
+//     trace.EventKind, atomicobj.TxnState, transport.Verdict,
 //     core.TransportKind/NestedPolicy) and every string switch over the
 //     Kind* message constants covers all members or panics in default.
 //   - msgkind:     message-kind and census-key string literals outside the

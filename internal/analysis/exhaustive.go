@@ -14,13 +14,12 @@ import (
 // type), so adding a new state to one of these types makes every
 // non-exhaustive switch over it a finding.
 var trackedEnums = map[string]bool{
-	"protocol.State":       true, // N/X/S/R, §4.2
-	"trace.EventKind":      true,
-	"atomicobj.TxnState":   true,
-	"transport.Verdict":    true,
-	"transport.Discipline": true,
-	"core.TransportKind":   true,
-	"core.NestedPolicy":    true,
+	"protocol.State":     true, // N/X/S/R, §4.2
+	"trace.EventKind":    true,
+	"atomicobj.TxnState": true,
+	"transport.Verdict":  true,
+	"core.TransportKind": true,
+	"core.NestedPolicy":  true,
 }
 
 // kindSet is one family of string message-kind constants. A string switch

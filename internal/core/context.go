@@ -122,11 +122,11 @@ func (p *participant) wait(level int, done func() bool, ch <-chan any) (any, boo
 	for {
 		p.state.Store(bodyParked)
 		if lvl := p.suspension(); lvl <= level {
-			p.resume(bodyParked, false)
+			p.resume(false)
 			panic(sentinel{level: lvl})
 		}
 		if done != nil && done() {
-			p.resume(bodyParked, false)
+			p.resume(false)
 			return nil, false
 		}
 		p.run.sys.clk.Release(vclock.Body)
@@ -134,7 +134,7 @@ func (p *participant) wait(level int, done func() bool, ch <-chan any) (any, boo
 		case <-p.wake:
 			p.state.Store(bodyRunning)
 		case v, ok := <-ch:
-			p.resume(bodyParked, true)
+			p.resume(true)
 			return v, ok
 		}
 	}
@@ -209,7 +209,7 @@ func (c *Context) Enclose(spec *ActionSpec, body Body) (NestedResult, error) {
 	defer func() {
 		if !entered {
 			// instanceFor began the nested transaction, but the frame never
-			// reached this participant's estack (entry refused, or post
+			// reached this participant's estack (entry failed, or the body
 			// unwound into a resolution at this level), so hookAbortNested
 			// cannot find it. The resolution that kept us out dooms the nested
 			// action for every member; abort here so the containing action's
@@ -218,11 +218,6 @@ func (c *Context) Enclose(spec *ActionSpec, body Body) (NestedResult, error) {
 		}
 	}()
 	if err := c.p.enterInstance(c.level, inst); err != nil {
-		if err == ErrSuspendedEntry {
-			// A resolution already covers this level; unwind into it.
-			lvl := c.p.suspension()
-			panic(sentinel{level: lvl})
-		}
 		return NestedResult{}, err
 	}
 	entered = true
@@ -375,15 +370,8 @@ func (p *participant) completeScope(ctx *Context) (NestedResult, error) {
 
 // liftSuspension resets the suspension installed by a resolution at exactly
 // this level, so the post-recovery continuation can run. A deeper suspension
-// cannot exist (those frames are gone); an outer one is preserved. An event
-// the body gave up on when the suspension arrived runs first, while the
-// suspension still makes it a no-op: run after, it would enter or leave a
-// frame on behalf of a body that is long elsewhere.
+// cannot exist (those frames are gone); an outer one is preserved.
 func (p *participant) liftSuspension(level int) {
-	if p.abandoned {
-		<-p.reply
-		p.abandoned = false
-	}
 	p.smu.Lock()
 	defer p.smu.Unlock()
 	if p.suspendLevel == level {

@@ -214,10 +214,10 @@ func TestServerStaleDeliveryRecycledMailbox(t *testing.T) {
 // has entered the top-level action, on the goroutine that creates it, before
 // the first body runs, so an action's trace opens with its N enter events
 // whatever the bodies do first (here all of them raise at once). Each engine
-// goroutine starts behind its body and serves a waiting request before the
-// next delivery, so whether a member that raises at once is still heard does
-// not hang on how soon its body is scheduled; when it did, the observed P of
-// an all-raise action wandered from run to run.
+// loop starts behind its body, and a body raises on its own goroutine under
+// the engine lock, so a member that raises at once usually steps its engine
+// before its loop first looks at the mailbox; when engines started first, the
+// observed P of an all-raise action wandered from run to run.
 func TestSessionEntersBeforeBodies(t *testing.T) {
 	const n = 6
 	members := make([]ident.ObjectID, n)

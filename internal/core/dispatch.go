@@ -125,71 +125,81 @@ func (d *dispatcher) close() {
 }
 
 // mailbox is one session's unbounded FIFO inbox on a dispatcher. put never
-// blocks (it runs on the goroutine delivering to the shared transport); take
-// is non-blocking and re-arms the ready signal while messages remain, so a
-// consumer draining in bounded bursts never sleeps on a non-empty queue.
+// blocks (it runs on the goroutine delivering to the shared transport); the
+// put that finds the mailbox idle arms it and signals ready, and the consumer
+// then takes until the queue comes back empty, which disarms it.
 // A mailbox is pooled with its participant, queue capacity included:
 // deliveries arrive in bursts, and a per-action mailbox would regrow through
 // every doubling each time.
 //
-// A delivery holds a vclock.Mailbox token from put until the engine step it
-// caused has returned (participant.loop) or Reset discarded it.
+// An armed mailbox holds one vclock.Mailbox token, from the put that armed it
+// until take finds it empty or Reset discards it: its consumer has work. A
+// consumer that sleeps on the clock meanwhile (an abortion handler that
+// works for a while) lends that token, so the deliveries queued behind it do
+// not stop the clock it waits on.
 type mailbox struct {
 	clk   vclock.Clock
 	mu    sync.Mutex
 	queue fifo.Queue[group.Delivery]
+	armed bool
 
-	ready chan struct{} // 1-buffered: armed whenever the queue may be non-empty
+	ready chan struct{} // 1-buffered: signalled by the put that arms
 }
 
 func newMailbox(clk vclock.Clock) *mailbox {
 	return &mailbox{clk: clk, ready: make(chan struct{}, 1)}
 }
 
-// put queues one delivery, by value, and holds its clock token.
+// put queues one delivery, by value, arming the mailbox if it was idle.
 //
 //caa:noalloc
 func (m *mailbox) put(d group.Delivery) {
-	m.clk.Hold(vclock.Mailbox)
 	m.mu.Lock()
 	m.queue.Push(d)
+	arm := !m.armed
+	m.armed = true
 	m.mu.Unlock()
-	m.signal()
+	if arm {
+		// The consumer found the queue empty and has not been signalled
+		// since, so it cannot have taken this delivery yet, and ready is
+		// empty: the send never falls through.
+		m.clk.Hold(vclock.Mailbox)
+		select {
+		case m.ready <- struct{}{}:
+		default:
+		}
+	}
 }
 
-// take pops the oldest delivery, if any.
+// take pops the oldest delivery. On an empty queue it disarms the mailbox and
+// gives its token back: the consumer waits for ready again.
 //
 //caa:noalloc
 func (m *mailbox) take() (group.Delivery, bool) {
 	m.mu.Lock()
 	d, ok := m.queue.Pop()
-	remaining := m.queue.Len() > 0
+	if !ok {
+		m.armed = false
+	}
 	m.mu.Unlock()
-	if remaining {
-		m.signal()
+	if !ok {
+		m.clk.Release(vclock.Mailbox)
 	}
 	return d, ok
 }
 
-// Reset empties the mailbox, releasing the tokens of what it discards. The
-// caller has unregistered it and stopped its consumer, so nothing else
-// touches it.
+// Reset empties and disarms the mailbox, releasing its token. The caller has
+// unregistered it and stopped its consumer, so nothing else touches it.
 func (m *mailbox) Reset() {
 	m.mu.Lock()
-	for n := m.queue.Len(); n > 0; n-- {
+	if m.armed {
 		m.clk.Release(vclock.Mailbox)
+		m.armed = false
 	}
 	m.queue.Reset()
 	m.mu.Unlock()
 	select {
 	case <-m.ready:
-	default:
-	}
-}
-
-func (m *mailbox) signal() {
-	select {
-	case m.ready <- struct{}{}:
 	default:
 	}
 }

@@ -18,9 +18,6 @@ var (
 	ErrActionFinished = errors.New("core: action transaction already finished")
 	// ErrCancelled is reported when a run is torn down (context expiry).
 	ErrCancelled = errors.New("core: run cancelled")
-	// ErrSuspendedEntry is an internal condition: a nested entry was refused
-	// because an exception resolution is already under way.
-	ErrSuspendedEntry = errors.New("core: nested entry refused, resolution in progress")
 )
 
 // run is the state of one top-level CA-action execution — a session on the

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -289,6 +290,107 @@ func TestNestedEntryRacingOuterResolution(t *testing.T) {
 		if !out.Completed || out.Resolved != "ofault" {
 			t.Fatalf("run %d outcome = %+v", i, out)
 		}
+	}
+}
+
+// TestBodyStepsDuringAbort races a body stepping its own engine against its
+// engine loop aborting the body's nested actions. O2 descends a chain of
+// nested actions of its own and at the bottom enters, leaves and raises in a
+// loop, while O1's raise at the top escalates O2's engine into AbortNested.
+// There the loop waits for O2's body to park, and gives the engine lock up
+// while it waits: a body blocked on that lock must get it, find itself
+// suspended and unwind. Were the lock held across the wait, the round would
+// deadlock until RunTimeout.
+func TestBodyStepsDuringAbort(t *testing.T) {
+	const depth, rounds = 4, 50
+	members := []ident.ObjectID{1, 2, 3}
+	self := []ident.ObjectID{2}
+	var (
+		mu      sync.Mutex
+		aborted []int // the levels whose abortion handler ran at O2, in order
+	)
+	spec := func(name string, level int) *ActionSpec {
+		return &ActionSpec{
+			Name: name, Tree: testTree("L"), Members: self,
+			Handlers: uniformHandlers(self, defaultOnly(noopHandler)),
+			Abortion: map[ident.ObjectID]AbortionHandler{2: func(*RecoveryContext) string {
+				mu.Lock()
+				aborted = append(aborted, level)
+				mu.Unlock()
+				return ""
+			}},
+		}
+	}
+	chain := make([]*ActionSpec, depth)
+	for i := range chain {
+		chain[i] = spec(fmt.Sprintf("chain%d", i+1), i+1)
+	}
+	var (
+		descend func(ctx *Context, level int) error
+		bottom  chan any // closed when O2 first reaches the bottom of the chain
+	)
+	descend = func(ctx *Context, level int) error {
+		if level < depth {
+			_, err := ctx.Enclose(chain[level], func(c *Context) error { return descend(c, level+1) })
+			return err
+		}
+		close(bottom)
+		// A run enters an action spec once, so every step gets its own.
+		for {
+			if _, err := ctx.Enclose(spec("leave", depth+1), func(*Context) error { return nil }); err != nil {
+				return err
+			}
+			if _, err := ctx.Enclose(spec("raise", depth+1), func(c *Context) error { c.Raise("L"); return nil }); err != nil {
+				return err
+			}
+		}
+	}
+	for tr, name := range map[TransportKind]string{TransportRaw: "raw", TransportReliable: "reliable"} {
+		sys := NewServer(Options{Transport: tr})
+		for round := 0; round < rounds; round++ {
+			aborted = aborted[:0]
+			bottom = make(chan any)
+			out, err := sys.RunTimeout(Definition{
+				Spec: ActionSpec{
+					Name: "top", Tree: testTree("E1"), Members: members,
+					Handlers: uniformHandlers(members, defaultOnly(noopHandler)),
+				},
+				Bodies: map[ident.ObjectID]Body{
+					1: func(ctx *Context) error {
+						ctx.Await(bottom)
+						ctx.Sleep(time.Duration(round%5) * 100 * time.Microsecond)
+						ctx.Raise("E1")
+						return nil
+					},
+					2: func(ctx *Context) error { return descend(ctx, 0) },
+					3: func(ctx *Context) error {
+						ctx.Sleep(time.Hour)
+						return nil
+					},
+				},
+			}, 10*time.Second)
+			if err != nil {
+				sys.Close()
+				t.Fatalf("%s round %d: %v (per object: %+v)", name, round, err, out.PerObject)
+			}
+			for obj, res := range out.PerObject {
+				if !res.Completed || res.Resolved != "E1" {
+					t.Errorf("%s round %d: %s finished %+v, want completed with E1", name, round, obj, res)
+				}
+			}
+			mu.Lock()
+			if n := len(aborted); n == 0 || aborted[n-1] != 1 {
+				t.Errorf("%s round %d: abortion handlers ran for levels %v, want a chain ending at 1", name, round, aborted)
+			}
+			for k := 1; k < len(aborted); k++ {
+				if aborted[k] != aborted[k-1]-1 {
+					t.Errorf("%s round %d: abortion handlers ran for levels %v, want innermost first", name, round, aborted)
+					break
+				}
+			}
+			mu.Unlock()
+		}
+		sys.Close()
 	}
 }
 

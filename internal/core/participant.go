@@ -32,29 +32,10 @@ type handlerOutcome struct {
 	err      error
 }
 
-// request is a body's request to its engine goroutine. A body has at most one
-// outstanding, so a request travels by value over the participant's events
-// channel and is answered on its reply channel, both made once per pooled
-// participant.
-type request struct {
-	op    requestOp
-	level int       // the body's level: see post
-	inst  *instance // opEnter, opLeave
-	exc   string    // opRaise
-}
-
-type requestOp uint8
-
-const (
-	opEnter requestOp = iota // push inst's frame
-	opLeave                  // pop inst's frame
-	opRaise                  // raise exc in the active action
-	opStop                   // end the engine loop; not answered
-)
-
 // participant is one participating object: a protocol engine loop plus a
-// body, each run by a server worker (worker.go), communicating only through
-// requests and suspension state.
+// body, each run by a server worker (worker.go). Both step the one engine
+// under emu, the loop for each delivery and the body for its own enters,
+// leaves and raises; otherwise they share only suspension state.
 // It attaches to its object's dispatcher through a sessionRoute: everything it
 // sends — protocol messages and membership traffic alike — carries the
 // session's root action tag, and everything so tagged arrives in its inbox.
@@ -69,8 +50,8 @@ type participant struct {
 	engine *protocol.Engine
 	hooks  protocol.Hooks // bound to this participant once, by newParticipant
 
-	events chan request      // unbuffered: a body request, or stop
-	reply  chan error        // 1-buffered: the answer to a body request
+	emu    sync.Mutex        // guards engine and estack
+	quit   chan struct{}     // unbuffered: the stop, taken by the engine loop
 	result ParticipantResult // written by the body goroutine, read once it has returned
 
 	// Membership monitoring (nil without Options.Membership). The detector
@@ -80,8 +61,8 @@ type participant struct {
 	detector *group.Detector
 	monitor  *membership.Monitor
 
-	// estack mirrors the engine's action stack with run instances. Engine
-	// goroutine only.
+	// estack mirrors the engine's action stack with run instances. Guarded by
+	// emu.
 	estack []*instance
 
 	// pending counts what may still touch p once its body and engine have
@@ -98,18 +79,16 @@ type participant struct {
 	expelledSelf bool
 	outcomes     []handlerOutcome // delivered, not yet taken; one at most but for nesting
 
-	state     atomic.Int32  // how the body is blocked
-	wake      chan struct{} // 1-buffered: the waker that claimed state signals here
-	abandoned bool          // reply owes the answer to a request the body gave up on; body goroutine only
+	state atomic.Int32  // whether the body is parked
+	wake  chan struct{} // 1-buffered: the waker that claimed state signals here
 }
 
-// Body states. A body about to block stores how, then re-checks what it waits
-// for (in that order: a change made after the check finds the word set);
+// Body states. A body about to park stores bodyParked, then re-checks what it
+// waits for (in that order: a change made after the check finds the word set);
 // whoever makes such a change calls wakeBody, which claims the wake-up by
 // compare-and-swap, so one waker signals however many race.
 const (
-	bodyRunning int32 = iota // not blocked; holds its token
-	bodyWaiting              // blocked in post: the engine is working for it, so it keeps its token
+	bodyRunning int32 = iota // not parked; holds its token
 	bodyParked               // blocked in a Context wait: it has given its token up
 	bodyWoken                // a waker has claimed the wake-up
 )
@@ -118,10 +97,9 @@ const (
 // for life, and nothing a run sets.
 func newParticipant(s *Server) *participant {
 	p := &participant{
-		route:  sessionRoute{inbox: newMailbox(s.clk)},
-		events: make(chan request),
-		reply:  make(chan error, 1),
-		wake:   make(chan struct{}, 1),
+		route: sessionRoute{inbox: newMailbox(s.clk)},
+		quit:  make(chan struct{}),
+		wake:  make(chan struct{}, 1),
 	}
 	p.parkCond = sync.NewCond(&p.smu)
 	p.hooks = protocol.Hooks{
@@ -141,18 +119,13 @@ func newParticipant(s *Server) *participant {
 // detach), the channels, and the capacity of estack and outcomes. Everything
 // a run set is zeroed, a field added later included.
 func (p *participant) Reset() {
-	select {
-	case <-p.reply: // the engine's answer to a request the body abandoned
-	default:
-	}
 	clear(p.estack[:cap(p.estack)])
 	clear(p.outcomes[:cap(p.outcomes)])
 	*p = participant{
 		route:        sessionRoute{inbox: p.route.inbox},
 		engine:       p.engine,
 		hooks:        p.hooks,
-		events:       p.events,
-		reply:        p.reply,
+		quit:         p.quit,
 		estack:       p.estack[:0],
 		parkCond:     p.parkCond,
 		suspendLevel: levelNone,
@@ -178,9 +151,9 @@ func (r *run) join(obj ident.ObjectID) (*participant, error) {
 	p.route.attach(d, r.top.id)
 	if !r.preExpelled[obj] {
 		// The top-level action is entered here, on the creating goroutine,
-		// while nothing else can reach the engine, so entering costs the
-		// body no hand-off.
-		if err := p.enterFrame(&r.top); err != nil {
+		// the way a body enters a nested one. Nothing can have suspended a
+		// participant fresh from the pool, so this never unwinds.
+		if err := p.enterInstance(-1, &r.top); err != nil {
 			p.detach()
 			r.sys.recycle(p)
 			return nil, err
@@ -203,84 +176,38 @@ func (s *Server) recycle(p *participant) {
 }
 
 // start hands the engine loop to a pool worker. runAttempt calls it right
-// behind handing over the participant's body: the body's first request is
-// then already waiting when its engine first looks, and loop serves a waiting
-// request before the next delivery, so whether a body that raises at once is
-// still heard does not hang on how soon the scheduler gets round to it.
-// Deliveries that arrive earlier wait in the mailbox. (The exception is the
-// run's last member: Go runs the goroutine readied last first, whether it is
-// a new one or a parked worker handed a task, so that engine is already
-// listening while its body waits at the back of the run queue, and a peer's
-// Exception usually reaches it first. See docs/SERVER.md.) The loop returns
-// on opStop and its worker parks again: a pooled participant owns no
-// goroutine.
+// behind handing over the participant's body, so a body that raises at once
+// usually takes the engine lock before its loop first looks at the mailbox,
+// and whether it is still heard does not hang on how soon the scheduler gets
+// round to it. Deliveries that arrive earlier wait in the mailbox. (The
+// exception is the run's last member: Go runs the goroutine readied last
+// first, whether it is a new one or a parked worker handed a task, so that
+// engine is already listening while its body waits at the back of the run
+// queue, and a peer's Exception usually reaches it first. See
+// docs/SERVER.md.) The loop returns on stop and its worker parks again: a
+// pooled participant owns no goroutine.
 func (p *participant) start() {
 	p.run.sys.spawn(task{op: taskLoop, p: p})
 }
 
-// burst caps the deliveries one engine-loop wakeup drains before body
-// requests get another turn.
-const burst = 32
-
-// loop is the engine loop, run by a worker until opStop: it serialises
-// protocol messages and body requests onto the engine state machine.
-// Deliveries arrive in the session's mailbox (fed by the object's
-// dispatcher), and each wakeup drains a bounded burst, serving a request that
-// is already waiting before each delivery, so requests never starve behind a
-// message storm (nor deliveries behind requests: one delivery follows each).
-// The mailbox re-arms its ready signal while non-empty, so stopping at the
-// burst cap never strands queued messages.
+// loop is the engine loop, run by a worker until stop: it steps the engine
+// with each delivery in the session's mailbox (fed by the object's
+// dispatcher), taking the engine lock once per delivery, so the body gets its
+// turn between deliveries.
 func (p *participant) loop() {
 	inbox := p.route.inbox
 	for {
 		select {
 		case <-inbox.ready:
-			for n := 0; n < burst; n++ {
-				select {
-				case r := <-p.events:
-					if !p.serve(r) {
-						return
-					}
-				default:
-				}
-				d, ok := inbox.take()
-				if !ok {
-					break
-				}
+			for d, ok := inbox.take(); ok; d, ok = inbox.take() {
+				p.emu.Lock()
 				p.handleDelivery(d)
-				inbox.clk.Release(vclock.Mailbox) // taken by put
+				p.emu.Unlock()
 			}
-		case r := <-p.events:
-			if !p.serve(r) {
-				return
-			}
+		case <-p.quit:
+			return
 		}
 	}
-}
-
-// serve carries out one body request and answers it. It reports false for
-// opStop, which gets no answer: the loop returns, and the stopper's send
-// completing tells it so.
-func (p *participant) serve(r request) bool {
-	var err error
-	switch r.op {
-	case opStop:
-		return false
-	case opEnter:
-		// Refused when a resolution already covers the current level (the
-		// body is about to be terminated anyway).
-		if p.suspension() <= len(p.estack)-1 {
-			err = ErrSuspendedEntry
-		} else {
-			err = p.enterFrame(r.inst)
-		}
-	case opLeave:
-		err = p.leaveFrame(r.level, r.inst)
-	case opRaise:
-		_, err = p.engine.RaiseLocal(r.exc) // a raise a resolution subsumes is fine
-	}
-	p.reply <- err
-	return true
 }
 
 // handleDelivery feeds one transport delivery to the engine, rebuilding the
@@ -313,7 +240,7 @@ func (p *participant) handleDelivery(d group.Delivery) {
 // unbuffered, so once it completes the loop has taken the stop and steps the
 // engine no more.
 func (p *participant) stop() {
-	p.events <- request{op: opStop}
+	p.quit <- struct{}{}
 	p.detach()
 }
 
@@ -331,44 +258,13 @@ func (p *participant) detach() {
 	p.route.detach()
 }
 
-// post hands r to the engine goroutine and waits for the answer. r.level is
-// the body's current action depth: if a suspension targeting that level (or
-// an outer one) arrives while the engine is busy (typically waiting for this
-// very body to park before running abortion handlers, possibly serving r),
-// post abandons the request and unwinds the body instead of deadlocking.
-// Every request is suspension-aware and degrades to a no-op if it is served
-// after that; liftSuspension sees to it that it has been before the
-// suspension goes. The body keeps its clock token throughout: the engine
-// works on its behalf.
-func (p *participant) post(r request) error {
-	events, reply := p.events, (chan error)(nil) // first the one, then the other
-	for {
-		p.state.Store(bodyWaiting)
-		if susp := p.suspension(); susp <= r.level {
-			p.resume(bodyWaiting, false)
-			p.abandoned = reply != nil // the engine has r and will answer it
-			panic(sentinel{level: susp})
-		}
-		select {
-		case <-p.wake:
-			p.state.Store(bodyRunning)
-		case events <- r:
-			p.resume(bodyWaiting, false)
-			events, reply = nil, p.reply
-		case err := <-reply:
-			p.resume(bodyWaiting, false)
-			return err
-		}
-	}
-}
-
-// resume ends a block that p.wake did not end: what the body stored mode for
-// held already, or another channel fired. released says the body had given
-// its clock token up; it returns holding exactly one (a waker that claimed the
-// word meanwhile has signalled and, for a parked body, holds one too).
-func (p *participant) resume(mode int32, released bool) {
+// resume ends a park that p.wake did not end: what the body parked for held
+// already, or its channel fired. released says the body had given its clock
+// token up; it returns holding exactly one (a waker that claimed the word
+// meanwhile has signalled and holds one too).
+func (p *participant) resume(released bool) {
 	clk := p.run.sys.clk
-	if p.state.CompareAndSwap(mode, bodyRunning) {
+	if p.state.CompareAndSwap(bodyParked, bodyRunning) {
 		if released {
 			clk.Hold(vclock.Body)
 		}
@@ -376,28 +272,23 @@ func (p *participant) resume(mode int32, released bool) {
 	}
 	<-p.wake
 	p.state.Store(bodyRunning)
-	if mode == bodyParked && !released {
+	if !released {
 		clk.Release(vclock.Body)
 	}
 }
 
-// wakeBody tells a blocked body that something it may be waiting for has
+// wakeBody tells a parked body that something it may be waiting for has
 // changed. The caller is itself counted on the clock (an engine step, a
-// handler, a body, a timer callback). No-op when the body is not blocked or
+// handler, a body, a timer callback). No-op when the body is not parked or
 // another waker got there first.
 func (p *participant) wakeBody() {
-	for s := p.state.Load(); s == bodyWaiting || s == bodyParked; s = p.state.Load() {
-		if p.state.CompareAndSwap(s, bodyWoken) {
-			if s == bodyParked {
-				p.run.sys.clk.Hold(vclock.Body)
-			}
-			p.wake <- struct{}{}
-			return
-		}
+	if p.state.CompareAndSwap(bodyParked, bodyWoken) {
+		p.run.sys.clk.Hold(vclock.Body)
+		p.wake <- struct{}{}
 	}
 }
 
-// --- engine hooks (engine goroutine) ---
+// --- engine hooks (under emu) ---
 
 // hookSend sends one protocol message as its body, by value: the envelope
 // carries its kind and sender. The directory's codec (wire encoding, when
@@ -427,12 +318,19 @@ func (p *participant) hookSuspend(action ident.ActionID) {
 // body to park at the resolution level, then runs abortion handlers
 // innermost-first and aborts their transactions. It returns the exception
 // signalled by the abortion handler of the action directly nested in downTo.
+//
+// The wait gives the engine lock up, for the body may be blocked on it. That
+// body finds itself suspended (the engine suspends downTo before it aborts
+// what is nested in it) and unwinds instead of stepping. The wait is never
+// the body's own: AbortNested is reached only from a delivery.
 func (p *participant) hookAbortNested(downTo ident.ActionID) string {
 	target := p.levelOf(downTo)
 	if target < 0 {
 		return ""
 	}
+	p.emu.Unlock()
 	p.waitParked(target)
+	p.emu.Lock()
 
 	signal := ""
 	for idx := len(p.estack) - 1; idx > target; idx-- {
@@ -526,8 +424,8 @@ func (p *participant) park(level int) {
 	p.parkCond.Broadcast()
 }
 
-// waitParked blocks (engine goroutine) until the body parks at level, the
-// body finishes, or the run is cancelled.
+// waitParked blocks (the engine loop, not holding emu) until the body parks at
+// level, the body finishes, or the run is cancelled.
 func (p *participant) waitParked(level int) {
 	p.smu.Lock()
 	defer p.smu.Unlock()
@@ -567,8 +465,8 @@ func (p *participant) takeOutcome(action ident.ActionID) (handlerOutcome, bool) 
 	return handlerOutcome{}, false
 }
 
-// levelOf returns the index of the action in the engine-side stack (engine
-// goroutine only).
+// levelOf returns the index of the action in the engine-side stack (under
+// emu).
 func (p *participant) levelOf(action ident.ActionID) int {
 	for i, inst := range p.estack {
 		if inst.id == action {
@@ -578,29 +476,24 @@ func (p *participant) levelOf(action ident.ActionID) int {
 	return -1
 }
 
-// --- requests a body posts to its engine goroutine ---
+// --- a body's steps of its own engine ---
 
-// enterInstance asks the engine to push inst's frame. bodyLevel is the
-// body's depth before entering.
+// lockFor takes the engine lock for a body at level: its depth, or the level
+// of the action it leaves. A suspension covering level unwinds the body into
+// it instead, without stepping: the resolution owns the frames from there.
+func (p *participant) lockFor(level int) {
+	p.emu.Lock()
+	if susp := p.suspension(); susp <= level {
+		p.emu.Unlock()
+		panic(sentinel{level: susp})
+	}
+}
+
+// enterInstance pushes inst's frame. bodyLevel is the body's depth before
+// entering.
 func (p *participant) enterInstance(bodyLevel int, inst *instance) error {
-	return p.post(request{op: opEnter, level: bodyLevel, inst: inst})
-}
-
-// leaveInstance asks the engine to pop inst's frame after the completion
-// barrier. bodyLevel is the level of the action being left.
-func (p *participant) leaveInstance(bodyLevel int, inst *instance) error {
-	return p.post(request{op: opLeave, level: bodyLevel, inst: inst})
-}
-
-// raise asks the engine to raise an exception in the active action.
-// bodyLevel is the body's current depth.
-func (p *participant) raise(bodyLevel int, exc string) {
-	_ = p.post(request{op: opRaise, level: bodyLevel, exc: exc})
-}
-
-// enterFrame pushes inst's frame onto the engine (engine goroutine, or the
-// creating goroutine before the engine goroutine exists).
-func (p *participant) enterFrame(inst *instance) error {
+	p.lockFor(bodyLevel)
+	defer p.emu.Unlock()
 	frame := protocol.Frame{
 		Action:  inst.id,
 		Path:    inst.path,
@@ -611,9 +504,8 @@ func (p *participant) enterFrame(inst *instance) error {
 		p.engine.SetWaitForNested(true)
 	}
 	// estack must be extended BEFORE EnterAction: the engine replays
-	// messages that arrived while this object was belated, and the
-	// hooks they trigger (Suspend, AbortNested) resolve action levels
-	// through estack.
+	// messages that arrived while this object was belated, and the Suspend
+	// hook they may trigger resolves action levels through estack.
 	p.estack = append(p.estack, inst)
 	if err := p.engine.EnterAction(frame); err != nil {
 		p.estack = p.estack[:len(p.estack)-1]
@@ -622,14 +514,11 @@ func (p *participant) enterFrame(inst *instance) error {
 	return nil
 }
 
-// leaveFrame pops inst's frame (engine goroutine). bodyLevel is the level of
-// the action being left.
-func (p *participant) leaveFrame(bodyLevel int, inst *instance) error {
-	if p.suspension() <= bodyLevel {
-		// A resolution is (or was) in progress at or outside this level;
-		// the frame must stay for the protocol. The body unwinds instead.
-		return ErrSuspendedEntry
-	}
+// leaveInstance pops inst's frame after the completion barrier. bodyLevel is
+// the level of the action being left.
+func (p *participant) leaveInstance(bodyLevel int, inst *instance) error {
+	p.lockFor(bodyLevel)
+	defer p.emu.Unlock()
 	if len(p.estack) == 0 || p.estack[len(p.estack)-1] != inst {
 		return fmt.Errorf("%w: %s not active", protocol.ErrNotInAction, inst.id)
 	}
@@ -638,4 +527,12 @@ func (p *participant) leaveFrame(bodyLevel int, inst *instance) error {
 	}
 	p.estack = p.estack[:len(p.estack)-1]
 	return nil
+}
+
+// raise raises an exception in the active action. bodyLevel is the body's
+// current depth.
+func (p *participant) raise(bodyLevel int, exc string) {
+	p.lockFor(bodyLevel)
+	defer p.emu.Unlock()
+	_, _ = p.engine.RaiseLocal(exc) // a raise a resolution subsumes is fine
 }

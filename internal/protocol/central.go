@@ -48,8 +48,7 @@ func PredictCentralMessages(n, p int) int {
 
 // CentralSim is a deterministic runner for the centralised variant over one
 // flat action. It mirrors Sim's counting interface, and runs over the same
-// transport.Deterministic fabric (in global-FIFO discipline, the exchange
-// order the centralised variant has always used).
+// transport.Deterministic fabric.
 type CentralSim struct {
 	// Log records sends; its census is the message count.
 	Log *trace.Log
@@ -90,15 +89,13 @@ func NewCentralSim(tree *exception.Tree, members []ident.ObjectID) (*CentralSim,
 		return nil, errors.New("protocol: central sim needs members")
 	}
 	cs := &CentralSim{
-		Log:     trace.NewLog(),
-		Handled: make(map[ident.ObjectID][]string),
-		tree:    tree,
-		manager: members[0],
-		members: append([]ident.ObjectID{}, members...),
-		objs:    make(map[ident.ObjectID]*centralObject, len(members)),
-		fabric: transport.NewDeterministic(transport.Options{
-			Discipline: transport.DisciplineGlobalFIFO,
-		}),
+		Log:       trace.NewLog(),
+		Handled:   make(map[ident.ObjectID][]string),
+		tree:      tree,
+		manager:   members[0],
+		members:   append([]ident.ObjectID{}, members...),
+		objs:      make(map[ident.ObjectID]*centralObject, len(members)),
+		fabric:    transport.NewDeterministic(transport.Options{}),
 		statusGot: make(map[ident.ObjectID]bool),
 	}
 	for _, m := range members {

@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exception"
 	"repro/internal/ident"
+	"repro/internal/vclock"
 )
 
 // The core tier runs every generated program through the full stack — server,
@@ -105,8 +106,9 @@ func chainTo(f *Family, action int) []int {
 }
 
 // compileFamily lowers one family to a core.Definition whose bodies follow
-// the timing scheme above and record every nested result into rec.
-func compileFamily(fi int, fam *Family, tree *exception.Tree, rec *recorder, t coreTiming) core.Definition {
+// the timing scheme above and record every nested result into rec. clk is the
+// clock of the server the definition runs on: abortion handlers work on it.
+func compileFamily(fi int, fam *Family, tree *exception.Tree, rec *recorder, t coreTiming, clk vclock.Clock) core.Definition {
 	policy := core.AbortNestedActions
 	if fam.WaitForNested {
 		policy = core.WaitForNestedActions
@@ -135,7 +137,7 @@ func compileFamily(fi int, fam *Family, tree *exception.Tree, rec *recorder, t c
 			specs[ai].Abortion = make(map[ident.ObjectID]core.AbortionHandler, len(members))
 			for _, m := range members {
 				specs[ai].Abortion[m] = func(*core.RecoveryContext) string {
-					time.Sleep(cost)
+					clk.Sleep(cost)
 					return ""
 				}
 			}

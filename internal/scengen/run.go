@@ -159,7 +159,7 @@ func run(p *Program, c Config, fams []int, t coreTiming) Result {
 		if p.Partition == nil && len(p.Families[fi].Raises) == 0 {
 			ft.forever = false // nothing would end the dwell
 		}
-		defs[i] = compileFamily(fi, &p.Families[fi], tree, res.rec, ft)
+		defs[i] = compileFamily(fi, &p.Families[fi], tree, res.rec, ft, clk)
 	}
 	if p.Partition != nil && !p.Partition.Heal {
 		defs[0] = armCut(sys, clk, defs[0], p.Partition)
@@ -253,7 +253,7 @@ func armCut(sys *core.Server, clk vclock.Clock, def core.Definition, part *Parti
 func churn(sys *core.Server, clk vclock.Clock, p *Program, tree *exception.Tree, timeout time.Duration) ([]Cycle, error) {
 	fam := &p.Families[0]
 	idleFam := Family{Objects: fam.Objects, Actions: fam.Actions[:1]}
-	idle := compileFamily(0, &idleFam, tree, newRecorder(), coreTiming{forever: true})
+	idle := compileFamily(0, &idleFam, tree, newRecorder(), coreTiming{forever: true}, clk)
 	cut := p.Partition.objects()
 	isCut := make(map[ident.ObjectID]bool, len(cut))
 	for _, c := range cut {

@@ -291,6 +291,26 @@ func TestRunAbortionCostDelaysResolution(t *testing.T) {
 	}
 }
 
+// TestRunAbortionCostOnVirtualClock checks that abortion handlers work on the
+// run's clock: on the virtual clock every nested level the raise aborts adds
+// its handlers' cost to the virtual time the run takes. The levels abort one
+// after another, the members side by side.
+func TestRunAbortionCostOnVirtualClock(t *testing.T) {
+	elapsed := func(depth int) time.Duration {
+		res, err := Run(mustGrid(t, 3, 1, 2, depth, 10*time.Millisecond), Config{Virtual: true})
+		if err != nil || !res.Outcomes[0].Completed {
+			t.Fatalf("depth %d: outcome %+v, error %v", depth, res.Outcomes[0], err)
+		}
+		return res.VirtualElapsed
+	}
+	base := elapsed(1)
+	for _, depth := range []int{2, 4, 16} {
+		if got, want := elapsed(depth)-base, time.Duration(depth-1)*presetTiming.abortCost; got != want {
+			t.Errorf("depth %d took %v more virtual time than depth 1, want %v", depth, got, want)
+		}
+	}
+}
+
 // inputCase is one row of a table of preset inputs: give builds (and, for a
 // Config, runs) a program and returns the error it met.
 type inputCase struct {

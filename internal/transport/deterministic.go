@@ -10,17 +10,9 @@ import (
 // per ordered object pair, with messages delivered one Step at a time. It is
 // the backend behind protocol.Sim, protocol.CentralSim and the bounded model
 // checker (protocol.Explore), so tests and the experiment harness can
-// measure exact message counts without scheduler noise.
-//
-// Two delivery disciplines are supported:
-//
-//   - DisciplinePairActivation (the default): Step picks among the pairs
-//     with pending messages, in pair-activation order (or via a pluggable
-//     chooser for randomised interleaving). This is the discipline the
-//     decentralised resolution fabric has always used.
-//   - DisciplineGlobalFIFO: Step delivers messages in global enqueue order
-//     (per-pair FIFO holds trivially). This is the discipline of the
-//     centralised-resolution runner.
+// measure exact message counts without scheduler noise. Step picks among
+// the pairs with pending messages, in pair-activation order (or via a
+// pluggable chooser for randomised interleaving).
 //
 // The model checker's hooks — PendingPairs (the branching factor) and
 // StepChoice (deliver the head of the i-th non-empty pair) — live here too,
@@ -31,7 +23,6 @@ type Deterministic struct {
 	handlers map[ident.ObjectID]Handler
 	queues   map[pair]*ring
 	order    []pair
-	global   ring // DisciplineGlobalFIFO only
 
 	chooser func(n int) int
 	filter  func(m Message) bool
@@ -72,27 +63,6 @@ func (r *ring) pop() Message {
 	return m
 }
 
-// at returns the i-th queued message (0 = oldest) without removing it.
-//
-//caa:noalloc
-func (r *ring) at(i int) Message { return r.buf[(r.head+i)%len(r.buf)] }
-
-// removeAt removes and returns the i-th queued message, shifting the
-// younger ones left. Only the model checker's choice hooks use it; Step and
-// Drain always pop the head.
-func (r *ring) removeAt(i int) Message {
-	m := r.at(i)
-	for j := i; j < r.n-1; j++ {
-		r.buf[(r.head+j)%len(r.buf)] = r.buf[(r.head+j+1)%len(r.buf)]
-	}
-	r.buf[(r.head+r.n-1)%len(r.buf)] = Message{}
-	r.n--
-	if r.n == 0 {
-		r.head = 0
-	}
-	return m
-}
-
 func (r *ring) grow() {
 	newCap := 2 * len(r.buf)
 	if newCap < 4 {
@@ -105,24 +75,8 @@ func (r *ring) grow() {
 	r.buf, r.head = buf, 0
 }
 
-func (r *ring) reset() { *r = ring{} }
-
-// Discipline selects the delivery order of a Deterministic fabric.
-type Discipline int
-
-// Delivery disciplines.
-const (
-	// DisciplinePairActivation delivers from the first (or chooser-picked)
-	// pair with pending messages, in pair-activation order.
-	DisciplinePairActivation Discipline = iota
-	// DisciplineGlobalFIFO delivers messages in global enqueue order.
-	DisciplineGlobalFIFO
-)
-
 // Options configure a Deterministic fabric.
 type Options struct {
-	// Discipline selects the delivery order.
-	Discipline Discipline
 	// Codec, when non-nil, passes every body it translates through bytes at
 	// Send.
 	Codec Codec
@@ -150,8 +104,7 @@ func (d *Deterministic) Register(obj ident.ObjectID, h Handler) {
 	d.handlers[obj] = h
 }
 
-// SetChooser installs the delivery-choice function for
-// DisciplinePairActivation: given n pending pairs it returns the index of
+// SetChooser installs the delivery-choice function: given n pending pairs it returns the index of
 // the pair to deliver from. Nil restores the default (always the first, in
 // activation order). With RandChooser it is the seeded randomised
 // interleaving that protocol.Sim's SetRand installs.
@@ -193,10 +146,6 @@ func (d *Deterministic) Send(m Message) error {
 
 //caa:noalloc
 func (d *Deterministic) enqueue(m Message) {
-	if d.opts.Discipline == DisciplineGlobalFIFO {
-		d.global.push(m)
-		return
-	}
 	key := pair{from: m.From, to: m.To}
 	q := d.queues[key]
 	if q == nil {
@@ -216,15 +165,11 @@ func (d *Deterministic) Close() error {
 	d.closed = true
 	d.queues = make(map[pair]*ring)
 	d.order = nil
-	d.global.reset()
 	return nil
 }
 
 // Pending returns the number of queued messages.
 func (d *Deterministic) Pending() int {
-	if d.opts.Discipline == DisciplineGlobalFIFO {
-		return d.global.len()
-	}
 	n := 0
 	for _, q := range d.queues {
 		n += q.len()
@@ -233,19 +178,10 @@ func (d *Deterministic) Pending() int {
 }
 
 // Step delivers one pending message; it reports whether one was pending.
-// Under DisciplinePairActivation the pair is picked by the chooser (default:
-// first in activation order); under DisciplineGlobalFIFO the globally oldest
-// message is delivered.
+// The pair is picked by the chooser (default: first in activation order).
 //
 //caa:noalloc
 func (d *Deterministic) Step() bool {
-	if d.opts.Discipline == DisciplineGlobalFIFO {
-		if d.global.len() == 0 {
-			return false
-		}
-		d.deliver(d.global.pop())
-		return true
-	}
 	for len(d.order) > 0 {
 		i := 0
 		if d.chooser != nil {
@@ -305,14 +241,6 @@ func (d *Deterministic) Drain(maxSteps int) error {
 // PendingPairs returns the number of ordered pairs with queued messages —
 // the branching factor of the next delivery choice for the model checker.
 func (d *Deterministic) PendingPairs() int {
-	if d.opts.Discipline == DisciplineGlobalFIFO {
-		seen := make(map[pair]bool)
-		for i := 0; i < d.global.len(); i++ {
-			m := d.global.at(i)
-			seen[pair{from: m.From, to: m.To}] = true
-		}
-		return len(seen)
-	}
 	n := 0
 	for _, key := range d.order {
 		if d.queues[key].len() > 0 {
@@ -323,12 +251,8 @@ func (d *Deterministic) PendingPairs() int {
 }
 
 // StepChoice delivers the next message of the i-th non-empty pair (0-based,
-// in pair-activation order; in first-occurrence order under
-// DisciplineGlobalFIFO). It reports whether a message was delivered.
+// in pair-activation order). It reports whether a message was delivered.
 func (d *Deterministic) StepChoice(i int) bool {
-	if d.opts.Discipline == DisciplineGlobalFIFO {
-		return d.stepChoiceGlobal(i)
-	}
 	idx := 0
 	for pos, key := range d.order {
 		q := d.queues[key]
@@ -341,27 +265,6 @@ func (d *Deterministic) StepChoice(i int) bool {
 				d.order = append(d.order[:pos], d.order[pos+1:]...)
 			}
 			d.deliver(m)
-			return true
-		}
-		idx++
-	}
-	return false
-}
-
-// stepChoiceGlobal delivers the oldest message of the i-th distinct pair in
-// first-occurrence order, preserving per-pair FIFO.
-func (d *Deterministic) stepChoiceGlobal(i int) bool {
-	seen := make(map[pair]bool)
-	idx := 0
-	for pos := 0; pos < d.global.len(); pos++ {
-		m := d.global.at(pos)
-		key := pair{from: m.From, to: m.To}
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		if idx == i {
-			d.deliver(d.global.removeAt(pos))
 			return true
 		}
 		idx++

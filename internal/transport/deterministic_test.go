@@ -49,21 +49,6 @@ func TestDeterministicPairActivationOrder(t *testing.T) {
 	}
 }
 
-func TestDeterministicGlobalFIFO(t *testing.T) {
-	d := NewDeterministic(Options{Discipline: DisciplineGlobalFIFO})
-	var got []any
-	d.Register(3, collect(&got))
-	_ = d.Send(Message{From: 1, To: 3, Payload: "a1"})
-	_ = d.Send(Message{From: 2, To: 3, Payload: "b1"})
-	_ = d.Send(Message{From: 1, To: 3, Payload: "a2"})
-	if err := d.Drain(10); err != nil {
-		t.Fatal(err)
-	}
-	if want := []any{"a1", "b1", "a2"}; !reflect.DeepEqual(got, want) {
-		t.Errorf("delivery order = %v, want %v", got, want)
-	}
-}
-
 func TestDeterministicDrainBudget(t *testing.T) {
 	d := NewDeterministic(Options{})
 	d.Register(2, func(Message) {})
