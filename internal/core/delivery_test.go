@@ -39,13 +39,14 @@ func quietDef(name string, n int, gate <-chan any) Definition {
 // server holds no goroutine per bound object, on TransportRaw and on
 // TransportReliable alike, only its parked workers: a port calls its handler
 // on the delivering goroutine, and R3's ticker is a callback on the clock
-// seam. Engine loops, bodies, handlers and submitted actions run on those
+// seam. Bodies, mailbox drains, handlers and submitted actions run on those
 // workers, and a worker is started only when none is idle: a submitted action
-// whose N bodies all wait at a gate at once grows a fresh pool to exactly
-// 2N+1 workers (a body and an engine loop per member, and the Submit), all of
-// which park once it ends, and Close returns the count to where it was before
-// the server. With membership monitoring on a session still needs no more:
-// the detector's beat and the monitor's poll are callbacks, and so is
+// whose N bodies all wait at a gate at once, and which sends no message,
+// grows a fresh pool to exactly N+1 workers (a body per member, and the
+// Submit; an engine runs on a worker only while a delivery waits for it), all
+// of which park once it ends, and Close returns the count to where it was
+// before the server. With membership monitoring on a session still needs no
+// more: the detector's beat and the monitor's poll are callbacks, and so is
 // RunTimeout's deadline.
 func TestServerGoroutineBudget(t *testing.T) {
 	const n = 8
@@ -95,7 +96,7 @@ func TestServerGoroutineBudget(t *testing.T) {
 			if got := len(s.dispatchers); got != n {
 				t.Fatalf("%d dispatchers bound, want %d", got, n)
 			}
-			const workers = 2*n + 1
+			const workers = n + 1
 			within(t, "idle server", base, workers+slack, func() bool {
 				idle, _ := s.workers.counts()
 				return s.InFlight() == 0 && idle == workers
@@ -131,9 +132,9 @@ func TestServerGoroutineBudget(t *testing.T) {
 			}), membershipDeadline)
 			done <- err
 		}()
-		// The caller above, then per member two workers: its engine loop's
-		// and its body's.
-		within(t, "membership session", base, 1+2*n+slack, func() bool { return parked.Load() == n })
+		// The caller above, then per member its body's worker. No beat is
+		// due, so no delivery starts a drain.
+		within(t, "membership session", base, 1+n+slack, func() bool { return parked.Load() == n })
 		open()
 		if err := <-done; err != nil {
 			t.Fatal(err)
@@ -213,11 +214,12 @@ func TestServerStaleDeliveryRecycledMailbox(t *testing.T) {
 // TestSessionEntersBeforeBodies pins how a session starts: every participant
 // has entered the top-level action, on the goroutine that creates it, before
 // the first body runs, so an action's trace opens with its N enter events
-// whatever the bodies do first (here all of them raise at once). Each engine
-// loop starts behind its body, and a body raises on its own goroutine under
-// the engine lock, so a member that raises at once usually steps its engine
-// before its loop first looks at the mailbox; when engines started first, the
-// observed P of an all-raise action wandered from run to run.
+// whatever the bodies do first (here all of them raise at once). An engine
+// has no goroutine until a delivery hands its mailbox's drain to a worker,
+// and nothing is delivered before a body raises, so no drain steps an engine
+// that has not entered; when engines started first and bodies entered the
+// top-level action themselves, the observed P of an all-raise action
+// wandered from run to run.
 func TestSessionEntersBeforeBodies(t *testing.T) {
 	const n = 6
 	members := make([]ident.ObjectID, n)

@@ -82,9 +82,11 @@ func (s *Server) dispatcherFor(obj ident.ObjectID) (*dispatcher, error) {
 // route hands one delivery to the session owning its action tag. It runs on
 // the delivering goroutine, under R3's lock on the reliable transports, and
 // never blocks on a session: mailboxes are unbounded, so one slow engine
-// cannot stall the traffic of every other action sharing the object. The put happens under d.mu: once unregister has returned no put
-// is in flight, so a recycled mailbox can never receive a finished action's
-// late message.
+// cannot stall the traffic of every other action sharing the object.
+//
+// The put happens under d.mu: once unregister has returned no put is in
+// flight, so a recycled mailbox can never receive a finished action's late
+// message.
 //
 //caa:noalloc
 func (d *dispatcher) route(dv group.Delivery) {
@@ -126,53 +128,61 @@ func (d *dispatcher) close() {
 
 // mailbox is one session's unbounded FIFO inbox on a dispatcher. put never
 // blocks (it runs on the goroutine delivering to the shared transport); the
-// put that finds the mailbox idle arms it and signals ready, and the consumer
-// then takes until the queue comes back empty, which disarms it.
-// A mailbox is pooled with its participant, queue capacity included:
-// deliveries arrive in bursts, and a per-action mailbox would regrow through
-// every doubling each time.
+// put that finds the mailbox idle arms it and hands a drain for its
+// participant to a pool worker, which steps the engine with each delivery
+// until take finds the queue empty and disarms it. At most one drain per
+// mailbox is armed at a time. A mailbox is pooled with its participant,
+// queue capacity included: deliveries arrive in bursts, and a per-action
+// mailbox would regrow through every doubling each time.
 //
 // An armed mailbox holds one vclock.Mailbox token, from the put that armed it
-// until take finds it empty or Reset discards it: its consumer has work. A
-// consumer that sleeps on the clock meanwhile (an abortion handler that
-// works for a while) lends that token, so the deliveries queued behind it do
-// not stop the clock it waits on.
+// until take finds it empty: its drain has work. A drain that sleeps on the
+// clock meanwhile (an abortion handler that works for a while) lends that
+// token, so the deliveries queued behind it do not stop the clock it waits on.
 type mailbox struct {
-	clk   vclock.Clock
-	mu    sync.Mutex
-	queue fifo.Queue[group.Delivery]
-	armed bool
+	//protolint:allow resetcheck for life: a drain's last take may run after close has returned and the participant gone back to the pool
+	srv *Server
+	//protolint:allow resetcheck for life: the participant the mailbox is pooled with, whose engine its drains step
+	owner *participant
 
-	ready chan struct{} // 1-buffered: signalled by the put that arms
+	mu     sync.Mutex
+	queue  fifo.Queue[group.Delivery]
+	armed  bool // a drain has been handed out and has not found the queue empty
+	closed bool // puts are dropped; a closer waits for the armed drain
+	//protolint:allow resetcheck for life: a condition on mu, which nobody waits on once close has returned
+	idle sync.Cond // on mu: the drain found the queue empty
 }
 
-func newMailbox(clk vclock.Clock) *mailbox {
-	return &mailbox{clk: clk, ready: make(chan struct{}, 1)}
+func newMailbox(s *Server, owner *participant) *mailbox {
+	m := &mailbox{srv: s, owner: owner}
+	m.idle.L = &m.mu
+	return m
 }
 
-// put queues one delivery, by value, arming the mailbox if it was idle.
+// put queues one delivery, by value, unless the mailbox is closed. The put
+// that arms the mailbox takes its token and hands its drain to a worker.
 //
 //caa:noalloc
 func (m *mailbox) put(d group.Delivery) {
 	m.mu.Lock()
+	if m.closed {
+		m.mu.Unlock()
+		return
+	}
 	m.queue.Push(d)
 	arm := !m.armed
 	m.armed = true
 	m.mu.Unlock()
 	if arm {
-		// The consumer found the queue empty and has not been signalled
-		// since, so it cannot have taken this delivery yet, and ready is
-		// empty: the send never falls through.
-		m.clk.Hold(vclock.Mailbox)
-		select {
-		case m.ready <- struct{}{}:
-		default:
-		}
+		m.srv.clk.Hold(vclock.Mailbox)
+		m.srv.spawn(task{op: taskDrain, p: m.owner})
 	}
 }
 
-// take pops the oldest delivery. On an empty queue it disarms the mailbox and
-// gives its token back: the consumer waits for ready again.
+// take pops the oldest delivery for the drain. On an empty queue it disarms
+// the mailbox and gives its token back. A closer waiting meanwhile has lent
+// the drain the run's token: take holds it again for the closer before the
+// mailbox's token goes (the waker rule in docs/VCLOCK.md).
 //
 //caa:noalloc
 func (m *mailbox) take() (group.Delivery, bool) {
@@ -180,28 +190,40 @@ func (m *mailbox) take() (group.Delivery, bool) {
 	d, ok := m.queue.Pop()
 	if !ok {
 		m.armed = false
+		if m.closed {
+			m.srv.clk.Hold(vclock.Run)
+			m.idle.Signal()
+		}
 	}
 	m.mu.Unlock()
 	if !ok {
-		m.clk.Release(vclock.Mailbox)
+		m.srv.clk.Release(vclock.Mailbox)
 	}
 	return d, ok
 }
 
-// Reset empties and disarms the mailbox, releasing its token. The caller has
-// unregistered it and stopped its consumer, so nothing else touches it.
+// close discards what is queued, drops every later put, and returns once no
+// drain is running. The caller holds the run's token; it lends it while it
+// waits, for the drain may be asleep on the clock (an abortion handler).
+func (m *mailbox) close() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.closed = true
+	m.queue.Reset()
+	if m.armed {
+		m.srv.clk.Release(vclock.Run)
+	}
+	for m.armed {
+		m.idle.Wait()
+	}
+}
+
+// Reset reopens a closed mailbox, once its route is unregistered.
 func (m *mailbox) Reset() {
 	m.mu.Lock()
-	if m.armed {
-		m.clk.Release(vclock.Mailbox)
-		m.armed = false
-	}
 	m.queue.Reset()
+	m.armed, m.closed = false, false
 	m.mu.Unlock()
-	select {
-	case <-m.ready:
-	default:
-	}
 }
 
 // sessionRoute is one participant's attachment to the shared runtime: sends
@@ -235,9 +257,9 @@ func (r *sessionRoute) notify(to ident.ObjectID, kind string, payload any) error
 	return r.disp.tr.SendTagged(to, kind, r.root, payload)
 }
 
-// detach unregisters the session from the dispatcher and empties the inbox.
-// The session's consumer must have stopped. The shared transport stays up
-// for other sessions.
+// detach unregisters the session from the dispatcher and reopens the inbox
+// for the next session. The inbox must have been closed. The shared
+// transport stays up for other sessions.
 func (r *sessionRoute) detach() {
 	r.disp.unregister(r.root)
 	r.inbox.Reset()

@@ -218,10 +218,12 @@ func (s *Server) HealPartition(name string) {
 }
 
 // startMembership wires a participant's failure detector and view monitor
-// onto its session route. The participant's engine loop owns the session inbox
-// and tees heartbeat arrivals in to the detector, and the monitor's
-// installations travel as ordinary tagged messages. Neither has a goroutine:
-// both are callbacks on the server's clock.
+// onto its session route. The participant's drain owns the session inbox and
+// tees heartbeat arrivals in to the detector, and the monitor's installations
+// travel as ordinary tagged messages. Neither has a goroutine: both are
+// callbacks on the server's clock. The route is already registered, so a
+// peer's heartbeat may be draining meanwhile: the two are published under
+// the engine lock, once the monitor is subscribed.
 func (p *participant) startMembership() {
 	mo := p.run.sys.opts.Membership
 	if mo == nil {
@@ -230,11 +232,11 @@ func (p *participant) startMembership() {
 	cfg := mo.withDefaults()
 	members := p.run.spec.Members
 	clk := p.run.sys.clk
-	p.detector = group.NewFedDetector(p.obj, p.route.notify, members, cfg.Heartbeat, cfg.Timeout, clk)
+	detector := group.NewFedDetector(p.obj, p.route.notify, members, cfg.Heartbeat, cfg.Timeout, clk)
 	mcfg := membership.Config{
 		Self:      p.obj,
 		Members:   members,
-		Suspector: p.detector,
+		Suspector: detector,
 		Send:      p.route.notify,
 		Poll:      cfg.Poll,
 		Clock:     clk,
@@ -252,8 +254,11 @@ func (p *participant) startMembership() {
 		obj := p.obj
 		mcfg.Install = func(snap any) { p.run.noteInstalled(obj, snap) }
 	}
-	p.monitor = membership.NewMonitor(mcfg)
-	p.monitor.Subscribe(p.viewChanged)
+	monitor := membership.NewMonitor(mcfg)
+	monitor.Subscribe(p.viewChanged)
+	p.emu.Lock()
+	p.detector, p.monitor = detector, monitor
+	p.emu.Unlock()
 }
 
 // viewChanged runs in one of the monitor's clock callbacks whenever a view
@@ -339,7 +344,7 @@ func (r *run) expel(obj ident.ObjectID) {
 		} else {
 			// Each engine takes the expulsion the way it takes a message,
 			// from its session mailbox: queued without blocking the monitor
-			// callback behind a busy engine loop, counted on the clock, and
+			// callback behind a busy drain, counted on the clock, and
 			// dropped if the participant has shut down.
 			p.route.disp.route(group.Delivery{From: obj, Kind: expelNote, Action: p.route.root})
 		}

@@ -4,11 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/exception"
 	"repro/internal/ident"
+	"repro/internal/vclock"
 )
 
 func TestNestedActionNormalCompletion(t *testing.T) {
@@ -294,10 +296,10 @@ func TestNestedEntryRacingOuterResolution(t *testing.T) {
 }
 
 // TestBodyStepsDuringAbort races a body stepping its own engine against its
-// engine loop aborting the body's nested actions. O2 descends a chain of
+// mailbox's drain aborting the body's nested actions. O2 descends a chain of
 // nested actions of its own and at the bottom enters, leaves and raises in a
 // loop, while O1's raise at the top escalates O2's engine into AbortNested.
-// There the loop waits for O2's body to park, and gives the engine lock up
+// There the drain waits for O2's body to park, and gives the engine lock up
 // while it waits: a body blocked on that lock must get it, find itself
 // suspended and unwind. Were the lock held across the wait, the round would
 // deadlock until RunTimeout.
@@ -391,6 +393,95 @@ func TestBodyStepsDuringAbort(t *testing.T) {
 			mu.Unlock()
 		}
 		sys.Close()
+	}
+}
+
+// TestRunTimeoutDuringAbortionHandler: RunTimeout's deadline fires while an
+// abortion handler works on the run's clock. O2 sleeps inside a nested action
+// of its own; O1 raises at 1 ms, so O2's drain aborts the nested action, and
+// its abortion handler sleeps 100 ms on the clock; the run's deadline is
+// 20 ms. RunTimeout returns ErrTimeout once the handler has returned: no
+// engine step outlives its run. On the virtual clock the teardown's wait for
+// that drain must lend the run's token, or the handler's sleep never ends;
+// the guard below reports such a hang with the clock instead of stalling the
+// package.
+func TestRunTimeoutDuringAbortionHandler(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		clk  func(t *testing.T) vclock.Clock
+	}{
+		{"real", func(*testing.T) vclock.Clock { return vclock.Real{} }},
+		{"virtual", func(t *testing.T) vclock.Clock {
+			v := vclock.NewVirtual()
+			v.StartAuto()
+			t.Cleanup(v.StopAuto)
+			return v
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clk := tc.clk(t)
+			sys := NewServer(Options{Clock: clk})
+			members := []ident.ObjectID{1, 2}
+			self := []ident.ObjectID{2}
+			var started, returned atomic.Bool
+			inner := &ActionSpec{
+				Name: "inner", Tree: testTree("L"), Members: self,
+				Handlers: uniformHandlers(self, defaultOnly(noopHandler)),
+				Abortion: map[ident.ObjectID]AbortionHandler{2: func(*RecoveryContext) string {
+					started.Store(true)
+					clk.Sleep(100 * time.Millisecond)
+					returned.Store(true)
+					return ""
+				}},
+			}
+			def := Definition{
+				Spec: ActionSpec{
+					Name: "top", Tree: testTree("E1"), Members: members,
+					Handlers: uniformHandlers(members, defaultOnly(noopHandler)),
+				},
+				Bodies: map[ident.ObjectID]Body{
+					1: func(ctx *Context) error {
+						ctx.Sleep(time.Millisecond)
+						ctx.Raise("E1")
+						return nil
+					},
+					2: func(ctx *Context) error {
+						_, err := ctx.Enclose(inner, func(c *Context) error {
+							c.Sleep(time.Hour)
+							return nil
+						})
+						return err
+					},
+				},
+			}
+			type result struct {
+				out Outcome
+				err error
+				// returned, read as RunTimeout returns
+				handlerReturned bool
+			}
+			done := make(chan result, 1)
+			go func() {
+				out, err := sys.RunTimeout(def, 20*time.Millisecond)
+				done <- result{out, err, returned.Load()}
+			}()
+			select {
+			case res := <-done:
+				sys.Close()
+				if !errors.Is(res.err, ErrTimeout) {
+					t.Fatalf("err = %v (out %+v), want ErrTimeout", res.err, res.out)
+				}
+				if !started.Load() {
+					t.Fatal("the abortion handler never ran: the deadline did not fire during it")
+				}
+				if !res.handlerReturned {
+					t.Fatal("RunTimeout returned while the abortion handler was still running")
+				}
+			case <-time.After(10 * time.Second):
+				// The server is wedged; closing it would wedge the test too.
+				t.Fatalf("hang: RunTimeout has not returned after 10s of wall clock; clock %v", clk)
+			}
+		})
 	}
 }
 

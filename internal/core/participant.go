@@ -32,17 +32,18 @@ type handlerOutcome struct {
 	err      error
 }
 
-// participant is one participating object: a protocol engine loop plus a
-// body, each run by a server worker (worker.go). Both step the one engine
-// under emu, the loop for each delivery and the body for its own enters,
-// leaves and raises; otherwise they share only suspension state.
+// participant is one participating object: a protocol engine and a body, run
+// by a server worker (worker.go). The engine has no goroutine of its own:
+// under emu the body steps it for its own enters, leaves and raises, and its
+// mailbox's drain, run by a worker only while deliveries wait, for each
+// delivery. Otherwise body and drain share only suspension state.
 // It attaches to its object's dispatcher through a sessionRoute: everything it
 // sends — protocol messages and membership traffic alike — carries the
 // session's root action tag, and everything so tagged arrives in its inbox.
 //
 // Participants come from the server's pool: newParticipant builds what one
-// keeps for life (engine and hooks, mailbox, channels), run.join binds it to
-// one run and Server.recycle returns it.
+// keeps for life (engine and hooks, mailbox, wake channel), run.join binds it
+// to one run and Server.recycle returns it.
 type participant struct {
 	run    *run
 	obj    ident.ObjectID
@@ -50,14 +51,14 @@ type participant struct {
 	engine *protocol.Engine
 	hooks  protocol.Hooks // bound to this participant once, by newParticipant
 
-	emu    sync.Mutex        // guards engine and estack
-	quit   chan struct{}     // unbuffered: the stop, taken by the engine loop
+	emu    sync.Mutex        // guards engine, estack, detector and monitor
 	result ParticipantResult // written by the body goroutine, read once it has returned
 
 	// Membership monitoring (nil without Options.Membership). The detector
-	// runs in fed mode — this participant's loop owns the session inbox and
+	// runs in fed mode — this participant's drain owns the session inbox and
 	// tees heartbeats in — and the monitor's view changes drive run-level
-	// expulsion.
+	// expulsion. Written under emu: a peer's first heartbeat may start a
+	// drain before join has returned.
 	detector *group.Detector
 	monitor  *membership.Monitor
 
@@ -65,8 +66,8 @@ type participant struct {
 	// emu.
 	estack []*instance
 
-	// pending counts what may still touch p once its body and engine have
-	// returned: handler tasks and Context.Sleep deadlines. recycle
+	// pending counts what may still touch p once its body has returned and
+	// its mailbox has closed: handler tasks and Context.Sleep deadlines. recycle
 	// leaves a participant with any to the garbage collector.
 	pending atomic.Int32
 
@@ -96,11 +97,8 @@ const (
 // newParticipant builds a participant for the server's pool: what it keeps
 // for life, and nothing a run sets.
 func newParticipant(s *Server) *participant {
-	p := &participant{
-		route: sessionRoute{inbox: newMailbox(s.clk)},
-		quit:  make(chan struct{}),
-		wake:  make(chan struct{}, 1),
-	}
+	p := &participant{wake: make(chan struct{}, 1)}
+	p.route.inbox = newMailbox(s, p)
 	p.parkCond = sync.NewCond(&p.smu)
 	p.hooks = protocol.Hooks{
 		Send:         p.hookSend,
@@ -115,8 +113,8 @@ func newParticipant(s *Server) *participant {
 }
 
 // Reset empties p for the pool. What it keeps for life stays: the engine
-// (Engine.Reset rebinds it in join) and its hooks, the mailbox (emptied by
-// detach), the channels, and the capacity of estack and outcomes. Everything
+// (Engine.Reset rebinds it in join) and its hooks, the mailbox (reopened by
+// detach), the wake channel, and the capacity of estack and outcomes. Everything
 // a run set is zeroed, a field added later included.
 func (p *participant) Reset() {
 	clear(p.estack[:cap(p.estack)])
@@ -125,7 +123,6 @@ func (p *participant) Reset() {
 		route:        sessionRoute{inbox: p.route.inbox},
 		engine:       p.engine,
 		hooks:        p.hooks,
-		quit:         p.quit,
 		estack:       p.estack[:0],
 		parkCond:     p.parkCond,
 		suspendLevel: levelNone,
@@ -139,7 +136,7 @@ func (p *participant) Reset() {
 // obj: engine rebound, session route registered on obj's long-lived
 // dispatcher under the session's root action tag (allocated before any
 // participant exists, see runAttempt), top-level action entered, membership
-// started.
+// started. From the route's registration on, a delivery may start a drain.
 func (r *run) join(obj ident.ObjectID) (*participant, error) {
 	d, err := r.sys.dispatcherFor(obj)
 	if err != nil {
@@ -154,7 +151,7 @@ func (r *run) join(obj ident.ObjectID) (*participant, error) {
 		// the way a body enters a nested one. Nothing can have suspended a
 		// participant fresh from the pool, so this never unwinds.
 		if err := p.enterInstance(-1, &r.top); err != nil {
-			p.detach()
+			p.stop()
 			r.sys.recycle(p)
 			return nil, err
 		}
@@ -163,7 +160,7 @@ func (r *run) join(obj ident.ObjectID) (*participant, error) {
 	return p, nil
 }
 
-// recycle returns p to the pool. The caller has stopped or detached it; p
+// recycle returns p to the pool. The caller has stopped it; p
 // goes back only if nothing else can still touch it (see pending), and not
 // from a membership session, whose detector may have a heartbeat in flight
 // past Stop.
@@ -175,38 +172,17 @@ func (s *Server) recycle(p *participant) {
 	s.participants.Put(p)
 }
 
-// start hands the engine loop to a pool worker. runAttempt calls it right
-// behind handing over the participant's body, so a body that raises at once
-// usually takes the engine lock before its loop first looks at the mailbox,
-// and whether it is still heard does not hang on how soon the scheduler gets
-// round to it. Deliveries that arrive earlier wait in the mailbox. (The
-// exception is the run's last member: Go runs the goroutine readied last
-// first, whether it is a new one or a parked worker handed a task, so that
-// engine is already listening while its body waits at the back of the run
-// queue, and a peer's Exception usually reaches it first. See
-// docs/SERVER.md.) The loop returns on stop and its worker parks again: a
-// pooled participant owns no goroutine.
-func (p *participant) start() {
-	p.run.sys.spawn(task{op: taskLoop, p: p})
-}
-
-// loop is the engine loop, run by a worker until stop: it steps the engine
-// with each delivery in the session's mailbox (fed by the object's
-// dispatcher), taking the engine lock once per delivery, so the body gets its
-// turn between deliveries.
-func (p *participant) loop() {
+// drain steps the engine with each delivery in the session's mailbox (fed by
+// the object's dispatcher), taking the engine lock once per delivery, so the
+// body gets its turn between deliveries. The put that armed the mailbox
+// handed it to a pool worker; it returns when take finds the mailbox empty,
+// and the next put hands out the next drain.
+func (p *participant) drain() {
 	inbox := p.route.inbox
-	for {
-		select {
-		case <-inbox.ready:
-			for d, ok := inbox.take(); ok; d, ok = inbox.take() {
-				p.emu.Lock()
-				p.handleDelivery(d)
-				p.emu.Unlock()
-			}
-		case <-p.quit:
-			return
-		}
+	for d, ok := inbox.take(); ok; d, ok = inbox.take() {
+		p.emu.Lock()
+		p.handleDelivery(d)
+		p.emu.Unlock()
 	}
 }
 
@@ -236,11 +212,10 @@ func (p *participant) handleDelivery(d group.Delivery) {
 	}
 }
 
-// stop ends the engine loop, then detaches the participant. The send is
-// unbuffered, so once it completes the loop has taken the stop and steps the
-// engine no more.
+// stop closes the mailbox, which returns once no drain is running, so the
+// engine is stepped no more, then detaches the participant.
 func (p *participant) stop() {
-	p.quit <- struct{}{}
+	p.route.inbox.close()
 	p.detach()
 }
 
@@ -322,7 +297,7 @@ func (p *participant) hookSuspend(action ident.ActionID) {
 // The wait gives the engine lock up, for the body may be blocked on it. That
 // body finds itself suspended (the engine suspends downTo before it aborts
 // what is nested in it) and unwinds instead of stepping. The wait is never
-// the body's own: AbortNested is reached only from a delivery.
+// the body's own: AbortNested is reached only from a drain.
 func (p *participant) hookAbortNested(downTo ident.ActionID) string {
 	target := p.levelOf(downTo)
 	if target < 0 {
@@ -424,7 +399,7 @@ func (p *participant) park(level int) {
 	p.parkCond.Broadcast()
 }
 
-// waitParked blocks (the engine loop, not holding emu) until the body parks at
+// waitParked blocks (a drain, not holding emu) until the body parks at
 // level, the body finishes, or the run is cancelled.
 func (p *participant) waitParked(level int) {
 	p.smu.Lock()

@@ -129,7 +129,7 @@ func (s *Server) runAttempt(def Definition, timeout time.Duration, attempt int) 
 		if err != nil {
 			r.cancel()
 			for j := range slab[:k] {
-				slab[j].ctx.p.detach()
+				slab[j].ctx.p.stop()
 				s.recycle(slab[j].ctx.p)
 			}
 			return Outcome{}, fmt.Errorf("participant %s: %w", obj, err)
@@ -155,12 +155,10 @@ func (s *Server) runAttempt(def Definition, timeout time.Duration, attempt int) 
 	r.live.Store(int32(bodies))
 	r.exited.Add(1)
 	for k, obj := range r.members {
-		p := slab[k].ctx.p
 		if !r.preExpelled[obj] {
 			s.clk.Hold(vclock.Body)
-			s.spawn(task{op: taskBody, p: p, body: def.Bodies[obj]})
+			s.spawn(task{op: taskBody, p: slab[k].ctx.p, body: def.Bodies[obj]})
 		}
-		p.start() // behind its body, see participant.start
 	}
 	if bodies > 0 {
 		s.clk.Release(vclock.Run)

@@ -134,11 +134,11 @@ type Server struct {
 	tcpDir      *group.TCPDirectory // shared socket directory, TransportTCP only
 
 	// participants recycles participants across actions, each with its
-	// engine, mailbox, channels and hooks (participant.Reset), so a server
+	// engine, mailbox, wake channel and hooks (participant.Reset), so a server
 	// draining many short actions builds none of them per action.
 	participants sync.Pool
 
-	// workers runs every engine loop, body, handler and submitted action
+	// workers runs every mailbox drain, body, handler and submitted action
 	// (worker.go); a participant owns no goroutine.
 	workers workerPool
 }

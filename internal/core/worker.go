@@ -3,12 +3,12 @@ package core
 import "sync"
 
 // task is one piece of per-action work the server's worker pool runs: a
-// participant's engine loop, its body, a resolved handler, or a submitted
+// participant's mailbox drain, its body, a resolved handler, or a submitted
 // action's run. It travels by value to a parked worker, so handing one over
 // allocates nothing.
 type task struct {
 	op   taskOp
-	p    *participant // taskLoop, taskBody, taskHandler
+	p    *participant // taskDrain, taskBody, taskHandler
 	body Body         // taskBody
 	inst *instance    // taskHandler
 	exc  string       // taskHandler
@@ -18,7 +18,7 @@ type task struct {
 type taskOp uint8
 
 const (
-	taskLoop    taskOp = iota // p.loop
+	taskDrain   taskOp = iota // p.drain
 	taskBody                  // p.runBody(body)
 	taskHandler               // p.runHandler(inst, exc)
 	taskSubmit                // pend's runAttempt, then its release and done
@@ -49,9 +49,6 @@ func (s *Server) spawn(t task) {
 		w := wp.idle[n-1]
 		wp.idle = wp.idle[:n-1]
 		wp.mu.Unlock()
-		// A parked receiver is readied through the same runnext slot a new
-		// goroutine gets, so handing work over keeps the order in which
-		// runAttempt starts bodies and engines (participant.start).
 		w <- t
 		return
 	}
@@ -81,8 +78,8 @@ func (s *Server) work(t task) {
 
 func (s *Server) runTask(t task) {
 	switch t.op {
-	case taskLoop:
-		t.p.loop()
+	case taskDrain:
+		t.p.drain()
 	case taskBody:
 		t.p.runBody(t.body)
 	case taskHandler:

@@ -17,7 +17,7 @@ import (
 // that motivates the abort-nested strategy of Figure 1(b)).
 //
 // The detector only sends: whoever owns the member's receive stream (a
-// participant's engine loop, a transport's deliver function) feeds heartbeat
+// participant's mailbox drain, a transport's deliver function) feeds heartbeat
 // arrivals in through Observe, so membership traffic shares the member's
 // fabric attachment, and with it its partition fate, instead of needing a
 // second transport per object. It has no goroutine: the beat is a callback on

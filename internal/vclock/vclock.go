@@ -32,7 +32,7 @@ type Label uint8
 // The holders of tokens; docs/VCLOCK.md has the rule for each.
 const (
 	Pump    Label = iota // a fifo.Pump element, from Put until its handler returned
-	Mailbox              // a session mailbox with deliveries, from the put that armed it until its engine loop found it empty
+	Mailbox              // a session mailbox with deliveries, from the put that armed it and handed out its drain until that drain found it empty
 	Body                 // a body goroutine that is not parked in a Context wait
 	Handler              // a resolution-handler or expulsion goroutine, from go to exit
 	Run                  // a run being set up or torn down
