@@ -199,13 +199,13 @@ func TestSelectAnalyzers(t *testing.T) {
 		return names(selectAnalyzers(fs, toggles))
 	}
 
-	if got := run(); got != "exhaustive,msgkind,viewkind,determinism,seam,timeseam,locksend,lockorder,resetcheck,noalloc" {
+	if got := run(); got != "exhaustive,msgkind,determinism,seam,timeseam,locksend,lockorder,resetcheck,noalloc" {
 		t.Errorf("default selection = %s", got)
 	}
 	if got := run("-exhaustive", "-seam"); got != "exhaustive,seam" {
 		t.Errorf("positive selection = %s", got)
 	}
-	if got := run("-locksend=false"); got != "exhaustive,msgkind,viewkind,determinism,seam,timeseam,lockorder,resetcheck,noalloc" {
+	if got := run("-locksend=false"); got != "exhaustive,msgkind,determinism,seam,timeseam,lockorder,resetcheck,noalloc" {
 		t.Errorf("negative selection = %s", got)
 	}
 }

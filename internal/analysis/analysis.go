@@ -12,22 +12,24 @@
 //     Kind* message constants covers all members or panics in default.
 //   - msgkind:     message-kind and census-key string literals outside the
 //     kind-defining packages must be declared kind names, so measured
-//     counts keep lining up with the paper's §4.4 tables.
-//   - viewkind:    every package-level Kind* string constant must be
-//     registered in the msgkind census universe, so new wire kinds
-//     (membership views, heartbeats) cannot bypass the censuses.
-//   - determinism: packages reachable from protocol.Explore may not read
-//     wall-clock time, draw from the global math/rand source, or emit
-//     messages/trace events while ranging over a map.
+//     counts keep lining up with the paper's §4.4 tables. The universe is
+//     read from the Kind* string constants of the package and its
+//     dependencies, carried transitively by a package fact.
+//   - determinism: packages reachable from protocol.Explore may not draw
+//     from the global math/rand source or emit messages/trace events while
+//     ranging over a map.
 //   - seam:        outside internal/transport and internal/netsim, no raw
 //     message channels or netsim endpoint use — cross-object messaging
 //     goes through transport.Transport.
 //   - timeseam:    the clock-seam packages (netsim, membership, transport,
-//     core) arm every timer through vclock.Clock — no direct
-//     time.Now/Sleep/After/NewTimer/NewTicker — so an injected
-//     vclock.Virtual puts whole partition/churn scenarios on virtual time.
+//     core, fifo, group) and the packages behind protocol.Explore
+//     (protocol, exception, trace, wire, ident) arm every timer through
+//     vclock.Clock — no direct time.Now/Sleep/After/NewTimer/NewTicker — so
+//     an injected vclock.Virtual puts whole partition/churn scenarios on
+//     virtual time and a replayed schedule reads no wall clock.
 //   - locksend:    no channel send or blocking delivery call (including
-//     SendTagged) while holding a sync.Mutex/RWMutex.
+//     SendTagged) while holding a sync.Mutex/RWMutex; it reports from
+//     lockorder's held-lock walk.
 //   - lockorder:   the lock-acquisition graph across all analyzed packages
 //     (which mutex class is held when another is acquired, propagated
 //     through exported-function facts) must be acyclic — a cycle is a
@@ -185,7 +187,6 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		ExhaustiveAnalyzer,
 		MsgKindAnalyzer,
-		ViewKindAnalyzer,
 		DeterminismAnalyzer,
 		SeamAnalyzer,
 		TimeSeamAnalyzer,

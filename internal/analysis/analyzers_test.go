@@ -21,13 +21,9 @@ func TestMsgKind(t *testing.T) {
 	antest.Run(t, "testdata", analysis.MsgKindAnalyzer, "msgkind/harness")
 }
 
-func TestViewKind(t *testing.T) {
-	antest.Run(t, "testdata", analysis.ViewKindAnalyzer, "viewkind/membership")
-}
-
 func TestDeterminism(t *testing.T) {
 	antest.Run(t, "testdata", analysis.DeterminismAnalyzer,
-		"determinism/protocol", "determinism/clock", "determinism/transport")
+		"determinism/protocol", "determinism/netsim", "determinism/transport")
 }
 
 func TestSeam(t *testing.T) {
@@ -37,7 +33,8 @@ func TestSeam(t *testing.T) {
 
 func TestTimeSeam(t *testing.T) {
 	antest.Run(t, "testdata", analysis.TimeSeamAnalyzer,
-		"timeseam/membership", "timeseam/group", "timeseam/conformancetest", "timeseam/app")
+		"timeseam/membership", "timeseam/group", "timeseam/conformancetest", "timeseam/app",
+		"timeseam/protocol", "timeseam/transport")
 }
 
 func TestLockSend(t *testing.T) {

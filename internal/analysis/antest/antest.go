@@ -33,11 +33,12 @@ import (
 //
 // Cross-package facts flow exactly as they do under the real driver: before a
 // fixture package is analyzed, its fixture imports are analyzed first (in
-// dependency order, memoized) and their exported fact sets handed to the pass
-// as the imported FactStore. Suppressed findings are dropped, matching the
-// driver's pass/fail view; a finding that should be suppressed therefore shows
-// up as "expected finding, got none" if its allow comment were honored — keep
-// want comments on unsuppressed lines.
+// dependency order, memoized), and the exported fact sets of its direct
+// imports become the pass's imported FactStore (only those: go vet hands a
+// package its direct dependencies' vetx files). Suppressed findings are
+// dropped, matching the driver's pass/fail view; a finding that should be
+// suppressed therefore shows up as "expected finding, got none" if its allow
+// comment were honored — keep want comments on unsuppressed lines.
 func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgPaths ...string) {
 	t.Helper()
 	l := &loader{root: filepath.Join(dir, "src"), fset: token.NewFileSet(), pkgs: make(map[string]*fixturePkg)}
@@ -49,7 +50,7 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgPaths ...string) {
 			t.Fatalf("loading fixture package %s: %v", path, err)
 		}
 		analyzeDeps(t, l, p.pkg, a, facts, done)
-		diags, exported := analysis.Run(l.fset, p.files, p.pkg, p.info, []*analysis.Analyzer{a}, facts)
+		diags, exported := analysis.Run(l.fset, p.files, p.pkg, p.info, []*analysis.Analyzer{a}, directFacts(p.pkg, facts))
 		facts[p.pkg.Path()] = exported
 		done[p.pkg.Path()] = true
 		var visible []analysis.Diagnostic
@@ -77,9 +78,20 @@ func analyzeDeps(t *testing.T, l *loader, pkg *types.Package, a *analysis.Analyz
 		if !ok {
 			continue
 		}
-		_, exported := analysis.Run(l.fset, p.files, p.pkg, p.info, []*analysis.Analyzer{a}, facts)
+		_, exported := analysis.Run(l.fset, p.files, p.pkg, p.info, []*analysis.Analyzer{a}, directFacts(p.pkg, facts))
 		facts[imp.Path()] = exported
 	}
+}
+
+// directFacts narrows the facts analyzed so far to pkg's direct imports.
+func directFacts(pkg *types.Package, facts analysis.FactStore) analysis.FactStore {
+	direct := make(analysis.FactStore)
+	for _, imp := range pkg.Imports() {
+		if fs, ok := facts[imp.Path()]; ok {
+			direct[imp.Path()] = fs
+		}
+	}
+	return direct
 }
 
 // fixturePkg is one loaded-and-typechecked fixture package.

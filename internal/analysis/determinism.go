@@ -12,9 +12,8 @@ import (
 // package on that path must behave identically given the same schedule:
 // protocol (engines, Sim, Explore), exception (resolution trees), trace (the
 // log whose census the invariants read), transport (the Deterministic fabric
-// and its hooks), wire (the codec) and ident. Packages with legitimate
-// wall-clock behaviour (group's retransmission timers, netsim's latency
-// model, core's run timeouts) are deliberately outside the set.
+// and its hooks), wire (the codec) and ident. Wall-clock reads in them are
+// timeseam's to report: these packages are in its clock-seam set.
 var deterministicPkgs = map[string]bool{
 	"protocol":  true,
 	"exception": true,
@@ -24,23 +23,11 @@ var deterministicPkgs = map[string]bool{
 	"ident":     true,
 }
 
-// deterministicExemptFiles are files within the deterministic packages that
-// implement real-I/O backends: the socket-backed TCP fabric and its fault
-// proxy live in package transport for the shared seam types, but Explore
-// never replays them (a kernel socket has no schedule to replay) and their
-// dial/backoff timers are inherently wall-clock.
-var deterministicExemptFiles = map[string]bool{
-	"tcp.go":      true,
-	"tcpproxy.go": true,
-}
-
-// bannedTimeFuncs are the time functions that leak the wall clock or the
-// runtime timer heap into package behaviour.
-var bannedTimeFuncs = map[string]bool{
-	"Now": true, "Since": true, "Until": true, "Sleep": true,
-	"After": true, "AfterFunc": true, "Tick": true,
-	"NewTimer": true, "NewTicker": true,
-}
+// deterministicExemptFile implements a real-I/O backend: the socket-backed
+// TCP fabric lives in package transport for the shared seam types, but
+// Explore never replays it (a kernel socket has no schedule to replay).
+// Its clock use is timeseam's to check, as for the rest of the package.
+const deterministicExemptFile = "tcp.go"
 
 // allowedRandFuncs are the math/rand constructors: building a *rand.Rand from
 // a caller-provided seed is exactly how deterministic interleaving is meant
@@ -61,14 +48,13 @@ var emissionNames = map[string]bool{
 }
 
 // DeterminismAnalyzer enforces schedule-replay safety in the packages behind
-// protocol.Explore: no wall-clock reads, no draws from the global math/rand
-// source, and no message/trace emission while ranging over a map. Test files
-// are exempt (they drive schedules, they are not replayed by them).
+// protocol.Explore: no draws from the global math/rand source, and no
+// message/trace emission while ranging over a map. Test files are exempt
+// (they drive schedules, they are not replayed by them).
 var DeterminismAnalyzer = &Analyzer{
 	Name: "determinism",
-	Doc: "packages reachable from protocol.Explore may not read the wall " +
-		"clock, use the global math/rand source, or emit messages while " +
-		"ranging over a map",
+	Doc: "packages reachable from protocol.Explore may not use the global " +
+		"math/rand source or emit messages while ranging over a map",
 	Run: runDeterminism,
 }
 
@@ -80,13 +66,13 @@ func runDeterminism(pass *Pass) {
 		if pass.InTestFile(f.Pos()) {
 			continue
 		}
-		if deterministicExemptFiles[filepath.Base(pass.Fset.Position(f.Pos()).Filename)] {
+		if filepath.Base(pass.Fset.Position(f.Pos()).Filename) == deterministicExemptFile {
 			continue
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:
-				checkClockAndRand(pass, n)
+				checkGlobalRand(pass, n)
 			case *ast.RangeStmt:
 				checkMapRangeEmission(pass, n)
 			}
@@ -95,13 +81,7 @@ func runDeterminism(pass *Pass) {
 	}
 }
 
-func checkClockAndRand(pass *Pass, call *ast.CallExpr) {
-	if name, ok := pkgFunc(pass.Info, call, "time"); ok && bannedTimeFuncs[name] {
-		pass.Reportf(call.Pos(),
-			"call to time.%s in deterministic package %s breaks schedule replay (thread a logical clock through instead)",
-			name, pass.PkgName())
-		return
-	}
+func checkGlobalRand(pass *Pass, call *ast.CallExpr) {
 	for _, path := range []string{"math/rand", "math/rand/v2"} {
 		if name, ok := pkgFunc(pass.Info, call, path); ok && !allowedRandFuncs[name] {
 			pass.Reportf(call.Pos(),

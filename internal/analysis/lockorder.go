@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"sort"
 	"strings"
 )
@@ -18,8 +19,9 @@ import (
 // by identity).
 //
 // Within a function the held set is tracked flow-sensitively over the
-// intra-function CFG (may-hold: branches join by union, a deferred unlock
-// keeps the lock held to the end). Calls propagate: a call made while
+// intra-function CFG by walkHeld, the walk locksend reports from too
+// (may-hold: branches join by union, a deferred unlock keeps the lock held
+// to the end). Calls propagate: a call made while
 // holding H contributes an edge H -> A for every class A the callee may
 // blockingly acquire, resolved through same-package summaries (iterated to a
 // fixpoint over the package's call graph), imported facts for exported
@@ -238,9 +240,54 @@ func runLockOrder(pass *Pass) {
 	}
 }
 
-// analyzeBody runs the held-lock dataflow over one function body,
+// analyzeBody replays the shared held-lock walk over one function body,
 // accumulating edges into the package state and acquisitions into summary.
+// Function-local mutexes have no class: they are held in the walk but draw
+// no edge.
 func (st *lockOrderState) analyzeBody(body *ast.BlockStmt, summary *lockFuncSummary) {
+	info := st.pass.Info
+	walkHeld(info, body, nil, func(n ast.Node, held heldLocks) {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return
+		}
+		var acquires []string
+		via := ""
+		switch x, op := lockOp(info, call); op {
+		case lockOpAcquire:
+			if class := lockClass(info, x); class != "" {
+				acquires = []string{class}
+			}
+		case lockOpNone:
+			// An ordinary call: propagate the callee's acquire set.
+			acquires, via = st.calleeAcquires(call), calleeName(info, call)
+		}
+		for _, acq := range acquires {
+			summary.addAcquire(st, acq)
+			for _, from := range held {
+				if from != "" {
+					st.addEdge(from, acq, call.Pos(), via)
+				}
+			}
+		}
+	})
+}
+
+// heldLocks is the may-hold set of the held-lock walk: each possibly held
+// mutex, keyed by its expression ("f.mu"), mapped to its lock class ("" for
+// a function-local mutex).
+type heldLocks map[string]string
+
+// walkHeld is the held-lock dataflow lockorder and locksend share. It runs
+// over the intra-function CFG of body, starting from entry: Lock, RLock,
+// TryLock and TryRLock add the mutex, Unlock and RUnlock remove it, branches
+// join by union, and a deferred unlock keeps the lock held to the end. Once
+// the held sets are stable it replays every block once, calling visit on each
+// node in source order with the locks held just before that node. The
+// interiors of function literals and of go and defer statements are neither
+// applied nor visited (the literal or statement node itself is): they run on
+// their own schedule, and each analyzer decides what they start holding.
+func walkHeld(info *types.Info, body *ast.BlockStmt, entry heldLocks, visit func(ast.Node, heldLocks)) {
 	cfg := BuildCFG(body)
 	index := make(map[*Block]int, len(cfg.Blocks))
 	for i, b := range cfg.Blocks {
@@ -252,86 +299,62 @@ func (st *lockOrderState) analyzeBody(body *ast.BlockStmt, summary *lockFuncSumm
 			preds[index[s]] = append(preds[index[s]], i)
 		}
 	}
-	in := make([]map[string]token.Pos, len(cfg.Blocks))
-	out := make([]map[string]token.Pos, len(cfg.Blocks))
+	step := func(b *Block, held heldLocks, visit func(ast.Node, heldLocks)) {
+		for _, n := range b.Nodes {
+			ast.Inspect(n, func(n ast.Node) bool {
+				if visit != nil {
+					visit(n, held)
+				}
+				switch n := n.(type) {
+				case *ast.FuncLit, *ast.GoStmt, *ast.DeferStmt:
+					return false
+				case *ast.CallExpr:
+					x, op := lockOp(info, n)
+					switch op {
+					case lockOpAcquire, lockOpTryAcquire:
+						if _, ok := held[types.ExprString(x)]; !ok {
+							held[types.ExprString(x)] = lockClass(info, x)
+						}
+					case lockOpRelease:
+						delete(held, types.ExprString(x))
+					}
+					return op == lockOpNone
+				}
+				return true
+			})
+		}
+	}
+	in := make([]heldLocks, len(cfg.Blocks))
+	out := make([]heldLocks, len(cfg.Blocks))
 	for changed := true; changed; {
 		changed = false
 		for i, b := range cfg.Blocks {
-			merged := make(map[string]token.Pos)
+			merged := make(heldLocks)
+			if b == cfg.Entry {
+				maps.Copy(merged, entry)
+			}
 			for _, p := range preds[i] {
-				for c, pos := range out[p] {
-					if _, ok := merged[c]; !ok {
-						merged[c] = pos
+				for k, c := range out[p] {
+					if _, ok := merged[k]; !ok {
+						merged[k] = c
 					}
 				}
 			}
-			if heldEqual(merged, in[i]) && out[i] != nil {
+			if out[i] != nil && sameHeld(merged, in[i]) {
 				continue
 			}
 			in[i] = merged
-			held := make(map[string]token.Pos, len(merged))
-			for c, pos := range merged {
-				held[c] = pos
-			}
-			for _, n := range b.Nodes {
-				st.transfer(n, held, summary)
-			}
-			if !heldEqual(held, out[i]) {
-				out[i] = held
+			held := maps.Clone(merged)
+			step(b, held, nil)
+			if !sameHeld(held, out[i]) {
 				changed = true
-			} else if out[i] == nil {
-				out[i] = held
 			}
+			out[i] = held
 		}
 	}
-}
-
-// transfer applies one CFG node's lock effects to the held set.
-func (st *lockOrderState) transfer(n ast.Node, held map[string]token.Pos, summary *lockFuncSummary) {
-	ast.Inspect(n, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false // analyzed separately, lock-free entry
-		case *ast.GoStmt:
-			return false // the goroutine does not hold the caller's locks
-		case *ast.DeferStmt:
-			// A deferred unlock keeps the lock held for the rest of the
-			// function (conservative and correct for ordering edges); any
-			// other deferred call takes effect at exit, which the held set
-			// at Exit already covers — skip both.
-			return false
-		case *ast.CallExpr:
-			class, op := st.lockOp(n)
-			switch op {
-			case lockOpAcquire, lockOpTryAcquire:
-				if class == "" {
-					return true // local mutex: no class, no edges
-				}
-				if op == lockOpAcquire {
-					summary.addAcquire(st, class)
-					for heldClass := range held {
-						st.addEdge(heldClass, class, n.Pos(), "")
-					}
-				}
-				if _, ok := held[class]; !ok {
-					held[class] = n.Pos()
-				}
-				return false
-			case lockOpRelease:
-				delete(held, class)
-				return false
-			}
-			// An ordinary call: propagate the callee's acquire set.
-			for _, acq := range st.calleeAcquires(n) {
-				summary.addAcquire(st, acq)
-				for heldClass := range held {
-					st.addEdge(heldClass, acq, n.Pos(), calleeName(st.pass.Info, n))
-				}
-			}
-			return true
-		}
-		return true
-	})
+	for i, b := range cfg.Blocks {
+		step(b, maps.Clone(in[i]), visit)
+	}
 }
 
 func (s *lockFuncSummary) addAcquire(st *lockOrderState, class string) {
@@ -352,12 +375,12 @@ func (st *lockOrderState) addEdge(from, to string, pos token.Pos, via string) {
 	}
 }
 
-// lockOp classifies a call as a mutex operation and derives the lock class.
-// An empty class with op != lockOpNone means a function-local mutex.
-func (st *lockOrderState) lockOp(call *ast.CallExpr) (class string, op int) {
+// lockOp classifies a call as a sync.Mutex/RWMutex operation (a promoted
+// method of an embedded mutex included) and returns the mutex expression.
+func lockOp(info *types.Info, call *ast.CallExpr) (mutex ast.Expr, op int) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
-		return "", lockOpNone
+		return nil, lockOpNone
 	}
 	switch sel.Sel.Name {
 	case "Lock", "RLock":
@@ -367,23 +390,24 @@ func (st *lockOrderState) lockOp(call *ast.CallExpr) (class string, op int) {
 	case "Unlock", "RUnlock":
 		op = lockOpRelease
 	default:
-		return "", lockOpNone
+		return nil, lockOpNone
 	}
-	fn, ok := st.pass.Info.Uses[sel.Sel].(*types.Func)
+	fn, ok := info.Uses[sel.Sel].(*types.Func)
 	if !ok {
-		return "", lockOpNone
+		return nil, lockOpNone
 	}
 	recv := fn.Type().(*types.Signature).Recv()
 	if recv == nil || !isSyncMutexType(recv.Type()) {
-		return "", lockOpNone
+		return nil, lockOpNone
 	}
-	return st.lockClass(sel.X), op
+	return sel.X, op
 }
 
-// lockClass abstracts the mutex expression to a class identity.
-func (st *lockOrderState) lockClass(x ast.Expr) string {
+// lockClass abstracts the mutex expression to a class identity, or "" for a
+// function-local mutex.
+func lockClass(info *types.Info, x ast.Expr) string {
 	x = ast.Unparen(x)
-	tv, ok := st.pass.Info.Types[x]
+	tv, ok := info.Types[x]
 	if !ok {
 		return ""
 	}
@@ -398,19 +422,19 @@ func (st *lockOrderState) lockClass(x ast.Expr) string {
 	switch x := x.(type) {
 	case *ast.SelectorExpr:
 		// y.mu — class by the named type of y.
-		if ytv, ok := st.pass.Info.Types[ast.Unparen(x.X)]; ok {
+		if ytv, ok := info.Types[ast.Unparen(x.X)]; ok {
 			if path, name, ok := namedPathOf(ytv.Type); ok {
 				return path + "." + name + "." + x.Sel.Name
 			}
 		}
 		// pkg.Var — a package-qualified mutex variable.
-		if obj, ok := st.pass.Info.Uses[x.Sel].(*types.Var); ok && obj.Pkg() != nil &&
+		if obj, ok := info.Uses[x.Sel].(*types.Var); ok && obj.Pkg() != nil &&
 			obj.Parent() == obj.Pkg().Scope() {
 			return obj.Pkg().Path() + "." + obj.Name()
 		}
 		return ""
 	case *ast.Ident:
-		obj, ok := st.pass.Info.Uses[x].(*types.Var)
+		obj, ok := info.Uses[x].(*types.Var)
 		if !ok || obj.Pkg() == nil {
 			return ""
 		}
@@ -531,14 +555,14 @@ func (st *lockOrderState) interfaceAcquires(ifaceType types.Type, method string)
 	return sortedKeys(acq)
 }
 
-// heldEqual compares two held sets by their classes (positions are
-// bookkeeping only and must not drive the fixpoint).
-func heldEqual(a, b map[string]token.Pos) bool {
+// sameHeld compares two held sets by their locks (the classes follow from
+// them). A nil b is a block not yet computed, equal to nothing.
+func sameHeld(a, b heldLocks) bool {
 	if b == nil || len(a) != len(b) {
 		return false
 	}
-	for c := range a {
-		if _, ok := b[c]; !ok {
+	for k := range a {
+		if _, ok := b[k]; !ok {
 			return false
 		}
 	}
@@ -685,7 +709,7 @@ func collectImports(pkg *types.Package, out map[string]*types.Package) {
 	}
 }
 
-func sortedKeys(m map[string]bool) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)

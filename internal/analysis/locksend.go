@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
 // blockingSendMethods are method names that deliver a message and may block
@@ -16,10 +17,13 @@ var blockingSendMethods = map[string]bool{
 }
 
 // LockSendAnalyzer flags channel sends and blocking delivery calls made while
-// a sync.Mutex or sync.RWMutex is held. The analysis is intraprocedural and
-// syntactic: it tracks Lock/RLock and Unlock/RUnlock pairs through
-// straight-line code and branches, and treats `defer mu.Unlock()` as holding
-// the lock for the rest of the function. Test files are exempt.
+// a sync.Mutex or sync.RWMutex is held. It reports from lockorder's held-lock
+// walk (walkHeld), so the held set is flow-sensitive: a lock taken in one
+// branch is held after the join, `defer mu.Unlock()` holds the lock for the
+// rest of the function, and a function-local mutex counts like any other.
+// An immediately invoked func(){...}() runs under the caller's locks; every
+// other function literal (a spawned goroutine, a callback) starts lock-free.
+// Test files are exempt.
 var LockSendAnalyzer = &Analyzer{
 	Name: "locksend",
 	Doc: "no channel send or blocking delivery call while holding a " +
@@ -33,173 +37,56 @@ func runLockSend(pass *Pass) {
 			continue
 		}
 		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body != nil {
+				checkLockSend(pass, fn.Body, nil)
 			}
-			walkLockStmts(pass, fn.Body.List, make(map[string]bool))
 		}
 	}
 }
 
-// walkLockStmts scans a statement list in order, tracking which mutexes are
-// held. Branch bodies are scanned with a copy of the held set: a branch that
-// unlocks and returns does not release the lock on the fall-through path,
-// while a send inside a branch that follows its own unlock stays clean.
-func walkLockStmts(pass *Pass, stmts []ast.Stmt, held map[string]bool) {
-	for _, s := range stmts {
-		switch s := s.(type) {
-		case *ast.ExprStmt:
-			if call, ok := s.X.(*ast.CallExpr); ok {
-				if lock, acquire, ok := mutexOp(pass, call); ok {
-					if acquire {
-						held[lock] = true
-					} else {
-						delete(held, lock)
-					}
-					continue
-				}
-				checkBlockingCall(pass, call, held)
-			}
-		case *ast.DeferStmt:
-			if _, _, ok := mutexOp(pass, s.Call); ok {
-				// defer mu.Unlock(): the lock stays held until the function
-				// returns, so everything after it runs under the lock.
-				continue
-			}
-			checkBlockingCall(pass, s.Call, held)
+// checkLockSend walks one function body from the entry held set and reports
+// every send and blocking delivery call made while a lock is held.
+func checkLockSend(pass *Pass, body *ast.BlockStmt, entry heldLocks) {
+	inline := make(map[*ast.FuncLit]bool)
+	call := func(call *ast.CallExpr, held heldLocks) {
+		if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
+			inline[lit] = true
+			checkLockSend(pass, lit.Body, held)
+			return
+		}
+		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+		if len(held) == 0 || !ok || !blockingSendMethods[sel.Sel.Name] {
+			return
+		}
+		// Only flag calls that resolve to methods (delivery APIs are methods
+		// on transports, ports and endpoints).
+		if _, isFunc := callee(pass.Info, call).(*types.Func); !isFunc {
+			return
+		}
+		pass.Reportf(call.Pos(),
+			"%s call while holding %s may deadlock against the delivery pump; copy under the lock and send after releasing it",
+			sel.Sel.Name, strings.Join(sortedKeys(held), ", "))
+	}
+	walkHeld(pass.Info, body, entry, func(n ast.Node, held heldLocks) {
+		switch n := n.(type) {
 		case *ast.SendStmt:
 			if len(held) > 0 {
-				pass.Reportf(s.Pos(),
-					"channel send while holding %s; copy under the lock and send after releasing it", anyLock(held))
+				pass.Reportf(n.Pos(),
+					"channel send while holding %s; copy under the lock and send after releasing it",
+					strings.Join(sortedKeys(held), ", "))
 			}
-		case *ast.AssignStmt:
-			for _, rhs := range s.Rhs {
-				if call, ok := rhs.(*ast.CallExpr); ok {
-					checkBlockingCall(pass, call, held)
-				}
-			}
-		case *ast.ReturnStmt:
-			for _, r := range s.Results {
-				if call, ok := r.(*ast.CallExpr); ok {
-					checkBlockingCall(pass, call, held)
-				}
-			}
-		case *ast.IfStmt:
-			walkLockStmts(pass, s.Body.List, copyHeld(held))
-			if s.Else != nil {
-				switch e := s.Else.(type) {
-				case *ast.BlockStmt:
-					walkLockStmts(pass, e.List, copyHeld(held))
-				case *ast.IfStmt:
-					walkLockStmts(pass, []ast.Stmt{e}, copyHeld(held))
-				}
-			}
-		case *ast.ForStmt:
-			walkLockStmts(pass, s.Body.List, copyHeld(held))
-		case *ast.RangeStmt:
-			walkLockStmts(pass, s.Body.List, copyHeld(held))
-		case *ast.BlockStmt:
-			walkLockStmts(pass, s.List, held)
-		case *ast.SwitchStmt:
-			for _, cc := range s.Body.List {
-				if clause, ok := cc.(*ast.CaseClause); ok {
-					walkLockStmts(pass, clause.Body, copyHeld(held))
-				}
-			}
-		case *ast.TypeSwitchStmt:
-			for _, cc := range s.Body.List {
-				if clause, ok := cc.(*ast.CaseClause); ok {
-					walkLockStmts(pass, clause.Body, copyHeld(held))
-				}
-			}
-		case *ast.SelectStmt:
-			for _, cc := range s.Body.List {
-				if clause, ok := cc.(*ast.CommClause); ok {
-					if send, isSend := clause.Comm.(*ast.SendStmt); isSend && len(held) > 0 {
-						pass.Reportf(send.Pos(),
-							"channel send while holding %s; copy under the lock and send after releasing it", anyLock(held))
-					}
-					walkLockStmts(pass, clause.Body, copyHeld(held))
-				}
-			}
+		case *ast.CallExpr:
+			call(n, held)
+		case *ast.DeferStmt:
+			call(n.Call, held)
 		case *ast.GoStmt:
-			// The spawned goroutine does not hold the caller's locks; its
-			// body is scanned by the FuncDecl walk when it is a method, and
-			// inline closures start from an empty held set.
-			if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
-				walkLockStmts(pass, lit.Body.List, make(map[string]bool))
+			if lit, ok := ast.Unparen(n.Call.Fun).(*ast.FuncLit); ok {
+				checkLockSend(pass, lit.Body, nil)
+			}
+		case *ast.FuncLit:
+			if !inline[n] {
+				checkLockSend(pass, n.Body, nil)
 			}
 		}
-	}
-}
-
-// checkBlockingCall reports a blocking delivery call made while any lock is
-// held, and descends into immediately-invoked function literals.
-func checkBlockingCall(pass *Pass, call *ast.CallExpr, held map[string]bool) {
-	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
-		// func(){...}() runs synchronously under the caller's locks.
-		walkLockStmts(pass, lit.Body.List, copyHeld(held))
-		return
-	}
-	if len(held) == 0 {
-		return
-	}
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || !blockingSendMethods[sel.Sel.Name] {
-		return
-	}
-	// Only flag calls that resolve to methods (delivery APIs are methods on
-	// transports, ports and endpoints).
-	if _, isFunc := callee(pass.Info, call).(*types.Func); !isFunc {
-		return
-	}
-	pass.Reportf(call.Pos(),
-		"%s call while holding %s may deadlock against the delivery pump; copy under the lock and send after releasing it",
-		sel.Sel.Name, anyLock(held))
-}
-
-// mutexOp classifies a call as Lock/RLock (acquire=true) or Unlock/RUnlock
-// (acquire=false) on a sync.Mutex or sync.RWMutex, returning the rendered
-// receiver expression as the lock's identity.
-func mutexOp(pass *Pass, call *ast.CallExpr) (lock string, acquire, ok bool) {
-	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !isSel {
-		return "", false, false
-	}
-	switch sel.Sel.Name {
-	case "Lock", "RLock", "TryLock", "TryRLock":
-		acquire = true
-	case "Unlock", "RUnlock":
-		acquire = false
-	default:
-		return "", false, false
-	}
-	rt := receiverType(pass.Info, call)
-	if rt == nil {
-		return "", false, false
-	}
-	pkgName, typeName, isNamed := namedOf(rt)
-	if !isNamed || pkgName != "sync" || (typeName != "Mutex" && typeName != "RWMutex") {
-		return "", false, false
-	}
-	return types.ExprString(sel.X), acquire, true
-}
-
-func copyHeld(held map[string]bool) map[string]bool {
-	out := make(map[string]bool, len(held))
-	for k := range held {
-		out[k] = true
-	}
-	return out
-}
-
-func anyLock(held map[string]bool) string {
-	best := ""
-	for k := range held {
-		if best == "" || k < best {
-			best = k
-		}
-	}
-	return best
+	})
 }

@@ -3,44 +3,18 @@ package analysis
 import (
 	"go/ast"
 	"go/constant"
+	"go/types"
 	"strconv"
 	"strings"
-
-	"repro/internal/crbaseline"
-	"repro/internal/group"
-	"repro/internal/membership"
-	"repro/internal/protocol"
 )
 
-// validKindNames is the closed universe of declared message-kind names. It is
-// built from the kind constants themselves (not copies of their values), so
-// the analyzer can never drift from the protocol: renaming or adding a kind
-// updates the checker at compile time.
-var validKindNames = func() map[string]bool {
-	m := make(map[string]bool)
-	for _, k := range []string{
-		protocol.KindException, protocol.KindHaveNested, protocol.KindNestedCompleted,
-		protocol.KindAck, protocol.KindCommit,
-
-		protocol.KindCException, protocol.KindCProbe, protocol.KindCStatus,
-		protocol.KindCCommit,
-
-		// crbaseline.KindAck aliases protocol.KindAck ("ACK"); listing both
-		// keeps the set complete if either family renames.
-		crbaseline.KindRaise, crbaseline.KindAck, crbaseline.KindResolve,
-
-		// Membership-layer wire kinds: heartbeats, the reliable layer's
-		// envelope, view installation, and the rejoin/lease protocols. They
-		// share the fabric with the protocol messages, so census lookups may
-		// count them too.
-		group.KindHeartbeat, group.KindEnvelope, membership.KindView,
-		membership.KindRejoinRequest, membership.KindWelcome,
-		membership.KindLeaseRequest, membership.KindLeaseGrant,
-	} {
-		m[k] = true
-	}
-	return m
-}()
+// kindsFact is msgkind's package-level fact: the values of the Kind* string
+// constants the package declares, together with those its dependencies'
+// facts carry. Facts arrive only from direct dependencies, so each package
+// re-exports the union and the universe reaches importers transitively.
+type kindsFact struct {
+	Kinds []string `json:"kinds,omitempty"`
+}
 
 // kindDefiningPkgs are exempt: they declare the kind universes (and protocol
 // additionally renders arbitrary kind strings in Msg.String's fallback).
@@ -55,9 +29,11 @@ var kindDefiningPkgs = map[string]bool{
 // outside the kind-defining packages: a literal passed to a census lookup
 // (trace.Log.CountSends, transport.Census.CountSent, indexing a Census() /
 // SentByKind() result) or used as the Label of an EvSend trace event must be
-// one of the declared Kind* constants. A typo here ("Ack" for "ACK") silently
-// zeroes a measured count and breaks the §4.4 message-count comparison.
-// Test files are exempt: they may census synthetic kinds.
+// the value of a package-level Kind* string constant declared in the package
+// or one it depends on. A typo here ("Ack" for "ACK") silently zeroes a
+// measured count and breaks the §4.4 message-count comparison. Because the
+// universe is read from the declarations, a newly declared wire kind is in
+// it by construction. Test files are exempt: they may census synthetic kinds.
 var MsgKindAnalyzer = &Analyzer{
 	Name: "msgkind",
 	Doc: "message-kind and census-key string literals must be declared Kind* " +
@@ -66,6 +42,7 @@ var MsgKindAnalyzer = &Analyzer{
 }
 
 func runMsgKind(pass *Pass) {
+	kinds := kindUniverse(pass)
 	if kindDefiningPkgs[pass.PkgName()] {
 		return
 	}
@@ -78,12 +55,12 @@ func runMsgKind(pass *Pass) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:
-				checkCensusCall(pass, n)
+				checkCensusCall(pass, kinds, n)
 			case *ast.IndexExpr:
-				checkCensusIndex(pass, n)
+				checkCensusIndex(pass, kinds, n)
 			case *ast.CompositeLit:
-				checkSendEventLit(pass, n)
-				checkTransportMessageLit(pass, n)
+				checkSendEventLit(pass, kinds, n)
+				checkTransportMessageLit(pass, kinds, n)
 			}
 			return true
 		})
@@ -91,7 +68,7 @@ func runMsgKind(pass *Pass) {
 }
 
 // checkCensusCall validates the kind argument of the census count APIs.
-func checkCensusCall(pass *Pass, call *ast.CallExpr) {
+func checkCensusCall(pass *Pass, kinds map[string]bool, call *ast.CallExpr) {
 	if len(call.Args) != 1 {
 		return
 	}
@@ -100,12 +77,12 @@ func checkCensusCall(pass *Pass, call *ast.CallExpr) {
 	if !isCensusAPI {
 		return
 	}
-	checkKindExpr(pass, call.Args[0], "census lookup")
+	checkKindExpr(pass, kinds, call.Args[0], "census lookup")
 }
 
 // checkCensusIndex validates string keys used to index the map returned by
 // Census() or SentByKind() directly.
-func checkCensusIndex(pass *Pass, idx *ast.IndexExpr) {
+func checkCensusIndex(pass *Pass, kinds map[string]bool, idx *ast.IndexExpr) {
 	call, ok := ast.Unparen(idx.X).(*ast.CallExpr)
 	if !ok {
 		return
@@ -114,12 +91,12 @@ func checkCensusIndex(pass *Pass, idx *ast.IndexExpr) {
 	if !ok || (sel.Sel.Name != "Census" && sel.Sel.Name != "SentByKind") {
 		return
 	}
-	checkKindExpr(pass, idx.Index, "census lookup")
+	checkKindExpr(pass, kinds, idx.Index, "census lookup")
 }
 
 // checkSendEventLit validates trace.Event{Kind: EvSend, Label: "..."}
 // composite literals: for send events the Label is the census key.
-func checkSendEventLit(pass *Pass, lit *ast.CompositeLit) {
+func checkSendEventLit(pass *Pass, kinds map[string]bool, lit *ast.CompositeLit) {
 	tv, ok := pass.Info.Types[lit]
 	if !ok {
 		return
@@ -149,7 +126,7 @@ func checkSendEventLit(pass *Pass, lit *ast.CompositeLit) {
 		}
 	}
 	if isSend && label != nil {
-		checkKindExpr(pass, label, "EvSend Label")
+		checkKindExpr(pass, kinds, label, "EvSend Label")
 	}
 }
 
@@ -163,7 +140,7 @@ func checkSendEventLit(pass *Pass, lit *ast.CompositeLit) {
 // transport itself) are exempt via kindDefiningPkgs/test-file filtering
 // above; other payloads pass untouched (conformance traffic, control
 // metadata).
-func checkTransportMessageLit(pass *Pass, lit *ast.CompositeLit) {
+func checkTransportMessageLit(pass *Pass, kinds map[string]bool, lit *ast.CompositeLit) {
 	tv, ok := pass.Info.Types[lit]
 	if !ok {
 		return
@@ -203,7 +180,7 @@ func checkTransportMessageLit(pass *Pass, lit *ast.CompositeLit) {
 		return
 	}
 	if kind != nil {
-		checkKindExpr(pass, kind, "transport.Message Kind")
+		checkKindExpr(pass, kinds, kind, "transport.Message Kind")
 	}
 	if !hasAction {
 		pass.Reportf(lit.Pos(),
@@ -216,7 +193,7 @@ func checkTransportMessageLit(pass *Pass, lit *ast.CompositeLit) {
 // is not a declared kind name. Named constants pass (they are declared
 // somewhere, e.g. group's private envelope kind), as do dynamic expressions:
 // the analyzer polices literals, where typos live.
-func checkKindExpr(pass *Pass, e ast.Expr, context string) {
+func checkKindExpr(pass *Pass, kinds map[string]bool, e ast.Expr, context string) {
 	if _, isLit := ast.Unparen(e).(*ast.BasicLit); !isLit {
 		return
 	}
@@ -225,24 +202,37 @@ func checkKindExpr(pass *Pass, e ast.Expr, context string) {
 		return
 	}
 	val := constant.StringVal(tv.Value)
-	if validKindNames[val] {
+	if kinds[val] {
 		return
 	}
 	pass.Reportf(e.Pos(),
 		"%s uses undeclared message kind %s (declared kinds: %s); use the Kind* constants",
-		context, strconv.Quote(val), strings.Join(sortedKindNames(), ", "))
+		context, strconv.Quote(val), strings.Join(sortedKeys(kinds), ", "))
 }
 
-func sortedKindNames() []string {
-	// Render the protocol's own family first, then the baselines, in the
-	// declaration order used above; a stable list keeps diagnostics diffable.
-	return []string{
-		protocol.KindException, protocol.KindHaveNested, protocol.KindNestedCompleted,
-		protocol.KindAck, protocol.KindCommit,
-		protocol.KindCException, protocol.KindCProbe, protocol.KindCStatus, protocol.KindCCommit,
-		crbaseline.KindRaise, crbaseline.KindResolve,
-		group.KindHeartbeat, group.KindEnvelope, membership.KindView,
-		membership.KindRejoinRequest, membership.KindWelcome,
-		membership.KindLeaseRequest, membership.KindLeaseGrant,
+// kindUniverse returns the message kinds visible to the package, its own
+// Kind* declarations plus its dependencies' kinds facts, and exports them as
+// the package's fact.
+func kindUniverse(pass *Pass) map[string]bool {
+	kinds := make(map[string]bool)
+	for _, path := range pass.FactPackages() {
+		var fact kindsFact
+		if pass.ImportFact(path, "", &fact) {
+			for _, k := range fact.Kinds {
+				kinds[k] = true
+			}
+		}
 	}
+	scope := pass.Pkg.Scope()
+	for _, name := range scope.Names() {
+		c, ok := scope.Lookup(name).(*types.Const)
+		if ok && strings.HasPrefix(name, "Kind") && name != "Kind" &&
+			c.Val().Kind() == constant.String && !pass.InTestFile(c.Pos()) {
+			kinds[constant.StringVal(c.Val())] = true
+		}
+	}
+	if len(kinds) > 0 {
+		pass.ExportFact("", kindsFact{Kinds: sortedKeys(kinds)})
+	}
+	return kinds
 }

@@ -1,18 +1,11 @@
 // Package protocol is a fixture for a deterministic package: it is reachable
-// from the explorer, so wall-clock reads, global randomness and map-ordered
-// emission are findings.
+// from the explorer, so global randomness and map-ordered emission are
+// findings.
 package protocol
 
-import (
-	"math/rand"
-	"time"
-)
+import "math/rand"
 
 type msg struct{ to int }
-
-func stamp() time.Time {
-	return time.Now() // want `call to time.Now`
-}
 
 func jitter() int {
 	return rand.Intn(4) // want `uses the global random source`

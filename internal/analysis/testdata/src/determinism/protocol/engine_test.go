@@ -1,6 +1,6 @@
 package protocol
 
-import "time"
+import "math/rand"
 
 // Test files are exempt: they drive schedules, they are not replayed by them.
-func testStamp() time.Time { return time.Now() }
+func testJitter() int { return rand.Intn(4) }

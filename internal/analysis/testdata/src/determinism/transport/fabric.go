@@ -1,9 +1,9 @@
-// fabric.go is NOT on the exemption list: the in-process fabrics in the same
+// fabric.go is not the exempt file: the in-process fabrics in the same
 // package stay schedule-replay safe.
 package transport
 
-import "time"
+import "math/rand"
 
-func deliverAt() time.Time {
-	return time.Now() // want `call to time.Now`
+func pickPeer(n int) int {
+	return rand.Intn(n) // want `uses the global random source`
 }

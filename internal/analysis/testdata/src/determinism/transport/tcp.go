@@ -1,17 +1,10 @@
-// tcp.go is on the real-I/O exemption list: the socket backend lives in the
+// tcp.go is the real-I/O exemption: the socket backend lives in the
 // deterministic transport package for the shared seam types, but Explore
-// never replays it, so its dial/backoff timers may use the wall clock.
+// never replays it.
 package transport
 
-import "time"
+import "math/rand"
 
-func backoff(d time.Duration, stop chan struct{}) bool {
-	timer := time.NewTimer(d) // exempt file: no finding
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-		return true
-	case <-stop:
-		return false
-	}
+func jitter(n int) int {
+	return rand.Intn(n) // exempt file: no finding
 }

@@ -80,3 +80,55 @@ func (r *reader) allowed(v int) {
 	r.out <- v
 	r.mu.RUnlock()
 }
+
+func (f *fanout) lockedInBranch(v int, exclusive bool) {
+	if exclusive {
+		f.mu.Lock()
+	}
+	// May-hold: the lock taken in the branch is still held after the join.
+	f.ch <- v // want `channel send while holding f.mu`
+	if exclusive {
+		f.mu.Unlock()
+	}
+}
+
+func ok(err error) bool { return err == nil }
+
+type sink struct {
+	mu   sync.Mutex
+	port *Port
+}
+
+func (s *sink) Send(v int) error { s.port.Send(v); return nil }
+
+func (s *sink) nested(v int) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return ok(s.Send(v)) // want `Send call while holding s.mu`
+}
+
+func localMutex(out chan int, v int) {
+	var mu sync.Mutex
+	mu.Lock()
+	out <- v // want `channel send while holding mu`
+	mu.Unlock()
+}
+
+func (f *fanout) inline(v int) {
+	f.mu.Lock()
+	func() {
+		// Runs now, under the caller's lock.
+		f.ch <- v // want `channel send while holding f.mu`
+	}()
+	f.mu.Unlock()
+}
+
+func each(fn func()) { fn() }
+
+func (f *fanout) callback(v int) {
+	each(func() {
+		f.mu.Lock()
+		f.ch <- v // want `channel send while holding f.mu`
+		f.mu.Unlock()
+	})
+}

@@ -1,14 +1,18 @@
 // Package harness reads censuses with string keys: literals must be declared
-// message-kind names, while named constants and dynamic keys pass.
+// message-kind names, while named constants and dynamic keys pass. "Raise"
+// is declared in crbaseline, which the harness reaches only through core.
 package harness
 
 import (
+	"msgkind/core"
 	"msgkind/protocol"
 	"msgkind/trace"
 	"msgkind/transport"
 )
 
 const envelopeKind = "harness.envelope"
+
+var _ = core.Baseline
 
 func counts(l *trace.Log, c *transport.Census) []int {
 	return []int{
@@ -20,6 +24,8 @@ func counts(l *trace.Log, c *transport.Census) []int {
 		c.CountSent("Ack"), // want "undeclared message kind"
 		c.SentByKind()["Raise"],
 		c.SentByKind()["Rase"], // want "undeclared message kind"
+		// Declared only in a test file: no wire kind.
+		l.CountSends("test.synthetic"), // want "undeclared message kind"
 		// Named constants pass: they are declared, not typo-prone literals.
 		l.CountSends(envelopeKind),
 	}

@@ -12,6 +12,11 @@ import "go/ast"
 // parked on it nor holding a token. (A channel timer would be the same hole,
 // and needs no lint: vclock.Clock has no method that returns a channel.)
 //
+// The packages reachable from protocol.Explore (protocol, exception, trace,
+// transport, wire, ident) are in the set for a second reason: the bounded
+// model checker replays delivery schedules step by step, and a wall-clock
+// read would make a replay differ from its original.
+//
 // vclock itself implements the seam (its Real clock is the one place the
 // runtime timers belong), and transport/conformancetest is a test harness
 // that legitimately paces real backends; both sit outside this set, as does
@@ -23,6 +28,11 @@ var timeseamPkgs = map[string]bool{
 	"membership": true,
 	"transport":  true,
 	"core":       true,
+	"protocol":   true,
+	"exception":  true,
+	"trace":      true,
+	"wire":       true,
+	"ident":      true,
 }
 
 // bannedSeamTimeFuncs are the time-package calls that read the wall clock or
@@ -39,7 +49,8 @@ var bannedSeamTimeFuncs = map[string]bool{
 // files.
 var TimeSeamAnalyzer = &Analyzer{
 	Name: "timeseam",
-	Doc: "clock-seam packages (fifo, netsim, transport, group, membership, core) must arm " +
+	Doc: "clock-seam packages (fifo, netsim, transport, group, membership, core, and " +
+		"protocol, exception, trace, wire, ident behind protocol.Explore) must arm " +
 		"timers through vclock.Clock, never the time package directly",
 	Run: runTimeSeam,
 }

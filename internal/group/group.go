@@ -211,9 +211,8 @@ func (d *Directory) Members() []ident.ObjectID {
 
 // KindEnvelope is the wire kind of the reliable transport's envelopes: a
 // message of this kind carries its sequencing in its Header, and Header.Kind
-// is the kind of the message it wraps. It is exported (with KindHeartbeat and
-// membership.KindView) so the msgkind census and the viewkind analyzer can
-// enumerate the group-layer kinds.
+// is the kind of the message it wraps. Like every declared Kind* string
+// constant, it is in the msgkind analyzer's census universe.
 const KindEnvelope = "group.envelope"
 
 const wireKind = KindEnvelope

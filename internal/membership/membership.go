@@ -278,46 +278,3 @@ func (m *Monitor) dispatch() {
 		}
 	}
 }
-
-// poll is one suspicion check: if suspects shrink the current view, the
-// surviving set still holds a majority of the base membership, and self is
-// the prospective coordinator, propose (= install + multicast) the next view.
-func (m *Monitor) poll() {
-	suspected := make(map[ident.ObjectID]bool)
-	for _, s := range m.cfg.Suspector.Suspects() {
-		suspected[s] = true
-	}
-	if m.cfg.Rejoin || m.cfg.Lease > 0 {
-		m.pollExtended(suspected)
-		return
-	}
-	if len(suspected) == 0 {
-		return
-	}
-
-	m.mu.Lock()
-	alive := make([]ident.ObjectID, 0, len(m.cur.Members))
-	for _, member := range m.cur.Members {
-		if member == m.cfg.Self || !suspected[member] {
-			alive = append(alive, member)
-		}
-	}
-	if len(alive) == len(m.cur.Members) || // nothing new to exclude
-		2*len(alive) <= len(m.cfg.Members) || // minority island: stall, don't diverge
-		alive[0] != m.cfg.Self { // not the coordinator
-		m.mu.Unlock()
-		return
-	}
-	next := View{Epoch: m.cur.Epoch + 1, Members: alive}
-	m.installLocked(next)
-	m.mu.Unlock()
-
-	if m.cfg.Send != nil {
-		for _, member := range next.Members {
-			if member == m.cfg.Self {
-				continue
-			}
-			_ = m.cfg.Send(member, KindView, next.Clone())
-		}
-	}
-}

@@ -175,10 +175,17 @@ func (m *Monitor) handleWelcome(w Welcome) {
 	m.mu.Unlock()
 }
 
-// pollExtended is one suspicion check in rejoin/lease mode. It adds to the
-// legacy poll: minority self-detection, rejoin petitions after heal, and
-// lease renewal gating every proposal.
-func (m *Monitor) pollExtended(suspected map[ident.ObjectID]bool) {
+// poll is one suspicion check: if suspects shrink the current view, the
+// surviving set still holds a majority of the base membership, and self is
+// the prospective coordinator, propose (= install + multicast) the next view.
+// With Lease set, a proposal also needs a valid lease, which the coordinator
+// renews here; with Rejoin set, a member that saw itself in a minority island
+// petitions for readmission once it sees a majority again.
+func (m *Monitor) poll() {
+	suspected := make(map[ident.ObjectID]bool)
+	for _, s := range m.cfg.Suspector.Suspects() {
+		suspected[s] = true
+	}
 	now := m.clk.Now()
 	m.mu.Lock()
 	base := m.cfg.Members
@@ -209,7 +216,7 @@ func (m *Monitor) pollExtended(suspected map[ident.ObjectID]bool) {
 		}
 	}
 
-	// Proposal path, as in the legacy poll but lease-gated.
+	// Proposal path, lease-gated when Lease is set.
 	var proposed *View
 	var leaseAsk []ident.ObjectID
 	if m.cur.Contains(m.cfg.Self) {
