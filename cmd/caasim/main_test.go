@@ -104,9 +104,8 @@ func TestRunConcurrentHonoursVirtual(t *testing.T) {
 }
 
 // TestRunConcurrentCensusPastTheRing: 600 copies of a nine-message action
-// record some 25 000 events on the shared server, more than its log keeps,
-// and the census line still reads (N-1)(2P+3Q+1) = 9 an action: a count never
-// depends on a kept event.
+// record some 25 000 events on the shared server, and the census line still
+// reads (N-1)(2P+3Q+1) = 9 an action.
 func TestRunConcurrentCensusPastTheRing(t *testing.T) {
 	out := runCaptured(t, "-concurrent", "600", "-n", "4", "-p", "1")
 	for _, want := range []string{"agreement: 600/600 copies completed", "protocol messages: ACK=1800 Commit=1800 Exception=1800\n"} {

@@ -58,9 +58,11 @@
 //
 // on the flagged line or the line directly above it. The reason is mandatory:
 // a bare "//protolint:allow <analyzer>" suppresses nothing and is itself
-// reported, so reviewers always see why the rule does not apply. Suppressed
-// findings are retained (marked Suppressed, with the reason) so the -json
-// driver output can surface them.
+// reported, so reviewers always see why the rule does not apply. An allow
+// that suppresses no finding of its analyzer is reported too, so an excuse
+// does not outlive the code it excused. Suppressed findings are retained
+// (marked Suppressed, with the reason) so the -json driver output can surface
+// them.
 package analysis
 
 import (
@@ -112,7 +114,16 @@ type Pass struct {
 	analyzer *Analyzer
 	diags    *[]Diagnostic
 	exported *FactSet
-	allowed  map[string]map[int]string // filename -> line -> suppression reason
+	allowed  map[string]map[int]*allow // filename -> line -> this analyzer's allow there
+}
+
+// allow is one reasoned //protolint:allow comment, as it applies to one
+// analyzer.
+type allow struct {
+	analyzer string
+	pos      token.Position
+	reason   string
+	used     bool // it suppressed a finding
 }
 
 // PkgName returns the package's declared name (not its import path). The
@@ -130,10 +141,13 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 		Message:  fmt.Sprintf(format, args...),
 	}
 	if lines := p.allowed[position.Filename]; lines != nil {
-		if reason, ok := lines[position.Line]; ok {
-			d.Suppressed, d.SuppressReason = true, reason
-		} else if reason, ok := lines[position.Line-1]; ok {
-			d.Suppressed, d.SuppressReason = true, reason
+		a := lines[position.Line]
+		if a == nil {
+			a = lines[position.Line-1]
+		}
+		if a != nil {
+			a.used = true
+			d.Suppressed, d.SuppressReason = true, a.reason
 		}
 	}
 	*p.diags = append(*p.diags, d)
@@ -150,11 +164,21 @@ func (p *Pass) InTestFile(pos token.Pos) bool {
 // cross-package facts from imported, and returns the findings sorted by
 // position (suppressed ones included, marked) together with the package's
 // exported fact set.
+//
+// Once every analyzer has reported, an allow naming one of them that
+// suppressed none of its findings is itself a finding: the code it excused has
+// moved or gone. An allow naming an analyzer that did not run is not judged.
 func Run(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer, imported FactStore) ([]Diagnostic, *FactSet) {
 	var diags []Diagnostic
 	exported := NewFactSet()
+	var allows []*allow
 	for _, a := range analyzers {
 		allowed, bare := allowIndex(fset, files, a.Name)
+		for _, lines := range allowed {
+			for _, al := range lines {
+				allows = append(allows, al)
+			}
+		}
 		pass := &Pass{
 			Fset:     fset,
 			Files:    files,
@@ -168,6 +192,16 @@ func Run(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types
 		}
 		a.Run(pass)
 		diags = append(diags, bare...)
+	}
+	for _, al := range allows {
+		if !al.used {
+			diags = append(diags, Diagnostic{
+				Analyzer: al.analyzer,
+				Pos:      al.pos,
+				Message: fmt.Sprintf("//protolint:allow %s suppresses nothing: no %s finding on this line or the next; delete it",
+					al.analyzer, al.analyzer),
+			})
+		}
 	}
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i].Pos, diags[j].Pos
@@ -197,12 +231,12 @@ func All() []*Analyzer {
 	}
 }
 
-// allowIndex maps filename -> line -> reason for every reasoned
+// allowIndex maps filename -> line -> allow for every reasoned
 // "//protolint:allow <name> <reason>" comment naming the given analyzer. A
 // bare allow (no reason text) suppresses nothing; it is returned as a
 // diagnostic instead, so the missing justification is itself a finding.
-func allowIndex(fset *token.FileSet, files []*ast.File, name string) (map[string]map[int]string, []Diagnostic) {
-	idx := make(map[string]map[int]string)
+func allowIndex(fset *token.FileSet, files []*ast.File, name string) (map[string]map[int]*allow, []Diagnostic) {
+	idx := make(map[string]map[int]*allow)
 	var bare []Diagnostic
 	for _, f := range files {
 		for _, cg := range f.Comments {
@@ -240,9 +274,9 @@ func allowIndex(fset *token.FileSet, files []*ast.File, name string) (map[string
 					continue
 				}
 				if idx[pos.Filename] == nil {
-					idx[pos.Filename] = make(map[int]string)
+					idx[pos.Filename] = make(map[int]*allow)
 				}
-				idx[pos.Filename][pos.Line] = reason
+				idx[pos.Filename][pos.Line] = &allow{analyzer: name, pos: pos, reason: reason}
 			}
 		}
 	}

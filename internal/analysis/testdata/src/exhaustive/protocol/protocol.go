@@ -69,6 +69,19 @@ func suppressed(s State) string {
 	return ""
 }
 
+// staleAllow's switch has since learned every member: the allow above it
+// excuses nothing and is itself a finding.
+func staleAllow(s State) string {
+	//protolint:allow exhaustive only the terminal state matters here // want `allow exhaustive suppresses nothing`
+	switch s {
+	case StateNormal, StateExceptional, StateSuspended:
+		return "live"
+	case StateReady:
+		return "R"
+	}
+	return ""
+}
+
 func kindMissing(kind string) bool {
 	switch kind { // want "missing cases KindNestedCompleted, KindAck, KindCommit"
 	case KindException, KindHaveNested:

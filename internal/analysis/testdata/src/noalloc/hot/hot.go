@@ -97,6 +97,12 @@ func allowed(n int) *item {
 	return &item{n: n} //protolint:allow noalloc init-time only, never on the steady-state path
 }
 
+//caa:noalloc
+func staleAllow(it *item, n int) *item {
+	it.n = n //protolint:allow noalloc init-time only, never on the steady-state path // want `allow noalloc suppresses nothing`
+	return it
+}
+
 func work(n int) {}
 
 func idle() {}

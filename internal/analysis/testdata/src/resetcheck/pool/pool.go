@@ -48,6 +48,15 @@ func (w *watermark) Reset() {
 	w.buf = w.buf[:0]
 }
 
+// cleared clears the field its allow excuses, so the allow is stale.
+type cleared struct {
+	buf []byte //protolint:allow resetcheck capacity watermark survives reuse // want `allow resetcheck suppresses nothing`
+}
+
+func (c *cleared) Reset() {
+	c.buf = nil
+}
+
 // signalled drains its wake-up channel in place: a receive covers the field,
 // a channel that is only sent on does not.
 type signalled struct {

@@ -178,12 +178,16 @@ func (c *Context) Apply(key string, op atomicobj.Op) error {
 	return c.inst.txnApply(key, op)
 }
 
-// Note records a free-form trace event, useful in examples and tests.
+// Note records a free-form event in the action's record (and in
+// Options.Trace, when set), useful in examples and tests.
 func (c *Context) Note(label, detail string) {
-	c.p.run.sys.log.Record(trace.Event{
-		Kind: trace.EvNote, Object: c.p.obj, Action: c.inst.id,
+	p := c.p
+	p.emu.Lock()
+	p.hookLog(trace.Event{
+		Kind: trace.EvNote, Object: p.obj, Action: c.inst.id,
 		Label: label, Detail: detail,
 	})
+	p.emu.Unlock()
 }
 
 // Enclose enters the nested CA action described by spec (every member passes

@@ -33,7 +33,7 @@ func TestRunWithWireEncoding(t *testing.T) {
 	}
 	out, err := sys.Run(def)
 	if err != nil {
-		t.Fatalf("run: %v\n%s", err, sys.Trace().Dump())
+		t.Fatalf("run: %v\n%s", err, recordOf(err))
 	}
 	if !out.Completed || out.Resolved != "left_engine_exception" {
 		t.Errorf("outcome = %+v", out)
@@ -179,7 +179,7 @@ func TestSiblingNestedActionsIndependentResolutions(t *testing.T) {
 	}
 	out, err := sys.Run(def)
 	if err != nil {
-		t.Fatalf("run: %v\n%s", err, sys.Trace().Dump())
+		t.Fatalf("run: %v\n%s", err, recordOf(err))
 	}
 	if !out.Completed || out.Resolved != "" {
 		t.Errorf("outer outcome = %+v (sibling recoveries must be invisible)", out)
@@ -236,7 +236,7 @@ func TestSequentialNestedActions(t *testing.T) {
 	}
 	out, err := sys.Run(def)
 	if err != nil {
-		t.Fatalf("run: %v\n%s", err, sys.Trace().Dump())
+		t.Fatalf("run: %v\n%s", err, recordOf(err))
 	}
 	if !out.Completed {
 		t.Fatalf("outcome = %+v", out)

@@ -94,7 +94,7 @@ func TestHandlerSignalDifferentPerParticipant(t *testing.T) {
 	}
 	out, err := sys.Run(def)
 	if err != nil {
-		t.Fatalf("run: %v\n%s", err, sys.Trace().Dump())
+		t.Fatalf("run: %v\n%s", err, recordOf(err))
 	}
 	// sigA and sigB are raised concurrently in the outer action: the
 	// resolution must cover both -> "u". (One may arrive first and suppress
@@ -166,7 +166,7 @@ func TestNestedAfterRecovery(t *testing.T) {
 	}
 	out, err := sys.Run(def1)
 	if err != nil {
-		t.Fatalf("run: %v\n%s", err, sys.Trace().Dump())
+		t.Fatalf("run: %v\n%s", err, recordOf(err))
 	}
 	if !out.Completed {
 		t.Fatalf("outcome = %+v", out)
@@ -231,7 +231,7 @@ func TestAbortionHandlerReadsParentTxn(t *testing.T) {
 	}
 	out, err := sys.Run(def)
 	if err != nil {
-		t.Fatalf("run: %v\n%s", err, sys.Trace().Dump())
+		t.Fatalf("run: %v\n%s", err, recordOf(err))
 	}
 	if !out.Completed || out.Resolved != "of" {
 		t.Fatalf("outcome = %+v", out)

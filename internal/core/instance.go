@@ -43,6 +43,7 @@ type run struct {
 	snapshots   map[ident.ObjectID]any
 
 	attempt  int
+	seq      atomic.Int64   // the last sequence number the run's record handed out
 	live     atomic.Int32   // bodies still running
 	exited   sync.WaitGroup // 1 until the last body has returned
 	timedOut atomic.Bool    // RunTimeout's deadline fired

@@ -11,12 +11,13 @@ import (
 	"repro/internal/trace"
 )
 
-// TestContextNoteAndAction: trace notes from bodies are recorded with the
-// right object and action.
+// TestContextNoteAndAction: a note from a body is recorded in its action's
+// record with the right object and action, and a run that fails returns it.
 func TestContextNoteAndAction(t *testing.T) {
 	sys := newTestSystem(t)
 	members := []ident.ObjectID{1}
 	var actionID ident.ActionID
+	failed := errors.New("failed after noting")
 	def := Definition{
 		Spec: ActionSpec{
 			Name: "noted", Tree: testTree("f"), Members: members,
@@ -26,22 +27,23 @@ func TestContextNoteAndAction(t *testing.T) {
 			1: func(ctx *Context) error {
 				actionID = ctx.Action()
 				ctx.Note("progress", "step-1")
-				return nil
+				return failed
 			},
 		},
 	}
-	if _, err := sys.Run(def); err != nil {
-		t.Fatal(err)
+	_, err := sys.Run(def)
+	if !errors.Is(err, failed) {
+		t.Fatalf("err = %v, want the body's error", err)
 	}
 	found := false
-	for _, ev := range sys.Trace().FilterKind(trace.EvNote) {
-		if ev.Label == "progress" && ev.Detail == "step-1" &&
+	for _, ev := range runRecord(t, err).Events {
+		if ev.Kind == trace.EvNote && ev.Label == "progress" && ev.Detail == "step-1" &&
 			ev.Object == 1 && ev.Action == actionID {
 			found = true
 		}
 	}
 	if !found {
-		t.Error("Note event not recorded")
+		t.Errorf("Note event not recorded:\n%s", recordOf(err))
 	}
 	if actionID == 0 {
 		t.Error("Action() returned zero")

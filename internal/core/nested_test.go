@@ -54,7 +54,7 @@ func TestNestedActionNormalCompletion(t *testing.T) {
 	}
 	out, err := sys.Run(def)
 	if err != nil {
-		t.Fatalf("run: %v\n%s", err, sys.Trace().Dump())
+		t.Fatalf("run: %v\n%s", err, recordOf(err))
 	}
 	if !out.Completed {
 		t.Fatalf("outcome = %+v", out)
@@ -115,7 +115,7 @@ func TestNestedResolutionDoesNotDisturbOuter(t *testing.T) {
 	}
 	out, err := sys.Run(def)
 	if err != nil {
-		t.Fatalf("run: %v\n%s", err, sys.Trace().Dump())
+		t.Fatalf("run: %v\n%s", err, recordOf(err))
 	}
 	if !out.Completed || out.Resolved != "" {
 		t.Fatalf("outer outcome = %+v (nested recovery must be invisible)", out)
@@ -168,7 +168,7 @@ func TestNestedSignalPropagatesToOuter(t *testing.T) {
 	}
 	out, err := sys.Run(def)
 	if err != nil {
-		t.Fatalf("run: %v\n%s", err, sys.Trace().Dump())
+		t.Fatalf("run: %v\n%s", err, recordOf(err))
 	}
 	if !out.Completed || out.Resolved != "ofault" {
 		t.Fatalf("outcome = %+v, want resolved ofault", out)
@@ -234,7 +234,7 @@ func TestOuterExceptionAbortsNested(t *testing.T) {
 	}
 	out, err := sys.Run(def)
 	if err != nil {
-		t.Fatalf("run: %v\n%s", err, sys.Trace().Dump())
+		t.Fatalf("run: %v\n%s", err, recordOf(err))
 	}
 	if !out.Completed || out.Resolved != "ofault" {
 		t.Fatalf("outcome = %+v", out)
@@ -552,7 +552,7 @@ func TestExample2EndToEnd(t *testing.T) {
 	}
 	out, err := sys.Run(def)
 	if err != nil {
-		t.Fatalf("run: %v\n%s", err, sys.Trace().Dump())
+		t.Fatalf("run: %v\n%s", err, recordOf(err))
 	}
 	// Resolution happens at A1 over {E1, E3} (E2's nested resolution is
 	// eliminated); with a flat tree the cover is the root.

@@ -66,6 +66,13 @@ type participant struct {
 	// emu.
 	estack []*instance
 
+	// events is p's share of its run's record: every event its engine, body
+	// and sends logged, stamped from the run's sequence. Its recordCap-event
+	// backing array is allocated once, by newParticipant, and kept across
+	// runs; lost counts the events that found it full. Guarded by emu.
+	events []trace.Event
+	lost   int
+
 	// pending counts what may still touch p once its body has returned and
 	// its mailbox has closed: handler tasks and Context.Sleep deadlines. recycle
 	// leaves a participant with any to the garbage collector.
@@ -94,10 +101,18 @@ const (
 	bodyWoken                // a waker has claimed the wake-up
 )
 
+// recordCap is how many events one participant keeps of one run. The most
+// one member of any benchmark workload records in one run is 43 (storm, all
+// eight raising); past the cap an event is counted in lost, not kept.
+const recordCap = 64
+
 // newParticipant builds a participant for the server's pool: what it keeps
 // for life, and nothing a run sets.
 func newParticipant(s *Server) *participant {
-	p := &participant{wake: make(chan struct{}, 1)}
+	p := &participant{
+		wake:   make(chan struct{}, 1),
+		events: make([]trace.Event, 0, recordCap),
+	}
 	p.route.inbox = newMailbox(s, p)
 	p.parkCond = sync.NewCond(&p.smu)
 	p.hooks = protocol.Hooks{
@@ -105,7 +120,7 @@ func newParticipant(s *Server) *participant {
 		Suspend:      p.hookSuspend,
 		AbortNested:  p.hookAbortNested,
 		StartHandler: p.hookStartHandler,
-		Log:          s.record,
+		Log:          p.hookLog,
 	}
 	p.engine = protocol.NewEngine(0, p.hooks)
 	p.Reset()
@@ -114,16 +129,18 @@ func newParticipant(s *Server) *participant {
 
 // Reset empties p for the pool. What it keeps for life stays: the engine
 // (Engine.Reset rebinds it in join) and its hooks, the mailbox (reopened by
-// detach), the wake channel, and the capacity of estack and outcomes. Everything
-// a run set is zeroed, a field added later included.
+// detach), the wake channel, and the capacity of estack, events and outcomes.
+// Everything a run set is zeroed, a field added later included.
 func (p *participant) Reset() {
 	clear(p.estack[:cap(p.estack)])
+	clear(p.events) // only what the run recorded: the rest is zero
 	clear(p.outcomes[:cap(p.outcomes)])
 	*p = participant{
 		route:        sessionRoute{inbox: p.route.inbox},
 		engine:       p.engine,
 		hooks:        p.hooks,
 		estack:       p.estack[:0],
+		events:       p.events[:0],
 		parkCond:     p.parkCond,
 		suspendLevel: levelNone,
 		parkedLevel:  levelNotParked,
@@ -274,10 +291,24 @@ func (p *participant) wakeBody() {
 //caa:noalloc
 func (p *participant) hookSend(to ident.ObjectID, m protocol.Msg) {
 	if err := p.route.send(to, m.Kind, m.Body()); err != nil {
-		//protolint:allow noalloc send-failure path: the error's text, never taken while the object is bound
-		p.run.sys.log.Record(trace.Event{Kind: trace.EvNote, Object: p.obj,
+		p.hookLog(trace.Event{Kind: trace.EvNote, Object: p.obj,
 			Label: "send-error", Detail: err.Error()})
 	}
+}
+
+// hookLog records one event of p's run: the server's log counts it (and
+// keeps it, when the log is Options.Trace), and p's share of the run's record
+// keeps it, stamped from the run's sequence.
+//
+//caa:noalloc
+func (p *participant) hookLog(ev trace.Event) {
+	ev.Seq = int(p.run.seq.Add(1))
+	p.run.sys.log.Record(ev)
+	if len(p.events) == cap(p.events) {
+		p.lost++
+		return
+	}
+	p.events = append(p.events, ev)
 }
 
 func (p *participant) hookSuspend(action ident.ActionID) {

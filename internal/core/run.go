@@ -1,11 +1,15 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/ident"
+	"repro/internal/trace"
 	"repro/internal/vclock"
 )
 
@@ -67,6 +71,45 @@ var (
 	// outcomes — a protocol-invariant violation.
 	ErrDisagreement = errors.New("core: participants disagree on the outcome")
 )
+
+// Record is one top-level action's event history, nested actions included:
+// what its members' engines, bodies and sends recorded, merged in sequence
+// order. Each participant keeps its share in a buffer of its own, so
+// recording takes no lock another action shares and the server keeps no
+// history; a run that fails after its members joined returns the record in
+// its RunError.
+type Record struct {
+	Events []trace.Event
+	// Lost counts the events that found a member's buffer full (recordCap
+	// events per member), which Events therefore lacks.
+	Lost int
+}
+
+// String renders the record one event per line, then what it lost.
+func (rec Record) String() string {
+	var b strings.Builder
+	for _, e := range rec.Events {
+		b.WriteString(e.String())
+		b.WriteByte('\n')
+	}
+	if rec.Lost > 0 {
+		fmt.Fprintf(&b, "(%d events lost: a member's buffer was full)\n", rec.Lost)
+	}
+	return b.String()
+}
+
+// RunError is the error of a run that failed after its members joined: it
+// timed out, a body failed, or the members disagree. It reads and unwraps as
+// Err, so errors.Is(err, ErrTimeout) holds, and carries the action's Record.
+type RunError struct {
+	Err    error
+	Record Record
+}
+
+func (e *RunError) Error() string { return e.Err.Error() }
+
+// Unwrap returns the run's error.
+func (e *RunError) Unwrap() error { return e.Err }
 
 // Run executes a top-level CA action to completion. It is a thin wrapper
 // over the shared runtime: the action is admitted (blocking or failing per
@@ -219,6 +262,13 @@ func (s *Server) runAttempt(def Definition, timeout time.Duration, attempt int) 
 			out.Signalled = res.Signalled
 		}
 	}
+	if r.timedOut.Load() {
+		firstErr = ErrTimeout
+	}
+	if firstErr != nil {
+		// Before the participants go back to the pool, which empties them.
+		firstErr = &RunError{Err: firstErr, Record: r.record()}
+	}
 	if reuse {
 		for k := range slab {
 			s.recycle(slab[k].ctx.p)
@@ -227,10 +277,23 @@ func (s *Server) runAttempt(def Definition, timeout time.Duration, attempt int) 
 	if s.opts.Membership != nil && s.opts.Membership.Rejoin && out.Resolved != "" {
 		s.appendHistory(out.Resolved)
 	}
-	if r.timedOut.Load() {
-		return out, ErrTimeout
-	}
 	return out, firstErr
+}
+
+// record merges the members' shares of the run's record by sequence. Every
+// participant has stopped and every body has returned, so nothing writes
+// them any more; emu orders this read after the last write.
+func (r *run) record() Record {
+	var rec Record
+	for k := range r.top.slab {
+		p := r.top.slab[k].ctx.p
+		p.emu.Lock()
+		rec.Events = append(rec.Events, p.events...)
+		rec.Lost += p.lost
+		p.emu.Unlock()
+	}
+	slices.SortFunc(rec.Events, func(a, b trace.Event) int { return cmp.Compare(a.Seq, b.Seq) })
+	return rec
 }
 
 // runBody runs a participant's body on a pool worker. It holds the clock

@@ -101,7 +101,7 @@ func TestRunNormalCompletion(t *testing.T) {
 	}
 	out, err := sys.Run(def)
 	if err != nil {
-		t.Fatalf("run: %v\n%s", err, sys.Trace().Dump())
+		t.Fatalf("run: %v\n%s", err, recordOf(err))
 	}
 	if !out.Completed || out.Resolved != "" || out.Signalled != "" {
 		t.Errorf("outcome = %+v", out)
@@ -145,7 +145,7 @@ func TestRunSingleException(t *testing.T) {
 	}
 	out, err := sys.Run(def)
 	if err != nil {
-		t.Fatalf("run: %v\n%s", err, sys.Trace().Dump())
+		t.Fatalf("run: %v\n%s", err, recordOf(err))
 	}
 	if !out.Completed || out.Resolved != "fault" || out.Signalled != "" {
 		t.Errorf("outcome = %+v", out)
@@ -193,7 +193,7 @@ func TestRunConcurrentExceptionsResolve(t *testing.T) {
 	}
 	out, err := sys.Run(def)
 	if err != nil {
-		t.Fatalf("run: %v\n%s", err, sys.Trace().Dump())
+		t.Fatalf("run: %v\n%s", err, recordOf(err))
 	}
 	// Both raises may or may not both be accepted (one can arrive first and
 	// suppress the other); either way the resolved exception must cover the
@@ -235,7 +235,7 @@ func TestRunHandlerSignalsFailure(t *testing.T) {
 	}
 	out, err := sys.Run(def)
 	if err != nil {
-		t.Fatalf("run: %v\n%s", err, sys.Trace().Dump())
+		t.Fatalf("run: %v\n%s", err, recordOf(err))
 	}
 	if out.Signalled != "universal" {
 		t.Errorf("signalled = %q, want universal", out.Signalled)
@@ -305,7 +305,7 @@ func TestHandlerReceivesRecoveryView(t *testing.T) {
 	}
 	out, err := sys.Run(def)
 	if err != nil {
-		t.Fatalf("run: %v\n%s", err, sys.Trace().Dump())
+		t.Fatalf("run: %v\n%s", err, recordOf(err))
 	}
 	if !out.Completed || out.Resolved != "fault" {
 		t.Fatalf("outcome = %+v", out)

@@ -84,28 +84,22 @@ type Options struct {
 	// Overload selects blocking or rejecting admission once MaxInFlight is
 	// reached. Ignored when MaxInFlight is 0.
 	Overload OverloadPolicy
-	// Trace receives all runtime events. Nil gives the server a private log
-	// that counts every send (Census, CountSends and TotalSends are exact for
-	// the server's whole life, or since the last Reset) but keeps only the
-	// most recent traceRingEvents events. Pass trace.NewLog() to keep every
-	// event, as anything that checks a complete history must (CheckFIFO,
-	// CheckHandlersAgree, Dump).
+	// Trace, when set, receives every runtime event, membership notes
+	// included, and keeps them all: pass trace.NewLog() to anything that
+	// checks a complete history (CheckFIFO, CheckHandlersAgree, Dump). Nil
+	// gives the server a census-only log that keeps no event: Census,
+	// CountSends and TotalSends are exact for the server's whole life, or
+	// since the last Reset. Either way each action keeps its own record in its
+	// participants, which a run that fails after its members joined returns
+	// in its RunError.
 	Trace *trace.Log
 }
-
-// traceRingEvents is how many events the private log of a server built
-// without Options.Trace keeps: 72 bytes each, 1.25 MiB of backing arrays once
-// the ring has filled, however long the server lives. A constant and not an
-// option: nothing but the benchmark's retained_kb_per_action depends on it,
-// and that repeats to under 1 % at this size and wandered 4.7 % at a quarter
-// of it (ROADMAP item 2(a)).
-const traceRingEvents = 16384
 
 // Server is the long-lived action runtime: it owns the substrates every CA
 // action needs — the simulated network, the shared membership directory, the
 // per-object dispatchers multiplexing concurrent actions over shared
-// transports, the participant pool, the atomic-object store and the event log —
-// and hosts any number of concurrent, independent top-level actions.
+// transports, the participant pool, the atomic-object store and the message
+// census — and hosts any number of concurrent, independent top-level actions.
 // Create with NewServer, release with Close.
 type Server struct {
 	opts  Options
@@ -113,10 +107,7 @@ type Server struct {
 	net   *netsim.Network
 	dir   *group.Directory
 	store *atomicobj.Store
-	log   *trace.Log
-	// record is the protocol.Hooks.Log every engine is handed: built once
-	// here, not once per participant.
-	record func(trace.Event)
+	log   *trace.Log // Options.Trace, or a census-only log
 
 	// group is the server-persistent membership record, maintained across
 	// runs when Options.Membership.Rejoin is set (nil otherwise). Guarded by
@@ -147,7 +138,7 @@ type Server struct {
 func NewServer(opts Options) *Server {
 	log := opts.Trace
 	if log == nil {
-		log = trace.NewRing(traceRingEvents)
+		log = trace.NewCensus()
 	}
 	clk := vclock.Or(opts.Clock)
 	if opts.Network.Clock == nil {
@@ -159,7 +150,6 @@ func NewServer(opts Options) *Server {
 		clk:         clk,
 		store:       atomicobj.NewStore(),
 		log:         log,
-		record:      func(ev trace.Event) { log.Record(ev) },
 		net:         net,
 		dispatchers: make(map[ident.ObjectID]*dispatcher),
 	}
@@ -178,7 +168,8 @@ func NewServer(opts Options) *Server {
 // Store returns the external atomic-object store.
 func (s *Server) Store() *atomicobj.Store { return s.store }
 
-// Trace returns the event log.
+// Trace returns the server's log: Options.Trace, which keeps every event, or
+// else a census-only log that counts sends and keeps no event.
 func (s *Server) Trace() *trace.Log { return s.log }
 
 // NetworkStats returns a snapshot of network counters.

@@ -110,7 +110,7 @@ func TestRunOverTCPTransport(t *testing.T) {
 			var handled sync.Map
 			out, err := sys.RunTimeout(tcpScenarioDef(c.nested, &handled, c.barrier), 30*time.Second)
 			if err != nil {
-				t.Fatalf("tcp run: %v\n%s", err, sys.Trace().Dump())
+				t.Fatalf("tcp run: %v\n%s", err, recordOf(err))
 			}
 			if !out.Completed {
 				t.Fatalf("tcp outcome = %+v", out)

@@ -469,7 +469,7 @@ func E13() (Table, error) {
 		Title:  "resolution latency vs nesting depth (abortion-handler delays)",
 		Header: []string{"depth", "N", "resolution latency", "messages"},
 		Notes: []string{
-			"one-way network latency 200µs, 2ms of work per abortion handler; O1 raises at the top while O2 and O3 sit `depth` actions deep.",
+			"one-way network latency 200µs, 2ms of work per abortion handler; O1 raises at the top while O2 and O3 sit `depth` actions deep. Times are on the virtual clock, so every run reads the same.",
 			"latency grows linearly with depth because each popped nested action runs its abortion handler before NestedCompleted is sent — 'levels of nesting cannot be estimated in any way'.",
 		},
 	}
@@ -479,11 +479,11 @@ func E13() (Table, error) {
 		if err != nil {
 			return t, err
 		}
-		res, err := scengen.Run(prog, scengen.Config{Latency: 200 * time.Microsecond})
+		res, err := scengen.Run(prog, scengen.Config{Latency: 200 * time.Microsecond, Virtual: true})
 		if err != nil {
 			return t, err
 		}
-		lat := res.Elapsed - raiseDelay
+		lat := res.VirtualElapsed - raiseDelay
 		if lat < 0 {
 			lat = 0
 		}

@@ -319,7 +319,6 @@ func FabricResolutions(fab conformancetest.Fabric, p *Program, want int) (Resolu
 				for _, obj := range a.Members {
 					le := engineOf(fi, obj)
 					key := ResolutionKey{Family: fi, Obj: ident.ObjectID(obj), Action: actionID(fi, ai)}
-					//protolint:allow lockorder the raise-barrier locks were all released by the unlock loop above; may-hold cannot correlate the two loop bounds
 					le.mu.Lock()
 					if exc, ok := le.e.CommittedAt(key.Action); ok {
 						got[key] = exc

@@ -54,7 +54,8 @@ type Result struct {
 	// Elapsed is the wall-clock duration of the runs; VirtualElapsed is how far
 	// the virtual clock moved (zero on the wall clock), the same on every run.
 	Elapsed, VirtualElapsed time.Duration
-	// Log is the server's event log.
+	// Log is the server's event log, Options.Trace: it keeps every event of
+	// the run.
 	Log *trace.Log
 
 	rec   *recorder
@@ -118,6 +119,7 @@ func run(p *Program, c Config, fams []int, t coreTiming) Result {
 		Network:    netsim.Config{Latency: netsim.FixedLatency(c.Latency)},
 		Transport:  c.Transport,
 		Membership: membershipFor(p.Partition),
+		Trace:      trace.NewLog(),
 	}
 	var virtual *vclock.Virtual // nil on the wall clock
 	if c.Virtual {

@@ -8,6 +8,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -64,8 +65,9 @@ func (k EventKind) String() string {
 	return fmt.Sprintf("event(%d)", int(k))
 }
 
-// Event is one recorded occurrence. Seq is a process-wide logical timestamp
-// assigned at record time, giving a total order consistent with real time.
+// Event is one recorded occurrence. Seq is a logical timestamp assigned at
+// record time by whoever keeps the event (a Log, or an action's record),
+// giving a total order of what that keeper holds consistent with real time.
 type Event struct {
 	Seq    int
 	Kind   EventKind
@@ -155,35 +157,16 @@ func kindName(i int) string {
 	return kindInterner.kinds.Load().names[i]
 }
 
-// logShardCount is the number of stripes the log's hot record path is spread
-// over. Sequence numbers are handed out round-robin across stripes, so
-// concurrent recorders almost never contend on the same stripe lock.
-const logShardCount = 16
-
-// logShard is one stripe of the log: its own lock and event slab.
-type logShard struct {
-	mu     sync.Mutex
-	events []Event
-	oldest int      // slot the next record overwrites once the stripe is full
-	_      [24]byte // pad to reduce false sharing between stripes
-}
-
-// Log is a concurrency-safe event log with a message census. What it counts
-// and what it keeps are separate: the census is one atomic counter per message
-// kind and never looks at an event, so a count is the same whether or not the
-// event behind it is still held.
+// Log is a concurrency-safe message census with, optionally, an event
+// history. What it counts and what it keeps are separate: the census is one
+// atomic counter per message kind and never looks at an event, so a count is
+// the same whether or not the log keeps the event behind it.
 //
-// The record path is striped: a global atomic counter assigns the sequence
-// number (the total order), and the event lands in the stripe the number
-// selects, so concurrent recorders do not serialise on one mutex. Readers
-// merge the stripes back into sequence order.
-//
-// A log from NewLog keeps every event; one from NewRing keeps the most recent
-// ones. The zero value is not usable.
+// A log from NewLog keeps every event, in the order they were recorded; one
+// from NewCensus keeps none. The zero value is not usable.
 type Log struct {
-	seq atomic.Int64
-	//protolint:allow resetcheck the capacity is what kind of log this is, not recorded state: Reset empties a ring, it does not unbound it
-	stripeCap int // events one stripe holds before it wraps; 0 keeps them all
+	//protolint:allow resetcheck whether the log keeps events is what kind of log this is, not recorded state: Reset empties a history, it does not end it
+	keep bool
 
 	// sends is the census: one counter per interned kind index, published as
 	// an immutable slab of pointers so that counting takes no lock. A kind
@@ -192,50 +175,40 @@ type Log struct {
 	// racing the growth is not lost.
 	sends atomic.Pointer[[]*atomic.Int64]
 
-	shards [logShardCount]logShard
+	mu     sync.Mutex
+	events []Event // kept events; events[i].Seq == i+1
 }
 
 // NewLog returns an empty log that keeps every event recorded into it: the
 // log for anything that reads a complete history (CheckFIFO,
 // CheckHandlersAgree, Dump).
 func NewLog() *Log {
+	return &Log{keep: true}
+}
+
+// NewCensus returns an empty log that counts sends and keeps no event:
+// Events, FilterKind and Dump find nothing in it, and recording takes no
+// lock.
+func NewCensus() *Log {
 	return &Log{}
 }
 
-// NewRing returns an empty log that keeps the last capacity events, rounded
-// up to a multiple of the stripe count. Each stripe grows by append until it
-// holds its share and then overwrites its oldest slot, so a ring that never
-// fills costs what an unbounded log costs and a full one records without
-// allocating. Sequence numbers are dealt round-robin over the stripes, so
-// what a full ring holds is the contiguous suffix of the sequence (exactly,
-// when records do not overlap; concurrent recorders that draw numbers for
-// the same stripe may take its lock out of order, which can swap which of
-// them is the one dropped at the old end).
-func NewRing(capacity int) *Log {
-	if capacity <= 0 {
-		panic("trace: ring capacity must be positive")
-	}
-	return &Log{stripeCap: (capacity + logShardCount - 1) / logShardCount}
-}
-
-// Record stores an event, assigning its sequence number, and returns it.
-// Send events additionally increment the census counter for their Label.
+// Record counts a send event in the census under its Label. A log that
+// keeps events stores e with the next sequence number and returns it as
+// stored; a census-only log returns e as given.
 //
 //caa:noalloc
 func (l *Log) Record(e Event) Event {
-	e.Seq = int(l.seq.Add(1))
 	if e.Kind == EvSend {
 		l.countSend(e.Label)
 	}
-	s := &l.shards[e.Seq%logShardCount]
-	s.mu.Lock()
-	if l.stripeCap == 0 || len(s.events) < l.stripeCap {
-		s.events = append(s.events, e)
-	} else {
-		s.events[s.oldest] = e
-		s.oldest = (s.oldest + 1) % l.stripeCap
+	if !l.keep {
+		return e
 	}
-	s.mu.Unlock()
+	l.mu.Lock()
+	e.Seq = len(l.events) + 1
+	l.events = append(l.events, e)
+	l.mu.Unlock()
 	return e
 }
 
@@ -284,17 +257,11 @@ func (l *Log) counters() []*atomic.Int64 {
 	return nil
 }
 
-// Events returns a copy of the events the log holds, in sequence order.
+// Events returns a copy of the events the log keeps, in sequence order.
 func (l *Log) Events() []Event {
-	var out []Event
-	for i := range l.shards {
-		s := &l.shards[i]
-		s.mu.Lock()
-		out = append(out, s.events...)
-		s.mu.Unlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return slices.Clone(l.events)
 }
 
 // Census returns a copy of the send census keyed by message-kind name.
@@ -329,17 +296,12 @@ func (l *Log) CountSends(kind string) int {
 // Reset clears all events, dropping their storage, and zeroes the census.
 // Interned kind indices are process-wide and survive resets.
 func (l *Log) Reset() {
-	for i := range l.shards {
-		s := &l.shards[i]
-		s.mu.Lock()
-		s.events = nil
-		s.oldest = 0
-		s.mu.Unlock()
-	}
+	l.mu.Lock()
+	l.events = nil
+	l.mu.Unlock()
 	for _, c := range l.counters() {
 		c.Store(0)
 	}
-	l.seq.Store(0)
 }
 
 // FilterKind returns the recorded events of the given kind, in order.
